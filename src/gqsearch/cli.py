@@ -511,11 +511,14 @@ def cmd_montecarlo(cfg: RunConfig):
         dec = decompose(instance)
         n = max(1, round(optimal_x_single() / (2.0 * dec.phi)))
 
-    p = success_probability(grover_power(instance, n), instance.targets)
+    state = grover_power(instance, n)
+    p = success_probability(state, instance.targets)
     closed = expected_cost(n, parallel_success(p, cfg.agents))
     if cfg.agents == 1:
         model = "statevector-born"
-        est = run_punctuated_statevector(instance, n, cfg.trials, cfg.seed)
+        est = run_punctuated_statevector(
+            state, instance.targets, n, cfg.trials, cfg.seed
+        )
     else:
         model = "coin"
         est = run_parallel(p, n, cfg.agents, cfg.trials, cfg.seed)

@@ -6,9 +6,10 @@ one uniform.  Uniforms come from a single PCG64 stream indexed by trial
 number (O(1) seek with PCG64.advance), which makes any partition of trials
 across workers reproduce the sequential run bit for bit.
 
-The statevector variant draws full Born-rule measurement outcomes from
-Q^n|s> and therefore needs a variable number of draws per trial; it uses a
-spawn-key substream per trial for the same splitting guarantee.
+The statevector variant draws full Born-rule measurement outcomes from an
+already evolved Q^n|s> and therefore needs a variable number of draws per
+trial; it uses a spawn-key substream per trial for the same splitting
+guarantee.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonTerminatingError, TrialCapError
-from .statevector import SearchInstance, grover_power
+from .statevector import StateVector, TargetSet, _target_index_array
 from .strategy import parallel_success
 
 # A single trial may not exceed this many rounds; exceeding raises.
@@ -144,7 +145,8 @@ def run_parallel(
 
 
 def statevector_trial_costs(
-    instance: SearchInstance,
+    state: StateVector,
+    targets: TargetSet,
     n: int,
     trials: int,
     seed: int,
@@ -153,7 +155,8 @@ def statevector_trial_costs(
 ):
     """End-to-end trial costs with full Born-rule measurement of Q^n|s>.
 
-    Computes Q^n|s> once; each round draws one outcome index from the
+    `state` is Q^n|s>, evolved once by the caller (`grover_power`); `n` only
+    prices each round.  Each round draws one outcome index from the
     |amplitude|^2 distribution and succeeds iff it is a target.  Returns
     (costs, outcome_counts) where outcome_counts tallies every measurement
     made, successes included.
@@ -167,20 +170,20 @@ def statevector_trial_costs(
     if reset_cost < 0.0:
         raise ValueError(f"reset_cost must be >= 0, got {reset_cost}")
 
-    state = grover_power(instance, n)
+    idx = _target_index_array(targets, state.dim)
     probs = np.abs(state.amplitudes) ** 2
     probs = probs / probs.sum()  # exact simplex for the sampler only
     cdf = np.cumsum(probs)
     cdf[-1] = 1.0
-    is_target = np.zeros(instance.n_items, dtype=bool)
-    is_target[np.asarray(instance.targets.indices, dtype=np.intp)] = True
+    is_target = np.zeros(state.dim, dtype=bool)
+    is_target[idx] = True
     if float(probs[is_target].sum()) == 0.0:
         raise NonTerminatingError(
             "success probability of the evolved state is 0; cannot terminate"
         )
 
     costs = np.empty(trials, dtype=float)
-    counts = np.zeros(instance.n_items, dtype=np.int64)
+    counts = np.zeros(state.dim, dtype=np.int64)
     for i in range(trials):
         rng = np.random.Generator(
             np.random.PCG64(
@@ -203,20 +206,21 @@ def statevector_trial_costs(
 
 
 def run_punctuated_statevector(
-    instance: SearchInstance,
+    state: StateVector,
+    targets: TargetSet,
     n: int,
     trials: int,
     seed: int,
     reset_cost: float = 0.0,
     return_outcome_counts: bool = False,
 ):
-    """Estimate the end-to-end punctuated cost with Born-rule measurement.
+    """Estimate the end-to-end punctuated cost, measuring the evolved Q^n|s>.
 
     With return_outcome_counts=True, returns (Estimate, counts) so the
     full outcome distribution can be inspected.
     """
     costs, counts = statevector_trial_costs(
-        instance, n, trials, seed, reset_cost=reset_cost
+        state, targets, n, trials, seed, reset_cost=reset_cost
     )
     est = _make_estimate(costs, seed)
     return (est, counts) if return_outcome_counts else est

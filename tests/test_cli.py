@@ -19,6 +19,7 @@ from gqsearch import (
     uniform_instance,
     uniform_state,
 )
+import gqsearch.statevector as statevector_module
 from gqsearch.cli import (
     MONTECARLO_COLUMNS,
     PLAN_COLUMNS,
@@ -154,6 +155,36 @@ def test_state_file_errors(tmp_path, capsys):
         "simulate", "--n-items", "8", "--targets", "1", "--start", f"file:{good}",
     )
     assert code == 2 and err.startswith("error:")
+
+
+def test_state_file_with_nan_is_refused(tmp_path, capsys):
+    bad = tmp_path / "nan.txt"
+    bad.write_text("4\n0.5 0\nnan 0\n0.5 0\n0.5 0\n")
+    code, out, err = run_cli(
+        capsys,
+        "simulate", "--n-items", "4", "--num-targets", "1", "--start", f"file:{bad}",
+    )
+    assert code == 2 and err.startswith("error:") and out == ""
+
+
+def test_montecarlo_evolves_once(monkeypatch, capsys):
+    # every evolution builds one reduced basis; the Born sampler reuses the
+    # state the CLI evolved instead of evolving it again
+    built = []
+
+    class Counting(statevector_module._ReducedBasis):
+        def __init__(self, instance):
+            built.append(instance)
+            super().__init__(instance)
+
+    monkeypatch.setattr(statevector_module, "_ReducedBasis", Counting)
+    code, _, _ = run_cli(
+        capsys,
+        "montecarlo", "--n-items", "64", "--num-targets", "1",
+        "--trials", "50", "--seed", "1",
+    )
+    assert code == 0
+    assert len(built) == 1
 
 
 def test_random_start_is_deterministic(capsys):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from gqsearch import (
+    InvalidTargetError,
     NonTerminatingError,
     SearchInstance,
     StateVector,
@@ -120,9 +121,10 @@ def test_runs_are_reproducible_and_seed_sensitive():
 def test_statevector_variant_matches_born_statistics():
     inst = uniform_instance(16, 1)
     n = 3
-    p = success_probability(grover_power(inst, n), inst.targets)
+    state = grover_power(inst, n)
+    p = success_probability(state, inst.targets)
     est, counts = run_punctuated_statevector(
-        inst, n, 3000, seed=2, return_outcome_counts=True
+        state, inst.targets, n, 3000, seed=2, return_outcome_counts=True
     )
     closed = expected_cost(n, p)
     assert abs(est.mean - closed) < 4.0 * est.stderr
@@ -138,11 +140,14 @@ def test_statevector_variant_matches_born_statistics():
 
 def test_statevector_variant_partition_and_reproducibility():
     inst = uniform_instance(8, 2)
-    full, _ = statevector_trial_costs(inst, 1, 60, seed=4)
-    head, _ = statevector_trial_costs(inst, 1, 30, seed=4)
-    tail, _ = statevector_trial_costs(inst, 1, 30, seed=4, trial_start=30)
+    state = grover_power(inst, 1)
+    full, _ = statevector_trial_costs(state, inst.targets, 1, 60, seed=4)
+    head, _ = statevector_trial_costs(state, inst.targets, 1, 30, seed=4)
+    tail, _ = statevector_trial_costs(
+        state, inst.targets, 1, 30, seed=4, trial_start=30
+    )
     assert np.array_equal(full, np.concatenate([head, tail]))
-    again, _ = statevector_trial_costs(inst, 1, 60, seed=4)
+    again, _ = statevector_trial_costs(state, inst.targets, 1, 60, seed=4)
     assert np.array_equal(full, again)
 
 
@@ -153,7 +158,7 @@ def test_statevector_variant_rejects_zero_support():
         n_items=4, targets=TargetSet.first(1), averaging=off, start=off
     )
     with pytest.raises(NonTerminatingError):
-        statevector_trial_costs(inst, 1, 5, seed=0)
+        statevector_trial_costs(grover_power(inst, 1), inst.targets, 1, 5, seed=0)
 
 
 def test_validation_errors():
@@ -167,6 +172,9 @@ def test_validation_errors():
         parallel_trial_costs(0.5, 3, 0, 10, seed=0)
     with pytest.raises(ValueError):
         trial_uniforms(0, -1, 10)
+    # the evolved state and the target set arrive separately
+    with pytest.raises(InvalidTargetError):
+        statevector_trial_costs(uniform_state(4), TargetSet((7,)), 1, 5, seed=0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -221,19 +229,21 @@ def test_parallel_closed_form_points():
 def test_statevector_certain_small_case():
     # N=4, r=1, uniform: one iteration succeeds with certainty
     inst = uniform_instance(4, TargetSet((2,)))
-    costs, counts = statevector_trial_costs(inst, 1, 400, seed=3)
+    state = grover_power(inst, 1)
+    costs, counts = statevector_trial_costs(state, inst.targets, 1, 400, seed=3)
     assert np.all(costs == 1.0)
     assert counts[2] == 400 and counts.sum() == 400
-    est = run_punctuated_statevector(inst, 1, 400, seed=3)
+    est = run_punctuated_statevector(state, inst.targets, 1, 400, seed=3)
     assert est.mean == 1.0 and est.stderr == 0.0
 
 
 def test_statevector_mean_at_punctuated_optimum():
     inst = uniform_instance(64, TargetSet((7,)))
     plan = punctuated_plan(rotation_angle(math.sqrt(1.0 / 64.0)))
-    p_round = success_probability(grover_power(inst, plan.n_int), inst.targets)
+    state = grover_power(inst, plan.n_int)
+    p_round = success_probability(state, inst.targets)
     closed = expected_cost(plan.n_int, p_round)
-    est = run_punctuated_statevector(inst, plan.n_int, 10**5, seed=6)
+    est = run_punctuated_statevector(state, inst.targets, plan.n_int, 10**5, seed=6)
     assert abs(est.mean - closed) <= 3.0 * est.stderr
 
 
@@ -246,10 +256,11 @@ def test_statevector_outcome_distribution_chi_square():
         averaging=uniform_state(8),
         start=random_state(8, 301),
     )
+    state = grover_power(inst, 2)
     _, counts = run_punctuated_statevector(
-        inst, 2, 20000, seed=7, return_outcome_counts=True
+        state, inst.targets, 2, 20000, seed=7, return_outcome_counts=True
     )
-    weights = np.abs(grover_power(inst, 2).amplitudes) ** 2
+    weights = np.abs(state.amplitudes) ** 2
     non_target = np.ones(8, dtype=bool)
     non_target[2] = False
     observed = counts[non_target]

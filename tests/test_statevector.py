@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gqsearch.analytic
 from gqsearch import (
     InvalidDimensionError,
     InvalidTargetError,
@@ -24,6 +25,7 @@ from gqsearch import (
     uniform_instance,
     uniform_state,
 )
+from gqsearch.statevector import _dense_evolution
 
 
 def basis_state(n_items, index):
@@ -48,6 +50,13 @@ def test_state_vector_copies_input():
 def test_state_vector_rejects_non_unit():
     with pytest.raises(NonUnitStateError):
         StateVector([1.0, 1.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+def test_state_vector_rejects_non_finite(bad):
+    # abs(nan - 1) > tol is False, so the guard must be written to catch NaN
+    with pytest.raises(NonUnitStateError):
+        StateVector([0.5, bad, 0.5, 0.5])
 
 
 def test_state_vector_rejects_bad_shapes():
@@ -232,3 +241,109 @@ def test_rotation_plane_closure_and_residuals():
         assert abs(span_n - span0) < 1e-10
         assert np.abs(res_t - res_t0).max() < 1e-12
         assert np.abs(res_l - (-1.0) ** step * res_l0).max() < 1e-12
+
+
+def assert_matches_dense(inst, n, tol=1e-10):
+    # the reduced-basis evolution against n dense O(N) passes
+    dense_probs, dense_amps = _dense_evolution(inst, n)
+    np.testing.assert_allclose(success_trajectory(inst, n), dense_probs, rtol=0, atol=tol)
+    np.testing.assert_allclose(grover_power(inst, n).amplitudes, dense_amps, rtol=0, atol=tol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_items=st.integers(2, 64), data=st.data())
+def test_reduced_evolution_matches_dense(n_items, data):
+    r = data.draw(st.integers(1, n_items))
+    targets = data.draw(st.permutations(range(n_items)))[:r]
+    seed = data.draw(st.integers(0, 2**31))
+    n = data.draw(st.integers(0, 200))
+    inst = SearchInstance(
+        n_items=n_items,
+        targets=TargetSet(targets),
+        averaging=random_state(n_items, seed),
+        start=random_state(n_items, seed + 1),
+    )
+    assert_matches_dense(inst, n)
+
+
+def _instance(targets, averaging, start):
+    amps_a = np.asarray(averaging, dtype=complex)
+    amps_s = np.asarray(start, dtype=complex)
+    return SearchInstance(
+        n_items=amps_a.size,
+        targets=TargetSet(targets),
+        averaging=StateVector(amps_a / np.linalg.norm(amps_a)),
+        start=StateVector(amps_s / np.linalg.norm(amps_s)),
+    )
+
+
+def test_reduced_evolution_degenerate_cases():
+    a = random_state(16, 20).amplitudes
+    s = random_state(16, 21).amplitudes
+    targets = (2, 5, 11)
+    off = np.ones(16, dtype=bool)
+    off[list(targets)] = False
+    cases = {
+        "s = a, uniform": uniform_instance(16, TargetSet(targets)),
+        "s = a, random": _instance(targets, a, a),
+        "r = N": _instance(range(16), a, s),
+        "v = 1": _instance(targets, np.where(off, 0.0, a), s),
+        "v = 0": _instance(targets, np.where(off, a, 0.0), s),
+        "start off the targets": _instance(targets, a, np.where(off, s, 0.0)),
+    }
+    for name, inst in cases.items():
+        for n in (0, 1, 2, 7, 200):
+            try:
+                assert_matches_dense(inst, n)
+            except AssertionError as exc:
+                raise AssertionError(f"{name}, n={n}: {exc}") from exc
+
+
+def test_reduced_evolution_large_instance():
+    inst = SearchInstance(
+        n_items=4096,
+        targets=TargetSet((3, 17, 40, 1000)),
+        averaging=random_state(4096, 30),
+        start=random_state(4096, 31),
+    )
+    assert_matches_dense(inst, 300)
+
+
+def test_evolution_rejects_stale_averaging_norm():
+    # the constructor validates, so force a stale norm to hit the per-step check
+    inst = uniform_instance(8, 1)
+    inst.averaging.amplitudes = inst.averaging.amplitudes * 2.0
+    with pytest.raises(NonUnitStateError, match="after 1 iterations"):
+        grover_power(inst, 3)
+    with pytest.raises(NonUnitStateError, match="after 1 iterations"):
+        success_trajectory(inst, 3)
+    with pytest.raises(NonUnitStateError):
+        _dense_evolution(inst, 3)
+
+
+def test_evolution_rejects_nan_averaging():
+    inst = uniform_instance(8, 1)
+    inst.averaging.amplitudes = inst.averaging.amplitudes.copy()
+    inst.averaging.amplitudes[5] = math.nan
+    with pytest.raises(NonUnitStateError):
+        grover_power(inst, 1)
+    with pytest.raises(NonUnitStateError):
+        success_trajectory(inst, 1)
+
+
+def test_evolution_never_calls_the_closed_form(monkeypatch):
+    # the simulator is the independent check of the closed form, so it
+    # must not reach gqsearch.analytic
+    def boom(*args, **kwargs):
+        raise AssertionError("the simulator called gqsearch.analytic")
+
+    for name in ("decompose", "success_prob_analytic", "rotation_angle"):
+        monkeypatch.setattr(gqsearch.analytic, name, boom)
+    inst = SearchInstance(
+        n_items=32,
+        targets=TargetSet((1, 9)),
+        averaging=random_state(32, 40),
+        start=random_state(32, 41),
+    )
+    assert success_trajectory(inst, 10).shape == (11,)
+    assert grover_power(inst, 10).dim == 32
