@@ -66,6 +66,7 @@ from .strategy import (
     parallel_plan,
     parallel_success,
     punctuated_plan,
+    restart_iterations,
 )
 
 
@@ -128,16 +129,14 @@ def read_state_file(path: str) -> StateVector:
         raise ValueError(f"state file {path!r} is empty")
     try:
         n = int(tokens[0])
-        values = [float(tok) for tok in tokens[1:]]
+        values = np.array(tokens[1:], dtype=float)
     except ValueError as exc:
         raise ValueError(f"state file {path!r} is malformed: {exc}") from exc
-    if len(values) != 2 * n:
+    if values.size != 2 * n:
         raise ValueError(
-            f"state file {path!r} declares {n} amplitudes but holds {len(values) / 2}"
+            f"state file {path!r} declares {n} amplitudes but holds {values.size / 2}"
         )
-    re = np.asarray(values[0::2])
-    im = np.asarray(values[1::2])
-    return StateVector(re + 1j * im)
+    return StateVector(values[0::2] + 1j * values[1::2])
 
 
 def write_state_file(path: str, state: StateVector) -> None:
@@ -508,8 +507,7 @@ def cmd_montecarlo(cfg: RunConfig):
         if n < 1:
             raise ValueError("--iterations must be >= 1 for montecarlo")
     else:
-        dec = decompose(instance)
-        n = max(1, round(optimal_x_single() / (2.0 * dec.phi)))
+        n = restart_iterations(decompose(instance))
 
     state = grover_power(instance, n)
     p = success_probability(state, instance.targets)

@@ -1,15 +1,17 @@
 """Stochastic verification of the expected-cost formulas.
 
-Coin-flip runs sample the number of restart rounds directly from the
-geometric distribution via its inverse CDF, so every trial consumes exactly
-one uniform.  Uniforms come from a single PCG64 stream indexed by trial
-number (O(1) seek with PCG64.advance), which makes any partition of trials
-across workers reproduce the sequential run bit for bit.
+Every uniform comes from one counter-based generator (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC 2011): the draw for
+trial t in round j is element (j << 32) | t of the SplitMix64 sequence for
+the seed, a pure function of (seed, t, j).  Any block of trials x rounds is
+therefore one numpy pass, and results never depend on how trials are split
+across calls or blocks.
 
-The statevector variant draws full Born-rule measurement outcomes from an
-already evolved Q^n|s> and therefore needs a variable number of draws per
-trial; it uses a spawn-key substream per trial for the same splitting
-guarantee.
+Coin-flip runs sample the number of restart rounds directly from the
+geometric distribution via its inverse CDF, so every trial consumes one
+uniform, its round 0.  The statevector variant draws full Born-rule
+measurement outcomes from an already evolved Q^n|s>, one uniform per round,
+until the first target outcome.
 """
 
 from __future__ import annotations
@@ -23,8 +25,19 @@ from .errors import NonTerminatingError, TrialCapError
 from .statevector import StateVector, TargetSet, _target_index_array
 from .strategy import parallel_success
 
-# A single trial may not exceed this many rounds; exceeding raises.
+# A single trial may not exceed this many rounds; exceeding raises.  Round
+# indices stay below 2^32, where the counter layout needs them.
 ROUND_CAP = 10**9
+
+# The Born sampler draws at most this many (trial, round) cells at a time,
+# which bounds its working memory to O(_BLOCK_ELEMENTS + N).
+_BLOCK_ELEMENTS = 1 << 20
+
+# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the golden-ratio increment
+# and the two multipliers of its output function.
+_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
 
 
 @dataclass(frozen=True)
@@ -37,18 +50,59 @@ class Estimate:
     seed: int
 
 
+def _check_counters(seed: int, trial_start: int, trials: int) -> None:
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
+    if trial_start < 0 or trials < 0:
+        raise ValueError("trial_start and trials must be non-negative")
+    if trial_start + trials > 2**32:
+        raise ValueError(
+            f"trials [{trial_start}, {trial_start + trials}) run past 2^32"
+        )
+
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """The SplitMix64 output function, in place on a uint64 array."""
+    tmp = np.right_shift(z, np.uint64(30))
+    z ^= tmp
+    z *= _MIX1
+    np.right_shift(z, np.uint64(27), out=tmp)
+    z ^= tmp
+    z *= _MIX2
+    np.right_shift(z, np.uint64(31), out=tmp)
+    z ^= tmp
+    return z
+
+
+def _draws(seed: int, trial_idx: np.ndarray, round_start: int, rounds: int) -> np.ndarray:
+    """53-bit draws k for trials x rounds [round_start, round_start + rounds).
+
+    Draw (t, j) is element (j << 32) | t of the SplitMix64 sequence for
+    `seed`, mix64(seed + ((j << 32 | t) + 1) * GAMMA), shifted down to its
+    top 53 bits; the uniform it stands for is u = k * 2^-53 in [0, 1).
+    Distinct (t, j) with t < 2^32 and j < 2^32 never share a state.
+    """
+    row = np.asarray(trial_idx, dtype=np.uint64) + np.uint64(1)
+    row *= _GAMMA
+    row += np.uint64(seed)
+    col = np.arange(round_start, round_start + rounds, dtype=np.uint64)
+    col *= _GAMMA
+    col <<= np.uint64(32)
+    z = row[:, None] + col
+    _mix64(z)
+    z >>= np.uint64(11)
+    return z
+
+
 def trial_uniforms(seed: int, start: int, count: int) -> np.ndarray:
     """Uniforms for trials [start, start + count); one draw per trial.
 
-    Trial i always sees the i-th draw of the stream for `seed`, regardless
-    of how trials are batched.
+    Trial i sees round 0 of its counter stream, the same draw that opens
+    trial i of the Born sampler, however trials are batched.
     """
-    if start < 0 or count < 0:
-        raise ValueError("start and count must be non-negative")
-    bg = np.random.PCG64(np.random.SeedSequence(seed))
-    if start:
-        bg.advance(start)
-    return np.random.Generator(bg).random(count)
+    _check_counters(seed, start, count)
+    k = _draws(seed, np.arange(start, start + count, dtype=np.uint64), 0, 1)
+    return np.ldexp(k.ravel(), -53)
 
 
 def _validate_common(p: float, n: int, trials: int, reset_cost: float) -> None:
@@ -160,6 +214,10 @@ def statevector_trial_costs(
     |amplitude|^2 distribution and succeeds iff it is a target.  Returns
     (costs, outcome_counts) where outcome_counts tallies every measurement
     made, successes included.
+
+    Trials still running draw a block of rounds together: one searchsorted
+    over an (active trials x rounds) matrix, the first target hit of each
+    row by argmax, and one bincount of the outcomes up to that hit.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -169,6 +227,7 @@ def statevector_trial_costs(
         raise ValueError(f"trial_start must be >= 0, got {trial_start}")
     if reset_cost < 0.0:
         raise ValueError(f"reset_cost must be >= 0, got {reset_cost}")
+    _check_counters(seed, trial_start, trials)
 
     idx = _target_index_array(targets, state.dim)
     probs = np.abs(state.amplitudes) ** 2
@@ -177,32 +236,47 @@ def statevector_trial_costs(
     cdf[-1] = 1.0
     is_target = np.zeros(state.dim, dtype=bool)
     is_target[idx] = True
-    if float(probs[is_target].sum()) == 0.0:
+    p_target = float(probs[is_target].sum())
+    if p_target == 0.0:
         raise NonTerminatingError(
             "success probability of the evolved state is 0; cannot terminate"
         )
+    # u = k 2^-53 lies below cdf[i] exactly when k < ceil(2^53 cdf[i]), so
+    # the 53-bit draws pick outcomes without being converted to floats.
+    keys = np.ceil(np.ldexp(cdf, 53)).astype(np.uint64)
 
-    costs = np.empty(trials, dtype=float)
+    rounds = np.empty(trials, dtype=np.int64)
     counts = np.zeros(state.dim, dtype=np.int64)
-    for i in range(trials):
-        rng = np.random.Generator(
-            np.random.PCG64(
-                np.random.SeedSequence(entropy=seed, spawn_key=(trial_start + i,))
+    active = np.arange(trials, dtype=np.int64)
+    depth = max(1, int(min(1.0 / p_target, ROUND_CAP)))  # about one success per row
+    done_rounds = 0
+    while active.size:
+        if done_rounds >= ROUND_CAP:
+            raise TrialCapError(
+                f"trial {trial_start + int(active[0])} exceeded the cap of "
+                f"{ROUND_CAP} rounds"
             )
-        )
-        rounds = 0
-        while True:
-            rounds += 1
-            if rounds > ROUND_CAP:
-                raise TrialCapError(
-                    f"trial {trial_start + i} exceeded the cap of {ROUND_CAP} rounds"
-                )
-            outcome = int(np.searchsorted(cdf, rng.random(), side="right"))
-            counts[outcome] += 1
-            if is_target[outcome]:
-                break
-        costs[i] = rounds * float(n) + (rounds - 1) * float(reset_cost)
-    return costs, counts
+        width = min(depth, ROUND_CAP - done_rounds,
+                    max(1, _BLOCK_ELEMENTS // active.size))
+        height = max(1, _BLOCK_ELEMENTS // width)
+        running = []
+        for lo in range(0, active.size, height):
+            rows = active[lo:lo + height]
+            outcomes = np.searchsorted(
+                keys, _draws(seed, trial_start + rows, done_rounds, width),
+                side="right",
+            )
+            hit = is_target[outcomes]
+            first = hit.argmax(axis=1)
+            done = hit[np.arange(rows.size), first]
+            last = np.where(done, first, width - 1)
+            measured = outcomes[np.arange(width) <= last[:, None]]
+            counts += np.bincount(measured, minlength=state.dim)
+            rounds[rows[done]] = done_rounds + 1 + first[done]
+            running.append(rows[~done])
+        active = np.concatenate(running)
+        done_rounds += width
+    return _costs_from_rounds(rounds, n, reset_cost), counts
 
 
 def run_punctuated_statevector(

@@ -2,9 +2,11 @@
 
 Punctuated search runs n iterations, measures, and restarts on failure;
 the expected cost n/p(n) is minimized near n = x*/(2 phi) where x* is the
-lowest positive root of x = tan(x/2).  k-parallel search races k
-independent agents per round; its cost is minimized by an integer scan of
-the exact cost or by a closed-form small-x approximation valid for k >= 2.
+lowest positive root of x = tan(x/2), and for an arbitrary start state by
+an integer scan of the closed form over one period.  k-parallel search
+races k independent agents per round; its cost is minimized by an integer
+scan of the exact cost or by a closed-form small-x approximation valid for
+k >= 2.
 """
 
 from __future__ import annotations
@@ -15,9 +17,13 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .analytic import grover_case_prob, rotation_angle
+from .analytic import (
+    Decomposition,
+    grover_case_prob,
+    rotation_angle,
+    success_prob_analytic,
+)
 from .errors import NeverSucceedsError, RegimeError, ValidityError
 
 
@@ -92,15 +98,21 @@ def cost_stddev(n, p: float) -> CostStddev:
 
 @functools.cache
 def optimal_x_single() -> float:
-    """Lowest positive root of x = tan(x/2), bracketed and cached.
+    """Lowest positive root of x = tan(x/2), bisected to the last bit and cached.
 
     This is the optimal value of x = 2 n phi for punctuated search;
-    numerically 2.3311.
+    numerically 2.3311.  x - tan(x/2) is positive at the lower end of the
+    bracket and negative at the upper end, with one root between.
     """
-    return float(
-        brentq(lambda x: x - math.tan(0.5 * x), 0.5 * math.pi * 1.01,
-               math.pi * 0.999, xtol=1e-12)
-    )
+    lo, hi = 0.5 * math.pi * 1.01, math.pi * 0.999
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return min((lo, hi), key=lambda x: abs(x - math.tan(0.5 * x)))
+        if mid - math.tan(0.5 * mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
 
 
 def punctuated_success_prob(n, phi: float):
@@ -147,6 +159,29 @@ def punctuated_plan(phi: float) -> PunctuatedPlan:
         stddev_alt=sd.alt,
         stddev_geometric=sd.geometric,
     )
+
+
+def _cheapest(ns: np.ndarray, p: np.ndarray) -> int:
+    """Index of the least n / p over a scan; ties go to the smaller n."""
+    costs = np.full(ns.shape, np.inf)
+    ok = p > 0.0
+    costs[ok] = ns[ok] / p[ok]
+    best = int(np.argmin(costs))  # first occurrence
+    if not math.isfinite(costs[best]):
+        raise NeverSucceedsError("success probability is 0 over the whole scan")
+    return best
+
+
+def restart_iterations(dec: Decomposition) -> int:
+    """Iterations n >= 1 per round minimizing n / p(n), for any start state.
+
+    p(n) is the exact closed form `success_prob_analytic`, periodic in n
+    with period pi/phi, so the integer scan n = 1..ceil(pi/phi) sees every
+    value it takes; ties go to the smaller n.  Raises NeverSucceedsError
+    when p is 0 over the whole scan.
+    """
+    ns = np.arange(1, math.ceil(math.pi / dec.phi) + 1)
+    return int(ns[_cheapest(ns, success_prob_analytic(dec, ns))])
 
 
 def parallel_success(p: float, k: int) -> float:
@@ -275,13 +310,7 @@ def parallel_plan(r: int, n_items: int, k: int, method: str = "numeric") -> Para
     else:
         with np.errstate(divide="ignore"):
             pk = -np.expm1(k * np.log1p(-p1))
-    costs = np.full(ns.shape, np.inf)
-    ok = pk > 0.0
-    costs[ok] = ns[ok] / pk[ok]
-    best = int(np.argmin(costs))  # first occurrence: ties go to smaller n
-    if not math.isfinite(costs[best]):
-        raise NeverSucceedsError("success probability is 0 over the whole scan")
-    n_best = int(ns[best])
+    n_best = int(ns[_cheapest(ns, pk)])
     cost = parallel_expected_cost(n_best, r, n_items, k)
     return ParallelPlan(
         agents=k,

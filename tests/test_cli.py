@@ -2,12 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import gqsearch
 from gqsearch import (
     SearchInstance,
+    StateVector,
     TargetSet,
     expected_cost,
     grover_case_prob,
@@ -155,6 +160,41 @@ def test_state_file_errors(tmp_path, capsys):
         "simulate", "--n-items", "8", "--targets", "1", "--start", f"file:{good}",
     )
     assert code == 2 and err.startswith("error:")
+
+
+def test_state_file_parses_to_the_same_bits(tmp_path):
+    # every token parses to exactly the double Python's float() gives it,
+    # across the whole exponent range and in hand-written spellings too;
+    # the amplitudes are built from them as re + 1j * im
+    rng = np.random.default_rng(5)
+    values = rng.standard_normal(400) * 10.0 ** rng.integers(-320, 1, 400)
+    values[1:7] = 0.0
+    values /= np.linalg.norm(values)
+    tokens = [repr(float(v)) for v in values]
+    tokens[1:7] = ["-0.0", "5e-324", "1E-30", "-2.5e-12", "0", ".123e-7"]
+    path = tmp_path / "bits.txt"
+    pairs = [f"{tokens[i]} {tokens[i + 1]}" for i in range(0, len(tokens), 2)]
+    path.write_text("\n".join([str(len(pairs))] + pairs) + "\n")
+    parsed = np.array([float(t) for t in tokens])
+    expected = parsed[0::2] + 1j * parsed[1::2]
+    got = read_state_file(str(path)).amplitudes
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "\n", "2\n0.6 0\n0.8 zero\n", "two\n0.6 0\n0.8 0\n", "2\n0.6 0\n0.8\n",
+     "2\n0.6 0\n0.8 0\n0 0\n"],
+    ids=["empty", "blank", "malformed-value", "malformed-count", "short", "long"],
+)
+def test_bad_state_files_exit_2(tmp_path, capsys, text):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    code, out, err = run_cli(
+        capsys,
+        "simulate", "--n-items", "2", "--num-targets", "1", "--start", f"file:{bad}",
+    )
+    assert code == 2 and err.startswith("error:") and out == ""
 
 
 def test_state_file_with_nan_is_refused(tmp_path, capsys):
@@ -362,6 +402,44 @@ def test_montecarlo_default_iterations_is_punctuated_optimum(capsys):
     payload = json.loads(out)
     phi = rotation_angle(math.sqrt(1.0 / 256.0))
     assert payload["iterations"] == max(1, round(2.331122370414423 / (2.0 * phi)))
+
+
+def test_montecarlo_default_iterations_for_a_general_start(capsys):
+    # the uniform-start formula would pick n = 22, at 37,440 iterations per
+    # success; one iteration costs 2,188
+    code, out, _ = run_cli(
+        capsys,
+        "montecarlo", "--n-items", "4096", "--targets", "3,17,40",
+        "--start", "random:7", "--trials", "50", "--seed", "3",
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["iterations"] == 1
+    assert round(payload["closed_form_cost"]) == 2188
+
+
+def test_montecarlo_start_that_never_succeeds(tmp_path, capsys):
+    # orthogonal to the target and to the averaging state: p(n) = 0 for
+    # every n, so there is no default n to choose
+    path = tmp_path / "dark.txt"
+    write_state_file(str(path), StateVector(np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)))
+    code, out, err = run_cli(
+        capsys,
+        "montecarlo", "--n-items", "4", "--targets", "0", "--start", f"file:{path}",
+        "--trials", "10",
+    )
+    assert code == 2 and err.startswith("error:") and out == ""
+
+
+def test_cli_import_does_not_load_scipy():
+    src = os.path.dirname(os.path.dirname(gqsearch.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = "import sys, gqsearch.cli; print('scipy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "False"
 
 
 def test_verify_all_pass(capsys):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from scipy.stats import chisquare
 
+import gqsearch.montecarlo as montecarlo
 from gqsearch import (
     InvalidTargetError,
     NonTerminatingError,
@@ -282,3 +283,113 @@ def test_consistency_grid_coverage():
                 tol = max(3.0 * est.stderr, 1e-6 * closed)
                 hits += abs(est.mean - closed) <= tol
             assert hits >= 95, f"p={p} k={k}: only {hits}/100 within tolerance"
+
+
+# ---------------------------------------------------------------------------
+# the counter-based generator behind every uniform
+
+SPLITMIX64_1234567 = [
+    6457827717110365317,
+    3203168211198807973,
+    9817491932198370423,
+    4593380528125082431,
+    16408922859458223821,
+]
+
+
+def test_mixer_matches_published_splitmix64():
+    # element i of the SplitMix64 sequence is mix64(seed + (i + 1) * gamma)
+    states = np.uint64(1234567) + np.arange(1, 6, dtype=np.uint64) * montecarlo._GAMMA
+    assert montecarlo._mix64(states).tolist() == SPLITMIX64_1234567
+    # trials 0..4 of round 0 sit at positions 0..4: their top 53 bits
+    draws = montecarlo._draws(1234567, np.arange(5), 0, 1).ravel()
+    assert draws.tolist() == [v >> 11 for v in SPLITMIX64_1234567]
+    assert trial_uniforms(1234567, 0, 5).tolist() == [
+        (v >> 11) * 2.0**-53 for v in SPLITMIX64_1234567
+    ]
+
+
+def test_draws_are_a_pure_function_of_trial_and_round():
+    block = montecarlo._draws(5, np.arange(10, 20), 3, 6)
+    assert block.shape == (10, 6)
+    for t in (10, 14, 19):
+        for j in (3, 5, 8):
+            assert block[t - 10, j - 3] == montecarlo._draws(5, np.array([t]), j, 1)[0, 0]
+    # round j of trial t is element (j << 32) | t of the sequence, here
+    # computed in Python integers
+    mask = 2**64 - 1
+    z = (5 + (((7 << 32) | 12) + 1) * 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    z ^= z >> 31
+    assert int(montecarlo._draws(5, np.array([12]), 7, 1)[0, 0]) == z >> 11
+
+
+def _born_case():
+    # start off the averaging axis, so that p is well below 1 and trials
+    # run several rounds, some of them past one block
+    inst = SearchInstance(
+        n_items=8,
+        targets=TargetSet((2, 5)),
+        averaging=uniform_state(8),
+        start=random_state(8, 11),
+    )
+    return grover_power(inst, 1), inst.targets
+
+
+def test_statevector_costs_do_not_depend_on_split_or_block(monkeypatch):
+    state, targets = _born_case()
+    full, full_counts = statevector_trial_costs(state, targets, 1, 90, seed=13)
+    assert full.max() > 3.0  # some trials need several rounds
+    for cap in (1, 7, montecarlo._BLOCK_ELEMENTS):
+        monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", cap)
+        costs, counts = statevector_trial_costs(state, targets, 1, 90, seed=13)
+        assert np.array_equal(costs, full) and np.array_equal(counts, full_counts)
+        parts = [(0, 17), (17, 23), (40, 1), (41, 49)]
+        pieces = [
+            statevector_trial_costs(state, targets, 1, size, seed=13, trial_start=lo)
+            for lo, size in parts
+        ]
+        assert np.array_equal(np.concatenate([c for c, _ in pieces]), full)
+        assert np.array_equal(sum(k for _, k in pieces), full_counts)
+    # every measurement is tallied: rounds total = total cost / n
+    assert int(full_counts.sum()) == int(full.sum())
+
+
+@pytest.mark.parametrize("weight", [1e-6, 1e-323])
+def test_statevector_round_cap_raises(monkeypatch, weight):
+    # five trials cannot all succeed within 20 rounds; at a subnormal target
+    # weight 1/p overflows to inf
+    amps = np.full(64, math.sqrt((1.0 - weight) / 63.0), dtype=complex)
+    amps[0] = math.sqrt(weight)
+    monkeypatch.setattr(montecarlo, "ROUND_CAP", 20)
+    with pytest.raises(TrialCapError):
+        statevector_trial_costs(StateVector(amps), TargetSet((0,)), 1, 5, seed=1)
+
+
+def test_counter_range_is_checked():
+    state, targets = _born_case()
+    with pytest.raises(ValueError):
+        statevector_trial_costs(state, targets, 1, 5, seed=-1)
+    with pytest.raises(ValueError):
+        statevector_trial_costs(state, targets, 1, 5, seed=2**64)
+    with pytest.raises(ValueError):
+        statevector_trial_costs(state, targets, 1, 5, seed=0, trial_start=2**32 - 4)
+    statevector_trial_costs(state, targets, 1, 4, seed=2**64 - 1, trial_start=2**32 - 4)
+    with pytest.raises(ValueError):
+        punctuated_trial_costs(0.5, 1, 10, seed=-3)
+    with pytest.raises(ValueError):
+        trial_uniforms(0, 2**32 - 1, 2)
+    assert trial_uniforms(0, 2**32 - 1, 1).shape == (1,)
+
+
+def test_uniforms_are_equidistributed_over_trials_and_rounds():
+    u = np.ldexp(montecarlo._draws(31, np.arange(2000), 0, 64), -53)
+    assert u.min() >= 0.0 and u.max() < 1.0
+    observed = np.bincount((u * 256).astype(np.int64).ravel(), minlength=256)
+    assert chisquare(observed).pvalue > 0.001
+    # rounds j and j + 1 of a trial are independent: 16 x 16 cells over
+    # non-overlapping pairs
+    cells = (u[:, 0::2] * 16).astype(np.int64) * 16 + (u[:, 1::2] * 16).astype(np.int64)
+    observed = np.bincount(cells.ravel(), minlength=256)
+    assert chisquare(observed).pvalue > 0.001

@@ -10,10 +10,14 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from gqsearch import (
+    Decomposition,
     NeverSucceedsError,
+    SearchInstance,
+    TargetSet,
     RegimeError,
     ValidityError,
     cost_stddev,
+    decompose,
     expected_cost,
     grover_case_prob,
     max_probability_cost,
@@ -25,8 +29,14 @@ from gqsearch import (
     parallel_success,
     punctuated_plan,
     punctuated_success_prob,
+    random_state,
+    restart_iterations,
     rotation_angle,
+    uniform_instance,
+    uniform_state,
 )
+import gqsearch.strategy as strategy
+from gqsearch.statevector import _dense_evolution
 
 
 def test_expected_cost_basic():
@@ -308,3 +318,75 @@ def test_break_even_coherence_time():
     n_even = x_even / (2.0 * phi)
     assert abs(n_even * phi - 0.7854) < 1e-4
     assert abs(n_even / (max_probability_cost(phi)) - 0.5) < 1e-9
+
+
+def _brute_force_restart(instance, n_max):
+    """n / p(n) over n = 1..n_max from the dense simulator, and its argmin."""
+    probs, _ = _dense_evolution(instance, n_max)
+    ns = np.arange(1, n_max + 1)
+    costs = np.full(n_max, np.inf)
+    ok = probs[1:] > 0.0
+    costs[ok] = ns[ok] / probs[1:][ok]
+    return costs, int(ns[np.argmin(costs)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_items=st.integers(4, 48),
+    data=st.data(),
+)
+def test_restart_iterations_matches_brute_force_over_simulator(n_items, data):
+    r = data.draw(st.integers(1, n_items // 2))
+    targets = data.draw(
+        st.lists(st.integers(0, n_items - 1), min_size=r, max_size=r, unique=True)
+    )
+    inst = SearchInstance(
+        n_items=n_items,
+        targets=TargetSet(tuple(targets)),
+        averaging=uniform_state(n_items),
+        start=random_state(n_items, data.draw(st.integers(0, 2**31))),
+    )
+    dec = decompose(inst)
+    period = math.ceil(math.pi / dec.phi)
+    n = restart_iterations(dec)
+    assert 1 <= n <= period
+    # two periods of the simulator: nothing past the first is cheaper
+    costs, n_brute = _brute_force_restart(inst, 2 * period)
+    assert costs[n - 1] <= costs.min() * (1.0 + 1e-9)
+    if costs[n_brute - 1] < costs[n - 1] * (1.0 - 1e-9):
+        pytest.fail(f"brute force n={n_brute} beats n={n}")
+
+
+def test_restart_iterations_known_instances():
+    # uniform starts keep the punctuated optimum round(x*/(2 phi))
+    for n_items, r in ((256, 1), (4096, 1)):
+        dec = decompose(uniform_instance(n_items, r))
+        assert restart_iterations(dec) == round(optimal_x_single() / (2.0 * dec.phi))
+    assert restart_iterations(decompose(uniform_instance(2**20, 16))) == 148
+    # a random start with three targets: the uniform-start n = 22 costs
+    # 37,440 per success, a single iteration 2,188
+    inst = SearchInstance(
+        n_items=4096,
+        targets=TargetSet((3, 17, 40)),
+        averaging=uniform_state(4096),
+        start=random_state(4096, 7),
+    )
+    dec = decompose(inst)
+    assert restart_iterations(dec) == 1
+    costs, n_brute = _brute_force_restart(inst, math.ceil(math.pi / dec.phi))
+    assert n_brute == 1 and round(costs[0]) == 2188 and round(costs[21]) == 37440
+
+
+def test_restart_iterations_ties_and_zero_probability():
+    # v = 1/2: phi = pi/3, p(n) = 1/4, 1, 1/4, ... from the uniform start;
+    # n = 1 is the unique optimum of the three-step period
+    assert restart_iterations(decompose(uniform_instance(4, 1))) == 1
+    # p(n) = 1/2 for every n (flat): the cost n / p grows with n
+    flat = Decomposition.build(0.5, 0.0, 0.0, 0.0, w_t=0.5, w_l=0.5)
+    assert restart_iterations(flat) == 1
+    # n / p = 4 at n = 2, 3 and 4 exactly: the scan takes the smallest
+    ns = np.arange(1, 6)
+    assert strategy._cheapest(ns, np.array([0.0, 0.5, 0.75, 1.0, 1.0])) == 1
+    never = Decomposition.build(0.5, 0.0, 0.0, 0.0, w_t=0.0, w_l=1.0)
+    with pytest.raises(NeverSucceedsError):
+        restart_iterations(never)
