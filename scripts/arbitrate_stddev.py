@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from gqsearch import cost_stddev, punctuated_trial_costs
+from gqsearch import cost_stddev, parallel_trial_costs
 
 
 def sd_standard_error(costs: np.ndarray) -> float:
@@ -36,7 +36,7 @@ def main() -> None:
     print(f"{'p':>5}  {'sample sd':>10}  {'geometric':>10}  {'alt':>10}  "
           f"{'se(geo)':>8}  {'se(alt)':>8}  verdict")
     for p in args.probs:
-        costs = punctuated_trial_costs(p, n, args.trials, seed=args.seed)
+        costs = parallel_trial_costs(p, n, 1, args.trials, seed=args.seed)
         s = float(costs.std(ddof=1))
         se = sd_standard_error(costs)
         forms = cost_stddev(n, p)

@@ -223,6 +223,17 @@ def first_maximum(dec: Decomposition):
     return optimal_iterations_analytic(dec, j)
 
 
+def uniform_success_prob(v: float, n, approx: bool = False):
+    """Success probability (1 - cos((2n+1) phi))/2 when s = a, for v in (0, 1].
+
+    n is a scalar or an array of iteration counts (real n allowed).  v = 1
+    gives phi = pi exactly, so integer n succeed with certainty.
+    approx=True replaces phi by its small-v form 2v.
+    """
+    phi = 2.0 * v if approx else rotation_angle(v)
+    return 0.5 * (1.0 - np.cos((2.0 * np.asarray(n, dtype=float) + 1.0) * phi))
+
+
 def grover_case_prob(v: float, n) -> float:
     """Success probability (1 - cos((2n+1) phi))/2 for the s = a case.
 
@@ -233,7 +244,7 @@ def grover_case_prob(v: float, n) -> float:
         raise ValueError(f"v must lie in (0, 1), got {v}")
     if n < 0:
         raise ValueError("n must be non-negative")
-    return 0.5 * (1.0 - math.cos((2.0 * n + 1.0) * rotation_angle(v)))
+    return float(uniform_success_prob(v, n))
 
 
 def biham_mapping(start: StateVector, targets: TargetSet) -> BihamMapping:

@@ -28,7 +28,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,6 +38,7 @@ from .analytic import (
     grover_case_prob,
     rotation_angle,
     success_prob_analytic,
+    uniform_success_prob,
 )
 from .errors import (
     DegenerateOverlapError,
@@ -68,24 +68,6 @@ from .strategy import (
     punctuated_plan,
     restart_iterations,
 )
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed and normalized command-line configuration."""
-
-    command: str
-    n_items: int | None = None
-    targets: tuple | None = None
-    num_targets: int | None = None
-    start: str = "uniform"
-    averaging: str = "uniform"
-    iterations: str | None = None
-    agents: int = 1
-    trials: int = 100_000
-    seed: int = 0
-    out: str | None = None
-    fmt: str = "json"
 
 
 # ---------------------------------------------------------------------------
@@ -147,12 +129,10 @@ def write_state_file(path: str, state: StateVector) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _resolve_targets(cfg: RunConfig) -> TargetSet:
-    if cfg.targets is not None:
-        return TargetSet(cfg.targets)
-    if cfg.num_targets is not None:
-        return TargetSet.first(cfg.num_targets)
-    raise ValueError("one of --targets or --num-targets is required")
+def _resolve_targets(args: argparse.Namespace) -> TargetSet:
+    if args.targets is not None:
+        return TargetSet(_parse_target_list(args.targets))
+    return TargetSet.first(args.num_targets)
 
 
 def _resolve_state(spec: str, n_items: int, allow_random: bool) -> StateVector:
@@ -170,12 +150,12 @@ def _resolve_state(spec: str, n_items: int, allow_random: bool) -> StateVector:
     raise ValueError(f"bad state specification {spec!r}")
 
 
-def _build_instance(cfg: RunConfig) -> SearchInstance:
-    targets = _resolve_targets(cfg)
-    averaging = _resolve_state(cfg.averaging, cfg.n_items, allow_random=False)
-    start = _resolve_state(cfg.start, cfg.n_items, allow_random=True)
+def _build_instance(args: argparse.Namespace) -> SearchInstance:
+    targets = _resolve_targets(args)
+    averaging = _resolve_state(args.averaging, args.n_items, allow_random=False)
+    start = _resolve_state(args.start, args.n_items, allow_random=True)
     return SearchInstance(
-        n_items=cfg.n_items, targets=targets, averaging=averaging, start=start
+        n_items=args.n_items, targets=targets, averaging=averaging, start=start
     )
 
 
@@ -198,6 +178,18 @@ def _csv_text(columns, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _render(fmt: str, payload: dict, columns, rows):
+    """The one output layer: a command's JSON object, or its rows as CSV.
+
+    pgm, heatmap only, draws the JSON object's grid as an image.
+    """
+    if fmt == "csv":
+        return _csv_text(columns, rows)
+    if fmt == "pgm":
+        return heatmap_to_pgm(np.array(payload["grid"]))
+    return _json_text(payload)
+
+
 def _write_output(data, out_path) -> None:
     if isinstance(data, bytes):
         with open(out_path, "wb") as fh:
@@ -216,6 +208,8 @@ def _write_output(data, out_path) -> None:
 
 def default_heatmap_n_max(n_items: int) -> int:
     """Two full r=1 quarter-period ceilings, so two periods are visible."""
+    if n_items < 1:
+        raise ValueError(f"n_items must be >= 1, got {n_items}")
     phi1 = rotation_angle(math.sqrt(1.0 / n_items))
     return 2 * math.ceil(0.5 * math.pi / phi1)
 
@@ -227,14 +221,9 @@ def heatmap_grid(n_items: int, n_max: int) -> np.ndarray:
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     ns = np.arange(n_max + 1, dtype=float)
-    grid = np.empty((n_max + 1, n_items), dtype=float)
-    for r in range(1, n_items + 1):
-        if r == n_items:
-            # v = 1: every index is a target, so p = r/N = 1 for all n.
-            grid[:, r - 1] = 1.0
-        else:
-            phi = rotation_angle(math.sqrt(r / n_items))
-            grid[:, r - 1] = 0.5 * (1.0 - np.cos((2.0 * ns + 1.0) * phi))
+    grid = np.column_stack(
+        [uniform_success_prob(math.sqrt(r / n_items), ns) for r in range(1, n_items + 1)]
+    )
     return np.clip(grid, 0.0, 1.0)
 
 
@@ -302,9 +291,9 @@ SIMULATE_COLUMNS = (
 )
 
 
-def cmd_simulate(cfg: RunConfig):
-    instance = _build_instance(cfg)
-    lo, hi = _parse_iteration_range(cfg.iterations or "0..10")
+def cmd_simulate(args: argparse.Namespace):
+    instance = _build_instance(args)
+    lo, hi = _parse_iteration_range(args.iterations)
     trajectory = success_trajectory(instance, hi)
     ns = np.arange(lo, hi + 1)
 
@@ -343,38 +332,52 @@ def cmd_simulate(cfg: RunConfig):
     ]
     payload = {
         "command": "simulate",
-        "n_items": cfg.n_items,
+        "n_items": args.n_items,
         "targets": list(instance.targets.indices),
-        "start": cfg.start,
-        "averaging": cfg.averaging,
+        "start": args.start,
+        "averaging": args.averaging,
         "decomposition": dec_dict,
         "rows": rows,
     }
-    if cfg.fmt == "csv":
-        flat = [dict(row, **dec_dict) for row in payload["rows"]]
-        return _csv_text(SIMULATE_COLUMNS, flat)
-    return _json_text(payload)
+    return payload, SIMULATE_COLUMNS, [dict(row, **dec_dict) for row in rows]
 
 
-PLAN_COLUMNS = (
-    "n_items", "r", "v", "phi", "agents",
-    "punct_n_opt", "punct_n_int", "punct_expected_cost",
-    "punct_stddev_alt", "punct_stddev_geometric",
-    "max_probability_cost", "speedup_ratio",
-    "par_num_n", "par_num_cost",
-    "par_cf_x", "par_cf_n_opt", "par_cf_n_int", "par_cf_cost",
-    "par_cf_cost_exact",
-)
+# Each plan CSV column and the (section, key) of the JSON value it holds;
+# section None is the top level, and a null section leaves its cells empty.
+_PLAN_CELLS = {
+    "n_items": (None, "n_items"),
+    "r": (None, "r"),
+    "v": (None, "v"),
+    "phi": (None, "phi"),
+    "agents": (None, "agents"),
+    "punct_n_opt": ("punctuated", "n_opt"),
+    "punct_n_int": ("punctuated", "n_int"),
+    "punct_expected_cost": ("punctuated", "expected_cost"),
+    "punct_stddev_alt": ("punctuated", "stddev_alt"),
+    "punct_stddev_geometric": ("punctuated", "stddev_geometric"),
+    "max_probability_cost": ("punctuated", "max_probability_cost"),
+    "speedup_ratio": ("punctuated", "speedup_ratio"),
+    "par_num_n": ("parallel_numeric", "n_int"),
+    "par_num_cost": ("parallel_numeric", "expected_cost"),
+    "par_cf_x": ("parallel_closed_form", "x"),
+    "par_cf_n_opt": ("parallel_closed_form", "n_opt"),
+    "par_cf_n_int": ("parallel_closed_form", "n_int"),
+    "par_cf_cost": ("parallel_closed_form", "expected_cost"),
+    "par_cf_cost_exact": ("parallel_closed_form", "cost_exact_at_n"),
+}
+PLAN_COLUMNS = tuple(_PLAN_CELLS)
 
 
-def cmd_plan(cfg: RunConfig):
-    targets = _resolve_targets(cfg)
-    if targets.indices[-1] >= cfg.n_items:
+def cmd_plan(args: argparse.Namespace):
+    if args.agents < 1:
+        raise ValueError(f"--agents must be >= 1, got {args.agents}")
+    targets = _resolve_targets(args)
+    if targets.indices[-1] >= args.n_items:
         raise ValueError(
-            f"target index {targets.indices[-1]} out of range for --n-items {cfg.n_items}"
+            f"target index {targets.indices[-1]} out of range for --n-items {args.n_items}"
         )
     r = targets.r
-    v = math.sqrt(r / cfg.n_items)
+    v = math.sqrt(r / args.n_items)
     phi = rotation_angle(v)
     plan = punctuated_plan(phi)
     baseline = max_probability_cost(phi)
@@ -390,8 +393,8 @@ def cmd_plan(cfg: RunConfig):
     }
     par_numeric = None
     par_closed = None
-    if cfg.agents >= 2:
-        numeric = parallel_plan(r, cfg.n_items, cfg.agents, method="numeric")
+    if args.agents >= 2:
+        numeric = parallel_plan(r, args.n_items, args.agents, method="numeric")
         par_numeric = {
             "agents": numeric.agents,
             "x": numeric.x,
@@ -399,7 +402,7 @@ def cmd_plan(cfg: RunConfig):
             "expected_cost": numeric.expected_cost,
         }
         try:
-            formula = parallel_plan(r, cfg.n_items, cfg.agents, method="closed_form")
+            formula = parallel_plan(r, args.n_items, args.agents, method="closed_form")
         except ValidityError:
             pass
         else:
@@ -410,88 +413,57 @@ def cmd_plan(cfg: RunConfig):
                 "n_int": formula.n_int,
                 "expected_cost": formula.expected_cost,
                 "cost_exact_at_n": parallel_expected_cost(
-                    formula.n_int, r, cfg.n_items, cfg.agents
+                    formula.n_int, r, args.n_items, args.agents
                 ),
             }
 
     payload = {
         "command": "plan",
-        "n_items": cfg.n_items,
+        "n_items": args.n_items,
         "r": r,
         "v": v,
         "phi": phi,
-        "agents": cfg.agents,
+        "agents": args.agents,
         "punctuated": punct,
         "parallel_numeric": par_numeric,
         "parallel_closed_form": par_closed,
     }
-    if cfg.fmt == "csv":
-        row = {
-            "n_items": cfg.n_items, "r": r, "v": v, "phi": phi,
-            "agents": cfg.agents,
-            "punct_n_opt": punct["n_opt"], "punct_n_int": punct["n_int"],
-            "punct_expected_cost": punct["expected_cost"],
-            "punct_stddev_alt": punct["stddev_alt"],
-            "punct_stddev_geometric": punct["stddev_geometric"],
-            "max_probability_cost": baseline,
-            "speedup_ratio": punct["speedup_ratio"],
-            "par_num_n": par_numeric["n_int"] if par_numeric else None,
-            "par_num_cost": par_numeric["expected_cost"] if par_numeric else None,
-            "par_cf_x": par_closed["x"] if par_closed else None,
-            "par_cf_n_opt": par_closed["n_opt"] if par_closed else None,
-            "par_cf_n_int": par_closed["n_int"] if par_closed else None,
-            "par_cf_cost": par_closed["expected_cost"] if par_closed else None,
-            "par_cf_cost_exact": par_closed["cost_exact_at_n"] if par_closed else None,
-        }
-        return _csv_text(PLAN_COLUMNS, [row])
-    return _json_text(payload)
+    row = {}
+    for column, (section, key) in _PLAN_CELLS.items():
+        values = payload[section] if section else payload
+        row[column] = values[key] if values else None
+    return payload, PLAN_COLUMNS, [row]
 
 
-def cmd_heatmap(cfg: RunConfig):
-    n_items = cfg.n_items if cfg.n_items is not None else 64
+def cmd_heatmap(args: argparse.Namespace):
     n_max = (
-        _parse_iteration_single(cfg.iterations)
-        if cfg.iterations is not None
-        else default_heatmap_n_max(n_items)
+        _parse_iteration_single(args.iterations)
+        if args.iterations is not None
+        else default_heatmap_n_max(args.n_items)
     )
-    grid = heatmap_grid(n_items, n_max)
-    if cfg.fmt == "pgm":
-        return heatmap_to_pgm(grid)
-    if cfg.fmt == "csv":
-        columns = ["n"] + [f"r={r}" for r in range(1, n_items + 1)]
-        rows = []
-        for n in range(n_max + 1):
-            row = {"n": n}
-            for r in range(1, n_items + 1):
-                row[f"r={r}"] = float(grid[n, r - 1])
-            rows.append(row)
-        return _csv_text(columns, rows)
+    grid = heatmap_grid(args.n_items, n_max).tolist()
+    columns = ["n"] + [f"r={r}" for r in range(1, args.n_items + 1)]
     payload = {
         "command": "heatmap",
-        "n_items": n_items,
+        "n_items": args.n_items,
         "n_max": n_max,
-        "grid": [[float(x) for x in row] for row in grid],
+        "grid": grid,
     }
-    return _json_text(payload)
+    return payload, columns, [dict(zip(columns, [n] + row)) for n, row in enumerate(grid)]
 
 
-def cmd_parallel_sweep(cfg: RunConfig):
-    n_items = cfg.n_items if cfg.n_items is not None else 2**20
-    r_max = cfg.num_targets if cfg.num_targets is not None else 5
-    k_max = cfg.agents
-    if r_max < 1 or k_max < 1:
+def cmd_parallel_sweep(args: argparse.Namespace):
+    if args.num_targets < 1 or args.agents < 1:
         raise ValueError("r and k sweep bounds must be >= 1")
-    rows = sweep_rows(n_items, r_max, k_max)
-    if cfg.fmt == "csv":
-        return _csv_text(SWEEP_COLUMNS, rows)
+    rows = sweep_rows(args.n_items, args.num_targets, args.agents)
     payload = {
         "command": "parallel-sweep",
-        "n_items": n_items,
-        "r_max": r_max,
-        "k_max": k_max,
+        "n_items": args.n_items,
+        "r_max": args.num_targets,
+        "k_max": args.agents,
         "rows": rows,
     }
-    return _json_text(payload)
+    return payload, SWEEP_COLUMNS, rows
 
 
 MONTECARLO_COLUMNS = (
@@ -500,10 +472,10 @@ MONTECARLO_COLUMNS = (
 )
 
 
-def cmd_montecarlo(cfg: RunConfig):
-    instance = _build_instance(cfg)
-    if cfg.iterations is not None:
-        n = _parse_iteration_single(cfg.iterations)
+def cmd_montecarlo(args: argparse.Namespace):
+    instance = _build_instance(args)
+    if args.iterations is not None:
+        n = _parse_iteration_single(args.iterations)
         if n < 1:
             raise ValueError("--iterations must be >= 1 for montecarlo")
     else:
@@ -511,38 +483,34 @@ def cmd_montecarlo(cfg: RunConfig):
 
     state = grover_power(instance, n)
     p = success_probability(state, instance.targets)
-    closed = expected_cost(n, parallel_success(p, cfg.agents))
-    if cfg.agents == 1:
+    closed = expected_cost(n, parallel_success(p, args.agents))
+    if args.agents == 1:
         model = "statevector-born"
         est = run_punctuated_statevector(
-            state, instance.targets, n, cfg.trials, cfg.seed
+            state, instance.targets, n, args.trials, args.seed
         )
     else:
         model = "coin"
-        est = run_parallel(p, n, cfg.agents, cfg.trials, cfg.seed)
+        est = run_parallel(p, n, args.agents, args.trials, args.seed)
     z = (est.mean - closed) / est.stderr if est.stderr > 0 else None
 
     payload = {
         "command": "montecarlo",
-        "n_items": cfg.n_items,
+        "n_items": args.n_items,
         "targets": list(instance.targets.indices),
         "iterations": n,
-        "agents": cfg.agents,
-        "trials": cfg.trials,
-        "seed": cfg.seed,
+        "agents": args.agents,
+        "trials": args.trials,
+        "seed": args.seed,
         "model": model,
         "p_round": p,
         "closed_form_cost": closed,
         "mean": est.mean,
         "stderr": est.stderr,
         "z": z,
-        "agent_time_mean": cfg.agents * est.mean,
+        "agent_time_mean": args.agents * est.mean,
     }
-    if cfg.fmt == "csv":
-        row = dict(payload)
-        row["r"] = instance.targets.r
-        return _csv_text(MONTECARLO_COLUMNS, [row])
-    return _json_text(payload)
+    return payload, MONTECARLO_COLUMNS, [dict(payload, r=instance.targets.r)]
 
 
 def _verify_checks(seed: int) -> list:
@@ -628,8 +596,8 @@ def _verify_checks(seed: int) -> list:
     return checks
 
 
-def cmd_verify(cfg: RunConfig):
-    checks = _verify_checks(cfg.seed)
+def cmd_verify(args: argparse.Namespace):
+    checks = _verify_checks(args.seed)
     lines = []
     all_pass = True
     for name, measured, expected, tol in checks:
@@ -668,11 +636,11 @@ def _add_target_args(parser) -> None:
 def _add_state_args(parser) -> None:
     parser.add_argument(
         "--start", default="uniform", metavar="SPEC",
-        help="start state: uniform | random:<seed> | file:<path> (default uniform)",
+        help="start state: uniform | random:<seed> | file:<path> (default %(default)s)",
     )
     parser.add_argument(
         "--averaging", default="uniform", metavar="SPEC",
-        help="averaging state: uniform | file:<path> (default uniform)",
+        help="averaging state: uniform | file:<path> (default %(default)s)",
     )
 
 
@@ -696,7 +664,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_state_args(p_sim)
     p_sim.add_argument(
         "--iterations", default="0..10", metavar="A..B",
-        help="iteration range, single n or a..b (default 0..10)",
+        help="iteration range, single n or a..b (default %(default)s)",
     )
     _add_output_args(p_sim, ["json", "csv"])
 
@@ -710,7 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_target_args(p_plan)
     p_plan.add_argument(
         "--agents", type=int, default=1, metavar="K",
-        help="agent count; K >= 2 adds the parallel plans (default 1)",
+        help="agent count; K >= 2 adds the parallel plans (default %(default)s)",
     )
     _add_output_args(p_plan, ["json", "csv"])
 
@@ -730,16 +698,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser(
         "parallel-sweep",
         help="numeric vs closed-form parallel optima over (r, k)",
-        description="Sweeps r = 1..R (via --num-targets, default 5) and "
-        "k = 1..K (via --agents, default 64). Formula columns are empty "
+        description="Sweeps r = 1..R (via --num-targets) and "
+        "k = 1..K (via --agents). Formula columns are empty "
         "for k < 2. CSV columns: " + ",".join(SWEEP_COLUMNS),
     )
     p_sweep.add_argument("--n-items", type=int, default=2**20, metavar="N")
     p_sweep.add_argument(
-        "--num-targets", type=int, default=5, metavar="R", help="largest r (default 5)"
+        "--num-targets", type=int, default=5, metavar="R", help="largest r (default %(default)s)"
     )
     p_sweep.add_argument(
-        "--agents", type=int, default=64, metavar="K", help="largest k (default 64)"
+        "--agents", type=int, default=64, metavar="K", help="largest k (default %(default)s)"
     )
     _add_output_args(p_sweep, ["json", "csv"])
 
@@ -772,24 +740,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    targets = getattr(args, "targets", None)
-    return RunConfig(
-        command=args.command,
-        n_items=getattr(args, "n_items", None),
-        targets=_parse_target_list(targets) if targets is not None else None,
-        num_targets=getattr(args, "num_targets", None),
-        start=getattr(args, "start", "uniform"),
-        averaging=getattr(args, "averaging", "uniform"),
-        iterations=getattr(args, "iterations", None),
-        agents=getattr(args, "agents", 1),
-        trials=getattr(args, "trials", 100_000),
-        seed=getattr(args, "seed", 0),
-        out=getattr(args, "out", None),
-        fmt=getattr(args, "format", "json"),
-    )
-
-
 _COMMANDS = {
     "simulate": cmd_simulate,
     "plan": cmd_plan,
@@ -800,18 +750,16 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        if cfg.fmt == "pgm" and cfg.out is None:
-            raise ValueError("--format pgm requires --out (binary output)")
-        if cfg.command == "verify":
-            text, code = cmd_verify(cfg)
-            _write_output(text, cfg.out)
+        if args.command == "verify":
+            text, code = cmd_verify(args)
+            _write_output(text, args.out)
             return code
-        data = _COMMANDS[cfg.command](cfg)
-        _write_output(data, cfg.out)
+        if args.format == "pgm" and args.out is None:
+            raise ValueError("--format pgm requires --out (binary output)")
+        payload, columns, rows = _COMMANDS[args.command](args)
+        _write_output(_render(args.format, payload, columns, rows), args.out)
         return 0
     except (GQSearchError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

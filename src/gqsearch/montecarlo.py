@@ -29,8 +29,8 @@ from .strategy import parallel_success
 # indices stay below 2^32, where the counter layout needs them.
 ROUND_CAP = 10**9
 
-# The Born sampler draws at most this many (trial, round) cells at a time,
-# which bounds its working memory to O(_BLOCK_ELEMENTS + N).
+# The samplers draw at most this many (trial, round) cells at a time, which
+# bounds their working memory to O(_BLOCK_ELEMENTS + N) besides the costs.
 _BLOCK_ELEMENTS = 1 << 20
 
 # SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the golden-ratio increment
@@ -105,11 +105,7 @@ def trial_uniforms(seed: int, start: int, count: int) -> np.ndarray:
     return np.ldexp(k.ravel(), -53)
 
 
-def _validate_common(p: float, n: int, trials: int, reset_cost: float) -> None:
-    if p == 0.0:
-        raise NonTerminatingError("success probability 0; process cannot terminate")
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"p must lie in (0, 1], got {p}")
+def _validate_common(n: int, trials: int, reset_cost: float) -> None:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if trials < 1:
@@ -143,29 +139,6 @@ def _make_estimate(costs: np.ndarray, seed: int) -> Estimate:
     return Estimate(mean=mean, stderr=stderr, trials=trials, seed=seed)
 
 
-def punctuated_trial_costs(
-    p: float,
-    n: int,
-    trials: int,
-    seed: int,
-    trial_start: int = 0,
-    reset_cost: float = 0.0,
-) -> np.ndarray:
-    """Per-trial costs of punctuated search with per-round success bias p."""
-    _validate_common(p, n, trials, reset_cost)
-    u = trial_uniforms(seed, trial_start, trials)
-    return _costs_from_rounds(_geometric_rounds(u, p), n, reset_cost)
-
-
-def run_punctuated(
-    p: float, n: int, trials: int, seed: int, reset_cost: float = 0.0
-) -> Estimate:
-    """Estimate the punctuated-search cost; deterministic for a fixed seed."""
-    return _make_estimate(
-        punctuated_trial_costs(p, n, trials, seed, reset_cost=reset_cost), seed
-    )
-
-
 def parallel_trial_costs(
     p: float,
     n: int,
@@ -179,14 +152,19 @@ def parallel_trial_costs(
 
     Each round flips k independent coins of bias p; the round count until
     any succeeds is geometric with p_k = 1 - (1-p)^k and is sampled from
-    that distribution directly.
+    that distribution directly.  k = 1 is punctuated search with per-round
+    success bias p.  Trials are drawn in blocks of _BLOCK_ELEMENTS.
     """
-    _validate_common(p, n, trials, reset_cost)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _validate_common(n, trials, reset_cost)
     pk = parallel_success(p, k)
-    u = trial_uniforms(seed, trial_start, trials)
-    return _costs_from_rounds(_geometric_rounds(u, pk), n, reset_cost)
+    if pk == 0.0:
+        raise NonTerminatingError("success probability 0; process cannot terminate")
+    _check_counters(seed, trial_start, trials)
+    costs = np.empty(trials)
+    for lo in range(0, trials, _BLOCK_ELEMENTS):
+        u = trial_uniforms(seed, trial_start + lo, min(_BLOCK_ELEMENTS, trials - lo))
+        costs[lo:lo + u.size] = _costs_from_rounds(_geometric_rounds(u, pk), n, reset_cost)
+    return costs
 
 
 def run_parallel(
@@ -219,14 +197,7 @@ def statevector_trial_costs(
     over an (active trials x rounds) matrix, the first target hit of each
     row by argmax, and one bincount of the outcomes up to that hit.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if trial_start < 0:
-        raise ValueError(f"trial_start must be >= 0, got {trial_start}")
-    if reset_cost < 0.0:
-        raise ValueError(f"reset_cost must be >= 0, got {reset_cost}")
+    _validate_common(n, trials, reset_cost)
     _check_counters(seed, trial_start, trials)
 
     idx = _target_index_array(targets, state.dim)
@@ -286,15 +257,12 @@ def run_punctuated_statevector(
     trials: int,
     seed: int,
     reset_cost: float = 0.0,
-    return_outcome_counts: bool = False,
-):
+) -> Estimate:
     """Estimate the end-to-end punctuated cost, measuring the evolved Q^n|s>.
 
-    With return_outcome_counts=True, returns (Estimate, counts) so the
-    full outcome distribution can be inspected.
+    `statevector_trial_costs` also returns the outcome counts.
     """
-    costs, counts = statevector_trial_costs(
+    costs, _ = statevector_trial_costs(
         state, targets, n, trials, seed, reset_cost=reset_cost
     )
-    est = _make_estimate(costs, seed)
-    return (est, counts) if return_outcome_counts else est
+    return _make_estimate(costs, seed)

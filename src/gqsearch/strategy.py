@@ -20,9 +20,8 @@ import numpy as np
 
 from .analytic import (
     Decomposition,
-    grover_case_prob,
-    rotation_angle,
     success_prob_analytic,
+    uniform_success_prob,
 )
 from .errors import NeverSucceedsError, RegimeError, ValidityError
 
@@ -122,7 +121,8 @@ def punctuated_success_prob(n, phi: float):
     the averaging state, with (2n+1) phi ~ 2 n phi since n >> 1 at the
     optimum.
     """
-    return np.sin(np.asarray(n, dtype=float) * phi) ** 2 if np.ndim(n) else math.sin(n * phi) ** 2
+    p = np.sin(np.asarray(n, dtype=float) * phi) ** 2
+    return float(p) if p.ndim == 0 else p
 
 
 def _check_phi(phi: float) -> None:
@@ -163,9 +163,8 @@ def punctuated_plan(phi: float) -> PunctuatedPlan:
 
 def _cheapest(ns: np.ndarray, p: np.ndarray) -> int:
     """Index of the least n / p over a scan; ties go to the smaller n."""
-    costs = np.full(ns.shape, np.inf)
-    ok = p > 0.0
-    costs[ok] = ns[ok] / p[ok]
+    with np.errstate(divide="ignore"):
+        costs = ns / p  # inf where p = 0
     best = int(np.argmin(costs))  # first occurrence
     if not math.isfinite(costs[best]):
         raise NeverSucceedsError("success probability is 0 over the whole scan")
@@ -184,33 +183,21 @@ def restart_iterations(dec: Decomposition) -> int:
     return int(ns[_cheapest(ns, success_prob_analytic(dec, ns))])
 
 
-def parallel_success(p: float, k: int) -> float:
+def parallel_success(p, k: int):
     """Probability 1 - (1-p)^k that at least one of k agents succeeds.
 
-    k = 1 returns p itself (no float round trip), so the k = 1 reduction
-    of the parallel cost is exact.
+    p is a scalar or an array.  k = 1 returns p itself (no float round
+    trip), so the k = 1 reduction of the parallel cost is exact.
     """
-    if not 0.0 <= p <= 1.0:
+    p = np.asarray(p, dtype=float)
+    if not np.all((p >= 0.0) & (p <= 1.0)):
         raise ValueError(f"p must lie in [0, 1], got {p}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if k == 1:
-        return p
-    if p == 1.0:
-        return 1.0
-    return -math.expm1(k * math.log1p(-p))
-
-
-def _single_round_prob(n, r: int, n_items: int, approx: bool) -> float:
-    if r == n_items:
-        # v = 1: the angle is exactly pi; grover_case_prob's domain is open.
-        return 0.5 * (1.0 - math.cos((2.0 * n + 1.0) * math.pi))
-    v = math.sqrt(r / n_items)
-    if approx:
-        # Small-r/N form: the half angle (n + 1/2) arccos(1 - 2r/N) is
-        # replaced by (1 + 2n) sqrt(r/N).
-        return 0.5 * (1.0 - math.cos((2.0 * n + 1.0) * 2.0 * v))
-    return grover_case_prob(v, n)
+    if k > 1:
+        with np.errstate(divide="ignore"):  # log1p(-1) = -inf gives 1
+            p = -np.expm1(k * np.log1p(-p))
+    return float(p) if p.ndim == 0 else p
 
 
 def parallel_expected_cost(
@@ -219,14 +206,14 @@ def parallel_expected_cost(
     """Expected parallel cost n / (1 - (1 - p(n))^k) of k-agent search.
 
     The exact form uses the full rotation angle; approx=True switches to
-    the small-r/N approximation of the angle.  Raises NeverSucceedsError
-    when the per-round success probability is exactly 0.
+    the small-r/N approximation of the angle, 2 sqrt(r/N).  Raises
+    NeverSucceedsError when the per-round success probability is exactly 0.
     """
     if not 1 <= r <= n_items:
         raise ValueError(f"need 1 <= r <= n_items, got r={r}, n_items={n_items}")
     if n <= 0:
         raise ValueError(f"n must be positive, got {n}")
-    p1 = _single_round_prob(n, r, n_items, approx)
+    p1 = uniform_success_prob(math.sqrt(r / n_items), n, approx)
     return expected_cost(n, parallel_success(p1, k))
 
 
@@ -303,20 +290,14 @@ def parallel_plan(r: int, n_items: int, k: int, method: str = "numeric") -> Para
     n_hi = math.ceil(0.25 * math.pi * math.sqrt(n_items / r))
     ns = np.arange(1, n_hi + 1, dtype=float)
     v = math.sqrt(r / n_items)
-    phi = rotation_angle(v)
-    p1 = 0.5 * (1.0 - np.cos((2.0 * ns + 1.0) * phi))
-    if k == 1:
-        pk = p1
-    else:
-        with np.errstate(divide="ignore"):
-            pk = -np.expm1(k * np.log1p(-p1))
-    n_best = int(ns[_cheapest(ns, pk)])
-    cost = parallel_expected_cost(n_best, r, n_items, k)
+    pk = parallel_success(uniform_success_prob(v, ns), k)
+    best = _cheapest(ns, pk)
+    n_best = int(ns[best])
     return ParallelPlan(
         agents=k,
         x=(1.0 + 2.0 * n_best) * v,
         n_opt=float(n_best),
         n_int=n_best,
-        expected_cost=cost,
+        expected_cost=float(ns[best] / pk[best]),
         method="numeric",
     )

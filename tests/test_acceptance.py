@@ -23,8 +23,8 @@ from gqsearch import (
     parallel_expected_cost,
     parallel_plan,
     parallel_success,
+    parallel_trial_costs,
     punctuated_plan,
-    punctuated_trial_costs,
     random_state,
     rotation_angle,
     run_parallel,
@@ -202,7 +202,7 @@ def test_criterion_07_monte_carlo_agreement():
 
 def test_criterion_08_stddev_arbitration():
     p, n, trials = 0.5, 1, 10**6
-    costs = punctuated_trial_costs(p, n, trials, seed=8)
+    costs = parallel_trial_costs(p, n, 1, trials, seed=8)
     s = float(costs.std(ddof=1))
     m = float(costs.mean())
     m4 = float(np.mean((costs - m) ** 4))

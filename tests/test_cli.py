@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -265,6 +266,17 @@ def test_plan_rejects_out_of_range_targets(capsys):
     assert code == 2 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("agents", ["0", "-2"])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_plan_rejects_agent_counts_below_one(capsys, agents, fmt):
+    code, out, err = run_cli(
+        capsys, "plan", "--n-items", "4096", "--num-targets", "1",
+        "--agents", agents, "--format", fmt,
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "--agents" in err
+
+
 def test_heatmap_trivial_cells():
     grid = heatmap_grid(64, 3)
     np.testing.assert_allclose(grid[0], np.arange(1, 65) / 64.0, atol=1e-12)
@@ -316,6 +328,13 @@ def test_heatmap_pgm_bytes(tmp_path):
     assert payload == np.rint(grid * 255.0).astype(np.uint8).tobytes()
     # full-probability column renders white
     assert payload[7] == 255
+
+
+@pytest.mark.parametrize("n_items", ["0", "-3"])
+def test_heatmap_rejects_n_items_below_one(capsys, n_items):
+    code, out, err = run_cli(capsys, "heatmap", "--n-items", n_items)
+    assert code == 2 and out == ""
+    assert err == f"error: n_items must be >= 1, got {n_items}\n"
 
 
 def test_heatmap_pgm_requires_out(capsys):
@@ -431,15 +450,31 @@ def test_montecarlo_start_that_never_succeeds(tmp_path, capsys):
     assert code == 2 and err.startswith("error:") and out == ""
 
 
-def test_cli_import_does_not_load_scipy():
+def _env_with_package():
+    """The environment with this gqsearch checkout first on PYTHONPATH."""
     src = os.path.dirname(os.path.dirname(gqsearch.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_cli_import_does_not_load_scipy():
     probe = "import sys, gqsearch.cli; print('scipy' in sys.modules)"
     result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", probe], env=_env_with_package(), capture_output=True,
+        text=True, check=True,
     )
     assert result.stdout.strip() == "False"
+
+
+def test_arbitrate_stddev_script_runs():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "arbitrate_stddev.py"
+    result = subprocess.run(
+        [sys.executable, str(script), "--trials", "2000"], env=_env_with_package(),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.count("geometric") >= 4
 
 
 def test_verify_all_pass(capsys):
@@ -493,3 +528,90 @@ def test_simulate_small_case_pattern(capsys):
     for row, want in zip(rows, (0.25, 1.0, 0.25, 0.25)):
         assert abs(row["p_simulated"] - want) < 1e-12
         assert abs(row["p_analytic"] - want) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# one output layer: every CSV cell is the JSON value it flattens
+
+# plan CSV column -> (JSON section, key); None is the top level
+PLAN_JSON_PATHS = {
+    "n_items": (None, "n_items"), "r": (None, "r"), "v": (None, "v"),
+    "phi": (None, "phi"), "agents": (None, "agents"),
+    "punct_n_opt": ("punctuated", "n_opt"),
+    "punct_n_int": ("punctuated", "n_int"),
+    "punct_expected_cost": ("punctuated", "expected_cost"),
+    "punct_stddev_alt": ("punctuated", "stddev_alt"),
+    "punct_stddev_geometric": ("punctuated", "stddev_geometric"),
+    "max_probability_cost": ("punctuated", "max_probability_cost"),
+    "speedup_ratio": ("punctuated", "speedup_ratio"),
+    "par_num_n": ("parallel_numeric", "n_int"),
+    "par_num_cost": ("parallel_numeric", "expected_cost"),
+    "par_cf_x": ("parallel_closed_form", "x"),
+    "par_cf_n_opt": ("parallel_closed_form", "n_opt"),
+    "par_cf_n_int": ("parallel_closed_form", "n_int"),
+    "par_cf_cost": ("parallel_closed_form", "expected_cost"),
+    "par_cf_cost_exact": ("parallel_closed_form", "cost_exact_at_n"),
+}
+
+
+def _json_value(payload, row, column):
+    """The JSON value that CSV row `row`, column `column` flattens."""
+    command = payload["command"]
+    if command == "simulate":
+        record = payload["rows"][row]
+        return record[column] if column in record else payload["decomposition"][column]
+    if command == "plan":
+        assert row == 0
+        section, key = PLAN_JSON_PATHS[column]
+        values = payload if section is None else payload[section]
+        return None if values is None else values[key]
+    if command == "heatmap":
+        return row if column == "n" else payload["grid"][row][int(column[2:]) - 1]
+    if command == "parallel-sweep":
+        return payload["rows"][row][column]
+    assert command == "montecarlo" and row == 0
+    return len(payload["targets"]) if column == "r" else payload[column]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--n-items", "32", "--targets", "3,9", "--start", "random:7",
+         "--iterations", "0..6"],
+        ["simulate", "--n-items", "4", "--targets", "0,1,2,3", "--iterations", "0..2"],
+        ["plan", "--n-items", "4096", "--num-targets", "1"],
+        ["plan", "--n-items", str(2**20), "--num-targets", "1", "--agents", "4"],
+        ["heatmap", "--n-items", "8", "--iterations", "5"],
+        ["parallel-sweep", "--n-items", "4096", "--num-targets", "2", "--agents", "3"],
+        ["montecarlo", "--n-items", "64", "--num-targets", "1", "--trials", "500",
+         "--seed", "3"],
+        ["montecarlo", "--n-items", "64", "--num-targets", "2", "--agents", "4",
+         "--iterations", "2", "--trials", "500", "--seed", "3"],
+    ],
+    ids=["simulate", "simulate-v1", "plan-k1", "plan-k4", "heatmap", "parallel-sweep",
+         "montecarlo-born", "montecarlo-coin"],
+)
+def test_csv_cells_equal_the_json_values(capsys, argv):
+    code, out_json, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, out_csv, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    payload = json.loads(out_json)
+    header, *lines = out_csv.rstrip("\n").split("\n")
+    columns = header.split(",")
+    # one CSV row per JSON row or grid row; plan and montecarlo have one
+    assert len(lines) == len(payload.get("grid", payload.get("rows", [None])))
+    compared = 0
+    for i, line in enumerate(lines):
+        cells = line.split(",")
+        assert len(cells) == len(columns)
+        for column, cell in zip(columns, cells):
+            value = _json_value(payload, i, column)
+            if value is None:
+                assert cell == "", (column, cell)
+            elif isinstance(value, float):
+                assert cell == repr(value), (column, cell, value)
+            else:
+                assert cell == str(value), (column, cell, value)
+            compared += 1
+    assert compared == len(lines) * len(columns)

@@ -23,11 +23,9 @@ from gqsearch import (
     parallel_success,
     parallel_trial_costs,
     punctuated_plan,
-    punctuated_trial_costs,
     random_state,
     rotation_angle,
     run_parallel,
-    run_punctuated,
     run_punctuated_statevector,
     statevector_trial_costs,
     success_probability,
@@ -38,23 +36,23 @@ from gqsearch import (
 
 
 def test_certain_success_is_deterministic():
-    est = run_punctuated(1.0, 7, 100, seed=0)
+    est = run_parallel(1.0, 7, 1, 100, seed=0)
     assert est.mean == 7.0
     assert est.stderr == 0.0
     assert est.trials == 100
-    assert np.all(punctuated_trial_costs(1.0, 7, 100, seed=0) == 7.0)
+    assert np.all(parallel_trial_costs(1.0, 7, 1, 100, seed=0) == 7.0)
 
 
 def test_mean_matches_closed_form():
     p, n = 0.3, 5
-    est = run_punctuated(p, n, 200_000, seed=123)
+    est = run_parallel(p, n, 1, 200_000, seed=123)
     closed = expected_cost(n, p)
     assert abs(est.mean - closed) < 3.0 * est.stderr
     assert est.stderr > 0.0
 
 
 def test_single_trial_has_zero_stderr():
-    est = run_punctuated(0.5, 2, 1, seed=9)
+    est = run_parallel(0.5, 2, 1, 1, seed=9)
     assert est.trials == 1
     assert est.stderr == 0.0
 
@@ -63,11 +61,11 @@ def test_trial_stream_partition_is_exact():
     full = trial_uniforms(9, 0, 100)
     parts = np.concatenate([trial_uniforms(9, 0, 37), trial_uniforms(9, 37, 63)])
     assert np.array_equal(full, parts)
-    costs_full = punctuated_trial_costs(0.4, 3, 100, seed=9)
+    costs_full = parallel_trial_costs(0.4, 3, 1, 100, seed=9)
     costs_parts = np.concatenate(
         [
-            punctuated_trial_costs(0.4, 3, 50, seed=9),
-            punctuated_trial_costs(0.4, 3, 50, seed=9, trial_start=50),
+            parallel_trial_costs(0.4, 3, 1, 50, seed=9),
+            parallel_trial_costs(0.4, 3, 1, 50, seed=9, trial_start=50),
         ]
     )
     assert np.array_equal(costs_full, costs_parts)
@@ -78,7 +76,7 @@ def test_parallel_equals_punctuated_at_boosted_bias():
     # must coincide draw for draw
     p, n, k = 0.2, 4, 6
     a = parallel_trial_costs(p, n, k, 500, seed=21)
-    b = punctuated_trial_costs(parallel_success(p, k), n, 500, seed=21)
+    b = parallel_trial_costs(parallel_success(p, k), n, 1, 500, seed=21)
     assert np.array_equal(a, b)
 
 
@@ -90,17 +88,17 @@ def test_parallel_mean_matches_closed_form():
 
 
 def test_reset_cost_surcharge():
-    base = punctuated_trial_costs(0.5, 4, 50, seed=5)
+    base = parallel_trial_costs(0.5, 4, 1, 50, seed=5)
     rounds = base / 4.0
-    charged = punctuated_trial_costs(0.5, 4, 50, seed=5, reset_cost=1.5)
+    charged = parallel_trial_costs(0.5, 4, 1, 50, seed=5, reset_cost=1.5)
     assert np.array_equal(charged, base + (rounds - 1.0) * 1.5)
     with pytest.raises(ValueError):
-        punctuated_trial_costs(0.5, 4, 50, seed=5, reset_cost=-1.0)
+        parallel_trial_costs(0.5, 4, 1, 50, seed=5, reset_cost=-1.0)
 
 
 def test_zero_probability_never_terminates():
     with pytest.raises(NonTerminatingError):
-        run_punctuated(0.0, 3, 10, seed=0)
+        run_parallel(0.0, 3, 1, 10, seed=0)
     with pytest.raises(NonTerminatingError):
         run_parallel(0.0, 3, 4, 10, seed=0)
 
@@ -108,14 +106,14 @@ def test_zero_probability_never_terminates():
 def test_round_cap_raises():
     # at p = 1e-12 a median trial needs ~7e11 rounds, far past the cap
     with pytest.raises(TrialCapError):
-        punctuated_trial_costs(1e-12, 1, 4, seed=0)
+        parallel_trial_costs(1e-12, 1, 1, 4, seed=0)
 
 
 def test_runs_are_reproducible_and_seed_sensitive():
-    a = run_punctuated(0.25, 3, 20_000, seed=77)
-    b = run_punctuated(0.25, 3, 20_000, seed=77)
+    a = run_parallel(0.25, 3, 1, 20_000, seed=77)
+    b = run_parallel(0.25, 3, 1, 20_000, seed=77)
     assert a == b
-    c = run_punctuated(0.25, 3, 20_000, seed=78)
+    c = run_parallel(0.25, 3, 1, 20_000, seed=78)
     assert c.mean != a.mean
 
 
@@ -124,9 +122,8 @@ def test_statevector_variant_matches_born_statistics():
     n = 3
     state = grover_power(inst, n)
     p = success_probability(state, inst.targets)
-    est, counts = run_punctuated_statevector(
-        state, inst.targets, n, 3000, seed=2, return_outcome_counts=True
-    )
+    est = run_punctuated_statevector(state, inst.targets, n, 3000, seed=2)
+    _, counts = statevector_trial_costs(state, inst.targets, n, 3000, seed=2)
     closed = expected_cost(n, p)
     assert abs(est.mean - closed) < 4.0 * est.stderr
     # every trial ends in exactly one success, and every measurement is
@@ -164,11 +161,11 @@ def test_statevector_variant_rejects_zero_support():
 
 def test_validation_errors():
     with pytest.raises(ValueError):
-        run_punctuated(0.5, 0, 10, seed=0)
+        run_parallel(0.5, 0, 1, 10, seed=0)
     with pytest.raises(ValueError):
-        run_punctuated(0.5, 3, 0, seed=0)
+        run_parallel(0.5, 3, 1, 0, seed=0)
     with pytest.raises(ValueError):
-        run_punctuated(1.5, 3, 10, seed=0)
+        run_parallel(1.5, 3, 1, 10, seed=0)
     with pytest.raises(ValueError):
         parallel_trial_costs(0.5, 3, 0, 10, seed=0)
     with pytest.raises(ValueError):
@@ -186,7 +183,7 @@ def test_validation_errors():
     seed=st.integers(0, 2**31),
 )
 def test_cost_structure(p, n, trials, seed):
-    costs = punctuated_trial_costs(p, n, trials, seed=seed)
+    costs = parallel_trial_costs(p, n, 1, trials, seed=seed)
     assert costs.shape == (trials,)
     assert np.all(costs >= n)
     # with free resets every cost is a whole number of n-iteration rounds
@@ -194,14 +191,14 @@ def test_cost_structure(p, n, trials, seed):
 
 
 def test_punctuated_mean_large_sample():
-    est = run_punctuated(0.5, 3, 10**6, seed=42)
+    est = run_parallel(0.5, 3, 1, 10**6, seed=42)
     assert abs(est.mean - 6.0) <= 3.0 * est.stderr
 
 
 def test_sample_sd_arbitrates_geometric_form():
     # a seeded bootstrap supplies the standard error of the sample SD;
     # the geometric form n sqrt(1-p)/p matches, the alternative does not
-    costs = punctuated_trial_costs(0.5, 1, 10**6, seed=24)
+    costs = parallel_trial_costs(0.5, 1, 1, 10**6, seed=24)
     sd_hat = float(costs.std(ddof=1))
     rng = np.random.default_rng(2024)
     boots = np.empty(120)
@@ -215,8 +212,11 @@ def test_sample_sd_arbitrates_geometric_form():
 
 
 def test_parallel_k1_statistically_matches_punctuated():
+    # the k = 1 coin race against Born measurements of a state whose
+    # target weight is 0.3
     par = run_parallel(0.3, 5, 1, 200000, seed=77)
-    pun = run_punctuated(0.3, 5, 200000, seed=77)
+    state = StateVector(np.array([math.sqrt(0.3), math.sqrt(0.7)]))
+    pun = run_punctuated_statevector(state, TargetSet((0,)), 5, 200000, seed=78)
     assert abs(par.mean - pun.mean) <= 3.0 * max(par.stderr, pun.stderr)
 
 
@@ -258,9 +258,7 @@ def test_statevector_outcome_distribution_chi_square():
         start=random_state(8, 301),
     )
     state = grover_power(inst, 2)
-    _, counts = run_punctuated_statevector(
-        state, inst.targets, 2, 20000, seed=7, return_outcome_counts=True
-    )
+    _, counts = statevector_trial_costs(state, inst.targets, 2, 20000, seed=7)
     weights = np.abs(state.amplitudes) ** 2
     non_target = np.ones(8, dtype=bool)
     non_target[2] = False
@@ -337,6 +335,15 @@ def _born_case():
     return grover_power(inst, 1), inst.targets
 
 
+def test_coin_costs_do_not_depend_on_block(monkeypatch):
+    full = parallel_trial_costs(0.2, 3, 4, 500, seed=17, reset_cost=0.5)
+    assert np.unique(full).size > 3  # rounds vary across trials
+    for cap in (1, 7, montecarlo._BLOCK_ELEMENTS):
+        monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", cap)
+        costs = parallel_trial_costs(0.2, 3, 4, 500, seed=17, reset_cost=0.5)
+        assert np.array_equal(costs, full)
+
+
 def test_statevector_costs_do_not_depend_on_split_or_block(monkeypatch):
     state, targets = _born_case()
     full, full_counts = statevector_trial_costs(state, targets, 1, 90, seed=13)
@@ -377,7 +384,7 @@ def test_counter_range_is_checked():
         statevector_trial_costs(state, targets, 1, 5, seed=0, trial_start=2**32 - 4)
     statevector_trial_costs(state, targets, 1, 4, seed=2**64 - 1, trial_start=2**32 - 4)
     with pytest.raises(ValueError):
-        punctuated_trial_costs(0.5, 1, 10, seed=-3)
+        parallel_trial_costs(0.5, 1, 1, 10, seed=-3)
     with pytest.raises(ValueError):
         trial_uniforms(0, 2**32 - 1, 2)
     assert trial_uniforms(0, 2**32 - 1, 1).shape == (1,)
