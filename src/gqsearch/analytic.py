@@ -223,14 +223,13 @@ def first_maximum(dec: Decomposition):
     return optimal_iterations_analytic(dec, j)
 
 
-def uniform_success_prob(v: float, n, approx: bool = False):
+def uniform_success_prob(v: float, n):
     """Success probability (1 - cos((2n+1) phi))/2 when s = a, for v in (0, 1].
 
     n is a scalar or an array of iteration counts (real n allowed).  v = 1
     gives phi = pi exactly, so integer n succeed with certainty.
-    approx=True replaces phi by its small-v form 2v.
     """
-    phi = 2.0 * v if approx else rotation_angle(v)
+    phi = rotation_angle(v)
     return 0.5 * (1.0 - np.cos((2.0 * np.asarray(n, dtype=float) + 1.0) * phi))
 
 

@@ -160,14 +160,14 @@ def _build_instance(args: argparse.Namespace) -> SearchInstance:
 
 
 def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def _csv_cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        return repr(value)
+        return json.dumps(value, allow_nan=False)  # repr; NaN/inf raise
     return str(value)
 
 
@@ -479,7 +479,10 @@ def cmd_montecarlo(args: argparse.Namespace):
         if n < 1:
             raise ValueError("--iterations must be >= 1 for montecarlo")
     else:
-        n = restart_iterations(decompose(instance))
+        try:
+            n = restart_iterations(decompose(instance))
+        except (DegenerateOverlapError, NoOverlapError):
+            n = 1  # v = 1 or v = 0: p(n) does not depend on n
 
     state = grover_power(instance, n)
     p = success_probability(state, instance.targets)
@@ -716,7 +719,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="seeded restart experiment vs the closed-form cost",
         description="agents=1 measures Q^n|s> with full Born sampling per "
         "round; agents>=2 races k coins with p taken from the simulated "
-        "state. Default --iterations is the punctuated optimum. "
+        "state. Default --iterations: the exact n / p(n) optimum for --start. "
         "CSV columns: " + ",".join(MONTECARLO_COLUMNS),
     )
     p_mc.add_argument("--n-items", type=int, required=True, metavar="N")
@@ -763,4 +766,7 @@ def main(argv=None) -> int:
         return 0
     except (GQSearchError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a last resort, not a size guard
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2

@@ -2,11 +2,11 @@
 
 Punctuated search runs n iterations, measures, and restarts on failure;
 the expected cost n/p(n) is minimized near n = x*/(2 phi) where x* is the
-lowest positive root of x = tan(x/2), and for an arbitrary start state by
-an integer scan of the closed form over one period.  k-parallel search
-races k independent agents per round; its cost is minimized by an integer
-scan of the exact cost or by a closed-form small-x approximation valid for
-k >= 2.
+lowest positive root of x = tan(x/2).  k-parallel search races k
+independent agents per round at cost n / P_k(n), P_k = 1 - (1-p)^k.  One
+bounded integer scan gives the exact optimum of either, for any start
+state; a closed-form small-x approximation of the parallel optimum is
+valid for k >= 2.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .analytic import (
     success_prob_analytic,
     uniform_success_prob,
 )
-from .errors import NeverSucceedsError, RegimeError, ValidityError
+from .errors import GQSearchError, NeverSucceedsError, RegimeError, ValidityError
 
 
 @dataclass(frozen=True)
@@ -161,28 +161,6 @@ def punctuated_plan(phi: float) -> PunctuatedPlan:
     )
 
 
-def _cheapest(ns: np.ndarray, p: np.ndarray) -> int:
-    """Index of the least n / p over a scan; ties go to the smaller n."""
-    with np.errstate(divide="ignore"):
-        costs = ns / p  # inf where p = 0
-    best = int(np.argmin(costs))  # first occurrence
-    if not math.isfinite(costs[best]):
-        raise NeverSucceedsError("success probability is 0 over the whole scan")
-    return best
-
-
-def restart_iterations(dec: Decomposition) -> int:
-    """Iterations n >= 1 per round minimizing n / p(n), for any start state.
-
-    p(n) is the exact closed form `success_prob_analytic`, periodic in n
-    with period pi/phi, so the integer scan n = 1..ceil(pi/phi) sees every
-    value it takes; ties go to the smaller n.  Raises NeverSucceedsError
-    when p is 0 over the whole scan.
-    """
-    ns = np.arange(1, math.ceil(math.pi / dec.phi) + 1)
-    return int(ns[_cheapest(ns, success_prob_analytic(dec, ns))])
-
-
 def parallel_success(p, k: int):
     """Probability 1 - (1-p)^k that at least one of k agents succeeds.
 
@@ -200,20 +178,63 @@ def parallel_success(p, k: int):
     return float(p) if p.ndim == 0 else p
 
 
-def parallel_expected_cost(
-    n, r: int, n_items: int, k: int, approx: bool = False
-) -> float:
+# The scan of n / P_k(n) runs over blocks of 64, 128, ... n, at most
+# _MAX_BLOCK each.  Past n = _SCAN_LIMIT (20-40 s of scanning) it stops: a
+# p(n) that rounds to 0 at every n although p_max > 0 would never end.
+_MAX_BLOCK = 2**16
+_SCAN_LIMIT = 2**30
+
+
+def _cheapest_iterations(prob, k: int, p_max: float):
+    """The n >= 1 minimizing n / P_k(n), P_k = 1 - (1 - p(n))^k, and that cost.
+
+    prob maps an array of n to p(n) <= p_max.  Every cost is at least
+    n / P_k(p_max), so no n >= best * P_k(p_max) can be cheaper than the
+    best found: the scan stops there with the exact integer optimum.  Ties
+    go to the smaller n.  Raises NeverSucceedsError when P_k(p_max) is 0.
+    """
+    floor = parallel_success(p_max, k)
+    if floor == 0.0:
+        raise NeverSucceedsError("success probability is 0 for every n")
+    best_n, best_cost, start = 0, math.inf, 1
+    while start < best_cost * floor:
+        if start > _SCAN_LIMIT:
+            raise GQSearchError(f"no optimum of n / P_k(n) found up to n = {_SCAN_LIMIT}")
+        # the block from n = 1 + 64 (2^j - 1) holds 64 * 2^j n, up to the cap
+        ns = np.arange(start, start + min(start + 63, _MAX_BLOCK), dtype=float)
+        with np.errstate(divide="ignore"):
+            costs = ns / parallel_success(prob(ns), k)  # inf where p = 0
+        i = int(np.argmin(costs))  # first occurrence
+        if costs[i] < best_cost:
+            best_n, best_cost = start + i, float(costs[i])
+        start += ns.size
+    return best_n, best_cost
+
+
+def restart_iterations(dec: Decomposition) -> int:
+    """Iterations n >= 1 per round minimizing n / p(n), for any start state.
+
+    p(n) is the closed form `success_prob_analytic`, at most its peak
+    w_t + ((alpha^2 + beta^2)/2 + A/2), summed in the closed form's order so
+    that the bound holds in floats too.  Ties go to the smaller n; raises
+    NeverSucceedsError when the peak is 0.
+    """
+    p_max = min(1.0, dec.w_t + (0.5 * (dec.alpha**2 + dec.beta**2) + 0.5 * dec.amp))
+    return _cheapest_iterations(lambda ns: success_prob_analytic(dec, ns), 1, p_max)[0]
+
+
+def parallel_expected_cost(n, r: int, n_items: int, k: int) -> float:
     """Expected parallel cost n / (1 - (1 - p(n))^k) of k-agent search.
 
-    The exact form uses the full rotation angle; approx=True switches to
-    the small-r/N approximation of the angle, 2 sqrt(r/N).  Raises
-    NeverSucceedsError when the per-round success probability is exactly 0.
+    p(n) is the uniform-start probability `uniform_success_prob` at
+    v = sqrt(r/N).  Raises NeverSucceedsError when the per-round success
+    probability is exactly 0.
     """
     if not 1 <= r <= n_items:
         raise ValueError(f"need 1 <= r <= n_items, got r={r}, n_items={n_items}")
     if n <= 0:
         raise ValueError(f"n must be positive, got {n}")
-    p1 = uniform_success_prob(math.sqrt(r / n_items), n, approx)
+    p1 = uniform_success_prob(math.sqrt(r / n_items), n)
     return expected_cost(n, parallel_success(p1, k))
 
 
@@ -253,8 +274,9 @@ def optimal_x_parallel_approx(k: int) -> float:
 def parallel_plan(r: int, n_items: int, k: int, method: str = "numeric") -> ParallelPlan:
     """Optimal k-parallel plan by exact integer scan or closed form.
 
-    numeric: exhaustive scan of the exact cost over n in
-    [1, ceil(pi/4 sqrt(N/r))], ties broken toward smaller n; any k >= 1.
+    numeric: the exact integer optimum of n / P_k(n), any k >= 1, by a scan
+    of n = 1, 2, ... that stops at the best cost found (P_k <= 1, so cost(n)
+    >= n); ties go to the smaller n.
     closed_form: series-optimal x with n = (x sqrt(N/r) - 1)/2; requires
     k >= 2 and r/N <= 0.01.
     """
@@ -287,17 +309,13 @@ def parallel_plan(r: int, n_items: int, k: int, method: str = "numeric") -> Para
     if method != "numeric":
         raise ValueError(f"unknown method {method!r}")
 
-    n_hi = math.ceil(0.25 * math.pi * math.sqrt(n_items / r))
-    ns = np.arange(1, n_hi + 1, dtype=float)
     v = math.sqrt(r / n_items)
-    pk = parallel_success(uniform_success_prob(v, ns), k)
-    best = _cheapest(ns, pk)
-    n_best = int(ns[best])
+    n_best, cost = _cheapest_iterations(lambda ns: uniform_success_prob(v, ns), k, 1.0)
     return ParallelPlan(
         agents=k,
         x=(1.0 + 2.0 * n_best) * v,
         n_opt=float(n_best),
         n_int=n_best,
-        expected_cost=float(ns[best] / pk[best]),
+        expected_cost=cost,
         method="numeric",
     )

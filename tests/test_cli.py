@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import gqsearch
+import gqsearch.cli
 from gqsearch import (
     SearchInstance,
     StateVector,
@@ -448,6 +449,57 @@ def test_montecarlo_start_that_never_succeeds(tmp_path, capsys):
         "--trials", "10",
     )
     assert code == 2 and err.startswith("error:") and out == ""
+
+
+def test_montecarlo_default_iterations_when_p_is_flat(tmp_path, capsys):
+    # v = 1 (every item a target) and v = 0 (an averaging state off the
+    # target): p(n) does not depend on n, so the default n is 1
+    dark = tmp_path / "dark.txt"
+    write_state_file(str(dark), StateVector(np.array([0.0, 1.0, 1.0, 1.0]) / math.sqrt(3.0)))
+    for argv in (
+        ["--n-items", "16", "--num-targets", "16"],
+        ["--n-items", "4", "--targets", "0", "--averaging", f"file:{dark}"],
+    ):
+        argv = ["montecarlo", *argv, "--trials", "100"]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        assert json.loads(out)["iterations"] == 1
+        assert run_cli(capsys, *argv, "--iterations", "1") == (0, out, "")
+
+
+def test_parallel_sweep_with_every_item_a_target(capsys):
+    code, out, err = run_cli(
+        capsys, "parallel-sweep", "--n-items", "64", "--num-targets", "64", "--agents", "2",
+    )
+    assert code == 0 and err == ""
+    rows = json.loads(out)["rows"]
+    by_rk = {(row["r"], row["k"]): row for row in rows}
+    assert len(rows) == 128
+    assert by_rk[(48, 2)]["n_numeric"] == 2 and by_rk[(40, 2)]["n_numeric"] == 2
+    assert by_rk[(64, 1)]["n_numeric"] == 1 and by_rk[(64, 1)]["cost_numeric"] == 1.0
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_non_finite_output_is_refused(monkeypatch, capsys, fmt):
+    def cmd_nan(args):
+        row = {"n": 1, "cost": float("nan")}
+        return {"command": "plan", "rows": [row]}, ("n", "cost"), [row]
+
+    monkeypatch.setitem(gqsearch.cli._COMMANDS, "plan", cmd_nan)
+    code, out, err = run_cli(
+        capsys, "plan", "--n-items", "16", "--num-targets", "1", "--format", fmt
+    )
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_memory_error_exits_2(monkeypatch, capsys):
+    def cmd_oom(args):
+        raise MemoryError("Unable to allocate 6.7 GiB")
+
+    monkeypatch.setitem(gqsearch.cli._COMMANDS, "plan", cmd_oom)
+    code, out, err = run_cli(capsys, "plan", "--n-items", "16", "--num-targets", "1")
+    assert code == 2 and out == "" and err.startswith("error:")
+    assert "Traceback" not in err
 
 
 def _env_with_package():

@@ -1,6 +1,7 @@
 """Tests for the punctuated and k-parallel strategy planners."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -11,6 +12,7 @@ from scipy.optimize import brentq
 
 from gqsearch import (
     Decomposition,
+    GQSearchError,
     NeverSucceedsError,
     SearchInstance,
     TargetSet,
@@ -32,10 +34,12 @@ from gqsearch import (
     random_state,
     restart_iterations,
     rotation_angle,
+    success_prob_analytic,
     uniform_instance,
     uniform_state,
 )
 import gqsearch.strategy as strategy
+from gqsearch.analytic import uniform_success_prob
 from gqsearch.statevector import _dense_evolution
 
 
@@ -171,17 +175,6 @@ def test_parallel_expected_cost_full_target_set():
         parallel_expected_cost(3, 9, 8, 2)
     with pytest.raises(ValueError):
         parallel_expected_cost(0, 1, 8, 2)
-
-
-def test_parallel_expected_cost_approx_flag():
-    n_items = 2**20
-    exact = parallel_expected_cost(500, 1, n_items, 4)
-    approx = parallel_expected_cost(500, 1, n_items, 4, approx=True)
-    assert abs(approx / exact - 1.0) < 1e-6
-    # the approximation replaces the angle with 2 v
-    v = math.sqrt(1.0 / n_items)
-    p1 = 0.5 * (1.0 - math.cos(1001.0 * 2.0 * v))
-    assert abs(approx - 500.0 / (1.0 - (1.0 - p1) ** 4)) < 1e-9
 
 
 def test_parallel_cost_derivative_vanishes_at_optimum():
@@ -385,8 +378,102 @@ def test_restart_iterations_ties_and_zero_probability():
     flat = Decomposition.build(0.5, 0.0, 0.0, 0.0, w_t=0.5, w_l=0.5)
     assert restart_iterations(flat) == 1
     # n / p = 4 at n = 2, 3 and 4 exactly: the scan takes the smallest
-    ns = np.arange(1, 6)
-    assert strategy._cheapest(ns, np.array([0.0, 0.5, 0.75, 1.0, 1.0])) == 1
+    table = lambda ns: np.interp(ns, [1, 2, 3, 4], [0.0, 0.5, 0.75, 1.0])
+    assert strategy._cheapest_iterations(table, 1, 1.0) == (2, 4.0)
     never = Decomposition.build(0.5, 0.0, 0.0, 0.0, w_t=0.0, w_l=1.0)
     with pytest.raises(NeverSucceedsError):
         restart_iterations(never)
+
+
+def _scan_everything(prob, k, n_max):
+    """n / P_k(n) over n = 1..n_max in one array, and its first argmin."""
+    ns = np.arange(1, n_max + 1, dtype=float)
+    with np.errstate(divide="ignore"):
+        costs = ns / parallel_success(prob(ns), k)
+    best = int(np.argmin(costs))
+    # cost(n) >= n, so no n past n_max can beat a minimum at most n_max
+    assert costs[best] <= n_max
+    return best + 1, float(costs[best])
+
+
+@settings(max_examples=150, deadline=None)
+@given(n_items=st.integers(2, 96), data=st.data())
+def test_parallel_plan_matches_an_exhaustive_scan(n_items, data):
+    r = data.draw(st.integers(1, n_items))
+    k = data.draw(st.integers(1, 64))
+    plan = parallel_plan(r, n_items, k)
+    v = math.sqrt(r / n_items)
+    want = _scan_everything(lambda ns: uniform_success_prob(v, ns), k, 4096)
+    assert (plan.n_int, plan.expected_cost) == want
+    # the same optimum from sin^2((2n+1) asin v), to round-off
+    n = np.arange(1, 4097)
+    p = np.sin((2 * n + 1) * math.asin(v)) ** 2
+    with np.errstate(divide="ignore"):
+        costs = n / (1.0 - (1.0 - p) ** k)
+    assert abs(plan.expected_cost / costs.min() - 1.0) < 1e-9
+    assert costs[plan.n_int - 1] <= costs.min() * (1.0 + 1e-9)
+
+
+_weight = st.one_of(st.just(0.0), st.floats(0.2, 1.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    v=st.one_of(st.floats(0.01, 1.0 - 1e-6), st.sampled_from([1.0 - 1e-6, 0.999, 0.5])),
+    alpha=_weight,
+    beta=_weight,
+    root_wt=_weight,
+    root_wl=_weight,
+    b=st.floats(0.0, 2.0 * math.pi),
+)
+def test_restart_iterations_matches_an_exhaustive_scan(v, alpha, beta, root_wt, root_wl, b):
+    norm = math.sqrt(alpha**2 + beta**2 + root_wt**2 + root_wl**2)
+    if norm == 0.0:
+        return
+    dec = Decomposition.build(
+        v, alpha / norm, beta / norm, b, w_t=(root_wt / norm) ** 2, w_l=(root_wl / norm) ** 2
+    )
+    if alpha == beta == root_wt == 0.0:
+        with pytest.raises(NeverSucceedsError):
+            restart_iterations(dec)
+        return
+    want = _scan_everything(lambda ns: success_prob_analytic(dec, ns), 1, 2**18)
+    assert restart_iterations(dec) == want[0]
+
+
+def test_parallel_plan_where_r_is_most_of_n():
+    # p(1) = 0 at r/N = 3/4: the old pi/4 sqrt(N/r) scan saw only n = 1
+    plan = parallel_plan(48, 64, 2)
+    assert plan.n_int == 2 and abs(plan.expected_cost - 32.0 / 15.0) < 1e-12
+    # n = 1 costs 3.47, n = 2 costs 2.0011
+    plan = parallel_plan(40, 64, 2)
+    assert plan.n_int == 2 and abs(plan.expected_cost - 2.0010992366412) < 1e-12
+    assert parallel_expected_cost(1, 40, 64, 2) > 3.4
+
+
+@pytest.mark.parametrize("k", [1, 16])
+def test_parallel_plan_memory_is_bounded(k):
+    # a scan over one array of n would hold 8.2e5 floats per temporary
+    tracemalloc.start()
+    try:
+        plan = parallel_plan(1, 2**40, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert plan.n_int > 10**5
+    assert peak < 4 * 2**20
+
+
+def test_scan_limit_ends_endless_scans(monkeypatch):
+    monkeypatch.setattr(strategy, "_SCAN_LIMIT", 2**12)
+    # the optimum n = 611,089 lies past the limit
+    with pytest.raises(GQSearchError):
+        parallel_plan(1, 2**40, 1)
+    # phi = 0 and the start orthogonal to the peak: p(n) = 0 at every n,
+    # although its bound A/2 + (alpha^2 + beta^2)/2 is 1
+    with pytest.raises(GQSearchError):
+        restart_iterations(Decomposition.build(0.0, 0.0, 1.0, 0.0))
+    # v = 1e-50: p(n) rounds to 0 far beyond any n a scan can reach
+    with pytest.raises(GQSearchError):
+        parallel_plan(1, 10**100, 2)
+    assert parallel_plan(1, 2**16, 1).n_int == 148
