@@ -28,10 +28,8 @@ from .errors import (
     InvalidTargetError,
     NeverSucceedsError,
     NonTerminatingError,
-    NonUnitAxisError,
     NonUnitStateError,
     NoOverlapError,
-    NoRotationError,
     RegimeError,
     TrialCapError,
     ValidityError,
@@ -49,9 +47,7 @@ from .statevector import (
     StateVector,
     TargetSet,
     grover_power,
-    oracle_reflect,
     random_state,
-    reflect_about,
     success_probability,
     success_trajectory,
     uniform_instance,
@@ -69,6 +65,7 @@ from .strategy import (
     parallel_cost_derivative,
     parallel_expected_cost,
     parallel_plan,
+    parallel_plan_closed_form,
     parallel_success,
     punctuated_plan,
     punctuated_success_prob,
@@ -89,10 +86,8 @@ __all__ = [
     "InvalidTargetError",
     "NeverSucceedsError",
     "NonTerminatingError",
-    "NonUnitAxisError",
     "NonUnitStateError",
     "NoOverlapError",
-    "NoRotationError",
     "ParallelPlan",
     "PunctuatedPlan",
     "RegimeError",
@@ -112,16 +107,15 @@ __all__ = [
     "optimal_iterations_analytic",
     "optimal_x_parallel_approx",
     "optimal_x_single",
-    "oracle_reflect",
     "parallel_cost_derivative",
     "parallel_expected_cost",
     "parallel_plan",
+    "parallel_plan_closed_form",
     "parallel_success",
     "parallel_trial_costs",
     "punctuated_plan",
     "punctuated_success_prob",
     "random_state",
-    "reflect_about",
     "restart_iterations",
     "rotation_angle",
     "run_parallel",

@@ -27,7 +27,6 @@ from .errors import (
     FlatProbabilityError,
     InvalidTargetError,
     NoOverlapError,
-    NoRotationError,
 )
 from .statevector import SearchInstance, StateVector, TargetSet
 
@@ -206,12 +205,11 @@ def optimal_iterations_analytic(dec: Decomposition, j: int):
     """
     if j < 0:
         raise ValueError(f"j must be non-negative, got {j}")
-    if dec.amp <= FLAT_TOL * (dec.alpha**2 + dec.beta**2):
+    if dec.phi <= 0.0 or dec.amp <= FLAT_TOL * (dec.alpha**2 + dec.beta**2):
         raise FlatProbabilityError(
-            "oscillation amplitude is 0; success probability is flat in n"
+            "oscillation amplitude or rotation angle is 0; "
+            "success probability is flat in n"
         )
-    if dec.phi <= 0.0:
-        raise NoRotationError("rotation angle is 0; no maxima exist")
     n_j = (dec.theta + _TWO_PI * j) / (2.0 * dec.phi)
     value = 0.5 * (dec.alpha**2 + dec.beta**2) + 0.5 * dec.amp
     return n_j, value

@@ -44,6 +44,7 @@ from .errors import (
     DegenerateOverlapError,
     GQSearchError,
     NoOverlapError,
+    RegimeError,
     ValidityError,
 )
 from .montecarlo import run_parallel, run_punctuated_statevector
@@ -64,6 +65,7 @@ from .strategy import (
     optimal_x_single,
     parallel_expected_cost,
     parallel_plan,
+    parallel_plan_closed_form,
     parallel_success,
     punctuated_plan,
     restart_iterations,
@@ -246,6 +248,20 @@ SWEEP_COLUMNS = (
 )
 
 
+def _parallel_plans(r: int, n_items: int, k: int):
+    """(exact plan, closed-form plan, exact cost at the closed form's n_int).
+
+    The last two are None where the closed form is out of validity (always
+    for k < 2).
+    """
+    numeric = parallel_plan(r, n_items, k)
+    try:
+        formula = parallel_plan_closed_form(r, n_items, k)
+    except ValidityError:
+        return numeric, None, None
+    return numeric, formula, parallel_expected_cost(formula.n_int, r, n_items, k)
+
+
 def sweep_rows(n_items: int, r_max: int, k_max: int) -> list:
     """Numeric vs closed-form parallel optima for r = 1..r_max, k = 1..k_max.
 
@@ -257,28 +273,16 @@ def sweep_rows(n_items: int, r_max: int, k_max: int) -> list:
     rows = []
     for r in range(1, r_max + 1):
         for k in range(1, k_max + 1):
-            numeric = parallel_plan(r, n_items, k, method="numeric")
-            row = {
+            numeric, formula, cost_exact = _parallel_plans(r, n_items, k)
+            rows.append({
                 "r": r,
                 "k": k,
                 "n_numeric": numeric.n_int,
-                "n_formula": None,
+                "n_formula": formula.n_opt if formula else None,
                 "cost_numeric": numeric.expected_cost,
-                "cost_formula": None,
-                "cost_exact_at_n_formula": None,
-            }
-            if k >= 2:
-                try:
-                    formula = parallel_plan(r, n_items, k, method="closed_form")
-                except ValidityError:
-                    pass
-                else:
-                    row["n_formula"] = formula.n_opt
-                    row["cost_formula"] = formula.expected_cost
-                    row["cost_exact_at_n_formula"] = parallel_expected_cost(
-                        formula.n_int, r, n_items, k
-                    )
-            rows.append(row)
+                "cost_formula": formula.expected_cost if formula else None,
+                "cost_exact_at_n_formula": cost_exact,
+            })
     return rows
 
 
@@ -379,42 +383,39 @@ def cmd_plan(args: argparse.Namespace):
     r = targets.r
     v = math.sqrt(r / args.n_items)
     phi = rotation_angle(v)
-    plan = punctuated_plan(phi)
-    baseline = max_probability_cost(phi)
-
-    punct = {
-        "n_opt": plan.n_opt,
-        "n_int": plan.n_int,
-        "expected_cost": plan.expected_cost,
-        "stddev_alt": plan.stddev_alt,
-        "stddev_geometric": plan.stddev_geometric,
-        "max_probability_cost": baseline,
-        "speedup_ratio": plan.expected_cost / baseline,
-    }
+    try:
+        plan = punctuated_plan(phi)
+    except RegimeError:
+        punct = None  # phi >= pi/2: outside the punctuated plan's model
+    else:
+        baseline = max_probability_cost(phi)
+        punct = {
+            "n_opt": plan.n_opt,
+            "n_int": plan.n_int,
+            "expected_cost": plan.expected_cost,
+            "stddev_alt": plan.stddev_alt,
+            "stddev_geometric": plan.stddev_geometric,
+            "max_probability_cost": baseline,
+            "speedup_ratio": plan.expected_cost / baseline,
+        }
     par_numeric = None
     par_closed = None
     if args.agents >= 2:
-        numeric = parallel_plan(r, args.n_items, args.agents, method="numeric")
+        numeric, formula, cost_exact = _parallel_plans(r, args.n_items, args.agents)
         par_numeric = {
             "agents": numeric.agents,
             "x": numeric.x,
             "n_int": numeric.n_int,
             "expected_cost": numeric.expected_cost,
         }
-        try:
-            formula = parallel_plan(r, args.n_items, args.agents, method="closed_form")
-        except ValidityError:
-            pass
-        else:
+        if formula is not None:
             par_closed = {
                 "agents": formula.agents,
                 "x": formula.x,
                 "n_opt": formula.n_opt,
                 "n_int": formula.n_int,
                 "expected_cost": formula.expected_cost,
-                "cost_exact_at_n": parallel_expected_cost(
-                    formula.n_int, r, args.n_items, args.agents
-                ),
+                "cost_exact_at_n": cost_exact,
             }
 
     payload = {

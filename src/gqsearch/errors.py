@@ -24,10 +24,6 @@ class NonUnitStateError(GQSearchError):
     """
 
 
-class NonUnitAxisError(GQSearchError):
-    """Reflection axis is not unit norm."""
-
-
 class NoOverlapError(GQSearchError):
     """Averaging state has zero overlap with the target subspace (v = 0)."""
 
@@ -47,11 +43,7 @@ class DegenerateOverlapError(GQSearchError):
 
 
 class FlatProbabilityError(GQSearchError):
-    """Success probability is constant in n (oscillation amplitude 0)."""
-
-
-class NoRotationError(GQSearchError):
-    """Rotation angle is zero; the iteration does not move the state."""
+    """Success probability is constant in n (amplitude A or angle phi is 0)."""
 
 
 class NeverSucceedsError(GQSearchError):

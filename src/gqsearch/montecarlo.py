@@ -105,13 +105,11 @@ def trial_uniforms(seed: int, start: int, count: int) -> np.ndarray:
     return np.ldexp(k.ravel(), -53)
 
 
-def _validate_common(n: int, trials: int, reset_cost: float) -> None:
+def _validate_common(n: int, trials: int) -> None:
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if reset_cost < 0.0:
-        raise ValueError(f"reset_cost must be >= 0, got {reset_cost}")
 
 
 def _geometric_rounds(u: np.ndarray, p: float) -> np.ndarray:
@@ -124,12 +122,6 @@ def _geometric_rounds(u: np.ndarray, p: float) -> np.ndarray:
             f"a trial exceeded the cap of {ROUND_CAP} rounds (p={p})"
         )
     return rounds
-
-
-def _costs_from_rounds(rounds: np.ndarray, n: int, reset_cost: float) -> np.ndarray:
-    # Measurement and reset cost nothing by default; an optional per-reset
-    # surcharge is charged for every failed round.
-    return rounds * float(n) + (rounds - 1) * float(reset_cost)
 
 
 def _make_estimate(costs: np.ndarray, seed: int) -> Estimate:
@@ -146,16 +138,16 @@ def parallel_trial_costs(
     trials: int,
     seed: int,
     trial_start: int = 0,
-    reset_cost: float = 0.0,
 ) -> np.ndarray:
     """Per-trial parallel-time costs of the k-agent first-success race.
 
     Each round flips k independent coins of bias p; the round count until
     any succeeds is geometric with p_k = 1 - (1-p)^k and is sampled from
     that distribution directly.  k = 1 is punctuated search with per-round
-    success bias p.  Trials are drawn in blocks of _BLOCK_ELEMENTS.
+    success bias p.  A trial costs n per round; measurement and reset are
+    free.  Trials are drawn in blocks of _BLOCK_ELEMENTS.
     """
-    _validate_common(n, trials, reset_cost)
+    _validate_common(n, trials)
     pk = parallel_success(p, k)
     if pk == 0.0:
         raise NonTerminatingError("success probability 0; process cannot terminate")
@@ -163,17 +155,13 @@ def parallel_trial_costs(
     costs = np.empty(trials)
     for lo in range(0, trials, _BLOCK_ELEMENTS):
         u = trial_uniforms(seed, trial_start + lo, min(_BLOCK_ELEMENTS, trials - lo))
-        costs[lo:lo + u.size] = _costs_from_rounds(_geometric_rounds(u, pk), n, reset_cost)
+        costs[lo:lo + u.size] = _geometric_rounds(u, pk) * float(n)
     return costs
 
 
-def run_parallel(
-    p: float, n: int, k: int, trials: int, seed: int, reset_cost: float = 0.0
-) -> Estimate:
+def run_parallel(p: float, n: int, k: int, trials: int, seed: int) -> Estimate:
     """Estimate the k-agent parallel cost (parallel time; agent time is k-fold)."""
-    return _make_estimate(
-        parallel_trial_costs(p, n, k, trials, seed, reset_cost=reset_cost), seed
-    )
+    return _make_estimate(parallel_trial_costs(p, n, k, trials, seed), seed)
 
 
 def statevector_trial_costs(
@@ -183,7 +171,6 @@ def statevector_trial_costs(
     trials: int,
     seed: int,
     trial_start: int = 0,
-    reset_cost: float = 0.0,
 ):
     """End-to-end trial costs with full Born-rule measurement of Q^n|s>.
 
@@ -197,7 +184,7 @@ def statevector_trial_costs(
     over an (active trials x rounds) matrix, the first target hit of each
     row by argmax, and one bincount of the outcomes up to that hit.
     """
-    _validate_common(n, trials, reset_cost)
+    _validate_common(n, trials)
     _check_counters(seed, trial_start, trials)
 
     idx = _target_index_array(targets, state.dim)
@@ -247,22 +234,15 @@ def statevector_trial_costs(
             running.append(rows[~done])
         active = np.concatenate(running)
         done_rounds += width
-    return _costs_from_rounds(rounds, n, reset_cost), counts
+    return rounds * float(n), counts
 
 
 def run_punctuated_statevector(
-    state: StateVector,
-    targets: TargetSet,
-    n: int,
-    trials: int,
-    seed: int,
-    reset_cost: float = 0.0,
+    state: StateVector, targets: TargetSet, n: int, trials: int, seed: int
 ) -> Estimate:
     """Estimate the end-to-end punctuated cost, measuring the evolved Q^n|s>.
 
     `statevector_trial_costs` also returns the outcome counts.
     """
-    costs, _ = statevector_trial_costs(
-        state, targets, n, trials, seed, reset_cost=reset_cost
-    )
+    costs, _ = statevector_trial_costs(state, targets, n, trials, seed)
     return _make_estimate(costs, seed)

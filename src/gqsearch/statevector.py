@@ -13,13 +13,10 @@ independence of the four vectors, so s = a, r = N and v in {0, 1} take the
 same path.  Nothing here goes through `gqsearch.analytic`, so comparing the
 two stays a real check of the closed form.
 
-The dense loop (`_q_step`, two O(N) rank-1 passes per iteration) is kept as
-`_dense_evolution`, the independent reference the tests compare against.
-
 All operations are pure: they return new values and never mutate inputs.
-The norm is checked after every iteration (for the reduced path as the
-quadratic form of the coefficients with the Gram matrix) and raises
-instead of being repaired silently.
+The norm is checked after every iteration, as the quadratic form of the
+coefficients with the Gram matrix, and raises instead of being repaired
+silently.
 """
 
 from __future__ import annotations
@@ -29,14 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InvalidDimensionError,
-    InvalidTargetError,
-    NonUnitAxisError,
-    NonUnitStateError,
-)
+from .errors import InvalidDimensionError, InvalidTargetError, NonUnitStateError
 
-# Drift beyond this raises NonUnitStateError / NonUnitAxisError.
+# Drift beyond this raises NonUnitStateError.
 NORM_TOL = 1e-9
 
 
@@ -165,52 +157,9 @@ def _target_index_array(targets: TargetSet, dim: int) -> np.ndarray:
     return np.asarray(targets.indices, dtype=np.intp)
 
 
-def oracle_reflect(state: StateVector, targets: TargetSet) -> StateVector:
-    """Flip the phase of every target amplitude; all others unchanged."""
-    idx = _target_index_array(targets, state.dim)
-    amps = state.amplitudes.copy()
-    amps[idx] = -amps[idx]
-    return StateVector(amps)
-
-
-def reflect_about(state: StateVector, axis: StateVector) -> StateVector:
-    """Inversion about the axis: 2 <axis|state> |axis> - |state>."""
-    if axis.dim != state.dim:
-        raise InvalidDimensionError(
-            f"axis dim {axis.dim} does not match state dim {state.dim}"
-        )
-    anorm = float(np.linalg.norm(axis.amplitudes))
-    if not abs(anorm - 1.0) <= NORM_TOL:
-        raise NonUnitAxisError(f"axis norm is {anorm!r}, not 1")
-    inner = np.vdot(axis.amplitudes, state.amplitudes)
-    return StateVector(2.0 * inner * axis.amplitudes - state.amplitudes)
-
-
-def _q_step(amps: np.ndarray, idx: np.ndarray, a: np.ndarray) -> np.ndarray:
-    # Oracle first, then the averaging reflection.
-    out = amps.copy()
-    out[idx] = -out[idx]
-    inner = np.vdot(a, out)
-    return 2.0 * inner * a - out
-
-
 def _check_drift(nrm: float, step: int) -> None:
     if not abs(nrm - 1.0) <= NORM_TOL:
         raise NonUnitStateError(f"norm drifted to {nrm!r} after {step} iterations")
-
-
-def _dense_evolution(instance: SearchInstance, n: int):
-    """Reference: (p(0..n), amplitudes of Q^n|s>) from n dense O(N) steps."""
-    idx = _target_index_array(instance.targets, instance.n_items)
-    a = instance.averaging.amplitudes
-    amps = instance.start.amplitudes.copy()
-    probs = np.empty(n + 1, dtype=float)
-    probs[0] = float(np.sum(np.abs(amps[idx]) ** 2))
-    for step in range(1, n + 1):
-        amps = _q_step(amps, idx, a)
-        _check_drift(float(np.linalg.norm(amps)), step)
-        probs[step] = float(np.sum(np.abs(amps[idx]) ** 2))
-    return probs, amps
 
 
 class _ReducedBasis:

@@ -53,7 +53,6 @@ class ParallelPlan:
     n_opt: float
     n_int: int
     expected_cost: float
-    method: str
 
 
 class CostStddev(NamedTuple):
@@ -185,6 +184,10 @@ _MAX_BLOCK = 2**16
 _SCAN_LIMIT = 2**30
 
 
+def _scan_limit_error() -> GQSearchError:
+    return GQSearchError(f"no optimum of n / P_k(n) found up to n = {_SCAN_LIMIT}")
+
+
 def _cheapest_iterations(prob, k: int, p_max: float):
     """The n >= 1 minimizing n / P_k(n), P_k = 1 - (1 - p(n))^k, and that cost.
 
@@ -199,7 +202,7 @@ def _cheapest_iterations(prob, k: int, p_max: float):
     best_n, best_cost, start = 0, math.inf, 1
     while start < best_cost * floor:
         if start > _SCAN_LIMIT:
-            raise GQSearchError(f"no optimum of n / P_k(n) found up to n = {_SCAN_LIMIT}")
+            raise _scan_limit_error()
         # the block from n = 1 + 64 (2^j - 1) holds 64 * 2^j n, up to the cap
         ns = np.arange(start, start + min(start + 63, _MAX_BLOCK), dtype=float)
         with np.errstate(divide="ignore"):
@@ -271,45 +274,27 @@ def optimal_x_parallel_approx(k: int) -> float:
     return math.sqrt((5.0 - 15.0 * kk + disc) / (15.0 * kk * kk - 3.0))
 
 
-def parallel_plan(r: int, n_items: int, k: int, method: str = "numeric") -> ParallelPlan:
-    """Optimal k-parallel plan by exact integer scan or closed form.
-
-    numeric: the exact integer optimum of n / P_k(n), any k >= 1, by a scan
-    of n = 1, 2, ... that stops at the best cost found (P_k <= 1, so cost(n)
-    >= n); ties go to the smaller n.
-    closed_form: series-optimal x with n = (x sqrt(N/r) - 1)/2; requires
-    k >= 2 and r/N <= 0.01.
-    """
+def _check_plan_args(r: int, n_items: int, k: int) -> None:
     if r < 1 or n_items < 1 or r > n_items:
         raise ValueError(f"need 1 <= r <= n_items, got r={r}, n_items={n_items}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
 
-    if method == "closed_form":
-        if k < 2:
-            raise ValidityError(f"closed_form requires k >= 2, got k={k}")
-        if r / n_items > 0.01:
-            raise ValidityError(
-                f"closed_form requires r/N <= 0.01, got {r}/{n_items}"
-            )
-        x = optimal_x_parallel_approx(k)
-        ratio = math.sqrt(n_items / r)
-        n_opt = 0.5 * (x * ratio - 1.0)
-        n_int = round(n_opt)
-        if n_int < 1:
-            raise ValidityError(
-                f"closed-form optimum rounds below one iteration (n_opt={n_opt})"
-            )
-        cost = (x * ratio - 1.0) / (2.0 * (1.0 - math.cos(x) ** (2 * k)))
-        return ParallelPlan(
-            agents=k, x=x, n_opt=n_opt, n_int=n_int,
-            expected_cost=cost, method="closed_form",
-        )
 
-    if method != "numeric":
-        raise ValueError(f"unknown method {method!r}")
+def parallel_plan(r: int, n_items: int, k: int) -> ParallelPlan:
+    """The exact integer optimum of the k-parallel cost n / P_k(n), any k >= 1.
 
+    p(n) is the uniform-start probability at v = sqrt(r/N).  The scan of
+    n = 1, 2, ... stops at the best cost found (P_k <= 1, so cost(n) >= n);
+    ties go to the smaller n.  With theta = asin(v), p(n) = sin^2((2n+1)
+    theta) <= 9 n^2 theta^2 and P_k <= k p, so cost(n) >= max(n, 1 / (9 k n
+    theta^2)) >= 1 / (3 theta sqrt(k)).  When that bound passes the scan
+    limit, the plan is refused before scanning.
+    """
+    _check_plan_args(r, n_items, k)
     v = math.sqrt(r / n_items)
+    if 3.0 * math.asin(v) * math.sqrt(k) * _SCAN_LIMIT < 1.0:
+        raise _scan_limit_error()
     n_best, cost = _cheapest_iterations(lambda ns: uniform_success_prob(v, ns), k, 1.0)
     return ParallelPlan(
         agents=k,
@@ -317,5 +302,26 @@ def parallel_plan(r: int, n_items: int, k: int, method: str = "numeric") -> Para
         n_opt=float(n_best),
         n_int=n_best,
         expected_cost=cost,
-        method="numeric",
     )
+
+
+def parallel_plan_closed_form(r: int, n_items: int, k: int) -> ParallelPlan:
+    """The closed-form k-parallel plan from the small-x series optimum.
+
+    x = optimal_x_parallel_approx(k), n = (x sqrt(N/r) - 1)/2, and the cost
+    is the large-n form (x sqrt(N/r) - 1) / (2 (1 - cos^{2k} x)).  Raises
+    ValidityError outside k >= 2, r/N <= 0.01 and n_int >= 1.
+    """
+    _check_plan_args(r, n_items, k)
+    if r / n_items > 0.01:
+        raise ValidityError(f"closed form requires r/N <= 0.01, got {r}/{n_items}")
+    x = optimal_x_parallel_approx(k)
+    ratio = math.sqrt(n_items / r)
+    n_opt = 0.5 * (x * ratio - 1.0)
+    n_int = round(n_opt)
+    if n_int < 1:
+        raise ValidityError(
+            f"closed-form optimum rounds below one iteration (n_opt={n_opt})"
+        )
+    cost = (x * ratio - 1.0) / (2.0 * (1.0 - math.cos(x) ** (2 * k)))
+    return ParallelPlan(agents=k, x=x, n_opt=n_opt, n_int=n_int, expected_cost=cost)

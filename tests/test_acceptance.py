@@ -22,6 +22,7 @@ from gqsearch import (
     optimal_x_single,
     parallel_expected_cost,
     parallel_plan,
+    parallel_plan_closed_form,
     parallel_success,
     parallel_trial_costs,
     punctuated_plan,
@@ -159,8 +160,8 @@ def test_criterion_06_parallel_closed_form_vs_numeric():
     worst_cost = 0.0
     for r in range(1, 6):
         for k in range(2, 65):
-            numeric = parallel_plan(r, n_items, k, method="numeric")
-            formula = parallel_plan(r, n_items, k, method="closed_form")
+            numeric = parallel_plan(r, n_items, k)
+            formula = parallel_plan_closed_form(r, n_items, k)
             assert formula.x < 1.0, f"criterion 06: x = {formula.x!r} at r={r}, k={k}"
             n_dev = abs(formula.n_opt - numeric.n_int) / numeric.n_int
             cost_at = parallel_expected_cost(formula.n_int, r, n_items, k)

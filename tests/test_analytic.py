@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gqsearch import (
+    Decomposition,
     DegenerateOverlapError,
     FlatProbabilityError,
     NoOverlapError,
@@ -109,6 +110,15 @@ def test_flat_probability_instance():
     np.testing.assert_allclose(traj, 0.5, atol=1e-12)
     with pytest.raises(FlatProbabilityError):
         optimal_iterations_analytic(dec, 0)
+
+
+def test_zero_rotation_is_a_flat_probability():
+    # phi = 0: Q does not move the state, so p(n) is flat although A = 1
+    dec = Decomposition.build(0.0, 0.0, 1.0, 0.0)
+    assert dec.amp == 1.0
+    np.testing.assert_array_equal(success_prob_analytic(dec, [0, 1, 7, 1000]), 0.0)
+    with pytest.raises(FlatProbabilityError):
+        first_maximum(dec)
 
 
 def test_no_overlap_raises():

@@ -278,6 +278,36 @@ def test_plan_rejects_agent_counts_below_one(capsys, agents, fmt):
     assert err.startswith("error:") and "--agents" in err
 
 
+def test_plan_outside_the_small_angle_regime(capsys):
+    # r/N = 3/4: phi = 2 pi/3 lies outside the punctuated plan's model, while
+    # the exact parallel plan holds for any phi (the CSV form is checked in
+    # test_csv_cells_equal_the_json_values)
+    code, out, err = run_cli(
+        capsys, "plan", "--n-items", "64", "--num-targets", "48", "--agents", "2",
+    )
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["punctuated"] is None
+    assert payload["parallel_closed_form"] is None  # r/N > 0.01
+    assert payload["parallel_numeric"]["n_int"] == 2
+    assert abs(payload["parallel_numeric"]["expected_cost"] - 32.0 / 15.0) < 1e-12
+    # r/N = 1/2 puts phi on pi/2 itself
+    assert run_cli(capsys, "plan", "--n-items", "4", "--num-targets", "2")[0] == 0
+
+
+def test_plan_refuses_a_hopeless_scan_before_scanning(monkeypatch, capsys):
+    # N = 10^100, k = 2: every cost is at least 1 / (3 asin(1e-50) sqrt(2)),
+    # about 2.4e49, so no scan can reach the optimum
+    def no_scan(*args):
+        raise AssertionError("the scan ran")
+
+    monkeypatch.setattr(gqsearch.strategy, "_cheapest_iterations", no_scan)
+    code, out, err = run_cli(
+        capsys, "plan", "--n-items", str(10**100), "--num-targets", "1", "--agents", "2"
+    )
+    assert code == 2 and out == "" and err.startswith("error:")
+
+
 def test_heatmap_trivial_cells():
     grid = heatmap_grid(64, 3)
     np.testing.assert_allclose(grid[0], np.arange(1, 65) / 64.0, atol=1e-12)
@@ -633,6 +663,7 @@ def _json_value(payload, row, column):
         ["simulate", "--n-items", "4", "--targets", "0,1,2,3", "--iterations", "0..2"],
         ["plan", "--n-items", "4096", "--num-targets", "1"],
         ["plan", "--n-items", str(2**20), "--num-targets", "1", "--agents", "4"],
+        ["plan", "--n-items", "64", "--num-targets", "48", "--agents", "2"],
         ["heatmap", "--n-items", "8", "--iterations", "5"],
         ["parallel-sweep", "--n-items", "4096", "--num-targets", "2", "--agents", "3"],
         ["montecarlo", "--n-items", "64", "--num-targets", "1", "--trials", "500",
@@ -640,8 +671,8 @@ def _json_value(payload, row, column):
         ["montecarlo", "--n-items", "64", "--num-targets", "2", "--agents", "4",
          "--iterations", "2", "--trials", "500", "--seed", "3"],
     ],
-    ids=["simulate", "simulate-v1", "plan-k1", "plan-k4", "heatmap", "parallel-sweep",
-         "montecarlo-born", "montecarlo-coin"],
+    ids=["simulate", "simulate-v1", "plan-k1", "plan-k4", "plan-wide-angle", "heatmap",
+         "parallel-sweep", "montecarlo-born", "montecarlo-coin"],
 )
 def test_csv_cells_equal_the_json_values(capsys, argv):
     code, out_json, _ = run_cli(capsys, *argv)

@@ -87,15 +87,6 @@ def test_parallel_mean_matches_closed_form():
     assert abs(est.mean - closed) < 3.0 * est.stderr
 
 
-def test_reset_cost_surcharge():
-    base = parallel_trial_costs(0.5, 4, 1, 50, seed=5)
-    rounds = base / 4.0
-    charged = parallel_trial_costs(0.5, 4, 1, 50, seed=5, reset_cost=1.5)
-    assert np.array_equal(charged, base + (rounds - 1.0) * 1.5)
-    with pytest.raises(ValueError):
-        parallel_trial_costs(0.5, 4, 1, 50, seed=5, reset_cost=-1.0)
-
-
 def test_zero_probability_never_terminates():
     with pytest.raises(NonTerminatingError):
         run_parallel(0.0, 3, 1, 10, seed=0)
@@ -336,11 +327,11 @@ def _born_case():
 
 
 def test_coin_costs_do_not_depend_on_block(monkeypatch):
-    full = parallel_trial_costs(0.2, 3, 4, 500, seed=17, reset_cost=0.5)
+    full = parallel_trial_costs(0.2, 3, 4, 500, seed=17)
     assert np.unique(full).size > 3  # rounds vary across trials
     for cap in (1, 7, montecarlo._BLOCK_ELEMENTS):
         monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", cap)
-        costs = parallel_trial_costs(0.2, 3, 4, 500, seed=17, reset_cost=0.5)
+        costs = parallel_trial_costs(0.2, 3, 4, 500, seed=17)
         assert np.array_equal(costs, full)
 
 

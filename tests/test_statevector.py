@@ -11,27 +11,19 @@ import gqsearch.analytic
 from gqsearch import (
     InvalidDimensionError,
     InvalidTargetError,
-    NonUnitAxisError,
     NonUnitStateError,
     SearchInstance,
     StateVector,
     TargetSet,
     grover_power,
-    oracle_reflect,
     random_state,
-    reflect_about,
     success_probability,
     success_trajectory,
     uniform_instance,
     uniform_state,
 )
-from gqsearch.statevector import _dense_evolution
 
-
-def basis_state(n_items, index):
-    amps = np.zeros(n_items, dtype=complex)
-    amps[index] = 1.0
-    return StateVector(amps)
+from dense_reference import dense_evolution
 
 
 def test_uniform_state_is_flat():
@@ -94,40 +86,13 @@ def test_instance_validates():
         uniform_instance(4, TargetSet((7,)))
 
 
-def test_oracle_flips_only_targets():
-    state = random_state(8, 0)
-    flipped = oracle_reflect(state, TargetSet((2, 5)))
-    expected = state.amplitudes.copy()
-    expected[[2, 5]] = -expected[[2, 5]]
-    assert np.array_equal(flipped.amplitudes, expected)
-    # the input is never mutated
-    assert np.array_equal(state.amplitudes, random_state(8, 0).amplitudes)
-
-
-def test_reflect_about_fixes_axis_and_negates_orthogonal():
-    axis = random_state(6, 1)
-    same = reflect_about(axis, axis)
-    np.testing.assert_allclose(same.amplitudes, axis.amplitudes, atol=1e-12)
-    e0, e1 = basis_state(4, 0), basis_state(4, 1)
-    assert np.array_equal(reflect_about(e1, e0).amplitudes, -e1.amplitudes)
-
-
-def test_reflect_about_rejects_stale_axis_norm():
-    state = uniform_state(4)
-    axis = uniform_state(4)
-    # the constructor validates, so force a stale norm to hit the guard
-    axis.amplitudes = axis.amplitudes * 2.0
-    with pytest.raises(NonUnitAxisError):
-        reflect_about(state, axis)
-    with pytest.raises(InvalidDimensionError):
-        reflect_about(state, uniform_state(8))
-
-
 def test_grover_power_known_value():
-    # N = 16, one target, three iterations: p = 251^2 / 2^16
-    state = grover_power(uniform_instance(16, 1), 3)
-    p = success_probability(state, TargetSet.first(1))
+    # N = 16, one target, three iterations: p = 251^2 / 2^16, an anchor
+    # for both the reduced evolution and the dense reference
+    inst = uniform_instance(16, 1)
+    p = success_probability(grover_power(inst, 3), TargetSet.first(1))
     assert abs(p - 63001 / 65536) < 1e-12
+    assert abs(dense_evolution(inst, 3)[0][3] - 63001 / 65536) < 1e-12
 
 
 def test_grover_power_perfect_small_case():
@@ -194,22 +159,6 @@ def test_random_instances_stay_normalized(n_items, data):
     assert abs(grover_power(inst, 12).norm() - 1.0) < 1e-12
 
 
-def test_oracle_full_target_set_negates_globally():
-    state = random_state(8, 4)
-    flipped = oracle_reflect(state, TargetSet(range(8)))
-    np.testing.assert_array_equal(flipped.amplitudes, -state.amplitudes)
-
-
-def test_reflections_are_involutions():
-    state = random_state(12, 6)
-    axis = random_state(12, 7)
-    targets = TargetSet((0, 3, 5))
-    twice_oracle = oracle_reflect(oracle_reflect(state, targets), targets)
-    np.testing.assert_array_equal(twice_oracle.amplitudes, state.amplitudes)
-    twice_reflect = reflect_about(reflect_about(state, axis), axis)
-    assert np.abs(twice_reflect.amplitudes - state.amplitudes).max() < 1e-12
-
-
 def test_rotation_plane_closure_and_residuals():
     # Q rotates only inside span{|t>, |a'>}; the target-space residual is
     # fixed and the non-target residual flips sign each step.
@@ -245,7 +194,7 @@ def test_rotation_plane_closure_and_residuals():
 
 def assert_matches_dense(inst, n, tol=1e-10):
     # the reduced-basis evolution against n dense O(N) passes
-    dense_probs, dense_amps = _dense_evolution(inst, n)
+    dense_probs, dense_amps = dense_evolution(inst, n)
     np.testing.assert_allclose(success_trajectory(inst, n), dense_probs, rtol=0, atol=tol)
     np.testing.assert_allclose(grover_power(inst, n).amplitudes, dense_amps, rtol=0, atol=tol)
 
@@ -318,7 +267,7 @@ def test_evolution_rejects_stale_averaging_norm():
     with pytest.raises(NonUnitStateError, match="after 1 iterations"):
         success_trajectory(inst, 3)
     with pytest.raises(NonUnitStateError):
-        _dense_evolution(inst, 3)
+        dense_evolution(inst, 3)
 
 
 def test_evolution_rejects_nan_averaging():

@@ -28,6 +28,7 @@ from gqsearch import (
     parallel_cost_derivative,
     parallel_expected_cost,
     parallel_plan,
+    parallel_plan_closed_form,
     parallel_success,
     punctuated_plan,
     punctuated_success_prob,
@@ -40,7 +41,8 @@ from gqsearch import (
 )
 import gqsearch.strategy as strategy
 from gqsearch.analytic import uniform_success_prob
-from gqsearch.statevector import _dense_evolution
+
+from dense_reference import dense_evolution
 
 
 def test_expected_cost_basic():
@@ -214,10 +216,9 @@ def test_optimal_x_parallel_approx_properties():
 
 
 def test_parallel_plan_closed_form_values():
-    plan = parallel_plan(1, 2**20, 4, method="closed_form")
+    plan = parallel_plan_closed_form(1, 2**20, 4)
     x = optimal_x_parallel_approx(4)
     ratio = math.sqrt(2**20)
-    assert plan.method == "closed_form"
     assert abs(plan.x - x) < 1e-15
     assert abs(plan.n_opt - 0.5 * (x * ratio - 1.0)) < 1e-9
     assert plan.n_int == round(plan.n_opt)
@@ -227,7 +228,7 @@ def test_parallel_plan_closed_form_values():
 
 def test_parallel_plan_numeric_matches_brute_force():
     n_items, r, k = 4096, 1, 3
-    plan = parallel_plan(r, n_items, k, method="numeric")
+    plan = parallel_plan(r, n_items, k)
     n_hi = math.ceil(0.25 * math.pi * math.sqrt(n_items / r))
     costs = [parallel_expected_cost(n, r, n_items, k) for n in range(1, n_hi + 1)]
     best = int(np.argmin(costs)) + 1
@@ -238,21 +239,20 @@ def test_parallel_plan_numeric_matches_brute_force():
 def test_parallel_plan_numeric_k1_matches_punctuated_optimum():
     n_items = 2**20
     phi = rotation_angle(math.sqrt(1.0 / n_items))
-    plan = parallel_plan(1, n_items, 1, method="numeric")
+    plan = parallel_plan(1, n_items, 1)
     assert abs(plan.n_int - punctuated_plan(phi).n_int) <= 1
 
 
 def test_parallel_plan_validity():
     with pytest.raises(ValidityError):
-        parallel_plan(1, 2**20, 1, method="closed_form")
+        parallel_plan_closed_form(1, 2**20, 1)
     with pytest.raises(ValidityError):
-        parallel_plan(1, 64, 4, method="closed_form")  # r/N > 0.01
-    with pytest.raises(ValueError):
-        parallel_plan(1, 64, 4, method="other")
-    with pytest.raises(ValueError):
-        parallel_plan(0, 64, 4)
-    with pytest.raises(ValueError):
-        parallel_plan(1, 64, 0)
+        parallel_plan_closed_form(1, 64, 4)  # r/N > 0.01
+    for plan in (parallel_plan, parallel_plan_closed_form):
+        with pytest.raises(ValueError):
+            plan(0, 64, 4)
+        with pytest.raises(ValueError):
+            plan(1, 64, 0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -274,7 +274,7 @@ def test_parallel_cost_bounds(p, k, n):
 @given(r=st.integers(1, 6), exp=st.integers(10, 18), k=st.integers(1, 16))
 def test_parallel_plan_numeric_is_integer_optimal(r, exp, k):
     n_items = 2**exp
-    plan = parallel_plan(r, n_items, k, method="numeric")
+    plan = parallel_plan(r, n_items, k)
     for n in (plan.n_int - 1, plan.n_int + 1):
         if n >= 1:
             assert plan.expected_cost <= parallel_expected_cost(n, r, n_items, k) + 1e-9
@@ -315,7 +315,7 @@ def test_break_even_coherence_time():
 
 def _brute_force_restart(instance, n_max):
     """n / p(n) over n = 1..n_max from the dense simulator, and its argmin."""
-    probs, _ = _dense_evolution(instance, n_max)
+    probs, _ = dense_evolution(instance, n_max)
     ns = np.arange(1, n_max + 1)
     costs = np.full(n_max, np.inf)
     ok = probs[1:] > 0.0
@@ -412,6 +412,8 @@ def test_parallel_plan_matches_an_exhaustive_scan(n_items, data):
         costs = n / (1.0 - (1.0 - p) ** k)
     assert abs(plan.expected_cost / costs.min() - 1.0) < 1e-9
     assert costs[plan.n_int - 1] <= costs.min() * (1.0 + 1e-9)
+    # the lower bound that refuses hopeless scans holds
+    assert 1.0 / (3.0 * math.asin(v) * math.sqrt(k)) <= plan.expected_cost
 
 
 _weight = st.one_of(st.just(0.0), st.floats(0.2, 1.0))
@@ -477,3 +479,23 @@ def test_scan_limit_ends_endless_scans(monkeypatch):
     with pytest.raises(GQSearchError):
         parallel_plan(1, 10**100, 2)
     assert parallel_plan(1, 2**16, 1).n_int == 148
+
+
+def test_hopeless_plans_are_refused_before_scanning(monkeypatch):
+    scans = []
+
+    def fake_scan(prob, k, p_max):
+        scans.append(k)
+        return 1, 1.0
+
+    monkeypatch.setattr(strategy, "_cheapest_iterations", fake_scan)
+    # the cost bound 1 / (3 asin(2^-30)) = 3.6e8 stays below the limit 2^30
+    assert parallel_plan(1, 2**60, 1).n_int == 1 and scans == [1]
+    # 1 / (3 asin(2^-35) sqrt(2)) = 8.1e9 does not
+    for n_items in (2**70, 10**100):
+        with pytest.raises(GQSearchError, match="no optimum"):
+            parallel_plan(1, n_items, 2)
+    # r/N = 1e-400 rounds to v = 0, which is refused too
+    with pytest.raises(GQSearchError):
+        parallel_plan(1, 10**400, 3)
+    assert scans == [1]
