@@ -21,7 +21,6 @@ from .analytic import (
     success_prob_analytic,
 )
 from .errors import (
-    DegenerateOverlapError,
     FlatProbabilityError,
     GQSearchError,
     InvalidDimensionError,
@@ -29,7 +28,6 @@ from .errors import (
     NeverSucceedsError,
     NonTerminatingError,
     NonUnitStateError,
-    NoOverlapError,
     RegimeError,
     TrialCapError,
     ValidityError,
@@ -78,7 +76,6 @@ __all__ = [
     "BihamMapping",
     "CostStddev",
     "Decomposition",
-    "DegenerateOverlapError",
     "Estimate",
     "FlatProbabilityError",
     "GQSearchError",
@@ -87,7 +84,6 @@ __all__ = [
     "NeverSucceedsError",
     "NonTerminatingError",
     "NonUnitStateError",
-    "NoOverlapError",
     "ParallelPlan",
     "PunctuatedPlan",
     "RegimeError",

@@ -13,6 +13,11 @@ the success probability after n iterations is
 
 with A = |alpha^2 + beta^2 e^{2ib}| and theta = atan2(2 alpha beta cos b,
 alpha^2 - beta^2).  Maxima sit at n_j = (theta + 2 pi j)/(2 phi).
+
+`decompose` needs only the six target-split inner products that the
+simulator's reduced basis also uses.  The formula covers both ends of the
+overlap range: at v = 0, |t> is undefined and alpha = 0, so p(n) = w_t; at
+v = 1, |a'> is undefined and beta = 0, so p(n) = w_t + alpha^2 at integer n.
 """
 
 from __future__ import annotations
@@ -22,13 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateOverlapError,
-    FlatProbabilityError,
-    InvalidTargetError,
-    NoOverlapError,
+from .errors import FlatProbabilityError
+from .statevector import (
+    SearchInstance,
+    StateVector,
+    TargetSet,
+    _target_index_array,
+    _target_products,
 )
-from .statevector import SearchInstance, StateVector, TargetSet
 
 # 1 - v^2 at or below this means |a'> is numerically undefined.
 DEGENERATE_TOL = 1e-12
@@ -127,53 +133,28 @@ class BihamMapping:
 def decompose(instance: SearchInstance) -> Decomposition:
     """Reduce an instance to its rotation-plane coordinates.
 
+    Scalar algebra over the simulator's six target-split inner products.
     The global phase of the start state is fixed so that <t|s> is real and
-    non-negative, making alpha real >= 0.  Raises NoOverlapError for v = 0
-    and DegenerateOverlapError for v = 1 (|a'> undefined; the exception
-    carries alpha and w_t, the only well-defined quantities).
+    non-negative, making alpha real >= 0.  v = 0 gives alpha = 0, and
+    1 - v^2 <= DEGENERATE_TOL gives v = 1 and beta = b = 0.
     """
-    a = instance.averaging.amplitudes
-    s = instance.start.amplitudes
-    idx = np.asarray(instance.targets.indices, dtype=np.intp)
-
-    proj = a[idx]
-    v2 = float(np.vdot(proj, proj).real)
-    if v2 == 0.0:
-        raise NoOverlapError("averaging state has zero weight on targets (v = 0)")
-    v = min(math.sqrt(v2), 1.0)
-
-    t_on_targets = proj / v
-    ts = complex(np.vdot(t_on_targets, s[idx]))
-    alpha = abs(ts)
+    _, *products = _target_products(instance)
+    ss_t, ss_l, aa_t, as_t, as_l, _ = map(complex, products)
+    v2 = aa_t.real
+    v = math.sqrt(v2)
+    alpha = abs(as_t) / v if v2 > 0.0 else 0.0
 
     if 1.0 - v2 <= DEGENERATE_TOL:
-        target_weight = float(np.sum(np.abs(s[idx]) ** 2))
-        w_t = max(target_weight - alpha * alpha, 0.0)
-        raise DegenerateOverlapError(
-            "averaging state lies in the target subspace (v = 1); "
-            "the rotation plane is degenerate",
-            alpha=alpha,
-            w_t=w_t,
-        )
+        v, beta, b = 1.0, 0.0, 0.0
+    else:
+        # <a'|s> for |a'> = |a_L> / sqrt(1 - v^2), in the phase where <t|s> >= 0
+        phase = as_t.conjugate() / abs(as_t) if alpha > 0.0 else 1.0
+        asb = as_l * phase / math.sqrt(1.0 - v2)
+        beta = abs(asb)
+        b = math.atan2(asb.imag, asb.real) % _TWO_PI if beta > 0.0 else 0.0
 
-    # Fix the global phase of |s> so that <t|s> = alpha, real >= 0.
-    if alpha > 0.0:
-        s = s * (ts.conjugate() / alpha)
-
-    mask = np.zeros(instance.n_items, dtype=bool)
-    mask[idx] = True
-    comp = ~mask
-    aprime_on_rest = a[comp] / math.sqrt(1.0 - v2)
-
-    asb = complex(np.vdot(aprime_on_rest, s[comp]))
-    beta = abs(asb)
-    b = math.atan2(asb.imag, asb.real) % _TWO_PI if beta > 0.0 else 0.0
-
-    resid_t = s[idx] - alpha * t_on_targets
-    resid_l = s[comp] - asb * aprime_on_rest
-    w_t = float(np.sum(np.abs(resid_t) ** 2))
-    w_l = float(np.sum(np.abs(resid_l) ** 2))
-
+    w_t = max(ss_t.real - alpha * alpha, 0.0)
+    w_l = max(ss_l.real - beta * beta, 0.0)
     return Decomposition.build(v, alpha, beta, b, w_t=w_t, w_l=w_l)
 
 
@@ -250,14 +231,10 @@ def biham_mapping(start: StateVector, targets: TargetSet) -> BihamMapping:
     Assumes a uniform averaging state; requires 1 <= r < N.
     """
     n_items = start.dim
-    if targets.indices[-1] >= n_items:
-        raise InvalidTargetError(
-            f"target index {targets.indices[-1]} out of range for dim={n_items}"
-        )
+    idx = _target_index_array(targets, n_items)
     r = targets.r
     if r >= n_items:
         raise ValueError(f"mapping undefined for r = N (r={r}, N={n_items})")
-    idx = np.asarray(targets.indices, dtype=np.intp)
     mask = np.zeros(n_items, dtype=bool)
     mask[idx] = True
 

@@ -40,13 +40,7 @@ from .analytic import (
     success_prob_analytic,
     uniform_success_prob,
 )
-from .errors import (
-    DegenerateOverlapError,
-    GQSearchError,
-    NoOverlapError,
-    RegimeError,
-    ValidityError,
-)
+from .errors import GQSearchError, RegimeError, ValidityError
 from .montecarlo import run_parallel, run_punctuated_statevector
 from .statevector import (
     SearchInstance,
@@ -301,30 +295,12 @@ def cmd_simulate(args: argparse.Namespace):
     trajectory = success_trajectory(instance, hi)
     ns = np.arange(lo, hi + 1)
 
-    try:
-        dec = decompose(instance)
-        dec_dict = {
-            "v": dec.v, "phi": dec.phi, "alpha": dec.alpha, "beta": dec.beta,
-            "b": dec.b, "psi": dec.psi, "w_t": dec.w_t, "w_l": dec.w_l,
-        }
-        p_analytic = success_prob_analytic(dec, ns)
-    except DegenerateOverlapError as err:
-        # v = 1: targets absorb the averaging state; the target residual is
-        # fixed by Q, so the success probability is constant.
-        dec_dict = {
-            "v": 1.0, "phi": math.pi, "alpha": err.alpha, "beta": None,
-            "b": None, "psi": None, "w_t": err.w_t, "w_l": None,
-        }
-        p_analytic = np.full(ns.shape, min(err.alpha**2 + err.w_t, 1.0))
-    except NoOverlapError:
-        # v = 0: Q never transfers weight onto the targets.
-        dec_dict = {
-            "v": 0.0, "phi": 0.0, "alpha": None, "beta": None,
-            "b": None, "psi": None, "w_t": None, "w_l": None,
-        }
-        p_analytic = np.full(
-            ns.shape, success_probability(instance.start, instance.targets)
-        )
+    dec = decompose(instance)
+    dec_dict = {
+        "v": dec.v, "phi": dec.phi, "alpha": dec.alpha, "beta": dec.beta,
+        "b": dec.b, "psi": dec.psi, "w_t": dec.w_t, "w_l": dec.w_l,
+    }
+    p_analytic = success_prob_analytic(dec, ns)
 
     rows = [
         {
@@ -400,7 +376,7 @@ def cmd_plan(args: argparse.Namespace):
         }
     par_numeric = None
     par_closed = None
-    if args.agents >= 2:
+    if args.agents >= 2 or punct is None:
         numeric, formula, cost_exact = _parallel_plans(r, args.n_items, args.agents)
         par_numeric = {
             "agents": numeric.agents,
@@ -480,10 +456,7 @@ def cmd_montecarlo(args: argparse.Namespace):
         if n < 1:
             raise ValueError("--iterations must be >= 1 for montecarlo")
     else:
-        try:
-            n = restart_iterations(decompose(instance))
-        except (DegenerateOverlapError, NoOverlapError):
-            n = 1  # v = 1 or v = 0: p(n) does not depend on n
+        n = restart_iterations(decompose(instance))
 
     state = grover_power(instance, n)
     p = success_probability(state, instance.targets)
@@ -682,7 +655,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_target_args(p_plan)
     p_plan.add_argument(
         "--agents", type=int, default=1, metavar="K",
-        help="agent count; K >= 2 adds the parallel plans (default %(default)s)",
+        help="agent count; K >= 2, or r/N >= 1/2, adds the parallel plans "
+        "(default %(default)s)",
     )
     _add_output_args(p_plan, ["json", "csv"])
 

@@ -24,24 +24,6 @@ class NonUnitStateError(GQSearchError):
     """
 
 
-class NoOverlapError(GQSearchError):
-    """Averaging state has zero overlap with the target subspace (v = 0)."""
-
-
-class DegenerateOverlapError(GQSearchError):
-    """Averaging state lies entirely in the target subspace (v = 1).
-
-    The rotation plane degenerates: the non-target basis vector is
-    undefined, so only ``alpha`` and ``w_t`` are well defined. They are
-    attached to the exception for callers that can still use them.
-    """
-
-    def __init__(self, message: str, alpha: float, w_t: float):
-        super().__init__(message)
-        self.alpha = alpha
-        self.w_t = w_t
-
-
 class FlatProbabilityError(GQSearchError):
     """Success probability is constant in n (amplitude A or angle phi is 0)."""
 

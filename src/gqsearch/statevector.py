@@ -10,8 +10,9 @@ products cost O(N + r) once, each iteration costs O(1), and `grover_power`
 builds the N-vector once at the end, so n iterations cost O(N + n) instead
 of the O(n*N) of dense passes.  The coefficients need no linear
 independence of the four vectors, so s = a, r = N and v in {0, 1} take the
-same path.  Nothing here goes through `gqsearch.analytic`, so comparing the
-two stays a real check of the closed form.
+same path.  `gqsearch.analytic.decompose` reads the same six products
+(`_target_products`), so the tests also check the closed form against the
+dense loop in `tests/dense_reference.py`, which shares no code with either.
 
 All operations are pure: they return new values and never mutate inputs.
 The norm is checked after every iteration, as the quadratic form of the
@@ -157,6 +158,24 @@ def _target_index_array(targets: TargetSet, dim: int) -> np.ndarray:
     return np.asarray(targets.indices, dtype=np.intp)
 
 
+def _target_products(instance: SearchInstance):
+    """The target index array and the six inner products of the target split.
+
+    Returns (idx, <s_T|s_T>, <s_L|s_L>, <a_T|a_T>, <a_T|s_T>, <a_L|s_L>,
+    <a_L|a_L>), complex.  The off-target products are full products minus
+    target ones, so the cost is O(N + r) and no N-length array is built.
+    """
+    idx = _target_index_array(instance.targets, instance.n_items)
+    s = instance.start.amplitudes
+    a = instance.averaging.amplitudes
+    s_t, a_t = s[idx], a[idx]
+    ss_t, aa_t, as_t = np.vdot(s_t, s_t), np.vdot(a_t, a_t), np.vdot(a_t, s_t)
+    ss_l = np.vdot(s, s) - ss_t
+    aa_l = np.vdot(a, a) - aa_t
+    as_l = np.vdot(a, s) - as_t
+    return idx, ss_t, ss_l, aa_t, as_t, as_l, aa_l
+
+
 def _check_drift(nrm: float, step: int) -> None:
     if not abs(nrm - 1.0) <= NORM_TOL:
         raise NonUnitStateError(f"norm drifted to {nrm!r} after {step} iterations")
@@ -173,14 +192,7 @@ class _ReducedBasis:
     """
 
     def __init__(self, instance: SearchInstance):
-        self.idx = _target_index_array(instance.targets, instance.n_items)
-        s = instance.start.amplitudes
-        a = instance.averaging.amplitudes
-        s_t, a_t = s[self.idx], a[self.idx]
-        ss_t, aa_t, as_t = np.vdot(s_t, s_t), np.vdot(a_t, a_t), np.vdot(a_t, s_t)
-        ss_l = np.vdot(s, s) - ss_t
-        aa_l = np.vdot(a, a) - aa_t
-        as_l = np.vdot(a, s) - as_t
+        self.idx, ss_t, ss_l, aa_t, as_t, as_l, aa_l = _target_products(instance)
         self.gram = np.array(
             [
                 [ss_t, 0, np.conj(as_t), 0],

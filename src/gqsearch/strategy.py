@@ -219,10 +219,14 @@ def restart_iterations(dec: Decomposition) -> int:
 
     p(n) is the closed form `success_prob_analytic`, at most its peak
     w_t + ((alpha^2 + beta^2)/2 + A/2), summed in the closed form's order so
-    that the bound holds in floats too.  Ties go to the smaller n; raises
-    NeverSucceedsError when the peak is 0.
+    that the bound holds in floats too.  At phi = 0 (v = 0) p(n) is constant
+    and the bound is p(0) itself.  Ties go to the smaller n; raises
+    NeverSucceedsError when the bound is 0.
     """
-    p_max = min(1.0, dec.w_t + (0.5 * (dec.alpha**2 + dec.beta**2) + 0.5 * dec.amp))
+    if dec.phi == 0.0:
+        p_max = success_prob_analytic(dec, 0)
+    else:
+        p_max = min(1.0, dec.w_t + (0.5 * (dec.alpha**2 + dec.beta**2) + 0.5 * dec.amp))
     return _cheapest_iterations(lambda ns: success_prob_analytic(dec, ns), 1, p_max)[0]
 
 

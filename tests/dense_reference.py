@@ -3,10 +3,13 @@
 The reduced-basis simulator in `gqsearch.statevector` evolves four
 coefficients instead; the tests compare it against this loop, which
 touches every amplitude on every step and uses no reduction at all.
+`edge_instances` are the inputs where a reduction is most likely to go
+wrong.
 """
 
 import numpy as np
 
+from gqsearch import SearchInstance, StateVector, TargetSet, random_state, uniform_instance
 from gqsearch.statevector import _check_drift, _target_index_array
 
 
@@ -23,3 +26,31 @@ def dense_evolution(instance, n: int):
         _check_drift(float(np.linalg.norm(amps)), step)
         probs[step] = float(np.sum(np.abs(amps[idx]) ** 2))
     return probs, amps
+
+
+def _instance(targets, averaging, start):
+    amps_a = np.asarray(averaging, dtype=complex)
+    amps_s = np.asarray(start, dtype=complex)
+    return SearchInstance(
+        n_items=amps_a.size,
+        targets=TargetSet(targets),
+        averaging=StateVector(amps_a / np.linalg.norm(amps_a)),
+        start=StateVector(amps_s / np.linalg.norm(amps_s)),
+    )
+
+
+def edge_instances() -> dict:
+    """Named N = 16 instances: s = a, r = N, v = 1, v = 0, start off the targets."""
+    a = random_state(16, 20).amplitudes
+    s = random_state(16, 21).amplitudes
+    targets = (2, 5, 11)
+    off = np.ones(16, dtype=bool)
+    off[list(targets)] = False
+    return {
+        "s = a, uniform": uniform_instance(16, TargetSet(targets)),
+        "s = a, random": _instance(targets, a, a),
+        "r = N": _instance(range(16), a, s),
+        "v = 1": _instance(targets, np.where(off, 0.0, a), s),
+        "v = 0": _instance(targets, np.where(off, a, 0.0), s),
+        "start off the targets": _instance(targets, a, np.where(off, s, 0.0)),
+    }

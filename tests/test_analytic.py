@@ -1,15 +1,16 @@
 """Tests for the rotation-plane decomposition and closed-form probability."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gqsearch import (
     Decomposition,
-    DegenerateOverlapError,
     FlatProbabilityError,
-    NoOverlapError,
     SearchInstance,
     StateVector,
     TargetSet,
@@ -25,6 +26,8 @@ from gqsearch import (
     uniform_instance,
     uniform_state,
 )
+
+from dense_reference import dense_evolution, edge_instances
 
 
 def plane_instance(alpha, beta, b):
@@ -121,7 +124,9 @@ def test_zero_rotation_is_a_flat_probability():
         first_maximum(dec)
 
 
-def test_no_overlap_raises():
+def test_zero_overlap_decomposes_with_alpha_zero():
+    # v = 0: |t> is undefined, so alpha = 0; Q never moves weight onto the
+    # targets and p(n) = w_t
     averaging = StateVector(np.array([0.0, 1.0, 1.0, 1.0]) / math.sqrt(3.0))
     inst = SearchInstance(
         n_items=4,
@@ -129,11 +134,18 @@ def test_no_overlap_raises():
         averaging=averaging,
         start=uniform_state(4),
     )
-    with pytest.raises(NoOverlapError):
-        decompose(inst)
+    dec = decompose(inst)
+    assert dec.v == 0.0 and dec.phi == 0.0 and dec.alpha == 0.0
+    assert abs(dec.beta - math.sqrt(3.0) / 2.0) < 1e-12
+    assert abs(dec.w_t - 0.25) < 1e-12 and dec.w_l < 1e-12
+    np.testing.assert_allclose(success_prob_analytic(dec, np.arange(7)), 0.25, atol=1e-12)
+    # and the dynamics really are frozen
+    traj = success_trajectory(inst, 6)
+    np.testing.assert_allclose(traj, 0.25, atol=1e-12)
 
 
-def test_degenerate_overlap_reports_alpha_and_wt():
+def test_full_overlap_decomposes_with_beta_zero():
+    # v = 1: |a'> is undefined, so beta = b = 0 and p(n) = alpha^2 + w_t
     amps = np.zeros(4, dtype=complex)
     amps[0] = 1.0
     inst = SearchInstance(
@@ -142,14 +154,63 @@ def test_degenerate_overlap_reports_alpha_and_wt():
         averaging=StateVector(amps),
         start=uniform_state(4),
     )
-    with pytest.raises(DegenerateOverlapError) as exc_info:
-        decompose(inst)
-    err = exc_info.value
-    assert abs(err.alpha - 0.5) < 1e-12
-    assert abs(err.w_t) < 1e-12
-    # and the dynamics really are frozen: p(n) is constant alpha^2 + w_t
+    dec = decompose(inst)
+    assert dec.v == 1.0 and dec.phi == math.pi
+    assert abs(dec.alpha - 0.5) < 1e-12
+    assert abs(dec.w_t) < 1e-12
+    assert dec.beta == 0.0 and dec.b == 0.0
+    assert abs(dec.w_l - 0.75) < 1e-12
+    np.testing.assert_allclose(success_prob_analytic(dec, np.arange(7)), 0.25, atol=1e-12)
+    # and the dynamics really are frozen
     traj = success_trajectory(inst, 6)
     np.testing.assert_allclose(traj, 0.25, atol=1e-12)
+
+
+def assert_closed_form_matches_dense(inst, n_max):
+    # decompose reads the simulator's inner products, so the closed form is
+    # also checked against the dense loop, which shares no code with either
+    dense_probs, _ = dense_evolution(inst, n_max)
+    closed = success_prob_analytic(decompose(inst), np.arange(n_max + 1))
+    np.testing.assert_allclose(closed, dense_probs, rtol=0, atol=1e-10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_items=st.integers(2, 48), data=st.data())
+def test_closed_form_matches_dense(n_items, data):
+    r = data.draw(st.integers(1, n_items))
+    targets = data.draw(st.permutations(range(n_items)))[:r]
+    seed = data.draw(st.integers(0, 2**31))
+
+    def state(offset):
+        uniform = data.draw(st.booleans())
+        return uniform_state(n_items) if uniform else random_state(n_items, seed + offset)
+
+    inst = SearchInstance(
+        n_items=n_items,
+        targets=TargetSet(targets),
+        averaging=state(0),
+        start=state(1),
+    )
+    assert_closed_form_matches_dense(inst, data.draw(st.integers(0, 100)))
+
+
+def test_closed_form_matches_dense_at_the_edges():
+    for name, inst in edge_instances().items():
+        try:
+            assert_closed_form_matches_dense(inst, 200)
+        except AssertionError as exc:
+            raise AssertionError(name) from exc
+
+
+def test_decompose_allocates_no_n_length_array():
+    inst = uniform_instance(2**20, 1)  # one N-vector is 16 MiB
+    tracemalloc.start()
+    try:
+        decompose(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_maximizers_of_the_oscillation():

@@ -123,7 +123,7 @@ def test_simulate_degenerate_full_target_set(capsys):
     payload = json.loads(out)
     dec = payload["decomposition"]
     assert dec["v"] == 1.0
-    assert dec["beta"] is None and dec["psi"] is None
+    assert dec["beta"] == 0.0 and dec["psi"] == math.pi
     for row in payload["rows"]:
         assert row["p_simulated"] == 1.0
         assert abs(row["p_analytic"] - 1.0) < 1e-12
@@ -293,6 +293,27 @@ def test_plan_outside_the_small_angle_regime(capsys):
     assert abs(payload["parallel_numeric"]["expected_cost"] - 32.0 / 15.0) < 1e-12
     # r/N = 1/2 puts phi on pi/2 itself
     assert run_cli(capsys, "plan", "--n-items", "4", "--num-targets", "2")[0] == 0
+
+
+@pytest.mark.parametrize(
+    "n_items, r, n_int, cost", [(4, 2, 1, 2.0), (64, 48, 2, 8.0 / 3.0)]
+)
+def test_plan_one_agent_outside_the_small_angle_regime(capsys, n_items, r, n_int, cost):
+    # with no punctuated plan, k = 1 still gets the exact restart plan
+    argv = ["plan", "--n-items", str(n_items), "--num-targets", str(r)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["punctuated"] is None and payload["parallel_closed_form"] is None
+    assert payload["parallel_numeric"]["agents"] == 1
+    assert payload["parallel_numeric"]["n_int"] == n_int
+    assert abs(payload["parallel_numeric"]["expected_cost"] - cost) < 1e-12
+    code, out, err = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0 and err == ""
+    row = dict(zip(*(line.split(",") for line in out.splitlines())))
+    assert row["punct_n_int"] == "" and row["par_cf_n_int"] == ""
+    assert row["par_num_n"] == str(n_int)
+    assert abs(float(row["par_num_cost"]) - cost) < 1e-12
 
 
 def test_plan_refuses_a_hopeless_scan_before_scanning(monkeypatch, capsys):
@@ -664,6 +685,7 @@ def _json_value(payload, row, column):
         ["plan", "--n-items", "4096", "--num-targets", "1"],
         ["plan", "--n-items", str(2**20), "--num-targets", "1", "--agents", "4"],
         ["plan", "--n-items", "64", "--num-targets", "48", "--agents", "2"],
+        ["plan", "--n-items", "64", "--num-targets", "48"],
         ["heatmap", "--n-items", "8", "--iterations", "5"],
         ["parallel-sweep", "--n-items", "4096", "--num-targets", "2", "--agents", "3"],
         ["montecarlo", "--n-items", "64", "--num-targets", "1", "--trials", "500",
@@ -671,8 +693,9 @@ def _json_value(payload, row, column):
         ["montecarlo", "--n-items", "64", "--num-targets", "2", "--agents", "4",
          "--iterations", "2", "--trials", "500", "--seed", "3"],
     ],
-    ids=["simulate", "simulate-v1", "plan-k1", "plan-k4", "plan-wide-angle", "heatmap",
-         "parallel-sweep", "montecarlo-born", "montecarlo-coin"],
+    ids=["simulate", "simulate-v1", "plan-k1", "plan-k4", "plan-wide-angle",
+         "plan-wide-angle-k1", "heatmap", "parallel-sweep", "montecarlo-born",
+         "montecarlo-coin"],
 )
 def test_csv_cells_equal_the_json_values(capsys, argv):
     code, out_json, _ = run_cli(capsys, *argv)

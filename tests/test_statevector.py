@@ -23,7 +23,7 @@ from gqsearch import (
     uniform_state,
 )
 
-from dense_reference import dense_evolution
+from dense_reference import dense_evolution, edge_instances
 
 
 def test_uniform_state_is_flat():
@@ -215,32 +215,8 @@ def test_reduced_evolution_matches_dense(n_items, data):
     assert_matches_dense(inst, n)
 
 
-def _instance(targets, averaging, start):
-    amps_a = np.asarray(averaging, dtype=complex)
-    amps_s = np.asarray(start, dtype=complex)
-    return SearchInstance(
-        n_items=amps_a.size,
-        targets=TargetSet(targets),
-        averaging=StateVector(amps_a / np.linalg.norm(amps_a)),
-        start=StateVector(amps_s / np.linalg.norm(amps_s)),
-    )
-
-
 def test_reduced_evolution_degenerate_cases():
-    a = random_state(16, 20).amplitudes
-    s = random_state(16, 21).amplitudes
-    targets = (2, 5, 11)
-    off = np.ones(16, dtype=bool)
-    off[list(targets)] = False
-    cases = {
-        "s = a, uniform": uniform_instance(16, TargetSet(targets)),
-        "s = a, random": _instance(targets, a, a),
-        "r = N": _instance(range(16), a, s),
-        "v = 1": _instance(targets, np.where(off, 0.0, a), s),
-        "v = 0": _instance(targets, np.where(off, a, 0.0), s),
-        "start off the targets": _instance(targets, a, np.where(off, s, 0.0)),
-    }
-    for name, inst in cases.items():
+    for name, inst in edge_instances().items():
         for n in (0, 1, 2, 7, 200):
             try:
                 assert_matches_dense(inst, n)
