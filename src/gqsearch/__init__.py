@@ -36,8 +36,6 @@ from .montecarlo import (
     Estimate,
     parallel_trial_costs,
     run_parallel,
-    run_punctuated_statevector,
-    statevector_trial_costs,
     trial_uniforms,
 )
 from .statevector import (
@@ -115,8 +113,6 @@ __all__ = [
     "restart_iterations",
     "rotation_angle",
     "run_parallel",
-    "run_punctuated_statevector",
-    "statevector_trial_costs",
     "success_prob_analytic",
     "success_probability",
     "success_trajectory",

@@ -41,7 +41,7 @@ from .analytic import (
     uniform_success_prob,
 )
 from .errors import GQSearchError, RegimeError, ValidityError
-from .montecarlo import run_parallel, run_punctuated_statevector
+from .montecarlo import run_parallel
 from .statevector import (
     SearchInstance,
     StateVector,
@@ -444,8 +444,8 @@ def cmd_parallel_sweep(args: argparse.Namespace):
 
 
 MONTECARLO_COLUMNS = (
-    "n_items", "r", "iterations", "agents", "trials", "seed", "model",
-    "p_round", "closed_form_cost", "mean", "stderr", "z", "agent_time_mean",
+    "n_items", "r", "iterations", "agents", "trials", "seed", "p_round",
+    "closed_form_cost", "mean", "stderr", "z", "agent_time_mean",
 )
 
 
@@ -458,17 +458,9 @@ def cmd_montecarlo(args: argparse.Namespace):
     else:
         n = restart_iterations(decompose(instance))
 
-    state = grover_power(instance, n)
-    p = success_probability(state, instance.targets)
+    p = success_probability(grover_power(instance, n), instance.targets)
     closed = expected_cost(n, parallel_success(p, args.agents))
-    if args.agents == 1:
-        model = "statevector-born"
-        est = run_punctuated_statevector(
-            state, instance.targets, n, args.trials, args.seed
-        )
-    else:
-        model = "coin"
-        est = run_parallel(p, n, args.agents, args.trials, args.seed)
+    est = run_parallel(p, n, args.agents, args.trials, args.seed)
     z = (est.mean - closed) / est.stderr if est.stderr > 0 else None
 
     payload = {
@@ -479,7 +471,6 @@ def cmd_montecarlo(args: argparse.Namespace):
         "agents": args.agents,
         "trials": args.trials,
         "seed": args.seed,
-        "model": model,
         "p_round": p,
         "closed_form_cost": closed,
         "mean": est.mean,
@@ -692,9 +683,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc = sub.add_parser(
         "montecarlo",
         help="seeded restart experiment vs the closed-form cost",
-        description="agents=1 measures Q^n|s> with full Born sampling per "
-        "round; agents>=2 races k coins with p taken from the simulated "
-        "state. Default --iterations: the exact n / p(n) optimum for --start. "
+        description="Races k agents (--agents) per round, each a coin that "
+        "succeeds with p, the target weight of the simulated Q^n|s>; k = 1 "
+        "is punctuated search. Default --iterations: the exact n / p(n) "
+        "optimum for --start. "
         "CSV columns: " + ",".join(MONTECARLO_COLUMNS),
     )
     p_mc.add_argument("--n-items", type=int, required=True, metavar="N")

@@ -246,6 +246,9 @@ def success_trajectory(instance: SearchInstance, n_max: int) -> np.ndarray:
 
 
 def success_probability(state: StateVector, targets: TargetSet) -> float:
-    """Total probability of measuring any target index."""
+    """Total probability of measuring any target index, clipped to [0, 1].
+
+    The norm is only held to NORM_TOL, so the raw sum can round past 1.
+    """
     idx = _target_index_array(targets, state.dim)
-    return float(np.sum(np.abs(state.amplitudes[idx]) ** 2))
+    return min(1.0, float(np.sum(np.abs(state.amplitudes[idx]) ** 2)))

@@ -21,6 +21,7 @@ from gqsearch import (
     grover_power,
     random_state,
     rotation_angle,
+    run_parallel,
     success_probability,
     success_trajectory,
     uniform_instance,
@@ -210,8 +211,8 @@ def test_state_file_with_nan_is_refused(tmp_path, capsys):
 
 
 def test_montecarlo_evolves_once(monkeypatch, capsys):
-    # every evolution builds one reduced basis; the Born sampler reuses the
-    # state the CLI evolved instead of evolving it again
+    # every evolution builds one reduced basis; montecarlo evolves Q^n|s>
+    # once, for p
     built = []
 
     class Counting(statevector_module._ReducedBasis):
@@ -429,6 +430,8 @@ def test_sweep_rows_structure():
 
 
 def test_montecarlo_born_model(tmp_path, capsys):
+    # one agent is the k = 1 coin race, with p the Born target weight of
+    # the simulated Q^n|s>
     args = [
         "montecarlo", "--n-items", "16", "--num-targets", "1",
         "--iterations", "3", "--trials", "2000", "--seed", "11",
@@ -436,10 +439,11 @@ def test_montecarlo_born_model(tmp_path, capsys):
     code, out, _ = run_cli(capsys, *args)
     assert code == 0
     payload = json.loads(out)
-    assert payload["model"] == "statevector-born"
     inst = uniform_instance(16, 1)
     p = success_probability(grover_power(inst, 3), inst.targets)
     assert payload["p_round"] == p
+    est = run_parallel(p, 3, 1, 2000, 11)
+    assert (payload["mean"], payload["stderr"]) == (est.mean, est.stderr)
     assert abs(payload["closed_form_cost"] - expected_cost(3, p)) < 1e-12
     assert abs(payload["mean"] - payload["closed_form_cost"]) < 4 * payload["stderr"]
     assert payload["agent_time_mean"] == payload["mean"]
@@ -460,7 +464,9 @@ def test_montecarlo_coin_model(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == ",".join(MONTECARLO_COLUMNS)
     cells = dict(zip(MONTECARLO_COLUMNS, lines[1].split(",")))
-    assert cells["model"] == "coin"
+    inst = uniform_instance(16, 1)
+    p = success_probability(grover_power(inst, 3), inst.targets)
+    assert float(cells["mean"]) == run_parallel(p, 3, 4, 3000, 11).mean
     assert float(cells["agent_time_mean"]) == 4.0 * float(cells["mean"])
 
 
@@ -500,6 +506,36 @@ def test_montecarlo_start_that_never_succeeds(tmp_path, capsys):
         "--trials", "10",
     )
     assert code == 2 and err.startswith("error:") and out == ""
+
+
+@pytest.mark.parametrize("agents", ["1", "2"])
+@pytest.mark.parametrize("n_items,r", [(12, 3), (48, 12), (3, 3)])
+def test_montecarlo_target_weight_rounding_past_one(capsys, n_items, r, agents):
+    # the simulated target weight at the default n rounded to 1 + 7e-16
+    # here, which the coin race refused
+    code, out, err = run_cli(
+        capsys,
+        "montecarlo", "--n-items", str(n_items), "--num-targets", str(r),
+        "--agents", agents, "--trials", "100",
+    )
+    assert code == 0 and err == ""
+    assert json.loads(out)["p_round"] <= 1.0
+
+
+def test_montecarlo_tiny_target_weight_hits_the_round_cap(tmp_path, capsys):
+    # v = 0, so p(n) = 3.3e-301 at every n: trials need ~3e300 rounds, far
+    # past the cap, and their counts overflow int64
+    start, off = tmp_path / "start.txt", tmp_path / "off.txt"
+    write_state_file(str(start), StateVector(np.array([1e-150, 1.0, 1.0, 1.0]) / math.sqrt(3.0)))
+    write_state_file(str(off), StateVector(np.array([0.0, 1.0, 1.0, 1.0]) / math.sqrt(3.0)))
+    for agents in ("2", "1"):
+        code, out, err = run_cli(
+            capsys,
+            "montecarlo", "--n-items", "4", "--targets", "0", "--start", f"file:{start}",
+            "--averaging", f"file:{off}", "--iterations", "1", "--agents", agents,
+            "--trials", "10",
+        )
+        assert code == 2 and out == "" and "cap" in err
 
 
 def test_montecarlo_default_iterations_when_p_is_flat(tmp_path, capsys):

@@ -11,7 +11,6 @@ from scipy.stats import chisquare
 
 import gqsearch.montecarlo as montecarlo
 from gqsearch import (
-    InvalidTargetError,
     NonTerminatingError,
     SearchInstance,
     StateVector,
@@ -23,16 +22,13 @@ from gqsearch import (
     parallel_success,
     parallel_trial_costs,
     punctuated_plan,
-    random_state,
     rotation_angle,
     run_parallel,
-    run_punctuated_statevector,
-    statevector_trial_costs,
     success_probability,
     trial_uniforms,
     uniform_instance,
-    uniform_state,
 )
+from gqsearch.cli import main, write_state_file
 
 
 def test_certain_success_is_deterministic():
@@ -95,9 +91,13 @@ def test_zero_probability_never_terminates():
 
 
 def test_round_cap_raises():
-    # at p = 1e-12 a median trial needs ~7e11 rounds, far past the cap
-    with pytest.raises(TrialCapError):
-        parallel_trial_costs(1e-12, 1, 1, 4, seed=0)
+    # at p = 1e-12 a median trial needs ~7e11 rounds, far past the cap; at
+    # 1e-300 the counts pass 2^63 and at a subnormal p they reach inf, where
+    # an int64 cast gave negative costs
+    for p in (1e-12, 1e-300, 5e-324):
+        for k in (1, 3):
+            with pytest.raises(TrialCapError):
+                parallel_trial_costs(p, 1, k, 4, seed=0)
 
 
 def test_runs_are_reproducible_and_seed_sensitive():
@@ -108,46 +108,24 @@ def test_runs_are_reproducible_and_seed_sensitive():
     assert c.mean != a.mean
 
 
-def test_statevector_variant_matches_born_statistics():
-    inst = uniform_instance(16, 1)
-    n = 3
-    state = grover_power(inst, n)
-    p = success_probability(state, inst.targets)
-    est = run_punctuated_statevector(state, inst.targets, n, 3000, seed=2)
-    _, counts = statevector_trial_costs(state, inst.targets, n, 3000, seed=2)
-    closed = expected_cost(n, p)
-    assert abs(est.mean - closed) < 4.0 * est.stderr
-    # every trial ends in exactly one success, and every measurement is
-    # tallied: rounds total = total cost / n
-    assert int(counts[0]) == 3000
-    assert int(counts.sum()) == round(est.mean * 3000 / n)
-    # unconditionally, measurement outcomes follow the Born weights
-    frac = counts[0] / counts.sum()
-    se = math.sqrt(p * (1.0 - p) / counts.sum())
-    assert abs(frac - p) < 6.0 * se
-
-
-def test_statevector_variant_partition_and_reproducibility():
-    inst = uniform_instance(8, 2)
-    state = grover_power(inst, 1)
-    full, _ = statevector_trial_costs(state, inst.targets, 1, 60, seed=4)
-    head, _ = statevector_trial_costs(state, inst.targets, 1, 30, seed=4)
-    tail, _ = statevector_trial_costs(
-        state, inst.targets, 1, 30, seed=4, trial_start=30
-    )
-    assert np.array_equal(full, np.concatenate([head, tail]))
-    again, _ = statevector_trial_costs(state, inst.targets, 1, 60, seed=4)
-    assert np.array_equal(full, again)
-
-
-def test_statevector_variant_rejects_zero_support():
+def test_statevector_variant_rejects_zero_support(tmp_path, capsys):
     # start and averaging both orthogonal to the target: p stays 0
     off = StateVector(np.array([0.0, 1.0, 1.0, 1.0]) / math.sqrt(3.0))
     inst = SearchInstance(
         n_items=4, targets=TargetSet.first(1), averaging=off, start=off
     )
+    p = success_probability(grover_power(inst, 1), inst.targets)
+    assert p == 0.0
     with pytest.raises(NonTerminatingError):
-        statevector_trial_costs(grover_power(inst, 1), inst.targets, 1, 5, seed=0)
+        run_parallel(p, 1, 1, 5, seed=0)
+    path = tmp_path / "off.txt"
+    write_state_file(str(path), off)
+    code = main([
+        "montecarlo", "--n-items", "4", "--targets", "0", "--start", f"file:{path}",
+        "--averaging", f"file:{path}", "--iterations", "1", "--trials", "5",
+    ])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and captured.err.startswith("error:")
 
 
 def test_validation_errors():
@@ -161,9 +139,6 @@ def test_validation_errors():
         parallel_trial_costs(0.5, 3, 0, 10, seed=0)
     with pytest.raises(ValueError):
         trial_uniforms(0, -1, 10)
-    # the evolved state and the target set arrive separately
-    with pytest.raises(InvalidTargetError):
-        statevector_trial_costs(uniform_state(4), TargetSet((7,)), 1, 5, seed=0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -202,15 +177,6 @@ def test_sample_sd_arbitrates_geometric_form():
     assert abs(sd_hat - forms.alt) > 3.0 * se
 
 
-def test_parallel_k1_statistically_matches_punctuated():
-    # the k = 1 coin race against Born measurements of a state whose
-    # target weight is 0.3
-    par = run_parallel(0.3, 5, 1, 200000, seed=77)
-    state = StateVector(np.array([math.sqrt(0.3), math.sqrt(0.7)]))
-    pun = run_punctuated_statevector(state, TargetSet((0,)), 5, 200000, seed=78)
-    assert abs(par.mean - pun.mean) <= 3.0 * max(par.stderr, pun.stderr)
-
-
 def test_parallel_closed_form_points():
     two = run_parallel(0.5, 1, 2, 10**6, seed=99)
     assert abs(two.mean - 1.0 / 0.75) <= 3.0 * two.stderr
@@ -218,45 +184,13 @@ def test_parallel_closed_form_points():
     assert abs(eight.mean - 10.0 / (1.0 - 0.9**8)) <= 3.0 * eight.stderr
 
 
-def test_statevector_certain_small_case():
-    # N=4, r=1, uniform: one iteration succeeds with certainty
-    inst = uniform_instance(4, TargetSet((2,)))
-    state = grover_power(inst, 1)
-    costs, counts = statevector_trial_costs(state, inst.targets, 1, 400, seed=3)
-    assert np.all(costs == 1.0)
-    assert counts[2] == 400 and counts.sum() == 400
-    est = run_punctuated_statevector(state, inst.targets, 1, 400, seed=3)
-    assert est.mean == 1.0 and est.stderr == 0.0
-
-
 def test_statevector_mean_at_punctuated_optimum():
     inst = uniform_instance(64, TargetSet((7,)))
     plan = punctuated_plan(rotation_angle(math.sqrt(1.0 / 64.0)))
-    state = grover_power(inst, plan.n_int)
-    p_round = success_probability(state, inst.targets)
+    p_round = success_probability(grover_power(inst, plan.n_int), inst.targets)
     closed = expected_cost(plan.n_int, p_round)
-    est = run_punctuated_statevector(state, inst.targets, plan.n_int, 10**5, seed=6)
+    est = run_parallel(p_round, plan.n_int, 1, 10**5, seed=6)
     assert abs(est.mean - closed) <= 3.0 * est.stderr
-
-
-def test_statevector_outcome_distribution_chi_square():
-    # failed measurements land on non-target indices in proportion to
-    # their Born weights; chi-square on the tallied failures confirms it
-    inst = SearchInstance(
-        n_items=8,
-        targets=TargetSet((2,)),
-        averaging=uniform_state(8),
-        start=random_state(8, 301),
-    )
-    state = grover_power(inst, 2)
-    _, counts = statevector_trial_costs(state, inst.targets, 2, 20000, seed=7)
-    weights = np.abs(state.amplitudes) ** 2
-    non_target = np.ones(8, dtype=bool)
-    non_target[2] = False
-    observed = counts[non_target]
-    expected = observed.sum() * weights[non_target] / weights[non_target].sum()
-    assert expected.min() > 5.0
-    assert chisquare(observed, expected).pvalue > 0.001
 
 
 def test_consistency_grid_coverage():
@@ -290,40 +224,24 @@ def test_mixer_matches_published_splitmix64():
     # element i of the SplitMix64 sequence is mix64(seed + (i + 1) * gamma)
     states = np.uint64(1234567) + np.arange(1, 6, dtype=np.uint64) * montecarlo._GAMMA
     assert montecarlo._mix64(states).tolist() == SPLITMIX64_1234567
-    # trials 0..4 of round 0 sit at positions 0..4: their top 53 bits
-    draws = montecarlo._draws(1234567, np.arange(5), 0, 1).ravel()
-    assert draws.tolist() == [v >> 11 for v in SPLITMIX64_1234567]
+    # trials 0..4 sit at positions 0..4: their top 53 bits, times 2^-53
     assert trial_uniforms(1234567, 0, 5).tolist() == [
         (v >> 11) * 2.0**-53 for v in SPLITMIX64_1234567
     ]
 
 
 def test_draws_are_a_pure_function_of_trial_and_round():
-    block = montecarlo._draws(5, np.arange(10, 20), 3, 6)
-    assert block.shape == (10, 6)
+    # the draw for trial t depends on (seed, t) alone, not on the batch
+    block = trial_uniforms(5, 10, 10)
     for t in (10, 14, 19):
-        for j in (3, 5, 8):
-            assert block[t - 10, j - 3] == montecarlo._draws(5, np.array([t]), j, 1)[0, 0]
-    # round j of trial t is element (j << 32) | t of the sequence, here
-    # computed in Python integers
+        assert block[t - 10] == trial_uniforms(5, t, 1)[0]
+    # trial t is element t of the sequence, here computed in Python integers
     mask = 2**64 - 1
-    z = (5 + (((7 << 32) | 12) + 1) * 0x9E3779B97F4A7C15) & mask
+    z = (5 + (12 + 1) * 0x9E3779B97F4A7C15) & mask
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
     z ^= z >> 31
-    assert int(montecarlo._draws(5, np.array([12]), 7, 1)[0, 0]) == z >> 11
-
-
-def _born_case():
-    # start off the averaging axis, so that p is well below 1 and trials
-    # run several rounds, some of them past one block
-    inst = SearchInstance(
-        n_items=8,
-        targets=TargetSet((2, 5)),
-        averaging=uniform_state(8),
-        start=random_state(8, 11),
-    )
-    return grover_power(inst, 1), inst.targets
+    assert block[2] == (z >> 11) * 2.0**-53
 
 
 def test_coin_costs_do_not_depend_on_block(monkeypatch):
@@ -335,59 +253,26 @@ def test_coin_costs_do_not_depend_on_block(monkeypatch):
         assert np.array_equal(costs, full)
 
 
-def test_statevector_costs_do_not_depend_on_split_or_block(monkeypatch):
-    state, targets = _born_case()
-    full, full_counts = statevector_trial_costs(state, targets, 1, 90, seed=13)
-    assert full.max() > 3.0  # some trials need several rounds
-    for cap in (1, 7, montecarlo._BLOCK_ELEMENTS):
-        monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", cap)
-        costs, counts = statevector_trial_costs(state, targets, 1, 90, seed=13)
-        assert np.array_equal(costs, full) and np.array_equal(counts, full_counts)
-        parts = [(0, 17), (17, 23), (40, 1), (41, 49)]
-        pieces = [
-            statevector_trial_costs(state, targets, 1, size, seed=13, trial_start=lo)
-            for lo, size in parts
-        ]
-        assert np.array_equal(np.concatenate([c for c, _ in pieces]), full)
-        assert np.array_equal(sum(k for _, k in pieces), full_counts)
-    # every measurement is tallied: rounds total = total cost / n
-    assert int(full_counts.sum()) == int(full.sum())
-
-
-@pytest.mark.parametrize("weight", [1e-6, 1e-323])
-def test_statevector_round_cap_raises(monkeypatch, weight):
-    # five trials cannot all succeed within 20 rounds; at a subnormal target
-    # weight 1/p overflows to inf
-    amps = np.full(64, math.sqrt((1.0 - weight) / 63.0), dtype=complex)
-    amps[0] = math.sqrt(weight)
-    monkeypatch.setattr(montecarlo, "ROUND_CAP", 20)
-    with pytest.raises(TrialCapError):
-        statevector_trial_costs(StateVector(amps), TargetSet((0,)), 1, 5, seed=1)
-
-
 def test_counter_range_is_checked():
-    state, targets = _born_case()
     with pytest.raises(ValueError):
-        statevector_trial_costs(state, targets, 1, 5, seed=-1)
+        parallel_trial_costs(0.5, 1, 1, 5, seed=-1)
     with pytest.raises(ValueError):
-        statevector_trial_costs(state, targets, 1, 5, seed=2**64)
+        parallel_trial_costs(0.5, 1, 1, 5, seed=2**64)
     with pytest.raises(ValueError):
-        statevector_trial_costs(state, targets, 1, 5, seed=0, trial_start=2**32 - 4)
-    statevector_trial_costs(state, targets, 1, 4, seed=2**64 - 1, trial_start=2**32 - 4)
-    with pytest.raises(ValueError):
-        parallel_trial_costs(0.5, 1, 1, 10, seed=-3)
+        parallel_trial_costs(0.5, 1, 1, 5, seed=0, trial_start=2**32 - 4)
+    parallel_trial_costs(0.5, 1, 1, 4, seed=2**64 - 1, trial_start=2**32 - 4)
     with pytest.raises(ValueError):
         trial_uniforms(0, 2**32 - 1, 2)
     assert trial_uniforms(0, 2**32 - 1, 1).shape == (1,)
 
 
 def test_uniforms_are_equidistributed_over_trials_and_rounds():
-    u = np.ldexp(montecarlo._draws(31, np.arange(2000), 0, 64), -53)
+    u = trial_uniforms(31, 0, 128_000)
     assert u.min() >= 0.0 and u.max() < 1.0
-    observed = np.bincount((u * 256).astype(np.int64).ravel(), minlength=256)
+    observed = np.bincount((u * 256).astype(np.int64), minlength=256)
     assert chisquare(observed).pvalue > 0.001
-    # rounds j and j + 1 of a trial are independent: 16 x 16 cells over
+    # consecutive trials t and t + 1 are independent: 16 x 16 cells over
     # non-overlapping pairs
-    cells = (u[:, 0::2] * 16).astype(np.int64) * 16 + (u[:, 1::2] * 16).astype(np.int64)
-    observed = np.bincount(cells.ravel(), minlength=256)
+    cells = (u[0::2] * 16).astype(np.int64) * 16 + (u[1::2] * 16).astype(np.int64)
+    observed = np.bincount(cells, minlength=256)
     assert chisquare(observed).pvalue > 0.001

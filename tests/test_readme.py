@@ -1,5 +1,7 @@
-"""The README's Python examples and `gqsearch` commands run as written."""
+"""The README's Python examples and `gqsearch` commands run as written, and
+the names its package layout lists exist."""
 
+import importlib
 import re
 from pathlib import Path
 
@@ -38,3 +40,29 @@ def test_readme_commands_run(capsys, tmp_path):
         out = capsys.readouterr().out
         assert code == 0, argv
         assert (out_path.stat().st_size if out_path else len(out)) > 0, argv
+
+
+def _layout_names():
+    """(module, name) for every backticked name in a "Package layout" bullet.
+
+    A name is a backticked identifier, or one followed by a call such as
+    `restart_iterations(dec)`; formulas like `n / P_k(n)` are not names.
+    """
+    text = README.read_text().split("## Package layout\n", 1)[1].split("\n## ", 1)[0]
+    for module, body in re.findall(r"^- `gqsearch\.(\w+)`:(.*?)(?=^- |^$)", text,
+                                   flags=re.S | re.M):
+        for name in re.findall(r"`(\w+)(?:\([^`]*\))?`", body):
+            yield module, name
+
+
+def test_readme_layout_names_exist():
+    names = list(_layout_names())
+    assert {module for module, _ in names} == {
+        "statevector", "analytic", "strategy", "montecarlo", "cli"
+    }
+    missing = [
+        f"gqsearch.{module}.{name}"
+        for module, name in names
+        if not hasattr(importlib.import_module(f"gqsearch.{module}"), name)
+    ]
+    assert missing == []

@@ -101,6 +101,16 @@ def test_grover_power_perfect_small_case():
     assert abs(success_probability(state, TargetSet.first(1)) - 1.0) < 1e-12
 
 
+def test_success_probability_never_rounds_past_one():
+    # the norm is held to NORM_TOL only, so the raw target weight can round
+    # past 1: N = 12, r = 3 gave 1 + 7e-16 at n = 1
+    for n_items in range(1, 65):
+        for r in range(1, n_items + 1):
+            inst = uniform_instance(n_items, r)
+            for n in (1, 2, 3):
+                assert success_probability(grover_power(inst, n), inst.targets) <= 1.0
+
+
 def test_grover_power_zero_is_identity():
     inst = uniform_instance(8, 2)
     state = grover_power(inst, 0)
