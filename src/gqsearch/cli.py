@@ -15,8 +15,8 @@ written.
 
 File formats
 ------------
-State vector files are plain text: line 1 holds N, then N lines of
-"re im" in full double precision (Python repr, round-trips exactly).
+State vector files are plain text: line 1 holds N, then N lines of one
+"re im" pair each in full double precision (Python repr, round-trips exactly).
 PGM output is binary P5 with maxval 255 (255 = probability 1), rows are
 iteration counts ascending, columns are target counts r ascending.
 JSON is the default output format everywhere.
@@ -28,6 +28,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -46,7 +47,6 @@ from .statevector import (
     SearchInstance,
     StateVector,
     TargetSet,
-    grover_power,
     random_state,
     success_probability,
     success_trajectory,
@@ -102,19 +102,18 @@ def _parse_iteration_single(text: str) -> int:
 def read_state_file(path: str) -> StateVector:
     """Read the plain-text state format: N, then N lines of 're im'."""
     with open(path, "r", encoding="ascii") as fh:
-        tokens = fh.read().split()
-    if not tokens:
-        raise ValueError(f"state file {path!r} is empty")
-    try:
-        n = int(tokens[0])
-        values = np.array(tokens[1:], dtype=float)
-    except ValueError as exc:
-        raise ValueError(f"state file {path!r} is malformed: {exc}") from exc
-    if values.size != 2 * n:
+        try:
+            n = int(fh.readline())
+            with warnings.catch_warnings():  # no data lines: the shape check reports it
+                warnings.simplefilter("ignore", UserWarning)
+                values = np.loadtxt(fh, dtype=float, ndmin=2, comments=None)
+        except ValueError as exc:
+            raise ValueError(f"state file {path!r} is malformed: {exc}") from exc
+    if values.shape != (n, 2):
         raise ValueError(
-            f"state file {path!r} declares {n} amplitudes but holds {values.size / 2}"
+            f"state file {path!r} needs {n} lines of 're im', got shape {values.shape}"
         )
-    return StateVector(values[0::2] + 1j * values[1::2])
+    return StateVector(values[:, 0] + 1j * values[:, 1])
 
 
 def write_state_file(path: str, state: StateVector) -> None:
@@ -149,7 +148,9 @@ def _resolve_state(spec: str, n_items: int, allow_random: bool) -> StateVector:
 def _build_instance(args: argparse.Namespace) -> SearchInstance:
     targets = _resolve_targets(args)
     averaging = _resolve_state(args.averaging, args.n_items, allow_random=False)
-    start = _resolve_state(args.start, args.n_items, allow_random=True)
+    start = averaging  # s = a: one state, built (and read) once
+    if args.start != args.averaging:
+        start = _resolve_state(args.start, args.n_items, allow_random=True)
     return SearchInstance(
         n_items=args.n_items, targets=targets, averaging=averaging, start=start
     )
@@ -458,7 +459,7 @@ def cmd_montecarlo(args: argparse.Namespace):
     else:
         n = restart_iterations(decompose(instance))
 
-    p = success_probability(grover_power(instance, n), instance.targets)
+    p = success_probability(instance, n)
     closed = expected_cost(n, parallel_success(p, args.agents))
     est = run_parallel(p, n, args.agents, args.trials, args.seed)
     z = (est.mean - closed) / est.stderr if est.stderr > 0 else None

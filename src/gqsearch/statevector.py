@@ -4,11 +4,11 @@ One iteration of the operator Q first flips the phase of every target basis
 state (the oracle reflection) and then reflects about the averaging state
 |a>.  Q maps span{s_T, s_L, a_T, a_L} to itself, where s_T and s_L are the
 parts of the start state on and off the targets and a_T, a_L split the
-averaging state the same way.  `grover_power` and `success_trajectory`
-therefore evolve four coefficients by a fixed 4x4 matrix: six inner
-products cost O(N + r) once, each iteration costs O(1), and `grover_power`
-builds the N-vector once at the end, so n iterations cost O(N + n) instead
-of the O(n*N) of dense passes.  The coefficients need no linear
+averaging state the same way, so n iterations evolve four coefficients by
+a fixed 4x4 matrix: O(N + r) once for six inner products, O(1) per step.
+Success probabilities are the target weight c^H G_T c of the coefficients;
+only `grover_power`, the amplitude output, builds the N-vector, once at the
+end, so n iterations cost O(N + n).  The coefficients need no linear
 independence of the four vectors, so s = a, r = N and v in {0, 1} take the
 same path.  `gqsearch.analytic.decompose` reads the same six products
 (`_target_products`), so the tests also check the closed form against the
@@ -211,6 +211,8 @@ class _ReducedBasis:
 
     def evolve(self, n: int):
         """Yield the coefficients of Q^k|s> for k = 0..n, norm-checked."""
+        if n < 0:
+            raise ValueError(f"n must be non-negative, got {n}")
         c = np.array([1, 1, 0, 0], dtype=np.complex128)
         yield c
         for k in range(1, n + 1):
@@ -219,14 +221,22 @@ class _ReducedBasis:
             _check_drift(math.sqrt(max(np.vdot(c, self.gram @ c).real, 0.0)), k)
             yield c
 
+    def power(self, n: int):
+        """The coefficients of Q^n|s>, every step norm-checked, none kept."""
+        for c in self.evolve(n):
+            pass
+        return c
+
+    def weights(self, coefficients) -> np.ndarray:
+        # c^H G_T c for each c, clipped once: the norm is held to NORM_TOL
+        # only, so it can round past 1; np.clip, unlike min(), keeps a NaN.
+        return np.clip([np.vdot(c, self.gram_t @ c).real for c in coefficients], 0.0, 1.0)
+
 
 def grover_power(instance: SearchInstance, n: int) -> StateVector:
     """Q^n applied to the start state; n = 0 returns the start unchanged."""
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
     basis = _ReducedBasis(instance)
-    for c in basis.evolve(n):  # keep only the last coefficients
-        pass
+    c = basis.power(n)
     s = instance.start.amplitudes
     a = instance.averaging.amplitudes
     amps = c[1] * s
@@ -237,18 +247,11 @@ def grover_power(instance: SearchInstance, n: int) -> StateVector:
 
 def success_trajectory(instance: SearchInstance, n_max: int) -> np.ndarray:
     """Success probability after n iterations for n = 0..n_max (one sweep)."""
-    if n_max < 0:
-        raise ValueError(f"n_max must be non-negative, got {n_max}")
     basis = _ReducedBasis(instance)
-    return np.array(
-        [np.vdot(c, basis.gram_t @ c).real for c in basis.evolve(n_max)], dtype=float
-    )
+    return basis.weights(basis.evolve(n_max))
 
 
-def success_probability(state: StateVector, targets: TargetSet) -> float:
-    """Total probability of measuring any target index, clipped to [0, 1].
-
-    The norm is only held to NORM_TOL, so the raw sum can round past 1.
-    """
-    idx = _target_index_array(targets, state.dim)
-    return min(1.0, float(np.sum(np.abs(state.amplitudes[idx]) ** 2)))
+def success_probability(instance: SearchInstance, n: int) -> float:
+    """Success probability after n iterations, in O(1) memory in n."""
+    basis = _ReducedBasis(instance)
+    return float(basis.weights([basis.power(n)])[0])

@@ -18,7 +18,6 @@ from gqsearch import (
     TargetSet,
     expected_cost,
     grover_case_prob,
-    grover_power,
     random_state,
     rotation_angle,
     run_parallel,
@@ -130,12 +129,70 @@ def test_simulate_degenerate_full_target_set(capsys):
         assert abs(row["p_analytic"] - 1.0) < 1e-12
 
 
+def test_simulate_never_prints_a_probability_past_one(capsys):
+    # the raw target weight at n = 1 rounds to 1 + 7e-16 here
+    code, out, err = run_cli(
+        capsys,
+        "simulate", "--n-items", "12", "--num-targets", "3", "--iterations", "0..3",
+    )
+    assert code == 0 and err == ""
+    rows = json.loads(out)["rows"]
+    assert rows[1]["p_simulated"] == 1.0
+    assert '"p_simulated": 1.0,' in out
+    assert all(0.0 <= row["p_simulated"] <= 1.0 for row in rows)
+
+
+def test_montecarlo_and_simulate_share_one_p(capsys):
+    # p_round and p_simulated are the same simulated p(n), bit for bit
+    common = ["--n-items", "64", "--targets", "3,17,40", "--start", "random:7"]
+    code, out, _ = run_cli(capsys, "simulate", *common, "--iterations", "0..12")
+    assert code == 0
+    simulated = [row["p_simulated"] for row in json.loads(out)["rows"]]
+    code, out, _ = run_cli(capsys, "montecarlo", *common, "--trials", "10")
+    assert code == 0
+    default = json.loads(out)
+    assert default["p_round"] == simulated[default["iterations"]]
+    for n in range(1, 13):
+        code, out, _ = run_cli(
+            capsys, "montecarlo", *common, "--iterations", str(n), "--trials", "10",
+        )
+        assert code == 0
+        assert json.loads(out)["p_round"] == simulated[n], n
+
+
+def test_start_equal_to_averaging_reads_the_file_once(tmp_path, capsys, monkeypatch):
+    # s = a = U|0>: one spec, one parse; a byte copy read twice gives the
+    # same output
+    first = tmp_path / "state.txt"
+    write_state_file(str(first), random_state(64, 5))
+    copy = tmp_path / "copy.txt"
+    copy.write_bytes(first.read_bytes())
+    reads = []
+
+    def counting_read(path):
+        reads.append(path)
+        return read_state_file(path)
+
+    monkeypatch.setattr(gqsearch.cli, "read_state_file", counting_read)
+    for command in (
+        ["simulate", "--iterations", "0..6"],
+        ["montecarlo", "--iterations", "2", "--trials", "100"],
+    ):
+        argv = [*command, "--n-items", "64", "--targets", "3,17,40", "--format", "csv"]
+        reads.clear()
+        once = run_cli(capsys, *argv, "--start", f"file:{first}", "--averaging", f"file:{first}")
+        assert reads == [str(first)]
+        twice = run_cli(capsys, *argv, "--start", f"file:{first}", "--averaging", f"file:{copy}")
+        assert len(reads) == 3
+        assert once[0] == 0 and once == twice
+
+
 def test_state_file_round_trip(tmp_path):
     state = random_state(12, 9)
     path = tmp_path / "state.txt"
     write_state_file(str(path), state)
     back = read_state_file(str(path))
-    assert np.array_equal(back.amplitudes, state.amplitudes)
+    assert np.array_equal(back.amplitudes.view(np.int64), state.amplitudes.view(np.int64))
     text = path.read_text().split("\n")
     assert text[0] == "12"
     assert len(text[1].split()) == 2
@@ -187,12 +244,17 @@ def test_state_file_parses_to_the_same_bits(tmp_path):
 @pytest.mark.parametrize(
     "text",
     ["", "\n", "2\n0.6 0\n0.8 zero\n", "two\n0.6 0\n0.8 0\n", "2\n0.6 0\n0.8\n",
-     "2\n0.6 0\n0.8 0\n0 0\n"],
-    ids=["empty", "blank", "malformed-value", "malformed-count", "short", "long"],
+     "2\n0.6 0\n0.8 0\n0 0\n", "2\n0.6\n0.8\n", "2\n0.6 0 0\n0.8 0 0\n",
+     "2\n# amplitudes\n0.6 0\n0.8 0\n", "2\n", "2\nnan 0\n0.8 0\n",
+     "2\n0.6 0\n0.8 0\u00e9\n", "2\n0.6\n0 0.8 0\n", "2 0.6 0\n0.8 0\n"],
+    ids=["empty", "blank", "malformed-value", "malformed-count", "short", "long",
+         "one-number-lines", "three-number-lines", "comment-line", "header-only",
+         "nan", "non-ascii", "split-pair", "pair-on-header-line"],
 )
 def test_bad_state_files_exit_2(tmp_path, capsys, text):
+    # one 're im' pair per line after the header, nothing else
     bad = tmp_path / "bad.txt"
-    bad.write_text(text)
+    bad.write_text(text, encoding="utf-8")
     code, out, err = run_cli(
         capsys,
         "simulate", "--n-items", "2", "--num-targets", "1", "--start", f"file:{bad}",
@@ -440,7 +502,7 @@ def test_montecarlo_born_model(tmp_path, capsys):
     assert code == 0
     payload = json.loads(out)
     inst = uniform_instance(16, 1)
-    p = success_probability(grover_power(inst, 3), inst.targets)
+    p = success_probability(inst, 3)
     assert payload["p_round"] == p
     est = run_parallel(p, 3, 1, 2000, 11)
     assert (payload["mean"], payload["stderr"]) == (est.mean, est.stderr)
@@ -465,7 +527,7 @@ def test_montecarlo_coin_model(capsys):
     assert lines[0] == ",".join(MONTECARLO_COLUMNS)
     cells = dict(zip(MONTECARLO_COLUMNS, lines[1].split(",")))
     inst = uniform_instance(16, 1)
-    p = success_probability(grover_power(inst, 3), inst.targets)
+    p = success_probability(inst, 3)
     assert float(cells["mean"]) == run_parallel(p, 3, 4, 3000, 11).mean
     assert float(cells["agent_time_mean"]) == 4.0 * float(cells["mean"])
 

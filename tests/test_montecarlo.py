@@ -18,7 +18,6 @@ from gqsearch import (
     TrialCapError,
     cost_stddev,
     expected_cost,
-    grover_power,
     parallel_success,
     parallel_trial_costs,
     punctuated_plan,
@@ -114,7 +113,7 @@ def test_statevector_variant_rejects_zero_support(tmp_path, capsys):
     inst = SearchInstance(
         n_items=4, targets=TargetSet.first(1), averaging=off, start=off
     )
-    p = success_probability(grover_power(inst, 1), inst.targets)
+    p = success_probability(inst, 1)
     assert p == 0.0
     with pytest.raises(NonTerminatingError):
         run_parallel(p, 1, 1, 5, seed=0)
@@ -187,7 +186,7 @@ def test_parallel_closed_form_points():
 def test_statevector_mean_at_punctuated_optimum():
     inst = uniform_instance(64, TargetSet((7,)))
     plan = punctuated_plan(rotation_angle(math.sqrt(1.0 / 64.0)))
-    p_round = success_probability(grover_power(inst, plan.n_int), inst.targets)
+    p_round = success_probability(inst, plan.n_int)
     closed = expected_cost(plan.n_int, p_round)
     est = run_parallel(p_round, plan.n_int, 1, 10**5, seed=6)
     assert abs(est.mean - closed) <= 3.0 * est.stderr

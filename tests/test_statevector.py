@@ -1,6 +1,7 @@
 """Unit and property tests for the exact state-vector simulator."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,33 +91,62 @@ def test_grover_power_known_value():
     # N = 16, one target, three iterations: p = 251^2 / 2^16, an anchor
     # for both the reduced evolution and the dense reference
     inst = uniform_instance(16, 1)
-    p = success_probability(grover_power(inst, 3), TargetSet.first(1))
+    p = success_probability(inst, 3)
     assert abs(p - 63001 / 65536) < 1e-12
+    assert abs(abs(grover_power(inst, 3).amplitudes[0]) ** 2 - 63001 / 65536) < 1e-12
     assert abs(dense_evolution(inst, 3)[0][3] - 63001 / 65536) < 1e-12
 
 
 def test_grover_power_perfect_small_case():
     # N = 4, one target: a single iteration succeeds with certainty
-    state = grover_power(uniform_instance(4, 1), 1)
-    assert abs(success_probability(state, TargetSet.first(1)) - 1.0) < 1e-12
+    inst = uniform_instance(4, 1)
+    assert abs(abs(grover_power(inst, 1).amplitudes[0]) ** 2 - 1.0) < 1e-12
+    assert abs(success_probability(inst, 1) - 1.0) < 1e-12
 
 
 def test_success_probability_never_rounds_past_one():
     # the norm is held to NORM_TOL only, so the raw target weight can round
-    # past 1: N = 12, r = 3 gave 1 + 7e-16 at n = 1
+    # past 1: N = 12, r = 3 gave 1 + 7e-16 at n = 1.  The trajectory and
+    # the single-n probability are one expression, so they agree bit for bit.
     for n_items in range(1, 65):
         for r in range(1, n_items + 1):
             inst = uniform_instance(n_items, r)
-            for n in (1, 2, 3):
-                assert success_probability(grover_power(inst, n), inst.targets) <= 1.0
+            traj = success_trajectory(inst, 5)
+            assert np.all((traj >= 0.0) & (traj <= 1.0)), (n_items, r, traj)
+            for n in range(6):
+                assert success_probability(inst, n) == traj[n], (n_items, r, n)
+
+
+def test_nan_target_weight_is_not_clipped_to_one():
+    # n = 0 takes no step, so no norm check runs: a stale NaN amplitude on
+    # a target must come out as NaN, which min(1, nan) would hide as 1.0
+    inst = uniform_instance(8, 1)
+    inst.start.amplitudes = inst.start.amplitudes.copy()
+    inst.start.amplitudes[0] = math.nan
+    assert math.isnan(success_probability(inst, 0))
+    assert math.isnan(success_trajectory(inst, 0)[0])
+
+
+def test_success_probability_keeps_no_trajectory():
+    # O(1) memory in n once the instance exists: no N-vector, no trajectory
+    inst = uniform_instance(2**20, 16)
+    tracemalloc.start()
+    try:
+        p = success_probability(inst, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert p == success_trajectory(inst, 200)[200]
+    assert peak < 2**20, peak
 
 
 def test_grover_power_zero_is_identity():
     inst = uniform_instance(8, 2)
     state = grover_power(inst, 0)
     assert np.array_equal(state.amplitudes, inst.start.amplitudes)
-    with pytest.raises(ValueError):
-        grover_power(inst, -1)
+    for evolve in (grover_power, success_probability, success_trajectory):
+        with pytest.raises(ValueError, match="non-negative"):
+            evolve(inst, -1)
 
 
 def test_norm_preserved_over_long_run():
@@ -131,6 +161,8 @@ def test_norm_preserved_over_long_run():
 
 
 def test_success_trajectory_matches_pointwise_powers():
+    # the Gram-form target weight against |amplitude|^2 summed over the
+    # targets of the N-vector grover_power builds
     inst = SearchInstance(
         n_items=32,
         targets=TargetSet((3, 17)),
@@ -140,8 +172,9 @@ def test_success_trajectory_matches_pointwise_powers():
     traj = success_trajectory(inst, 10)
     assert traj.shape == (11,)
     for n in range(11):
-        p = success_probability(grover_power(inst, n), inst.targets)
-        assert abs(traj[n] - p) < 1e-12
+        amps = grover_power(inst, n).amplitudes
+        assert abs(traj[n] - np.sum(np.abs(amps[[3, 17]]) ** 2)) < 1e-12
+        assert success_probability(inst, n) == traj[n]
 
 
 def test_count_style_target_placement_is_immaterial():
