@@ -15,10 +15,10 @@ from .analytic import (
     biham_mapping,
     decompose,
     first_maximum,
-    grover_case_prob,
     optimal_iterations_analytic,
     rotation_angle,
     success_prob_analytic,
+    uniform_success_prob,
 )
 from .errors import (
     FlatProbabilityError,
@@ -42,7 +42,6 @@ from .statevector import (
     SearchInstance,
     StateVector,
     TargetSet,
-    grover_power,
     random_state,
     success_probability,
     success_trajectory,
@@ -59,7 +58,6 @@ from .strategy import (
     optimal_x_parallel_approx,
     optimal_x_single,
     parallel_cost_derivative,
-    parallel_expected_cost,
     parallel_plan,
     parallel_plan_closed_form,
     parallel_success,
@@ -95,14 +93,11 @@ __all__ = [
     "decompose",
     "expected_cost",
     "first_maximum",
-    "grover_case_prob",
-    "grover_power",
     "max_probability_cost",
     "optimal_iterations_analytic",
     "optimal_x_parallel_approx",
     "optimal_x_single",
     "parallel_cost_derivative",
-    "parallel_expected_cost",
     "parallel_plan",
     "parallel_plan_closed_form",
     "parallel_success",
@@ -119,4 +114,5 @@ __all__ = [
     "trial_uniforms",
     "uniform_instance",
     "uniform_state",
+    "uniform_success_prob",
 ]

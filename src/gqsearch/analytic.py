@@ -18,6 +18,10 @@ alpha^2 - beta^2).  Maxima sit at n_j = (theta + 2 pi j)/(2 phi).
 simulator's reduced basis also uses.  The formula covers both ends of the
 overlap range: at v = 0, |t> is undefined and alpha = 0, so p(n) = w_t; at
 v = 1, |a'> is undefined and beta = 0, so p(n) = w_t + alpha^2 at integer n.
+
+For s = a the start lies in the rotation plane at angle phi/2 from |a'>,
+and the formula reduces to `uniform_success_prob`, (1 - cos((2n+1) phi))/2,
+the one implementation of that case used by the planners and the heatmap.
 """
 
 from __future__ import annotations
@@ -138,8 +142,7 @@ def decompose(instance: SearchInstance) -> Decomposition:
     non-negative, making alpha real >= 0.  v = 0 gives alpha = 0, and
     1 - v^2 <= DEGENERATE_TOL gives v = 1 and beta = b = 0.
     """
-    _, *products = _target_products(instance)
-    ss_t, ss_l, aa_t, as_t, as_l, _ = map(complex, products)
+    ss_t, ss_l, aa_t, as_t, as_l, _ = map(complex, _target_products(instance))
     v2 = aa_t.real
     v = math.sqrt(v2)
     alpha = abs(as_t) / v if v2 > 0.0 else 0.0
@@ -203,26 +206,19 @@ def first_maximum(dec: Decomposition):
 
 
 def uniform_success_prob(v: float, n):
-    """Success probability (1 - cos((2n+1) phi))/2 when s = a, for v in (0, 1].
+    """Success probability (1 - cos((2n+1) phi))/2 when s = a, for v in [0, 1].
 
-    n is a scalar or an array of iteration counts (real n allowed).  v = 1
-    gives phi = pi exactly, so integer n succeed with certainty.
+    n is a scalar or an array of non-negative iteration counts (real n is
+    accepted, so periodicity can be probed continuously); a scalar gives a
+    float, an array an array.  v = 0 gives 0, and v = 1 gives phi = pi
+    exactly, so integer n succeed with certainty.
     """
     phi = rotation_angle(v)
-    return 0.5 * (1.0 - np.cos((2.0 * np.asarray(n, dtype=float) + 1.0) * phi))
-
-
-def grover_case_prob(v: float, n) -> float:
-    """Success probability (1 - cos((2n+1) phi))/2 for the s = a case.
-
-    n is the iteration count; real n is accepted so periodicity can be
-    probed continuously.
-    """
-    if not 0.0 < v < 1.0:
-        raise ValueError(f"v must lie in (0, 1), got {v}")
-    if n < 0:
+    n_arr = np.asarray(n, dtype=float)
+    if np.any(n_arr < 0.0):
         raise ValueError("n must be non-negative")
-    return float(uniform_success_prob(v, n))
+    p = 0.5 * (1.0 - np.cos((2.0 * n_arr + 1.0) * phi))
+    return float(p) if n_arr.ndim == 0 else p
 
 
 def biham_mapping(start: StateVector, targets: TargetSet) -> BihamMapping:

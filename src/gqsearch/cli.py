@@ -36,7 +36,6 @@ from .analytic import (
     biham_mapping,
     decompose,
     first_maximum,
-    grover_case_prob,
     rotation_angle,
     success_prob_analytic,
     uniform_success_prob,
@@ -57,7 +56,6 @@ from .strategy import (
     expected_cost,
     max_probability_cost,
     optimal_x_single,
-    parallel_expected_cost,
     parallel_plan,
     parallel_plan_closed_form,
     parallel_success,
@@ -113,7 +111,8 @@ def read_state_file(path: str) -> StateVector:
         raise ValueError(
             f"state file {path!r} needs {n} lines of 're im', got shape {values.shape}"
         )
-    return StateVector(values[:, 0] + 1j * values[:, 1])
+    # each row viewed as one complex: no temporary, and -0.0 keeps its sign
+    return StateVector(values.view(np.complex128)[:, 0])
 
 
 def write_state_file(path: str, state: StateVector) -> None:
@@ -254,7 +253,9 @@ def _parallel_plans(r: int, n_items: int, k: int):
         formula = parallel_plan_closed_form(r, n_items, k)
     except ValidityError:
         return numeric, None, None
-    return numeric, formula, parallel_expected_cost(formula.n_int, r, n_items, k)
+    n = formula.n_int
+    p = uniform_success_prob(math.sqrt(r / n_items), n)
+    return numeric, formula, expected_cost(n, parallel_success(p, k))
 
 
 def sweep_rows(n_items: int, r_max: int, k_max: int) -> list:
@@ -508,7 +509,7 @@ def _verify_checks(seed: int) -> list:
 
     instance = uniform_instance(16, 1)  # v = 1/4
     trajectory = success_trajectory(instance, 20)
-    closed = np.array([grover_case_prob(0.25, n) for n in range(21)])
+    closed = np.array([uniform_success_prob(0.25, n) for n in range(21)])
     checks.append(
         ("grover_case_v_quarter_max_dev", float(np.max(np.abs(trajectory - closed))), 0.0, 1e-10)
     )
@@ -527,8 +528,8 @@ def _verify_checks(seed: int) -> list:
     for r, n_items in ((1, 64), (2, 256), (1, 1024)):
         v = math.sqrt(r / n_items)
         for n in range(1, 11):
-            lhs = parallel_expected_cost(n, r, n_items, 1)
-            rhs = expected_cost(n, grover_case_prob(v, n))
+            lhs = expected_cost(n, parallel_success(uniform_success_prob(v, n), 1))
+            rhs = expected_cost(n, uniform_success_prob(v, n))
             dev = max(dev, abs(lhs - rhs))
     checks.append(("k1_reduction_max_dev", dev, 0.0, 1e-12))
 

@@ -88,13 +88,6 @@ def trial_uniforms(seed: int, start: int, count: int) -> np.ndarray:
     return np.ldexp(z, -53)
 
 
-def _validate_common(n: int, trials: int) -> None:
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-
-
 def _geometric_rounds(u: np.ndarray, p: float) -> np.ndarray:
     """Rounds-until-first-success for uniforms u, by inverse CDF.
 
@@ -118,13 +111,6 @@ def _geometric_rounds(u: np.ndarray, p: float) -> np.ndarray:
     return u
 
 
-def _make_estimate(costs: np.ndarray, seed: int) -> Estimate:
-    trials = int(costs.size)
-    mean = float(costs.mean())
-    stderr = float(costs.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return Estimate(mean=mean, stderr=stderr, trials=trials, seed=seed)
-
-
 def parallel_trial_costs(
     p: float,
     n: int,
@@ -141,7 +127,10 @@ def parallel_trial_costs(
     success bias p.  A trial costs n per round; measurement and reset are
     free.  Trials are drawn in blocks of _BLOCK_ELEMENTS.
     """
-    _validate_common(n, trials)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     pk = parallel_success(p, k)
     if pk == 0.0:
         raise NonTerminatingError("success probability 0; process cannot terminate")
@@ -156,4 +145,8 @@ def parallel_trial_costs(
 
 def run_parallel(p: float, n: int, k: int, trials: int, seed: int) -> Estimate:
     """Estimate the k-agent parallel cost (parallel time; agent time is k-fold)."""
-    return _make_estimate(parallel_trial_costs(p, n, k, trials, seed), seed)
+    costs = parallel_trial_costs(p, n, k, trials, seed)
+    trials = int(costs.size)
+    mean = float(costs.mean())
+    stderr = float(costs.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    return Estimate(mean=mean, stderr=stderr, trials=trials, seed=seed)

@@ -6,11 +6,10 @@ state (the oracle reflection) and then reflects about the averaging state
 parts of the start state on and off the targets and a_T, a_L split the
 averaging state the same way, so n iterations evolve four coefficients by
 a fixed 4x4 matrix: O(N + r) once for six inner products, O(1) per step.
-Success probabilities are the target weight c^H G_T c of the coefficients;
-only `grover_power`, the amplitude output, builds the N-vector, once at the
-end, so n iterations cost O(N + n).  The coefficients need no linear
-independence of the four vectors, so s = a, r = N and v in {0, 1} take the
-same path.  `gqsearch.analytic.decompose` reads the same six products
+Success probabilities are the target weight c^H G_T c of the coefficients,
+so n iterations cost O(N + n) and build no N-vector.  The coefficients need
+no linear independence of the four vectors, so s = a, r = N and v in {0, 1}
+take the same path.  `gqsearch.analytic.decompose` reads the same six products
 (`_target_products`), so the tests also check the closed form against the
 dense loop in `tests/dense_reference.py`, which shares no code with either.
 
@@ -56,9 +55,6 @@ class StateVector:
             raise NonUnitStateError(f"state norm is {nrm!r}, not 1")
         self.dim = int(amps.size)
         self.amplitudes = amps
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"StateVector(dim={self.dim})"
@@ -159,9 +155,9 @@ def _target_index_array(targets: TargetSet, dim: int) -> np.ndarray:
 
 
 def _target_products(instance: SearchInstance):
-    """The target index array and the six inner products of the target split.
+    """The six inner products of the target split.
 
-    Returns (idx, <s_T|s_T>, <s_L|s_L>, <a_T|a_T>, <a_T|s_T>, <a_L|s_L>,
+    Returns (<s_T|s_T>, <s_L|s_L>, <a_T|a_T>, <a_T|s_T>, <a_L|s_L>,
     <a_L|a_L>), complex.  The off-target products are full products minus
     target ones, so the cost is O(N + r) and no N-length array is built.
     """
@@ -173,7 +169,7 @@ def _target_products(instance: SearchInstance):
     ss_l = np.vdot(s, s) - ss_t
     aa_l = np.vdot(a, a) - aa_t
     as_l = np.vdot(a, s) - as_t
-    return idx, ss_t, ss_l, aa_t, as_t, as_l, aa_l
+    return ss_t, ss_l, aa_t, as_t, as_l, aa_l
 
 
 def _check_drift(nrm: float, step: int) -> None:
@@ -192,7 +188,7 @@ class _ReducedBasis:
     """
 
     def __init__(self, instance: SearchInstance):
-        self.idx, ss_t, ss_l, aa_t, as_t, as_l, aa_l = _target_products(instance)
+        ss_t, ss_l, aa_t, as_t, as_l, aa_l = _target_products(instance)
         self.gram = np.array(
             [
                 [ss_t, 0, np.conj(as_t), 0],
@@ -231,18 +227,6 @@ class _ReducedBasis:
         # c^H G_T c for each c, clipped once: the norm is held to NORM_TOL
         # only, so it can round past 1; np.clip, unlike min(), keeps a NaN.
         return np.clip([np.vdot(c, self.gram_t @ c).real for c in coefficients], 0.0, 1.0)
-
-
-def grover_power(instance: SearchInstance, n: int) -> StateVector:
-    """Q^n applied to the start state; n = 0 returns the start unchanged."""
-    basis = _ReducedBasis(instance)
-    c = basis.power(n)
-    s = instance.start.amplitudes
-    a = instance.averaging.amplitudes
-    amps = c[1] * s
-    amps += c[3] * a
-    amps[basis.idx] = c[0] * s[basis.idx] + c[2] * a[basis.idx]
-    return StateVector(amps)
 
 
 def success_trajectory(instance: SearchInstance, n_max: int) -> np.ndarray:

@@ -230,21 +230,6 @@ def restart_iterations(dec: Decomposition) -> int:
     return _cheapest_iterations(lambda ns: success_prob_analytic(dec, ns), 1, p_max)[0]
 
 
-def parallel_expected_cost(n, r: int, n_items: int, k: int) -> float:
-    """Expected parallel cost n / (1 - (1 - p(n))^k) of k-agent search.
-
-    p(n) is the uniform-start probability `uniform_success_prob` at
-    v = sqrt(r/N).  Raises NeverSucceedsError when the per-round success
-    probability is exactly 0.
-    """
-    if not 1 <= r <= n_items:
-        raise ValueError(f"need 1 <= r <= n_items, got r={r}, n_items={n_items}")
-    if n <= 0:
-        raise ValueError(f"n must be positive, got {n}")
-    p1 = uniform_success_prob(math.sqrt(r / n_items), n)
-    return expected_cost(n, parallel_success(p1, k))
-
-
 def parallel_cost_derivative(x: float, k: int) -> float:
     """d/dx of the large-n parallel cost x / (1 - cos^{2k} x).
 

@@ -3,6 +3,8 @@
 The reduced-basis simulator in `gqsearch.statevector` evolves four
 coefficients instead; the tests compare it against this loop, which
 touches every amplitude on every step and uses no reduction at all.
+`reduced_amplitudes` rebuilds the N-vector Q^n|s> from those coefficients,
+so the amplitudes, not only the probabilities, are compared.
 `edge_instances` are the inputs where a reduction is most likely to go
 wrong.
 """
@@ -10,7 +12,7 @@ wrong.
 import numpy as np
 
 from gqsearch import SearchInstance, StateVector, TargetSet, random_state, uniform_instance
-from gqsearch.statevector import _check_drift, _target_index_array
+from gqsearch.statevector import _check_drift, _ReducedBasis, _target_index_array
 
 
 def dense_evolution(instance, n: int):
@@ -26,6 +28,22 @@ def dense_evolution(instance, n: int):
         _check_drift(float(np.linalg.norm(amps)), step)
         probs[step] = float(np.sum(np.abs(amps[idx]) ** 2))
     return probs, amps
+
+
+def reduced_amplitudes(instance, n: int) -> np.ndarray:
+    """Amplitudes of Q^n|s> from the reduced basis's coefficients, one O(N) pass.
+
+    With c the coefficients of (s_T, s_L, a_T, a_L), off-target amplitudes
+    are c_1 s + c_3 a and target ones c_0 s + c_2 a.
+    """
+    c = _ReducedBasis(instance).power(n)
+    idx = _target_index_array(instance.targets, instance.n_items)
+    s = instance.start.amplitudes
+    a = instance.averaging.amplitudes
+    amps = c[1] * s
+    amps += c[3] * a
+    amps[idx] = c[0] * s[idx] + c[2] * a[idx]
+    return amps
 
 
 def _instance(targets, averaging, start):

@@ -17,10 +17,8 @@ from gqsearch import (
     decompose,
     expected_cost,
     first_maximum,
-    grover_case_prob,
     max_probability_cost,
     optimal_x_single,
-    parallel_expected_cost,
     parallel_plan,
     parallel_plan_closed_form,
     parallel_success,
@@ -33,6 +31,7 @@ from gqsearch import (
     success_trajectory,
     uniform_instance,
     uniform_state,
+    uniform_success_prob,
 )
 from gqsearch.analytic import biham_mapping
 from gqsearch.cli import default_heatmap_n_max, heatmap_grid
@@ -113,7 +112,7 @@ def test_criterion_04_grover_special_case():
         v = math.sqrt(1.0 / n_items)
         inst = uniform_instance(n_items, 1)
         sim = success_trajectory(inst, 20)
-        closed = np.array([grover_case_prob(v, n) for n in range(21)])
+        closed = np.array([uniform_success_prob(v, n) for n in range(21)])
         worst_p = max(worst_p, float(np.max(np.abs(sim - closed))))
         dec = decompose(inst)
         n_first, _ = first_maximum(dec)
@@ -139,8 +138,8 @@ def test_criterion_05_single_agent_reduction():
     for r, n_items in cases:
         v = math.sqrt(r / n_items)
         for n in range(1, 11):
-            lhs = parallel_expected_cost(n, r, n_items, 1)
-            rhs = expected_cost(n, grover_case_prob(v, n))
+            lhs = expected_cost(n, parallel_success(uniform_success_prob(v, n), 1))
+            rhs = expected_cost(n, uniform_success_prob(v, n))
             worst = max(worst, abs(lhs - rhs))
             points += 1
     elapsed = time.perf_counter() - t0
@@ -164,7 +163,8 @@ def test_criterion_06_parallel_closed_form_vs_numeric():
             formula = parallel_plan_closed_form(r, n_items, k)
             assert formula.x < 1.0, f"criterion 06: x = {formula.x!r} at r={r}, k={k}"
             n_dev = abs(formula.n_opt - numeric.n_int) / numeric.n_int
-            cost_at = parallel_expected_cost(formula.n_int, r, n_items, k)
+            p_at = uniform_success_prob(math.sqrt(r / n_items), formula.n_int)
+            cost_at = expected_cost(formula.n_int, parallel_success(p_at, k))
             cost_dev = abs(cost_at - numeric.expected_cost) / numeric.expected_cost
             worst_n = max(worst_n, n_dev)
             worst_cost = max(worst_cost, cost_dev)
@@ -239,7 +239,7 @@ def test_criterion_09_heatmap_single_target_column():
     period = math.pi / phi
     assert 12.4 < period < 12.7, f"criterion 09: period = {period!r}"
     for n in (0.0, 1.7, 5.0, 9.3):
-        dev = abs(grover_case_prob(v, n + period) - grover_case_prob(v, n))
+        dev = abs(uniform_success_prob(v, n + period) - uniform_success_prob(v, n))
         assert dev < 1e-12, f"criterion 09: periodicity dev = {dev:.2e}"
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0, f"criterion 09: took {elapsed:.2f}s"

@@ -17,7 +17,6 @@ from gqsearch import (
     biham_mapping,
     decompose,
     first_maximum,
-    grover_case_prob,
     optimal_iterations_analytic,
     random_state,
     rotation_angle,
@@ -25,6 +24,7 @@ from gqsearch import (
     success_trajectory,
     uniform_instance,
     uniform_state,
+    uniform_success_prob,
 )
 
 from dense_reference import dense_evolution, edge_instances
@@ -236,14 +236,26 @@ def test_maximizer_rounding_loss_is_quadratic():
         assert abs(drop / expected - 1.0) < 1e-3
 
 
-def test_grover_case_prob_values_and_domain():
-    assert abs(grover_case_prob(0.5, 1) - 1.0) < 1e-15
-    assert abs(grover_case_prob(0.25, 0) - 0.0625) < 1e-15
-    for bad_v in (0.0, 1.0, 1.5):
+def test_uniform_success_prob_values_and_domain():
+    assert abs(uniform_success_prob(0.5, 1) - 1.0) < 1e-15
+    assert abs(uniform_success_prob(0.25, 0) - 0.0625) < 1e-15
+    # both ends of v's range: never, and certainly at every integer n
+    assert uniform_success_prob(0.0, 3) == 0.0
+    assert [uniform_success_prob(1.0, n) for n in range(5)] == [1.0] * 5
+    for bad_v in (-0.1, 1.5):
         with pytest.raises(ValueError):
-            grover_case_prob(bad_v, 1)
-    with pytest.raises(ValueError):
-        grover_case_prob(0.5, -1)
+            uniform_success_prob(bad_v, 1)
+    with pytest.raises(ValueError, match="non-negative"):
+        uniform_success_prob(0.5, -1)
+    with pytest.raises(ValueError, match="non-negative"):
+        uniform_success_prob(0.5, np.array([0.0, -1.0]))
+    # a scalar n gives a float, an array an array of its shape
+    assert type(uniform_success_prob(0.25, 2)) is float
+    assert type(uniform_success_prob(0.25, np.float64(2.5))) is float
+    ns = np.arange(6.0).reshape(2, 3)
+    p = uniform_success_prob(0.25, ns)
+    assert isinstance(p, np.ndarray) and p.shape == (2, 3)
+    assert p[1, 2] == uniform_success_prob(0.25, 5)
 
 
 def test_biham_mapping_uniform_start():

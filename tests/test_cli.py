@@ -17,7 +17,6 @@ from gqsearch import (
     StateVector,
     TargetSet,
     expected_cost,
-    grover_case_prob,
     random_state,
     rotation_angle,
     run_parallel,
@@ -25,6 +24,7 @@ from gqsearch import (
     success_trajectory,
     uniform_instance,
     uniform_state,
+    uniform_success_prob,
 )
 import gqsearch.statevector as statevector_module
 from gqsearch.cli import (
@@ -188,11 +188,12 @@ def test_start_equal_to_averaging_reads_the_file_once(tmp_path, capsys, monkeypa
 
 
 def test_state_file_round_trip(tmp_path):
-    state = random_state(12, 9)
     path = tmp_path / "state.txt"
-    write_state_file(str(path), state)
-    back = read_state_file(str(path))
-    assert np.array_equal(back.amplitudes.view(np.int64), state.amplitudes.view(np.int64))
+    # a -0.0 part keeps its sign, the imaginary one too
+    for state in (StateVector([complex(-0.0, 0.6), complex(0.8, -0.0)]), random_state(12, 9)):
+        write_state_file(str(path), state)
+        back = read_state_file(str(path))
+        assert np.array_equal(back.amplitudes.view(np.int64), state.amplitudes.view(np.int64))
     text = path.read_text().split("\n")
     assert text[0] == "12"
     assert len(text[1].split()) == 2
@@ -225,7 +226,7 @@ def test_state_file_errors(tmp_path, capsys):
 def test_state_file_parses_to_the_same_bits(tmp_path):
     # every token parses to exactly the double Python's float() gives it,
     # across the whole exponent range and in hand-written spellings too;
-    # the amplitudes are built from them as re + 1j * im
+    # each amplitude is complex(re, im), so "-0.0" keeps its sign
     rng = np.random.default_rng(5)
     values = rng.standard_normal(400) * 10.0 ** rng.integers(-320, 1, 400)
     values[1:7] = 0.0
@@ -236,7 +237,7 @@ def test_state_file_parses_to_the_same_bits(tmp_path):
     pairs = [f"{tokens[i]} {tokens[i + 1]}" for i in range(0, len(tokens), 2)]
     path.write_text("\n".join([str(len(pairs))] + pairs) + "\n")
     parsed = np.array([float(t) for t in tokens])
-    expected = parsed[0::2] + 1j * parsed[1::2]
+    expected = np.array([complex(re, im) for re, im in zip(parsed[0::2], parsed[1::2])])
     got = read_state_file(str(path)).amplitudes
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
@@ -405,7 +406,7 @@ def test_heatmap_columns_periodic_in_n():
         v = math.sqrt(r / 64.0)
         period = math.pi / rotation_angle(v)
         for n in (0.0, 1.7, 5.0):
-            assert abs(grover_case_prob(v, n + period) - grover_case_prob(v, n)) < 1e-12
+            assert abs(uniform_success_prob(v, n + period) - uniform_success_prob(v, n)) < 1e-12
 
 
 def test_heatmap_default_depth(capsys):

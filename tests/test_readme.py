@@ -1,10 +1,12 @@
-"""The README's Python examples and `gqsearch` commands run as written, and
-the names its package layout lists exist."""
+"""The README's Python examples and `gqsearch` commands run as written, the
+names its package layout lists exist, and it lists every public function."""
 
 import importlib
+import inspect
 import re
 from pathlib import Path
 
+import gqsearch
 from gqsearch.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -66,3 +68,10 @@ def test_readme_layout_names_exist():
         if not hasattr(importlib.import_module(f"gqsearch.{module}"), name)
     ]
     assert missing == []
+    # and every public function is named in one of them
+    listed = {name for _, name in names}
+    unlisted = [
+        name for name in gqsearch.__all__
+        if inspect.isfunction(getattr(gqsearch, name)) and name not in listed
+    ]
+    assert unlisted == []

@@ -16,7 +16,6 @@ from gqsearch import (
     SearchInstance,
     StateVector,
     TargetSet,
-    grover_power,
     random_state,
     success_probability,
     success_trajectory,
@@ -24,7 +23,7 @@ from gqsearch import (
     uniform_state,
 )
 
-from dense_reference import dense_evolution, edge_instances
+from dense_reference import dense_evolution, edge_instances, reduced_amplitudes
 
 
 def test_uniform_state_is_flat():
@@ -93,14 +92,14 @@ def test_grover_power_known_value():
     inst = uniform_instance(16, 1)
     p = success_probability(inst, 3)
     assert abs(p - 63001 / 65536) < 1e-12
-    assert abs(abs(grover_power(inst, 3).amplitudes[0]) ** 2 - 63001 / 65536) < 1e-12
+    assert abs(abs(reduced_amplitudes(inst, 3)[0]) ** 2 - 63001 / 65536) < 1e-12
     assert abs(dense_evolution(inst, 3)[0][3] - 63001 / 65536) < 1e-12
 
 
 def test_grover_power_perfect_small_case():
     # N = 4, one target: a single iteration succeeds with certainty
     inst = uniform_instance(4, 1)
-    assert abs(abs(grover_power(inst, 1).amplitudes[0]) ** 2 - 1.0) < 1e-12
+    assert abs(abs(reduced_amplitudes(inst, 1)[0]) ** 2 - 1.0) < 1e-12
     assert abs(success_probability(inst, 1) - 1.0) < 1e-12
 
 
@@ -142,9 +141,8 @@ def test_success_probability_keeps_no_trajectory():
 
 def test_grover_power_zero_is_identity():
     inst = uniform_instance(8, 2)
-    state = grover_power(inst, 0)
-    assert np.array_equal(state.amplitudes, inst.start.amplitudes)
-    for evolve in (grover_power, success_probability, success_trajectory):
+    assert np.array_equal(reduced_amplitudes(inst, 0), inst.start.amplitudes)
+    for evolve in (reduced_amplitudes, success_probability, success_trajectory):
         with pytest.raises(ValueError, match="non-negative"):
             evolve(inst, -1)
 
@@ -156,13 +154,12 @@ def test_norm_preserved_over_long_run():
         averaging=uniform_state(64),
         start=random_state(64, 5),
     )
-    state = grover_power(inst, 1000)
-    assert abs(state.norm() - 1.0) < 1e-12
+    assert abs(np.linalg.norm(reduced_amplitudes(inst, 1000)) - 1.0) < 1e-12
 
 
 def test_success_trajectory_matches_pointwise_powers():
     # the Gram-form target weight against |amplitude|^2 summed over the
-    # targets of the N-vector grover_power builds
+    # targets of the N-vector Q^n|s> rebuilt from the coefficients
     inst = SearchInstance(
         n_items=32,
         targets=TargetSet((3, 17)),
@@ -172,7 +169,7 @@ def test_success_trajectory_matches_pointwise_powers():
     traj = success_trajectory(inst, 10)
     assert traj.shape == (11,)
     for n in range(11):
-        amps = grover_power(inst, n).amplitudes
+        amps = reduced_amplitudes(inst, n)
         assert abs(traj[n] - np.sum(np.abs(amps[[3, 17]]) ** 2)) < 1e-12
         assert success_probability(inst, n) == traj[n]
 
@@ -199,7 +196,7 @@ def test_random_instances_stay_normalized(n_items, data):
     traj = success_trajectory(inst, 12)
     assert np.all(traj >= -1e-12)
     assert np.all(traj <= 1.0 + 1e-12)
-    assert abs(grover_power(inst, 12).norm() - 1.0) < 1e-12
+    assert abs(np.linalg.norm(reduced_amplitudes(inst, 12)) - 1.0) < 1e-12
 
 
 def test_rotation_plane_closure_and_residuals():
@@ -221,7 +218,7 @@ def test_rotation_plane_closure_and_residuals():
     aprime = np.where(mask, 0.0, a) / math.sqrt(1.0 - v**2)
 
     def residuals(step):
-        psi = grover_power(inst, step).amplitudes
+        psi = reduced_amplitudes(inst, step)
         in_span = abs(np.vdot(t, psi)) ** 2 + abs(np.vdot(aprime, psi)) ** 2
         res_t = np.where(mask, psi, 0.0) - np.vdot(t, psi) * t
         res_l = np.where(mask, 0.0, psi) - np.vdot(aprime, psi) * aprime
@@ -239,7 +236,7 @@ def assert_matches_dense(inst, n, tol=1e-10):
     # the reduced-basis evolution against n dense O(N) passes
     dense_probs, dense_amps = dense_evolution(inst, n)
     np.testing.assert_allclose(success_trajectory(inst, n), dense_probs, rtol=0, atol=tol)
-    np.testing.assert_allclose(grover_power(inst, n).amplitudes, dense_amps, rtol=0, atol=tol)
+    np.testing.assert_allclose(reduced_amplitudes(inst, n), dense_amps, rtol=0, atol=tol)
 
 
 @settings(max_examples=60, deadline=None)
@@ -282,7 +279,7 @@ def test_evolution_rejects_stale_averaging_norm():
     inst = uniform_instance(8, 1)
     inst.averaging.amplitudes = inst.averaging.amplitudes * 2.0
     with pytest.raises(NonUnitStateError, match="after 1 iterations"):
-        grover_power(inst, 3)
+        reduced_amplitudes(inst, 3)
     with pytest.raises(NonUnitStateError, match="after 1 iterations"):
         success_trajectory(inst, 3)
     with pytest.raises(NonUnitStateError):
@@ -294,7 +291,7 @@ def test_evolution_rejects_nan_averaging():
     inst.averaging.amplitudes = inst.averaging.amplitudes.copy()
     inst.averaging.amplitudes[5] = math.nan
     with pytest.raises(NonUnitStateError):
-        grover_power(inst, 1)
+        reduced_amplitudes(inst, 1)
     with pytest.raises(NonUnitStateError):
         success_trajectory(inst, 1)
 
@@ -314,4 +311,4 @@ def test_evolution_never_calls_the_closed_form(monkeypatch):
         start=random_state(32, 41),
     )
     assert success_trajectory(inst, 10).shape == (11,)
-    assert grover_power(inst, 10).dim == 32
+    assert reduced_amplitudes(inst, 10).shape == (32,)

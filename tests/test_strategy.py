@@ -21,12 +21,10 @@ from gqsearch import (
     cost_stddev,
     decompose,
     expected_cost,
-    grover_case_prob,
     max_probability_cost,
     optimal_x_parallel_approx,
     optimal_x_single,
     parallel_cost_derivative,
-    parallel_expected_cost,
     parallel_plan,
     parallel_plan_closed_form,
     parallel_success,
@@ -38,9 +36,9 @@ from gqsearch import (
     success_prob_analytic,
     uniform_instance,
     uniform_state,
+    uniform_success_prob,
 )
 import gqsearch.strategy as strategy
-from gqsearch.analytic import uniform_success_prob
 
 from dense_reference import dense_evolution
 
@@ -168,15 +166,26 @@ def test_parallel_success_values_and_domain():
         parallel_success(0.5, 0)
 
 
+def _parallel_cost(n, r, n_items, k):
+    """n / (1 - (1 - p)^k) with p = sin^2((2n+1) asin sqrt(r/N)), written out."""
+    p = np.sin((2 * n + 1) * math.asin(math.sqrt(r / n_items))) ** 2
+    return n / (1.0 - (1.0 - p) ** k)
+
+
 def test_parallel_expected_cost_full_target_set():
+    # the k-agent cost is expected_cost(n, parallel_success(p(n), k));
     # r = N: integer n succeeds with certainty, half-integer n never does
-    assert abs(parallel_expected_cost(3, 8, 8, 2) - 3.0) < 1e-12
+    def cost(n, r, n_items, k):
+        p = uniform_success_prob(math.sqrt(r / n_items), n)
+        return expected_cost(n, parallel_success(p, k))
+
+    assert abs(cost(3, 8, 8, 2) - 3.0) < 1e-12
     with pytest.raises(NeverSucceedsError):
-        parallel_expected_cost(0.5, 8, 8, 2)
+        cost(0.5, 8, 8, 2)
     with pytest.raises(ValueError):
-        parallel_expected_cost(3, 9, 8, 2)
+        cost(3, 9, 8, 2)
     with pytest.raises(ValueError):
-        parallel_expected_cost(0, 1, 8, 2)
+        cost(0, 1, 8, 2)
 
 
 def test_parallel_cost_derivative_vanishes_at_optimum():
@@ -230,7 +239,7 @@ def test_parallel_plan_numeric_matches_brute_force():
     n_items, r, k = 4096, 1, 3
     plan = parallel_plan(r, n_items, k)
     n_hi = math.ceil(0.25 * math.pi * math.sqrt(n_items / r))
-    costs = [parallel_expected_cost(n, r, n_items, k) for n in range(1, n_hi + 1)]
+    costs = _parallel_cost(np.arange(1, n_hi + 1), r, n_items, k)
     best = int(np.argmin(costs)) + 1
     assert plan.n_int == best
     assert abs(plan.expected_cost - costs[best - 1]) < 1e-12
@@ -277,7 +286,7 @@ def test_parallel_plan_numeric_is_integer_optimal(r, exp, k):
     plan = parallel_plan(r, n_items, k)
     for n in (plan.n_int - 1, plan.n_int + 1):
         if n >= 1:
-            assert plan.expected_cost <= parallel_expected_cost(n, r, n_items, k) + 1e-9
+            assert plan.expected_cost <= _parallel_cost(n, r, n_items, k) + 1e-9
 
 
 def test_expected_cost_matches_restart_series():
@@ -406,10 +415,8 @@ def test_parallel_plan_matches_an_exhaustive_scan(n_items, data):
     want = _scan_everything(lambda ns: uniform_success_prob(v, ns), k, 4096)
     assert (plan.n_int, plan.expected_cost) == want
     # the same optimum from sin^2((2n+1) asin v), to round-off
-    n = np.arange(1, 4097)
-    p = np.sin((2 * n + 1) * math.asin(v)) ** 2
     with np.errstate(divide="ignore"):
-        costs = n / (1.0 - (1.0 - p) ** k)
+        costs = _parallel_cost(np.arange(1, 4097), r, n_items, k)
     assert abs(plan.expected_cost / costs.min() - 1.0) < 1e-9
     assert costs[plan.n_int - 1] <= costs.min() * (1.0 + 1e-9)
     # the lower bound that refuses hopeless scans holds
@@ -450,7 +457,7 @@ def test_parallel_plan_where_r_is_most_of_n():
     # n = 1 costs 3.47, n = 2 costs 2.0011
     plan = parallel_plan(40, 64, 2)
     assert plan.n_int == 2 and abs(plan.expected_cost - 2.0010992366412) < 1e-12
-    assert parallel_expected_cost(1, 40, 64, 2) > 3.4
+    assert _parallel_cost(1, 40, 64, 2) > 3.4
 
 
 @pytest.mark.parametrize("k", [1, 16])
