@@ -26,9 +26,7 @@ from .errors import (
     InvalidDimensionError,
     InvalidTargetError,
     NeverSucceedsError,
-    NonTerminatingError,
     NonUnitStateError,
-    RegimeError,
     TrialCapError,
     ValidityError,
 )
@@ -78,11 +76,9 @@ __all__ = [
     "InvalidDimensionError",
     "InvalidTargetError",
     "NeverSucceedsError",
-    "NonTerminatingError",
     "NonUnitStateError",
     "ParallelPlan",
     "PunctuatedPlan",
-    "RegimeError",
     "SearchInstance",
     "StateVector",
     "TargetSet",

@@ -14,8 +14,8 @@ the success probability after n iterations is
 with A = |alpha^2 + beta^2 e^{2ib}| and theta = atan2(2 alpha beta cos b,
 alpha^2 - beta^2).  Maxima sit at n_j = (theta + 2 pi j)/(2 phi).
 
-`decompose` needs only the six target-split inner products that the
-simulator's reduced basis also uses.  The formula covers both ends of the
+`decompose` needs only the six target-split inner products that a
+`SearchInstance` stores, so it is O(1).  The formula covers both ends of the
 overlap range: at v = 0, |t> is undefined and alpha = 0, so p(n) = w_t; at
 v = 1, |a'> is undefined and beta = 0, so p(n) = w_t + alpha^2 at integer n.
 
@@ -32,13 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FlatProbabilityError
-from .statevector import (
-    SearchInstance,
-    StateVector,
-    TargetSet,
-    _target_index_array,
-    _target_products,
-)
+from .statevector import SearchInstance, StateVector, TargetSet
 
 # 1 - v^2 at or below this means |a'> is numerically undefined.
 DEGENERATE_TOL = 1e-12
@@ -137,12 +131,12 @@ class BihamMapping:
 def decompose(instance: SearchInstance) -> Decomposition:
     """Reduce an instance to its rotation-plane coordinates.
 
-    Scalar algebra over the simulator's six target-split inner products.
+    Scalar algebra over the instance's six target-split inner products.
     The global phase of the start state is fixed so that <t|s> is real and
     non-negative, making alpha real >= 0.  v = 0 gives alpha = 0, and
     1 - v^2 <= DEGENERATE_TOL gives v = 1 and beta = b = 0.
     """
-    ss_t, ss_l, aa_t, as_t, as_l, _ = map(complex, _target_products(instance))
+    ss_t, ss_l, aa_t, as_t, as_l, _ = map(complex, instance.products)
     v2 = aa_t.real
     v = math.sqrt(v2)
     alpha = abs(as_t) / v if v2 > 0.0 else 0.0
@@ -227,12 +221,12 @@ def biham_mapping(start: StateVector, targets: TargetSet) -> BihamMapping:
     Assumes a uniform averaging state; requires 1 <= r < N.
     """
     n_items = start.dim
-    idx = _target_index_array(targets, n_items)
+    targets.check_range(n_items)
     r = targets.r
     if r >= n_items:
         raise ValueError(f"mapping undefined for r = N (r={r}, N={n_items})")
     mask = np.zeros(n_items, dtype=bool)
-    mask[idx] = True
+    mask[list(targets.indices)] = True
 
     k = start.amplitudes[mask]
     l = start.amplitudes[~mask]

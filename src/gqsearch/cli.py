@@ -40,7 +40,7 @@ from .analytic import (
     success_prob_analytic,
     uniform_success_prob,
 )
-from .errors import GQSearchError, RegimeError, ValidityError
+from .errors import GQSearchError, ValidityError
 from .montecarlo import run_parallel
 from .statevector import (
     SearchInstance,
@@ -146,13 +146,13 @@ def _resolve_state(spec: str, n_items: int, allow_random: bool) -> StateVector:
 
 def _build_instance(args: argparse.Namespace) -> SearchInstance:
     targets = _resolve_targets(args)
+    if args.start == args.averaging == "uniform":
+        return uniform_instance(args.n_items, targets)
     averaging = _resolve_state(args.averaging, args.n_items, allow_random=False)
     start = averaging  # s = a: one state, built (and read) once
     if args.start != args.averaging:
         start = _resolve_state(args.start, args.n_items, allow_random=True)
-    return SearchInstance(
-        n_items=args.n_items, targets=targets, averaging=averaging, start=start
-    )
+    return SearchInstance.from_states(targets, averaging, start)
 
 
 def _json_text(payload) -> str:
@@ -363,7 +363,7 @@ def cmd_plan(args: argparse.Namespace):
     phi = rotation_angle(v)
     try:
         plan = punctuated_plan(phi)
-    except RegimeError:
+    except ValidityError:
         punct = None  # phi >= pi/2: outside the punctuated plan's model
     else:
         baseline = max_probability_cost(phi)
@@ -458,7 +458,7 @@ def cmd_montecarlo(args: argparse.Namespace):
         if n < 1:
             raise ValueError("--iterations must be >= 1 for montecarlo")
     else:
-        n = restart_iterations(decompose(instance))
+        n = restart_iterations(decompose(instance), args.agents)
 
     p = success_probability(instance, n)
     closed = expected_cost(n, parallel_success(p, args.agents))
@@ -524,13 +524,14 @@ def _verify_checks(seed: int) -> list:
         )
     )
 
+    # the k = 1 plan two ways: uniform planner, any-start planner on decompose
     dev = 0.0
     for r, n_items in ((1, 64), (2, 256), (1, 1024)):
-        v = math.sqrt(r / n_items)
-        for n in range(1, 11):
-            lhs = expected_cost(n, parallel_success(uniform_success_prob(v, n), 1))
-            rhs = expected_cost(n, uniform_success_prob(v, n))
-            dev = max(dev, abs(lhs - rhs))
+        plan = parallel_plan(r, n_items, 1)
+        dec_r = decompose(uniform_instance(n_items, r))
+        n = restart_iterations(dec_r, 1)
+        cost = expected_cost(n, success_prob_analytic(dec_r, n))
+        dev = max(dev, abs(cost - plan.expected_cost) if n == plan.n_int else math.inf)
     checks.append(("k1_reduction_max_dev", dev, 0.0, 1e-12))
 
     norm_dev = alpha_dev = beta_dev = 0.0
@@ -548,14 +549,7 @@ def _verify_checks(seed: int) -> list:
             + (n_items - r) * mapping.sigma_l**2
         )
         norm_dev = max(norm_dev, abs(total - 1.0))
-        dec_i = decompose(
-            SearchInstance(
-                n_items=n_items,
-                targets=targets,
-                averaging=uniform_state(n_items),
-                start=start,
-            )
-        )
+        dec_i = decompose(SearchInstance.from_states(targets, uniform_state(n_items), start))
         alpha_dev = max(alpha_dev, abs(dec_i.alpha - abs(mapping.k_bar) * math.sqrt(r)))
         beta_dev = max(
             beta_dev, abs(dec_i.beta - abs(mapping.l_bar) * math.sqrt(n_items - r))
@@ -687,8 +681,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="seeded restart experiment vs the closed-form cost",
         description="Races k agents (--agents) per round, each a coin that "
         "succeeds with p, the target weight of the simulated Q^n|s>; k = 1 "
-        "is punctuated search. Default --iterations: the exact n / p(n) "
-        "optimum for --start. "
+        "is punctuated search. Default --iterations: the exact n / P_k(n) "
+        "optimum for --start and --agents. "
         "CSV columns: " + ",".join(MONTECARLO_COLUMNS),
     )
     p_mc.add_argument("--n-items", type=int, required=True, metavar="N")

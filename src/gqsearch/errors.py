@@ -29,19 +29,11 @@ class FlatProbabilityError(GQSearchError):
 
 
 class NeverSucceedsError(GQSearchError):
-    """Per-round success probability is zero; the expected cost diverges."""
-
-
-class RegimeError(GQSearchError):
-    """Parameter lies outside the regime where the strategy model is valid."""
+    """Per-round success probability is 0: the cost diverges, restarts never end."""
 
 
 class ValidityError(GQSearchError):
-    """Closed-form approximation requested outside its validity range."""
-
-
-class NonTerminatingError(GQSearchError):
-    """A Monte Carlo process cannot terminate (success probability 0)."""
+    """A strategy model or closed form is used outside its range of validity."""
 
 
 class TrialCapError(GQSearchError):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonTerminatingError, TrialCapError
+from .errors import NeverSucceedsError, TrialCapError
 from .strategy import parallel_success
 
 # A single trial may not exceed this many rounds; a sampled round count
@@ -133,7 +133,7 @@ def parallel_trial_costs(
         raise ValueError(f"trials must be >= 1, got {trials}")
     pk = parallel_success(p, k)
     if pk == 0.0:
-        raise NonTerminatingError("success probability 0; process cannot terminate")
+        raise NeverSucceedsError("success probability 0; process cannot terminate")
     _check_counters(seed, trial_start, trials)
     costs = np.empty(trials)
     for lo in range(0, trials, _BLOCK_ELEMENTS):

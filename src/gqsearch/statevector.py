@@ -5,13 +5,14 @@ state (the oracle reflection) and then reflects about the averaging state
 |a>.  Q maps span{s_T, s_L, a_T, a_L} to itself, where s_T and s_L are the
 parts of the start state on and off the targets and a_T, a_L split the
 averaging state the same way, so n iterations evolve four coefficients by
-a fixed 4x4 matrix: O(N + r) once for six inner products, O(1) per step.
-Success probabilities are the target weight c^H G_T c of the coefficients,
-so n iterations cost O(N + n) and build no N-vector.  The coefficients need
-no linear independence of the four vectors, so s = a, r = N and v in {0, 1}
-take the same path.  `gqsearch.analytic.decompose` reads the same six products
-(`_target_products`), so the tests also check the closed form against the
-dense loop in `tests/dense_reference.py`, which shares no code with either.
+a fixed 4x4 matrix, which six inner products of those vectors determine.
+A `SearchInstance` stores those products and no state vector.  Success
+probabilities are the target weight c^H G_T c of the coefficients, so n
+iterations cost O(n).  The coefficients need no linear independence of the
+four vectors, so s = a, r = N and v in {0, 1} take the same path.
+`gqsearch.analytic.decompose` reads the same six products, so the tests
+also check the closed form against the dense loop in
+`tests/dense_reference.py`, which shares no code with either.
 
 All operations are pure: they return new values and never mutate inputs.
 The norm is checked after every iteration, as the quadratic form of the
@@ -65,8 +66,8 @@ class TargetSet:
     """Sorted set of distinct marked basis indices.
 
     Indices are canonicalized to a sorted tuple.  Duplicates are an error,
-    not a normalization.  Range checks against a dimension happen at the
-    point of use, since a TargetSet alone carries no N.
+    not a normalization.  A TargetSet alone carries no N, so the range
+    check against a dimension is `check_range`, run where N is known.
     """
 
     indices: tuple
@@ -93,29 +94,52 @@ class TargetSet:
         """Targets at indices 0..r-1 (count-style specification)."""
         return cls(tuple(range(r)))
 
+    def check_range(self, n_items: int) -> None:
+        """Raise InvalidTargetError unless every index lies below n_items."""
+        if self.indices[-1] >= n_items:
+            raise InvalidTargetError(
+                f"target index {self.indices[-1]} out of range "
+                f"for n_items={n_items}"
+            )
+
 
 @dataclass(frozen=True)
 class SearchInstance:
-    """Full problem definition: (N, targets, averaging state, start state)."""
+    """A search problem as N, its targets and six target-split inner products.
+
+    products holds (<s_T|s_T>, <s_L|s_L>, <a_T|a_T>, <a_T|s_T>, <a_L|s_L>,
+    <a_L|a_L>); build it with `from_states` or `uniform_instance`.
+    """
 
     n_items: int
     targets: TargetSet
-    averaging: StateVector
-    start: StateVector
+    products: tuple
 
     def __post_init__(self):
         if self.n_items < 1:
             raise InvalidDimensionError(f"n_items must be >= 1, got {self.n_items}")
-        if self.averaging.dim != self.n_items or self.start.dim != self.n_items:
+        self.targets.check_range(self.n_items)
+
+    @classmethod
+    def from_states(cls, targets: TargetSet, averaging: StateVector, start: StateVector):
+        """The instance of explicit states, whose dimension is N, in O(N + r).
+
+        The off-target products are full products minus target ones, so no
+        N-length array is built.
+        """
+        if averaging.dim != start.dim:
             raise InvalidDimensionError(
-                f"state dimensions ({self.averaging.dim}, {self.start.dim}) "
-                f"do not match n_items={self.n_items}"
+                f"state dimensions ({averaging.dim}, {start.dim}) do not match"
             )
-        if self.targets.indices[-1] >= self.n_items:
-            raise InvalidTargetError(
-                f"target index {self.targets.indices[-1]} out of range "
-                f"for n_items={self.n_items}"
-            )
+        targets.check_range(start.dim)
+        idx = np.asarray(targets.indices, dtype=np.intp)
+        s, a = start.amplitudes, averaging.amplitudes
+        s_t, a_t = s[idx], a[idx]
+        ss_t, aa_t, as_t = np.vdot(s_t, s_t), np.vdot(a_t, a_t), np.vdot(a_t, s_t)
+        ss_l = np.vdot(s, s) - ss_t
+        aa_l = np.vdot(a, a) - aa_t
+        as_l = np.vdot(a, s) - as_t
+        return cls(start.dim, targets, (ss_t, ss_l, aa_t, as_t, as_l, aa_l))
 
 
 def uniform_state(n_items: int) -> StateVector:
@@ -139,37 +163,16 @@ def random_state(n_items: int, seed: int) -> StateVector:
 
 
 def uniform_instance(n_items: int, targets) -> SearchInstance:
-    """Uniform averaging and start states; targets may be a TargetSet or a count."""
+    """Uniform averaging and start states; targets may be a TargetSet or a count.
+
+    With s = a = u, every product is t = r/N or 1 - t, so no N-vector is built.
+    """
     if isinstance(targets, int):
         targets = TargetSet.first(targets)
-    u = uniform_state(n_items)
-    return SearchInstance(n_items=n_items, targets=targets, averaging=u, start=u)
-
-
-def _target_index_array(targets: TargetSet, dim: int) -> np.ndarray:
-    if targets.indices[-1] >= dim:
-        raise InvalidTargetError(
-            f"target index {targets.indices[-1]} out of range for dim={dim}"
-        )
-    return np.asarray(targets.indices, dtype=np.intp)
-
-
-def _target_products(instance: SearchInstance):
-    """The six inner products of the target split.
-
-    Returns (<s_T|s_T>, <s_L|s_L>, <a_T|a_T>, <a_T|s_T>, <a_L|s_L>,
-    <a_L|a_L>), complex.  The off-target products are full products minus
-    target ones, so the cost is O(N + r) and no N-length array is built.
-    """
-    idx = _target_index_array(instance.targets, instance.n_items)
-    s = instance.start.amplitudes
-    a = instance.averaging.amplitudes
-    s_t, a_t = s[idx], a[idx]
-    ss_t, aa_t, as_t = np.vdot(s_t, s_t), np.vdot(a_t, a_t), np.vdot(a_t, s_t)
-    ss_l = np.vdot(s, s) - ss_t
-    aa_l = np.vdot(a, a) - aa_t
-    as_l = np.vdot(a, s) - as_t
-    return ss_t, ss_l, aa_t, as_t, as_l, aa_l
+    if n_items < 1:
+        raise InvalidDimensionError(f"n_items must be >= 1, got {n_items}")
+    t = targets.r / n_items
+    return SearchInstance(n_items, targets, (t, 1.0 - t, t, t, 1.0 - t, 1.0 - t))
 
 
 def _check_drift(nrm: float, step: int) -> None:
@@ -188,7 +191,7 @@ class _ReducedBasis:
     """
 
     def __init__(self, instance: SearchInstance):
-        ss_t, ss_l, aa_t, as_t, as_l, aa_l = _target_products(instance)
+        ss_t, ss_l, aa_t, as_t, as_l, aa_l = instance.products
         self.gram = np.array(
             [
                 [ss_t, 0, np.conj(as_t), 0],

@@ -23,7 +23,7 @@ from .analytic import (
     success_prob_analytic,
     uniform_success_prob,
 )
-from .errors import GQSearchError, NeverSucceedsError, RegimeError, ValidityError
+from .errors import GQSearchError, NeverSucceedsError, ValidityError
 
 
 @dataclass(frozen=True)
@@ -128,7 +128,7 @@ def _check_phi(phi: float) -> None:
     if phi <= 0.0:
         raise ValueError(f"phi must be positive, got {phi}")
     if phi >= 0.5 * math.pi:
-        raise RegimeError(
+        raise ValidityError(
             f"phi={phi} is outside the small-angle regime (phi < pi/2)"
         )
 
@@ -188,17 +188,22 @@ def _scan_limit_error() -> GQSearchError:
     return GQSearchError(f"no optimum of n / P_k(n) found up to n = {_SCAN_LIMIT}")
 
 
-def _cheapest_iterations(prob, k: int, p_max: float):
+def _cheapest_iterations(prob, k: int, p_max: float, inverse_bound: float):
     """The n >= 1 minimizing n / P_k(n), P_k = 1 - (1 - p(n))^k, and that cost.
 
     prob maps an array of n to p(n) <= p_max.  Every cost is at least
     n / P_k(p_max), so no n >= best * P_k(p_max) can be cheaper than the
     best found: the scan stops there with the exact integer optimum.  Ties
-    go to the smaller n.  Raises NeverSucceedsError when P_k(p_max) is 0.
+    go to the smaller n.  Every cost is also at least 1 / inverse_bound, so
+    the scan runs at least to n = P_k(p_max) / inverse_bound; when that
+    passes _SCAN_LIMIT + _MAX_BLOCK, the scan must pass its limit and is
+    refused at once.  Raises NeverSucceedsError when P_k(p_max) is 0.
     """
     floor = parallel_success(p_max, k)
     if floor == 0.0:
         raise NeverSucceedsError("success probability is 0 for every n")
+    if floor > inverse_bound * (_SCAN_LIMIT + _MAX_BLOCK):
+        raise _scan_limit_error()
     best_n, best_cost, start = 0, math.inf, 1
     while start < best_cost * floor:
         if start > _SCAN_LIMIT:
@@ -214,20 +219,24 @@ def _cheapest_iterations(prob, k: int, p_max: float):
     return best_n, best_cost
 
 
-def restart_iterations(dec: Decomposition) -> int:
-    """Iterations n >= 1 per round minimizing n / p(n), for any start state.
+def restart_iterations(dec: Decomposition, k: int) -> int:
+    """Iterations n >= 1 per round minimizing n / P_k(n) for k agents, any start.
 
     p(n) is the closed form `success_prob_analytic`, at most its peak
     w_t + ((alpha^2 + beta^2)/2 + A/2), summed in the closed form's order so
     that the bound holds in floats too.  At phi = 0 (v = 0) p(n) is constant
-    and the bound is p(0) itself.  Ties go to the smaller n; raises
-    NeverSucceedsError when the bound is 0.
+    and the bound is p(0) itself.  |p'(n)| <= A phi and P_k <= k p give
+    cost(n) >= n / (k (p(0) + A phi n)) >= 1 / (k (p(0) + A phi)).  Ties go
+    to the smaller n; raises NeverSucceedsError when the peak is 0.
     """
+    p_0 = success_prob_analytic(dec, 0)
     if dec.phi == 0.0:
-        p_max = success_prob_analytic(dec, 0)
+        p_max = p_0
     else:
         p_max = min(1.0, dec.w_t + (0.5 * (dec.alpha**2 + dec.beta**2) + 0.5 * dec.amp))
-    return _cheapest_iterations(lambda ns: success_prob_analytic(dec, ns), 1, p_max)[0]
+    return _cheapest_iterations(
+        lambda ns: success_prob_analytic(dec, ns), k, p_max, k * (p_0 + dec.amp * dec.phi)
+    )[0]
 
 
 def parallel_cost_derivative(x: float, k: int) -> float:
@@ -277,14 +286,14 @@ def parallel_plan(r: int, n_items: int, k: int) -> ParallelPlan:
     n = 1, 2, ... stops at the best cost found (P_k <= 1, so cost(n) >= n);
     ties go to the smaller n.  With theta = asin(v), p(n) = sin^2((2n+1)
     theta) <= 9 n^2 theta^2 and P_k <= k p, so cost(n) >= max(n, 1 / (9 k n
-    theta^2)) >= 1 / (3 theta sqrt(k)).  When that bound passes the scan
-    limit, the plan is refused before scanning.
+    theta^2)) >= 1 / (3 theta sqrt(k)), the bound that refuses a hopeless
+    scan before it starts.
     """
     _check_plan_args(r, n_items, k)
     v = math.sqrt(r / n_items)
-    if 3.0 * math.asin(v) * math.sqrt(k) * _SCAN_LIMIT < 1.0:
-        raise _scan_limit_error()
-    n_best, cost = _cheapest_iterations(lambda ns: uniform_success_prob(v, ns), k, 1.0)
+    n_best, cost = _cheapest_iterations(
+        lambda ns: uniform_success_prob(v, ns), k, 1.0, 3.0 * math.asin(v) * math.sqrt(k)
+    )
     return ParallelPlan(
         agents=k,
         x=(1.0 + 2.0 * n_best) * v,

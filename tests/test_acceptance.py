@@ -25,6 +25,7 @@ from gqsearch import (
     parallel_trial_costs,
     punctuated_plan,
     random_state,
+    restart_iterations,
     rotation_angle,
     run_parallel,
     success_prob_analytic,
@@ -48,12 +49,7 @@ def test_criterion_01_simulator_analytic_equivalence():
         averaging = (
             uniform_state(n_items) if i % 2 == 0 else random_state(n_items, 1000 + i)
         )
-        inst = SearchInstance(
-            n_items=n_items,
-            targets=targets,
-            averaging=averaging,
-            start=random_state(n_items, 2000 + i),
-        )
+        inst = SearchInstance.from_states(targets, averaging, random_state(n_items, 2000 + i))
         sim = success_trajectory(inst, 50)
         ana = success_prob_analytic(decompose(inst), np.arange(51))
         worst = max(worst, float(np.max(np.abs(sim - ana))))
@@ -128,26 +124,26 @@ def test_criterion_04_grover_special_case():
 
 
 def test_criterion_05_single_agent_reduction():
+    # k = 1 two ways: the uniform planner, and the any-start planner on the
+    # decomposition of the same instance
     t0 = time.perf_counter()
     cases = [
         (1, 16), (1, 64), (2, 64), (1, 256), (3, 256),
         (1, 1024), (5, 1024), (2, 4096), (1, 16384), (7, 16384),
     ]
     worst = 0.0
-    points = 0
     for r, n_items in cases:
-        v = math.sqrt(r / n_items)
-        for n in range(1, 11):
-            lhs = expected_cost(n, parallel_success(uniform_success_prob(v, n), 1))
-            rhs = expected_cost(n, uniform_success_prob(v, n))
-            worst = max(worst, abs(lhs - rhs))
-            points += 1
+        plan = parallel_plan(r, n_items, 1)
+        dec = decompose(uniform_instance(n_items, r))
+        n = restart_iterations(dec, 1)
+        assert n == plan.n_int, f"criterion 05: n = {n} vs {plan.n_int} at r={r}, N={n_items}"
+        cost = expected_cost(n, success_prob_analytic(dec, n))
+        worst = max(worst, abs(cost - plan.expected_cost))
     elapsed = time.perf_counter() - t0
-    assert points == 100
     assert worst < 1e-12, f"criterion 05: max dev = {worst!r}"
     assert elapsed < 1.0, f"criterion 05: took {elapsed:.2f}s"
     print(
-        f"criterion 05 single-agent reduction over {points} points: PASS "
+        f"criterion 05 single-agent reduction over {len(cases)} plans: PASS "
         f"(max dev {worst:.1e})"
     )
 
@@ -265,14 +261,7 @@ def test_criterion_10_mean_amplitude_identities():
             + (n_items - r) * m.sigma_l**2
         )
         worst = max(worst, abs(total - 1.0))
-        dec = decompose(
-            SearchInstance(
-                n_items=n_items,
-                targets=targets,
-                averaging=uniform_state(n_items),
-                start=start,
-            )
-        )
+        dec = decompose(SearchInstance.from_states(targets, uniform_state(n_items), start))
         worst = max(worst, abs(dec.alpha - abs(m.k_bar) * math.sqrt(r)))
         worst = max(worst, abs(dec.beta - abs(m.l_bar) * math.sqrt(n_items - r)))
     elapsed = time.perf_counter() - t0

@@ -21,13 +21,14 @@ from gqsearch import (
     random_state,
     rotation_angle,
     success_prob_analytic,
+    success_probability,
     success_trajectory,
     uniform_instance,
     uniform_state,
     uniform_success_prob,
 )
 
-from dense_reference import dense_evolution, edge_instances
+from dense_reference import dense_evolution, edge_states
 
 
 def plane_instance(alpha, beta, b):
@@ -36,12 +37,7 @@ def plane_instance(alpha, beta, b):
     amps = np.zeros(4, dtype=complex)
     amps[0] = alpha
     amps += beta * np.exp(1j * b) * aprime
-    return SearchInstance(
-        n_items=4,
-        targets=TargetSet.first(1),
-        averaging=uniform_state(4),
-        start=StateVector(amps),
-    )
+    return SearchInstance.from_states(TargetSet.first(1), uniform_state(4), StateVector(amps))
 
 
 def test_rotation_angle_small_v():
@@ -88,11 +84,8 @@ def test_theta_stays_in_half_open_interval():
 
 
 def test_success_prob_matches_simulator_general_instance():
-    inst = SearchInstance(
-        n_items=40,
-        targets=TargetSet((1, 8, 22)),
-        averaging=random_state(40, 3),
-        start=random_state(40, 4),
+    inst = SearchInstance.from_states(
+        TargetSet((1, 8, 22)), random_state(40, 3), random_state(40, 4)
     )
     dec = decompose(inst)
     sim = success_trajectory(inst, 30)
@@ -128,12 +121,7 @@ def test_zero_overlap_decomposes_with_alpha_zero():
     # v = 0: |t> is undefined, so alpha = 0; Q never moves weight onto the
     # targets and p(n) = w_t
     averaging = StateVector(np.array([0.0, 1.0, 1.0, 1.0]) / math.sqrt(3.0))
-    inst = SearchInstance(
-        n_items=4,
-        targets=TargetSet.first(1),
-        averaging=averaging,
-        start=uniform_state(4),
-    )
+    inst = SearchInstance.from_states(TargetSet.first(1), averaging, uniform_state(4))
     dec = decompose(inst)
     assert dec.v == 0.0 and dec.phi == 0.0 and dec.alpha == 0.0
     assert abs(dec.beta - math.sqrt(3.0) / 2.0) < 1e-12
@@ -148,12 +136,7 @@ def test_full_overlap_decomposes_with_beta_zero():
     # v = 1: |a'> is undefined, so beta = b = 0 and p(n) = alpha^2 + w_t
     amps = np.zeros(4, dtype=complex)
     amps[0] = 1.0
-    inst = SearchInstance(
-        n_items=4,
-        targets=TargetSet.first(1),
-        averaging=StateVector(amps),
-        start=uniform_state(4),
-    )
+    inst = SearchInstance.from_states(TargetSet.first(1), StateVector(amps), uniform_state(4))
     dec = decompose(inst)
     assert dec.v == 1.0 and dec.phi == math.pi
     assert abs(dec.alpha - 0.5) < 1e-12
@@ -166,11 +149,12 @@ def test_full_overlap_decomposes_with_beta_zero():
     np.testing.assert_allclose(traj, 0.25, atol=1e-12)
 
 
-def assert_closed_form_matches_dense(inst, n_max):
+def assert_closed_form_matches_dense(states, n_max):
     # decompose reads the simulator's inner products, so the closed form is
     # also checked against the dense loop, which shares no code with either
-    dense_probs, _ = dense_evolution(inst, n_max)
-    closed = success_prob_analytic(decompose(inst), np.arange(n_max + 1))
+    dense_probs, _ = dense_evolution(*states, n_max)
+    dec = decompose(SearchInstance.from_states(*states))
+    closed = success_prob_analytic(dec, np.arange(n_max + 1))
     np.testing.assert_allclose(closed, dense_probs, rtol=0, atol=1e-10)
 
 
@@ -185,32 +169,32 @@ def test_closed_form_matches_dense(n_items, data):
         uniform = data.draw(st.booleans())
         return uniform_state(n_items) if uniform else random_state(n_items, seed + offset)
 
-    inst = SearchInstance(
-        n_items=n_items,
-        targets=TargetSet(targets),
-        averaging=state(0),
-        start=state(1),
-    )
-    assert_closed_form_matches_dense(inst, data.draw(st.integers(0, 100)))
+    states = (TargetSet(targets), state(0), state(1))
+    assert_closed_form_matches_dense(states, data.draw(st.integers(0, 100)))
 
 
 def test_closed_form_matches_dense_at_the_edges():
-    for name, inst in edge_instances().items():
+    for name, states in edge_states().items():
         try:
-            assert_closed_form_matches_dense(inst, 200)
+            assert_closed_form_matches_dense(states, 200)
         except AssertionError as exc:
             raise AssertionError(name) from exc
 
 
 def test_decompose_allocates_no_n_length_array():
-    inst = uniform_instance(2**20, 1)  # one N-vector is 16 MiB
+    # N = 2^40: one N-vector would be 16 TiB; the uniform instance, its
+    # reduction and a 1000-step walk take O(1) memory
     tracemalloc.start()
     try:
-        decompose(inst)
+        inst = uniform_instance(2**40, 1)
+        dec = decompose(inst)
+        p = success_probability(inst, 1000)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+    assert dec.v == 2.0**-20
+    assert abs(p - uniform_success_prob(dec.v, 1000)) < 1e-9
 
 
 def test_maximizers_of_the_oscillation():
@@ -279,14 +263,7 @@ def test_biham_mapping_identities_random_states():
             + (n_items - r) * m.sigma_l**2
         )
         assert abs(total - 1.0) < 1e-12
-        dec = decompose(
-            SearchInstance(
-                n_items=n_items,
-                targets=targets,
-                averaging=uniform_state(n_items),
-                start=start,
-            )
-        )
+        dec = decompose(SearchInstance.from_states(targets, uniform_state(n_items), start))
         assert abs(dec.alpha - abs(m.k_bar) * math.sqrt(r)) < 1e-12
         assert abs(dec.beta - abs(m.l_bar) * math.sqrt(n_items - r)) < 1e-12
         # residual weights are the scaled variances
@@ -319,12 +296,7 @@ def test_success_prob_is_periodic():
 
 
 def test_first_maximum_beats_grid_search():
-    inst = SearchInstance(
-        n_items=32,
-        targets=TargetSet((0, 1)),
-        averaging=uniform_state(32),
-        start=random_state(32, 23),
-    )
+    inst = SearchInstance.from_states(TargetSet((0, 1)), uniform_state(32), random_state(32, 23))
     dec = decompose(inst)
     n_peak, _ = first_maximum(dec)
     grid = np.linspace(0.0, 2.0 * math.pi / dec.phi, 10**4)

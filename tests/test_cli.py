@@ -1,10 +1,12 @@
 """End-to-end tests of the command-line interface and its file formats."""
 
+import dataclasses
 import json
 import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -102,12 +104,7 @@ def test_simulate_reads_state_files(tmp_path, capsys):
     )
     assert code == 0
     payload = json.loads(out)
-    inst = SearchInstance(
-        n_items=8,
-        targets=TargetSet((1,)),
-        averaging=uniform_state(8),
-        start=start,
-    )
+    inst = SearchInstance.from_states(TargetSet((1,)), uniform_state(8), start)
     traj = success_trajectory(inst, 5)
     for row in payload["rows"]:
         assert row["p_simulated"] == traj[row["n"]]
@@ -386,11 +383,28 @@ def test_plan_refuses_a_hopeless_scan_before_scanning(monkeypatch, capsys):
     def no_scan(*args):
         raise AssertionError("the scan ran")
 
-    monkeypatch.setattr(gqsearch.strategy, "_cheapest_iterations", no_scan)
+    monkeypatch.setattr(gqsearch.strategy, "uniform_success_prob", no_scan)
     code, out, err = run_cli(
         capsys, "plan", "--n-items", str(10**100), "--num-targets", "1", "--agents", "2"
     )
     assert code == 2 and out == "" and err.startswith("error:")
+
+
+def test_uniform_runs_at_huge_n(capsys):
+    # a uniform instance is six numbers: N = 2^30 needs no 16 GiB vector
+    code, out, err = run_cli(
+        capsys, "simulate", "--n-items", str(2**30), "--num-targets", "1"
+    )
+    assert code == 0 and err == ""
+    rows = json.loads(out)["rows"]
+    assert all(abs(row["p_simulated"] - row["p_analytic"]) < 1e-10 for row in rows)
+    # N = 10^20: the restart scan would pass its limit, so it is refused at once
+    t0 = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "montecarlo", "--n-items", str(10**20), "--num-targets", "1"
+    )
+    assert code == 2 and out == "" and "no optimum" in err
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_heatmap_trivial_cells():
@@ -544,6 +558,20 @@ def test_montecarlo_default_iterations_is_punctuated_optimum(capsys):
     assert payload["iterations"] == max(1, round(2.331122370414423 / (2.0 * phi)))
 
 
+def test_montecarlo_default_iterations_plans_for_the_agents(capsys):
+    # N = 2^20, r = 1: n / P_k(n) is least at 412 for two agents and 203
+    # for eight, where the one-agent n = 596 costs 610.8 and 596.0
+    for agents, n, cost in (("1", 596, 705.99), ("2", 412, 535.17), ("8", 203, 279.20)):
+        code, out, _ = run_cli(
+            capsys,
+            "montecarlo", "--n-items", str(2**20), "--num-targets", "1",
+            "--agents", agents, "--trials", "50",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["iterations"] == n and abs(payload["closed_form_cost"] - cost) < 0.01
+
+
 def test_montecarlo_default_iterations_for_a_general_start(capsys):
     # the uniform-start formula would pick n = 22, at 37,440 iterations per
     # success; one iteration costs 2,188
@@ -690,6 +718,28 @@ def test_verify_all_pass(capsys):
     assert lines[-1] == "all checks passed"
 
 
+def _late_restart(dec, k):
+    return gqsearch.strategy.restart_iterations(dec, k) + 1
+
+
+def _dear_plan(r, n_items, k):
+    plan = gqsearch.strategy.parallel_plan(r, n_items, k)
+    return dataclasses.replace(plan, expected_cost=plan.expected_cost * (1.0 + 1e-12))
+
+
+@pytest.mark.parametrize("name,broken", [
+    ("restart_iterations", _late_restart),
+    ("parallel_plan", _dear_plan),
+])
+def test_verify_fails_when_one_k1_path_breaks(monkeypatch, capsys, name, broken):
+    # the k = 1 check compares two planners; a fault in either must show
+    monkeypatch.setattr(gqsearch.cli, name, broken)
+    code, out, _ = run_cli(capsys, "verify")
+    assert code == 1
+    failed = [line for line in out.splitlines() if line.endswith("FAIL")]
+    assert len(failed) == 1 and failed[0].startswith("k1_reduction_max_dev = ")
+
+
 def test_bad_flags_fail_cleanly(capsys):
     # library-level validation surfaces as exit code 2 on stderr
     code, _, err = run_cli(capsys, "simulate", "--n-items", "4", "--targets", "9")
@@ -712,6 +762,11 @@ def test_bad_flags_fail_cleanly(capsys):
         capsys, "simulate", "--n-items", "8", "--targets", "1", "--start", "bogus"
     )
     assert code == 2 and err.startswith("error:")
+    # N is checked before r/N is formed
+    for command in ("simulate", "montecarlo"):
+        for n_items in ("0", "-4"):
+            code, out, err = run_cli(capsys, command, "--n-items", n_items, "--num-targets", "1")
+            assert code == 2 and out == "" and err.startswith("error: n_items must be >= 1")
     # argparse-level violations exit with SystemExit(2)
     with pytest.raises(SystemExit):
         main(["simulate", "--n-items", "8"])

@@ -11,7 +11,7 @@ from scipy.stats import chisquare
 
 import gqsearch.montecarlo as montecarlo
 from gqsearch import (
-    NonTerminatingError,
+    NeverSucceedsError,
     SearchInstance,
     StateVector,
     TargetSet,
@@ -83,9 +83,9 @@ def test_parallel_mean_matches_closed_form():
 
 
 def test_zero_probability_never_terminates():
-    with pytest.raises(NonTerminatingError):
+    with pytest.raises(NeverSucceedsError):
         run_parallel(0.0, 3, 1, 10, seed=0)
-    with pytest.raises(NonTerminatingError):
+    with pytest.raises(NeverSucceedsError):
         run_parallel(0.0, 3, 4, 10, seed=0)
 
 
@@ -110,12 +110,10 @@ def test_runs_are_reproducible_and_seed_sensitive():
 def test_statevector_variant_rejects_zero_support(tmp_path, capsys):
     # start and averaging both orthogonal to the target: p stays 0
     off = StateVector(np.array([0.0, 1.0, 1.0, 1.0]) / math.sqrt(3.0))
-    inst = SearchInstance(
-        n_items=4, targets=TargetSet.first(1), averaging=off, start=off
-    )
+    inst = SearchInstance.from_states(TargetSet.first(1), off, off)
     p = success_probability(inst, 1)
     assert p == 0.0
-    with pytest.raises(NonTerminatingError):
+    with pytest.raises(NeverSucceedsError):
         run_parallel(p, 1, 1, 5, seed=0)
     path = tmp_path / "off.txt"
     write_state_file(str(path), off)

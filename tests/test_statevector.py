@@ -23,7 +23,7 @@ from gqsearch import (
     uniform_state,
 )
 
-from dense_reference import dense_evolution, edge_instances, reduced_amplitudes
+from dense_reference import dense_evolution, edge_states, reduced_amplitudes, uniform_states
 
 
 def test_uniform_state_is_flat():
@@ -76,31 +76,45 @@ def test_target_set_rejects_bad_indices():
 
 def test_instance_validates():
     with pytest.raises(InvalidDimensionError):
-        SearchInstance(
-            n_items=4,
-            targets=TargetSet.first(1),
-            averaging=uniform_state(8),
-            start=uniform_state(4),
-        )
+        SearchInstance.from_states(TargetSet.first(1), uniform_state(8), uniform_state(4))
+    with pytest.raises(InvalidTargetError):
+        SearchInstance.from_states(TargetSet((7,)), uniform_state(4), uniform_state(4))
     with pytest.raises(InvalidTargetError):
         uniform_instance(4, TargetSet((7,)))
+    # N is checked before r/N is formed: no ZeroDivisionError at N = 0
+    for n_items in (0, -4):
+        with pytest.raises(InvalidDimensionError):
+            uniform_instance(n_items, 1)
+        with pytest.raises(InvalidDimensionError):
+            SearchInstance(n_items, TargetSet.first(1), (0.0,) * 6)
+
+
+def test_uniform_products_match_the_uniform_state():
+    # 1/sqrt(N) is exact at N = 4^j, so the vector products are exact and
+    # equal r/N and 1 - r/N bit for bit
+    for j in range(11):
+        n_items = 4**j
+        u = uniform_state(n_items)
+        for r in sorted({1, (n_items + 2) // 3, n_items}):
+            want = SearchInstance.from_states(TargetSet.first(r), u, u).products
+            got = uniform_instance(n_items, r).products
+            assert [complex(x) for x in got] == [complex(x) for x in want], (n_items, r)
 
 
 def test_grover_power_known_value():
     # N = 16, one target, three iterations: p = 251^2 / 2^16, an anchor
     # for both the reduced evolution and the dense reference
-    inst = uniform_instance(16, 1)
-    p = success_probability(inst, 3)
+    states = uniform_states(16, 1)
+    p = success_probability(uniform_instance(16, 1), 3)
     assert abs(p - 63001 / 65536) < 1e-12
-    assert abs(abs(reduced_amplitudes(inst, 3)[0]) ** 2 - 63001 / 65536) < 1e-12
-    assert abs(dense_evolution(inst, 3)[0][3] - 63001 / 65536) < 1e-12
+    assert abs(abs(reduced_amplitudes(*states, 3)[0]) ** 2 - 63001 / 65536) < 1e-12
+    assert abs(dense_evolution(*states, 3)[0][3] - 63001 / 65536) < 1e-12
 
 
 def test_grover_power_perfect_small_case():
     # N = 4, one target: a single iteration succeeds with certainty
-    inst = uniform_instance(4, 1)
-    assert abs(abs(reduced_amplitudes(inst, 1)[0]) ** 2 - 1.0) < 1e-12
-    assert abs(success_probability(inst, 1) - 1.0) < 1e-12
+    assert abs(abs(reduced_amplitudes(*uniform_states(4, 1), 1)[0]) ** 2 - 1.0) < 1e-12
+    assert abs(success_probability(uniform_instance(4, 1), 1) - 1.0) < 1e-12
 
 
 def test_success_probability_never_rounds_past_one():
@@ -119,9 +133,10 @@ def test_success_probability_never_rounds_past_one():
 def test_nan_target_weight_is_not_clipped_to_one():
     # n = 0 takes no step, so no norm check runs: a stale NaN amplitude on
     # a target must come out as NaN, which min(1, nan) would hide as 1.0
-    inst = uniform_instance(8, 1)
-    inst.start.amplitudes = inst.start.amplitudes.copy()
-    inst.start.amplitudes[0] = math.nan
+    targets, u, _ = uniform_states(8, 1)
+    u.amplitudes = u.amplitudes.copy()
+    u.amplitudes[0] = math.nan
+    inst = SearchInstance.from_states(targets, u, u)
     assert math.isnan(success_probability(inst, 0))
     assert math.isnan(success_trajectory(inst, 0)[0])
 
@@ -140,36 +155,29 @@ def test_success_probability_keeps_no_trajectory():
 
 
 def test_grover_power_zero_is_identity():
-    inst = uniform_instance(8, 2)
-    assert np.array_equal(reduced_amplitudes(inst, 0), inst.start.amplitudes)
-    for evolve in (reduced_amplitudes, success_probability, success_trajectory):
+    states = uniform_states(8, 2)
+    assert np.array_equal(reduced_amplitudes(*states, 0), states[2].amplitudes)
+    with pytest.raises(ValueError, match="non-negative"):
+        reduced_amplitudes(*states, -1)
+    for evolve in (success_probability, success_trajectory):
         with pytest.raises(ValueError, match="non-negative"):
-            evolve(inst, -1)
+            evolve(uniform_instance(8, 2), -1)
 
 
 def test_norm_preserved_over_long_run():
-    inst = SearchInstance(
-        n_items=64,
-        targets=TargetSet((0, 7, 9)),
-        averaging=uniform_state(64),
-        start=random_state(64, 5),
-    )
-    assert abs(np.linalg.norm(reduced_amplitudes(inst, 1000)) - 1.0) < 1e-12
+    states = (TargetSet((0, 7, 9)), uniform_state(64), random_state(64, 5))
+    assert abs(np.linalg.norm(reduced_amplitudes(*states, 1000)) - 1.0) < 1e-12
 
 
 def test_success_trajectory_matches_pointwise_powers():
     # the Gram-form target weight against |amplitude|^2 summed over the
     # targets of the N-vector Q^n|s> rebuilt from the coefficients
-    inst = SearchInstance(
-        n_items=32,
-        targets=TargetSet((3, 17)),
-        averaging=uniform_state(32),
-        start=random_state(32, 11),
-    )
+    states = (TargetSet((3, 17)), uniform_state(32), random_state(32, 11))
+    inst = SearchInstance.from_states(*states)
     traj = success_trajectory(inst, 10)
     assert traj.shape == (11,)
     for n in range(11):
-        amps = reduced_amplitudes(inst, n)
+        amps = reduced_amplitudes(*states, n)
         assert abs(traj[n] - np.sum(np.abs(amps[[3, 17]]) ** 2)) < 1e-12
         assert success_probability(inst, n) == traj[n]
 
@@ -187,29 +195,19 @@ def test_count_style_target_placement_is_immaterial():
 def test_random_instances_stay_normalized(n_items, data):
     r = data.draw(st.integers(1, n_items))
     seed = data.draw(st.integers(0, 2**31))
-    inst = SearchInstance(
-        n_items=n_items,
-        targets=TargetSet.first(r),
-        averaging=random_state(n_items, seed),
-        start=random_state(n_items, seed + 1),
-    )
-    traj = success_trajectory(inst, 12)
+    states = (TargetSet.first(r), random_state(n_items, seed), random_state(n_items, seed + 1))
+    traj = success_trajectory(SearchInstance.from_states(*states), 12)
     assert np.all(traj >= -1e-12)
     assert np.all(traj <= 1.0 + 1e-12)
-    assert abs(np.linalg.norm(reduced_amplitudes(inst, 12)) - 1.0) < 1e-12
+    assert abs(np.linalg.norm(reduced_amplitudes(*states, 12)) - 1.0) < 1e-12
 
 
 def test_rotation_plane_closure_and_residuals():
     # Q rotates only inside span{|t>, |a'>}; the target-space residual is
     # fixed and the non-target residual flips sign each step.
     n_items, targets = 16, (1, 5, 11)
-    inst = SearchInstance(
-        n_items=n_items,
-        targets=TargetSet(targets),
-        averaging=uniform_state(n_items),
-        start=random_state(n_items, 9),
-    )
-    a = inst.averaging.amplitudes
+    states = (TargetSet(targets), uniform_state(n_items), random_state(n_items, 9))
+    a = states[1].amplitudes
     mask = np.zeros(n_items, dtype=bool)
     mask[list(targets)] = True
     projected = np.where(mask, a, 0.0)
@@ -218,7 +216,7 @@ def test_rotation_plane_closure_and_residuals():
     aprime = np.where(mask, 0.0, a) / math.sqrt(1.0 - v**2)
 
     def residuals(step):
-        psi = reduced_amplitudes(inst, step)
+        psi = reduced_amplitudes(*states, step)
         in_span = abs(np.vdot(t, psi)) ** 2 + abs(np.vdot(aprime, psi)) ** 2
         res_t = np.where(mask, psi, 0.0) - np.vdot(t, psi) * t
         res_l = np.where(mask, 0.0, psi) - np.vdot(aprime, psi) * aprime
@@ -232,11 +230,12 @@ def test_rotation_plane_closure_and_residuals():
         assert np.abs(res_l - (-1.0) ** step * res_l0).max() < 1e-12
 
 
-def assert_matches_dense(inst, n, tol=1e-10):
+def assert_matches_dense(states, n, tol=1e-10):
     # the reduced-basis evolution against n dense O(N) passes
-    dense_probs, dense_amps = dense_evolution(inst, n)
-    np.testing.assert_allclose(success_trajectory(inst, n), dense_probs, rtol=0, atol=tol)
-    np.testing.assert_allclose(reduced_amplitudes(inst, n), dense_amps, rtol=0, atol=tol)
+    dense_probs, dense_amps = dense_evolution(*states, n)
+    traj = success_trajectory(SearchInstance.from_states(*states), n)
+    np.testing.assert_allclose(traj, dense_probs, rtol=0, atol=tol)
+    np.testing.assert_allclose(reduced_amplitudes(*states, n), dense_amps, rtol=0, atol=tol)
 
 
 @settings(max_examples=60, deadline=None)
@@ -246,54 +245,44 @@ def test_reduced_evolution_matches_dense(n_items, data):
     targets = data.draw(st.permutations(range(n_items)))[:r]
     seed = data.draw(st.integers(0, 2**31))
     n = data.draw(st.integers(0, 200))
-    inst = SearchInstance(
-        n_items=n_items,
-        targets=TargetSet(targets),
-        averaging=random_state(n_items, seed),
-        start=random_state(n_items, seed + 1),
-    )
-    assert_matches_dense(inst, n)
+    states = (TargetSet(targets), random_state(n_items, seed), random_state(n_items, seed + 1))
+    assert_matches_dense(states, n)
 
 
 def test_reduced_evolution_degenerate_cases():
-    for name, inst in edge_instances().items():
+    for name, states in edge_states().items():
         for n in (0, 1, 2, 7, 200):
             try:
-                assert_matches_dense(inst, n)
+                assert_matches_dense(states, n)
             except AssertionError as exc:
                 raise AssertionError(f"{name}, n={n}: {exc}") from exc
 
 
 def test_reduced_evolution_large_instance():
-    inst = SearchInstance(
-        n_items=4096,
-        targets=TargetSet((3, 17, 40, 1000)),
-        averaging=random_state(4096, 30),
-        start=random_state(4096, 31),
-    )
-    assert_matches_dense(inst, 300)
+    states = (TargetSet((3, 17, 40, 1000)), random_state(4096, 30), random_state(4096, 31))
+    assert_matches_dense(states, 300)
 
 
 def test_evolution_rejects_stale_averaging_norm():
     # the constructor validates, so force a stale norm to hit the per-step check
-    inst = uniform_instance(8, 1)
-    inst.averaging.amplitudes = inst.averaging.amplitudes * 2.0
+    states = uniform_states(8, 1)
+    states[1].amplitudes = states[1].amplitudes * 2.0
     with pytest.raises(NonUnitStateError, match="after 1 iterations"):
-        reduced_amplitudes(inst, 3)
+        reduced_amplitudes(*states, 3)
     with pytest.raises(NonUnitStateError, match="after 1 iterations"):
-        success_trajectory(inst, 3)
+        success_trajectory(SearchInstance.from_states(*states), 3)
     with pytest.raises(NonUnitStateError):
-        dense_evolution(inst, 3)
+        dense_evolution(*states, 3)
 
 
 def test_evolution_rejects_nan_averaging():
-    inst = uniform_instance(8, 1)
-    inst.averaging.amplitudes = inst.averaging.amplitudes.copy()
-    inst.averaging.amplitudes[5] = math.nan
+    states = uniform_states(8, 1)
+    states[1].amplitudes = states[1].amplitudes.copy()
+    states[1].amplitudes[5] = math.nan
     with pytest.raises(NonUnitStateError):
-        reduced_amplitudes(inst, 1)
+        reduced_amplitudes(*states, 1)
     with pytest.raises(NonUnitStateError):
-        success_trajectory(inst, 1)
+        success_trajectory(SearchInstance.from_states(*states), 1)
 
 
 def test_evolution_never_calls_the_closed_form(monkeypatch):
@@ -304,11 +293,6 @@ def test_evolution_never_calls_the_closed_form(monkeypatch):
 
     for name in ("decompose", "success_prob_analytic", "rotation_angle"):
         monkeypatch.setattr(gqsearch.analytic, name, boom)
-    inst = SearchInstance(
-        n_items=32,
-        targets=TargetSet((1, 9)),
-        averaging=random_state(32, 40),
-        start=random_state(32, 41),
-    )
-    assert success_trajectory(inst, 10).shape == (11,)
-    assert reduced_amplitudes(inst, 10).shape == (32,)
+    states = (TargetSet((1, 9)), random_state(32, 40), random_state(32, 41))
+    assert success_trajectory(SearchInstance.from_states(*states), 10).shape == (11,)
+    assert reduced_amplitudes(*states, 10).shape == (32,)

@@ -1,7 +1,9 @@
 """Tests for the punctuated and k-parallel strategy planners."""
 
+import collections
 import math
 import tracemalloc
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -16,7 +18,6 @@ from gqsearch import (
     NeverSucceedsError,
     SearchInstance,
     TargetSet,
-    RegimeError,
     ValidityError,
     cost_stddev,
     decompose,
@@ -131,9 +132,9 @@ def test_punctuated_plan_integer_is_true_argmin(phi):
 def test_punctuated_plan_regime():
     with pytest.raises(ValueError):
         punctuated_plan(0.0)
-    with pytest.raises(RegimeError):
+    with pytest.raises(ValidityError):
         punctuated_plan(0.5 * math.pi)
-    with pytest.raises(RegimeError):
+    with pytest.raises(ValidityError):
         max_probability_cost(2.0)
 
 
@@ -322,9 +323,9 @@ def test_break_even_coherence_time():
     assert abs(n_even / (max_probability_cost(phi)) - 0.5) < 1e-9
 
 
-def _brute_force_restart(instance, n_max):
+def _brute_force_restart(states, n_max):
     """n / p(n) over n = 1..n_max from the dense simulator, and its argmin."""
-    probs, _ = dense_evolution(instance, n_max)
+    probs, _ = dense_evolution(*states, n_max)
     ns = np.arange(1, n_max + 1)
     costs = np.full(n_max, np.inf)
     ok = probs[1:] > 0.0
@@ -342,18 +343,14 @@ def test_restart_iterations_matches_brute_force_over_simulator(n_items, data):
     targets = data.draw(
         st.lists(st.integers(0, n_items - 1), min_size=r, max_size=r, unique=True)
     )
-    inst = SearchInstance(
-        n_items=n_items,
-        targets=TargetSet(tuple(targets)),
-        averaging=uniform_state(n_items),
-        start=random_state(n_items, data.draw(st.integers(0, 2**31))),
-    )
-    dec = decompose(inst)
+    start = random_state(n_items, data.draw(st.integers(0, 2**31)))
+    states = (TargetSet(tuple(targets)), uniform_state(n_items), start)
+    dec = decompose(SearchInstance.from_states(*states))
     period = math.ceil(math.pi / dec.phi)
-    n = restart_iterations(dec)
+    n = restart_iterations(dec, 1)
     assert 1 <= n <= period
     # two periods of the simulator: nothing past the first is cheaper
-    costs, n_brute = _brute_force_restart(inst, 2 * period)
+    costs, n_brute = _brute_force_restart(states, 2 * period)
     assert costs[n - 1] <= costs.min() * (1.0 + 1e-9)
     if costs[n_brute - 1] < costs[n - 1] * (1.0 - 1e-9):
         pytest.fail(f"brute force n={n_brute} beats n={n}")
@@ -363,35 +360,37 @@ def test_restart_iterations_known_instances():
     # uniform starts keep the punctuated optimum round(x*/(2 phi))
     for n_items, r in ((256, 1), (4096, 1)):
         dec = decompose(uniform_instance(n_items, r))
-        assert restart_iterations(dec) == round(optimal_x_single() / (2.0 * dec.phi))
-    assert restart_iterations(decompose(uniform_instance(2**20, 16))) == 148
+        assert restart_iterations(dec, 1) == round(optimal_x_single() / (2.0 * dec.phi))
+    assert restart_iterations(decompose(uniform_instance(2**20, 16)), 1) == 148
+    # k agents at N = 2^20, r = 1: the one-agent n = 596 would cost 610.8
+    # at k = 2 and 596.0 at k = 8
+    dec = decompose(uniform_instance(2**20, 1))
+    for k, n, cost in ((1, 596, 705.99), (2, 412, 535.17), (8, 203, 279.20)):
+        assert restart_iterations(dec, k) == n
+        p = success_prob_analytic(dec, n)
+        assert abs(expected_cost(n, parallel_success(p, k)) - cost) < 0.01
     # a random start with three targets: the uniform-start n = 22 costs
     # 37,440 per success, a single iteration 2,188
-    inst = SearchInstance(
-        n_items=4096,
-        targets=TargetSet((3, 17, 40)),
-        averaging=uniform_state(4096),
-        start=random_state(4096, 7),
-    )
-    dec = decompose(inst)
-    assert restart_iterations(dec) == 1
-    costs, n_brute = _brute_force_restart(inst, math.ceil(math.pi / dec.phi))
+    states = (TargetSet((3, 17, 40)), uniform_state(4096), random_state(4096, 7))
+    dec = decompose(SearchInstance.from_states(*states))
+    assert restart_iterations(dec, 1) == 1
+    costs, n_brute = _brute_force_restart(states, math.ceil(math.pi / dec.phi))
     assert n_brute == 1 and round(costs[0]) == 2188 and round(costs[21]) == 37440
 
 
 def test_restart_iterations_ties_and_zero_probability():
     # v = 1/2: phi = pi/3, p(n) = 1/4, 1, 1/4, ... from the uniform start;
     # n = 1 is the unique optimum of the three-step period
-    assert restart_iterations(decompose(uniform_instance(4, 1))) == 1
+    assert restart_iterations(decompose(uniform_instance(4, 1)), 1) == 1
     # p(n) = 1/2 for every n (flat): the cost n / p grows with n
     flat = Decomposition.build(0.5, 0.0, 0.0, 0.0, w_t=0.5, w_l=0.5)
-    assert restart_iterations(flat) == 1
+    assert restart_iterations(flat, 1) == 1
     # n / p = 4 at n = 2, 3 and 4 exactly: the scan takes the smallest
     table = lambda ns: np.interp(ns, [1, 2, 3, 4], [0.0, 0.5, 0.75, 1.0])
-    assert strategy._cheapest_iterations(table, 1, 1.0) == (2, 4.0)
+    assert strategy._cheapest_iterations(table, 1, 1.0, math.inf) == (2, 4.0)
     never = Decomposition.build(0.5, 0.0, 0.0, 0.0, w_t=0.0, w_l=1.0)
     with pytest.raises(NeverSucceedsError):
-        restart_iterations(never)
+        restart_iterations(never, 1)
 
 
 def _scan_everything(prob, k, n_max):
@@ -444,10 +443,10 @@ def test_restart_iterations_matches_an_exhaustive_scan(v, alpha, beta, root_wt, 
     )
     if alpha == beta == root_wt == 0.0:
         with pytest.raises(NeverSucceedsError):
-            restart_iterations(dec)
+            restart_iterations(dec, 1)
         return
     want = _scan_everything(lambda ns: success_prob_analytic(dec, ns), 1, 2**18)
-    assert restart_iterations(dec) == want[0]
+    assert restart_iterations(dec, 1) == want[0]
 
 
 def test_parallel_plan_where_r_is_most_of_n():
@@ -481,28 +480,113 @@ def test_scan_limit_ends_endless_scans(monkeypatch):
     # phi = 0 and the start orthogonal to the peak: p(n) = 0 at every n,
     # although its bound A/2 + (alpha^2 + beta^2)/2 is 1
     with pytest.raises(GQSearchError):
-        restart_iterations(Decomposition.build(0.0, 0.0, 1.0, 0.0))
+        restart_iterations(Decomposition.build(0.0, 0.0, 1.0, 0.0), 1)
     # v = 1e-50: p(n) rounds to 0 far beyond any n a scan can reach
     with pytest.raises(GQSearchError):
         parallel_plan(1, 10**100, 2)
     assert parallel_plan(1, 2**16, 1).n_int == 148
 
 
+class _Scanned(Exception):
+    """Raised by a p(n) spy: the scan started."""
+
+
 def test_hopeless_plans_are_refused_before_scanning(monkeypatch):
-    scans = []
+    def spy(formula):
+        def prob(*args):
+            if np.ndim(args[-1]) > 0:  # p(n) over an array of n is the scan
+                raise _Scanned
+            return formula(*args)
+        return prob
 
-    def fake_scan(prob, k, p_max):
-        scans.append(k)
-        return 1, 1.0
-
-    monkeypatch.setattr(strategy, "_cheapest_iterations", fake_scan)
+    monkeypatch.setattr(strategy, "uniform_success_prob", spy(uniform_success_prob))
     # the cost bound 1 / (3 asin(2^-30)) = 3.6e8 stays below the limit 2^30
-    assert parallel_plan(1, 2**60, 1).n_int == 1 and scans == [1]
+    with pytest.raises(_Scanned):
+        parallel_plan(1, 2**60, 1)
     # 1 / (3 asin(2^-35) sqrt(2)) = 8.1e9 does not
     for n_items in (2**70, 10**100):
         with pytest.raises(GQSearchError, match="no optimum"):
             parallel_plan(1, n_items, 2)
     # r/N = 1e-400 rounds to v = 0, which is refused too
-    with pytest.raises(GQSearchError):
+    with pytest.raises(GQSearchError, match="no optimum"):
         parallel_plan(1, 10**400, 3)
-    assert scans == [1]
+    # the any-start planner: 1 / (p(0) + A phi) = 5e9 at N = 10^20
+    monkeypatch.setattr(strategy, "success_prob_analytic", spy(success_prob_analytic))
+    dec = decompose(uniform_instance(10**20, 1))
+    for k in (1, 4):
+        with pytest.raises(GQSearchError, match="no optimum"):
+            restart_iterations(dec, k)
+    with pytest.raises(_Scanned):
+        restart_iterations(decompose(uniform_instance(2**40, 1)), 1)
+
+
+def _refusal_outcomes(plan, *args):
+    """(outcome, bare outcome) of each scan plan(*args) runs.
+
+    The bare scan is the same call with the cost bound switched off.  An
+    outcome is ((n, cost) or the error message, whether p(n) was scanned).
+    """
+    outcomes = []
+    bare = strategy._cheapest_iterations
+
+    def run(prob, k, p_max, inverse_bound):
+        scanned = []
+
+        def counted(ns):
+            scanned.append(ns.size)
+            return prob(ns)
+
+        try:
+            return bare(counted, k, p_max, inverse_bound), bool(scanned)
+        except GQSearchError as exc:
+            return str(exc), bool(scanned)
+
+    def both(prob, k, p_max, inverse_bound):
+        outcomes.append((run(prob, k, p_max, inverse_bound), run(prob, k, p_max, math.inf)))
+        return 1, 1.0
+
+    with mock.patch.object(strategy, "_cheapest_iterations", both):
+        plan(*args)
+    return outcomes
+
+
+def test_refusal_before_scanning_never_changes_an_answer():
+    # with a limit of 4,096 and blocks of 64 the bound sits next to the
+    # limit on small inputs, so both refusals and answers occur
+    rng = np.random.default_rng(12)
+    seen = collections.Counter()
+    with mock.patch.multiple(strategy, _SCAN_LIMIT=2**12, _MAX_BLOCK=64):
+        cases = [
+            (parallel_plan, r, int(n_items), k)
+            for n_items in np.geomspace(10**5, 10**11, 60)
+            for r in (1, 3)
+            for k in (1, 2, 8, 64)
+        ]
+        for _ in range(600):
+            v = 10.0 ** rng.uniform(-6.0, -0.5)
+            alpha = 10.0 ** rng.uniform(-5.0, -0.5)
+            w_t = 10.0 ** rng.uniform(-10.0, -1.0)
+            rest = 1.0 - alpha**2 - w_t
+            beta = math.sqrt(rest * rng.uniform(0.5, 1.0))
+            dec = Decomposition.build(
+                v, alpha, beta, rng.uniform(0.0, 2.0 * math.pi),
+                w_t=w_t, w_l=rest - beta**2,
+            )
+            cases.append((restart_iterations, dec, int(rng.choice([1, 2, 3, 8, 64]))))
+        for plan, *args in cases:
+            for (got, scanned), (want, _) in _refusal_outcomes(plan, *args):
+                assert got == want, (plan.__name__, args)
+                kind = "refused" if not scanned else "failed" if isinstance(got, str) else "answered"
+                seen[plan.__name__, kind] += 1
+    for name in ("parallel_plan", "restart_iterations"):
+        assert seen[name, "answered"] > 0 and seen[name, "refused"] > 0, seen
+
+
+@settings(max_examples=300, deadline=None)
+@given(n_items=st.integers(1, 200), data=st.data())
+def test_restart_iterations_matches_parallel_plan_on_uniform_instances(n_items, data):
+    # the any-start planner on the decomposition against the uniform planner
+    r = data.draw(st.integers(1, n_items))
+    k = data.draw(st.sampled_from([1, 2, 3, 8, 64]))
+    dec = decompose(uniform_instance(n_items, r))
+    assert restart_iterations(dec, k) == parallel_plan(r, n_items, k).n_int
