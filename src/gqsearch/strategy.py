@@ -4,9 +4,9 @@ Punctuated search runs n iterations, measures, and restarts on failure;
 the expected cost n/p(n) is minimized near n = x*/(2 phi) where x* is the
 lowest positive root of x = tan(x/2).  k-parallel search races k
 independent agents per round at cost n / P_k(n), P_k = 1 - (1-p)^k.  One
-bounded integer scan gives the exact optimum of either, for any start
-state; a closed-form small-x approximation of the parallel optimum is
-valid for k >= 2.
+branch and bound over blocks of n gives the exact optimum of either, for
+any start state; a closed-form small-x approximation of the parallel
+optimum is valid for k >= 2.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ import numpy as np
 
 from .analytic import (
     Decomposition,
+    rotation_angle,
     success_prob_analytic,
     uniform_success_prob,
 )
@@ -177,57 +178,93 @@ def parallel_success(p, k: int):
     return float(p) if p.ndim == 0 else p
 
 
-# The scan of n / P_k(n) runs over blocks of 64, 128, ... n, at most
-# _MAX_BLOCK each.  Past n = _SCAN_LIMIT (20-40 s of scanning) it stops: a
-# p(n) that rounds to 0 at every n although p_max > 0 would never end.
+# The planner covers n <= _SCAN_LIMIT + _MAX_BLOCK: a p(n) that rounds to
+# 0 at every n although p_max > 0 would never end.  Each numpy pass holds at
+# most _MAX_BLOCK n.  _P_PAD is several times the rounding error of p(n).
 _MAX_BLOCK = 2**16
 _SCAN_LIMIT = 2**30
+_P_PAD = 2.0**-48
 
 
 def _scan_limit_error() -> GQSearchError:
     return GQSearchError(f"no optimum of n / P_k(n) found up to n = {_SCAN_LIMIT}")
 
 
-def _cheapest_iterations(prob, k: int, p_max: float, inverse_bound: float):
+def _block_bounds(prob, phase, k: int, p_max: float, starts, ends):
+    """A lower bound starts / P_k(top) of n / P_k(n) on each block starts..ends.
+
+    p(n) is a constant plus a cosine of phase(n), which grows with n; p is
+    monotone between peaks, where phase(n) is a multiple of 2 pi.  So top is
+    p_max on a block with a peak (or without a phase), else its larger end
+    value plus _P_PAD.  A peak that rounding moves out of a block lies
+    within a rounding error of its end, whose p is then the block's largest.
+    """
+    top = p_max
+    if phase is not None:
+        top = np.minimum(np.maximum(prob(starts), prob(ends)) + _P_PAD, p_max)
+        top[np.floor(phase(ends) / (2.0 * math.pi)) >= phase(starts) / (2.0 * math.pi)] = p_max
+    with np.errstate(divide="ignore"):
+        return starts / parallel_success(top, k)
+
+
+def _cheapest_iterations(prob, phase, k: int, p_max: float, inverse_bound: float):
     """The n >= 1 minimizing n / P_k(n), P_k = 1 - (1 - p(n))^k, and that cost.
 
-    prob maps an array of n to p(n) <= p_max.  Every cost is at least
-    n / P_k(p_max), so no n >= best * P_k(p_max) can be cheaper than the
-    best found: the scan stops there with the exact integer optimum.  Ties
-    go to the smaller n.  Every cost is also at least 1 / inverse_bound, so
-    the scan runs at least to n = P_k(p_max) / inverse_bound; when that
-    passes _SCAN_LIMIT + _MAX_BLOCK, the scan must pass its limit and is
-    refused at once.  Raises NeverSucceedsError when P_k(p_max) is 0.
+    prob maps an array of n to p(n) <= p_max, phase (or None) to p's cosine
+    argument.  Blocks of n up to best * P_k(p_max), past which no n can be
+    cheaper, are dropped when their `_block_bounds` exceeds the best cost
+    found, else split 64 ways down to single n, costed as a scan of every n
+    would: the exact optimum, ties to the smaller n.  A plan whose cost
+    bound 1 / inverse_bound puts the optimum past n = _SCAN_LIMIT +
+    _MAX_BLOCK is refused before any p(n) is computed; P_k(p_max) = 0
+    raises NeverSucceedsError.
     """
     floor = parallel_success(p_max, k)
     if floor == 0.0:
         raise NeverSucceedsError("success probability is 0 for every n")
-    if floor > inverse_bound * (_SCAN_LIMIT + _MAX_BLOCK):
+    reach = _SCAN_LIMIT + _MAX_BLOCK
+    if floor > inverse_bound * reach:
         raise _scan_limit_error()
-    best_n, best_cost, start = 0, math.inf, 1
-    while start < best_cost * floor:
-        if start > _SCAN_LIMIT:
-            raise _scan_limit_error()
-        # the block from n = 1 + 64 (2^j - 1) holds 64 * 2^j n, up to the cap
-        ns = np.arange(start, start + min(start + 63, _MAX_BLOCK), dtype=float)
+    best_n, best_cost = 0, math.inf
+
+    def visit(starts, size):
+        """Cost each block's first n; keep the blocks that may hold the optimum."""
+        nonlocal best_n, best_cost
         with np.errstate(divide="ignore"):
-            costs = ns / parallel_success(prob(ns), k)  # inf where p = 0
+            costs = starts / parallel_success(prob(starts), k)  # inf where p = 0
         i = int(np.argmin(costs))  # first occurrence
-        if costs[i] < best_cost:
-            best_n, best_cost = start + i, float(costs[i])
-        start += ns.size
+        if costs[i] < best_cost or (costs[i] == best_cost and starts[i] < best_n):
+            best_n, best_cost = int(starts[i]), float(costs[i])
+        if size == 1:
+            return np.empty(0)  # not a view, which would keep the leaves alive
+        ends = np.minimum(starts + (size - 1), last)
+        return starts[_block_bounds(prob, phase, k, p_max, starts, ends) <= best_cost]
+    visit(np.arange(1.0, 65.0), 1)
+    last = reach if best_cost * floor > reach else int(best_cost * floor)
+    size = 64
+    while last - 64 > 1024 * size:  # at most about 1,024 blocks on the top level
+        size *= 64
+    live = visit(np.arange(65.0, last + 1.0, size), size) if last > 64 else np.empty(0)
+    per = max(1, _MAX_BLOCK // 128)  # parents per pass: 64 blocks of two ends each
+    while live.size:
+        size //= 64
+        kids = np.arange(0.0, 64.0 * size, size)
+        chunks = ((live[i : i + per, None] + kids).ravel() for i in range(0, live.size, per))
+        live = np.concatenate([visit(starts[starts <= last], size) for starts in chunks])
+    if best_cost * floor > reach:
+        raise _scan_limit_error()
     return best_n, best_cost
 
 
 def restart_iterations(dec: Decomposition, k: int) -> int:
     """Iterations n >= 1 per round minimizing n / P_k(n) for k agents, any start.
 
-    p(n) is the closed form `success_prob_analytic`, at most its peak
-    w_t + ((alpha^2 + beta^2)/2 + A/2), summed in the closed form's order so
-    that the bound holds in floats too.  At phi = 0 (v = 0) p(n) is constant
-    and the bound is p(0) itself.  |p'(n)| <= A phi and P_k <= k p give
-    cost(n) >= n / (k (p(0) + A phi n)) >= 1 / (k (p(0) + A phi)).  Ties go
-    to the smaller n; raises NeverSucceedsError when the peak is 0.
+    p(n) is the closed form `success_prob_analytic` (phase 2 n phi - theta),
+    at most its peak w_t + ((alpha^2 + beta^2)/2 + A/2), summed in the
+    closed form's order so that the bound holds in floats too.  At phi = 0
+    (v = 0) p(n) is constant and the bound is p(0) itself.  |p'(n)| <= A phi
+    and P_k <= k p give cost(n) >= 1 / (k (p(0) + A phi)).  Ties go to the
+    smaller n; raises NeverSucceedsError when the peak is 0.
     """
     p_0 = success_prob_analytic(dec, 0)
     if dec.phi == 0.0:
@@ -235,7 +272,8 @@ def restart_iterations(dec: Decomposition, k: int) -> int:
     else:
         p_max = min(1.0, dec.w_t + (0.5 * (dec.alpha**2 + dec.beta**2) + 0.5 * dec.amp))
     return _cheapest_iterations(
-        lambda ns: success_prob_analytic(dec, ns), k, p_max, k * (p_0 + dec.amp * dec.phi)
+        lambda ns: success_prob_analytic(dec, ns), lambda ns: 2.0 * ns * dec.phi - dec.theta,
+        k, p_max, k * (p_0 + dec.amp * dec.phi),
     )[0]
 
 
@@ -263,7 +301,7 @@ def optimal_x_parallel_approx(k: int) -> float:
 
     x = sqrt((5 - 15k + sqrt(5) sqrt(225 k^2 - 30 k - 31)) / (15 k^2 - 3)),
     real and below 1 for every k >= 2.  Raises ValidityError for k < 2
-    (the self-consistency argument needs k >= 2; use the numeric scan).
+    (the self-consistency argument needs k >= 2; use parallel_plan).
     """
     if k < 2:
         raise ValidityError(f"closed form requires k >= 2, got {k}")
@@ -282,17 +320,19 @@ def _check_plan_args(r: int, n_items: int, k: int) -> None:
 def parallel_plan(r: int, n_items: int, k: int) -> ParallelPlan:
     """The exact integer optimum of the k-parallel cost n / P_k(n), any k >= 1.
 
-    p(n) is the uniform-start probability at v = sqrt(r/N).  The scan of
-    n = 1, 2, ... stops at the best cost found (P_k <= 1, so cost(n) >= n);
-    ties go to the smaller n.  With theta = asin(v), p(n) = sin^2((2n+1)
-    theta) <= 9 n^2 theta^2 and P_k <= k p, so cost(n) >= max(n, 1 / (9 k n
-    theta^2)) >= 1 / (3 theta sqrt(k)), the bound that refuses a hopeless
-    scan before it starts.
+    p(n) is the uniform-start probability at v = sqrt(r/N), phase (2n+1)
+    phi - pi.  No n past the best cost found can be cheaper (P_k <= 1, so
+    cost(n) >= n); ties go to the smaller n.  With theta = asin(v), p(n) =
+    sin^2((2n+1) theta) <= 9 n^2 theta^2 and P_k <= k p, so cost(n) >=
+    max(n, 1 / (9 k n theta^2)) >= 1 / (3 theta sqrt(k)), the bound that
+    refuses a hopeless plan before any p(n) is computed.
     """
     _check_plan_args(r, n_items, k)
     v = math.sqrt(r / n_items)
+    phi = rotation_angle(v)
     n_best, cost = _cheapest_iterations(
-        lambda ns: uniform_success_prob(v, ns), k, 1.0, 3.0 * math.asin(v) * math.sqrt(k)
+        lambda ns: uniform_success_prob(v, ns), lambda ns: (2.0 * ns + 1.0) * phi - math.pi,
+        k, 1.0, 3.0 * math.asin(v) * math.sqrt(k),
     )
     return ParallelPlan(
         agents=k,

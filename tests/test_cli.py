@@ -390,6 +390,26 @@ def test_plan_refuses_a_hopeless_scan_before_scanning(monkeypatch, capsys):
     assert code == 2 and out == "" and err.startswith("error:")
 
 
+def test_plan_past_the_limit_fails_without_walking_to_it(monkeypatch, capsys):
+    # 1 / (3 asin(v) sqrt(2)) lies in (2^30, 2^30 + 2^16]: the cost bound
+    # cannot refuse this plan, so the planner must find that no optimum lies
+    # within reach from a few p(n), not from every n up to 2^30
+    points = []
+
+    def counted(v, n):
+        points.append(np.size(n))
+        if sum(points) > 10**7:
+            raise AssertionError("the planner walks every n")
+        return uniform_success_prob(v, n)
+
+    monkeypatch.setattr(gqsearch.strategy, "uniform_success_prob", counted)
+    code, out, err = run_cli(
+        capsys, "plan", "--n-items", "20753853739645804544", "--num-targets", "1", "--agents", "2"
+    )
+    assert code == 2 and out == "" and "no optimum" in err
+    assert sum(points) < 10**6
+
+
 def test_uniform_runs_at_huge_n(capsys):
     # a uniform instance is six numbers: N = 2^30 needs no 16 GiB vector
     code, out, err = run_cli(

@@ -2,6 +2,7 @@
 
 import collections
 import math
+import re
 import tracemalloc
 from unittest import mock
 
@@ -41,6 +42,7 @@ from gqsearch import (
 )
 import gqsearch.strategy as strategy
 
+import scan_reference
 from dense_reference import dense_evolution
 
 
@@ -385,9 +387,9 @@ def test_restart_iterations_ties_and_zero_probability():
     # p(n) = 1/2 for every n (flat): the cost n / p grows with n
     flat = Decomposition.build(0.5, 0.0, 0.0, 0.0, w_t=0.5, w_l=0.5)
     assert restart_iterations(flat, 1) == 1
-    # n / p = 4 at n = 2, 3 and 4 exactly: the scan takes the smallest
+    # n / p = 4 at n = 2, 3 and 4 exactly: the planner takes the smallest
     table = lambda ns: np.interp(ns, [1, 2, 3, 4], [0.0, 0.5, 0.75, 1.0])
-    assert strategy._cheapest_iterations(table, 1, 1.0, math.inf) == (2, 4.0)
+    assert strategy._cheapest_iterations(table, None, 1, 1.0, math.inf) == (2, 4.0)
     never = Decomposition.build(0.5, 0.0, 0.0, 0.0, w_t=0.0, w_l=1.0)
     with pytest.raises(NeverSucceedsError):
         restart_iterations(never, 1)
@@ -472,6 +474,28 @@ def test_parallel_plan_memory_is_bounded(k):
     assert peak < 4 * 2**20
 
 
+@pytest.mark.parametrize("k, n_int", [(1, 625_755_891), (64, 75_262_488)])
+def test_parallel_plan_at_huge_n_is_sublinear(monkeypatch, k, n_int):
+    # a scan of every n evaluates 6.3e8 points at k = 1; the planner's passes
+    # hold at most _MAX_BLOCK points each
+    points = []
+
+    def counted(v, ns):
+        points.append(np.size(ns))
+        return uniform_success_prob(v, ns)
+
+    monkeypatch.setattr(strategy, "uniform_success_prob", counted)
+    tracemalloc.start()
+    try:
+        plan = parallel_plan(1, 2**60, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert plan.n_int == n_int
+    assert sum(points) < 10**6
+    assert peak < 4 * 2**20
+
+
 def test_scan_limit_ends_endless_scans(monkeypatch):
     monkeypatch.setattr(strategy, "_SCAN_LIMIT", 2**12)
     # the optimum n = 611,089 lies past the limit
@@ -529,7 +553,7 @@ def _refusal_outcomes(plan, *args):
     outcomes = []
     bare = strategy._cheapest_iterations
 
-    def run(prob, k, p_max, inverse_bound):
+    def run(prob, phase, k, p_max, inverse_bound):
         scanned = []
 
         def counted(ns):
@@ -537,12 +561,14 @@ def _refusal_outcomes(plan, *args):
             return prob(ns)
 
         try:
-            return bare(counted, k, p_max, inverse_bound), bool(scanned)
+            return bare(counted, phase, k, p_max, inverse_bound), bool(scanned)
         except GQSearchError as exc:
             return str(exc), bool(scanned)
 
-    def both(prob, k, p_max, inverse_bound):
-        outcomes.append((run(prob, k, p_max, inverse_bound), run(prob, k, p_max, math.inf)))
+    def both(prob, phase, k, p_max, inverse_bound):
+        outcomes.append(
+            (run(prob, phase, k, p_max, inverse_bound), run(prob, phase, k, p_max, math.inf))
+        )
         return 1, 1.0
 
     with mock.patch.object(strategy, "_cheapest_iterations", both):
@@ -590,3 +616,93 @@ def test_restart_iterations_matches_parallel_plan_on_uniform_instances(n_items, 
     k = data.draw(st.sampled_from([1, 2, 3, 8, 64]))
     dec = decompose(uniform_instance(n_items, r))
     assert restart_iterations(dec, k) == parallel_plan(r, n_items, k).n_int
+
+
+def _planner_args(plan, *args):
+    """The (prob, phase, k, p_max, inverse_bound) that plan(*args) plans with."""
+    seen = []
+
+    def capture(*planner_args):
+        seen.append(planner_args)
+        return 1, 1.0
+
+    with mock.patch.object(strategy, "_cheapest_iterations", capture):
+        plan(*args)
+    return seen[0]
+
+
+def _random_decomposition(rng, v):
+    alpha, beta, w_t, w_l = rng.uniform(0.0, 1.0, 4) ** 2
+    norm = math.sqrt(alpha**2 + beta**2 + w_t + w_l)
+    return Decomposition.build(
+        v, alpha / norm, beta / norm, rng.uniform(0.0, 2.0 * math.pi),
+        w_t=w_t / norm**2, w_l=w_l / norm**2,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    general=st.booleans(),
+    log_n_items=st.floats(1.0, 62.0),
+    k=st.sampled_from([1, 2, 3, 8, 64]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_block_bounds_never_exceed_a_cost_in_the_block(general, log_n_items, k, seed):
+    rng = np.random.default_rng(seed)
+    n_items = int(2.0**log_n_items)
+    r = int(rng.integers(1, n_items + 1)) if rng.uniform() < 0.5 else 1
+    if general:
+        dec = _random_decomposition(rng, math.sqrt(r / n_items))
+        prob, phase, _, p_max, _ = _planner_args(restart_iterations, dec, k)
+    else:
+        prob, phase, _, p_max, _ = _planner_args(parallel_plan, r, n_items, k)
+    # blocks of 1 to 4,096 n up to n = 2^30 next to, or around, a peak of p
+    # (phase a multiple of 2 pi), a trough (an odd multiple of pi) or any n:
+    # where p is flat, rounding decides which n of a block is largest
+    slope, offset = phase(1.0) - phase(0.0), phase(0.0)
+    turns = int(slope * 2**30 / (2.0 * math.pi))
+    starts, ends = [], []
+    for kind, side in rng.integers(0, 3, size=(24, 2)):
+        if kind < 2:
+            target = math.pi * (2 * int(rng.integers(0, turns + 1)) + kind)
+            centre = math.floor((target - offset) / slope)
+        else:
+            centre = int(rng.integers(1, 2**30))
+        size = 2 ** int(rng.integers(0, 13))
+        start = (centre - size, centre + 1, centre - int(rng.integers(0, size)))[side]
+        start = min(max(1, start), 2**30)
+        starts.append(start)
+        ends.append(start + size - 1)
+    bounds = strategy._block_bounds(
+        prob, phase, k, p_max, np.array(starts, dtype=float), np.array(ends, dtype=float)
+    )
+    for start, end, bound in zip(starts, ends, bounds):
+        ns = np.arange(start, end + 1, dtype=float)
+        with np.errstate(divide="ignore"):
+            costs = ns / parallel_success(prob(ns), k)
+        assert bound <= costs.min(), (start, end)
+
+
+@settings(max_examples=120, deadline=None)
+@given(log_n_items=st.floats(0.0, 40.0), data=st.data())
+def test_parallel_plan_matches_the_linear_scan(log_n_items, data):
+    n_items = int(2.0**log_n_items)
+    r = data.draw(st.one_of(st.integers(1, min(n_items, 16)), st.integers(1, n_items)))
+    k = data.draw(st.sampled_from([1, 2, 3, 8, 64]))
+    prob, _, _, p_max, inverse_bound = _planner_args(parallel_plan, r, n_items, k)
+    try:
+        want = scan_reference.cheapest_iterations(prob, k, p_max, inverse_bound)
+    except GQSearchError as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            parallel_plan(r, n_items, k)
+        return
+    plan = parallel_plan(r, n_items, k)
+    assert (plan.n_int, plan.expected_cost) == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(log_v=st.floats(-7.0, 0.0), k=st.sampled_from([2, 3, 8, 64]), seed=st.integers(0, 2**32 - 1))
+def test_restart_iterations_for_k_agents_matches_an_exhaustive_scan(log_v, k, seed):
+    dec = _random_decomposition(np.random.default_rng(seed), 2.0**log_v)
+    want = _scan_everything(lambda ns: success_prob_analytic(dec, ns), k, 2**18)
+    assert restart_iterations(dec, k) == want[0]
