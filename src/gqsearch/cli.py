@@ -350,9 +350,13 @@ _PLAN_CELLS = {
 PLAN_COLUMNS = tuple(_PLAN_CELLS)
 
 
+def _check_agents(k: int) -> None:
+    if k < 1:
+        raise ValueError(f"--agents must be >= 1, got {k}")
+
+
 def cmd_plan(args: argparse.Namespace):
-    if args.agents < 1:
-        raise ValueError(f"--agents must be >= 1, got {args.agents}")
+    _check_agents(args.agents)
     targets = _resolve_targets(args)
     if targets.indices[-1] >= args.n_items:
         raise ValueError(
@@ -452,12 +456,19 @@ MONTECARLO_COLUMNS = (
 
 
 def cmd_montecarlo(args: argparse.Namespace):
-    instance = _build_instance(args)
+    # the run's own options are checked before the instance is built or Q steps
+    _check_agents(args.agents)
+    if not 1 <= args.trials <= 2**32:
+        raise ValueError(f"--trials must lie in [1, 2^32], got {args.trials}")
+    if not 0 <= args.seed < 2**64:
+        raise ValueError(f"--seed must lie in [0, 2^64), got {args.seed}")
+    n = None
     if args.iterations is not None:
         n = _parse_iteration_single(args.iterations)
         if n < 1:
             raise ValueError("--iterations must be >= 1 for montecarlo")
-    else:
+    instance = _build_instance(args)
+    if n is None:
         n = restart_iterations(decompose(instance), args.agents)
 
     p = success_probability(instance, n)

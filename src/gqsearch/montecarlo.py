@@ -28,8 +28,8 @@ from .strategy import parallel_success
 ROUND_CAP = 10**9
 
 # The sampler draws at most this many trials at a time, which bounds its
-# working memory to O(_BLOCK_ELEMENTS) besides the costs.
-_BLOCK_ELEMENTS = 1 << 20
+# working memory to O(_BLOCK_ELEMENTS) besides the costs, if any are kept.
+_BLOCK_ELEMENTS = 1 << 16
 
 # SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the golden-ratio increment
 # and the two multipliers of its output function.
@@ -111,6 +111,28 @@ def _geometric_rounds(u: np.ndarray, p: float) -> np.ndarray:
     return u
 
 
+def _round_blocks(p: float, n: int, k: int, trials: int, seed: int, trial_start: int):
+    """Check the arguments, then return an iterator over blocks of round counts.
+
+    Each block is at most _BLOCK_ELEMENTS whole-number floats, the rounds
+    until first success of consecutive trials from trial_start on.  The
+    arguments are checked here, before any block is drawn.
+    """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    pk = parallel_success(p, k)
+    if pk == 0.0:
+        raise NeverSucceedsError("success probability 0; process cannot terminate")
+    _check_counters(seed, trial_start, trials)
+    end = trial_start + trials
+    return (
+        _geometric_rounds(trial_uniforms(seed, lo, min(_BLOCK_ELEMENTS, end - lo)), pk)
+        for lo in range(trial_start, end, _BLOCK_ELEMENTS)
+    )
+
+
 def parallel_trial_costs(
     p: float,
     n: int,
@@ -127,26 +149,39 @@ def parallel_trial_costs(
     success bias p.  A trial costs n per round; measurement and reset are
     free.  Trials are drawn in blocks of _BLOCK_ELEMENTS.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    pk = parallel_success(p, k)
-    if pk == 0.0:
-        raise NeverSucceedsError("success probability 0; process cannot terminate")
-    _check_counters(seed, trial_start, trials)
+    blocks = _round_blocks(p, n, k, trials, seed, trial_start)
     costs = np.empty(trials)
-    for lo in range(0, trials, _BLOCK_ELEMENTS):
-        u = trial_uniforms(seed, trial_start + lo, min(_BLOCK_ELEMENTS, trials - lo))
-        costs[lo:lo + u.size] = _geometric_rounds(u, pk)
+    lo = 0
+    for rounds in blocks:
+        costs[lo:lo + rounds.size] = rounds
+        lo += rounds.size
     costs *= float(n)
     return costs
 
 
 def run_parallel(p: float, n: int, k: int, trials: int, seed: int) -> Estimate:
-    """Estimate the k-agent parallel cost (parallel time; agent time is k-fold)."""
-    costs = parallel_trial_costs(p, n, k, trials, seed)
-    trials = int(costs.size)
-    mean = float(costs.mean())
-    stderr = float(costs.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    """Estimate the k-agent parallel cost (parallel time; agent time is k-fold).
+
+    The same trials as parallel_trial_costs, folded block by block into
+    running sums, so memory is O(_BLOCK_ELEMENTS) at any trial count.  A
+    block's rounds sum exactly, to at most _BLOCK_ELEMENTS * ROUND_CAP <
+    2^53, and the total is a Python int, so the mean n * total / trials is
+    correctly rounded.  Squared deviations add up per block about the block
+    mean, and blocks merge by Chan, Golub & LeVeque's pairwise update, whose
+    between-block term is an exact ratio of integers here.
+    """
+    total = 0  # rounds over the trials folded so far
+    done = 0
+    m2 = 0.0  # squared deviations of the rounds about their mean
+    for rounds in _round_blocks(p, n, k, trials, seed, 0):
+        size = rounds.size
+        block = int(rounds.sum())
+        rounds -= block / size
+        m2 += float(np.square(rounds, out=rounds).sum())
+        if done:  # size * done / (size + done) * (block / size - total / done)^2
+            m2 += (block * done - total * size) ** 2 / (size * done * (size + done))
+        total += block
+        done += size
+    mean = n * total / trials
+    stderr = n * math.sqrt(m2 / (trials - 1)) / math.sqrt(trials) if trials > 1 else 0.0
     return Estimate(mean=mean, stderr=stderr, trials=trials, seed=seed)

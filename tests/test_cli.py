@@ -619,6 +619,42 @@ def test_montecarlo_start_that_never_succeeds(tmp_path, capsys):
     assert code == 2 and err.startswith("error:") and out == ""
 
 
+@pytest.mark.parametrize(
+    "option,value,message",
+    [
+        ("--trials", "0", "--trials must lie in [1, 2^32], got 0"),
+        ("--trials", "5000000000", "--trials must lie in [1, 2^32], got 5000000000"),
+        ("--agents", "0", "--agents must be >= 1, got 0"),
+        ("--seed", "-1", "--seed must lie in [0, 2^64), got -1"),
+        ("--seed", str(2**64), f"--seed must lie in [0, 2^64), got {2**64}"),
+    ],
+)
+def test_montecarlo_checks_its_options_before_stepping_q(monkeypatch, capsys, option, value,
+                                                         message):
+    # a million Q steps took seconds before these options were refused
+    def never(*args):
+        raise AssertionError("called before the options were checked")
+
+    monkeypatch.setattr(gqsearch.cli, "success_probability", never)
+    monkeypatch.setattr(gqsearch.cli, "_build_instance", never)
+    code, out, err = run_cli(
+        capsys,
+        "montecarlo", "--n-items", "64", "--num-targets", "1", "--iterations", "1000000",
+        option, value,
+    )
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_montecarlo_accepts_the_ends_of_its_counter_range(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "montecarlo", "--n-items", "64", "--num-targets", "1", "--trials", "1",
+        "--seed", str(2**64 - 1),
+    )
+    assert code == 0 and err == ""
+    assert json.loads(out)["stderr"] == 0.0
+
+
 @pytest.mark.parametrize("agents", ["1", "2"])
 @pytest.mark.parametrize("n_items,r", [(12, 3), (48, 12), (3, 3)])
 def test_montecarlo_target_weight_rounding_past_one(capsys, n_items, r, agents):

@@ -1,10 +1,12 @@
 """Tests for the seeded Monte Carlo restart experiments."""
 
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scipy.stats import chisquare
@@ -52,6 +54,15 @@ def test_single_trial_has_zero_stderr():
     assert est.stderr == 0.0
 
 
+def test_certain_success_over_many_blocks_has_zero_stderr(monkeypatch):
+    # p_k = 1 exactly: once from p = 1, once from 1 - 0.1^64 rounding to 1
+    monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", 7)
+    for p, k in ((1.0, 1), (0.9, 64)):
+        assert parallel_success(p, k) == 1.0
+        est = run_parallel(p, 3, k, 100, seed=4)
+        assert (est.mean, est.stderr) == (3.0, 0.0)
+
+
 def test_trial_stream_partition_is_exact():
     full = trial_uniforms(9, 0, 100)
     parts = np.concatenate([trial_uniforms(9, 0, 37), trial_uniforms(9, 37, 63)])
@@ -97,6 +108,8 @@ def test_round_cap_raises():
         for k in (1, 3):
             with pytest.raises(TrialCapError):
                 parallel_trial_costs(p, 1, k, 4, seed=0)
+            with pytest.raises(TrialCapError):
+                run_parallel(p, 1, k, 4, seed=0)
 
 
 def test_runs_are_reproducible_and_seed_sensitive():
@@ -244,10 +257,55 @@ def test_draws_are_a_pure_function_of_trial_and_round():
 def test_coin_costs_do_not_depend_on_block(monkeypatch):
     full = parallel_trial_costs(0.2, 3, 4, 500, seed=17)
     assert np.unique(full).size > 3  # rounds vary across trials
+    est = run_parallel(0.2, 3, 4, 500, seed=17)
     for cap in (1, 7, montecarlo._BLOCK_ELEMENTS):
         monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", cap)
         costs = parallel_trial_costs(0.2, 3, 4, 500, seed=17)
         assert np.array_equal(costs, full)
+        folded = run_parallel(0.2, 3, 4, 500, seed=17)
+        assert folded.mean == est.mean
+        assert folded.stderr == pytest.approx(est.stderr, rel=1e-13, abs=0.0)
+
+
+def _exact_stderr(costs: np.ndarray, n: int) -> float:
+    """n sqrt(M2 / ((T-1) T)) from the integer round counts, M2 exact."""
+    rounds = (costs / n).astype(np.int64).tolist()
+    trials = len(rounds)
+    m2 = Fraction(sum(r * r for r in rounds)) - Fraction(sum(rounds) ** 2, trials)
+    return math.sqrt(float(n * n * m2 / ((trials - 1) * trials)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.floats(1e-3, 1.0),
+    n=st.integers(1, 10_000),
+    k=st.sampled_from([1, 2, 3, 8, 64]),
+    trials=st.integers(2, 3 * montecarlo._BLOCK_ELEMENTS + 5),
+    seed=st.integers(0, 2**64 - 1),
+    block=st.sampled_from([97, 4096, montecarlo._BLOCK_ELEMENTS]),
+)
+@example(p=0.0623, n=5, k=8, trials=3 * montecarlo._BLOCK_ELEMENTS + 5, seed=99,
+         block=montecarlo._BLOCK_ELEMENTS)
+def test_folded_estimate_matches_the_trial_costs(p, n, k, trials, seed, block):
+    # the running sums give the mean of the per-trial costs bit for bit
+    # (every total here is below 2^53) and the exact standard error
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(montecarlo, "_BLOCK_ELEMENTS", block)
+        costs = parallel_trial_costs(p, n, k, trials, seed)
+        est = run_parallel(p, n, k, trials, seed)
+    assert est.mean == float(costs.mean())
+    assert est.stderr == pytest.approx(_exact_stderr(costs, n), rel=1e-12, abs=0.0)
+
+
+def test_folded_estimate_keeps_no_per_trial_array():
+    # the coin call of the benchmark: 3e6 costs alone would take 23 MiB
+    tracemalloc.start()
+    try:
+        run_parallel(0.0623, 5, 8, 3_000_000, seed=99)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_counter_range_is_checked():
