@@ -34,7 +34,6 @@ from .montecarlo import (
     Estimate,
     parallel_trial_costs,
     run_parallel,
-    trial_uniforms,
 )
 from .statevector import (
     SearchInstance,
@@ -107,7 +106,6 @@ __all__ = [
     "success_prob_analytic",
     "success_probability",
     "success_trajectory",
-    "trial_uniforms",
     "uniform_instance",
     "uniform_state",
     "uniform_success_prob",

@@ -129,11 +129,18 @@ def _resolve_targets(args: argparse.Namespace) -> TargetSet:
     return TargetSet.first(args.num_targets)
 
 
+def _check_seed(name: str, seed: int) -> int:
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"{name} must lie in [0, 2^64), got {seed}")
+    return seed
+
+
 def _resolve_state(spec: str, n_items: int, allow_random: bool) -> StateVector:
     if spec == "uniform":
         return uniform_state(n_items)
     if spec.startswith("random:") and allow_random:
-        return random_state(n_items, int(spec.split(":", 1)[1]))
+        seed = _check_seed("--start random:<seed>", int(spec.split(":", 1)[1]))
+        return random_state(n_items, seed)
     if spec.startswith("file:"):
         state = read_state_file(spec.split(":", 1)[1])
         if state.dim != n_items:
@@ -217,10 +224,9 @@ def heatmap_grid(n_items: int, n_max: int) -> np.ndarray:
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     ns = np.arange(n_max + 1, dtype=float)
-    grid = np.column_stack(
+    return np.column_stack(
         [uniform_success_prob(math.sqrt(r / n_items), ns) for r in range(1, n_items + 1)]
     )
-    return np.clip(grid, 0.0, 1.0)
 
 
 def heatmap_to_pgm(grid: np.ndarray) -> bytes:
@@ -460,8 +466,7 @@ def cmd_montecarlo(args: argparse.Namespace):
     _check_agents(args.agents)
     if not 1 <= args.trials <= 2**32:
         raise ValueError(f"--trials must lie in [1, 2^32], got {args.trials}")
-    if not 0 <= args.seed < 2**64:
-        raise ValueError(f"--seed must lie in [0, 2^64), got {args.seed}")
+    _check_seed("--seed", args.seed)
     n = None
     if args.iterations is not None:
         n = _parse_iteration_single(args.iterations)

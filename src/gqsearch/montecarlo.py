@@ -6,11 +6,9 @@ on, so every run is a race of k coins of bias p per round (k = 1 is
 punctuated search).  The round count until the first success is sampled
 from its geometric distribution by inverse CDF, one uniform per trial.
 
-Every uniform comes from one counter-based generator (Salmon et al.,
-"Parallel random numbers: as easy as 1, 2, 3", SC 2011): the draw for
-trial t is element t of the SplitMix64 sequence for the seed, a pure
-function of (seed, t).  Any block of trials is therefore one numpy pass,
-and results never depend on how trials are split across calls or blocks.
+The uniforms are numpy's default_rng(seed).random(), drawn in trial order.
+Each double takes one 64-bit output of the generator, so results never
+depend on how the trials are split into blocks.
 """
 
 from __future__ import annotations
@@ -31,12 +29,6 @@ ROUND_CAP = 10**9
 # working memory to O(_BLOCK_ELEMENTS) besides the costs, if any are kept.
 _BLOCK_ELEMENTS = 1 << 16
 
-# SplitMix64 (Steele, Lea & Flood, OOPSLA 2014): the golden-ratio increment
-# and the two multipliers of its output function.
-_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
-
 
 @dataclass(frozen=True)
 class Estimate:
@@ -46,46 +38,6 @@ class Estimate:
     stderr: float
     trials: int
     seed: int
-
-
-def _check_counters(seed: int, trial_start: int, trials: int) -> None:
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
-    if trial_start < 0 or trials < 0:
-        raise ValueError("trial_start and trials must be non-negative")
-    if trial_start + trials > 2**32:
-        raise ValueError(
-            f"trials [{trial_start}, {trial_start + trials}) run past 2^32"
-        )
-
-
-def _mix64(z: np.ndarray) -> np.ndarray:
-    """The SplitMix64 output function, in place on a uint64 array."""
-    tmp = np.right_shift(z, np.uint64(30))
-    z ^= tmp
-    z *= _MIX1
-    np.right_shift(z, np.uint64(27), out=tmp)
-    z ^= tmp
-    z *= _MIX2
-    np.right_shift(z, np.uint64(31), out=tmp)
-    z ^= tmp
-    return z
-
-
-def trial_uniforms(seed: int, start: int, count: int) -> np.ndarray:
-    """Uniforms for trials [start, start + count); one draw per trial.
-
-    The draw for trial t is element t of the SplitMix64 sequence for `seed`,
-    mix64(seed + (t + 1) * GAMMA), shifted down to its top 53 bits k; the
-    uniform is u = k * 2^-53 in [0, 1), however trials are batched.
-    """
-    _check_counters(seed, start, count)
-    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    z *= _GAMMA
-    z += np.uint64(seed)
-    _mix64(z)
-    z >>= np.uint64(11)
-    return np.ldexp(z, -53)
 
 
 def _geometric_rounds(u: np.ndarray, p: float) -> np.ndarray:
@@ -111,12 +63,12 @@ def _geometric_rounds(u: np.ndarray, p: float) -> np.ndarray:
     return u
 
 
-def _round_blocks(p: float, n: int, k: int, trials: int, seed: int, trial_start: int):
+def _round_blocks(p: float, n: int, k: int, trials: int, seed: int):
     """Check the arguments, then return an iterator over blocks of round counts.
 
     Each block is at most _BLOCK_ELEMENTS whole-number floats, the rounds
-    until first success of consecutive trials from trial_start on.  The
-    arguments are checked here, before any block is drawn.
+    until first success of consecutive trials.  The arguments are checked
+    here, before any block is drawn.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -125,22 +77,16 @@ def _round_blocks(p: float, n: int, k: int, trials: int, seed: int, trial_start:
     pk = parallel_success(p, k)
     if pk == 0.0:
         raise NeverSucceedsError("success probability 0; process cannot terminate")
-    _check_counters(seed, trial_start, trials)
-    end = trial_start + trials
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
+    rng = np.random.default_rng(seed)
     return (
-        _geometric_rounds(trial_uniforms(seed, lo, min(_BLOCK_ELEMENTS, end - lo)), pk)
-        for lo in range(trial_start, end, _BLOCK_ELEMENTS)
+        _geometric_rounds(rng.random(min(_BLOCK_ELEMENTS, trials - lo)), pk)
+        for lo in range(0, trials, _BLOCK_ELEMENTS)
     )
 
 
-def parallel_trial_costs(
-    p: float,
-    n: int,
-    k: int,
-    trials: int,
-    seed: int,
-    trial_start: int = 0,
-) -> np.ndarray:
+def parallel_trial_costs(p: float, n: int, k: int, trials: int, seed: int) -> np.ndarray:
     """Per-trial parallel-time costs of the k-agent first-success race.
 
     Each round flips k independent coins of bias p; the round count until
@@ -149,7 +95,7 @@ def parallel_trial_costs(
     success bias p.  A trial costs n per round; measurement and reset are
     free.  Trials are drawn in blocks of _BLOCK_ELEMENTS.
     """
-    blocks = _round_blocks(p, n, k, trials, seed, trial_start)
+    blocks = _round_blocks(p, n, k, trials, seed)
     costs = np.empty(trials)
     lo = 0
     for rounds in blocks:
@@ -173,7 +119,7 @@ def run_parallel(p: float, n: int, k: int, trials: int, seed: int) -> Estimate:
     total = 0  # rounds over the trials folded so far
     done = 0
     m2 = 0.0  # squared deviations of the rounds about their mean
-    for rounds in _round_blocks(p, n, k, trials, seed, 0):
+    for rounds in _round_blocks(p, n, k, trials, seed):
         size = rounds.size
         block = int(rounds.sum())
         rounds -= block / size

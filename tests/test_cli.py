@@ -297,6 +297,20 @@ def test_random_start_is_deterministic(capsys):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("seed", ["-3", str(2**64)])
+def test_random_start_seed_has_the_seed_rule(capsys, seed):
+    # the --seed rule and wording, checked before numpy sees the seed
+    code, out, err = run_cli(
+        capsys, "simulate", "--n-items", "16", "--targets", "2", "--start", f"random:{seed}"
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: --start random:<seed> must lie in [0, 2^64), got {seed}\n"
+    code, _, _ = run_cli(
+        capsys, "simulate", "--n-items", "16", "--targets", "2", "--start", f"random:{2**64 - 1}"
+    )
+    assert code == 0
+
+
 def test_plan_json(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -756,11 +770,14 @@ def test_cli_import_does_not_load_scipy():
 def test_arbitrate_stddev_script_runs():
     script = Path(__file__).resolve().parents[1] / "scripts" / "arbitrate_stddev.py"
     result = subprocess.run(
-        [sys.executable, str(script), "--trials", "2000"], env=_env_with_package(),
+        [sys.executable, str(script)], env=_env_with_package(),
         capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.count("geometric") >= 4
+    # at the default 10^6 trials the alternative form is many standard
+    # errors away at every p, so no verdict rests on seed luck
+    verdicts = [line.split()[-1] for line in result.stdout.splitlines()[1:]]
+    assert verdicts == ["geometric"] * 4
 
 
 def test_verify_all_pass(capsys):

@@ -26,7 +26,6 @@ from gqsearch import (
     rotation_angle,
     run_parallel,
     success_probability,
-    trial_uniforms,
     uniform_instance,
 )
 from gqsearch.cli import main, write_state_file
@@ -61,20 +60,6 @@ def test_certain_success_over_many_blocks_has_zero_stderr(monkeypatch):
         assert parallel_success(p, k) == 1.0
         est = run_parallel(p, 3, k, 100, seed=4)
         assert (est.mean, est.stderr) == (3.0, 0.0)
-
-
-def test_trial_stream_partition_is_exact():
-    full = trial_uniforms(9, 0, 100)
-    parts = np.concatenate([trial_uniforms(9, 0, 37), trial_uniforms(9, 37, 63)])
-    assert np.array_equal(full, parts)
-    costs_full = parallel_trial_costs(0.4, 3, 1, 100, seed=9)
-    costs_parts = np.concatenate(
-        [
-            parallel_trial_costs(0.4, 3, 1, 50, seed=9),
-            parallel_trial_costs(0.4, 3, 1, 50, seed=9, trial_start=50),
-        ]
-    )
-    assert np.array_equal(costs_full, costs_parts)
 
 
 def test_parallel_equals_punctuated_at_boosted_bias():
@@ -147,8 +132,6 @@ def test_validation_errors():
         run_parallel(1.5, 3, 1, 10, seed=0)
     with pytest.raises(ValueError):
         parallel_trial_costs(0.5, 3, 0, 10, seed=0)
-    with pytest.raises(ValueError):
-        trial_uniforms(0, -1, 10)
 
 
 @settings(max_examples=25, deadline=None)
@@ -219,39 +202,18 @@ def test_consistency_grid_coverage():
 
 
 # ---------------------------------------------------------------------------
-# the counter-based generator behind every uniform
-
-SPLITMIX64_1234567 = [
-    6457827717110365317,
-    3203168211198807973,
-    9817491932198370423,
-    4593380528125082431,
-    16408922859458223821,
-]
+# the stream behind every uniform
 
 
-def test_mixer_matches_published_splitmix64():
-    # element i of the SplitMix64 sequence is mix64(seed + (i + 1) * gamma)
-    states = np.uint64(1234567) + np.arange(1, 6, dtype=np.uint64) * montecarlo._GAMMA
-    assert montecarlo._mix64(states).tolist() == SPLITMIX64_1234567
-    # trials 0..4 sit at positions 0..4: their top 53 bits, times 2^-53
-    assert trial_uniforms(1234567, 0, 5).tolist() == [
-        (v >> 11) * 2.0**-53 for v in SPLITMIX64_1234567
-    ]
-
-
-def test_draws_are_a_pure_function_of_trial_and_round():
-    # the draw for trial t depends on (seed, t) alone, not on the batch
-    block = trial_uniforms(5, 10, 10)
-    for t in (10, 14, 19):
-        assert block[t - 10] == trial_uniforms(5, t, 1)[0]
-    # trial t is element t of the sequence, here computed in Python integers
-    mask = 2**64 - 1
-    z = (5 + (12 + 1) * 0x9E3779B97F4A7C15) & mask
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-    z ^= z >> 31
-    assert block[2] == (z >> 11) * 2.0**-53
+def test_costs_follow_the_documented_stream():
+    # trial t inverts the geometric CDF of P_k at the t-th double of
+    # default_rng(seed), across block boundaries too
+    p, n, k, seed = 0.2, 3, 4, 1234567
+    trials = 2 * montecarlo._BLOCK_ELEMENTS + 5
+    u = np.random.default_rng(seed).random(trials)
+    pk = parallel_success(p, k)
+    expected = n * (np.floor(np.log1p(-u) / math.log1p(-pk)) + 1)
+    assert np.array_equal(parallel_trial_costs(p, n, k, trials, seed), expected)
 
 
 def test_coin_costs_do_not_depend_on_block(monkeypatch):
@@ -313,21 +275,18 @@ def test_counter_range_is_checked():
         parallel_trial_costs(0.5, 1, 1, 5, seed=-1)
     with pytest.raises(ValueError):
         parallel_trial_costs(0.5, 1, 1, 5, seed=2**64)
-    with pytest.raises(ValueError):
-        parallel_trial_costs(0.5, 1, 1, 5, seed=0, trial_start=2**32 - 4)
-    parallel_trial_costs(0.5, 1, 1, 4, seed=2**64 - 1, trial_start=2**32 - 4)
-    with pytest.raises(ValueError):
-        trial_uniforms(0, 2**32 - 1, 2)
-    assert trial_uniforms(0, 2**32 - 1, 1).shape == (1,)
+    assert parallel_trial_costs(0.5, 1, 1, 4, seed=2**64 - 1).shape == (4,)
 
 
-def test_uniforms_are_equidistributed_over_trials_and_rounds():
-    u = trial_uniforms(31, 0, 128_000)
-    assert u.min() >= 0.0 and u.max() < 1.0
-    observed = np.bincount((u * 256).astype(np.int64), minlength=256)
-    assert chisquare(observed).pvalue > 0.001
-    # consecutive trials t and t + 1 are independent: 16 x 16 cells over
-    # non-overlapping pairs
-    cells = (u[0::2] * 16).astype(np.int64) * 16 + (u[1::2] * 16).astype(np.int64)
-    observed = np.bincount(cells, minlength=256)
-    assert chisquare(observed).pvalue > 0.001
+def test_round_counts_are_geometric():
+    # sampled round counts against Geometric(P_k): cells 1, 2, ... and a
+    # tail cell holding at least 5 expected trials
+    p, trials = 0.05, 200_000
+    for k in (1, 8):
+        pk = parallel_success(p, k)
+        rounds = parallel_trial_costs(p, 1, k, trials, seed=31).astype(np.int64)
+        cells = 1 + int(math.log(5.0 / trials) / math.log1p(-pk))
+        observed = np.bincount(np.minimum(rounds, cells), minlength=cells + 1)[1:]
+        head = pk * (1.0 - pk) ** np.arange(cells - 1)  # P(R = r), r < cells
+        expected = trials * np.append(head, (1.0 - pk) ** (cells - 1))
+        assert chisquare(observed, expected).pvalue > 0.001, f"k={k}"
