@@ -10,12 +10,10 @@ restart experiments.  `cli` exposes all of it as the `gqsearch` command.
 """
 
 from .analytic import (
-    BihamMapping,
     Decomposition,
     biham_mapping,
     decompose,
     first_maximum,
-    optimal_iterations_analytic,
     rotation_angle,
     success_prob_analytic,
     uniform_success_prob,
@@ -31,7 +29,6 @@ from .errors import (
     ValidityError,
 )
 from .montecarlo import (
-    Estimate,
     parallel_trial_costs,
     run_parallel,
 )
@@ -46,7 +43,6 @@ from .statevector import (
     uniform_state,
 )
 from .strategy import (
-    CostStddev,
     ParallelPlan,
     PunctuatedPlan,
     cost_stddev,
@@ -54,7 +50,6 @@ from .strategy import (
     max_probability_cost,
     optimal_x_parallel_approx,
     optimal_x_single,
-    parallel_cost_derivative,
     parallel_plan,
     parallel_plan_closed_form,
     parallel_success,
@@ -66,10 +61,7 @@ from .strategy import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BihamMapping",
-    "CostStddev",
     "Decomposition",
-    "Estimate",
     "FlatProbabilityError",
     "GQSearchError",
     "InvalidDimensionError",
@@ -89,10 +81,8 @@ __all__ = [
     "expected_cost",
     "first_maximum",
     "max_probability_cost",
-    "optimal_iterations_analytic",
     "optimal_x_parallel_approx",
     "optimal_x_single",
-    "parallel_cost_derivative",
     "parallel_plan",
     "parallel_plan_closed_form",
     "parallel_success",

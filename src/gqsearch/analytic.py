@@ -172,31 +172,24 @@ def success_prob_analytic(dec: Decomposition, n):
     return float(p) if n_arr.ndim == 0 else p
 
 
-def optimal_iterations_analytic(dec: Decomposition, j: int):
-    """The j-th continuous maximizer of the oscillation and its peak value.
+def first_maximum(dec: Decomposition):
+    """The smallest non-negative continuous maximizer and its peak value.
 
-    Returns (n_j, value) with n_j = (theta + 2 pi j)/(2 phi) and value the
-    peak of the oscillating term, (alpha^2 + beta^2)/2 + A/2; the total
-    success probability there is w_t + value.  Rounding n_j to the nearest
-    integer lowers the probability by at most A phi^2 delta^2 + O(delta^4)
-    with delta <= 1/2.
+    Maxima sit at n_j = (theta + 2 pi j)/(2 phi); this returns the first
+    n_j >= 0 and the peak of the oscillating term, (alpha^2 + beta^2)/2 +
+    A/2, so the total success probability there is w_t + value.  Rounding
+    n_j to the nearest integer lowers the probability by at most
+    A phi^2 delta^2 + O(delta^4) with delta <= 1/2.
     """
-    if j < 0:
-        raise ValueError(f"j must be non-negative, got {j}")
     if dec.phi <= 0.0 or dec.amp <= FLAT_TOL * (dec.alpha**2 + dec.beta**2):
         raise FlatProbabilityError(
             "oscillation amplitude or rotation angle is 0; "
             "success probability is flat in n"
         )
+    j = max(0, math.ceil(-dec.theta / _TWO_PI))
     n_j = (dec.theta + _TWO_PI * j) / (2.0 * dec.phi)
     value = 0.5 * (dec.alpha**2 + dec.beta**2) + 0.5 * dec.amp
     return n_j, value
-
-
-def first_maximum(dec: Decomposition):
-    """The smallest non-negative continuous maximizer and its peak value."""
-    j = max(0, math.ceil(-dec.theta / _TWO_PI))
-    return optimal_iterations_analytic(dec, j)
 
 
 def uniform_success_prob(v: float, n):

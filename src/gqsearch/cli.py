@@ -40,7 +40,7 @@ from .analytic import (
     success_prob_analytic,
     uniform_success_prob,
 )
-from .errors import GQSearchError, ValidityError
+from .errors import GQSearchError, InvalidTargetError, ValidityError
 from .montecarlo import run_parallel
 from .statevector import (
     SearchInstance,
@@ -68,23 +68,23 @@ from .strategy import (
 # parsing and IO helpers
 
 
-def _parse_target_list(text: str) -> tuple:
+def _parse_int(option: str, text: str, part: str) -> int:
+    """int(part), where part is a piece of option's value text."""
     try:
-        return tuple(int(part) for part in text.split(","))
+        return int(part)
     except ValueError as exc:
-        raise ValueError(f"bad --targets value {text!r}: {exc}") from exc
+        raise ValueError(f"bad {option} value {text!r}: {exc}") from exc
+
+
+def _parse_target_list(text: str) -> tuple:
+    return tuple(_parse_int("--targets", text, part) for part in text.split(","))
 
 
 def _parse_iteration_range(text: str) -> tuple:
     """'a..b' or a single 'n' (meaning n..n); both ends inclusive."""
-    try:
-        if ".." in text:
-            lo_text, hi_text = text.split("..", 1)
-            lo, hi = int(lo_text), int(hi_text)
-        else:
-            lo = hi = int(text)
-    except ValueError as exc:
-        raise ValueError(f"bad --iterations value {text!r}: {exc}") from exc
+    lo_text, hi_text = text.split("..", 1) if ".." in text else (text, text)
+    lo = _parse_int("--iterations", text, lo_text)
+    hi = _parse_int("--iterations", text, hi_text)
     if lo < 0 or hi < lo:
         raise ValueError(f"bad --iterations range {text!r}")
     return lo, hi
@@ -139,8 +139,8 @@ def _resolve_state(spec: str, n_items: int, allow_random: bool) -> StateVector:
     if spec == "uniform":
         return uniform_state(n_items)
     if spec.startswith("random:") and allow_random:
-        seed = _check_seed("--start random:<seed>", int(spec.split(":", 1)[1]))
-        return random_state(n_items, seed)
+        seed = _parse_int("--start", spec, spec.split(":", 1)[1])
+        return random_state(n_items, _check_seed("--start random:<seed>", seed))
     if spec.startswith("file:"):
         state = read_state_file(spec.split(":", 1)[1])
         if state.dim != n_items:
@@ -341,7 +341,6 @@ _PLAN_CELLS = {
     "punct_n_opt": ("punctuated", "n_opt"),
     "punct_n_int": ("punctuated", "n_int"),
     "punct_expected_cost": ("punctuated", "expected_cost"),
-    "punct_stddev_alt": ("punctuated", "stddev_alt"),
     "punct_stddev_geometric": ("punctuated", "stddev_geometric"),
     "max_probability_cost": ("punctuated", "max_probability_cost"),
     "speedup_ratio": ("punctuated", "speedup_ratio"),
@@ -363,12 +362,17 @@ def _check_agents(k: int) -> None:
 
 def cmd_plan(args: argparse.Namespace):
     _check_agents(args.agents)
-    targets = _resolve_targets(args)
-    if targets.indices[-1] >= args.n_items:
-        raise ValueError(
-            f"target index {targets.indices[-1]} out of range for --n-items {args.n_items}"
-        )
-    r = targets.r
+    # only r and the largest index matter: a count builds no index tuple
+    if args.targets is None:
+        r = args.num_targets
+        if r < 1:
+            raise InvalidTargetError("target set is empty")
+        top = r - 1
+    else:
+        targets = TargetSet(_parse_target_list(args.targets))
+        r, top = targets.r, targets.indices[-1]
+    if top >= args.n_items:
+        raise ValueError(f"target index {top} out of range for --n-items {args.n_items}")
     v = math.sqrt(r / args.n_items)
     phi = rotation_angle(v)
     try:
@@ -381,7 +385,6 @@ def cmd_plan(args: argparse.Namespace):
             "n_opt": plan.n_opt,
             "n_int": plan.n_int,
             "expected_cost": plan.expected_cost,
-            "stddev_alt": plan.stddev_alt,
             "stddev_geometric": plan.stddev_geometric,
             "max_probability_cost": baseline,
             "speedup_ratio": plan.expected_cost / baseline,
@@ -577,7 +580,7 @@ def _verify_checks(seed: int) -> list:
 
 
 def cmd_verify(args: argparse.Namespace):
-    checks = _verify_checks(args.seed)
+    checks = _verify_checks(_check_seed("--seed", args.seed))
     lines = []
     all_pass = True
     for name, measured, expected, tol in checks:

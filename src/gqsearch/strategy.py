@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -33,15 +32,13 @@ class PunctuatedPlan:
 
     n_opt is the continuous optimum, n_int its rounding (>= 1);
     expected_cost is n_int / p(n_int) under the plan's probability model
-    p(n) = sin^2(n phi).  Both candidate cost standard deviations are
-    carried: stddev_geometric from the geometric restart distribution and
-    stddev_alt from the alternative closed form (see cost_stddev).
+    p(n) = sin^2(n phi), and stddev_geometric the cost's standard deviation
+    (see cost_stddev).
     """
 
     n_opt: float
     n_int: int
     expected_cost: float
-    stddev_alt: float
     stddev_geometric: float
 
 
@@ -54,11 +51,6 @@ class ParallelPlan:
     n_opt: float
     n_int: int
     expected_cost: float
-
-
-class CostStddev(NamedTuple):
-    alt: float
-    geometric: float
 
 
 def _validate_np(n, p) -> None:
@@ -79,20 +71,14 @@ def expected_cost(n, p: float) -> float:
     return n / p
 
 
-def cost_stddev(n, p: float) -> CostStddev:
-    """Both candidate standard deviations of the punctuated cost.
+def cost_stddev(n, p: float) -> float:
+    """Standard deviation n*sqrt(1-p)/p of the punctuated cost.
 
-    geometric: n*sqrt(1-p)/p, the geometric-distribution deviation.
-    alt: (n/p)*sqrt((1-p)(1-p+p^2)), an alternative closed form; the two
-    agree to leading order for small p and Monte Carlo arbitrates between
-    them at moderate p (the data supports the geometric form).
+    The round count until the first success is geometric with parameter p,
+    so its deviation is sqrt(1-p)/p rounds of n iterations each.
     """
     _validate_np(n, p)
-    q = 1.0 - p
-    return CostStddev(
-        alt=(n / p) * math.sqrt(q * (q + p * p)),
-        geometric=n * math.sqrt(q) / p,
-    )
+    return n * math.sqrt(1.0 - p) / p
 
 
 @functools.cache
@@ -150,14 +136,11 @@ def punctuated_plan(phi: float) -> PunctuatedPlan:
     n_opt = optimal_x_single() / (2.0 * phi)
     n_int = max(1, round(n_opt))
     p = punctuated_success_prob(n_int, phi)
-    cost = expected_cost(n_int, p)
-    sd = cost_stddev(n_int, p)
     return PunctuatedPlan(
         n_opt=n_opt,
         n_int=n_int,
-        expected_cost=cost,
-        stddev_alt=sd.alt,
-        stddev_geometric=sd.geometric,
+        expected_cost=expected_cost(n_int, p),
+        stddev_geometric=cost_stddev(n_int, p),
     )
 
 
@@ -275,25 +258,6 @@ def restart_iterations(dec: Decomposition, k: int) -> int:
         lambda ns: success_prob_analytic(dec, ns), lambda ns: 2.0 * ns * dec.phi - dec.theta,
         k, p_max, k * (p_0 + dec.amp * dec.phi),
     )[0]
-
-
-def parallel_cost_derivative(x: float, k: int) -> float:
-    """d/dx of the large-n parallel cost x / (1 - cos^{2k} x).
-
-    Evaluates (1 - cos^{2k}(x) (1 + 2 k x tan x)) / (1 - cos^{2k}(x))^2
-    in the product form that stays finite as x -> pi/2.  Valid on
-    0 < x < pi/2; the x -> 0 end is singular (denominator -> 0).
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if not 0.0 < x < 0.5 * math.pi:
-        raise ValueError(f"x must lie in (0, pi/2), got {x}")
-    c = math.cos(x)
-    s = math.sin(x)
-    c2k = c ** (2 * k)
-    num = 1.0 - c2k - 2.0 * k * x * c ** (2 * k - 1) * s
-    den = (1.0 - c2k) ** 2
-    return num / den
 
 
 def optimal_x_parallel_approx(k: int) -> float:

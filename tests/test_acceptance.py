@@ -9,6 +9,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from gqsearch import (
     SearchInstance,
@@ -197,24 +198,37 @@ def test_criterion_07_monte_carlo_agreement():
     )
 
 
-def test_criterion_08_stddev_arbitration():
-    p, n, trials = 0.5, 1, 10**6
-    costs = parallel_trial_costs(p, n, 1, trials, seed=8)
+# (p, geometric form, alternative form) of the cost deviation at n = 1
+STDDEV_CASES = (
+    (0.05, 19.4936, 19.0250),
+    (0.2, 4.4721, 4.0988),
+    (0.5, 1.4142, 1.2247),
+    (0.8, 0.5590, 0.5123),
+)
+
+
+@pytest.mark.parametrize("i", range(len(STDDEV_CASES)), ids=lambda i: f"p={STDDEV_CASES[i][0]}")
+def test_criterion_08_stddev_arbitration(i):
+    p, geometric_value, alt_value = STDDEV_CASES[i]
+    n, trials = 1, 10**6
+    costs = parallel_trial_costs(p, n, 1, trials, seed=8 + i)  # one stream per p
     s = float(costs.std(ddof=1))
     m = float(costs.mean())
     m4 = float(np.mean((costs - m) ** 4))
     # large-sample standard error of the sample standard deviation
     se = math.sqrt((m4 - s**4) / (4.0 * s * s * trials))
-    forms = cost_stddev(n, p)
-    d_geometric = abs(s - forms.geometric) / se
-    d_alt = abs(s - forms.alt) / se
-    assert abs(forms.geometric - 1.4142) < 1e-4
-    assert abs(forms.alt - 1.2247) < 1e-4
-    assert d_alt > 10.0, f"criterion 08: alt form only {d_alt:.1f} se away"
-    assert d_geometric < 10.0, f"criterion 08: geometric form {d_geometric:.1f} se away"
+    geometric = cost_stddev(n, p)
+    # the refuted alternative closed form, kept here to show why it went
+    alt = (n / p) * math.sqrt((1.0 - p) * (1.0 - p + p * p))
+    d_geometric = abs(s - geometric) / se
+    d_alt = abs(s - alt) / se
+    assert abs(geometric - geometric_value) < 1e-4
+    assert abs(alt - alt_value) < 1e-4
+    assert d_alt > 10.0, f"criterion 08: p={p}: alt form only {d_alt:.1f} se away"
+    assert d_geometric < 10.0, f"criterion 08: p={p}: geometric form {d_geometric:.1f} se away"
     print(
-        f"criterion 08 stddev arbitration: PASS (sample sd {s:.4f}; geometric form "
-        f"{forms.geometric:.4f} at {d_geometric:.1f} se, alt form {forms.alt:.4f} at "
+        f"criterion 08 stddev arbitration at p={p}: PASS (sample sd {s:.4f}; geometric "
+        f"form {geometric:.4f} at {d_geometric:.1f} se, alt form {alt:.4f} at "
         f"{d_alt:.1f} se; the data supports the geometric formula)"
     )
 

@@ -17,7 +17,6 @@ from gqsearch import (
     biham_mapping,
     decompose,
     first_maximum,
-    optimal_iterations_analytic,
     random_state,
     rotation_angle,
     success_prob_analytic,
@@ -105,7 +104,7 @@ def test_flat_probability_instance():
     traj = success_trajectory(inst, 8)
     np.testing.assert_allclose(traj, 0.5, atol=1e-12)
     with pytest.raises(FlatProbabilityError):
-        optimal_iterations_analytic(dec, 0)
+        first_maximum(dec)
 
 
 def test_zero_rotation_is_a_flat_probability():
@@ -203,10 +202,8 @@ def test_maximizers_of_the_oscillation():
     assert n0 >= 0.0
     assert abs(n0 - (0.5 * math.pi / dec.phi - 0.5)) < 1e-9
     assert abs(peak + dec.w_t - 1.0) < 1e-12
-    n1, _ = optimal_iterations_analytic(dec, 1)
-    assert abs((n1 - n0) - math.pi / dec.phi) < 1e-12
-    with pytest.raises(ValueError):
-        optimal_iterations_analytic(dec, -1)
+    # the next maximum is one period, pi / phi, later
+    assert abs(success_prob_analytic(dec, n0 + math.pi / dec.phi) - 1.0) < 1e-12
 
 
 def test_maximizer_rounding_loss_is_quadratic():

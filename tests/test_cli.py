@@ -7,7 +7,7 @@ import os
 import subprocess
 import sys
 import time
-from pathlib import Path
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -311,6 +311,23 @@ def test_random_start_seed_has_the_seed_rule(capsys, seed):
     assert code == 0
 
 
+@pytest.mark.parametrize("seed", ["abc", ""])
+def test_random_start_seed_must_be_an_integer(capsys, seed):
+    code, out, err = run_cli(
+        capsys, "simulate", "--n-items", "16", "--targets", "2", "--start", f"random:{seed}"
+    )
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: bad --start value 'random:{seed}': invalid literal")
+
+
+@pytest.mark.parametrize("seed", ["-3", str(2**64)])
+def test_verify_seed_has_the_seed_rule(capsys, seed):
+    code, out, err = run_cli(capsys, "verify", "--seed", seed)
+    assert code == 2 and out == ""
+    assert err == f"error: --seed must lie in [0, 2^64), got {seed}\n"
+    assert run_cli(capsys, "verify", "--seed", str(2**64 - 1))[0] == 0
+
+
 def test_plan_json(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -340,6 +357,32 @@ def test_plan_single_agent_csv(capsys):
 def test_plan_rejects_out_of_range_targets(capsys):
     code, _, err = run_cli(capsys, "plan", "--n-items", "16", "--targets", "20")
     assert code == 2 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--num-targets", "0", "target set is empty"),
+    ("--num-targets", "-3", "target set is empty"),
+    ("--num-targets", "17", "target index 16 out of range for --n-items 16"),
+    ("--targets", "3,20", "target index 20 out of range for --n-items 16"),
+    ("--targets", "3,3", "duplicate target indices"),
+])
+def test_plan_target_errors(capsys, flag, value, message):
+    code, out, err = run_cli(capsys, "plan", "--n-items", "16", flag, value)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_plan_builds_no_target_list(capsys):
+    # plan needs only r: a count of 10^6 targets allocates no index tuple
+    tracemalloc.start()
+    try:
+        code = main(["plan", "--n-items", str(2**40), "--num-targets", str(10**6)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr().out
+    assert code == 0 and json.loads(out)["r"] == 10**6
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize("agents", ["0", "-2"])
@@ -767,19 +810,6 @@ def test_cli_import_does_not_load_scipy():
     assert result.stdout.strip() == "False"
 
 
-def test_arbitrate_stddev_script_runs():
-    script = Path(__file__).resolve().parents[1] / "scripts" / "arbitrate_stddev.py"
-    result = subprocess.run(
-        [sys.executable, str(script)], env=_env_with_package(),
-        capture_output=True, text=True, timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
-    # at the default 10^6 trials the alternative form is many standard
-    # errors away at every p, so no verdict rests on seed luck
-    verdicts = [line.split()[-1] for line in result.stdout.splitlines()[1:]]
-    assert verdicts == ["geometric"] * 4
-
-
 def test_verify_all_pass(capsys):
     code, out, _ = run_cli(capsys, "verify")
     assert code == 0
@@ -870,7 +900,6 @@ PLAN_JSON_PATHS = {
     "punct_n_opt": ("punctuated", "n_opt"),
     "punct_n_int": ("punctuated", "n_int"),
     "punct_expected_cost": ("punctuated", "expected_cost"),
-    "punct_stddev_alt": ("punctuated", "stddev_alt"),
     "punct_stddev_geometric": ("punctuated", "stddev_geometric"),
     "max_probability_cost": ("punctuated", "max_probability_cost"),
     "speedup_ratio": ("punctuated", "speedup_ratio"),

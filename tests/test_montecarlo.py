@@ -156,7 +156,7 @@ def test_punctuated_mean_large_sample():
 
 def test_sample_sd_arbitrates_geometric_form():
     # a seeded bootstrap supplies the standard error of the sample SD;
-    # the geometric form n sqrt(1-p)/p matches, the alternative does not
+    # the geometric form n sqrt(1-p)/p matches
     costs = parallel_trial_costs(0.5, 1, 1, 10**6, seed=24)
     sd_hat = float(costs.std(ddof=1))
     rng = np.random.default_rng(2024)
@@ -165,9 +165,7 @@ def test_sample_sd_arbitrates_geometric_form():
         idx = rng.integers(0, costs.size, costs.size)
         boots[b] = costs[idx].std(ddof=1)
     se = float(boots.std(ddof=1))
-    forms = cost_stddev(1, 0.5)
-    assert abs(sd_hat - forms.geometric) < 3.0 * se
-    assert abs(sd_hat - forms.alt) > 3.0 * se
+    assert abs(sd_hat - cost_stddev(1, 0.5)) < 3.0 * se
 
 
 def test_parallel_closed_form_points():

@@ -26,7 +26,6 @@ from gqsearch import (
     max_probability_cost,
     optimal_x_parallel_approx,
     optimal_x_single,
-    parallel_cost_derivative,
     parallel_plan,
     parallel_plan_closed_form,
     parallel_success,
@@ -60,15 +59,10 @@ def test_expected_cost_domain():
         expected_cost(0, 0.5)
 
 
-def test_cost_stddev_two_forms():
+def test_cost_stddev_geometric_form():
     sd = cost_stddev(1, 0.5)
-    assert abs(sd.geometric - math.sqrt(2.0) / 2.0 / 0.5) < 1e-12  # = sqrt(2)
-    assert abs(sd.geometric - 1.4142135623730951) < 1e-12
-    assert abs(sd.alt - 2.0 * math.sqrt(0.375)) < 1e-12  # = 1.2247...
-    assert abs(sd.alt - 1.224744871391589) < 1e-12
-    # the forms agree to leading order as p -> 0
-    small = cost_stddev(3, 1e-4)
-    assert abs(small.alt / small.geometric - 1.0) < 1e-4
+    assert abs(sd - math.sqrt(2.0) / 2.0 / 0.5) < 1e-12  # = sqrt(2)
+    assert abs(sd - 1.4142135623730951) < 1e-12
 
 
 def test_optimal_x_single_root():
@@ -119,8 +113,7 @@ def test_punctuated_plan_values():
     assert plan.n_int == 117
     assert abs(plan.expected_cost - 117.0 / math.sin(1.17) ** 2) < 1e-9
     sd = cost_stddev(117, math.sin(1.17) ** 2)
-    assert abs(plan.stddev_geometric - sd.geometric) < 1e-9
-    assert abs(plan.stddev_alt - sd.alt) < 1e-9
+    assert abs(plan.stddev_geometric - sd) < 1e-9
 
 
 @pytest.mark.parametrize("phi", [0.05, 0.01, 0.002])
@@ -189,6 +182,27 @@ def test_parallel_expected_cost_full_target_set():
         cost(3, 9, 8, 2)
     with pytest.raises(ValueError):
         cost(0, 1, 8, 2)
+
+
+def parallel_cost_derivative(x: float, k: int) -> float:
+    """d/dx of the large-n parallel cost x / (1 - cos^{2k} x).
+
+    Evaluates (1 - cos^{2k}(x) (1 + 2 k x tan x)) / (1 - cos^{2k}(x))^2
+    in the product form that stays finite as x -> pi/2.  Valid on
+    0 < x < pi/2; the x -> 0 end is singular (denominator -> 0).
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if not 0.0 < x < 0.5 * math.pi:
+        raise ValueError(f"x must lie in (0, pi/2), got {x}")
+    c = math.cos(x)
+    s = math.sin(x)
+    c2k = c ** (2 * k)
+    num = 1.0 - c2k - 2.0 * k * x * c ** (2 * k - 1) * s
+    den = (1.0 - c2k) ** 2
+    return num / den
+
+
 
 
 def test_parallel_cost_derivative_vanishes_at_optimum():
