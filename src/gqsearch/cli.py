@@ -33,6 +33,7 @@ import warnings
 import numpy as np
 
 from .analytic import (
+    Decomposition,
     biham_mapping,
     decompose,
     first_maximum,
@@ -217,12 +218,19 @@ def default_heatmap_n_max(n_items: int) -> int:
     return 2 * math.ceil(0.5 * math.pi / phi1)
 
 
+# A heatmap call peaks at up to 360 bytes per cell over start-up (one row
+# in JSON; Python 3.11, numpy 2.4.6), so the largest grid peaks near 750 MiB.
+HEATMAP_MAX_CELLS = 2**21
+
+
 def heatmap_grid(n_items: int, n_max: int) -> np.ndarray:
     """p(n, r) for n = 0..n_max (rows) and r = 1..N (columns), uniform case."""
     if n_items < 1:
         raise ValueError(f"n_items must be >= 1, got {n_items}")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
+    if (n_max + 1) * n_items > HEATMAP_MAX_CELLS:
+        raise ValueError(f"heatmap of {n_max + 1} x {n_items} cells exceeds {HEATMAP_MAX_CELLS}")
     ns = np.arange(n_max + 1, dtype=float)
     return np.column_stack(
         [uniform_success_prob(math.sqrt(r / n_items), ns) for r in range(1, n_items + 1)]
@@ -260,7 +268,7 @@ def _parallel_plans(r: int, n_items: int, k: int):
     except ValidityError:
         return numeric, None, None
     n = formula.n_int
-    p = uniform_success_prob(math.sqrt(r / n_items), n)
+    p = success_prob_analytic(Decomposition.uniform(r, n_items), n)
     return numeric, formula, expected_cost(n, parallel_success(p, k))
 
 
@@ -543,7 +551,7 @@ def _verify_checks(seed: int) -> list:
         )
     )
 
-    # the k = 1 plan two ways: uniform planner, any-start planner on decompose
+    # the k = 1 plan two ways: from the uniform start's coordinates and from decompose
     dev = 0.0
     for r, n_items in ((1, 64), (2, 256), (1, 1024)):
         plan = parallel_plan(r, n_items, 1)
@@ -669,8 +677,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_heat = sub.add_parser(
         "heatmap",
         help="success-probability grid p(n, r), uniform search",
-        description="Grid rows are n = 0..n_max, columns r = 1..N. "
-        "--iterations sets n_max (default: two r=1 periods). "
+        description="Grid rows are n = 0..n_max, columns r = 1..N, at most "
+        f"{HEATMAP_MAX_CELLS} cells. --iterations sets n_max (default: two r=1 periods). "
         "CSV columns: n,r=1,...,r=N. PGM is binary P5, maxval 255.",
     )
     p_heat.add_argument("--n-items", type=int, default=64, metavar="N")

@@ -17,12 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import (
-    Decomposition,
-    rotation_angle,
-    success_prob_analytic,
-    uniform_success_prob,
-)
+from .analytic import Decomposition, success_prob_analytic
 from .errors import GQSearchError, NeverSucceedsError, ValidityError
 
 
@@ -173,35 +168,52 @@ def _scan_limit_error() -> GQSearchError:
     return GQSearchError(f"no optimum of n / P_k(n) found up to n = {_SCAN_LIMIT}")
 
 
-def _block_bounds(prob, phase, k: int, p_max: float, starts, ends):
+def _success_bounds(dec: Decomposition, k: int):
+    """(p_max, inv): p(n) <= p_max for all n, and n / P_k(n) >= 1 / inv for n >= 1.
+
+    p_max is the peak w_t + ((alpha^2 + beta^2)/2 + A/2), summed as p(n) is
+    so that it holds in floats (p(0) at phi = 0, where p is constant).  |p'|
+    <= A phi and P_k <= k p give cost >= 1 / (k (p(0) + A phi)); p(0) = w_t +
+    alpha^2, |p'(0)| = phi |2 alpha beta cos b| and |p''| <= 2 A phi^2 give
+    p(n) <= c n^2 for n >= 1, so cost >= max(n, 1 / (k c n)) >= 1 / sqrt(k c).
+    """
+    p_0 = success_prob_analytic(dec, 0)
+    peak = dec.w_t + (0.5 * (dec.alpha**2 + dec.beta**2) + 0.5 * dec.amp)
+    p_max = p_0 if dec.phi == 0.0 else min(1.0, peak)
+    slope = dec.phi * abs(2.0 * dec.alpha * dec.beta * math.cos(dec.b))  # |p'(0)|
+    c = (dec.w_t + dec.alpha**2) + slope + dec.amp * dec.phi**2
+    return p_max, min(k * (p_0 + dec.amp * dec.phi), math.sqrt(k * c))
+
+
+def _block_bounds(dec: Decomposition, k: int, p_max: float, starts, ends):
     """A lower bound starts / P_k(top) of n / P_k(n) on each block starts..ends.
 
-    p(n) is a constant plus a cosine of phase(n), which grows with n; p is
-    monotone between peaks, where phase(n) is a multiple of 2 pi.  So top is
-    p_max on a block with a peak (or without a phase), else its larger end
-    value plus _P_PAD.  A peak that rounding moves out of a block lies
-    within a rounding error of its end, whose p is then the block's largest.
+    p(n) is a constant plus a cosine of 2 n phi - theta, monotone between
+    peaks, where that phase is a multiple of 2 pi.  So top is p_max on a
+    block with a peak, else its larger end value plus _P_PAD.  A peak that
+    rounding moves out of a block lies within a rounding error of its end,
+    whose p is then the block's largest.
     """
-    top = p_max
-    if phase is not None:
-        top = np.minimum(np.maximum(prob(starts), prob(ends)) + _P_PAD, p_max)
-        top[np.floor(phase(ends) / (2.0 * math.pi)) >= phase(starts) / (2.0 * math.pi)] = p_max
+    turns = lambda ns: (2.0 * ns * dec.phi - dec.theta) / (2.0 * math.pi)
+    top = np.maximum(success_prob_analytic(dec, starts), success_prob_analytic(dec, ends))
+    top = np.minimum(top + _P_PAD, p_max)
+    top[np.floor(turns(ends)) >= turns(starts)] = p_max
     with np.errstate(divide="ignore"):
         return starts / parallel_success(top, k)
 
 
-def _cheapest_iterations(prob, phase, k: int, p_max: float, inverse_bound: float):
+def _cheapest_iterations(dec: Decomposition, k: int):
     """The n >= 1 minimizing n / P_k(n), P_k = 1 - (1 - p(n))^k, and that cost.
 
-    prob maps an array of n to p(n) <= p_max, phase (or None) to p's cosine
-    argument.  Blocks of n up to best * P_k(p_max), past which no n can be
-    cheaper, are dropped when their `_block_bounds` exceeds the best cost
-    found, else split 64 ways down to single n, costed as a scan of every n
-    would: the exact optimum, ties to the smaller n.  A plan whose cost
-    bound 1 / inverse_bound puts the optimum past n = _SCAN_LIMIT +
-    _MAX_BLOCK is refused before any p(n) is computed; P_k(p_max) = 0
-    raises NeverSucceedsError.
+    p(n) is `success_prob_analytic`.  Blocks of n up to best * P_k(p_max),
+    past which no n can be cheaper, are dropped when their `_block_bounds`
+    exceeds the best cost found, else split 64 ways down to single n, costed
+    as a scan of every n would: the exact optimum, ties to the smaller n.  A
+    plan whose cost bound (`_success_bounds`) puts the optimum past n =
+    _SCAN_LIMIT + _MAX_BLOCK is refused before p(n) is computed on any n >=
+    1; P_k(p_max) = 0 raises NeverSucceedsError.
     """
+    p_max, inverse_bound = _success_bounds(dec, k)
     floor = parallel_success(p_max, k)
     if floor == 0.0:
         raise NeverSucceedsError("success probability is 0 for every n")
@@ -213,15 +225,15 @@ def _cheapest_iterations(prob, phase, k: int, p_max: float, inverse_bound: float
     def visit(starts, size):
         """Cost each block's first n; keep the blocks that may hold the optimum."""
         nonlocal best_n, best_cost
-        with np.errstate(divide="ignore"):
-            costs = starts / parallel_success(prob(starts), k)  # inf where p = 0
+        with np.errstate(divide="ignore"):  # inf where p = 0
+            costs = starts / parallel_success(success_prob_analytic(dec, starts), k)
         i = int(np.argmin(costs))  # first occurrence
         if costs[i] < best_cost or (costs[i] == best_cost and starts[i] < best_n):
             best_n, best_cost = int(starts[i]), float(costs[i])
         if size == 1:
             return np.empty(0)  # not a view, which would keep the leaves alive
         ends = np.minimum(starts + (size - 1), last)
-        return starts[_block_bounds(prob, phase, k, p_max, starts, ends) <= best_cost]
+        return starts[_block_bounds(dec, k, p_max, starts, ends) <= best_cost]
     visit(np.arange(1.0, 65.0), 1)
     last = reach if best_cost * floor > reach else int(best_cost * floor)
     size = 64
@@ -242,22 +254,9 @@ def _cheapest_iterations(prob, phase, k: int, p_max: float, inverse_bound: float
 def restart_iterations(dec: Decomposition, k: int) -> int:
     """Iterations n >= 1 per round minimizing n / P_k(n) for k agents, any start.
 
-    p(n) is the closed form `success_prob_analytic` (phase 2 n phi - theta),
-    at most its peak w_t + ((alpha^2 + beta^2)/2 + A/2), summed in the
-    closed form's order so that the bound holds in floats too.  At phi = 0
-    (v = 0) p(n) is constant and the bound is p(0) itself.  |p'(n)| <= A phi
-    and P_k <= k p give cost(n) >= 1 / (k (p(0) + A phi)).  Ties go to the
-    smaller n; raises NeverSucceedsError when the peak is 0.
+    Ties go to the smaller n; a start whose peak is 0 raises NeverSucceedsError.
     """
-    p_0 = success_prob_analytic(dec, 0)
-    if dec.phi == 0.0:
-        p_max = p_0
-    else:
-        p_max = min(1.0, dec.w_t + (0.5 * (dec.alpha**2 + dec.beta**2) + 0.5 * dec.amp))
-    return _cheapest_iterations(
-        lambda ns: success_prob_analytic(dec, ns), lambda ns: 2.0 * ns * dec.phi - dec.theta,
-        k, p_max, k * (p_0 + dec.amp * dec.phi),
-    )[0]
+    return _cheapest_iterations(dec, k)[0]
 
 
 def optimal_x_parallel_approx(k: int) -> float:
@@ -284,27 +283,13 @@ def _check_plan_args(r: int, n_items: int, k: int) -> None:
 def parallel_plan(r: int, n_items: int, k: int) -> ParallelPlan:
     """The exact integer optimum of the k-parallel cost n / P_k(n), any k >= 1.
 
-    p(n) is the uniform-start probability at v = sqrt(r/N), phase (2n+1)
-    phi - pi.  No n past the best cost found can be cheaper (P_k <= 1, so
-    cost(n) >= n); ties go to the smaller n.  With theta = asin(v), p(n) =
-    sin^2((2n+1) theta) <= 9 n^2 theta^2 and P_k <= k p, so cost(n) >=
-    max(n, 1 / (9 k n theta^2)) >= 1 / (3 theta sqrt(k)), the bound that
-    refuses a hopeless plan before any p(n) is computed.
+    `restart_iterations`'s plan for the uniform start, p(n) = sin^2((2n+1) asin v).
     """
     _check_plan_args(r, n_items, k)
-    v = math.sqrt(r / n_items)
-    phi = rotation_angle(v)
-    n_best, cost = _cheapest_iterations(
-        lambda ns: uniform_success_prob(v, ns), lambda ns: (2.0 * ns + 1.0) * phi - math.pi,
-        k, 1.0, 3.0 * math.asin(v) * math.sqrt(k),
-    )
-    return ParallelPlan(
-        agents=k,
-        x=(1.0 + 2.0 * n_best) * v,
-        n_opt=float(n_best),
-        n_int=n_best,
-        expected_cost=cost,
-    )
+    dec = Decomposition.uniform(r, n_items)
+    n_best, cost = _cheapest_iterations(dec, k)
+    return ParallelPlan(agents=k, x=(1.0 + 2.0 * n_best) * dec.v, n_opt=float(n_best),
+                        n_int=n_best, expected_cost=cost)
 
 
 def parallel_plan_closed_form(r: int, n_items: int, k: int) -> ParallelPlan:

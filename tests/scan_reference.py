@@ -13,18 +13,20 @@ import math
 
 import numpy as np
 
-from gqsearch import strategy
+from gqsearch import strategy, success_prob_analytic
 from gqsearch.errors import NeverSucceedsError
-from gqsearch.strategy import _scan_limit_error, parallel_success
+from gqsearch.strategy import _scan_limit_error, _success_bounds, parallel_success
 
 
-def cheapest_iterations(prob, k: int, p_max: float, inverse_bound: float):
+def cheapest_iterations(dec, k: int):
     """The n >= 1 minimizing n / P_k(n) by the block scan, and that cost.
 
-    prob maps an array of n to p(n) <= p_max; the scan stops once
-    n / P_k(p_max) reaches the best cost found.  Ties go to the smaller n.
+    p(n) is `success_prob_analytic(dec, n)`, with the planner's peak p_max
+    and refusal bound; the scan stops once n / P_k(p_max) reaches the best
+    cost found.  Ties go to the smaller n.
     """
     _MAX_BLOCK, _SCAN_LIMIT = strategy._MAX_BLOCK, strategy._SCAN_LIMIT
+    p_max, inverse_bound = _success_bounds(dec, k)
     floor = parallel_success(p_max, k)
     if floor == 0.0:
         raise NeverSucceedsError("success probability is 0 for every n")
@@ -37,7 +39,7 @@ def cheapest_iterations(prob, k: int, p_max: float, inverse_bound: float):
         # the block from n = 1 + 64 (2^j - 1) holds 64 * 2^j n, up to the cap
         ns = np.arange(start, start + min(start + 63, _MAX_BLOCK), dtype=float)
         with np.errstate(divide="ignore"):
-            costs = ns / parallel_success(prob(ns), k)  # inf where p = 0
+            costs = ns / parallel_success(success_prob_analytic(dec, ns), k)  # inf where p = 0
         i = int(np.argmin(costs))  # first occurrence
         if costs[i] < best_cost:
             best_n, best_cost = start + i, float(costs[i])

@@ -22,6 +22,7 @@ from gqsearch import (
     random_state,
     rotation_angle,
     run_parallel,
+    success_prob_analytic,
     success_probability,
     success_trajectory,
     uniform_instance,
@@ -30,6 +31,7 @@ from gqsearch import (
 )
 import gqsearch.statevector as statevector_module
 from gqsearch.cli import (
+    HEATMAP_MAX_CELLS,
     MONTECARLO_COLUMNS,
     PLAN_COLUMNS,
     SIMULATE_COLUMNS,
@@ -435,36 +437,59 @@ def test_plan_one_agent_outside_the_small_angle_regime(capsys, n_items, r, n_int
 
 
 def test_plan_refuses_a_hopeless_scan_before_scanning(monkeypatch, capsys):
-    # N = 10^100, k = 2: every cost is at least 1 / (3 asin(1e-50) sqrt(2)),
-    # about 2.4e49, so no scan can reach the optimum
-    def no_scan(*args):
-        raise AssertionError("the scan ran")
+    # N = 10^100, k = 2: every cost is at least 1 / (2 (p(0) + A phi)), about
+    # 2.5e49, so no scan can reach the optimum
+    def no_scan(dec, n):
+        if np.ndim(n) > 0:
+            raise AssertionError("the scan ran")
+        return success_prob_analytic(dec, n)
 
-    monkeypatch.setattr(gqsearch.strategy, "uniform_success_prob", no_scan)
+    monkeypatch.setattr(gqsearch.strategy, "success_prob_analytic", no_scan)
     code, out, err = run_cli(
         capsys, "plan", "--n-items", str(10**100), "--num-targets", "1", "--agents", "2"
     )
     assert code == 2 and out == "" and err.startswith("error:")
 
 
-def test_plan_past_the_limit_fails_without_walking_to_it(monkeypatch, capsys):
-    # 1 / (3 asin(v) sqrt(2)) lies in (2^30, 2^30 + 2^16]: the cost bound
-    # cannot refuse this plan, so the planner must find that no optimum lies
-    # within reach from a few p(n), not from every n up to 2^30
+def _count_points(monkeypatch):
+    """The sizes of the n arrays the planner computes p(n) on, past 10^7 an error."""
     points = []
 
-    def counted(v, n):
-        points.append(np.size(n))
-        if sum(points) > 10**7:
-            raise AssertionError("the planner walks every n")
-        return uniform_success_prob(v, n)
+    def counted(dec, n):
+        if np.ndim(n) > 0:
+            points.append(np.size(n))
+            if sum(points) > 10**7:
+                raise AssertionError("the planner walks every n")
+        return success_prob_analytic(dec, n)
 
-    monkeypatch.setattr(gqsearch.strategy, "uniform_success_prob", counted)
+    monkeypatch.setattr(gqsearch.strategy, "success_prob_analytic", counted)
+    return points
+
+
+def test_plan_past_the_limit_fails_without_walking_to_it(monkeypatch, capsys):
+    # 1 / (2 (p(0) + A phi)) lies in (2^30, 2^30 + 2^16]: the cost bound
+    # cannot refuse this plan, so the planner must find that no optimum lies
+    # within reach from a few p(n), not from every n up to 2^30
+    points = _count_points(monkeypatch)
     code, out, err = run_cli(
-        capsys, "plan", "--n-items", "20753853739645804544", "--num-targets", "1", "--agents", "2"
+        capsys, "plan", "--n-items", "18447869990796263424", "--num-targets", "1", "--agents", "2"
     )
     assert code == 2 and out == "" and "no optimum" in err
-    assert sum(points) < 10**6
+    assert 0 < sum(points) < 10**6
+
+
+def test_montecarlo_refuses_a_plan_the_linear_bound_misses(monkeypatch, capsys):
+    # 10^8 agents at v = 4.9e-18: 1 / (k (p(0) + A phi)) = 1.0e9 lies within
+    # the limit, but 1 / sqrt(k c) = 6.8e12 does not
+    points = _count_points(monkeypatch)
+    t0 = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "montecarlo", "--n-items", "41834457918917713795234172973875200",
+        "--num-targets", "1", "--agents", "100000000", "--trials", "10",
+    )
+    assert code == 2 and out == "" and "no optimum" in err
+    assert points == []
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_uniform_runs_at_huge_n(capsys):
@@ -542,6 +567,28 @@ def test_heatmap_rejects_n_items_below_one(capsys, n_items):
     code, out, err = run_cli(capsys, "heatmap", "--n-items", n_items)
     assert code == 2 and out == ""
     assert err == f"error: n_items must be >= 1, got {n_items}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--n-items", "1048576"],
+    ["--n-items", "4", "--iterations", "100000000"],
+])
+def test_heatmap_refuses_an_oversize_grid_before_allocating_it(capsys, argv):
+    # 1,611 x 2^20 and 10^8 x 4 cells: 13.5 GB and 3.2 GB as floats
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "heatmap", *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and out == "" and "exceeds" in err
+    assert peak < 4 * 2**20
+
+
+def test_heatmap_grid_cap_is_inclusive():
+    assert heatmap_grid(4, HEATMAP_MAX_CELLS // 4 - 1).shape == (HEATMAP_MAX_CELLS // 4, 4)
+    with pytest.raises(ValueError, match="exceeds"):
+        heatmap_grid(4, HEATMAP_MAX_CELLS // 4)
 
 
 def test_heatmap_pgm_requires_out(capsys):
@@ -756,6 +803,14 @@ def test_montecarlo_default_iterations_when_p_is_flat(tmp_path, capsys):
         assert code == 0 and err == ""
         assert json.loads(out)["iterations"] == 1
         assert run_cli(capsys, *argv, "--iterations", "1") == (0, out, "")
+
+
+def test_parallel_sweep_where_r_over_n_underflows(capsys):
+    # r/N = 1e-400 rounds to v = 0, where p(n) = 0 for every n
+    code, out, err = run_cli(
+        capsys, "parallel-sweep", "--n-items", str(10**400), "--num-targets", "1", "--agents", "2"
+    )
+    assert code == 2 and out == "" and "success probability is 0" in err
 
 
 def test_parallel_sweep_with_every_item_a_target(capsys):

@@ -402,8 +402,10 @@ def test_restart_iterations_ties_and_zero_probability():
     flat = Decomposition.build(0.5, 0.0, 0.0, 0.0, w_t=0.5, w_l=0.5)
     assert restart_iterations(flat, 1) == 1
     # n / p = 4 at n = 2, 3 and 4 exactly: the planner takes the smallest
-    table = lambda ns: np.interp(ns, [1, 2, 3, 4], [0.0, 0.5, 0.75, 1.0])
-    assert strategy._cheapest_iterations(table, None, 1, 1.0, math.inf) == (2, 4.0)
+    table = lambda dec, ns: np.interp(ns, [1, 2, 3, 4], [0.0, 0.5, 0.75, 1.0])
+    peak_one = Decomposition.build(0.5, 1.0, 0.0, 0.0)  # p_max = 1
+    with mock.patch.object(strategy, "success_prob_analytic", table):
+        assert strategy._cheapest_iterations(peak_one, 1) == (2, 4.0)
     never = Decomposition.build(0.5, 0.0, 0.0, 0.0, w_t=0.0, w_l=1.0)
     with pytest.raises(NeverSucceedsError):
         restart_iterations(never, 1)
@@ -427,7 +429,8 @@ def test_parallel_plan_matches_an_exhaustive_scan(n_items, data):
     k = data.draw(st.integers(1, 64))
     plan = parallel_plan(r, n_items, k)
     v = math.sqrt(r / n_items)
-    want = _scan_everything(lambda ns: uniform_success_prob(v, ns), k, 4096)
+    dec, _ = _planner_args(parallel_plan, r, n_items, k)
+    want = _scan_everything(lambda ns: success_prob_analytic(dec, ns), k, 4096)
     assert (plan.n_int, plan.expected_cost) == want
     # the same optimum from sin^2((2n+1) asin v), to round-off
     with np.errstate(divide="ignore"):
@@ -488,17 +491,20 @@ def test_parallel_plan_memory_is_bounded(k):
     assert peak < 4 * 2**20
 
 
-@pytest.mark.parametrize("k, n_int", [(1, 625_755_891), (64, 75_262_488)])
+@pytest.mark.parametrize("k, n_int", [(1, 625_755_891), (64, 75_262_489)])
 def test_parallel_plan_at_huge_n_is_sublinear(monkeypatch, k, n_int):
     # a scan of every n evaluates 6.3e8 points at k = 1; the planner's passes
-    # hold at most _MAX_BLOCK points each
+    # hold at most _MAX_BLOCK points each.  At k = 64 the costs of n =
+    # 75,262,488 and 75,262,489 differ by 2.4e-8 in 1.05e8 (50-digit
+    # mpmath), within the rounding of p(n) in floats: the planner's own p(n)
+    # ranks them the other way round
     points = []
 
-    def counted(v, ns):
+    def counted(dec, ns):
         points.append(np.size(ns))
-        return uniform_success_prob(v, ns)
+        return success_prob_analytic(dec, ns)
 
-    monkeypatch.setattr(strategy, "uniform_success_prob", counted)
+    monkeypatch.setattr(strategy, "success_prob_analytic", counted)
     tracemalloc.start()
     try:
         plan = parallel_plan(1, 2**60, k)
@@ -529,27 +535,26 @@ class _Scanned(Exception):
     """Raised by a p(n) spy: the scan started."""
 
 
-def test_hopeless_plans_are_refused_before_scanning(monkeypatch):
-    def spy(formula):
-        def prob(*args):
-            if np.ndim(args[-1]) > 0:  # p(n) over an array of n is the scan
-                raise _Scanned
-            return formula(*args)
-        return prob
+def _no_array_scan(dec, ns):
+    if np.ndim(ns) > 0:  # p(n) over an array of n is the scan
+        raise _Scanned
+    return success_prob_analytic(dec, ns)
 
-    monkeypatch.setattr(strategy, "uniform_success_prob", spy(uniform_success_prob))
-    # the cost bound 1 / (3 asin(2^-30)) = 3.6e8 stays below the limit 2^30
+
+def test_hopeless_plans_are_refused_before_scanning(monkeypatch):
+    monkeypatch.setattr(strategy, "success_prob_analytic", _no_array_scan)
+    # the cost bound 1 / (p(0) + A phi) = 5.4e8 at v = 2^-30 stays below the
+    # limit 2^30
     with pytest.raises(_Scanned):
         parallel_plan(1, 2**60, 1)
-    # 1 / (3 asin(2^-35) sqrt(2)) = 8.1e9 does not
+    # 1 / (2 (p(0) + A phi)) = 8.6e9 at v = 2^-35 does not
     for n_items in (2**70, 10**100):
         with pytest.raises(GQSearchError, match="no optimum"):
             parallel_plan(1, n_items, 2)
-    # r/N = 1e-400 rounds to v = 0, which is refused too
-    with pytest.raises(GQSearchError, match="no optimum"):
+    # r/N = 1e-400 rounds to v = 0, where p(n) = 0 for every n
+    with pytest.raises(NeverSucceedsError):
         parallel_plan(1, 10**400, 3)
-    # the any-start planner: 1 / (p(0) + A phi) = 5e9 at N = 10^20
-    monkeypatch.setattr(strategy, "success_prob_analytic", spy(success_prob_analytic))
+    # from decompose: 1 / (p(0) + A phi) = 5e9 at N = 10^20
     dec = decompose(uniform_instance(10**20, 1))
     for k in (1, 4):
         with pytest.raises(GQSearchError, match="no optimum"):
@@ -558,36 +563,41 @@ def test_hopeless_plans_are_refused_before_scanning(monkeypatch):
         restart_iterations(decompose(uniform_instance(2**40, 1)), 1)
 
 
-def _refusal_outcomes(plan, *args):
-    """(outcome, bare outcome) of each scan plan(*args) runs.
+def _refusal_outcomes(dec, k):
+    """(outcome, bare outcome) of planning dec for k agents.
 
-    The bare scan is the same call with the cost bound switched off.  An
-    outcome is ((n, cost) or the error message, whether p(n) was scanned).
+    The bare plan is the same call with the cost bound switched off.  An
+    outcome is ((n, cost) or the error message, whether p(n) was computed
+    on an array of n).
     """
-    outcomes = []
-    bare = strategy._cheapest_iterations
+    bounds = strategy._success_bounds
 
-    def run(prob, phase, k, p_max, inverse_bound):
+    def run(bound):
         scanned = []
 
-        def counted(ns):
-            scanned.append(ns.size)
-            return prob(ns)
+        def counted(dec, ns):
+            scanned.append(np.ndim(ns) > 0)
+            return success_prob_analytic(dec, ns)
 
-        try:
-            return bare(counted, phase, k, p_max, inverse_bound), bool(scanned)
-        except GQSearchError as exc:
-            return str(exc), bool(scanned)
+        with mock.patch.multiple(strategy, success_prob_analytic=counted, _success_bounds=bound):
+            try:
+                return strategy._cheapest_iterations(dec, k), any(scanned)
+            except GQSearchError as exc:
+                return str(exc), any(scanned)
 
-    def both(prob, phase, k, p_max, inverse_bound):
-        outcomes.append(
-            (run(prob, phase, k, p_max, inverse_bound), run(prob, phase, k, p_max, math.inf))
-        )
-        return 1, 1.0
+    return run(bounds), run(lambda dec, k: (bounds(dec, k)[0], math.inf))
 
-    with mock.patch.object(strategy, "_cheapest_iterations", both):
-        plan(*args)
-    return outcomes
+
+def _faint_decomposition(rng, low):
+    """A random start whose v, alpha^2 and w_t may be as small as 10^low."""
+    v = 10.0 ** rng.uniform(low, -0.5)
+    alpha = 10.0 ** rng.uniform(low + 1.0, -0.5)
+    w_t = 10.0 ** rng.uniform(2.0 * low + 2.0, -1.0)
+    rest = 1.0 - alpha**2 - w_t
+    beta = math.sqrt(rest * rng.uniform(0.5, 1.0))
+    return Decomposition.build(
+        v, alpha, beta, rng.uniform(0.0, 2.0 * math.pi), w_t=w_t, w_l=rest - beta**2,
+    )
 
 
 def test_refusal_before_scanning_never_changes_an_answer():
@@ -595,31 +605,62 @@ def test_refusal_before_scanning_never_changes_an_answer():
     # limit on small inputs, so both refusals and answers occur
     rng = np.random.default_rng(12)
     seen = collections.Counter()
+    agents = (1, 2, 8, 64, 10**4, 10**8)
     with mock.patch.multiple(strategy, _SCAN_LIMIT=2**12, _MAX_BLOCK=64):
         cases = [
-            (parallel_plan, r, int(n_items), k)
+            ("uniform", *_planner_args(parallel_plan, r, int(n_items), k))
             for n_items in np.geomspace(10**5, 10**11, 60)
             for r in (1, 3)
-            for k in (1, 2, 8, 64)
+            for k in agents
         ]
         for _ in range(600):
-            v = 10.0 ** rng.uniform(-6.0, -0.5)
-            alpha = 10.0 ** rng.uniform(-5.0, -0.5)
-            w_t = 10.0 ** rng.uniform(-10.0, -1.0)
-            rest = 1.0 - alpha**2 - w_t
-            beta = math.sqrt(rest * rng.uniform(0.5, 1.0))
-            dec = Decomposition.build(
-                v, alpha, beta, rng.uniform(0.0, 2.0 * math.pi),
-                w_t=w_t, w_l=rest - beta**2,
-            )
-            cases.append((restart_iterations, dec, int(rng.choice([1, 2, 3, 8, 64]))))
-        for plan, *args in cases:
-            for (got, scanned), (want, _) in _refusal_outcomes(plan, *args):
-                assert got == want, (plan.__name__, args)
-                kind = "refused" if not scanned else "failed" if isinstance(got, str) else "answered"
-                seen[plan.__name__, kind] += 1
-    for name in ("parallel_plan", "restart_iterations"):
-        assert seen[name, "answered"] > 0 and seen[name, "refused"] > 0, seen
+            dec = _faint_decomposition(rng, -6.0)
+            cases.append(("random", dec, int(rng.choice((3,) + agents))))
+        for start, dec, k in cases:
+            (got, scanned), (want, _) = _refusal_outcomes(dec, k)
+            assert got == want, (start, dec, k)
+            kind = "refused" if not scanned else "failed" if isinstance(got, str) else "answered"
+            seen[start, kind] += 1
+    for start in ("uniform", "random"):
+        assert seen[start, "answered"] > 0 and seen[start, "refused"] > 0, seen
+
+
+_REFUSED = "no optimum|probability is 0 for every n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    log_n_items=st.floats(0.0, 300.0 * math.log2(10.0)),
+    log_r=st.floats(0.0, 64.0),
+    log_k=st.floats(0.0, 12.0),
+)
+def test_the_rule_refuses_every_plan_the_uniform_bound_refused(log_n_items, log_r, log_k):
+    # the uniform bound cost >= 1 / (3 asin(v) sqrt(k)), at P_k(1) = 1
+    n_items = int(2.0**log_n_items)
+    r = min(n_items, int(2.0**log_r))
+    k = int(10.0**log_k)
+    reach = strategy._SCAN_LIMIT + strategy._MAX_BLOCK
+    if 1.0 <= 3.0 * math.asin(math.sqrt(r / n_items)) * math.sqrt(k) * reach:
+        return
+    with mock.patch.object(strategy, "success_prob_analytic", _no_array_scan):
+        with pytest.raises(GQSearchError, match=_REFUSED):
+            parallel_plan(r, n_items, k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(log_k=st.floats(0.0, 12.0), seed=st.integers(0, 2**32 - 1))
+def test_the_rule_refuses_every_plan_the_linear_bound_refused(log_k, seed):
+    # the any-start bound cost >= 1 / (k (p(0) + A phi)), at P_k(p_max)
+    dec = _faint_decomposition(np.random.default_rng(seed), -30.0)
+    k = int(10.0**log_k)
+    p_0 = success_prob_analytic(dec, 0)
+    peak = dec.w_t + (0.5 * (dec.alpha**2 + dec.beta**2) + 0.5 * dec.amp)
+    floor = parallel_success(min(1.0, peak), k)
+    if floor <= k * (p_0 + dec.amp * dec.phi) * (strategy._SCAN_LIMIT + strategy._MAX_BLOCK):
+        return
+    with mock.patch.object(strategy, "success_prob_analytic", _no_array_scan):
+        with pytest.raises(GQSearchError, match=_REFUSED):
+            restart_iterations(dec, k)
 
 
 @settings(max_examples=300, deadline=None)
@@ -633,7 +674,7 @@ def test_restart_iterations_matches_parallel_plan_on_uniform_instances(n_items, 
 
 
 def _planner_args(plan, *args):
-    """The (prob, phase, k, p_max, inverse_bound) that plan(*args) plans with."""
+    """The (decomposition, k) that plan(*args) plans with."""
     seen = []
 
     def capture(*planner_args):
@@ -667,13 +708,14 @@ def test_block_bounds_never_exceed_a_cost_in_the_block(general, log_n_items, k, 
     r = int(rng.integers(1, n_items + 1)) if rng.uniform() < 0.5 else 1
     if general:
         dec = _random_decomposition(rng, math.sqrt(r / n_items))
-        prob, phase, _, p_max, _ = _planner_args(restart_iterations, dec, k)
     else:
-        prob, phase, _, p_max, _ = _planner_args(parallel_plan, r, n_items, k)
+        dec, _ = _planner_args(parallel_plan, r, n_items, k)
+    p_max, _ = strategy._success_bounds(dec, k)
     # blocks of 1 to 4,096 n up to n = 2^30 next to, or around, a peak of p
-    # (phase a multiple of 2 pi), a trough (an odd multiple of pi) or any n:
-    # where p is flat, rounding decides which n of a block is largest
-    slope, offset = phase(1.0) - phase(0.0), phase(0.0)
+    # (phase 2 n phi - theta a multiple of 2 pi), a trough (an odd multiple
+    # of pi) or any n: where p is flat, rounding decides which n of a block
+    # is largest
+    slope, offset = 2.0 * dec.phi, -dec.theta
     turns = int(slope * 2**30 / (2.0 * math.pi))
     starts, ends = [], []
     for kind, side in rng.integers(0, 3, size=(24, 2)):
@@ -688,12 +730,12 @@ def test_block_bounds_never_exceed_a_cost_in_the_block(general, log_n_items, k, 
         starts.append(start)
         ends.append(start + size - 1)
     bounds = strategy._block_bounds(
-        prob, phase, k, p_max, np.array(starts, dtype=float), np.array(ends, dtype=float)
+        dec, k, p_max, np.array(starts, dtype=float), np.array(ends, dtype=float)
     )
     for start, end, bound in zip(starts, ends, bounds):
         ns = np.arange(start, end + 1, dtype=float)
         with np.errstate(divide="ignore"):
-            costs = ns / parallel_success(prob(ns), k)
+            costs = ns / parallel_success(success_prob_analytic(dec, ns), k)
         assert bound <= costs.min(), (start, end)
 
 
@@ -703,9 +745,9 @@ def test_parallel_plan_matches_the_linear_scan(log_n_items, data):
     n_items = int(2.0**log_n_items)
     r = data.draw(st.one_of(st.integers(1, min(n_items, 16)), st.integers(1, n_items)))
     k = data.draw(st.sampled_from([1, 2, 3, 8, 64]))
-    prob, _, _, p_max, inverse_bound = _planner_args(parallel_plan, r, n_items, k)
+    dec, _ = _planner_args(parallel_plan, r, n_items, k)
     try:
-        want = scan_reference.cheapest_iterations(prob, k, p_max, inverse_bound)
+        want = scan_reference.cheapest_iterations(dec, k)
     except GQSearchError as exc:
         with pytest.raises(type(exc), match=re.escape(str(exc))):
             parallel_plan(r, n_items, k)
