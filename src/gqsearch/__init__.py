@@ -37,7 +37,6 @@ from .statevector import (
     StateVector,
     TargetSet,
     random_state,
-    success_probability,
     success_trajectory,
     uniform_instance,
     uniform_state,
@@ -94,7 +93,6 @@ __all__ = [
     "rotation_angle",
     "run_parallel",
     "success_prob_analytic",
-    "success_probability",
     "success_trajectory",
     "uniform_instance",
     "uniform_state",

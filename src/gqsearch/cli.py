@@ -48,7 +48,6 @@ from .statevector import (
     StateVector,
     TargetSet,
     random_state,
-    success_probability,
     success_trajectory,
     uniform_instance,
     uniform_state,
@@ -305,9 +304,16 @@ SIMULATE_COLUMNS = (
 )
 
 
+# A simulate row peaks at about 1.6 KiB over start-up (JSON; Python 3.11,
+# numpy 2.4.6), so walking to the largest n peaks near 850 MiB.
+SIMULATE_MAX_ITERATIONS = 2**19
+
+
 def cmd_simulate(args: argparse.Namespace):
-    instance = _build_instance(args)
     lo, hi = _parse_iteration_range(args.iterations)
+    if hi > SIMULATE_MAX_ITERATIONS:
+        raise ValueError(f"--iterations must end at or below {SIMULATE_MAX_ITERATIONS}, got {hi}")
+    instance = _build_instance(args)
     trajectory = success_trajectory(instance, hi)
     ns = np.arange(lo, hi + 1)
 
@@ -481,13 +487,13 @@ def cmd_montecarlo(args: argparse.Namespace):
     n = None
     if args.iterations is not None:
         n = _parse_iteration_single(args.iterations)
-        if n < 1:
-            raise ValueError("--iterations must be >= 1 for montecarlo")
+        if not 1 <= n <= 2**53:  # the closed form's float n is exact up to 2^53
+            raise ValueError(f"--iterations must lie in [1, 2^53] for montecarlo, got {n}")
     instance = _build_instance(args)
+    dec = decompose(instance)
     if n is None:
-        n = restart_iterations(decompose(instance), args.agents)
-
-    p = success_probability(instance, n)
+        n = restart_iterations(dec, args.agents)
+    p = success_prob_analytic(dec, n)  # the p(n) the planner minimised
     closed = expected_cost(n, parallel_success(p, args.agents))
     est = run_parallel(p, n, args.agents, args.trials, args.seed)
     z = (est.mean - closed) / est.stderr if est.stderr > 0 else None
@@ -647,8 +653,8 @@ def build_parser() -> argparse.ArgumentParser:
         "simulate",
         help="simulator vs closed form over an iteration range",
         description="Emit p_simulated and p_analytic for each n, plus the "
-        "rotation-plane decomposition. CSV columns: "
-        + ",".join(SIMULATE_COLUMNS),
+        "rotation-plane decomposition; n runs to at most "
+        f"{SIMULATE_MAX_ITERATIONS}. CSV columns: " + ",".join(SIMULATE_COLUMNS),
     )
     p_sim.add_argument("--n-items", type=int, required=True, metavar="N")
     _add_target_args(p_sim)
@@ -707,9 +713,9 @@ def build_parser() -> argparse.ArgumentParser:
         "montecarlo",
         help="seeded restart experiment vs the closed-form cost",
         description="Races k agents (--agents) per round, each a coin that "
-        "succeeds with p, the target weight of the simulated Q^n|s>; k = 1 "
+        "succeeds with p, the closed-form target weight of Q^n|s>; k = 1 "
         "is punctuated search. Default --iterations: the exact n / P_k(n) "
-        "optimum for --start and --agents. "
+        "optimum for --start and --agents; at most 2^53. "
         "CSV columns: " + ",".join(MONTECARLO_COLUMNS),
     )
     p_mc.add_argument("--n-items", type=int, required=True, metavar="N")

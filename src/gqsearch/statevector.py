@@ -10,6 +10,9 @@ A `SearchInstance` stores those products and no state vector.  Success
 probabilities are the target weight c^H G_T c of the coefficients, so n
 iterations cost O(n).  The coefficients need no linear independence of the
 four vectors, so s = a, r = N and v in {0, 1} take the same path.
+The simulator is the independent check of the closed form in
+`gqsearch.analytic`: `simulate` and `verify` set the two side by side,
+and `montecarlo` reads p(n) from the closed form alone.
 `gqsearch.analytic.decompose` reads the same six products, so the tests
 also check the closed form against the dense loop in
 `tests/dense_reference.py`, which shares no code with either.
@@ -220,12 +223,6 @@ class _ReducedBasis:
             _check_drift(math.sqrt(max(np.vdot(c, self.gram @ c).real, 0.0)), k)
             yield c
 
-    def power(self, n: int):
-        """The coefficients of Q^n|s>, every step norm-checked, none kept."""
-        for c in self.evolve(n):
-            pass
-        return c
-
     def weights(self, coefficients) -> np.ndarray:
         # c^H G_T c for each c, clipped once: the norm is held to NORM_TOL
         # only, so it can round past 1; np.clip, unlike min(), keeps a NaN.
@@ -236,9 +233,3 @@ def success_trajectory(instance: SearchInstance, n_max: int) -> np.ndarray:
     """Success probability after n iterations for n = 0..n_max (one sweep)."""
     basis = _ReducedBasis(instance)
     return basis.weights(basis.evolve(n_max))
-
-
-def success_probability(instance: SearchInstance, n: int) -> float:
-    """Success probability after n iterations, in O(1) memory in n."""
-    basis = _ReducedBasis(instance)
-    return float(basis.weights([basis.power(n)])[0])

@@ -10,6 +10,8 @@ so the amplitudes, not only the probabilities, are compared.
 wrong.
 """
 
+from collections import deque
+
 import numpy as np
 
 from gqsearch import SearchInstance, StateVector, TargetSet, random_state, uniform_state
@@ -37,7 +39,8 @@ def reduced_amplitudes(targets, averaging, start, n: int) -> np.ndarray:
     With c the coefficients of (s_T, s_L, a_T, a_L), off-target amplitudes
     are c_1 s + c_3 a and target ones c_0 s + c_2 a.
     """
-    c = _ReducedBasis(SearchInstance.from_states(targets, averaging, start)).power(n)
+    basis = _ReducedBasis(SearchInstance.from_states(targets, averaging, start))
+    (c,) = deque(basis.evolve(n), maxlen=1)  # the last coefficients, none kept
     idx = list(targets.indices)
     s = start.amplitudes
     a = averaging.amplitudes

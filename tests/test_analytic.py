@@ -20,7 +20,6 @@ from gqsearch import (
     random_state,
     rotation_angle,
     success_prob_analytic,
-    success_probability,
     success_trajectory,
     uniform_instance,
     uniform_state,
@@ -187,7 +186,7 @@ def test_decompose_allocates_no_n_length_array():
     try:
         inst = uniform_instance(2**40, 1)
         dec = decompose(inst)
-        p = success_probability(inst, 1000)
+        p = success_trajectory(inst, 1000)[-1]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

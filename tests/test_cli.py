@@ -9,6 +9,7 @@ import sys
 import time
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -18,12 +19,12 @@ from gqsearch import (
     SearchInstance,
     StateVector,
     TargetSet,
+    decompose,
     expected_cost,
     random_state,
     rotation_angle,
     run_parallel,
     success_prob_analytic,
-    success_probability,
     success_trajectory,
     uniform_instance,
     uniform_state,
@@ -35,6 +36,7 @@ from gqsearch.cli import (
     MONTECARLO_COLUMNS,
     PLAN_COLUMNS,
     SIMULATE_COLUMNS,
+    SIMULATE_MAX_ITERATIONS,
     SWEEP_COLUMNS,
     default_heatmap_n_max,
     heatmap_grid,
@@ -142,21 +144,28 @@ def test_simulate_never_prints_a_probability_past_one(capsys):
 
 
 def test_montecarlo_and_simulate_share_one_p(capsys):
-    # p_round and p_simulated are the same simulated p(n), bit for bit
+    # p_round is the closed form at the decomposition montecarlo planned
+    # with, bit for bit, and the simulator agrees with it to 1e-12
     common = ["--n-items", "64", "--targets", "3,17,40", "--start", "random:7"]
     code, out, _ = run_cli(capsys, "simulate", *common, "--iterations", "0..12")
     assert code == 0
     simulated = [row["p_simulated"] for row in json.loads(out)["rows"]]
+    dec = decompose(SearchInstance.from_states(
+        TargetSet((3, 17, 40)), uniform_state(64), random_state(64, 7)))
     code, out, _ = run_cli(capsys, "montecarlo", *common, "--trials", "10")
     assert code == 0
     default = json.loads(out)
-    assert default["p_round"] == simulated[default["iterations"]]
+    n = default["iterations"]
+    assert default["p_round"] == success_prob_analytic(dec, n)
+    assert abs(default["p_round"] - simulated[n]) <= 1e-12
     for n in range(1, 13):
         code, out, _ = run_cli(
             capsys, "montecarlo", *common, "--iterations", str(n), "--trials", "10",
         )
         assert code == 0
-        assert json.loads(out)["p_round"] == simulated[n], n
+        p_round = json.loads(out)["p_round"]
+        assert p_round == success_prob_analytic(dec, n), n
+        assert abs(p_round - simulated[n]) <= 1e-12, n
 
 
 def test_start_equal_to_averaging_reads_the_file_once(tmp_path, capsys, monkeypatch):
@@ -272,9 +281,8 @@ def test_state_file_with_nan_is_refused(tmp_path, capsys):
     assert code == 2 and err.startswith("error:") and out == ""
 
 
-def test_montecarlo_evolves_once(monkeypatch, capsys):
-    # every evolution builds one reduced basis; montecarlo evolves Q^n|s>
-    # once, for p
+def _count_reduced_bases(monkeypatch) -> list:
+    """The instances of every reduced basis built from here on."""
     built = []
 
     class Counting(statevector_module._ReducedBasis):
@@ -283,13 +291,44 @@ def test_montecarlo_evolves_once(monkeypatch, capsys):
             super().__init__(instance)
 
     monkeypatch.setattr(statevector_module, "_ReducedBasis", Counting)
-    code, _, _ = run_cli(
-        capsys,
-        "montecarlo", "--n-items", "64", "--num-targets", "1",
-        "--trials", "50", "--seed", "1",
-    )
-    assert code == 0
+    return built
+
+
+def test_montecarlo_never_steps_q(monkeypatch, capsys):
+    # every evolution builds a reduced basis; montecarlo reads p(n) from
+    # the closed form, for a uniform and for a general start
+    built = _count_reduced_bases(monkeypatch)
+    for start in ("uniform", "random:7"):
+        code, _, _ = run_cli(
+            capsys,
+            "montecarlo", "--n-items", "64", "--num-targets", "1", "--start", start,
+            "--trials", "50", "--seed", "1",
+        )
+        assert code == 0
+    assert built == []
+    # the simulator itself is still counted
+    assert run_cli(capsys, "simulate", "--n-items", "64", "--num-targets", "1")[0] == 0
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("log2_n", [40, 60])
+def test_montecarlo_p_round_matches_mpmath(monkeypatch, capsys, log2_n):
+    # p(n) = sin^2((2n + 1) asin(sqrt(1/N))) at the default n; walking
+    # 611,089 steps at N = 2^40 left p_round 6.9e-14 off.  The cost is the
+    # one the planner minimised, bit for bit.
+    built = _count_reduced_bases(monkeypatch)
+    code, out, _ = run_cli(
+        capsys,
+        "montecarlo", "--n-items", str(2**log2_n), "--num-targets", "1", "--trials", "10",
+    )
+    assert code == 0 and built == []
+    payload = json.loads(out)
+    with mpmath.workdps(50):
+        n = payload["iterations"]
+        exact = mpmath.sin((2 * n + 1) * mpmath.asin(mpmath.sqrt(mpmath.mpf(2) ** -log2_n))) ** 2
+        assert abs(payload["p_round"] - exact) <= 1e-15, (n, payload["p_round"])
+    plan = gqsearch.parallel_plan(1, 2**log2_n, 1)
+    assert (plan.n_int, plan.expected_cost) == (n, payload["closed_form_cost"])
 
 
 def test_random_start_is_deterministic(capsys):
@@ -631,8 +670,8 @@ def test_sweep_rows_structure():
 
 
 def test_montecarlo_born_model(tmp_path, capsys):
-    # one agent is the k = 1 coin race, with p the Born target weight of
-    # the simulated Q^n|s>
+    # one agent is the k = 1 coin race, with p the closed-form Born target
+    # weight of Q^n|s>
     args = [
         "montecarlo", "--n-items", "16", "--num-targets", "1",
         "--iterations", "3", "--trials", "2000", "--seed", "11",
@@ -640,8 +679,7 @@ def test_montecarlo_born_model(tmp_path, capsys):
     code, out, _ = run_cli(capsys, *args)
     assert code == 0
     payload = json.loads(out)
-    inst = uniform_instance(16, 1)
-    p = success_probability(inst, 3)
+    p = success_prob_analytic(decompose(uniform_instance(16, 1)), 3)
     assert payload["p_round"] == p
     est = run_parallel(p, 3, 1, 2000, 11)
     assert (payload["mean"], payload["stderr"]) == (est.mean, est.stderr)
@@ -665,8 +703,8 @@ def test_montecarlo_coin_model(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == ",".join(MONTECARLO_COLUMNS)
     cells = dict(zip(MONTECARLO_COLUMNS, lines[1].split(",")))
-    inst = uniform_instance(16, 1)
-    p = success_probability(inst, 3)
+    p = success_prob_analytic(decompose(uniform_instance(16, 1)), 3)
+    assert float(cells["p_round"]) == p
     assert float(cells["mean"]) == run_parallel(p, 3, 4, 3000, 11).mean
     assert float(cells["agent_time_mean"]) == 4.0 * float(cells["mean"])
 
@@ -735,11 +773,10 @@ def test_montecarlo_start_that_never_succeeds(tmp_path, capsys):
 )
 def test_montecarlo_checks_its_options_before_stepping_q(monkeypatch, capsys, option, value,
                                                          message):
-    # a million Q steps took seconds before these options were refused
+    # each option is refused before the instance is built
     def never(*args):
         raise AssertionError("called before the options were checked")
 
-    monkeypatch.setattr(gqsearch.cli, "success_probability", never)
     monkeypatch.setattr(gqsearch.cli, "_build_instance", never)
     code, out, err = run_cli(
         capsys,
@@ -747,6 +784,38 @@ def test_montecarlo_checks_its_options_before_stepping_q(monkeypatch, capsys, op
         option, value,
     )
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("n", [0, 2**53 + 1, 10**400], ids=["0", "2^53+1", "10^400"])
+def test_montecarlo_refuses_iterations_outside_float_range(monkeypatch, capsys, n):
+    # past 2^53 the closed form's float n rounds (2^53 + 1 read p at 2^53),
+    # and 10^400 overflowed the float conversion with a traceback
+    def never(*args):
+        raise AssertionError("called before --iterations was checked")
+
+    monkeypatch.setattr(gqsearch.cli, "_build_instance", never)
+    code, out, err = run_cli(
+        capsys, "montecarlo", "--n-items", "64", "--num-targets", "1", "--iterations", str(n),
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: --iterations must lie in [1, 2^53] for montecarlo, got {n}\n"
+
+
+@pytest.mark.parametrize("log2_n_items,n", [(6, 10**11), (110, 2**53)])
+def test_montecarlo_answers_at_any_iteration_count(monkeypatch, capsys, log2_n_items, n):
+    # walking 10^11 steps of Q ran past 5 s; the closed form answers at
+    # once, up to n = 2^53 itself
+    built = _count_reduced_bases(monkeypatch)
+    code, out, err = run_cli(
+        capsys,
+        "montecarlo", "--n-items", str(2**log2_n_items), "--num-targets", "1",
+        "--iterations", str(n), "--trials", "100",
+    )
+    assert code == 0 and err == "" and built == []
+    payload = json.loads(out)
+    dec = decompose(uniform_instance(2**log2_n_items, 1))
+    assert payload["iterations"] == n
+    assert payload["p_round"] == success_prob_analytic(dec, n)
 
 
 def test_montecarlo_accepts_the_ends_of_its_counter_range(capsys):
@@ -930,6 +999,41 @@ def test_bad_flags_fail_cleanly(capsys):
         main(["simulate", "--n-items", "8"])
     with pytest.raises(SystemExit):
         main(["simulate", "--n-items", "8", "--targets", "1", "--format", "pgm"])
+
+
+def test_simulate_refuses_iterations_past_its_cap(capsys):
+    # refused on the estimate: one row per n up to 10^11 ran without end
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(
+            capsys,
+            "simulate", "--n-items", "4", "--num-targets", "1", "--iterations", "0..100000000000",
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    top = SIMULATE_MAX_ITERATIONS
+    assert err == f"error: --iterations must end at or below {top}, got 100000000000\n"
+    assert peak < 4 * 2**20, peak
+    code, _, err = run_cli(
+        capsys, "simulate", "--n-items", "4", "--num-targets", "1", "--iterations", f"{top + 1}",
+    )
+    assert code == 2 and err.startswith("error: --iterations must end at or below")
+
+
+def test_simulate_walks_up_to_its_cap(monkeypatch, capsys):
+    # the largest n passes the guard; the walk itself is stubbed out
+    class Walked(Exception):
+        pass
+
+    def walk(instance, n_max):
+        raise Walked(n_max)
+
+    monkeypatch.setattr(gqsearch.cli, "success_trajectory", walk)
+    top = SIMULATE_MAX_ITERATIONS
+    with pytest.raises(Walked, match=f"^{top}$"):
+        main(["simulate", "--n-items", "4", "--num-targets", "1", "--iterations", f"{top}"])
 
 
 def test_simulate_small_case_pattern(capsys):

@@ -25,7 +25,7 @@ from gqsearch import (
     punctuated_plan,
     rotation_angle,
     run_parallel,
-    success_probability,
+    success_trajectory,
     uniform_instance,
 )
 from gqsearch.cli import main, write_state_file
@@ -109,7 +109,7 @@ def test_statevector_variant_rejects_zero_support(tmp_path, capsys):
     # start and averaging both orthogonal to the target: p stays 0
     off = StateVector(np.array([0.0, 1.0, 1.0, 1.0]) / math.sqrt(3.0))
     inst = SearchInstance.from_states(TargetSet.first(1), off, off)
-    p = success_probability(inst, 1)
+    p = success_trajectory(inst, 1)[-1]
     assert p == 0.0
     with pytest.raises(NeverSucceedsError):
         run_parallel(p, 1, 1, 5, seed=0)
@@ -178,7 +178,7 @@ def test_parallel_closed_form_points():
 def test_statevector_mean_at_punctuated_optimum():
     inst = uniform_instance(64, TargetSet((7,)))
     plan = punctuated_plan(rotation_angle(math.sqrt(1.0 / 64.0)))
-    p_round = success_probability(inst, plan.n_int)
+    p_round = success_trajectory(inst, plan.n_int)[-1]
     closed = expected_cost(plan.n_int, p_round)
     est = run_parallel(p_round, plan.n_int, 1, 10**5, seed=6)
     assert abs(est.mean - closed) <= 3.0 * est.stderr

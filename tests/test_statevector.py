@@ -1,7 +1,6 @@
 """Unit and property tests for the exact state-vector simulator."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +16,6 @@ from gqsearch import (
     StateVector,
     TargetSet,
     random_state,
-    success_probability,
     success_trajectory,
     uniform_instance,
     uniform_state,
@@ -105,7 +103,7 @@ def test_grover_power_known_value():
     # N = 16, one target, three iterations: p = 251^2 / 2^16, an anchor
     # for both the reduced evolution and the dense reference
     states = uniform_states(16, 1)
-    p = success_probability(uniform_instance(16, 1), 3)
+    p = success_trajectory(uniform_instance(16, 1), 3)[-1]
     assert abs(p - 63001 / 65536) < 1e-12
     assert abs(abs(reduced_amplitudes(*states, 3)[0]) ** 2 - 63001 / 65536) < 1e-12
     assert abs(dense_evolution(*states, 3)[0][3] - 63001 / 65536) < 1e-12
@@ -114,20 +112,20 @@ def test_grover_power_known_value():
 def test_grover_power_perfect_small_case():
     # N = 4, one target: a single iteration succeeds with certainty
     assert abs(abs(reduced_amplitudes(*uniform_states(4, 1), 1)[0]) ** 2 - 1.0) < 1e-12
-    assert abs(success_probability(uniform_instance(4, 1), 1) - 1.0) < 1e-12
+    assert abs(success_trajectory(uniform_instance(4, 1), 1)[-1] - 1.0) < 1e-12
 
 
 def test_success_probability_never_rounds_past_one():
     # the norm is held to NORM_TOL only, so the raw target weight can round
-    # past 1: N = 12, r = 3 gave 1 + 7e-16 at n = 1.  The trajectory and
-    # the single-n probability are one expression, so they agree bit for bit.
+    # past 1: N = 12, r = 3 gave 1 + 7e-16 at n = 1.  A shorter walk is a
+    # prefix of a longer one, so they agree bit for bit.
     for n_items in range(1, 65):
         for r in range(1, n_items + 1):
             inst = uniform_instance(n_items, r)
             traj = success_trajectory(inst, 5)
             assert np.all((traj >= 0.0) & (traj <= 1.0)), (n_items, r, traj)
             for n in range(6):
-                assert success_probability(inst, n) == traj[n], (n_items, r, n)
+                assert success_trajectory(inst, n)[-1] == traj[n], (n_items, r, n)
 
 
 def test_nan_target_weight_is_not_clipped_to_one():
@@ -137,21 +135,7 @@ def test_nan_target_weight_is_not_clipped_to_one():
     u.amplitudes = u.amplitudes.copy()
     u.amplitudes[0] = math.nan
     inst = SearchInstance.from_states(targets, u, u)
-    assert math.isnan(success_probability(inst, 0))
     assert math.isnan(success_trajectory(inst, 0)[0])
-
-
-def test_success_probability_keeps_no_trajectory():
-    # O(1) memory in n once the instance exists: no N-vector, no trajectory
-    inst = uniform_instance(2**20, 16)
-    tracemalloc.start()
-    try:
-        p = success_probability(inst, 200)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert p == success_trajectory(inst, 200)[200]
-    assert peak < 2**20, peak
 
 
 def test_grover_power_zero_is_identity():
@@ -159,9 +143,8 @@ def test_grover_power_zero_is_identity():
     assert np.array_equal(reduced_amplitudes(*states, 0), states[2].amplitudes)
     with pytest.raises(ValueError, match="non-negative"):
         reduced_amplitudes(*states, -1)
-    for evolve in (success_probability, success_trajectory):
-        with pytest.raises(ValueError, match="non-negative"):
-            evolve(uniform_instance(8, 2), -1)
+    with pytest.raises(ValueError, match="non-negative"):
+        success_trajectory(uniform_instance(8, 2), -1)
 
 
 def test_norm_preserved_over_long_run():
@@ -179,7 +162,7 @@ def test_success_trajectory_matches_pointwise_powers():
     for n in range(11):
         amps = reduced_amplitudes(*states, n)
         assert abs(traj[n] - np.sum(np.abs(amps[[3, 17]]) ** 2)) < 1e-12
-        assert success_probability(inst, n) == traj[n]
+        assert success_trajectory(inst, n)[-1] == traj[n]
 
 
 def test_count_style_target_placement_is_immaterial():
