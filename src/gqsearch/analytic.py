@@ -27,10 +27,10 @@ phi/2 from |a'>, and the formula reduces to (1 - cos((2n+1) phi))/2,
 from __future__ import annotations
 
 import math
+import types
 from dataclasses import dataclass
 
-import numpy as np
-
+from . import _np as np
 from .errors import FlatProbabilityError
 from .statevector import SearchInstance, StateVector, TargetSet
 
@@ -161,6 +161,53 @@ def decompose(instance: SearchInstance) -> Decomposition:
     return Decomposition.build(v, alpha, beta, b, w_t=w_t, w_l=w_l)
 
 
+def _nan_for_inf(f):
+    """The math function f, giving NaN for an infinite argument as numpy does."""
+    def twin(x):
+        try:
+            return f(x)
+        except ValueError:  # math.cos(inf) raises where np.cos(inf) is NaN
+            return math.nan
+    return twin
+
+
+# The math twins of the numpy calls the closed forms make, used for a scalar
+# n so that it loads no numpy.  libm and numpy round cos, sin and pow alike
+# (tests/test_analytic.py holds the two paths to the same bits); clip keeps
+# numpy's order, so NaN passes through and -0.0 stays -0.0.
+_MATH = types.SimpleNamespace(
+    cos=_nan_for_inf(math.cos),
+    sin=_nan_for_inf(math.sin),
+    float_power=math.pow,
+    clip=lambda x, lo, hi: lo if x < lo else hi if x > hi else x,
+)
+
+
+def _float_n(n):
+    """(n, xp): a Python number as a float with xp = _MATH, else a float array with numpy."""
+    if isinstance(n, (int, float)):
+        return float(n), _MATH
+    return np.asarray(n, dtype=float), np
+
+
+def _iterations(n):
+    """`_float_n` of an iteration count n, refusing a negative n."""
+    if isinstance(n, (int, float)):  # _float_n inlined: a heatmap cell is one call
+        n, xp = float(n), _MATH
+        negative = n < 0.0
+    else:
+        n, xp = np.asarray(n, dtype=float), np
+        negative = np.any(n < 0.0)
+    if negative:
+        raise ValueError("n must be non-negative")
+    return n, xp
+
+
+def _unwrap(p):
+    """A float for a scalar or 0-d result, the array itself otherwise."""
+    return float(p) if isinstance(p, float) or p.ndim == 0 else p
+
+
 def success_prob_analytic(dec: Decomposition, n):
     """Closed-form success probability after n iterations; n may be real.
 
@@ -168,14 +215,11 @@ def success_prob_analytic(dec: Decomposition, n):
     treats n as continuous); returns matching shape, clipped to [0, 1]
     against float round-off.
     """
-    n_arr = np.asarray(n, dtype=float)
-    if np.any(n_arr < 0.0):
-        raise ValueError("n must be non-negative")
-    g = 0.5 * (dec.alpha**2 + dec.beta**2) + 0.5 * dec.amp * np.cos(
-        2.0 * n_arr * dec.phi - dec.theta
+    n, xp = _iterations(n)
+    g = 0.5 * (dec.alpha**2 + dec.beta**2) + 0.5 * dec.amp * xp.cos(
+        2.0 * n * dec.phi - dec.theta
     )
-    p = np.clip(dec.w_t + g, 0.0, 1.0)
-    return float(p) if n_arr.ndim == 0 else p
+    return _unwrap(xp.clip(dec.w_t + g, 0.0, 1.0))
 
 
 def first_maximum(dec: Decomposition):
@@ -207,11 +251,8 @@ def uniform_success_prob(v: float, n):
     exactly, so integer n succeed with certainty.
     """
     phi = rotation_angle(v)
-    n_arr = np.asarray(n, dtype=float)
-    if np.any(n_arr < 0.0):
-        raise ValueError("n must be non-negative")
-    p = 0.5 * (1.0 - np.cos((2.0 * n_arr + 1.0) * phi))
-    return float(p) if n_arr.ndim == 0 else p
+    n, xp = _iterations(n)
+    return _unwrap(0.5 * (1.0 - xp.cos((2.0 * n + 1.0) * phi)))
 
 
 def biham_mapping(start: StateVector, targets: TargetSet) -> BihamMapping:

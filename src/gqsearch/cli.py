@@ -30,8 +30,7 @@ import math
 import sys
 import warnings
 
-import numpy as np
-
+from . import _np as np
 from .analytic import (
     Decomposition,
     biham_mapping,
@@ -170,7 +169,9 @@ def _csv_cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        return json.dumps(value, allow_nan=False)  # repr; NaN/inf raise
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite value {value!r} in CSV output")
+        return float.__repr__(value)  # what json.dumps writes, numpy floats included
     return str(value)
 
 
@@ -184,12 +185,14 @@ def _csv_text(columns, rows) -> str:
 def _render(fmt: str, payload: dict, columns, rows):
     """The one output layer: a command's JSON object, or its rows as CSV.
 
-    pgm, heatmap only, draws the JSON object's grid as an image.
+    pgm, heatmap only, draws the JSON object's grid as an image.  Rows may
+    be any iterable, and a command may pass None for the part that its
+    --format does not render.
     """
     if fmt == "csv":
         return _csv_text(columns, rows)
     if fmt == "pgm":
-        return heatmap_to_pgm(np.array(payload["grid"]))
+        return heatmap_to_pgm(payload["grid"])
     return _json_text(payload)
 
 
@@ -217,31 +220,37 @@ def default_heatmap_n_max(n_items: int) -> int:
     return 2 * math.ceil(0.5 * math.pi / phi1)
 
 
-# A heatmap call peaks at up to 360 bytes per cell over start-up (one row
-# in JSON; Python 3.11, numpy 2.4.6), so the largest grid peaks near 750 MiB.
+# A heatmap call peaks at up to 280 bytes per cell over start-up (one row in
+# CSV; 230 in JSON, 120 in PGM; Python 3.11), so the largest grid peaks near
+# 570 MiB.  A cell costs about 1-2 us end to end in PGM, 2-4 us in JSON or CSV.
 HEATMAP_MAX_CELLS = 2**21
 
 
-def heatmap_grid(n_items: int, n_max: int) -> np.ndarray:
-    """p(n, r) for n = 0..n_max (rows) and r = 1..N (columns), uniform case."""
+def heatmap_grid(n_items: int, n_max: int) -> list:
+    """p(n, r) for n = 0..n_max (rows) and r = 1..N (columns), uniform case.
+
+    Rows are lists of floats, one `uniform_success_prob` call per cell.
+    """
     if n_items < 1:
         raise ValueError(f"n_items must be >= 1, got {n_items}")
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     if (n_max + 1) * n_items > HEATMAP_MAX_CELLS:
         raise ValueError(f"heatmap of {n_max + 1} x {n_items} cells exceeds {HEATMAP_MAX_CELLS}")
-    ns = np.arange(n_max + 1, dtype=float)
-    return np.column_stack(
-        [uniform_success_prob(math.sqrt(r / n_items), ns) for r in range(1, n_items + 1)]
+    vs = [math.sqrt(r / n_items) for r in range(1, n_items + 1)]
+    return [[uniform_success_prob(v, n) for v in vs] for n in range(n_max + 1)]
+
+
+def heatmap_to_pgm(grid) -> bytes:
+    """Binary P5 image of the grid's rows; 255 = probability 1.
+
+    Each pixel is round(255 p) for p clipped to [0, 1]: round() ties to even,
+    as np.rint does.
+    """
+    header = f"P5\n{len(grid[0])} {len(grid)}\n255\n".encode("ascii")
+    return header + bytes(
+        round((0.0 if p < 0.0 else 1.0 if p > 1.0 else p) * 255.0) for row in grid for p in row
     )
-
-
-def heatmap_to_pgm(grid: np.ndarray) -> bytes:
-    """Binary P5 image of the grid; 255 = probability 1."""
-    pixels = np.rint(np.clip(grid, 0.0, 1.0) * 255.0).astype(np.uint8)
-    height, width = pixels.shape
-    header = f"P5\n{width} {height}\n255\n".encode("ascii")
-    return header + pixels.tobytes(order="C")
 
 
 SWEEP_COLUMNS = (
@@ -304,8 +313,8 @@ SIMULATE_COLUMNS = (
 )
 
 
-# A simulate row peaks at about 1.6 KiB over start-up (JSON; Python 3.11,
-# numpy 2.4.6), so walking to the largest n peaks near 850 MiB.
+# A simulate row peaks at about 1.1 KiB over start-up (JSON; 0.4 KiB in CSV;
+# Python 3.11, numpy 2.4.6), so walking to the largest n peaks near 600 MiB.
 SIMULATE_MAX_ITERATIONS = 2**19
 
 
@@ -315,23 +324,20 @@ def cmd_simulate(args: argparse.Namespace):
         raise ValueError(f"--iterations must end at or below {SIMULATE_MAX_ITERATIONS}, got {hi}")
     instance = _build_instance(args)
     trajectory = success_trajectory(instance, hi)
-    ns = np.arange(lo, hi + 1)
 
     dec = decompose(instance)
     dec_dict = {
         "v": dec.v, "phi": dec.phi, "alpha": dec.alpha, "beta": dec.beta,
         "b": dec.b, "psi": dec.psi, "w_t": dec.w_t, "w_l": dec.w_l,
     }
-    p_analytic = success_prob_analytic(dec, ns)
+    p_analytic = success_prob_analytic(dec, np.arange(lo, hi + 1))
+    values = zip(range(lo, hi + 1), trajectory[lo:].tolist(), p_analytic.tolist())
+    if args.format == "csv":  # one row at a time, and no JSON rows
+        return None, SIMULATE_COLUMNS, (
+            dict(zip(SIMULATE_COLUMNS, row), **dec_dict) for row in values
+        )
 
-    rows = [
-        {
-            "n": int(n),
-            "p_simulated": float(trajectory[n]),
-            "p_analytic": float(p),
-        }
-        for n, p in zip(ns, p_analytic)
-    ]
+    rows = [{"n": n, "p_simulated": p_sim, "p_analytic": p} for n, p_sim, p in values]
     payload = {
         "command": "simulate",
         "n_items": args.n_items,
@@ -341,7 +347,7 @@ def cmd_simulate(args: argparse.Namespace):
         "decomposition": dec_dict,
         "rows": rows,
     }
-    return payload, SIMULATE_COLUMNS, [dict(row, **dec_dict) for row in rows]
+    return payload, SIMULATE_COLUMNS, None
 
 
 # Each plan CSV column and the (section, key) of the JSON value it holds;
@@ -447,7 +453,7 @@ def cmd_heatmap(args: argparse.Namespace):
         if args.iterations is not None
         else default_heatmap_n_max(args.n_items)
     )
-    grid = heatmap_grid(args.n_items, n_max).tolist()
+    grid = heatmap_grid(args.n_items, n_max)
     columns = ["n"] + [f"r={r}" for r in range(1, args.n_items + 1)]
     payload = {
         "command": "heatmap",
@@ -455,7 +461,7 @@ def cmd_heatmap(args: argparse.Namespace):
         "n_max": n_max,
         "grid": grid,
     }
-    return payload, columns, [dict(zip(columns, [n] + row)) for n, row in enumerate(grid)]
+    return payload, columns, (dict(zip(columns, [n] + row)) for n, row in enumerate(grid))
 
 
 def cmd_parallel_sweep(args: argparse.Namespace):

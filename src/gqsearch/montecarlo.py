@@ -16,8 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from . import _np as np
 from .errors import NeverSucceedsError, TrialCapError
 from .strategy import parallel_success
 

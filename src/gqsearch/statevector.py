@@ -28,8 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from . import _np as np
 from .errors import InvalidDimensionError, InvalidTargetError, NonUnitStateError
 
 # Drift beyond this raises NonUnitStateError.
@@ -161,8 +160,11 @@ def random_state(n_items: int, seed: int) -> StateVector:
     if n_items < 1:
         raise InvalidDimensionError(f"n_items must be >= 1, got {n_items}")
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal(n_items) + 1j * rng.standard_normal(n_items)
-    return StateVector(z / np.linalg.norm(z))
+    z = np.empty(n_items, dtype=np.complex128)  # filled in place: no complex temporaries
+    z.real = rng.standard_normal(n_items)
+    z.imag = rng.standard_normal(n_items)
+    z /= np.linalg.norm(z)
+    return StateVector(z)
 
 
 def uniform_instance(n_items: int, targets) -> SearchInstance:

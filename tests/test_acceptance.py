@@ -239,7 +239,7 @@ def test_criterion_09_heatmap_single_target_column():
     v = math.sqrt(1.0 / n_items)
     phi = rotation_angle(v)
     n_max = default_heatmap_n_max(n_items)
-    grid = heatmap_grid(n_items, n_max)
+    grid = np.asarray(heatmap_grid(n_items, n_max))
     column = grid[:, 0]
     n_star = round(0.5 * math.pi / phi - 0.5)
     assert n_star == 6

@@ -1,6 +1,7 @@
 """Tests for the rotation-plane decomposition and closed-form probability."""
 
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -17,6 +18,7 @@ from gqsearch import (
     biham_mapping,
     decompose,
     first_maximum,
+    punctuated_success_prob,
     random_state,
     rotation_angle,
     success_prob_analytic,
@@ -25,6 +27,7 @@ from gqsearch import (
     uniform_state,
     uniform_success_prob,
 )
+from gqsearch.analytic import _MATH
 
 from dense_reference import dense_evolution, edge_states
 
@@ -308,3 +311,63 @@ def test_biham_mapping_target_eigenstate():
     assert mapping.sigma_k == 0.0
     assert mapping.l_bar == 0.0 + 0.0j
     assert mapping.sigma_l == 0.0
+
+
+def _bits(values) -> list:
+    """Each float's IEEE bytes, every NaN as one token (numpy and libm pick payloads)."""
+    return ["nan" if math.isnan(x) else struct.pack("<d", x) for x in values]
+
+
+def _both_paths(fn, ns) -> tuple:
+    """fn on each n as a Python float (math) and on all of ns as one array (numpy)."""
+    with np.errstate(invalid="ignore"):  # cos(inf) is NaN, as the scalar twin gives
+        array = fn(np.array(ns, dtype=float))
+    return _bits([fn(n) for n in ns]), _bits(array.tolist())
+
+
+# n = 0 and -0.0, small and fractional n, n past 2^30 up to 2^40, NaN and inf,
+# and 2,000 random counts below 2^40
+_BIT_NS = (
+    [0.0, -0.0, 0.5, 1.0, 2.0, 3.0, 7.0, 1000.0, 12345.678, 2.0**20, 2.0**30 + 1.0,
+     2.0**40 - 1.0, 2.0**40, math.nan, math.inf]
+    + np.random.default_rng(19).integers(0, 2**40, 2000).astype(float).tolist()
+)
+
+_BIT_DECOMPOSITIONS = [
+    Decomposition.uniform(1, 4),
+    Decomposition.uniform(1, 2**20),
+    Decomposition.uniform(3, 2**40),
+    Decomposition.uniform(2**20 - 1, 2**20),  # phi just below pi
+    Decomposition.uniform(4, 4),  # phi = pi
+    decompose(SearchInstance.from_states(TargetSet((3, 17, 40)), uniform_state(64),
+                                         random_state(64, 7))),
+    decompose(plane_instance(0.6, 0.8, 1.1)),
+    Decomposition.build(0.0, 0.0, 1.0, 0.0),  # phi = 0
+    # peaks past 1 and troughs below 0 before the clip
+    Decomposition.build(0.5, 1.0, 0.0, 0.0, w_t=1e-15),
+    Decomposition.build(0.5, 0.6, 0.8, 0.0, w_t=-1e-300),
+]
+
+
+@pytest.mark.parametrize("dec", _BIT_DECOMPOSITIONS)
+def test_success_prob_scalar_and_array_paths_agree_bit_for_bit(dec):
+    scalar, array = _both_paths(lambda n: success_prob_analytic(dec, n), _BIT_NS)
+    assert scalar == array
+
+
+@pytest.mark.parametrize("v", [0.0, 2.0**-20, 0.25, 0.5, 0.9, 1.0 - 2.0**-30,
+                               math.nextafter(1.0, 0.0), 1.0])
+def test_uniform_and_punctuated_paths_agree_bit_for_bit(v):
+    scalar, array = _both_paths(lambda n: uniform_success_prob(v, n), _BIT_NS)
+    assert scalar == array
+    phi = rotation_angle(v)
+    scalar, array = _both_paths(lambda n: punctuated_success_prob(n, phi), _BIT_NS)
+    assert scalar == array
+
+
+def test_scalar_clip_follows_numpy_on_nan_and_signed_zero():
+    values = [-0.0, 0.0, -1e-300, 5e-324, 0.5, 1.0, math.nextafter(1.0, 2.0),
+              -math.inf, math.inf, math.nan]
+    expected = _bits(np.clip(np.array(values), 0.0, 1.0).tolist())
+    assert _bits([_MATH.clip(x, 0.0, 1.0) for x in values]) == expected
+    assert math.copysign(1.0, _MATH.clip(-0.0, 0.0, 1.0)) == -1.0

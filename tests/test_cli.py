@@ -549,7 +549,7 @@ def test_uniform_runs_at_huge_n(capsys):
 
 
 def test_heatmap_trivial_cells():
-    grid = heatmap_grid(64, 3)
+    grid = np.asarray(heatmap_grid(64, 3))
     np.testing.assert_allclose(grid[0], np.arange(1, 65) / 64.0, atol=1e-12)
     # r = 16 gives v = 1/2: one iteration reaches probability 1 exactly
     assert abs(grid[1, 15] - 1.0) < 1e-12
@@ -594,11 +594,22 @@ def test_heatmap_pgm_bytes(tmp_path):
     data = out.read_bytes()
     assert data.startswith(b"P5\n8 4\n255\n")
     payload = data[len(b"P5\n8 4\n255\n"):]
-    grid = heatmap_grid(8, 3)
+    grid = np.asarray(heatmap_grid(8, 3))
     assert payload == heatmap_to_pgm(grid)[len(b"P5\n8 4\n255\n"):]
     assert payload == np.rint(grid * 255.0).astype(np.uint8).tobytes()
     # full-probability column renders white
     assert payload[7] == 255
+
+
+def test_heatmap_pgm_pixels_round_as_numpy_rint():
+    halves = [(k + 0.5) / 255.0 for k in range(255)]
+    # exact half steps, where only the tie rule decides the pixel
+    assert sum((p * 255.0) % 1.0 == 0.5 for p in halves) > 100
+    edges = [-0.0, 0.0, -1.0, 2.0, 1.0, 5e-324, math.nextafter(1.0, 2.0), -math.inf, math.inf]
+    grid = [halves, edges + [k / 255.0 for k in range(255 - len(edges))],
+            np.random.default_rng(5).uniform(-0.1, 1.1, 255).tolist()]
+    pixels = np.rint(np.clip(np.array(grid), 0.0, 1.0) * 255.0).astype(np.uint8)
+    assert heatmap_to_pgm(grid) == b"P5\n255 3\n255\n" + pixels.tobytes()
 
 
 @pytest.mark.parametrize("n_items", ["0", "-3"])
@@ -625,7 +636,7 @@ def test_heatmap_refuses_an_oversize_grid_before_allocating_it(capsys, argv):
 
 
 def test_heatmap_grid_cap_is_inclusive():
-    assert heatmap_grid(4, HEATMAP_MAX_CELLS // 4 - 1).shape == (HEATMAP_MAX_CELLS // 4, 4)
+    assert np.asarray(heatmap_grid(4, HEATMAP_MAX_CELLS // 4 - 1)).shape == (HEATMAP_MAX_CELLS // 4, 4)
     with pytest.raises(ValueError, match="exceeds"):
         heatmap_grid(4, HEATMAP_MAX_CELLS // 4)
 
@@ -932,6 +943,48 @@ def test_cli_import_does_not_load_scipy():
         text=True, check=True,
     )
     assert result.stdout.strip() == "False"
+
+
+# Runs `import gqsearch`, then main(argv) if argv is given, in a fresh
+# interpreter; prints the exit code and whether numpy got loaded.
+_NUMPY_PROBE = """
+import contextlib, io, sys
+import gqsearch
+code = None
+if sys.argv[1:]:
+    from gqsearch.cli import main
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(sys.argv[1:])
+        except SystemExit as exc:
+            code = exc.code
+print(code, "numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code, loads_numpy",
+    [
+        ([], None, False),
+        (["plan", "--n-items", "1048576", "--num-targets", "1"], 0, False),
+        (["heatmap", "--n-items", "8"], 0, False),
+        (["heatmap", "--n-items", "8", "--format", "csv"], 0, False),
+        (["heatmap", "--n-items", "8", "--format", "pgm", "--out", "OUT"], 0, False),
+        (["--help"], 0, False),
+        (["plan", "--n-items", "16", "--bogus"], 2, False),
+        # the control: a parallel plan runs the planner, which is numpy's
+        (["plan", "--n-items", "1048576", "--num-targets", "1", "--agents", "4"], 0, True),
+    ],
+    ids=["import", "plan", "heatmap-json", "heatmap-csv", "heatmap-pgm", "help", "bad-flag",
+         "plan-agents-4"],
+)
+def test_calls_that_build_no_vector_never_load_numpy(tmp_path, argv, code, loads_numpy):
+    argv = [str(tmp_path / "map.pgm") if arg == "OUT" else arg for arg in argv]
+    result = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, *argv], env=_env_with_package(),
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout.split() == [str(code), str(loads_numpy)]
 
 
 def test_verify_all_pass(capsys):
