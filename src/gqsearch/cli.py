@@ -40,7 +40,7 @@ from .analytic import (
     success_prob_analytic,
     uniform_success_prob,
 )
-from .errors import GQSearchError, InvalidTargetError, ValidityError
+from .errors import GQSearchError, InvalidDimensionError, InvalidTargetError, ValidityError
 from .montecarlo import run_parallel
 from .statevector import (
     SearchInstance,
@@ -122,10 +122,25 @@ def write_state_file(path: str, state: StateVector) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _resolve_targets(args: argparse.Namespace) -> TargetSet:
-    if args.targets is not None:
-        return TargetSet(_parse_target_list(args.targets))
-    return TargetSet.first(args.num_targets)
+def _resolve_targets(args: argparse.Namespace) -> tuple:
+    """(r, TargetSet) for --targets; (r, None) for --num-targets, so a count builds no indices."""
+    if args.n_items < 1:
+        raise InvalidDimensionError(f"n_items must be >= 1, got {args.n_items}")
+    if args.targets is None:
+        targets, r, top = None, args.num_targets, args.num_targets - 1
+    else:
+        targets = TargetSet(_parse_target_list(args.targets))
+        r, top = targets.r, targets.indices[-1]
+    if r < 1:
+        raise InvalidTargetError("target set is empty")
+    if top >= args.n_items:
+        raise InvalidTargetError(f"target index {top} out of range for --n-items {args.n_items}")
+    return r, targets
+
+
+def _target_echo(r: int, targets) -> dict:
+    """The target flag as given: --targets as its sorted list, --num-targets as R."""
+    return {"num_targets": r} if targets is None else {"targets": list(targets.indices)}
 
 
 def _check_seed(name: str, seed: int) -> int:
@@ -150,15 +165,14 @@ def _resolve_state(spec: str, n_items: int, allow_random: bool) -> StateVector:
     raise ValueError(f"bad state specification {spec!r}")
 
 
-def _build_instance(args: argparse.Namespace) -> SearchInstance:
-    targets = _resolve_targets(args)
+def _build_instance(args: argparse.Namespace, r: int, targets) -> SearchInstance:
     if args.start == args.averaging == "uniform":
-        return uniform_instance(args.n_items, targets)
+        return uniform_instance(args.n_items, r)
     averaging = _resolve_state(args.averaging, args.n_items, allow_random=False)
     start = averaging  # s = a: one state, built (and read) once
     if args.start != args.averaging:
         start = _resolve_state(args.start, args.n_items, allow_random=True)
-    return SearchInstance.from_states(targets, averaging, start)
+    return SearchInstance.from_states(targets or TargetSet.first(r), averaging, start)
 
 
 def _json_text(payload) -> str:
@@ -322,7 +336,8 @@ def cmd_simulate(args: argparse.Namespace):
     lo, hi = _parse_iteration_range(args.iterations)
     if hi > SIMULATE_MAX_ITERATIONS:
         raise ValueError(f"--iterations must end at or below {SIMULATE_MAX_ITERATIONS}, got {hi}")
-    instance = _build_instance(args)
+    r, targets = _resolve_targets(args)
+    instance = _build_instance(args, r, targets)
     trajectory = success_trajectory(instance, hi)
 
     dec = decompose(instance)
@@ -341,7 +356,7 @@ def cmd_simulate(args: argparse.Namespace):
     payload = {
         "command": "simulate",
         "n_items": args.n_items,
-        "targets": list(instance.targets.indices),
+        **_target_echo(r, targets),
         "start": args.start,
         "averaging": args.averaging,
         "decomposition": dec_dict,
@@ -382,17 +397,7 @@ def _check_agents(k: int) -> None:
 
 def cmd_plan(args: argparse.Namespace):
     _check_agents(args.agents)
-    # only r and the largest index matter: a count builds no index tuple
-    if args.targets is None:
-        r = args.num_targets
-        if r < 1:
-            raise InvalidTargetError("target set is empty")
-        top = r - 1
-    else:
-        targets = TargetSet(_parse_target_list(args.targets))
-        r, top = targets.r, targets.indices[-1]
-    if top >= args.n_items:
-        raise ValueError(f"target index {top} out of range for --n-items {args.n_items}")
+    r, _ = _resolve_targets(args)
     v = math.sqrt(r / args.n_items)
     phi = rotation_angle(v)
     try:
@@ -495,8 +500,8 @@ def cmd_montecarlo(args: argparse.Namespace):
         n = _parse_iteration_single(args.iterations)
         if not 1 <= n <= 2**53:  # the closed form's float n is exact up to 2^53
             raise ValueError(f"--iterations must lie in [1, 2^53] for montecarlo, got {n}")
-    instance = _build_instance(args)
-    dec = decompose(instance)
+    r, targets = _resolve_targets(args)
+    dec = decompose(_build_instance(args, r, targets))
     if n is None:
         n = restart_iterations(dec, args.agents)
     p = success_prob_analytic(dec, n)  # the p(n) the planner minimised
@@ -507,7 +512,7 @@ def cmd_montecarlo(args: argparse.Namespace):
     payload = {
         "command": "montecarlo",
         "n_items": args.n_items,
-        "targets": list(instance.targets.indices),
+        **_target_echo(r, targets),
         "iterations": n,
         "agents": args.agents,
         "trials": args.trials,
@@ -519,7 +524,7 @@ def cmd_montecarlo(args: argparse.Namespace):
         "z": z,
         "agent_time_mean": args.agents * est.mean,
     }
-    return payload, MONTECARLO_COLUMNS, [dict(payload, r=instance.targets.r)]
+    return payload, MONTECARLO_COLUMNS, [dict(payload, r=r)]
 
 
 def _verify_checks(seed: int) -> list:

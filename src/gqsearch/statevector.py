@@ -107,20 +107,15 @@ class TargetSet:
 
 @dataclass(frozen=True)
 class SearchInstance:
-    """A search problem as N, its targets and six target-split inner products.
+    """A search problem as N and six target-split inner products.
 
     products holds (<s_T|s_T>, <s_L|s_L>, <a_T|a_T>, <a_T|s_T>, <a_L|s_L>,
-    <a_L|a_L>); build it with `from_states` or `uniform_instance`.
+    <a_L|a_L>), all that Q needs of the states and targets; build it with
+    `from_states` or `uniform_instance`.
     """
 
     n_items: int
-    targets: TargetSet
     products: tuple
-
-    def __post_init__(self):
-        if self.n_items < 1:
-            raise InvalidDimensionError(f"n_items must be >= 1, got {self.n_items}")
-        self.targets.check_range(self.n_items)
 
     @classmethod
     def from_states(cls, targets: TargetSet, averaging: StateVector, start: StateVector):
@@ -141,7 +136,7 @@ class SearchInstance:
         ss_l = np.vdot(s, s) - ss_t
         aa_l = np.vdot(a, a) - aa_t
         as_l = np.vdot(a, s) - as_t
-        return cls(start.dim, targets, (ss_t, ss_l, aa_t, as_t, as_l, aa_l))
+        return cls(start.dim, (ss_t, ss_l, aa_t, as_t, as_l, aa_l))
 
 
 def uniform_state(n_items: int) -> StateVector:
@@ -167,17 +162,17 @@ def random_state(n_items: int, seed: int) -> StateVector:
     return StateVector(z)
 
 
-def uniform_instance(n_items: int, targets) -> SearchInstance:
-    """Uniform averaging and start states; targets may be a TargetSet or a count.
+def uniform_instance(n_items: int, r: int) -> SearchInstance:
+    """Uniform averaging and start states with r targets, 1 <= r <= N.
 
-    With s = a = u, every product is t = r/N or 1 - t, so no N-vector is built.
+    With s = a = u, every product is t = r/N or 1 - t: no N-vector, no indices.
     """
-    if isinstance(targets, int):
-        targets = TargetSet.first(targets)
     if n_items < 1:
         raise InvalidDimensionError(f"n_items must be >= 1, got {n_items}")
-    t = targets.r / n_items
-    return SearchInstance(n_items, targets, (t, 1.0 - t, t, t, 1.0 - t, 1.0 - t))
+    if not 1 <= r <= n_items:
+        raise InvalidTargetError(f"target count {r} outside [1, {n_items}]")
+    t = r / n_items
+    return SearchInstance(n_items, (t, 1.0 - t, t, t, 1.0 - t, 1.0 - t))
 
 
 def _check_drift(nrm: float, step: int) -> None:

@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface and its file formats."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
@@ -12,6 +14,8 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gqsearch
 import gqsearch.cli
@@ -62,7 +66,7 @@ def test_simulate_stdout_json(capsys):
     assert code == 0 and err == ""
     payload = json.loads(out)
     assert payload["command"] == "simulate"
-    assert payload["targets"] == [0]
+    assert payload["num_targets"] == 1
     assert len(payload["rows"]) == 5
     dec = payload["decomposition"]
     assert abs(dec["v"] - 0.25) < 1e-12
@@ -408,22 +412,52 @@ def test_plan_rejects_out_of_range_targets(capsys):
     ("--targets", "3,3", "duplicate target indices"),
 ])
 def test_plan_target_errors(capsys, flag, value, message):
-    code, out, err = run_cli(capsys, "plan", "--n-items", "16", flag, value)
-    assert code == 2 and out == ""
-    assert err == f"error: {message}\n"
+    # plan, simulate and montecarlo share one target resolver and its words
+    for command in ("plan", "simulate", "montecarlo"):
+        code, out, err = run_cli(capsys, command, "--n-items", "16", flag, value)
+        assert code == 2 and out == "", command
+        assert err == f"error: {message}\n", command
 
 
-def test_plan_builds_no_target_list(capsys):
-    # plan needs only r: a count of 10^6 targets allocates no index tuple
+@pytest.mark.parametrize("argv", [
+    ["plan"],
+    ["simulate", "--iterations", "0..2"],
+    ["simulate", "--iterations", "0..2", "--format", "csv"],
+    ["montecarlo", "--trials", "10"],
+    ["montecarlo", "--trials", "10", "--format", "csv"],
+], ids=["plan", "simulate-json", "simulate-csv", "montecarlo-json", "montecarlo-csv"])
+def test_target_count_builds_no_target_list(capsys, argv):
+    # uniform runs need only r: a count of 10^6 targets allocates no indices
     tracemalloc.start()
     try:
-        code = main(["plan", "--n-items", str(2**40), "--num-targets", str(10**6)])
+        code = main(argv + ["--n-items", str(2**40), "--num-targets", str(10**6)])
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     out = capsys.readouterr().out
-    assert code == 0 and json.loads(out)["r"] == 10**6
+    assert code == 0 and len(out) < 10_000
+    if "csv" not in argv:
+        assert json.loads(out)["r" if argv[0] == "plan" else "num_targets"] == 10**6
     assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_target_count_echo_and_placement(capsys):
+    # --num-targets R is echoed as given; its placement at 0..R-1 matters
+    # only where a start vector is built, and gives the --targets bytes
+    runs = {}
+    for flag, value in (("--num-targets", "3"), ("--targets", "0,1,2")):
+        for fmt in ("json", "csv"):
+            code, runs[flag, fmt], _ = run_cli(
+                capsys, "simulate", "--n-items", "64", flag, value,
+                "--start", "random:7", "--format", fmt,
+            )
+            assert code == 0
+    assert runs["--num-targets", "csv"] == runs["--targets", "csv"]
+    by_count, by_list = runs["--num-targets", "json"], runs["--targets", "json"]
+    assert json.loads(by_count)["num_targets"] == 3 and "targets" not in json.loads(by_count)
+    assert json.loads(by_list)["targets"] == [0, 1, 2]
+    # everything after the echo, decomposition and rows included, is the same bytes
+    assert by_count.split('"start"', 1)[1] == by_list.split('"start"', 1)[1]
 
 
 @pytest.mark.parametrize("agents", ["0", "-2"])
@@ -1042,8 +1076,8 @@ def test_bad_flags_fail_cleanly(capsys):
         capsys, "simulate", "--n-items", "8", "--targets", "1", "--start", "bogus"
     )
     assert code == 2 and err.startswith("error:")
-    # N is checked before r/N is formed
-    for command in ("simulate", "montecarlo"):
+    # N is checked first, before any target and before r/N is formed
+    for command in ("plan", "simulate", "montecarlo"):
         for n_items in ("0", "-4"):
             code, out, err = run_cli(capsys, command, "--n-items", n_items, "--num-targets", "1")
             assert code == 2 and out == "" and err.startswith("error: n_items must be >= 1")
@@ -1052,6 +1086,63 @@ def test_bad_flags_fail_cleanly(capsys):
         main(["simulate", "--n-items", "8"])
     with pytest.raises(SystemExit):
         main(["simulate", "--n-items", "8", "--targets", "1", "--format", "pgm"])
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} in JSON output")
+
+
+# hostile --targets tokens: out of range, negative, empty, nan, non-ASCII
+_HOSTILE_TOKENS = st.one_of(
+    st.integers(-3, 70).map(str),
+    st.sampled_from(["", "nan", "inf", "-0", "1e3", "0x10", " 2", "\u0663", "\u00e9", "9" * 40]),
+    st.text(max_size=3),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_target_flags_end_in_output_or_exit_2(data):
+    # every target flag ends in finite JSON with exit 0, or in one error line
+    # with exit 2, and never builds more than a small, bounded amount
+    command = data.draw(st.sampled_from(["plan", "simulate", "montecarlo"]))
+    n_items = data.draw(st.one_of(st.integers(1, 64), st.sampled_from([-1, 0])))
+    if data.draw(st.booleans()):
+        hostile = [-2**63, -1, 0, 1, n_items, n_items + 1, 2**63]
+        count = data.draw(st.one_of(st.sampled_from(hostile), st.integers(1, 64), st.integers()))
+        argv = [command, f"--n-items={n_items}", f"--num-targets={count}"]
+    else:
+        # in-range indices, duplicates possible, and at times one hostile token
+        index = st.integers(0, max(n_items, 1) - 1).map(str)
+        tokens = data.draw(st.lists(index, min_size=1, max_size=6))
+        if data.draw(st.booleans()):
+            tokens.insert(data.draw(st.integers(0, len(tokens))), data.draw(_HOSTILE_TOKENS))
+        argv = [command, f"--n-items={n_items}", "--targets=" + ",".join(tokens)]
+    if command != "plan":
+        seeds = st.integers(-1, 2**64).map(lambda seed: f"random:{seed}")
+        argv.append("--start=" + data.draw(st.one_of(st.just("uniform"), seeds)))
+    argv += {"plan": [], "simulate": ["--iterations", "0..2"],
+             "montecarlo": ["--trials", "10"]}[command]
+    out, err = io.StringIO(), io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse refuses its input this way
+                code = exc.code
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2), (argv, code, err)
+    assert "Traceback" not in err
+    assert ("error:" in err) == (code == 2), (argv, err)
+    if code == 0:
+        json.loads(out, parse_constant=_reject_constant)
+    else:
+        assert out == ""
+    assert peak < 4 * 2**20, (argv, f"peak {peak / 2**20:.1f} MiB")
 
 
 def test_simulate_refuses_iterations_past_its_cap(capsys):
@@ -1141,7 +1232,9 @@ def _json_value(payload, row, column):
     if command == "parallel-sweep":
         return payload["rows"][row][column]
     assert command == "montecarlo" and row == 0
-    return len(payload["targets"]) if column == "r" else payload[column]
+    if column == "r":
+        return payload["num_targets"] if "num_targets" in payload else len(payload["targets"])
+    return payload[column]
 
 
 @pytest.mark.parametrize(

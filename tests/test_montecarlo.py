@@ -176,7 +176,7 @@ def test_parallel_closed_form_points():
 
 
 def test_statevector_mean_at_punctuated_optimum():
-    inst = uniform_instance(64, TargetSet((7,)))
+    inst = uniform_instance(64, 1)
     plan = punctuated_plan(rotation_angle(math.sqrt(1.0 / 64.0)))
     p_round = success_trajectory(inst, plan.n_int)[-1]
     closed = expected_cost(plan.n_int, p_round)
