@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 import warnings
 
@@ -67,10 +68,20 @@ from .strategy import (
 # parsing and IO helpers
 
 
+def _int(text: str) -> int:
+    """int(text) for ASCII [+-]?[0-9]+ only: no blanks, '_' or non-ASCII digits."""
+    if re.fullmatch("[+-]?[0-9]+", text) is None:
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
+
+
+_int.__name__ = "int"  # argparse reports "invalid int value: ..." as for int
+
+
 def _parse_int(option: str, text: str, part: str) -> int:
-    """int(part), where part is a piece of option's value text."""
+    """The integer part, a piece of option's value text."""
     try:
-        return int(part)
+        return _int(part)
     except ValueError as exc:
         raise ValueError(f"bad {option} value {text!r}: {exc}") from exc
 
@@ -110,8 +121,8 @@ def read_state_file(path: str) -> StateVector:
         raise ValueError(
             f"state file {path!r} needs {n} lines of 're im', got shape {values.shape}"
         )
-    # each row viewed as one complex: no temporary, and -0.0 keeps its sign
-    return StateVector(values.view(np.complex128)[:, 0])
+    # each row viewed as one complex: no copy, and -0.0 keeps its sign
+    return StateVector(values.view(np.complex128)[:, 0], _adopt=True)
 
 
 def write_state_file(path: str, state: StateVector) -> None:
@@ -149,19 +160,24 @@ def _check_seed(name: str, seed: int) -> int:
     return seed
 
 
-def _resolve_state(spec: str, n_items: int, allow_random: bool) -> StateVector:
+def _resolve_state(spec: str, n_items: int, allow_random: bool):
+    """The state of spec; None for the uniform state, which is never built."""
     if spec == "uniform":
-        return uniform_state(n_items)
+        return None
     if spec.startswith("random:") and allow_random:
         seed = _parse_int("--start", spec, spec.split(":", 1)[1])
         return random_state(n_items, _check_seed("--start random:<seed>", seed))
     if spec.startswith("file:"):
-        state = read_state_file(spec.split(":", 1)[1])
-        if state.dim != n_items:
-            raise ValueError(
-                f"state file dimension {state.dim} does not match --n-items {n_items}"
-            )
-        return state
+        path = spec.split(":", 1)[1]
+        with open(path, "rb") as fh:  # N first: a wrong N is refused before the body is parsed
+            header = fh.readline()
+        try:
+            dim = int(header)
+        except ValueError:  # read_state_file reports the malformed header
+            dim = n_items
+        if dim != n_items:
+            raise ValueError(f"state file dimension {dim} does not match --n-items {n_items}")
+        return read_state_file(path)
     raise ValueError(f"bad state specification {spec!r}")
 
 
@@ -236,14 +252,15 @@ def default_heatmap_n_max(n_items: int) -> int:
 
 # A heatmap call peaks at up to 280 bytes per cell over start-up (one row in
 # CSV; 230 in JSON, 120 in PGM; Python 3.11), so the largest grid peaks near
-# 570 MiB.  A cell costs about 1-2 us end to end in PGM, 2-4 us in JSON or CSV.
+# 570 MiB.  A cell costs about 0.7 us end to end in PGM, 2-3 us in JSON or CSV.
 HEATMAP_MAX_CELLS = 2**21
 
 
 def heatmap_grid(n_items: int, n_max: int) -> list:
     """p(n, r) for n = 0..n_max (rows) and r = 1..N (columns), uniform case.
 
-    Rows are lists of floats, one `uniform_success_prob` call per cell.
+    Rows are lists of floats: `uniform_success_prob`'s expression, with one
+    phi per column.
     """
     if n_items < 1:
         raise ValueError(f"n_items must be >= 1, got {n_items}")
@@ -251,8 +268,9 @@ def heatmap_grid(n_items: int, n_max: int) -> list:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     if (n_max + 1) * n_items > HEATMAP_MAX_CELLS:
         raise ValueError(f"heatmap of {n_max + 1} x {n_items} cells exceeds {HEATMAP_MAX_CELLS}")
-    vs = [math.sqrt(r / n_items) for r in range(1, n_items + 1)]
-    return [[uniform_success_prob(v, n) for v in vs] for n in range(n_max + 1)]
+    phis = [rotation_angle(math.sqrt(r / n_items)) for r in range(1, n_items + 1)]
+    return [[0.5 * (1.0 - math.cos((2.0 * n + 1.0) * phi)) for phi in phis]
+            for n in range(n_max + 1)]
 
 
 def heatmap_to_pgm(grid) -> bytes:
@@ -294,6 +312,10 @@ def _parallel_plans(r: int, n_items: int, k: int):
     return numeric, formula, expected_cost(n, parallel_success(p, k))
 
 
+# A plan costs about 1 ms at N = 2^40 (Python 3.11, numpy 2.4.6): 20 s at the cap.
+SWEEP_MAX_PLANS = 2**14
+
+
 def sweep_rows(n_items: int, r_max: int, k_max: int) -> list:
     """Numeric vs closed-form parallel optima for r = 1..r_max, k = 1..k_max.
 
@@ -302,6 +324,8 @@ def sweep_rows(n_items: int, r_max: int, k_max: int) -> list:
     rounded formula n so discrepancies between the two cost expressions are
     visible side by side.
     """
+    if r_max * k_max > SWEEP_MAX_PLANS:
+        raise ValueError(f"parallel-sweep of {r_max} x {k_max} plans exceeds {SWEEP_MAX_PLANS}")
     rows = []
     for r in range(1, r_max + 1):
         for k in range(1, k_max + 1):
@@ -636,7 +660,7 @@ def _add_target_args(parser) -> None:
         "--targets", metavar="I,J,...", help="explicit comma-separated target indices"
     )
     group.add_argument(
-        "--num-targets", type=int, metavar="R",
+        "--num-targets", type=_int, metavar="R",
         help="number of targets, placed at indices 0..R-1",
     )
 
@@ -667,7 +691,7 @@ def build_parser() -> argparse.ArgumentParser:
         "rotation-plane decomposition; n runs to at most "
         f"{SIMULATE_MAX_ITERATIONS}. CSV columns: " + ",".join(SIMULATE_COLUMNS),
     )
-    p_sim.add_argument("--n-items", type=int, required=True, metavar="N")
+    p_sim.add_argument("--n-items", type=_int, required=True, metavar="N")
     _add_target_args(p_sim)
     _add_state_args(p_sim)
     p_sim.add_argument(
@@ -682,10 +706,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Plans assume uniform averaging and restart states "
         "(v = sqrt(r/N)). CSV columns: " + ",".join(PLAN_COLUMNS),
     )
-    p_plan.add_argument("--n-items", type=int, required=True, metavar="N")
+    p_plan.add_argument("--n-items", type=_int, required=True, metavar="N")
     _add_target_args(p_plan)
     p_plan.add_argument(
-        "--agents", type=int, default=1, metavar="K",
+        "--agents", type=_int, default=1, metavar="K",
         help="agent count; K >= 2, or r/N >= 1/2, adds the parallel plans "
         "(default %(default)s)",
     )
@@ -698,7 +722,7 @@ def build_parser() -> argparse.ArgumentParser:
         f"{HEATMAP_MAX_CELLS} cells. --iterations sets n_max (default: two r=1 periods). "
         "CSV columns: n,r=1,...,r=N. PGM is binary P5, maxval 255.",
     )
-    p_heat.add_argument("--n-items", type=int, default=64, metavar="N")
+    p_heat.add_argument("--n-items", type=_int, default=64, metavar="N")
     p_heat.add_argument(
         "--iterations", default=None, metavar="NMAX", help="largest iteration count"
     )
@@ -707,16 +731,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser(
         "parallel-sweep",
         help="numeric vs closed-form parallel optima over (r, k)",
-        description="Sweeps r = 1..R (via --num-targets) and "
-        "k = 1..K (via --agents). Formula columns are empty "
+        description="Sweeps r = 1..R (via --num-targets) and k = 1..K (via --agents), "
+        f"at most {SWEEP_MAX_PLANS} (r, k) plans. Formula columns are empty "
         "for k < 2. CSV columns: " + ",".join(SWEEP_COLUMNS),
     )
-    p_sweep.add_argument("--n-items", type=int, default=2**20, metavar="N")
+    p_sweep.add_argument("--n-items", type=_int, default=2**20, metavar="N")
     p_sweep.add_argument(
-        "--num-targets", type=int, default=5, metavar="R", help="largest r (default %(default)s)"
+        "--num-targets", type=_int, default=5, metavar="R", help="largest r (default %(default)s)"
     )
     p_sweep.add_argument(
-        "--agents", type=int, default=64, metavar="K", help="largest k (default %(default)s)"
+        "--agents", type=_int, default=64, metavar="K", help="largest k (default %(default)s)"
     )
     _add_output_args(p_sweep, ["json", "csv"])
 
@@ -729,13 +753,13 @@ def build_parser() -> argparse.ArgumentParser:
         "optimum for --start and --agents; at most 2^53. "
         "CSV columns: " + ",".join(MONTECARLO_COLUMNS),
     )
-    p_mc.add_argument("--n-items", type=int, required=True, metavar="N")
+    p_mc.add_argument("--n-items", type=_int, required=True, metavar="N")
     _add_target_args(p_mc)
     _add_state_args(p_mc)
     p_mc.add_argument("--iterations", default=None, metavar="N")
-    p_mc.add_argument("--agents", type=int, default=1, metavar="K")
-    p_mc.add_argument("--trials", type=int, default=100_000, metavar="T")
-    p_mc.add_argument("--seed", type=int, default=0, metavar="S")
+    p_mc.add_argument("--agents", type=_int, default=1, metavar="K")
+    p_mc.add_argument("--trials", type=_int, default=100_000, metavar="T")
+    p_mc.add_argument("--seed", type=_int, default=0, metavar="S")
     _add_output_args(p_mc, ["json", "csv"])
 
     p_verify = sub.add_parser(
@@ -744,7 +768,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Prints one line per check with measured vs expected; "
         "exit status 0 iff all pass.",
     )
-    p_verify.add_argument("--seed", type=int, default=0, metavar="S")
+    p_verify.add_argument("--seed", type=_int, default=0, metavar="S")
     p_verify.add_argument("--out", metavar="PATH", help="output file (default: stdout)")
 
     return parser

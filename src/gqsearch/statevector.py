@@ -47,8 +47,9 @@ class StateVector:
 
     __slots__ = ("dim", "amplitudes")
 
-    def __init__(self, amplitudes):
-        amps = np.array(amplitudes, dtype=np.complex128)
+    def __init__(self, amplitudes, *, _adopt: bool = False):
+        # _adopt: the package's own fresh complex128 array, kept uncopied
+        amps = np.array(amplitudes, dtype=np.complex128, copy=not _adopt)
         if amps.ndim != 1 or amps.size < 1:
             raise InvalidDimensionError(
                 "amplitudes must be a non-empty one-dimensional array"
@@ -118,12 +119,25 @@ class SearchInstance:
     products: tuple
 
     @classmethod
-    def from_states(cls, targets: TargetSet, averaging: StateVector, start: StateVector):
+    def from_states(cls, targets: TargetSet, averaging, start):
         """The instance of explicit states, whose dimension is N, in O(N + r).
 
         The off-target products are full products minus target ones, so no
-        N-length array is built.
+        N-length array is built.  None for one of the states means the
+        uniform state u, whose products with the other state x are closed
+        forms in r/N and sums of x, so u is never built.
         """
+        if averaging is None or start is None:
+            x = start if averaging is None else averaging
+            targets.check_range(x.dim)
+            amps, root_n = x.amplitudes, math.sqrt(x.dim)
+            x_t = amps[np.asarray(targets.indices, dtype=np.intp)]
+            xx_t, ux_t = np.vdot(x_t, x_t), x_t.sum() / root_n  # <x_T|x_T>, <u_T|x_T>
+            xx_l, ux_l = np.vdot(amps, amps) - xx_t, amps.sum() / root_n - ux_t
+            t = targets.r / x.dim  # <u_T|u_T>, formed as uniform_instance forms it
+            if averaging is None:
+                return cls(x.dim, (xx_t, xx_l, t, ux_t, ux_l, 1.0 - t))
+            return cls(x.dim, (t, 1.0 - t, xx_t, np.conj(ux_t), np.conj(ux_l), xx_l))
         if averaging.dim != start.dim:
             raise InvalidDimensionError(
                 f"state dimensions ({averaging.dim}, {start.dim}) do not match"
@@ -143,23 +157,25 @@ def uniform_state(n_items: int) -> StateVector:
     """The uniform superposition: every amplitude 1/sqrt(N), real."""
     if n_items < 1:
         raise InvalidDimensionError(f"n_items must be >= 1, got {n_items}")
-    return StateVector(np.full(n_items, 1.0 / math.sqrt(n_items), dtype=np.complex128))
+    amps = np.full(n_items, 1.0 / math.sqrt(n_items), dtype=np.complex128)
+    return StateVector(amps, _adopt=True)
 
 
 def random_state(n_items: int, seed: int) -> StateVector:
     """Haar-like random state: complex-Gaussian components, normalized.
 
-    Deterministic for a fixed seed; the distribution is rotation invariant,
-    so test states are unbiased over the unit sphere.
+    Deterministic for a fixed seed, real parts drawn first; the distribution
+    is rotation invariant, so test states are unbiased over the unit sphere.
     """
     if n_items < 1:
         raise InvalidDimensionError(f"n_items must be >= 1, got {n_items}")
     rng = np.random.default_rng(seed)
-    z = np.empty(n_items, dtype=np.complex128)  # filled in place: no complex temporaries
-    z.real = rng.standard_normal(n_items)
-    z.imag = rng.standard_normal(n_items)
+    z, block = np.empty(n_items, dtype=np.complex128), 2**14  # no N-length temporary
+    for part in (z.real, z.imag):
+        for lo in range(0, n_items, block):
+            part[lo:lo + block] = rng.standard_normal(min(block, n_items - lo))
     z /= np.linalg.norm(z)
-    return StateVector(z)
+    return StateVector(z, _adopt=True)
 
 
 def uniform_instance(n_items: int, r: int) -> SearchInstance:

@@ -31,7 +31,6 @@ from gqsearch import (
     success_prob_analytic,
     success_trajectory,
     uniform_instance,
-    uniform_state,
     uniform_success_prob,
 )
 import gqsearch.statevector as statevector_module
@@ -42,6 +41,7 @@ from gqsearch.cli import (
     SIMULATE_COLUMNS,
     SIMULATE_MAX_ITERATIONS,
     SWEEP_COLUMNS,
+    SWEEP_MAX_PLANS,
     default_heatmap_n_max,
     heatmap_grid,
     heatmap_to_pgm,
@@ -112,7 +112,7 @@ def test_simulate_reads_state_files(tmp_path, capsys):
     )
     assert code == 0
     payload = json.loads(out)
-    inst = SearchInstance.from_states(TargetSet((1,)), uniform_state(8), start)
+    inst = SearchInstance.from_states(TargetSet((1,)), None, start)
     traj = success_trajectory(inst, 5)
     for row in payload["rows"]:
         assert row["p_simulated"] == traj[row["n"]]
@@ -155,7 +155,7 @@ def test_montecarlo_and_simulate_share_one_p(capsys):
     assert code == 0
     simulated = [row["p_simulated"] for row in json.loads(out)["rows"]]
     dec = decompose(SearchInstance.from_states(
-        TargetSet((3, 17, 40)), uniform_state(64), random_state(64, 7)))
+        TargetSet((3, 17, 40)), None, random_state(64, 7)))
     code, out, _ = run_cli(capsys, "montecarlo", *common, "--trials", "10")
     assert code == 0
     default = json.loads(out)
@@ -283,6 +283,47 @@ def test_state_file_with_nan_is_refused(tmp_path, capsys):
         "simulate", "--n-items", "4", "--num-targets", "1", "--start", f"file:{bad}",
     )
     assert code == 2 and err.startswith("error:") and out == ""
+
+
+def test_state_file_dimension_is_checked_before_its_body(tmp_path, capsys, monkeypatch):
+    # a header of 8 under --n-items 4 is refused before any body line is parsed
+    bad = tmp_path / "bad.txt"
+    bad.write_text("8\n0.5 0\nnot a pair\n")
+
+    def no_body(path):
+        raise AssertionError("body parsed before the dimension check")
+
+    monkeypatch.setattr(gqsearch.cli, "read_state_file", no_body)
+    code, out, err = run_cli(
+        capsys, "simulate", "--n-items", "4", "--num-targets", "1", "--start", f"file:{bad}",
+    )
+    assert (code, out) == (2, "")
+    assert err == "error: state file dimension 8 does not match --n-items 4\n"
+
+
+@pytest.mark.parametrize("spec", ["random:5", "file"])
+def test_explicit_run_holds_one_vector(tmp_path, capsys, spec):
+    # the start state is the run's one N-vector: no uniform partner is built
+    # and no package-built vector is copied (the parent peaked at 3.0 x 16N)
+    n_items = 2**16
+    if spec == "file":
+        path = tmp_path / "start.txt"
+        write_state_file(str(path), random_state(n_items, 5))
+        small = tmp_path / "small.txt"
+        write_state_file(str(small), random_state(4, 5))
+        spec, warm = f"file:{path}", f"file:{small}"
+    else:
+        warm = spec
+    common = ["simulate", "--num-targets", "3", "--iterations", "0..20", "--start"]
+    assert run_cli(capsys, *common, warm, "--n-items", "4")[0] == 0  # imports, untraced
+    tracemalloc.start()
+    try:
+        code = main(common + [spec, "--n-items", str(n_items)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and capsys.readouterr().err == ""
+    assert peak < 1.5 * 16 * n_items, f"peak {peak / (16 * n_items):.2f} x 16N"
 
 
 def _count_reduced_bases(monkeypatch) -> list:
@@ -675,6 +716,14 @@ def test_heatmap_grid_cap_is_inclusive():
         heatmap_grid(4, HEATMAP_MAX_CELLS // 4)
 
 
+@pytest.mark.parametrize("n_items", [1, 2, 3, 64])
+def test_heatmap_grid_is_the_closed_form_per_cell(n_items):
+    n_max = default_heatmap_n_max(n_items)
+    want = [[repr(uniform_success_prob(math.sqrt(r / n_items), n)) for r in range(1, n_items + 1)]
+            for n in range(n_max + 1)]
+    assert [list(map(repr, row)) for row in heatmap_grid(n_items, n_max)] == want
+
+
 def test_heatmap_pgm_requires_out(capsys):
     code, _, err = run_cli(capsys, "heatmap", "--format", "pgm")
     assert code == 2 and err.startswith("error:")
@@ -919,6 +968,28 @@ def test_montecarlo_default_iterations_when_p_is_flat(tmp_path, capsys):
         assert run_cli(capsys, *argv, "--iterations", "1") == (0, out, "")
 
 
+@pytest.mark.parametrize("bounds", [
+    (100000, 100000), (1, 2**63), (SWEEP_MAX_PLANS + 1, 1), (2**7 + 1, 2**7),
+])
+def test_parallel_sweep_refuses_an_oversize_sweep_before_planning(capsys, monkeypatch, bounds):
+    def no_plan(*args):
+        raise AssertionError("planned before the size check")
+
+    monkeypatch.setattr(gqsearch.cli, "parallel_plan", no_plan)
+    code, out, err = run_cli(
+        capsys, "parallel-sweep", "--num-targets", str(bounds[0]), "--agents", str(bounds[1]),
+    )
+    assert (code, out) == (2, "")
+    assert err == f"error: parallel-sweep of {bounds[0]} x {bounds[1]} plans exceeds {SWEEP_MAX_PLANS}\n"
+
+
+def test_parallel_sweep_cap_is_inclusive(monkeypatch):
+    # plans stubbed out: the cap itself is what is checked, not 2^14 real plans
+    plan = dataclasses.make_dataclass("Plan", ["n_int", "expected_cost"])(1, 1.0)
+    monkeypatch.setattr(gqsearch.cli, "_parallel_plans", lambda r, n, k: (plan, None, None))
+    assert len(sweep_rows(2**40, 2**7, 2**7)) == SWEEP_MAX_PLANS == 2**14
+
+
 def test_parallel_sweep_where_r_over_n_underflows(capsys):
     # r/N = 1e-400 rounds to v = 0, where p(n) = 0 for every n
     code, out, err = run_cli(
@@ -1086,6 +1157,46 @@ def test_bad_flags_fail_cleanly(capsys):
         main(["simulate", "--n-items", "8"])
     with pytest.raises(SystemExit):
         main(["simulate", "--n-items", "8", "--targets", "1", "--format", "pgm"])
+
+
+def _exit_code_and_stderr(capsys, argv):
+    """main's exit code and stderr, argparse's SystemExit included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n-items", "16", "--targets", "\u0663,1_0, 2"],
+    ["simulate", "--n-items", "16", "--targets", "1, 2"],
+    ["simulate", "--n-items", "1_6", "--num-targets", "1"],
+    ["simulate", "--n-items", " 16", "--num-targets", "1"],
+    ["simulate", "--n-items", "\u0661\u0666", "--num-targets", "1"],
+    ["simulate", "--n-items", "16", "--num-targets", "1 "],
+    ["simulate", "--n-items", "16", "--num-targets", "1", "--iterations", "0.. 3"],
+    ["simulate", "--n-items", "16", "--num-targets", "1", "--start", "random:5_0"],
+    ["plan", "--n-items", "16", "--num-targets", "1", "--agents", "\uff12"],
+    ["parallel-sweep", "--num-targets", "1", "--agents", "0x2"],
+    ["montecarlo", "--n-items", "16", "--num-targets", "1", "--trials", "1_000"],
+    ["montecarlo", "--n-items", "16", "--num-targets", "1", "--seed", "\u0663"],
+    ["verify", "--seed", "3\n"],
+], ids=["targets-mixed", "targets-blank", "n-underscore", "n-blank", "n-arabic-indic",
+        "count-blank", "iterations-blank", "seed-in-spec", "agents-fullwidth", "agents-hex",
+        "trials-underscore", "seed-arabic-indic", "seed-newline"])
+def test_integer_values_are_ascii_digits_only(capsys, argv):
+    # every integer flag and list reads [+-]?[0-9]+ in ASCII, nothing else
+    code, err = _exit_code_and_stderr(capsys, argv)
+    assert code == 2 and "error:" in err, (argv, code, err)
+
+
+def test_integer_values_may_carry_a_sign(capsys):
+    plain = run_cli(capsys, "simulate", "--n-items", "16", "--num-targets", "1",
+                    "--iterations", "0..2")
+    signed = run_cli(capsys, "simulate", "--n-items", "+16", "--num-targets", "+1",
+                     "--iterations", "+0..+2")
+    assert plain[0] == 0 and signed == plain
 
 
 def _reject_constant(name):

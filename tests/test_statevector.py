@@ -97,6 +97,47 @@ def test_uniform_products_match_the_uniform_state():
             assert [complex(x) for x in got] == [complex(x) for x in want], (n_items, r)
 
 
+@pytest.mark.parametrize("uniform_side", ["averaging", "start"])
+def test_uniform_partner_products_match_the_built_state(uniform_side):
+    # None stands for u: its products with the other state, in closed form,
+    # agree with those of the built uniform vector
+    rng = np.random.default_rng(21)
+    for j in range(9):
+        n_items = 4**j
+        other = random_state(n_items, 100 + j)
+        u = uniform_state(n_items)
+        for r in sorted({1, max(n_items // 3, 1), n_items}):
+            targets = TargetSet(rng.choice(n_items, size=r, replace=False))
+            if uniform_side == "averaging":
+                got = SearchInstance.from_states(targets, None, other)
+                want = SearchInstance.from_states(targets, u, other)
+            else:
+                got = SearchInstance.from_states(targets, other, None)
+                want = SearchInstance.from_states(targets, other, u)
+            assert got.n_items == n_items
+            dev = max(abs(complex(g) - complex(w)) for g, w in zip(got.products, want.products))
+            assert dev <= 1e-14, (n_items, r, dev)
+
+
+def test_uniform_partner_checks_its_targets():
+    with pytest.raises(InvalidTargetError):
+        SearchInstance.from_states(TargetSet((4,)), None, random_state(4, 1))
+    with pytest.raises(InvalidTargetError):
+        SearchInstance.from_states(TargetSet((4,)), random_state(4, 1), None)
+
+
+@pytest.mark.parametrize("n_items", [1, 7, 3 * 2**16 + 5])
+def test_random_state_keeps_the_unblocked_draws(n_items):
+    # real parts are the first N draws and imaginary parts the next N, as
+    # two standard_normal(N) calls give them, bit for bit
+    for seed in (0, 11):
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal(n_items) + 1j * rng.standard_normal(n_items)
+        want = z / np.linalg.norm(z)
+        got = random_state(n_items, seed).amplitudes
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_grover_power_known_value():
     # N = 16, one target, three iterations: p = 251^2 / 2^16, an anchor
     # for both the reduced evolution and the dense reference
