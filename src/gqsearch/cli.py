@@ -44,6 +44,7 @@ from .analytic import (
 from .errors import GQSearchError, InvalidDimensionError, InvalidTargetError, ValidityError
 from .montecarlo import run_parallel
 from .statevector import (
+    BLOCK,
     SearchInstance,
     StateVector,
     TargetSet,
@@ -107,30 +108,55 @@ def _parse_iteration_single(text: str) -> int:
     return lo
 
 
-def read_state_file(path: str) -> StateVector:
-    """Read the plain-text state format: N, then N lines of 're im'."""
-    with open(path, "r", encoding="ascii") as fh:
+def _state_file(path: str, n_items=None):
+    """Yield the N of the state file at path, then its amplitudes in blocks of BLOCK lines.
+
+    An N other than n_items is refused before any amplitude line is parsed.
+    An error past the first block names that block's lines, one per amplitude.
+    """
+    with open(path, "rb") as fh:  # lines decoded one by one: an error stays in its block
         try:
-            n = int(fh.readline())
-            with warnings.catch_warnings():  # no data lines: the shape check reports it
-                warnings.simplefilter("ignore", UserWarning)
-                values = np.loadtxt(fh, dtype=float, ndmin=2, comments=None)
+            n = _int(fh.readline().decode("ascii").removesuffix("\n").removesuffix("\r"))
         except ValueError as exc:
             raise ValueError(f"state file {path!r} is malformed: {exc}") from exc
-    if values.shape != (n, 2):
-        raise ValueError(
-            f"state file {path!r} needs {n} lines of 're im', got shape {values.shape}"
-        )
-    # each row viewed as one complex: no copy, and -0.0 keeps its sign
-    return StateVector(values.view(np.complex128)[:, 0], _adopt=True)
+        if n_items not in (None, n):
+            raise ValueError(f"state file dimension {n} does not match --n-items {n_items}")
+        yield n
+        for lo in range(0, max(n, 1), BLOCK):
+            rows, last = min(BLOCK, n - lo), lo + BLOCK >= n  # the last looks one row past N
+            where = f" in lines {lo + 2}-{lo + rows + 1 + last}" if lo else ""
+            try:
+                with warnings.catch_warnings():  # no data lines: the shape check reports it
+                    warnings.simplefilter("ignore", UserWarning)
+                    values = np.loadtxt(fh, ndmin=2, comments=None, encoding="ascii",
+                                        max_rows=max(rows + last, 0))
+            except ValueError as exc:
+                raise ValueError(f"state file {path!r} is malformed{where}: {exc}") from exc
+            if values.shape != (rows, 2):
+                raise ValueError(f"state file {path!r} needs {n} lines of 're im', "
+                                 f"got shape {values.shape}{where}")
+            yield values.view(np.complex128)[:, 0]  # no copy, and -0.0 keeps its sign
+
+
+def _held(blocks) -> StateVector:
+    return StateVector(np.concatenate(list(blocks)), _adopt=True)
+
+
+def read_state_file(path: str) -> StateVector:
+    """Read the plain-text state format: N, then N lines of 're im'."""
+    blocks = _state_file(path)
+    next(blocks)
+    return _held(blocks)
 
 
 def write_state_file(path: str, state: StateVector) -> None:
     """Write the plain-text state format with full-precision repr floats."""
-    lines = [str(state.dim)]
-    lines.extend(f"{float(z.real)!r} {float(z.imag)!r}" for z in state.amplitudes)
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{state.dim}\n")
+        for lo in range(0, state.dim, BLOCK):
+            block = state.amplitudes[lo:lo + BLOCK]
+            pairs = zip(block.real.tolist(), block.imag.tolist())
+            fh.write("".join(f"{re!r} {im!r}\n" for re, im in pairs))
 
 
 def _resolve_targets(args: argparse.Namespace) -> tuple:
@@ -161,34 +187,37 @@ def _check_seed(name: str, seed: int) -> int:
 
 
 def _resolve_state(spec: str, n_items: int, allow_random: bool):
-    """The state of spec; None for the uniform state, which is never built."""
+    """The state of spec, unread: None for u, which is never built, the seed of
+    random:<seed>, or the amplitude blocks of file:<path>, its N checked here."""
     if spec == "uniform":
         return None
     if spec.startswith("random:") and allow_random:
         seed = _parse_int("--start", spec, spec.split(":", 1)[1])
-        return random_state(n_items, _check_seed("--start random:<seed>", seed))
+        return _check_seed("--start random:<seed>", seed)
     if spec.startswith("file:"):
-        path = spec.split(":", 1)[1]
-        with open(path, "rb") as fh:  # N first: a wrong N is refused before the body is parsed
-            header = fh.readline()
-        try:
-            dim = int(header)
-        except ValueError:  # read_state_file reports the malformed header
-            dim = n_items
-        if dim != n_items:
-            raise ValueError(f"state file dimension {dim} does not match --n-items {n_items}")
-        return read_state_file(path)
+        blocks = _state_file(spec.split(":", 1)[1], n_items)
+        next(blocks)  # N first: a wrong N is refused before the body is parsed
+        return blocks
     raise ValueError(f"bad state specification {spec!r}")
 
 
 def _build_instance(args: argparse.Namespace, r: int, targets) -> SearchInstance:
+    """The run's instance; a single explicit state is reduced as it is read, never held."""
+    n_items = args.n_items
     if args.start == args.averaging == "uniform":
-        return uniform_instance(args.n_items, r)
-    averaging = _resolve_state(args.averaging, args.n_items, allow_random=False)
-    start = averaging  # s = a: one state, built (and read) once
-    if args.start != args.averaging:
-        start = _resolve_state(args.start, args.n_items, allow_random=True)
-    return SearchInstance.from_states(targets or TargetSet.first(r), averaging, start)
+        return uniform_instance(n_items, r)
+    targets = r if targets is None else targets  # a count reduces the rows [0, r)
+    averaging = _resolve_state(args.averaging, n_items, allow_random=False)
+    if args.start == args.averaging:  # s = a: one state, read once
+        return SearchInstance.from_blocks(targets, n_items, averaging, averaging)
+    start = _resolve_state(args.start, n_items, allow_random=True)
+    if averaging is None and isinstance(start, int):
+        return SearchInstance.from_random(targets, n_items, start)
+    if averaging is None or start is None:
+        return SearchInstance.from_blocks(targets, n_items, averaging, start)
+    # two different explicit states: both held
+    start = random_state(n_items, start) if isinstance(start, int) else _held(start)
+    return SearchInstance.from_states(targets, _held(averaging), start)
 
 
 def _json_text(payload) -> str:

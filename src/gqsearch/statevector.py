@@ -34,6 +34,9 @@ from .errors import InvalidDimensionError, InvalidTargetError, NonUnitStateError
 # Drift beyond this raises NonUnitStateError.
 NORM_TOL = 1e-9
 
+# Amplitudes per block where a state is drawn, read or reduced: 256 KiB of complex.
+BLOCK = 2**14
+
 
 class StateVector:
     """Unit-norm complex amplitude vector over N measurement-basis states.
@@ -106,6 +109,36 @@ class TargetSet:
             )
 
 
+def _rows(targets, n_items: int):
+    """(r, rows) of a TargetSet or a count r: its sorted indices, or the slice [0, r)."""
+    if isinstance(targets, TargetSet):
+        targets.check_range(n_items)
+        return targets.r, np.asarray(targets.indices, dtype=np.intp)
+    if not 1 <= targets <= n_items:
+        raise InvalidTargetError(f"target count {targets} outside [1, {n_items}]")
+    return targets, slice(0, targets)
+
+
+def _block_sums(blocks, rows, n_items: int):
+    """[sum x, sum |x|^2, sum_T x, sum_T |x|^2] of the n_items amplitudes x that
+    blocks yields in index order; one block's sums are the unblocked sums, bit for bit."""
+    total, lo = None, 0
+    for x in blocks:
+        if isinstance(rows, slice):
+            x_t = x[:max(rows.stop - lo, 0)]
+        else:  # the block's targets: a slice of the sorted indices, not a mask
+            x_t = x[rows[np.searchsorted(rows, lo):np.searchsorted(rows, lo + x.size)] - lo]
+        sums = np.array([x.sum(), np.vdot(x, x), x_t.sum(), np.vdot(x_t, x_t)])
+        total, lo = (sums if total is None else total + sums), lo + x.size
+    if lo != n_items:
+        raise InvalidDimensionError(f"blocks hold {lo} amplitudes, not n_items={n_items}")
+    return total
+
+
+def _gaussian_blocks(rng, n_items: int):
+    return (rng.standard_normal(min(BLOCK, n_items - lo)) for lo in range(0, n_items, BLOCK))
+
+
 @dataclass(frozen=True)
 class SearchInstance:
     """A search problem as N and six target-split inner products.
@@ -119,38 +152,68 @@ class SearchInstance:
     products: tuple
 
     @classmethod
-    def from_states(cls, targets: TargetSet, averaging, start):
+    def from_states(cls, targets, averaging, start):
         """The instance of explicit states, whose dimension is N, in O(N + r).
 
-        The off-target products are full products minus target ones, so no
-        N-length array is built.  None for one of the states means the
-        uniform state u, whose products with the other state x are closed
-        forms in r/N and sums of x, so u is never built.
+        targets is a TargetSet, or a count r for the indices 0..r-1.  None
+        for one of the states means the uniform state u, which is never
+        built; then, or where both are one object, the state is reduced as
+        `from_blocks` reduces it.  Off-target products are full products
+        minus target ones, so no N-length array is built.
         """
-        if averaging is None or start is None:
+        if averaging is None or start is None or averaging is start:
             x = start if averaging is None else averaging
-            targets.check_range(x.dim)
-            amps, root_n = x.amplitudes, math.sqrt(x.dim)
-            x_t = amps[np.asarray(targets.indices, dtype=np.intp)]
-            xx_t, ux_t = np.vdot(x_t, x_t), x_t.sum() / root_n  # <x_T|x_T>, <u_T|x_T>
-            xx_l, ux_l = np.vdot(amps, amps) - xx_t, amps.sum() / root_n - ux_t
-            t = targets.r / x.dim  # <u_T|u_T>, formed as uniform_instance forms it
-            if averaging is None:
-                return cls(x.dim, (xx_t, xx_l, t, ux_t, ux_l, 1.0 - t))
-            return cls(x.dim, (t, 1.0 - t, xx_t, np.conj(ux_t), np.conj(ux_l), xx_l))
+            blocks = (x.amplitudes[lo:lo + BLOCK] for lo in range(0, x.dim, BLOCK))
+            pair = [None if y is None else blocks for y in (averaging, start)]
+            return cls.from_blocks(targets, x.dim, *pair, _checked=True)
         if averaging.dim != start.dim:
             raise InvalidDimensionError(
                 f"state dimensions ({averaging.dim}, {start.dim}) do not match"
             )
-        targets.check_range(start.dim)
-        idx = np.asarray(targets.indices, dtype=np.intp)
+        _, rows = _rows(targets, start.dim)
         s, a = start.amplitudes, averaging.amplitudes
-        s_t, a_t = s[idx], a[idx]
+        s_t, a_t = s[rows], a[rows]
         ss_t, aa_t, as_t = np.vdot(s_t, s_t), np.vdot(a_t, a_t), np.vdot(a_t, s_t)
         ss_l = np.vdot(s, s) - ss_t
         aa_l = np.vdot(a, a) - aa_t
         as_l = np.vdot(a, s) - as_t
         return cls(start.dim, (ss_t, ss_l, aa_t, as_t, as_l, aa_l))
+
+    @classmethod
+    def from_blocks(cls, targets, n_items: int, averaging, start, *, _checked=False):
+        """`from_states` for one explicit unit state x of dimension n_items, never held:
+        x is averaging or start, an iterable of blocks of its amplitudes in index
+        order, read once; the other is None (u) or x itself (s = a).  x's norm is
+        checked as StateVector checks it (_checked: a StateVector's already was)."""
+        r, rows = _rows(targets, n_items)
+        sums = _block_sums(start if averaging is None else averaging, rows, n_items)
+        nrm = math.sqrt(sums[1].real)
+        if not (_checked or abs(nrm - 1.0) <= NORM_TOL):
+            raise NonUnitStateError(f"state norm is {nrm!r}, not 1")
+        role = "both" if averaging is start else "start" if averaging is None else "averaging"
+        return cls._of_sums(n_items, r, sums, role)
+
+    @classmethod
+    def from_random(cls, targets, n_items: int, seed: int):
+        """Start `random_state(n_items, seed)` and averaging u: the same draws,
+        reduced as drawn (real parts, then imaginary), so the start is never held."""
+        r, rows = _rows(targets, n_items)
+        rng = np.random.default_rng(seed)
+        re, im = (_block_sums(_gaussian_blocks(rng, n_items), rows, n_items) for _ in range(2))
+        z = re + im * np.array([1j, 1, 1j, 1])  # |z|^2 = re^2 + im^2: no cross terms
+        nrm = math.sqrt(z[1].real)
+        return cls._of_sums(n_items, r, z / [nrm, nrm**2, nrm, nrm**2], "start")
+
+    @classmethod
+    def _of_sums(cls, n_items: int, r: int, sums, role: str):
+        sx, xx, sx_t, xx_t = sums  # of the state x that role names; the other is u or x
+        xx_l, ux_t = xx - xx_t, sx_t / math.sqrt(n_items)  # <u_T|x_T>
+        ux_l, t = sx / math.sqrt(n_items) - ux_t, r / n_items  # t as uniform_instance forms it
+        return cls(n_items, {
+            "both": (xx_t, xx_l, xx_t, xx_t, xx_l, xx_l),
+            "start": (xx_t, xx_l, t, ux_t, ux_l, 1.0 - t),
+            "averaging": (t, 1.0 - t, xx_t, np.conj(ux_t), np.conj(ux_l), xx_l),
+        }[role])
 
 
 def uniform_state(n_items: int) -> StateVector:
@@ -170,10 +233,10 @@ def random_state(n_items: int, seed: int) -> StateVector:
     if n_items < 1:
         raise InvalidDimensionError(f"n_items must be >= 1, got {n_items}")
     rng = np.random.default_rng(seed)
-    z, block = np.empty(n_items, dtype=np.complex128), 2**14  # no N-length temporary
+    z = np.empty(n_items, dtype=np.complex128)  # drawn in blocks: no N-length temporary
     for part in (z.real, z.imag):
-        for lo in range(0, n_items, block):
-            part[lo:lo + block] = rng.standard_normal(min(block, n_items - lo))
+        for lo, draws in zip(range(0, n_items, BLOCK), _gaussian_blocks(rng, n_items)):
+            part[lo:lo + BLOCK] = draws
     z /= np.linalg.norm(z)
     return StateVector(z, _adopt=True)
 
@@ -185,8 +248,7 @@ def uniform_instance(n_items: int, r: int) -> SearchInstance:
     """
     if n_items < 1:
         raise InvalidDimensionError(f"n_items must be >= 1, got {n_items}")
-    if not 1 <= r <= n_items:
-        raise InvalidTargetError(f"target count {r} outside [1, {n_items}]")
+    _rows(r, n_items)  # 1 <= r <= N, or InvalidTargetError
     t = r / n_items
     return SearchInstance(n_items, (t, 1.0 - t, t, t, 1.0 - t, 1.0 - t))
 

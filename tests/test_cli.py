@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 
@@ -154,8 +155,7 @@ def test_montecarlo_and_simulate_share_one_p(capsys):
     code, out, _ = run_cli(capsys, "simulate", *common, "--iterations", "0..12")
     assert code == 0
     simulated = [row["p_simulated"] for row in json.loads(out)["rows"]]
-    dec = decompose(SearchInstance.from_states(
-        TargetSet((3, 17, 40)), None, random_state(64, 7)))
+    dec = decompose(SearchInstance.from_random(TargetSet((3, 17, 40)), 64, 7))
     code, out, _ = run_cli(capsys, "montecarlo", *common, "--trials", "10")
     assert code == 0
     default = json.loads(out)
@@ -180,12 +180,13 @@ def test_start_equal_to_averaging_reads_the_file_once(tmp_path, capsys, monkeypa
     copy = tmp_path / "copy.txt"
     copy.write_bytes(first.read_bytes())
     reads = []
+    parse = gqsearch.cli._state_file  # the one state-file parser
 
-    def counting_read(path):
+    def counting_parse(path, n_items=None):
         reads.append(path)
-        return read_state_file(path)
+        return parse(path, n_items)
 
-    monkeypatch.setattr(gqsearch.cli, "read_state_file", counting_read)
+    monkeypatch.setattr(gqsearch.cli, "_state_file", counting_parse)
     for command in (
         ["simulate", "--iterations", "0..6"],
         ["montecarlo", "--iterations", "2", "--trials", "100"],
@@ -259,13 +260,17 @@ def test_state_file_parses_to_the_same_bits(tmp_path):
     ["", "\n", "2\n0.6 0\n0.8 zero\n", "two\n0.6 0\n0.8 0\n", "2\n0.6 0\n0.8\n",
      "2\n0.6 0\n0.8 0\n0 0\n", "2\n0.6\n0.8\n", "2\n0.6 0 0\n0.8 0 0\n",
      "2\n# amplitudes\n0.6 0\n0.8 0\n", "2\n", "2\nnan 0\n0.8 0\n",
-     "2\n0.6 0\n0.8 0\u00e9\n", "2\n0.6\n0 0.8 0\n", "2 0.6 0\n0.8 0\n"],
+     "2\n0.6 0\n0.8 0\u00e9\n", "2\n0.6\n0 0.8 0\n", "2 0.6 0\n0.8 0\n",
+     "0_2\n0.6 0\n0.8 0\n", " 2 \n0.6 0\n0.8 0\n", "2\t\n0.6 0\n0.8 0\n",
+     "\u0662\n0.6 0\n0.8 0\n", "0x2\n0.6 0\n0.8 0\n"],
     ids=["empty", "blank", "malformed-value", "malformed-count", "short", "long",
          "one-number-lines", "three-number-lines", "comment-line", "header-only",
-         "nan", "non-ascii", "split-pair", "pair-on-header-line"],
+         "nan", "non-ascii", "split-pair", "pair-on-header-line", "header-underscore",
+         "header-blanks", "header-tab", "header-arabic-indic", "header-hex"],
 )
 def test_bad_state_files_exit_2(tmp_path, capsys, text):
-    # one 're im' pair per line after the header, nothing else
+    # one 're im' pair per line after the header, nothing else; the header
+    # N reads [+-]?[0-9]+ in ASCII, as every integer flag does
     bad = tmp_path / "bad.txt"
     bad.write_text(text, encoding="utf-8")
     code, out, err = run_cli(
@@ -303,27 +308,140 @@ def test_state_file_dimension_is_checked_before_its_body(tmp_path, capsys, monke
 
 @pytest.mark.parametrize("spec", ["random:5", "file"])
 def test_explicit_run_holds_one_vector(tmp_path, capsys, spec):
-    # the start state is the run's one N-vector: no uniform partner is built
-    # and no package-built vector is copied (the parent peaked at 3.0 x 16N)
-    n_items = 2**16
-    if spec == "file":
-        path = tmp_path / "start.txt"
-        write_state_file(str(path), random_state(n_items, 5))
-        small = tmp_path / "small.txt"
-        write_state_file(str(small), random_state(4, 5))
-        spec, warm = f"file:{path}", f"file:{small}"
-    else:
-        warm = spec
-    common = ["simulate", "--num-targets", "3", "--iterations", "0..20", "--start"]
-    assert run_cli(capsys, *common, warm, "--n-items", "4")[0] == 0  # imports, untraced
-    tracemalloc.start()
-    try:
-        code = main(common + [spec, "--n-items", str(n_items)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 0 and capsys.readouterr().err == ""
-    assert peak < 1.5 * 16 * n_items, f"peak {peak / (16 * n_items):.2f} x 16N"
+    # a single explicit state is reduced block by block as it is drawn or
+    # read, so no N-vector is held: the peak does not grow with N, and a
+    # count of N/2 targets builds no indices (a held state took 1.1-3.8 x 16N)
+    path, small = tmp_path / "start.txt", tmp_path / "small.txt"
+    write_state_file(str(small), random_state(4, 5))
+    warm = spec if spec != "file" else f"file:{small}"
+    common = ["simulate", "--iterations", "0..20", "--num-targets"]
+    assert run_cli(capsys, *common, "3", "--start", warm, "--n-items", "4")[0] == 0  # imports
+    for n_items in (2**16, 2**17):
+        state = spec
+        if spec == "file":
+            write_state_file(str(path), random_state(n_items, 5))
+            state = f"file:{path}"
+        runs = [(3, ["--start", state])]
+        if n_items == 2**16:
+            runs.append((n_items // 2, ["--start", state]))
+            if spec == "file":  # s = a
+                runs.append((n_items // 2, ["--start", state, "--averaging", state]))
+        for count, flags in runs:
+            tracemalloc.start()
+            try:
+                code = main(common + [str(count), *flags, "--n-items", str(n_items)])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0 and capsys.readouterr().err == ""
+            assert peak < 2**20, (n_items, count, flags, f"peak {peak / 2**20:.2f} MiB")
+
+
+def _cli_instance(monkeypatch, capsys, *argv) -> SearchInstance:
+    """The instance a simulate call steps, built from its flags."""
+    built = _count_reduced_bases(monkeypatch)
+    code, _, err = run_cli(capsys, "simulate", "--iterations", "0..1", *argv)
+    assert (code, err) == (0, "")
+    (instance,) = built
+    return instance
+
+
+def test_held_state_and_its_file_give_equal_instances(tmp_path, capsys, monkeypatch):
+    # a file is reduced through the same blocks and formulas as the held
+    # state written to it, so the instances are equal, bit for bit, for
+    # a = u, s = u and s = a, with explicit targets across block edges and
+    # with a count; the last block is partial
+    n_items = 3 * statevector_module.BLOCK + 5
+    state = random_state(n_items, 12)
+    path = tmp_path / "state.txt"
+    write_state_file(str(path), state)
+    spec = f"file:{path}"
+    explicit = (0, 5, 16383, 16384, 16385, 32768, 40000, n_items - 1)
+    for flags, target_set in (
+        (["--targets", ",".join(map(str, explicit))], TargetSet(explicit)),
+        (["--num-targets", "16390"], 16390),
+    ):
+        for states, held in (
+            (["--start", spec], (None, state)),
+            (["--averaging", spec], (state, None)),
+            (["--start", spec, "--averaging", spec], (state, state)),
+        ):
+            got = _cli_instance(monkeypatch, capsys, "--n-items", str(n_items), *flags, *states)
+            assert got == SearchInstance.from_states(target_set, *held), (flags, states)
+    # a count reduces the same rows as the list of its indices
+    assert (SearchInstance.from_states(16390, None, state)
+            == SearchInstance.from_states(TargetSet.first(16390), None, state))
+
+
+def test_random_start_is_reduced_as_it_is_drawn(capsys, monkeypatch):
+    # random:<seed> beside u never builds its state: the CLI's instance is
+    # from_random's, which agrees with the held random_state to rounding
+    n_items = 3 * statevector_module.BLOCK + 5
+    targets = (1, 16384, 40000)
+    got = _cli_instance(monkeypatch, capsys, "--n-items", str(n_items),
+                        "--targets", "1,16384,40000", "--start", "random:3")
+    assert got == SearchInstance.from_random(TargetSet(targets), n_items, 3)
+    held = SearchInstance.from_states(TargetSet(targets), None, random_state(n_items, 3))
+    dev = max(abs(complex(g) - complex(w)) for g, w in zip(got.products, held.products))
+    assert dev <= 1e-14
+
+
+def test_state_file_header_may_carry_a_sign_and_crlf(tmp_path, capsys):
+    good = tmp_path / "good.txt"
+    good.write_bytes(b"+4\r\n0.5 0\r\n0.5 0\r\n0.5 0\r\n0.5 0\r\n")
+    plain = run_cli(capsys, "simulate", "--n-items", "4", "--num-targets", "1")
+    code, out, err = run_cli(
+        capsys, "simulate", "--n-items", "4", "--num-targets", "1", "--start", f"file:{good}",
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["rows"] == json.loads(plain[1])["rows"]
+
+
+def test_write_state_file_keeps_its_bytes(tmp_path):
+    # written in blocks, the file is the line-per-amplitude form byte for
+    # byte: signed zeros, subnormals and tiny parts keep their repr
+    n_items = 3 * statevector_module.BLOCK + 5
+    amps = random_state(n_items, 8).amplitudes.copy()
+    special = {7: complex(-0.0, 5e-324), 16384: complex(1e-300, -0.0), n_items - 1: -0.0}
+    mass = sum(abs(amps[i]) ** 2 - abs(z) ** 2 for i, z in special.items())
+    for i, z in special.items():
+        amps[i] = z
+    amps[0] = math.sqrt(abs(amps[0]) ** 2 + mass)
+    state = StateVector(amps)
+    path = tmp_path / "state.txt"
+    write_state_file(str(path), state)
+    lines = [str(n_items)] + [f"{float(z.real)!r} {float(z.imag)!r}" for z in state.amplitudes]
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode("ascii")
+    assert b"\n-0.0 5e-324\n" in path.read_bytes() and path.read_bytes().endswith(b"\n-0.0 0.0\n")
+    back = read_state_file(str(path)).amplitudes
+    assert np.array_equal(back.view(np.int64), state.amplitudes.view(np.int64))
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("bad-row", "is malformed in lines 16386-16388: could not convert string 'x'"),
+    ("missing-row", "needs 16386 lines of 're im', got shape (1, 2) in lines 16386-16388"),
+    ("extra-row", "needs 16386 lines of 're im', got shape (3, 2) in lines 16386-16388"),
+    ("three-columns", "needs 16386 lines of 're im', got shape (2, 3) in lines 16386-16388"),
+    ("non-ascii", "is malformed in lines 16386-16388: 'ascii' codec can't decode"),
+])
+def test_state_file_errors_past_the_first_block_name_their_lines(tmp_path, capsys, fault,
+                                                                   message):
+    # N = 2^14 + 2: the second block holds rows 16385-16386 (file lines
+    # 16386-16387) and looks one row further, for data after row N
+    n_items = statevector_module.BLOCK + 2
+    row = f"{1 / math.sqrt(n_items)!r} 0.0\n"
+    tail = {"bad-row": "x 0\n" + row, "missing-row": row, "extra-row": row * 3,
+            "three-columns": "0 0 0\n0 0 0\n", "non-ascii": "0 0\u00e9\n" + row}[fault]
+    path = tmp_path / "state.txt"
+    path.write_text(f"{n_items}\n" + row * statevector_module.BLOCK + tail, encoding="utf-8")
+    code, out, err = run_cli(capsys, "simulate", "--n-items", str(n_items), "--num-targets", "1",
+                             "--iterations", "0..1", "--start", f"file:{path}")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: state file {str(path)!r} {message}"), err
+    # trailing blank lines are no data
+    path.write_text(f"{n_items}\n" + row * n_items + "\n\n", encoding="ascii")
+    assert run_cli(capsys, "simulate", "--n-items", str(n_items), "--num-targets", "1",
+                   "--iterations", "0..1", "--start", f"file:{path}")[0] == 0
 
 
 def _count_reduced_bases(monkeypatch) -> list:
@@ -1253,6 +1371,90 @@ def test_target_flags_end_in_output_or_exit_2(data):
         json.loads(out, parse_constant=_reject_constant)
     else:
         assert out == ""
+    assert peak < 4 * 2**20, (argv, f"peak {peak / 2**20:.1f} MiB")
+
+
+def _run_contained(argv):
+    """(exit code, stdout, stderr, tracemalloc peak) of main(argv), argparse exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return code, out.getvalue(), err.getvalue(), peak
+
+
+# state-file faults, and whether the run must fail; a truncated file may
+# still be a valid one (a last digit or the final newline cut off)
+_STATE_FAULTS = {
+    "none": False, "trailing-blank-lines": False, "truncated": None, "empty": True,
+    "wrong-n": True, "nan": True, "inf": True, "non-ascii": True, "one-column": True,
+    "three-columns": True, "missing-row": True, "extra-row": True,
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_state_files_end_in_output_or_exit_2(data):
+    # every state file, on --start, on --averaging or on both (s = a), ends
+    # in finite JSON with exit 0, or in one error line with exit 2 that
+    # names the file (or is the dimension or the norm refusal)
+    n_items = data.draw(st.integers(1, 8))
+    fault = data.draw(st.sampled_from(sorted(_STATE_FAULTS)))
+    amps = random_state(n_items, data.draw(st.integers(0, 2**32))).amplitudes
+    rows = [f"{float(z.real)!r} {float(z.imag)!r}" for z in amps]
+    row = data.draw(st.integers(0, n_items - 1))
+    header = str(n_items)
+    if fault == "wrong-n":
+        header = str(data.draw(st.sampled_from([0, n_items - 1, n_items + 1, 2 * n_items])))
+    elif fault in ("nan", "inf"):
+        rows[row] = f"{fault} {rows[row].split()[1]}"
+    elif fault == "non-ascii":
+        rows[row] += data.draw(st.sampled_from(["\u00e9", "\u0663", "\u00a0"]))
+    elif fault == "one-column":
+        rows[row] = rows[row].split()[0]
+    elif fault == "three-columns":
+        rows[row] += " 0.0"
+    elif fault == "missing-row":
+        del rows[row]
+    elif fault == "extra-row":
+        rows.insert(row, "0.0 0.0")
+    text = "\n".join([header] + rows) + "\n"
+    if fault == "trailing-blank-lines":
+        text += "\n" * data.draw(st.integers(1, 3))
+    elif fault == "truncated":
+        text = text[:data.draw(st.integers(0, len(text) - 1))]
+    elif fault == "empty":
+        text = ""
+    command = data.draw(st.sampled_from([
+        ["simulate", "--iterations", "0..2"], ["montecarlo", "--trials", "10"]]))
+    with tempfile.TemporaryDirectory() as work:
+        path = os.path.join(work, "state.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        spec = f"file:{path}"
+        states = data.draw(st.sampled_from([
+            ["--start", spec], ["--averaging", spec], ["--start", spec, "--averaging", spec],
+            ["--start", "random:3", "--averaging", spec]]))
+        argv = [*command, f"--n-items={n_items}", "--num-targets=1", *states]
+        code, out, err, peak = _run_contained(argv)
+    assert code in (0, 2), (argv, text, code, err)
+    assert "Traceback" not in err
+    assert ("error:" in err) == (code == 2), (argv, err)
+    if _STATE_FAULTS[fault] is not None:
+        assert code == (2 if _STATE_FAULTS[fault] else 0), (fault, text, err)
+    if code == 0:
+        json.loads(out, parse_constant=_reject_constant)
+    else:
+        assert out == "" and err.count("\n") == 1
+        assert (f"state file {path!r}" in err or err.startswith("error: state norm is ")
+                or err.startswith("error: state file dimension ")), (fault, err)
     assert peak < 4 * 2**20, (argv, f"peak {peak / 2**20:.1f} MiB")
 
 

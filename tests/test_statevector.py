@@ -138,6 +138,59 @@ def test_random_state_keeps_the_unblocked_draws(n_items):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+@pytest.mark.parametrize("n_items", [1, 7, 3 * 2**14 + 5])
+def test_random_instance_reduces_the_drawn_state(n_items):
+    # from_random draws random_state's blocks and reduces them as drawn:
+    # its products are the held state's to rounding, for explicit targets
+    # spread over the blocks and for a count
+    rng = np.random.default_rng(n_items)
+    for seed in (0, 11):
+        state = random_state(n_items, seed)
+        picks = TargetSet(rng.choice(n_items, size=min(n_items, 5), replace=False))
+        for targets in (picks, max(n_items // 3, 1), TargetSet.first(n_items)):
+            got = SearchInstance.from_random(targets, n_items, seed)
+            want = SearchInstance.from_states(targets, None, state)
+            dev = max(abs(complex(g) - complex(w)) for g, w in zip(got.products, want.products))
+            assert dev <= 1e-14, (n_items, seed, targets, dev)
+
+
+def test_blocks_are_checked_like_a_state_vector():
+    # a state given as blocks is checked as StateVector checks its input,
+    # for its norm and its length; a held StateVector was checked when
+    # built, so a stale one is not
+    half = np.full(4, 0.5, dtype=np.complex128)
+    for bad, norm in ((2.0 * half, "2.0"), (np.array([math.nan, 0.5, 0.5, 0.5]), "nan")):
+        for averaging, start in ((None, [bad]), ([bad], None)):
+            with pytest.raises(NonUnitStateError, match=f"state norm is {norm}, not 1"):
+                SearchInstance.from_blocks(TargetSet((1,)), 4, averaging, start)
+        blocks = [bad]
+        with pytest.raises(NonUnitStateError):
+            SearchInstance.from_blocks(2, 4, blocks, blocks)
+    for blocks in ([half[:3]], [half, half[:1]], []):
+        with pytest.raises(InvalidDimensionError, match="not n_items=4"):
+            SearchInstance.from_blocks(TargetSet((1,)), 4, None, blocks)
+    stale = StateVector(half)
+    stale.amplitudes = 2.0 * half
+    SearchInstance.from_states(TargetSet((1,)), None, stale)
+
+
+def test_target_counts_are_the_first_indices():
+    # a count r stands for the indices 0..r-1, with the same bits, and is
+    # checked against N by every constructor
+    a, s = random_state(40, 1), random_state(40, 2)
+    for r in (1, 17, 40):
+        first = TargetSet.first(r)
+        for states in ((a, s), (None, s), (a, None), (s, s)):
+            assert (SearchInstance.from_states(r, *states)
+                    == SearchInstance.from_states(first, *states)), (r, states)
+    for r in (0, -1, 41):
+        for build in (lambda: SearchInstance.from_states(r, a, s),
+                      lambda: SearchInstance.from_states(r, None, s),
+                      lambda: SearchInstance.from_random(r, 40, 3)):
+            with pytest.raises(InvalidTargetError, match="target count"):
+                build()
+
+
 def test_grover_power_known_value():
     # N = 16, one target, three iterations: p = 251^2 / 2^16, an anchor
     # for both the reduced evolution and the dense reference
