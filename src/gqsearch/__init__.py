@@ -29,7 +29,6 @@ from .errors import (
     ValidityError,
 )
 from .montecarlo import (
-    parallel_trial_costs,
     run_parallel,
 )
 from .statevector import (
@@ -85,7 +84,6 @@ __all__ = [
     "parallel_plan",
     "parallel_plan_closed_form",
     "parallel_success",
-    "parallel_trial_costs",
     "punctuated_plan",
     "punctuated_success_prob",
     "random_state",

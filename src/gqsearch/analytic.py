@@ -192,13 +192,8 @@ def _float_n(n):
 
 def _iterations(n):
     """`_float_n` of an iteration count n, refusing a negative n."""
-    if isinstance(n, (int, float)):  # _float_n inlined: a heatmap cell is one call
-        n, xp = float(n), _MATH
-        negative = n < 0.0
-    else:
-        n, xp = np.asarray(n, dtype=float), np
-        negative = np.any(n < 0.0)
-    if negative:
+    n, xp = _float_n(n)
+    if n < 0.0 if xp is _MATH else np.any(n < 0.0):
         raise ValueError("n must be non-negative")
     return n, xp
 

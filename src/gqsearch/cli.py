@@ -48,6 +48,7 @@ from .statevector import (
     SearchInstance,
     StateVector,
     TargetSet,
+    _random_blocks,
     random_state,
     success_trajectory,
     uniform_instance,
@@ -138,15 +139,11 @@ def _state_file(path: str, n_items=None):
             yield values.view(np.complex128)[:, 0]  # no copy, and -0.0 keeps its sign
 
 
-def _held(blocks) -> StateVector:
-    return StateVector(np.concatenate(list(blocks)), _adopt=True)
-
-
 def read_state_file(path: str) -> StateVector:
     """Read the plain-text state format: N, then N lines of 're im'."""
     blocks = _state_file(path)
     next(blocks)
-    return _held(blocks)
+    return StateVector(np.concatenate(list(blocks)), _adopt=True)
 
 
 def write_state_file(path: str, state: StateVector) -> None:
@@ -187,13 +184,13 @@ def _check_seed(name: str, seed: int) -> int:
 
 
 def _resolve_state(spec: str, n_items: int, allow_random: bool):
-    """The state of spec, unread: None for u, which is never built, the seed of
-    random:<seed>, or the amplitude blocks of file:<path>, its N checked here."""
+    """The amplitude blocks of spec, unread: None for u, which is never built, the
+    draws of random:<seed>, or the lines of file:<path>, its N checked here."""
     if spec == "uniform":
         return None
     if spec.startswith("random:") and allow_random:
         seed = _parse_int("--start", spec, spec.split(":", 1)[1])
-        return _check_seed("--start random:<seed>", seed)
+        return _random_blocks(n_items, _check_seed("--start random:<seed>", seed))
     if spec.startswith("file:"):
         blocks = _state_file(spec.split(":", 1)[1], n_items)
         next(blocks)  # N first: a wrong N is refused before the body is parsed
@@ -202,22 +199,17 @@ def _resolve_state(spec: str, n_items: int, allow_random: bool):
 
 
 def _build_instance(args: argparse.Namespace, r: int, targets) -> SearchInstance:
-    """The run's instance; a single explicit state is reduced as it is read, never held."""
+    """The run's instance; explicit states are reduced as they are drawn or read, never held."""
     n_items = args.n_items
     if args.start == args.averaging == "uniform":
         return uniform_instance(n_items, r)
-    targets = r if targets is None else targets  # a count reduces the rows [0, r)
     averaging = _resolve_state(args.averaging, n_items, allow_random=False)
     if args.start == args.averaging:  # s = a: one state, read once
-        return SearchInstance.from_blocks(targets, n_items, averaging, averaging)
-    start = _resolve_state(args.start, n_items, allow_random=True)
-    if averaging is None and isinstance(start, int):
-        return SearchInstance.from_random(targets, n_items, start)
-    if averaging is None or start is None:
-        return SearchInstance.from_blocks(targets, n_items, averaging, start)
-    # two different explicit states: both held
-    start = random_state(n_items, start) if isinstance(start, int) else _held(start)
-    return SearchInstance.from_states(targets, _held(averaging), start)
+        start = averaging
+    else:
+        start = _resolve_state(args.start, n_items, allow_random=True)
+    targets = r if targets is None else targets  # a count reduces the rows [0, r)
+    return SearchInstance.from_blocks(targets, n_items, averaging, start)
 
 
 def _json_text(payload) -> str:

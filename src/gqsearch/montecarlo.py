@@ -25,7 +25,7 @@ from .strategy import parallel_success
 ROUND_CAP = 10**9
 
 # The sampler draws at most this many trials at a time, which bounds its
-# working memory to O(_BLOCK_ELEMENTS) besides the costs, if any are kept.
+# working memory to O(_BLOCK_ELEMENTS).
 _BLOCK_ELEMENTS = 1 << 16
 
 
@@ -85,33 +85,14 @@ def _round_blocks(p: float, n: int, k: int, trials: int, seed: int):
     )
 
 
-def parallel_trial_costs(p: float, n: int, k: int, trials: int, seed: int) -> np.ndarray:
-    """Per-trial parallel-time costs of the k-agent first-success race.
-
-    Each round flips k independent coins of bias p; the round count until
-    any succeeds is geometric with p_k = 1 - (1-p)^k and is sampled from
-    that distribution directly.  k = 1 is punctuated search with per-round
-    success bias p.  A trial costs n per round; measurement and reset are
-    free.  Trials are drawn in blocks of _BLOCK_ELEMENTS.
-    """
-    blocks = _round_blocks(p, n, k, trials, seed)
-    costs = np.empty(trials)
-    lo = 0
-    for rounds in blocks:
-        costs[lo:lo + rounds.size] = rounds
-        lo += rounds.size
-    costs *= float(n)
-    return costs
-
-
 def run_parallel(p: float, n: int, k: int, trials: int, seed: int) -> Estimate:
     """Estimate the k-agent parallel cost (parallel time; agent time is k-fold).
 
-    The same trials as parallel_trial_costs, folded block by block into
-    running sums, so memory is O(_BLOCK_ELEMENTS) at any trial count.  A
-    block's rounds sum exactly, to at most _BLOCK_ELEMENTS * ROUND_CAP <
-    2^53, and the total is a Python int, so the mean n * total / trials is
-    correctly rounded.  Squared deviations add up per block about the block
+    The trials of _round_blocks, folded block by block into running sums,
+    so memory is O(_BLOCK_ELEMENTS) at any trial count.  A block's rounds
+    sum exactly, to at most _BLOCK_ELEMENTS * ROUND_CAP < 2^53, and the
+    total is a Python int, so the mean n * total / trials is correctly
+    rounded.  Squared deviations add up per block about the block
     mean, and blocks merge by Chan, Golub & LeVeque's pairwise update, whose
     between-block term is an exact ratio of integers here.
     """

@@ -25,6 +25,8 @@ silently.
 
 from __future__ import annotations
 
+import copy
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -119,24 +121,41 @@ def _rows(targets, n_items: int):
     return targets, slice(0, targets)
 
 
-def _block_sums(blocks, rows, n_items: int):
-    """[sum x, sum |x|^2, sum_T x, sum_T |x|^2] of the n_items amplitudes x that
-    blocks yields in index order; one block's sums are the unblocked sums, bit for bit."""
-    total, lo = None, 0
-    for x in blocks:
-        if isinstance(rows, slice):
-            x_t = x[:max(rows.stop - lo, 0)]
-        else:  # the block's targets: a slice of the sorted indices, not a mask
-            x_t = x[rows[np.searchsorted(rows, lo):np.searchsorted(rows, lo + x.size)] - lo]
-        sums = np.array([x.sum(), np.vdot(x, x), x_t.sum(), np.vdot(x_t, x_t)])
-        total, lo = (sums if total is None else total + sums), lo + x.size
-    if lo != n_items:
-        raise InvalidDimensionError(f"blocks hold {lo} amplitudes, not n_items={n_items}")
-    return total
+def _random_blocks(n_items: int, seed: int):
+    """`random_state(n_items, seed)` in blocks, never held: a first pass finds the
+    norm, a second draws real and imaginary parts side by side into one buffer."""
+    rng, sq, begins = np.random.default_rng(seed), 0.0, []
+    z = np.empty(min(BLOCK, n_items), dtype=np.complex128)
+    for part in (z.real, z.imag):  # summed as np.linalg.norm sums a single block
+        begins.append(copy.deepcopy(rng))  # where these parts' draws begin
+        for lo in range(0, n_items, BLOCK):
+            x = part[:min(BLOCK, n_items - lo)]
+            x[:] = rng.standard_normal(x.size)
+            sq += x.dot(x)
+    nrm = math.sqrt(sq)
+    for lo in range(0, n_items, BLOCK):
+        x = z[:min(BLOCK, n_items - lo)]
+        x.real = begins[0].standard_normal(x.size)
+        x.imag = begins[1].standard_normal(x.size)
+        x /= nrm
+        yield x
 
 
-def _gaussian_blocks(rng, n_items: int):
-    return (rng.standard_normal(min(BLOCK, n_items - lo)) for lo in range(0, n_items, BLOCK))
+def _slices(x):
+    return None if x is None else (x.amplitudes[lo:lo + BLOCK] for lo in range(0, x.dim, BLOCK))
+
+
+def _side_by_side(averaging, start, n_items: int):
+    """(a, s) block pairs of the two states; None is u, one block of 1/sqrt(N)
+    sliced to the other's blocks, and one stream given twice is read once."""
+    if averaging is start:
+        return ((x, x) for x in start)
+    u = np.full(min(BLOCK, n_items), 1.0 / math.sqrt(n_items), dtype=np.complex128)
+    if averaging is None:
+        return ((u[:s.size], s) for s in start)
+    if start is None:
+        return ((a, u[:a.size]) for a in averaging)
+    return itertools.zip_longest(averaging, start, fillvalue=u[:0])
 
 
 @dataclass(frozen=True)
@@ -145,75 +164,54 @@ class SearchInstance:
 
     products holds (<s_T|s_T>, <s_L|s_L>, <a_T|a_T>, <a_T|s_T>, <a_L|s_L>,
     <a_L|a_L>), all that Q needs of the states and targets; build it with
-    `from_states` or `uniform_instance`.
+    `from_blocks`, `from_states` or `uniform_instance`.
     """
 
     n_items: int
     products: tuple
 
     @classmethod
-    def from_states(cls, targets, averaging, start):
-        """The instance of explicit states, whose dimension is N, in O(N + r).
-
-        targets is a TargetSet, or a count r for the indices 0..r-1.  None
-        for one of the states means the uniform state u, which is never
-        built; then, or where both are one object, the state is reduced as
-        `from_blocks` reduces it.  Off-target products are full products
-        minus target ones, so no N-length array is built.
-        """
-        if averaging is None or start is None or averaging is start:
-            x = start if averaging is None else averaging
-            blocks = (x.amplitudes[lo:lo + BLOCK] for lo in range(0, x.dim, BLOCK))
-            pair = [None if y is None else blocks for y in (averaging, start)]
-            return cls.from_blocks(targets, x.dim, *pair, _checked=True)
-        if averaging.dim != start.dim:
-            raise InvalidDimensionError(
-                f"state dimensions ({averaging.dim}, {start.dim}) do not match"
-            )
-        _, rows = _rows(targets, start.dim)
-        s, a = start.amplitudes, averaging.amplitudes
-        s_t, a_t = s[rows], a[rows]
-        ss_t, aa_t, as_t = np.vdot(s_t, s_t), np.vdot(a_t, a_t), np.vdot(a_t, s_t)
-        ss_l = np.vdot(s, s) - ss_t
-        aa_l = np.vdot(a, a) - aa_t
-        as_l = np.vdot(a, s) - as_t
-        return cls(start.dim, (ss_t, ss_l, aa_t, as_t, as_l, aa_l))
-
-    @classmethod
     def from_blocks(cls, targets, n_items: int, averaging, start, *, _checked=False):
-        """`from_states` for one explicit unit state x of dimension n_items, never held:
-        x is averaging or start, an iterable of blocks of its amplitudes in index
-        order, read once; the other is None (u) or x itself (s = a).  x's norm is
-        checked as StateVector checks it (_checked: a StateVector's already was)."""
-        r, rows = _rows(targets, n_items)
-        sums = _block_sums(start if averaging is None else averaging, rows, n_items)
-        nrm = math.sqrt(sums[1].real)
-        if not (_checked or abs(nrm - 1.0) <= NORM_TOL):
-            raise NonUnitStateError(f"state norm is {nrm!r}, not 1")
-        role = "both" if averaging is start else "start" if averaging is None else "averaging"
-        return cls._of_sums(n_items, r, sums, role)
+        """The instance of two unit states of dimension n_items, never held, in O(N + r).
+
+        targets is a TargetSet, or a count r for the indices 0..r-1.  Each
+        state is an iterable of blocks of its amplitudes in index order, read
+        once, or None for the uniform state u, which is never built; the same
+        iterable twice is s = a.  Two explicit states yield blocks of equal
+        sizes, and beside u a block holds at most BLOCK amplitudes.  Each
+        block's full and target products are summed, and off-target products
+        are full minus target ones.  An explicit state's norm is checked as
+        StateVector checks it (_checked: a StateVector's already was).
+        """
+        _, rows = _rows(targets, n_items)
+        total, lo = None, 0
+        for a, s in _side_by_side(averaging, start, n_items):
+            if a.size != s.size:
+                raise InvalidDimensionError(f"state blocks of {a.size} and {s.size} "
+                                            f"amplitudes at index {lo} do not match")
+            if isinstance(rows, slice):
+                t = slice(0, max(rows.stop - lo, 0))
+            else:  # the block's targets: a slice of the sorted indices, not a mask
+                t = rows[np.searchsorted(rows, lo):np.searchsorted(rows, lo + s.size)] - lo
+            a_t, s_t = a[t], s[t]
+            sums = np.array([np.vdot(s_t, s_t), np.vdot(s, s), np.vdot(a_t, a_t),
+                             np.vdot(a_t, s_t), np.vdot(a, s), np.vdot(a, a)])
+            total, lo = (sums if total is None else total + sums), lo + s.size
+        if lo != n_items:
+            raise InvalidDimensionError(f"blocks hold {lo} amplitudes, not n_items={n_items}")
+        ss_t, ss, aa_t, as_t, as_, aa = total
+        for x, xx in ((averaging, aa), (start, ss)):
+            nrm = math.sqrt(xx.real)
+            if not (_checked or x is None or abs(nrm - 1.0) <= NORM_TOL):
+                raise NonUnitStateError(f"state norm is {nrm!r}, not 1")
+        return cls(n_items, (ss_t, ss - ss_t, aa_t, as_t, as_ - as_t, aa - aa_t))
 
     @classmethod
-    def from_random(cls, targets, n_items: int, seed: int):
-        """Start `random_state(n_items, seed)` and averaging u: the same draws,
-        reduced as drawn (real parts, then imaginary), so the start is never held."""
-        r, rows = _rows(targets, n_items)
-        rng = np.random.default_rng(seed)
-        re, im = (_block_sums(_gaussian_blocks(rng, n_items), rows, n_items) for _ in range(2))
-        z = re + im * np.array([1j, 1, 1j, 1])  # |z|^2 = re^2 + im^2: no cross terms
-        nrm = math.sqrt(z[1].real)
-        return cls._of_sums(n_items, r, z / [nrm, nrm**2, nrm, nrm**2], "start")
-
-    @classmethod
-    def _of_sums(cls, n_items: int, r: int, sums, role: str):
-        sx, xx, sx_t, xx_t = sums  # of the state x that role names; the other is u or x
-        xx_l, ux_t = xx - xx_t, sx_t / math.sqrt(n_items)  # <u_T|x_T>
-        ux_l, t = sx / math.sqrt(n_items) - ux_t, r / n_items  # t as uniform_instance forms it
-        return cls(n_items, {
-            "both": (xx_t, xx_l, xx_t, xx_t, xx_l, xx_l),
-            "start": (xx_t, xx_l, t, ux_t, ux_l, 1.0 - t),
-            "averaging": (t, 1.0 - t, xx_t, np.conj(ux_t), np.conj(ux_l), xx_l),
-        }[role])
+    def from_states(cls, targets, averaging, start):
+        """`from_blocks` of held StateVectors (None: u), read in slices of BLOCK amplitudes."""
+        a, s = _slices(averaging), _slices(start)
+        n_items = (start if averaging is None else averaging).dim
+        return cls.from_blocks(targets, n_items, a, a if start is averaging else s, _checked=True)
 
 
 def uniform_state(n_items: int) -> StateVector:
@@ -235,8 +233,8 @@ def random_state(n_items: int, seed: int) -> StateVector:
     rng = np.random.default_rng(seed)
     z = np.empty(n_items, dtype=np.complex128)  # drawn in blocks: no N-length temporary
     for part in (z.real, z.imag):
-        for lo, draws in zip(range(0, n_items, BLOCK), _gaussian_blocks(rng, n_items)):
-            part[lo:lo + BLOCK] = draws
+        for lo in range(0, n_items, BLOCK):
+            part[lo:lo + BLOCK] = rng.standard_normal(min(BLOCK, n_items - lo))
     z /= np.linalg.norm(z)
     return StateVector(z, _adopt=True)
 

@@ -1,4 +1,4 @@
-"""Dense reference evolution: Q applied as two O(N) passes per iteration.
+"""Dense references: Q applied as two O(N) passes per iteration, and the rest held whole.
 
 The reduced-basis simulator in `gqsearch.statevector` evolves four
 coefficients of an instance's six inner products instead; the tests
@@ -6,6 +6,9 @@ compare it against this loop, which takes the states themselves, touches
 every amplitude on every step and uses no reduction at all.
 `reduced_amplitudes` rebuilds the N-vector Q^n|s> from those coefficients,
 so the amplitudes, not only the probabilities, are compared.
+`full_products` forms an instance's six products from whole vectors, as
+the block reducer does not.  `parallel_trial_costs` keeps every per-trial
+cost of the sampler that `run_parallel` folds into running sums.
 `edge_states` are the inputs where a reduction is most likely to go
 wrong.
 """
@@ -15,7 +18,22 @@ from collections import deque
 import numpy as np
 
 from gqsearch import SearchInstance, StateVector, TargetSet, random_state, uniform_state
+from gqsearch.montecarlo import _round_blocks
 from gqsearch.statevector import _check_drift, _ReducedBasis
+
+
+def full_products(targets, a, s) -> tuple:
+    """The six products of amplitude vectors a and s, each by one vdot over the whole
+    vectors; targets is a TargetSet or a count r for the indices 0..r-1."""
+    rows = list(range(targets)) if isinstance(targets, int) else list(targets.indices)
+    s_t, a_t = s[rows], a[rows]
+    ss_t, aa_t, as_t = np.vdot(s_t, s_t), np.vdot(a_t, a_t), np.vdot(a_t, s_t)
+    return (ss_t, np.vdot(s, s) - ss_t, aa_t, as_t, np.vdot(a, s) - as_t, np.vdot(a, a) - aa_t)
+
+
+def parallel_trial_costs(p: float, n: int, k: int, trials: int, seed: int) -> np.ndarray:
+    """Every per-trial cost of the k-agent race that `run_parallel` samples: n per round."""
+    return np.concatenate(list(_round_blocks(p, n, k, trials, seed))) * float(n)
 
 
 def dense_evolution(targets, averaging, start, n: int):

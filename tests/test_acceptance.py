@@ -23,7 +23,6 @@ from gqsearch import (
     parallel_plan,
     parallel_plan_closed_form,
     parallel_success,
-    parallel_trial_costs,
     punctuated_plan,
     random_state,
     restart_iterations,
@@ -37,6 +36,8 @@ from gqsearch import (
 )
 from gqsearch.analytic import biham_mapping
 from gqsearch.cli import default_heatmap_n_max, heatmap_grid
+
+from dense_reference import parallel_trial_costs
 
 
 def test_criterion_01_simulator_analytic_equivalence():

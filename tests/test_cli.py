@@ -155,7 +155,8 @@ def test_montecarlo_and_simulate_share_one_p(capsys):
     code, out, _ = run_cli(capsys, "simulate", *common, "--iterations", "0..12")
     assert code == 0
     simulated = [row["p_simulated"] for row in json.loads(out)["rows"]]
-    dec = decompose(SearchInstance.from_random(TargetSet((3, 17, 40)), 64, 7))
+    dec = decompose(SearchInstance.from_blocks(TargetSet((3, 17, 40)), 64, None,
+                                               statevector_module._random_blocks(64, 7)))
     code, out, _ = run_cli(capsys, "montecarlo", *common, "--trials", "10")
     assert code == 0
     default = json.loads(out)
@@ -295,38 +296,45 @@ def test_state_file_dimension_is_checked_before_its_body(tmp_path, capsys, monke
     bad = tmp_path / "bad.txt"
     bad.write_text("8\n0.5 0\nnot a pair\n")
 
-    def no_body(path):
+    def no_body(*args, **kwargs):
         raise AssertionError("body parsed before the dimension check")
 
-    monkeypatch.setattr(gqsearch.cli, "read_state_file", no_body)
+    monkeypatch.setattr(gqsearch._np, "loadtxt", no_body, raising=False)  # the body parser
     code, out, err = run_cli(
         capsys, "simulate", "--n-items", "4", "--num-targets", "1", "--start", f"file:{bad}",
     )
     assert (code, out) == (2, "")
     assert err == "error: state file dimension 8 does not match --n-items 4\n"
+    # the patch is live: under a matching N the body is parsed
+    with pytest.raises(AssertionError, match="body parsed"):
+        main(["simulate", "--n-items", "8", "--num-targets", "1", "--start", f"file:{bad}"])
 
 
 @pytest.mark.parametrize("spec", ["random:5", "file"])
 def test_explicit_run_holds_one_vector(tmp_path, capsys, spec):
-    # a single explicit state is reduced block by block as it is drawn or
-    # read, so no N-vector is held: the peak does not grow with N, and a
-    # count of N/2 targets builds no indices (a held state took 1.1-3.8 x 16N)
-    path, small = tmp_path / "start.txt", tmp_path / "small.txt"
+    # explicit states are reduced block by block as they are drawn or read,
+    # so no N-vector is held: the peak does not grow with N, and a count of
+    # N/2 targets builds no indices (a held state took 1.1-3.8 x 16N, and two
+    # different explicit states, both held, 3.05 MiB at N = 2^16)
+    path, other, small = tmp_path / "start.txt", tmp_path / "other.txt", tmp_path / "small.txt"
     write_state_file(str(small), random_state(4, 5))
     warm = spec if spec != "file" else f"file:{small}"
     common = ["simulate", "--iterations", "0..20", "--num-targets"]
     assert run_cli(capsys, *common, "3", "--start", warm, "--n-items", "4")[0] == 0  # imports
+    one, two = 2**20, 1.5 * 2**20  # bounds for one explicit state and for two
     for n_items in (2**16, 2**17):
         state = spec
         if spec == "file":
             write_state_file(str(path), random_state(n_items, 5))
             state = f"file:{path}"
-        runs = [(3, ["--start", state])]
+        write_state_file(str(other), random_state(n_items, 6))
+        runs = [(3, ["--start", state], one),
+                (3, ["--start", state, "--averaging", f"file:{other}"], two)]
         if n_items == 2**16:
-            runs.append((n_items // 2, ["--start", state]))
+            runs.append((n_items // 2, ["--start", state], one))
             if spec == "file":  # s = a
-                runs.append((n_items // 2, ["--start", state, "--averaging", state]))
-        for count, flags in runs:
+                runs.append((n_items // 2, ["--start", state, "--averaging", state], one))
+        for count, flags, bound in runs:
             tracemalloc.start()
             try:
                 code = main(common + [str(count), *flags, "--n-items", str(n_items)])
@@ -334,7 +342,7 @@ def test_explicit_run_holds_one_vector(tmp_path, capsys, spec):
             finally:
                 tracemalloc.stop()
             assert code == 0 and capsys.readouterr().err == ""
-            assert peak < 2**20, (n_items, count, flags, f"peak {peak / 2**20:.2f} MiB")
+            assert peak < bound, (n_items, count, flags, f"peak {peak / 2**20:.2f} MiB")
 
 
 def _cli_instance(monkeypatch, capsys, *argv) -> SearchInstance:
@@ -375,12 +383,13 @@ def test_held_state_and_its_file_give_equal_instances(tmp_path, capsys, monkeypa
 
 def test_random_start_is_reduced_as_it_is_drawn(capsys, monkeypatch):
     # random:<seed> beside u never builds its state: the CLI's instance is
-    # from_random's, which agrees with the held random_state to rounding
+    # that of its drawn blocks, which agrees with the held random_state to rounding
     n_items = 3 * statevector_module.BLOCK + 5
     targets = (1, 16384, 40000)
     got = _cli_instance(monkeypatch, capsys, "--n-items", str(n_items),
                         "--targets", "1,16384,40000", "--start", "random:3")
-    assert got == SearchInstance.from_random(TargetSet(targets), n_items, 3)
+    blocks = statevector_module._random_blocks(n_items, 3)
+    assert got == SearchInstance.from_blocks(TargetSet(targets), n_items, None, blocks)
     held = SearchInstance.from_states(TargetSet(targets), None, random_state(n_items, 3))
     dev = max(abs(complex(g) - complex(w)) for g, w in zip(got.products, held.products))
     assert dev <= 1e-14

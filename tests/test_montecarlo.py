@@ -21,7 +21,6 @@ from gqsearch import (
     cost_stddev,
     expected_cost,
     parallel_success,
-    parallel_trial_costs,
     punctuated_plan,
     rotation_angle,
     run_parallel,
@@ -29,6 +28,8 @@ from gqsearch import (
     uniform_instance,
 )
 from gqsearch.cli import main, write_state_file
+
+from dense_reference import parallel_trial_costs
 
 
 def test_certain_success_is_deterministic():

@@ -20,8 +20,15 @@ from gqsearch import (
     uniform_instance,
     uniform_state,
 )
+from gqsearch.statevector import BLOCK, _random_blocks
 
-from dense_reference import dense_evolution, edge_states, reduced_amplitudes, uniform_states
+from dense_reference import (
+    dense_evolution,
+    edge_states,
+    full_products,
+    reduced_amplitudes,
+    uniform_states,
+)
 
 
 def test_uniform_state_is_flat():
@@ -140,7 +147,7 @@ def test_random_state_keeps_the_unblocked_draws(n_items):
 
 @pytest.mark.parametrize("n_items", [1, 7, 3 * 2**14 + 5])
 def test_random_instance_reduces_the_drawn_state(n_items):
-    # from_random draws random_state's blocks and reduces them as drawn:
+    # _random_blocks draws random_state's blocks and reduces them as drawn:
     # its products are the held state's to rounding, for explicit targets
     # spread over the blocks and for a count
     rng = np.random.default_rng(n_items)
@@ -148,10 +155,52 @@ def test_random_instance_reduces_the_drawn_state(n_items):
         state = random_state(n_items, seed)
         picks = TargetSet(rng.choice(n_items, size=min(n_items, 5), replace=False))
         for targets in (picks, max(n_items // 3, 1), TargetSet.first(n_items)):
-            got = SearchInstance.from_random(targets, n_items, seed)
+            got = SearchInstance.from_blocks(targets, n_items, None, _random_blocks(n_items, seed))
             want = SearchInstance.from_states(targets, None, state)
             dev = max(abs(complex(g) - complex(w)) for g, w in zip(got.products, want.products))
             assert dev <= 1e-14, (n_items, seed, targets, dev)
+
+
+def _held_blocks(state):
+    """A held state's blocks as copies, the way a file or a draw yields them."""
+    return [state.amplitudes[lo:lo + BLOCK].copy() for lo in range(0, state.dim, BLOCK)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_reducer_matches_the_full_vector_products(data):
+    # every pairing of u, held states and the random stream meets the
+    # whole-vector vdots, for target sets and counts that straddle block
+    # edges; a held state equals the same state given as blocks
+    n_items = data.draw(st.sampled_from([1, 7, BLOCK, 3 * BLOCK + 5]), label="N")
+    edges = {i for lo in range(0, n_items + 1, BLOCK) for i in (lo - 1, lo, lo + 1)}
+    edges = sorted(i for i in edges | {n_items - 1} if 0 <= i < n_items)
+    index = st.sampled_from(edges) | st.integers(0, n_items - 1)
+    targets = data.draw(st.sets(index, min_size=1, max_size=6).map(TargetSet)
+                        | st.sampled_from([i + 1 for i in edges]), label="targets")
+    seed = data.draw(st.integers(0, 2**32), label="seed")
+    a, s = random_state(n_items, seed), random_state(n_items, seed + 1)
+    u = uniform_state(n_items)
+    pairing = data.draw(st.sampled_from(["u, held", "held, u", "s = a", "held, held",
+                                         "u, random", "held, random"]), label="pairing")
+    averaging, start = {"u, held": (None, s), "held, u": (a, None), "s = a": (a, a),
+                        "held, held": (a, s), "u, random": (None, s), "held, random": (a, s)}[pairing]
+    want = full_products(targets, *((u if x is None else x).amplitudes for x in (averaging, start)))
+    blocks = [None if x is None else _held_blocks(x) for x in (averaging, start)]
+    if averaging is start:
+        blocks[1] = blocks[0]
+    if pairing.endswith("random"):  # start = random_state(n_items, seed + 1), drawn
+        got = SearchInstance.from_blocks(targets, n_items, blocks[0],
+                                         _random_blocks(n_items, seed + 1))
+    else:
+        got = SearchInstance.from_blocks(targets, n_items, *blocks)
+        assert got == SearchInstance.from_states(targets, averaging, start)
+    # past one block the reference's single vdot over N terms rounds on its
+    # own: for u, whose N terms are equal, it is 7.1e-14 off the exact sum
+    # at N = 3 * 2^14 + 5, where the blocked sum is 1.2e-14 off
+    tol = 1e-14 if n_items <= BLOCK else 1e-13
+    dev = max(abs(complex(g) - complex(w)) for g, w in zip(got.products, want))
+    assert dev <= tol, (pairing, dev)
 
 
 def test_blocks_are_checked_like_a_state_vector():
@@ -186,7 +235,7 @@ def test_target_counts_are_the_first_indices():
     for r in (0, -1, 41):
         for build in (lambda: SearchInstance.from_states(r, a, s),
                       lambda: SearchInstance.from_states(r, None, s),
-                      lambda: SearchInstance.from_random(r, 40, 3)):
+                      lambda: SearchInstance.from_blocks(r, 40, None, _random_blocks(40, 3))):
             with pytest.raises(InvalidTargetError, match="target count"):
                 build()
 
