@@ -9,52 +9,34 @@ and k-agent runs, and `montecarlo` checks the cost formulas with seeded
 restart experiments.  `cli` exposes all of it as the `gqsearch` command.
 """
 
-from .analytic import (
-    Decomposition,
-    biham_mapping,
-    decompose,
-    first_maximum,
-    rotation_angle,
-    success_prob_analytic,
-    uniform_success_prob,
-)
-from .errors import (
-    FlatProbabilityError,
-    GQSearchError,
-    InvalidDimensionError,
-    InvalidTargetError,
-    NeverSucceedsError,
-    NonUnitStateError,
-    TrialCapError,
-    ValidityError,
-)
-from .montecarlo import (
-    run_parallel,
-)
-from .statevector import (
-    SearchInstance,
-    StateVector,
-    TargetSet,
-    random_state,
-    success_trajectory,
-    uniform_instance,
-    uniform_state,
-)
-from .strategy import (
-    ParallelPlan,
-    PunctuatedPlan,
-    cost_stddev,
-    expected_cost,
-    max_probability_cost,
-    optimal_x_parallel_approx,
-    optimal_x_single,
-    parallel_plan,
-    parallel_plan_closed_form,
-    parallel_success,
-    punctuated_plan,
-    punctuated_success_prob,
-    restart_iterations,
-)
+import importlib
+
+# Each public name and the submodule that defines it.  A name is imported on
+# its first lookup (PEP 562), as `_np` imports numpy, so `import gqsearch`
+# and `import gqsearch.cli` load no layer that the caller does not use.
+_SOURCES = {
+    "analytic": "Decomposition biham_mapping decompose first_maximum rotation_angle "
+                "success_prob_analytic uniform_success_prob",
+    "errors": "FlatProbabilityError GQSearchError InvalidDimensionError InvalidTargetError "
+              "NeverSucceedsError NonUnitStateError TrialCapError ValidityError",
+    "montecarlo": "run_parallel",
+    "statevector": "SearchInstance StateVector TargetSet random_state success_trajectory "
+                   "uniform_instance uniform_state",
+    "strategy": "ParallelPlan PunctuatedPlan cost_stddev expected_cost max_probability_cost "
+                "optimal_x_parallel_approx optimal_x_single parallel_plan "
+                "parallel_plan_closed_form parallel_success punctuated_plan "
+                "punctuated_success_prob restart_iterations",
+}
+_SOURCE = {name: module for module, names in _SOURCES.items() for name in names.split()}
+
+
+def __getattr__(name: str):
+    if name not in _SOURCE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SOURCE[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "0.1.0"
 

@@ -32,7 +32,6 @@ from dataclasses import dataclass
 
 from . import _np as np
 from .errors import FlatProbabilityError
-from .statevector import SearchInstance, StateVector, TargetSet
 
 # 1 - v^2 at or below this means |a'> is numerically undefined.
 DEGENERATE_TOL = 1e-12

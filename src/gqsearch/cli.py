@@ -25,45 +25,15 @@ JSON is the default output format everywhere.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import re
 import sys
 import warnings
 
+# Each command imports the layer functions it calls when it runs, so a call
+# loads only its own layers and `import gqsearch.cli` loads none of them.
 from . import _np as np
-from .analytic import (
-    Decomposition,
-    biham_mapping,
-    decompose,
-    first_maximum,
-    rotation_angle,
-    success_prob_analytic,
-    uniform_success_prob,
-)
 from .errors import GQSearchError, InvalidDimensionError, InvalidTargetError, ValidityError
-from .montecarlo import run_parallel
-from .statevector import (
-    BLOCK,
-    SearchInstance,
-    StateVector,
-    TargetSet,
-    _random_blocks,
-    random_state,
-    success_trajectory,
-    uniform_instance,
-    uniform_state,
-)
-from .strategy import (
-    expected_cost,
-    max_probability_cost,
-    optimal_x_single,
-    parallel_plan,
-    parallel_plan_closed_form,
-    parallel_success,
-    punctuated_plan,
-    restart_iterations,
-)
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +85,8 @@ def _state_file(path: str, n_items=None):
     An N other than n_items is refused before any amplitude line is parsed.
     An error past the first block names that block's lines, one per amplitude.
     """
+    from .statevector import BLOCK
+
     with open(path, "rb") as fh:  # lines decoded one by one: an error stays in its block
         try:
             n = _int(fh.readline().decode("ascii").removesuffix("\n").removesuffix("\r"))
@@ -141,6 +113,8 @@ def _state_file(path: str, n_items=None):
 
 def read_state_file(path: str) -> StateVector:
     """Read the plain-text state format: N, then N lines of 're im'."""
+    from .statevector import StateVector
+
     blocks = _state_file(path)
     next(blocks)
     return StateVector(np.concatenate(list(blocks)), _adopt=True)
@@ -148,6 +122,8 @@ def read_state_file(path: str) -> StateVector:
 
 def write_state_file(path: str, state: StateVector) -> None:
     """Write the plain-text state format with full-precision repr floats."""
+    from .statevector import BLOCK
+
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{state.dim}\n")
         for lo in range(0, state.dim, BLOCK):
@@ -163,6 +139,8 @@ def _resolve_targets(args: argparse.Namespace) -> tuple:
     if args.targets is None:
         targets, r, top = None, args.num_targets, args.num_targets - 1
     else:
+        from .statevector import TargetSet
+
         targets = TargetSet(_parse_target_list(args.targets))
         r, top = targets.r, targets.indices[-1]
     if r < 1:
@@ -189,6 +167,8 @@ def _resolve_state(spec: str, n_items: int, allow_random: bool):
     if spec == "uniform":
         return None
     if spec.startswith("random:") and allow_random:
+        from .statevector import _random_blocks
+
         seed = _parse_int("--start", spec, spec.split(":", 1)[1])
         return _random_blocks(n_items, _check_seed("--start random:<seed>", seed))
     if spec.startswith("file:"):
@@ -200,6 +180,8 @@ def _resolve_state(spec: str, n_items: int, allow_random: bool):
 
 def _build_instance(args: argparse.Namespace, r: int, targets) -> SearchInstance:
     """The run's instance; explicit states are reduced as they are drawn or read, never held."""
+    from .statevector import SearchInstance, uniform_instance
+
     n_items = args.n_items
     if args.start == args.averaging == "uniform":
         return uniform_instance(n_items, r)
@@ -213,6 +195,8 @@ def _build_instance(args: argparse.Namespace, r: int, targets) -> SearchInstance
 
 
 def _json_text(payload) -> str:
+    import json
+
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
@@ -265,6 +249,8 @@ def _write_output(data, out_path) -> None:
 
 def default_heatmap_n_max(n_items: int) -> int:
     """Two full r=1 quarter-period ceilings, so two periods are visible."""
+    from .analytic import rotation_angle
+
     if n_items < 1:
         raise ValueError(f"n_items must be >= 1, got {n_items}")
     phi1 = rotation_angle(math.sqrt(1.0 / n_items))
@@ -283,6 +269,8 @@ def heatmap_grid(n_items: int, n_max: int) -> list:
     Rows are lists of floats: `uniform_success_prob`'s expression, with one
     phi per column.
     """
+    from .analytic import rotation_angle
+
     if n_items < 1:
         raise ValueError(f"n_items must be >= 1, got {n_items}")
     if n_max < 0:
@@ -323,6 +311,9 @@ def _parallel_plans(r: int, n_items: int, k: int):
     The last two are None where the closed form is out of validity (always
     for k < 2).
     """
+    from .analytic import Decomposition, success_prob_analytic
+    from .strategy import expected_cost, parallel_plan, parallel_plan_closed_form, parallel_success
+
     numeric = parallel_plan(r, n_items, k)
     try:
         formula = parallel_plan_closed_form(r, n_items, k)
@@ -378,6 +369,9 @@ SIMULATE_MAX_ITERATIONS = 2**19
 
 
 def cmd_simulate(args: argparse.Namespace):
+    from .analytic import decompose, success_prob_analytic
+    from .statevector import success_trajectory
+
     lo, hi = _parse_iteration_range(args.iterations)
     if hi > SIMULATE_MAX_ITERATIONS:
         raise ValueError(f"--iterations must end at or below {SIMULATE_MAX_ITERATIONS}, got {hi}")
@@ -441,6 +435,9 @@ def _check_agents(k: int) -> None:
 
 
 def cmd_plan(args: argparse.Namespace):
+    from .analytic import rotation_angle
+    from .strategy import max_probability_cost, punctuated_plan
+
     _check_agents(args.agents)
     r, _ = _resolve_targets(args)
     v = math.sqrt(r / args.n_items)
@@ -535,6 +532,10 @@ MONTECARLO_COLUMNS = (
 
 
 def cmd_montecarlo(args: argparse.Namespace):
+    from .analytic import decompose, success_prob_analytic
+    from .montecarlo import run_parallel
+    from .strategy import expected_cost, parallel_success, restart_iterations
+
     # the run's own options are checked before the instance is built or Q steps
     _check_agents(args.agents)
     if not 1 <= args.trials <= 2**32:
@@ -574,6 +575,13 @@ def cmd_montecarlo(args: argparse.Namespace):
 
 def _verify_checks(seed: int) -> list:
     """(name, measured, expected, tolerance) tuples for cmd_verify."""
+    from .analytic import (biham_mapping, decompose, first_maximum, rotation_angle,
+                           success_prob_analytic, uniform_success_prob)
+    from .statevector import (SearchInstance, TargetSet, random_state, success_trajectory,
+                              uniform_instance, uniform_state)
+    from .strategy import (expected_cost, optimal_x_single, parallel_plan, punctuated_plan,
+                           restart_iterations)
+
     checks = []
 
     x = optimal_x_single()

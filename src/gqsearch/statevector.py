@@ -183,7 +183,7 @@ class SearchInstance:
         are full minus target ones.  An explicit state's norm is checked as
         StateVector checks it (_checked: a StateVector's already was).
         """
-        _, rows = _rows(targets, n_items)
+        r, rows = _rows(targets, n_items)
         total, lo = None, 0
         for a, s in _side_by_side(averaging, start, n_items):
             if a.size != s.size:
@@ -200,9 +200,12 @@ class SearchInstance:
         if lo != n_items:
             raise InvalidDimensionError(f"blocks hold {lo} amplitudes, not n_items={n_items}")
         ss_t, ss, aa_t, as_t, as_, aa = total
-        for x, xx in ((averaging, aa), (start, ss)):
+        share = r / n_items  # u's own products in closed form, as in uniform_instance
+        aa_t, aa = (share, 1.0) if averaging is None else (aa_t, aa)
+        ss_t, ss = (share, 1.0) if start is None else (ss_t, ss)
+        for xx in (aa, ss):  # u's is 1.0
             nrm = math.sqrt(xx.real)
-            if not (_checked or x is None or abs(nrm - 1.0) <= NORM_TOL):
+            if not (_checked or abs(nrm - 1.0) <= NORM_TOL):
                 raise NonUnitStateError(f"state norm is {nrm!r}, not 1")
         return cls(n_items, (ss_t, ss - ss_t, aa_t, as_t, as_ - as_t, aa - aa_t))
 

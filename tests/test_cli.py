@@ -20,13 +20,16 @@ from hypothesis import strategies as st
 
 import gqsearch
 import gqsearch.cli
+import gqsearch.strategy
 from gqsearch import (
     SearchInstance,
     StateVector,
     TargetSet,
     decompose,
     expected_cost,
+    parallel_plan,
     random_state,
+    restart_iterations,
     rotation_angle,
     run_parallel,
     success_prob_analytic,
@@ -379,6 +382,15 @@ def test_held_state_and_its_file_give_equal_instances(tmp_path, capsys, monkeypa
     # a count reduces the same rows as the list of its indices
     assert (SearchInstance.from_states(16390, None, state)
             == SearchInstance.from_states(TargetSet.first(16390), None, state))
+
+
+def test_uniform_start_beside_a_file_prints_p0_r_over_n(tmp_path, capsys):
+    # u's own products are r/N and 1 - r/N, not sums of the rounded 1/sqrt(N)
+    path = tmp_path / "state.txt"
+    write_state_file(str(path), random_state(100, 5))
+    code, out, _ = run_cli(capsys, "simulate", "--n-items", "100", "--targets", "3,17,99",
+                           "--averaging", f"file:{path}", "--iterations", "0")
+    assert code == 0 and '"p_simulated": 0.03,' in out and '"p_analytic": 0.03\n' in out
 
 
 def test_random_start_is_reduced_as_it_is_drawn(capsys, monkeypatch):
@@ -1102,7 +1114,7 @@ def test_parallel_sweep_refuses_an_oversize_sweep_before_planning(capsys, monkey
     def no_plan(*args):
         raise AssertionError("planned before the size check")
 
-    monkeypatch.setattr(gqsearch.cli, "parallel_plan", no_plan)
+    monkeypatch.setattr(gqsearch.strategy, "parallel_plan", no_plan)
     code, out, err = run_cli(
         capsys, "parallel-sweep", "--num-targets", str(bounds[0]), "--agents", str(bounds[1]),
     )
@@ -1219,6 +1231,60 @@ def test_calls_that_build_no_vector_never_load_numpy(tmp_path, argv, code, loads
     assert result.stdout.split() == [str(code), str(loads_numpy)]
 
 
+# Runs `import gqsearch.cli`, then main(argv) if argv is given, in a fresh
+# interpreter; prints the exit code and the layers and numpy it loaded.
+_LAYER_PROBE = """
+import contextlib, io, sys
+import gqsearch.cli
+code = None
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = gqsearch.cli.main(sys.argv[1:])
+layers = ("analytic", "statevector", "strategy", "montecarlo")
+print(code, *(name for name in layers if f"gqsearch.{name}" in sys.modules),
+      *(["numpy"] if "numpy" in sys.modules else []))
+"""
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    ([], ""),
+    (["plan", "--n-items", "1048576", "--num-targets", "1", "--agents", "1"], "analytic strategy"),
+    (["plan", "--n-items", "64", "--num-targets", "1", "--agents", "4"],
+     "analytic strategy numpy"),
+    (["heatmap", "--n-items", "8"], "analytic"),
+    # the control: a simulation loads the simulator and the closed form
+    (["simulate", "--n-items", "8", "--num-targets", "1"], "analytic statevector numpy"),
+], ids=["import", "plan-k1", "plan-k4", "heatmap", "simulate"])
+def test_a_call_loads_only_the_layers_it_runs(argv, loaded):
+    result = subprocess.run(
+        [sys.executable, "-c", _LAYER_PROBE, *argv], env=_env_with_package(),
+        capture_output=True, text=True, check=True,
+    )
+    code = "None" if not argv else "0"
+    assert result.stdout.split() == [code, *loaded.split()]
+
+
+def test_every_public_name_resolves_on_first_use():
+    probe = """
+import sys
+import gqsearch
+names = {name: getattr(gqsearch, name) for name in gqsearch.__all__}
+star = {}
+exec("from gqsearch import *", star)
+assert all(star[name] is value for name, value in names.items())
+assert sorted(n for n in star if not n.startswith("__")) == sorted(gqsearch.__all__)
+try:
+    gqsearch.no_such_name
+except AttributeError as exc:
+    print(exc)
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=_env_with_package(),
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout == "module 'gqsearch' has no attribute 'no_such_name'\n"
+
+
 def test_verify_all_pass(capsys):
     code, out, _ = run_cli(capsys, "verify")
     assert code == 0
@@ -1231,11 +1297,11 @@ def test_verify_all_pass(capsys):
 
 
 def _late_restart(dec, k):
-    return gqsearch.strategy.restart_iterations(dec, k) + 1
+    return restart_iterations(dec, k) + 1
 
 
 def _dear_plan(r, n_items, k):
-    plan = gqsearch.strategy.parallel_plan(r, n_items, k)
+    plan = parallel_plan(r, n_items, k)
     return dataclasses.replace(plan, expected_cost=plan.expected_cost * (1.0 + 1e-12))
 
 
@@ -1244,8 +1310,9 @@ def _dear_plan(r, n_items, k):
     ("parallel_plan", _dear_plan),
 ])
 def test_verify_fails_when_one_k1_path_breaks(monkeypatch, capsys, name, broken):
-    # the k = 1 check compares two planners; a fault in either must show
-    monkeypatch.setattr(gqsearch.cli, name, broken)
+    # the k = 1 check compares two planners; a fault in either must show.  The
+    # layer's own name is patched: cli imports it when the command runs.
+    monkeypatch.setattr(gqsearch.strategy, name, broken)
     code, out, _ = run_cli(capsys, "verify")
     assert code == 1
     failed = [line for line in out.splitlines() if line.endswith("FAIL")]
@@ -1338,29 +1405,60 @@ _HOSTILE_TOKENS = st.one_of(
 )
 
 
-@settings(max_examples=200, deadline=None)
+# hostile values of the other integer flags, beside small valid ones: every
+# valid value drawn here runs in milliseconds and builds little
+_HOSTILE_INTS = st.sampled_from([-2**63, -1, 0, 2**63, "", "1e3", "nan", "\u0663"])
+_AGENTS = st.one_of(st.integers(1, 8), _HOSTILE_INTS)
+_OTHER_FLAGS = {
+    "plan": {"--agents": _AGENTS},
+    "simulate": {"--iterations": st.one_of(
+        st.tuples(st.integers(-2, 12), st.integers(-2, 12)).map(lambda ab: "%d..%d" % ab),
+        st.integers(-2, 40).map(str),
+        st.sampled_from([f"0..{SIMULATE_MAX_ITERATIONS + 1}", "..3", "1..", "2..1", "x"]),
+    )},
+    "montecarlo": {
+        "--iterations": st.one_of(st.integers(-1, 64).map(str),
+                                  st.sampled_from([str(2**53), str(2**53 + 1), "1..2", "x"])),
+        "--agents": st.one_of(_AGENTS, st.just(2**63 - 1)),
+        "--trials": st.one_of(st.integers(1, 64), st.sampled_from([-1, 0, 2**32 + 1, "x"])),
+        "--seed": st.one_of(st.integers(0, 9), st.sampled_from([-1, 2**64 - 1, 2**64, "x"])),
+    },
+    "heatmap": {"--iterations": st.one_of(
+        st.integers(-2, 64).map(str), st.sampled_from([str(2**21), str(2**63), "1..2", "x"]))},
+    "parallel-sweep": {
+        "--num-targets": st.one_of(st.integers(1, 4), _HOSTILE_INTS),
+        "--agents": st.one_of(_AGENTS, st.just(SWEEP_MAX_PLANS + 1)),
+    },
+}
+
+
+@settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_target_flags_end_in_output_or_exit_2(data):
-    # every target flag ends in finite JSON with exit 0, or in one error line
-    # with exit 2, and never builds more than a small, bounded amount
-    command = data.draw(st.sampled_from(["plan", "simulate", "montecarlo"]))
+    # every flag ends in finite JSON with exit 0, or in one error line with
+    # exit 2, and never builds more than a small, bounded amount
+    command = data.draw(st.sampled_from(list(_OTHER_FLAGS)))
     n_items = data.draw(st.one_of(st.integers(1, 64), st.sampled_from([-1, 0])))
-    if data.draw(st.booleans()):
+    argv = [command, f"--n-items={n_items}"]
+    targeted = command in ("plan", "simulate", "montecarlo")
+    if targeted and data.draw(st.booleans()):
         hostile = [-2**63, -1, 0, 1, n_items, n_items + 1, 2**63]
         count = data.draw(st.one_of(st.sampled_from(hostile), st.integers(1, 64), st.integers()))
-        argv = [command, f"--n-items={n_items}", f"--num-targets={count}"]
-    else:
+        argv.append(f"--num-targets={count}")
+    elif targeted:
         # in-range indices, duplicates possible, and at times one hostile token
         index = st.integers(0, max(n_items, 1) - 1).map(str)
         tokens = data.draw(st.lists(index, min_size=1, max_size=6))
         if data.draw(st.booleans()):
             tokens.insert(data.draw(st.integers(0, len(tokens))), data.draw(_HOSTILE_TOKENS))
-        argv = [command, f"--n-items={n_items}", "--targets=" + ",".join(tokens)]
-    if command != "plan":
+        argv.append("--targets=" + ",".join(tokens))
+    if command in ("simulate", "montecarlo"):
         seeds = st.integers(-1, 2**64).map(lambda seed: f"random:{seed}")
         argv.append("--start=" + data.draw(st.one_of(st.just("uniform"), seeds)))
-    argv += {"plan": [], "simulate": ["--iterations", "0..2"],
-             "montecarlo": ["--trials", "10"]}[command]
+    for flag, values in _OTHER_FLAGS[command].items():
+        # a flag left out keeps its default, which is small but for --trials (10^5)
+        if flag == "--trials" or data.draw(st.booleans()):
+            argv.append(f"{flag}={data.draw(values)}")
     out, err = io.StringIO(), io.StringIO()
     tracemalloc.start()
     try:
@@ -1496,7 +1594,7 @@ def test_simulate_walks_up_to_its_cap(monkeypatch, capsys):
     def walk(instance, n_max):
         raise Walked(n_max)
 
-    monkeypatch.setattr(gqsearch.cli, "success_trajectory", walk)
+    monkeypatch.setattr(statevector_module, "success_trajectory", walk)
     top = SIMULATE_MAX_ITERATIONS
     with pytest.raises(Walked, match=f"^{top}$"):
         main(["simulate", "--n-items", "4", "--num-targets", "1", "--iterations", f"{top}"])

@@ -133,6 +133,20 @@ def test_uniform_partner_checks_its_targets():
         SearchInstance.from_states(TargetSet((4,)), random_state(4, 1), None)
 
 
+@pytest.mark.parametrize("n_items", [3, 100, 20000, 3 * BLOCK + 5])
+def test_uniform_start_has_p0_r_over_n_exactly(n_items):
+    # u's own products are r/N and 1 - r/N, as in uniform_instance, beside any
+    # explicit partner and at every N, also where 1/sqrt(N) rounds
+    other = random_state(n_items, 5)
+    for targets in (1, TargetSet({0, n_items // 2, n_items - 1})):
+        r = targets if isinstance(targets, int) else targets.r
+        start_u = SearchInstance.from_states(targets, other, None)
+        assert start_u.products[:2] == (r / n_items, 1.0 - r / n_items)
+        assert success_trajectory(start_u, 0)[0] == r / n_items
+        averaging_u = SearchInstance.from_states(targets, None, other)
+        assert (averaging_u.products[2], averaging_u.products[5]) == (r / n_items, 1.0 - r / n_items)
+
+
 @pytest.mark.parametrize("n_items", [1, 7, 3 * 2**16 + 5])
 def test_random_state_keeps_the_unblocked_draws(n_items):
     # real parts are the first N draws and imaginary parts the next N, as
