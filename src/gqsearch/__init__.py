@@ -20,8 +20,7 @@ _SOURCES = {
     "errors": "FlatProbabilityError GQSearchError InvalidDimensionError InvalidTargetError "
               "NeverSucceedsError NonUnitStateError TrialCapError ValidityError",
     "montecarlo": "run_parallel",
-    "statevector": "SearchInstance StateVector TargetSet random_state success_trajectory "
-                   "uniform_instance uniform_state",
+    "statevector": "SearchInstance TargetSet success_trajectory uniform_instance",
     "strategy": "ParallelPlan PunctuatedPlan cost_stddev expected_cost max_probability_cost "
                 "optimal_x_parallel_approx optimal_x_single parallel_plan "
                 "parallel_plan_closed_form parallel_success punctuated_plan "
@@ -51,7 +50,6 @@ __all__ = [
     "ParallelPlan",
     "PunctuatedPlan",
     "SearchInstance",
-    "StateVector",
     "TargetSet",
     "TrialCapError",
     "ValidityError",
@@ -68,13 +66,11 @@ __all__ = [
     "parallel_success",
     "punctuated_plan",
     "punctuated_success_prob",
-    "random_state",
     "restart_iterations",
     "rotation_angle",
     "run_parallel",
     "success_prob_analytic",
     "success_trajectory",
     "uniform_instance",
-    "uniform_state",
     "uniform_success_prob",
 ]

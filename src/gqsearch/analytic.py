@@ -31,7 +31,7 @@ import types
 from dataclasses import dataclass
 
 from . import _np as np
-from .errors import FlatProbabilityError
+from .errors import FlatProbabilityError, InvalidDimensionError, NonUnitStateError
 
 # 1 - v^2 at or below this means |a'> is numerically undefined.
 DEGENERATE_TOL = 1e-12
@@ -249,12 +249,18 @@ def uniform_success_prob(v: float, n):
     return _unwrap(0.5 * (1.0 - xp.cos((2.0 * n + 1.0) * phi)))
 
 
-def biham_mapping(start: StateVector, targets: TargetSet) -> BihamMapping:
-    """Mean/deviation statistics of the start state over the target split.
+def biham_mapping(amplitudes, targets) -> BihamMapping:
+    """Mean/deviation statistics of a unit start state, a 1-D amplitude array,
+    over the split of a TargetSet; assumes a uniform averaging state, 1 <= r < N."""
+    from .statevector import NORM_TOL
 
-    Assumes a uniform averaging state; requires 1 <= r < N.
-    """
-    n_items = start.dim
+    amps = np.asarray(amplitudes, dtype=np.complex128)
+    if amps.ndim != 1 or amps.size < 1:
+        raise InvalidDimensionError("amplitudes must be a non-empty one-dimensional array")
+    nrm = float(np.linalg.norm(amps))
+    if not abs(nrm - 1.0) <= NORM_TOL:
+        raise NonUnitStateError(f"state norm is {nrm!r}, not 1")
+    n_items = amps.size
     targets.check_range(n_items)
     r = targets.r
     if r >= n_items:
@@ -262,8 +268,8 @@ def biham_mapping(start: StateVector, targets: TargetSet) -> BihamMapping:
     mask = np.zeros(n_items, dtype=bool)
     mask[list(targets.indices)] = True
 
-    k = start.amplitudes[mask]
-    l = start.amplitudes[~mask]
+    k = amps[mask]
+    l = amps[~mask]
     k_bar = complex(k.mean())
     l_bar = complex(l.mean())
     sigma_k = float(math.sqrt(np.mean(np.abs(k - k_bar) ** 2)))

@@ -15,8 +15,8 @@ written.
 
 File formats
 ------------
-State vector files are plain text: line 1 holds N, then N lines of one
-"re im" pair each in full double precision (Python repr, round-trips exactly).
+State vector files (`file:PATH`) are plain text: line 1 holds N, then N lines
+of one "re im" pair each; a float written as its Python repr reads back exactly.
 PGM output is binary P5 with maxval 255 (255 = probability 1), rows are
 iteration counts ascending, columns are target counts r ascending.
 JSON is the default output format everywhere.
@@ -79,7 +79,7 @@ def _parse_iteration_single(text: str) -> int:
     return lo
 
 
-def _state_file(path: str, n_items=None):
+def _state_file(path: str, n_items: int):
     """Yield the N of the state file at path, then its amplitudes in blocks of BLOCK lines.
 
     An N other than n_items is refused before any amplitude line is parsed.
@@ -92,7 +92,7 @@ def _state_file(path: str, n_items=None):
             n = _int(fh.readline().decode("ascii").removesuffix("\n").removesuffix("\r"))
         except ValueError as exc:
             raise ValueError(f"state file {path!r} is malformed: {exc}") from exc
-        if n_items not in (None, n):
+        if n != n_items:
             raise ValueError(f"state file dimension {n} does not match --n-items {n_items}")
         yield n
         for lo in range(0, max(n, 1), BLOCK):
@@ -109,27 +109,6 @@ def _state_file(path: str, n_items=None):
                 raise ValueError(f"state file {path!r} needs {n} lines of 're im', "
                                  f"got shape {values.shape}{where}")
             yield values.view(np.complex128)[:, 0]  # no copy, and -0.0 keeps its sign
-
-
-def read_state_file(path: str) -> StateVector:
-    """Read the plain-text state format: N, then N lines of 're im'."""
-    from .statevector import StateVector
-
-    blocks = _state_file(path)
-    next(blocks)
-    return StateVector(np.concatenate(list(blocks)), _adopt=True)
-
-
-def write_state_file(path: str, state: StateVector) -> None:
-    """Write the plain-text state format with full-precision repr floats."""
-    from .statevector import BLOCK
-
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{state.dim}\n")
-        for lo in range(0, state.dim, BLOCK):
-            block = state.amplitudes[lo:lo + BLOCK]
-            pairs = zip(block.real.tolist(), block.imag.tolist())
-            fh.write("".join(f"{re!r} {im!r}\n" for re, im in pairs))
 
 
 def _resolve_targets(args: argparse.Namespace) -> tuple:
@@ -577,8 +556,8 @@ def _verify_checks(seed: int) -> list:
     """(name, measured, expected, tolerance) tuples for cmd_verify."""
     from .analytic import (biham_mapping, decompose, first_maximum, rotation_angle,
                            success_prob_analytic, uniform_success_prob)
-    from .statevector import (SearchInstance, TargetSet, random_state, success_trajectory,
-                              uniform_instance, uniform_state)
+    from .statevector import (SearchInstance, TargetSet, _random_blocks, success_trajectory,
+                              uniform_instance)
     from .strategy import (expected_cost, optimal_x_single, parallel_plan, punctuated_plan,
                            restart_iterations)
 
@@ -636,7 +615,7 @@ def _verify_checks(seed: int) -> list:
     r_cycle = (1, 4, 16)
     for i in range(20):
         r = r_cycle[i % 3]
-        start = random_state(n_items, seed + i)
+        start = next(_random_blocks(n_items, seed + i))  # at N = 64, the whole state
         targets = TargetSet.first(r)
         mapping = biham_mapping(start, targets)
         total = (
@@ -646,7 +625,7 @@ def _verify_checks(seed: int) -> list:
             + (n_items - r) * mapping.sigma_l**2
         )
         norm_dev = max(norm_dev, abs(total - 1.0))
-        dec_i = decompose(SearchInstance.from_states(targets, uniform_state(n_items), start))
+        dec_i = decompose(SearchInstance.from_blocks(targets, n_items, None, [start]))
         alpha_dev = max(alpha_dev, abs(dec_i.alpha - abs(mapping.k_bar) * math.sqrt(r)))
         beta_dev = max(
             beta_dev, abs(dec_i.beta - abs(mapping.l_bar) * math.sqrt(n_items - r))

@@ -40,35 +40,6 @@ NORM_TOL = 1e-9
 BLOCK = 2**14
 
 
-class StateVector:
-    """Unit-norm complex amplitude vector over N measurement-basis states.
-
-    Parameters
-    ----------
-    amplitudes : array_like of complex
-        Length-N amplitude vector; must already be unit norm.  The input
-        is copied, never aliased.
-    """
-
-    __slots__ = ("dim", "amplitudes")
-
-    def __init__(self, amplitudes, *, _adopt: bool = False):
-        # _adopt: the package's own fresh complex128 array, kept uncopied
-        amps = np.array(amplitudes, dtype=np.complex128, copy=not _adopt)
-        if amps.ndim != 1 or amps.size < 1:
-            raise InvalidDimensionError(
-                "amplitudes must be a non-empty one-dimensional array"
-            )
-        nrm = float(np.linalg.norm(amps))
-        if not abs(nrm - 1.0) <= NORM_TOL:
-            raise NonUnitStateError(f"state norm is {nrm!r}, not 1")
-        self.dim = int(amps.size)
-        self.amplitudes = amps
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"StateVector(dim={self.dim})"
-
-
 @dataclass(frozen=True)
 class TargetSet:
     """Sorted set of distinct marked basis indices.
@@ -122,11 +93,16 @@ def _rows(targets, n_items: int):
 
 
 def _random_blocks(n_items: int, seed: int):
-    """`random_state(n_items, seed)` in blocks, never held: a first pass finds the
-    norm, a second draws real and imaginary parts side by side into one buffer."""
+    """The `random:seed` state of dimension n_items, in blocks of BLOCK amplitudes.
+
+    `default_rng(seed)` draws all N real parts, then all N imaginary parts, as
+    standard normals, and each amplitude is divided by the norm summed block by
+    block in that order.  Every block yielded is the same buffer, overwritten
+    by the next draw, so `list(_random_blocks(...))` is wrong past one block.
+    """
     rng, sq, begins = np.random.default_rng(seed), 0.0, []
     z = np.empty(min(BLOCK, n_items), dtype=np.complex128)
-    for part in (z.real, z.imag):  # summed as np.linalg.norm sums a single block
+    for part in (z.real, z.imag):  # in one block, the sum np.linalg.norm forms
         begins.append(copy.deepcopy(rng))  # where these parts' draws begin
         for lo in range(0, n_items, BLOCK):
             x = part[:min(BLOCK, n_items - lo)]
@@ -139,10 +115,6 @@ def _random_blocks(n_items: int, seed: int):
         x.imag = begins[1].standard_normal(x.size)
         x /= nrm
         yield x
-
-
-def _slices(x):
-    return None if x is None else (x.amplitudes[lo:lo + BLOCK] for lo in range(0, x.dim, BLOCK))
 
 
 def _side_by_side(averaging, start, n_items: int):
@@ -160,18 +132,17 @@ def _side_by_side(averaging, start, n_items: int):
 
 @dataclass(frozen=True)
 class SearchInstance:
-    """A search problem as N and six target-split inner products.
+    """A search problem as six target-split inner products.
 
     products holds (<s_T|s_T>, <s_L|s_L>, <a_T|a_T>, <a_T|s_T>, <a_L|s_L>,
     <a_L|a_L>), all that Q needs of the states and targets; build it with
-    `from_blocks`, `from_states` or `uniform_instance`.
+    `from_blocks` or `uniform_instance`.
     """
 
-    n_items: int
     products: tuple
 
     @classmethod
-    def from_blocks(cls, targets, n_items: int, averaging, start, *, _checked=False):
+    def from_blocks(cls, targets, n_items: int, averaging, start):
         """The instance of two unit states of dimension n_items, never held, in O(N + r).
 
         targets is a TargetSet, or a count r for the indices 0..r-1.  Each
@@ -180,8 +151,8 @@ class SearchInstance:
         iterable twice is s = a.  Two explicit states yield blocks of equal
         sizes, and beside u a block holds at most BLOCK amplitudes.  Each
         block's full and target products are summed, and off-target products
-        are full minus target ones.  An explicit state's norm is checked as
-        StateVector checks it (_checked: a StateVector's already was).
+        are full minus target ones.  An explicit state's norm must be 1 to
+        NORM_TOL, or NonUnitStateError.
         """
         r, rows = _rows(targets, n_items)
         total, lo = None, 0
@@ -205,41 +176,9 @@ class SearchInstance:
         ss_t, ss = (share, 1.0) if start is None else (ss_t, ss)
         for xx in (aa, ss):  # u's is 1.0
             nrm = math.sqrt(xx.real)
-            if not (_checked or abs(nrm - 1.0) <= NORM_TOL):
+            if not abs(nrm - 1.0) <= NORM_TOL:
                 raise NonUnitStateError(f"state norm is {nrm!r}, not 1")
-        return cls(n_items, (ss_t, ss - ss_t, aa_t, as_t, as_ - as_t, aa - aa_t))
-
-    @classmethod
-    def from_states(cls, targets, averaging, start):
-        """`from_blocks` of held StateVectors (None: u), read in slices of BLOCK amplitudes."""
-        a, s = _slices(averaging), _slices(start)
-        n_items = (start if averaging is None else averaging).dim
-        return cls.from_blocks(targets, n_items, a, a if start is averaging else s, _checked=True)
-
-
-def uniform_state(n_items: int) -> StateVector:
-    """The uniform superposition: every amplitude 1/sqrt(N), real."""
-    if n_items < 1:
-        raise InvalidDimensionError(f"n_items must be >= 1, got {n_items}")
-    amps = np.full(n_items, 1.0 / math.sqrt(n_items), dtype=np.complex128)
-    return StateVector(amps, _adopt=True)
-
-
-def random_state(n_items: int, seed: int) -> StateVector:
-    """Haar-like random state: complex-Gaussian components, normalized.
-
-    Deterministic for a fixed seed, real parts drawn first; the distribution
-    is rotation invariant, so test states are unbiased over the unit sphere.
-    """
-    if n_items < 1:
-        raise InvalidDimensionError(f"n_items must be >= 1, got {n_items}")
-    rng = np.random.default_rng(seed)
-    z = np.empty(n_items, dtype=np.complex128)  # drawn in blocks: no N-length temporary
-    for part in (z.real, z.imag):
-        for lo in range(0, n_items, BLOCK):
-            part[lo:lo + BLOCK] = rng.standard_normal(min(BLOCK, n_items - lo))
-    z /= np.linalg.norm(z)
-    return StateVector(z, _adopt=True)
+        return cls((ss_t, ss - ss_t, aa_t, as_t, as_ - as_t, aa - aa_t))
 
 
 def uniform_instance(n_items: int, r: int) -> SearchInstance:
@@ -251,7 +190,7 @@ def uniform_instance(n_items: int, r: int) -> SearchInstance:
         raise InvalidDimensionError(f"n_items must be >= 1, got {n_items}")
     _rows(r, n_items)  # 1 <= r <= N, or InvalidTargetError
     t = r / n_items
-    return SearchInstance(n_items, (t, 1.0 - t, t, t, 1.0 - t, 1.0 - t))
+    return SearchInstance((t, 1.0 - t, t, t, 1.0 - t, 1.0 - t))
 
 
 def _check_drift(nrm: float, step: int) -> None:

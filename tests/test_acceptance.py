@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from gqsearch import (
-    SearchInstance,
     TargetSet,
     cost_stddev,
     decompose,
@@ -24,20 +23,18 @@ from gqsearch import (
     parallel_plan_closed_form,
     parallel_success,
     punctuated_plan,
-    random_state,
     restart_iterations,
     rotation_angle,
     run_parallel,
     success_prob_analytic,
     success_trajectory,
     uniform_instance,
-    uniform_state,
     uniform_success_prob,
 )
 from gqsearch.analytic import biham_mapping
 from gqsearch.cli import default_heatmap_n_max, heatmap_grid
 
-from dense_reference import parallel_trial_costs
+from dense_reference import held_instance, parallel_trial_costs, random_state, uniform_state
 
 
 def test_criterion_01_simulator_analytic_equivalence():
@@ -51,7 +48,7 @@ def test_criterion_01_simulator_analytic_equivalence():
         averaging = (
             uniform_state(n_items) if i % 2 == 0 else random_state(n_items, 1000 + i)
         )
-        inst = SearchInstance.from_states(targets, averaging, random_state(n_items, 2000 + i))
+        inst = held_instance(targets, averaging, random_state(n_items, 2000 + i))
         sim = success_trajectory(inst, 50)
         ana = success_prob_analytic(decompose(inst), np.arange(51))
         worst = max(worst, float(np.max(np.abs(sim - ana))))
@@ -276,7 +273,7 @@ def test_criterion_10_mean_amplitude_identities():
             + (n_items - r) * m.sigma_l**2
         )
         worst = max(worst, abs(total - 1.0))
-        dec = decompose(SearchInstance.from_states(targets, uniform_state(n_items), start))
+        dec = decompose(held_instance(targets, uniform_state(n_items), start))
         worst = max(worst, abs(dec.alpha - abs(m.k_bar) * math.sqrt(r)))
         worst = max(worst, abs(dec.beta - abs(m.l_bar) * math.sqrt(n_items - r)))
     elapsed = time.perf_counter() - t0

@@ -12,24 +12,20 @@ from hypothesis import strategies as st
 from gqsearch import (
     Decomposition,
     FlatProbabilityError,
-    SearchInstance,
-    StateVector,
     TargetSet,
     biham_mapping,
     decompose,
     first_maximum,
     punctuated_success_prob,
-    random_state,
     rotation_angle,
     success_prob_analytic,
     success_trajectory,
     uniform_instance,
-    uniform_state,
     uniform_success_prob,
 )
 from gqsearch.analytic import _MATH
 
-from dense_reference import dense_evolution, edge_states
+from dense_reference import dense_evolution, edge_states, held_instance, random_state, uniform_state
 
 
 def plane_instance(alpha, beta, b):
@@ -38,7 +34,7 @@ def plane_instance(alpha, beta, b):
     amps = np.zeros(4, dtype=complex)
     amps[0] = alpha
     amps += beta * np.exp(1j * b) * aprime
-    return SearchInstance.from_states(TargetSet.first(1), uniform_state(4), StateVector(amps))
+    return held_instance(TargetSet.first(1), uniform_state(4), amps)
 
 
 def test_rotation_angle_small_v():
@@ -85,9 +81,7 @@ def test_theta_stays_in_half_open_interval():
 
 
 def test_success_prob_matches_simulator_general_instance():
-    inst = SearchInstance.from_states(
-        TargetSet((1, 8, 22)), random_state(40, 3), random_state(40, 4)
-    )
+    inst = held_instance(TargetSet((1, 8, 22)), random_state(40, 3), random_state(40, 4))
     dec = decompose(inst)
     sim = success_trajectory(inst, 30)
     ana = success_prob_analytic(dec, np.arange(31))
@@ -121,8 +115,8 @@ def test_zero_rotation_is_a_flat_probability():
 def test_zero_overlap_decomposes_with_alpha_zero():
     # v = 0: |t> is undefined, so alpha = 0; Q never moves weight onto the
     # targets and p(n) = w_t
-    averaging = StateVector(np.array([0.0, 1.0, 1.0, 1.0]) / math.sqrt(3.0))
-    inst = SearchInstance.from_states(TargetSet.first(1), averaging, uniform_state(4))
+    averaging = np.array([0.0, 1.0, 1.0, 1.0]) / math.sqrt(3.0)
+    inst = held_instance(TargetSet.first(1), averaging, uniform_state(4))
     dec = decompose(inst)
     assert dec.v == 0.0 and dec.phi == 0.0 and dec.alpha == 0.0
     assert abs(dec.beta - math.sqrt(3.0) / 2.0) < 1e-12
@@ -137,7 +131,7 @@ def test_full_overlap_decomposes_with_beta_zero():
     # v = 1: |a'> is undefined, so beta = b = 0 and p(n) = alpha^2 + w_t
     amps = np.zeros(4, dtype=complex)
     amps[0] = 1.0
-    inst = SearchInstance.from_states(TargetSet.first(1), StateVector(amps), uniform_state(4))
+    inst = held_instance(TargetSet.first(1), amps, uniform_state(4))
     dec = decompose(inst)
     assert dec.v == 1.0 and dec.phi == math.pi
     assert abs(dec.alpha - 0.5) < 1e-12
@@ -154,7 +148,7 @@ def assert_closed_form_matches_dense(states, n_max):
     # decompose reads the simulator's inner products, so the closed form is
     # also checked against the dense loop, which shares no code with either
     dense_probs, _ = dense_evolution(*states, n_max)
-    dec = decompose(SearchInstance.from_states(*states))
+    dec = decompose(held_instance(*states))
     closed = success_prob_analytic(dec, np.arange(n_max + 1))
     np.testing.assert_allclose(closed, dense_probs, rtol=0, atol=1e-10)
 
@@ -262,7 +256,7 @@ def test_biham_mapping_identities_random_states():
             + (n_items - r) * m.sigma_l**2
         )
         assert abs(total - 1.0) < 1e-12
-        dec = decompose(SearchInstance.from_states(targets, uniform_state(n_items), start))
+        dec = decompose(held_instance(targets, uniform_state(n_items), start))
         assert abs(dec.alpha - abs(m.k_bar) * math.sqrt(r)) < 1e-12
         assert abs(dec.beta - abs(m.l_bar) * math.sqrt(n_items - r)) < 1e-12
         # residual weights are the scaled variances
@@ -295,7 +289,7 @@ def test_success_prob_is_periodic():
 
 
 def test_first_maximum_beats_grid_search():
-    inst = SearchInstance.from_states(TargetSet((0, 1)), uniform_state(32), random_state(32, 23))
+    inst = held_instance(TargetSet((0, 1)), uniform_state(32), random_state(32, 23))
     dec = decompose(inst)
     n_peak, _ = first_maximum(dec)
     grid = np.linspace(0.0, 2.0 * math.pi / dec.phi, 10**4)
@@ -306,7 +300,7 @@ def test_first_maximum_beats_grid_search():
 def test_biham_mapping_target_eigenstate():
     amps = np.zeros(16, dtype=complex)
     amps[0] = 1.0
-    mapping = biham_mapping(StateVector(amps), TargetSet((0,)))
+    mapping = biham_mapping(amps, TargetSet((0,)))
     assert mapping.k_bar == 1.0 + 0.0j
     assert mapping.sigma_k == 0.0
     assert mapping.l_bar == 0.0 + 0.0j
@@ -339,8 +333,7 @@ _BIT_DECOMPOSITIONS = [
     Decomposition.uniform(3, 2**40),
     Decomposition.uniform(2**20 - 1, 2**20),  # phi just below pi
     Decomposition.uniform(4, 4),  # phi = pi
-    decompose(SearchInstance.from_states(TargetSet((3, 17, 40)), uniform_state(64),
-                                         random_state(64, 7))),
+    decompose(held_instance(TargetSet((3, 17, 40)), uniform_state(64), random_state(64, 7))),
     decompose(plane_instance(0.6, 0.8, 1.1)),
     Decomposition.build(0.0, 0.0, 1.0, 0.0),  # phi = 0
     # peaks past 1 and troughs below 0 before the clip

@@ -23,12 +23,10 @@ import gqsearch.cli
 import gqsearch.strategy
 from gqsearch import (
     SearchInstance,
-    StateVector,
     TargetSet,
     decompose,
     expected_cost,
     parallel_plan,
-    random_state,
     restart_iterations,
     rotation_angle,
     run_parallel,
@@ -50,10 +48,17 @@ from gqsearch.cli import (
     heatmap_grid,
     heatmap_to_pgm,
     main,
-    read_state_file,
     sweep_rows,
-    write_state_file,
 )
+
+from dense_reference import held_instance, random_state, uniform_state, write_state_file
+
+
+def read_state_file(path, n_items: int) -> np.ndarray:
+    """The amplitudes of the state file at path, parsed by the CLI's one parser."""
+    blocks = gqsearch.cli._state_file(str(path), n_items)
+    next(blocks)
+    return np.concatenate(list(blocks))
 
 
 def run_cli(capsys, *argv):
@@ -116,7 +121,7 @@ def test_simulate_reads_state_files(tmp_path, capsys):
     )
     assert code == 0
     payload = json.loads(out)
-    inst = SearchInstance.from_states(TargetSet((1,)), None, start)
+    inst = held_instance(TargetSet((1,)), None, start)
     traj = success_trajectory(inst, 5)
     for row in payload["rows"]:
         assert row["p_simulated"] == traj[row["n"]]
@@ -186,7 +191,7 @@ def test_start_equal_to_averaging_reads_the_file_once(tmp_path, capsys, monkeypa
     reads = []
     parse = gqsearch.cli._state_file  # the one state-file parser
 
-    def counting_parse(path, n_items=None):
+    def counting_parse(path, n_items):
         reads.append(path)
         return parse(path, n_items)
 
@@ -207,10 +212,10 @@ def test_start_equal_to_averaging_reads_the_file_once(tmp_path, capsys, monkeypa
 def test_state_file_round_trip(tmp_path):
     path = tmp_path / "state.txt"
     # a -0.0 part keeps its sign, the imaginary one too
-    for state in (StateVector([complex(-0.0, 0.6), complex(0.8, -0.0)]), random_state(12, 9)):
+    for state in (np.array([complex(-0.0, 0.6), complex(0.8, -0.0)]), random_state(12, 9)):
         write_state_file(str(path), state)
-        back = read_state_file(str(path))
-        assert np.array_equal(back.amplitudes.view(np.int64), state.amplitudes.view(np.int64))
+        back = read_state_file(path, state.size)
+        assert np.array_equal(back.view(np.int64), state.view(np.int64))
     text = path.read_text().split("\n")
     assert text[0] == "12"
     assert len(text[1].split()) == 2
@@ -255,7 +260,7 @@ def test_state_file_parses_to_the_same_bits(tmp_path):
     path.write_text("\n".join([str(len(pairs))] + pairs) + "\n")
     parsed = np.array([float(t) for t in tokens])
     expected = np.array([complex(re, im) for re, im in zip(parsed[0::2], parsed[1::2])])
-    got = read_state_file(str(path)).amplitudes
+    got = read_state_file(path, len(pairs))
     assert np.array_equal(got.view(np.int64), expected.view(np.int64))
 
 
@@ -359,7 +364,7 @@ def _cli_instance(monkeypatch, capsys, *argv) -> SearchInstance:
 
 def test_held_state_and_its_file_give_equal_instances(tmp_path, capsys, monkeypatch):
     # a file is reduced through the same blocks and formulas as the held
-    # state written to it, so the instances are equal, bit for bit, for
+    # array written to it, so the instances are equal, bit for bit, for
     # a = u, s = u and s = a, with explicit targets across block edges and
     # with a count; the last block is partial
     n_items = 3 * statevector_module.BLOCK + 5
@@ -378,10 +383,9 @@ def test_held_state_and_its_file_give_equal_instances(tmp_path, capsys, monkeypa
             (["--start", spec, "--averaging", spec], (state, state)),
         ):
             got = _cli_instance(monkeypatch, capsys, "--n-items", str(n_items), *flags, *states)
-            assert got == SearchInstance.from_states(target_set, *held), (flags, states)
+            assert got == held_instance(target_set, *held), (flags, states)
     # a count reduces the same rows as the list of its indices
-    assert (SearchInstance.from_states(16390, None, state)
-            == SearchInstance.from_states(TargetSet.first(16390), None, state))
+    assert held_instance(16390, None, state) == held_instance(TargetSet.first(16390), None, state)
 
 
 def test_uniform_start_beside_a_file_prints_p0_r_over_n(tmp_path, capsys):
@@ -402,7 +406,7 @@ def test_random_start_is_reduced_as_it_is_drawn(capsys, monkeypatch):
                         "--targets", "1,16384,40000", "--start", "random:3")
     blocks = statevector_module._random_blocks(n_items, 3)
     assert got == SearchInstance.from_blocks(TargetSet(targets), n_items, None, blocks)
-    held = SearchInstance.from_states(TargetSet(targets), None, random_state(n_items, 3))
+    held = held_instance(TargetSet(targets), None, random_state(n_items, 3))
     dev = max(abs(complex(g) - complex(w)) for g, w in zip(got.products, held.products))
     assert dev <= 1e-14
 
@@ -419,23 +423,24 @@ def test_state_file_header_may_carry_a_sign_and_crlf(tmp_path, capsys):
 
 
 def test_write_state_file_keeps_its_bytes(tmp_path):
-    # written in blocks, the file is the line-per-amplitude form byte for
-    # byte: signed zeros, subnormals and tiny parts keep their repr
+    # the file is the line-per-amplitude form byte for byte: signed zeros,
+    # subnormals and tiny parts keep their repr, and read back in blocks
+    # to the same bits
     n_items = 3 * statevector_module.BLOCK + 5
-    amps = random_state(n_items, 8).amplitudes.copy()
+    amps = random_state(n_items, 8)
     special = {7: complex(-0.0, 5e-324), 16384: complex(1e-300, -0.0), n_items - 1: -0.0}
     mass = sum(abs(amps[i]) ** 2 - abs(z) ** 2 for i, z in special.items())
     for i, z in special.items():
         amps[i] = z
     amps[0] = math.sqrt(abs(amps[0]) ** 2 + mass)
-    state = StateVector(amps)
+    assert abs(np.linalg.norm(amps) - 1.0) <= 1e-9
     path = tmp_path / "state.txt"
-    write_state_file(str(path), state)
-    lines = [str(n_items)] + [f"{float(z.real)!r} {float(z.imag)!r}" for z in state.amplitudes]
+    write_state_file(str(path), amps)
+    lines = [str(n_items)] + [f"{float(z.real)!r} {float(z.imag)!r}" for z in amps]
     assert path.read_bytes() == ("\n".join(lines) + "\n").encode("ascii")
     assert b"\n-0.0 5e-324\n" in path.read_bytes() and path.read_bytes().endswith(b"\n-0.0 0.0\n")
-    back = read_state_file(str(path)).amplitudes
-    assert np.array_equal(back.view(np.int64), state.amplitudes.view(np.int64))
+    back = read_state_file(path, n_items)
+    assert np.array_equal(back.view(np.int64), amps.view(np.int64))
 
 
 @pytest.mark.parametrize("fault, message", [
@@ -985,7 +990,7 @@ def test_montecarlo_start_that_never_succeeds(tmp_path, capsys):
     # orthogonal to the target and to the averaging state: p(n) = 0 for
     # every n, so there is no default n to choose
     path = tmp_path / "dark.txt"
-    write_state_file(str(path), StateVector(np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)))
+    write_state_file(str(path), np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0))
     code, out, err = run_cli(
         capsys,
         "montecarlo", "--n-items", "4", "--targets", "0", "--start", f"file:{path}",
@@ -1079,8 +1084,8 @@ def test_montecarlo_tiny_target_weight_hits_the_round_cap(tmp_path, capsys):
     # v = 0, so p(n) = 3.3e-301 at every n: trials need ~3e300 rounds, far
     # past the cap, and their counts overflow int64
     start, off = tmp_path / "start.txt", tmp_path / "off.txt"
-    write_state_file(str(start), StateVector(np.array([1e-150, 1.0, 1.0, 1.0]) / math.sqrt(3.0)))
-    write_state_file(str(off), StateVector(np.array([0.0, 1.0, 1.0, 1.0]) / math.sqrt(3.0)))
+    write_state_file(str(start), np.array([1e-150, 1.0, 1.0, 1.0]) / math.sqrt(3.0))
+    write_state_file(str(off), np.array([0.0, 1.0, 1.0, 1.0]) / math.sqrt(3.0))
     for agents in ("2", "1"):
         code, out, err = run_cli(
             capsys,
@@ -1095,7 +1100,7 @@ def test_montecarlo_default_iterations_when_p_is_flat(tmp_path, capsys):
     # v = 1 (every item a target) and v = 0 (an averaging state off the
     # target): p(n) does not depend on n, so the default n is 1
     dark = tmp_path / "dark.txt"
-    write_state_file(str(dark), StateVector(np.array([0.0, 1.0, 1.0, 1.0]) / math.sqrt(3.0)))
+    write_state_file(str(dark), np.array([0.0, 1.0, 1.0, 1.0]) / math.sqrt(3.0))
     for argv in (
         ["--n-items", "16", "--num-targets", "16"],
         ["--n-items", "4", "--targets", "0", "--averaging", f"file:{dark}"],
@@ -1294,6 +1299,35 @@ def test_verify_all_pass(capsys):
     assert all(line.endswith("PASS") for line in check_lines)
     assert any(line.startswith("optimal_x_single = ") for line in check_lines)
     assert lines[-1] == "all checks passed"
+
+
+@pytest.mark.parametrize("seed", [0, 4242])
+def test_verify_biham_lines_match_the_held_reference(capsys, seed):
+    # verify takes each state from the random: stream and u in closed form;
+    # its three Biham lines equal, byte for byte, those formed from the held
+    # state, its mean and deviation over a target mask and a held u
+    n_items, norm_dev, alpha_dev, beta_dev = 64, 0.0, 0.0, 0.0
+    for i in range(20):
+        r = (1, 4, 16)[i % 3]
+        start = random_state(n_items, seed + i)
+        mask = np.arange(n_items) < r
+        k, l = start[mask], start[~mask]
+        k_bar, l_bar = complex(k.mean()), complex(l.mean())
+        sigma_k = float(math.sqrt(np.mean(np.abs(k - k_bar) ** 2)))
+        sigma_l = float(math.sqrt(np.mean(np.abs(l - l_bar) ** 2)))
+        total = (r * abs(k_bar) ** 2 + r * sigma_k**2
+                 + (n_items - r) * abs(l_bar) ** 2 + (n_items - r) * sigma_l**2)
+        norm_dev = max(norm_dev, abs(total - 1.0))
+        dec = decompose(held_instance(TargetSet.first(r), uniform_state(n_items), start))
+        alpha_dev = max(alpha_dev, abs(dec.alpha - abs(k_bar) * math.sqrt(r)))
+        beta_dev = max(beta_dev, abs(dec.beta - abs(l_bar) * math.sqrt(n_items - r)))
+    devs = {"mean_amplitude_normalization_max_dev": norm_dev,
+            "alpha_vs_mean_target_amplitude_max_dev": alpha_dev,
+            "beta_vs_mean_other_amplitude_max_dev": beta_dev}
+    want = [f"{name} = {dev:.10g} (expected 0 +/- 1e-10): PASS" for name, dev in devs.items()]
+    code, out, _ = run_cli(capsys, "verify", "--seed", str(seed))
+    assert code == 0
+    assert [line for line in out.splitlines() if line.split(" = ")[0] in devs] == want
 
 
 def _late_restart(dec, k):
@@ -1514,7 +1548,7 @@ def test_state_files_end_in_output_or_exit_2(data):
     # names the file (or is the dimension or the norm refusal)
     n_items = data.draw(st.integers(1, 8))
     fault = data.draw(st.sampled_from(sorted(_STATE_FAULTS)))
-    amps = random_state(n_items, data.draw(st.integers(0, 2**32))).amplitudes
+    amps = random_state(n_items, data.draw(st.integers(0, 2**32)))
     rows = [f"{float(z.real)!r} {float(z.imag)!r}" for z in amps]
     row = data.draw(st.integers(0, n_items - 1))
     header = str(n_items)

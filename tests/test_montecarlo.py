@@ -14,8 +14,6 @@ from scipy.stats import chisquare
 import gqsearch.montecarlo as montecarlo
 from gqsearch import (
     NeverSucceedsError,
-    SearchInstance,
-    StateVector,
     TargetSet,
     TrialCapError,
     cost_stddev,
@@ -27,9 +25,9 @@ from gqsearch import (
     success_trajectory,
     uniform_instance,
 )
-from gqsearch.cli import main, write_state_file
+from gqsearch.cli import main
 
-from dense_reference import parallel_trial_costs
+from dense_reference import held_instance, parallel_trial_costs, write_state_file
 
 
 def test_certain_success_is_deterministic():
@@ -108,8 +106,8 @@ def test_runs_are_reproducible_and_seed_sensitive():
 
 def test_statevector_variant_rejects_zero_support(tmp_path, capsys):
     # start and averaging both orthogonal to the target: p stays 0
-    off = StateVector(np.array([0.0, 1.0, 1.0, 1.0]) / math.sqrt(3.0))
-    inst = SearchInstance.from_states(TargetSet.first(1), off, off)
+    off = np.array([0.0, 1.0, 1.0, 1.0]) / math.sqrt(3.0)
+    inst = held_instance(TargetSet.first(1), off, off)
     p = success_trajectory(inst, 1)[-1]
     assert p == 0.0
     with pytest.raises(NeverSucceedsError):

@@ -13,12 +13,10 @@ from gqsearch import (
     InvalidTargetError,
     NonUnitStateError,
     SearchInstance,
-    StateVector,
     TargetSet,
-    random_state,
+    biham_mapping,
     success_trajectory,
     uniform_instance,
-    uniform_state,
 )
 from gqsearch.statevector import BLOCK, _random_blocks
 
@@ -26,41 +24,34 @@ from dense_reference import (
     dense_evolution,
     edge_states,
     full_products,
+    held_instance,
+    random_state,
     reduced_amplitudes,
+    uniform_state,
     uniform_states,
 )
 
-
-def test_uniform_state_is_flat():
-    state = uniform_state(4)
-    assert state.dim == 4
-    assert np.all(state.amplitudes == 0.5)
-
-
-def test_state_vector_copies_input():
-    raw = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
-    state = StateVector(raw)
-    raw[0] = 99.0
-    assert state.amplitudes[0] == 1.0
+# biham_mapping is the one public function that takes a held state, a raw
+# amplitude array, so it checks the array's shape and norm itself
 
 
 def test_state_vector_rejects_non_unit():
     with pytest.raises(NonUnitStateError):
-        StateVector([1.0, 1.0])
+        biham_mapping([1.0, 1.0], TargetSet((0,)))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
 def test_state_vector_rejects_non_finite(bad):
     # abs(nan - 1) > tol is False, so the guard must be written to catch NaN
     with pytest.raises(NonUnitStateError):
-        StateVector([0.5, bad, 0.5, 0.5])
+        biham_mapping([0.5, bad, 0.5, 0.5], TargetSet((0,)))
 
 
 def test_state_vector_rejects_bad_shapes():
     with pytest.raises(InvalidDimensionError):
-        StateVector([])
+        biham_mapping([], TargetSet((0,)))
     with pytest.raises(InvalidDimensionError):
-        StateVector([[1.0, 0.0], [0.0, 1.0]])
+        biham_mapping([[1.0, 0.0], [0.0, 1.0]], TargetSet((0,)))
 
 
 def test_target_set_canonicalizes():
@@ -81,9 +72,9 @@ def test_target_set_rejects_bad_indices():
 
 def test_instance_validates():
     with pytest.raises(InvalidDimensionError):
-        SearchInstance.from_states(TargetSet.first(1), uniform_state(8), uniform_state(4))
+        held_instance(TargetSet.first(1), uniform_state(8), uniform_state(4))
     with pytest.raises(InvalidTargetError):
-        SearchInstance.from_states(TargetSet((7,)), uniform_state(4), uniform_state(4))
+        held_instance(TargetSet((7,)), uniform_state(4), uniform_state(4))
     with pytest.raises(InvalidTargetError):
         uniform_instance(4, 5)
     # N is checked before r/N is formed: no ZeroDivisionError at N = 0
@@ -99,7 +90,7 @@ def test_uniform_products_match_the_uniform_state():
         n_items = 4**j
         u = uniform_state(n_items)
         for r in sorted({1, (n_items + 2) // 3, n_items}):
-            want = SearchInstance.from_states(TargetSet.first(r), u, u).products
+            want = held_instance(TargetSet.first(r), u, u).products
             got = uniform_instance(n_items, r).products
             assert [complex(x) for x in got] == [complex(x) for x in want], (n_items, r)
 
@@ -116,21 +107,20 @@ def test_uniform_partner_products_match_the_built_state(uniform_side):
         for r in sorted({1, max(n_items // 3, 1), n_items}):
             targets = TargetSet(rng.choice(n_items, size=r, replace=False))
             if uniform_side == "averaging":
-                got = SearchInstance.from_states(targets, None, other)
-                want = SearchInstance.from_states(targets, u, other)
+                got = held_instance(targets, None, other)
+                want = held_instance(targets, u, other)
             else:
-                got = SearchInstance.from_states(targets, other, None)
-                want = SearchInstance.from_states(targets, other, u)
-            assert got.n_items == n_items
+                got = held_instance(targets, other, None)
+                want = held_instance(targets, other, u)
             dev = max(abs(complex(g) - complex(w)) for g, w in zip(got.products, want.products))
             assert dev <= 1e-14, (n_items, r, dev)
 
 
 def test_uniform_partner_checks_its_targets():
     with pytest.raises(InvalidTargetError):
-        SearchInstance.from_states(TargetSet((4,)), None, random_state(4, 1))
+        held_instance(TargetSet((4,)), None, random_state(4, 1))
     with pytest.raises(InvalidTargetError):
-        SearchInstance.from_states(TargetSet((4,)), random_state(4, 1), None)
+        held_instance(TargetSet((4,)), random_state(4, 1), None)
 
 
 @pytest.mark.parametrize("n_items", [3, 100, 20000, 3 * BLOCK + 5])
@@ -140,28 +130,33 @@ def test_uniform_start_has_p0_r_over_n_exactly(n_items):
     other = random_state(n_items, 5)
     for targets in (1, TargetSet({0, n_items // 2, n_items - 1})):
         r = targets if isinstance(targets, int) else targets.r
-        start_u = SearchInstance.from_states(targets, other, None)
+        start_u = held_instance(targets, other, None)
         assert start_u.products[:2] == (r / n_items, 1.0 - r / n_items)
         assert success_trajectory(start_u, 0)[0] == r / n_items
-        averaging_u = SearchInstance.from_states(targets, None, other)
+        averaging_u = held_instance(targets, None, other)
         assert (averaging_u.products[2], averaging_u.products[5]) == (r / n_items, 1.0 - r / n_items)
 
 
 @pytest.mark.parametrize("n_items", [1, 7, 3 * 2**16 + 5])
 def test_random_state_keeps_the_unblocked_draws(n_items):
-    # real parts are the first N draws and imaginary parts the next N, as
-    # two standard_normal(N) calls give them, bit for bit
+    # the random: stream's real parts are the first N draws and imaginary
+    # parts the next N, as two standard_normal(N) calls give them, divided
+    # by the norm summed block by block: the held reference, bit for bit
     for seed in (0, 11):
-        rng = np.random.default_rng(seed)
-        z = rng.standard_normal(n_items) + 1j * rng.standard_normal(n_items)
-        want = z / np.linalg.norm(z)
-        got = random_state(n_items, seed).amplitudes
+        got = np.concatenate([x.copy() for x in _random_blocks(n_items, seed)])
+        want = random_state(n_items, seed)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        # in one block the norm is np.linalg.norm's: verify's N = 64 states
+        # are z / np.linalg.norm(z), bit for bit
+        if n_items <= BLOCK:
+            rng = np.random.default_rng(seed)
+            z = rng.standard_normal(n_items) + 1j * rng.standard_normal(n_items)
+            assert np.array_equal(got.view(np.int64), (z / np.linalg.norm(z)).view(np.int64))
 
 
 @pytest.mark.parametrize("n_items", [1, 7, 3 * 2**14 + 5])
 def test_random_instance_reduces_the_drawn_state(n_items):
-    # _random_blocks draws random_state's blocks and reduces them as drawn:
+    # _random_blocks draws the held random_state's blocks, reduced as drawn:
     # its products are the held state's to rounding, for explicit targets
     # spread over the blocks and for a count
     rng = np.random.default_rng(n_items)
@@ -170,14 +165,14 @@ def test_random_instance_reduces_the_drawn_state(n_items):
         picks = TargetSet(rng.choice(n_items, size=min(n_items, 5), replace=False))
         for targets in (picks, max(n_items // 3, 1), TargetSet.first(n_items)):
             got = SearchInstance.from_blocks(targets, n_items, None, _random_blocks(n_items, seed))
-            want = SearchInstance.from_states(targets, None, state)
+            want = held_instance(targets, None, state)
             dev = max(abs(complex(g) - complex(w)) for g, w in zip(got.products, want.products))
             assert dev <= 1e-14, (n_items, seed, targets, dev)
 
 
 def _held_blocks(state):
     """A held state's blocks as copies, the way a file or a draw yields them."""
-    return [state.amplitudes[lo:lo + BLOCK].copy() for lo in range(0, state.dim, BLOCK)]
+    return [state[lo:lo + BLOCK].copy() for lo in range(0, state.size, BLOCK)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -199,7 +194,7 @@ def test_reducer_matches_the_full_vector_products(data):
                                          "u, random", "held, random"]), label="pairing")
     averaging, start = {"u, held": (None, s), "held, u": (a, None), "s = a": (a, a),
                         "held, held": (a, s), "u, random": (None, s), "held, random": (a, s)}[pairing]
-    want = full_products(targets, *((u if x is None else x).amplitudes for x in (averaging, start)))
+    want = full_products(targets, *(u if x is None else x for x in (averaging, start)))
     blocks = [None if x is None else _held_blocks(x) for x in (averaging, start)]
     if averaging is start:
         blocks[1] = blocks[0]
@@ -208,19 +203,15 @@ def test_reducer_matches_the_full_vector_products(data):
                                          _random_blocks(n_items, seed + 1))
     else:
         got = SearchInstance.from_blocks(targets, n_items, *blocks)
-        assert got == SearchInstance.from_states(targets, averaging, start)
-    # past one block the reference's single vdot over N terms rounds on its
-    # own: for u, whose N terms are equal, it is 7.1e-14 off the exact sum
-    # at N = 3 * 2^14 + 5, where the blocked sum is 1.2e-14 off
-    tol = 1e-14 if n_items <= BLOCK else 1e-13
+        assert got == held_instance(targets, averaging, start)
+    # the reference's sums are exact, so the blocked sums are held to 1e-14
+    # at every N
     dev = max(abs(complex(g) - complex(w)) for g, w in zip(got.products, want))
-    assert dev <= tol, (pairing, dev)
+    assert dev <= 1e-14, (pairing, dev)
 
 
 def test_blocks_are_checked_like_a_state_vector():
-    # a state given as blocks is checked as StateVector checks its input,
-    # for its norm and its length; a held StateVector was checked when
-    # built, so a stale one is not
+    # a state given as blocks is checked for its norm and its length
     half = np.full(4, 0.5, dtype=np.complex128)
     for bad, norm in ((2.0 * half, "2.0"), (np.array([math.nan, 0.5, 0.5, 0.5]), "nan")):
         for averaging, start in ((None, [bad]), ([bad], None)):
@@ -232,9 +223,6 @@ def test_blocks_are_checked_like_a_state_vector():
     for blocks in ([half[:3]], [half, half[:1]], []):
         with pytest.raises(InvalidDimensionError, match="not n_items=4"):
             SearchInstance.from_blocks(TargetSet((1,)), 4, None, blocks)
-    stale = StateVector(half)
-    stale.amplitudes = 2.0 * half
-    SearchInstance.from_states(TargetSet((1,)), None, stale)
 
 
 def test_target_counts_are_the_first_indices():
@@ -244,11 +232,10 @@ def test_target_counts_are_the_first_indices():
     for r in (1, 17, 40):
         first = TargetSet.first(r)
         for states in ((a, s), (None, s), (a, None), (s, s)):
-            assert (SearchInstance.from_states(r, *states)
-                    == SearchInstance.from_states(first, *states)), (r, states)
+            assert held_instance(r, *states) == held_instance(first, *states), (r, states)
     for r in (0, -1, 41):
-        for build in (lambda: SearchInstance.from_states(r, a, s),
-                      lambda: SearchInstance.from_states(r, None, s),
+        for build in (lambda: held_instance(r, a, s),
+                      lambda: held_instance(r, None, s),
                       lambda: SearchInstance.from_blocks(r, 40, None, _random_blocks(40, 3))):
             with pytest.raises(InvalidTargetError, match="target count"):
                 build()
@@ -287,15 +274,14 @@ def test_nan_target_weight_is_not_clipped_to_one():
     # n = 0 takes no step, so no norm check runs: a stale NaN amplitude on
     # a target must come out as NaN, which min(1, nan) would hide as 1.0
     targets, u, _ = uniform_states(8, 1)
-    u.amplitudes = u.amplitudes.copy()
-    u.amplitudes[0] = math.nan
-    inst = SearchInstance.from_states(targets, u, u)
+    u[0] = math.nan
+    inst = SearchInstance(full_products(targets, u, u))
     assert math.isnan(success_trajectory(inst, 0)[0])
 
 
 def test_grover_power_zero_is_identity():
     states = uniform_states(8, 2)
-    assert np.array_equal(reduced_amplitudes(*states, 0), states[2].amplitudes)
+    assert np.array_equal(reduced_amplitudes(*states, 0), states[2])
     with pytest.raises(ValueError, match="non-negative"):
         reduced_amplitudes(*states, -1)
     with pytest.raises(ValueError, match="non-negative"):
@@ -311,7 +297,7 @@ def test_success_trajectory_matches_pointwise_powers():
     # the Gram-form target weight against |amplitude|^2 summed over the
     # targets of the N-vector Q^n|s> rebuilt from the coefficients
     states = (TargetSet((3, 17)), uniform_state(32), random_state(32, 11))
-    inst = SearchInstance.from_states(*states)
+    inst = held_instance(*states)
     traj = success_trajectory(inst, 10)
     assert traj.shape == (11,)
     for n in range(11):
@@ -326,7 +312,7 @@ def test_count_style_target_placement_is_immaterial():
     u = uniform_state(16)
     want = success_trajectory(uniform_instance(16, 3), 12)
     for targets in ((0, 1, 2), (3, 9, 14)):
-        got = success_trajectory(SearchInstance.from_states(TargetSet(targets), u, u), 12)
+        got = success_trajectory(held_instance(TargetSet(targets), u, u), 12)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
 
@@ -336,7 +322,7 @@ def test_random_instances_stay_normalized(n_items, data):
     r = data.draw(st.integers(1, n_items))
     seed = data.draw(st.integers(0, 2**31))
     states = (TargetSet.first(r), random_state(n_items, seed), random_state(n_items, seed + 1))
-    traj = success_trajectory(SearchInstance.from_states(*states), 12)
+    traj = success_trajectory(held_instance(*states), 12)
     assert np.all(traj >= -1e-12)
     assert np.all(traj <= 1.0 + 1e-12)
     assert abs(np.linalg.norm(reduced_amplitudes(*states, 12)) - 1.0) < 1e-12
@@ -347,7 +333,7 @@ def test_rotation_plane_closure_and_residuals():
     # fixed and the non-target residual flips sign each step.
     n_items, targets = 16, (1, 5, 11)
     states = (TargetSet(targets), uniform_state(n_items), random_state(n_items, 9))
-    a = states[1].amplitudes
+    a = states[1]
     mask = np.zeros(n_items, dtype=bool)
     mask[list(targets)] = True
     projected = np.where(mask, a, 0.0)
@@ -373,7 +359,7 @@ def test_rotation_plane_closure_and_residuals():
 def assert_matches_dense(states, n, tol=1e-10):
     # the reduced-basis evolution against n dense O(N) passes
     dense_probs, dense_amps = dense_evolution(*states, n)
-    traj = success_trajectory(SearchInstance.from_states(*states), n)
+    traj = success_trajectory(held_instance(*states), n)
     np.testing.assert_allclose(traj, dense_probs, rtol=0, atol=tol)
     np.testing.assert_allclose(reduced_amplitudes(*states, n), dense_amps, rtol=0, atol=tol)
 
@@ -404,25 +390,28 @@ def test_reduced_evolution_large_instance():
 
 
 def test_evolution_rejects_stale_averaging_norm():
-    # the constructor validates, so force a stale norm to hit the per-step check
-    states = uniform_states(8, 1)
-    states[1].amplitudes = states[1].amplitudes * 2.0
+    # the reducer validates, so a stale norm reaches the per-step check only
+    # through the reference's products
+    targets, u, _ = uniform_states(8, 1)
+    stale = 2.0 * u
+    states = (targets, stale, stale)
     with pytest.raises(NonUnitStateError, match="after 1 iterations"):
         reduced_amplitudes(*states, 3)
     with pytest.raises(NonUnitStateError, match="after 1 iterations"):
-        success_trajectory(SearchInstance.from_states(*states), 3)
+        success_trajectory(SearchInstance(full_products(*states)), 3)
     with pytest.raises(NonUnitStateError):
         dense_evolution(*states, 3)
 
 
 def test_evolution_rejects_nan_averaging():
     states = uniform_states(8, 1)
-    states[1].amplitudes = states[1].amplitudes.copy()
-    states[1].amplitudes[5] = math.nan
+    states[1][5] = math.nan  # s = a: one array
     with pytest.raises(NonUnitStateError):
         reduced_amplitudes(*states, 1)
     with pytest.raises(NonUnitStateError):
-        success_trajectory(SearchInstance.from_states(*states), 1)
+        success_trajectory(SearchInstance(full_products(*states)), 1)
+    with pytest.raises(NonUnitStateError, match="state norm is nan"):
+        held_instance(*states)
 
 
 def test_evolution_never_calls_the_closed_form(monkeypatch):
@@ -434,5 +423,5 @@ def test_evolution_never_calls_the_closed_form(monkeypatch):
     for name in ("decompose", "success_prob_analytic", "rotation_angle"):
         monkeypatch.setattr(gqsearch.analytic, name, boom)
     states = (TargetSet((1, 9)), random_state(32, 40), random_state(32, 41))
-    assert success_trajectory(SearchInstance.from_states(*states), 10).shape == (11,)
+    assert success_trajectory(held_instance(*states), 10).shape == (11,)
     assert reduced_amplitudes(*states, 10).shape == (32,)

@@ -17,7 +17,6 @@ from gqsearch import (
     Decomposition,
     GQSearchError,
     NeverSucceedsError,
-    SearchInstance,
     TargetSet,
     ValidityError,
     cost_stddev,
@@ -31,18 +30,16 @@ from gqsearch import (
     parallel_success,
     punctuated_plan,
     punctuated_success_prob,
-    random_state,
     restart_iterations,
     rotation_angle,
     success_prob_analytic,
     uniform_instance,
-    uniform_state,
     uniform_success_prob,
 )
 import gqsearch.strategy as strategy
 
 import scan_reference
-from dense_reference import dense_evolution
+from dense_reference import dense_evolution, held_instance, random_state, uniform_state
 
 
 def test_expected_cost_basic():
@@ -361,7 +358,7 @@ def test_restart_iterations_matches_brute_force_over_simulator(n_items, data):
     )
     start = random_state(n_items, data.draw(st.integers(0, 2**31)))
     states = (TargetSet(tuple(targets)), uniform_state(n_items), start)
-    dec = decompose(SearchInstance.from_states(*states))
+    dec = decompose(held_instance(*states))
     period = math.ceil(math.pi / dec.phi)
     n = restart_iterations(dec, 1)
     assert 1 <= n <= period
@@ -388,7 +385,7 @@ def test_restart_iterations_known_instances():
     # a random start with three targets: the uniform-start n = 22 costs
     # 37,440 per success, a single iteration 2,188
     states = (TargetSet((3, 17, 40)), uniform_state(4096), random_state(4096, 7))
-    dec = decompose(SearchInstance.from_states(*states))
+    dec = decompose(held_instance(*states))
     assert restart_iterations(dec, 1) == 1
     costs, n_brute = _brute_force_restart(states, math.ceil(math.pi / dec.phi))
     assert n_brute == 1 and round(costs[0]) == 2188 and round(costs[21]) == 37440
