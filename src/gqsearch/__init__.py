@@ -27,6 +27,7 @@ _SOURCES = {
                 "punctuated_success_prob restart_iterations",
 }
 _SOURCE = {name: module for module, names in _SOURCES.items() for name in names.split()}
+__all__ = sorted(_SOURCE)
 
 
 def __getattr__(name: str):
@@ -38,39 +39,3 @@ def __getattr__(name: str):
 
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Decomposition",
-    "FlatProbabilityError",
-    "GQSearchError",
-    "InvalidDimensionError",
-    "InvalidTargetError",
-    "NeverSucceedsError",
-    "NonUnitStateError",
-    "ParallelPlan",
-    "PunctuatedPlan",
-    "SearchInstance",
-    "TargetSet",
-    "TrialCapError",
-    "ValidityError",
-    "biham_mapping",
-    "cost_stddev",
-    "decompose",
-    "expected_cost",
-    "first_maximum",
-    "max_probability_cost",
-    "optimal_x_parallel_approx",
-    "optimal_x_single",
-    "parallel_plan",
-    "parallel_plan_closed_form",
-    "parallel_success",
-    "punctuated_plan",
-    "punctuated_success_prob",
-    "restart_iterations",
-    "rotation_angle",
-    "run_parallel",
-    "success_prob_analytic",
-    "success_trajectory",
-    "uniform_instance",
-    "uniform_success_prob",
-]

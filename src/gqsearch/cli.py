@@ -321,15 +321,12 @@ def sweep_rows(n_items: int, r_max: int, k_max: int) -> list:
     for r in range(1, r_max + 1):
         for k in range(1, k_max + 1):
             numeric, formula, cost_exact = _parallel_plans(r, n_items, k)
-            rows.append({
-                "r": r,
-                "k": k,
-                "n_numeric": numeric.n_int,
-                "n_formula": formula.n_opt if formula else None,
-                "cost_numeric": numeric.expected_cost,
-                "cost_formula": formula.expected_cost if formula else None,
-                "cost_exact_at_n_formula": cost_exact,
-            })
+            rows.append(dict(zip(SWEEP_COLUMNS, (
+                r, k,
+                numeric.n_int, formula.n_opt if formula else None,
+                numeric.expected_cost, formula.expected_cost if formula else None,
+                cost_exact,
+            ))))
     return rows
 
 
@@ -359,10 +356,7 @@ def cmd_simulate(args: argparse.Namespace):
     trajectory = success_trajectory(instance, hi)
 
     dec = decompose(instance)
-    dec_dict = {
-        "v": dec.v, "phi": dec.phi, "alpha": dec.alpha, "beta": dec.beta,
-        "b": dec.b, "psi": dec.psi, "w_t": dec.w_t, "w_l": dec.w_l,
-    }
+    dec_dict = {name: getattr(dec, name) for name in SIMULATE_COLUMNS[3:]}
     p_analytic = success_prob_analytic(dec, np.arange(lo, hi + 1))
     values = zip(range(lo, hi + 1), trajectory[lo:].tolist(), p_analytic.tolist())
     if args.format == "csv":  # one row at a time, and no JSON rows
@@ -370,7 +364,7 @@ def cmd_simulate(args: argparse.Namespace):
             dict(zip(SIMULATE_COLUMNS, row), **dec_dict) for row in values
         )
 
-    rows = [{"n": n, "p_simulated": p_sim, "p_analytic": p} for n, p_sim, p in values]
+    rows = [dict(zip(SIMULATE_COLUMNS[:3], row)) for row in values]
     payload = {
         "command": "simulate",
         "n_items": args.n_items,
@@ -414,6 +408,8 @@ def _check_agents(k: int) -> None:
 
 
 def cmd_plan(args: argparse.Namespace):
+    from dataclasses import asdict
+
     from .analytic import rotation_angle
     from .strategy import max_probability_cost, punctuated_plan
 
@@ -427,33 +423,16 @@ def cmd_plan(args: argparse.Namespace):
         punct = None  # phi >= pi/2: outside the punctuated plan's model
     else:
         baseline = max_probability_cost(phi)
-        punct = {
-            "n_opt": plan.n_opt,
-            "n_int": plan.n_int,
-            "expected_cost": plan.expected_cost,
-            "stddev_geometric": plan.stddev_geometric,
-            "max_probability_cost": baseline,
-            "speedup_ratio": plan.expected_cost / baseline,
-        }
+        punct = dict(asdict(plan), max_probability_cost=baseline,
+                     speedup_ratio=plan.expected_cost / baseline)
     par_numeric = None
     par_closed = None
     if args.agents >= 2 or punct is None:
         numeric, formula, cost_exact = _parallel_plans(r, args.n_items, args.agents)
-        par_numeric = {
-            "agents": numeric.agents,
-            "x": numeric.x,
-            "n_int": numeric.n_int,
-            "expected_cost": numeric.expected_cost,
-        }
+        par_numeric = asdict(numeric)
+        del par_numeric["n_opt"]  # an exact plan's n_opt is only float(n_int)
         if formula is not None:
-            par_closed = {
-                "agents": formula.agents,
-                "x": formula.x,
-                "n_opt": formula.n_opt,
-                "n_int": formula.n_int,
-                "expected_cost": formula.expected_cost,
-                "cost_exact_at_n": cost_exact,
-            }
+            par_closed = dict(asdict(formula), cost_exact_at_n=cost_exact)
 
     payload = {
         "command": "plan",
@@ -538,16 +517,10 @@ def cmd_montecarlo(args: argparse.Namespace):
         "command": "montecarlo",
         "n_items": args.n_items,
         **_target_echo(r, targets),
-        "iterations": n,
-        "agents": args.agents,
-        "trials": args.trials,
-        "seed": args.seed,
-        "p_round": p,
-        "closed_form_cost": closed,
-        "mean": est.mean,
-        "stderr": est.stderr,
-        "z": z,
-        "agent_time_mean": args.agents * est.mean,
+        **dict(zip(MONTECARLO_COLUMNS[2:], (
+            n, args.agents, args.trials, args.seed, p, closed,
+            est.mean, est.stderr, z, args.agents * est.mean,
+        ))),
     }
     return payload, MONTECARLO_COLUMNS, [dict(payload, r=r)]
 

@@ -108,7 +108,9 @@ def punctuated_success_prob(n, phi: float):
 
 
 def _check_phi(phi: float) -> None:
-    if phi <= 0.0:
+    if phi == 0.0:
+        raise NeverSucceedsError("success probability is 0 for every n")
+    if phi < 0.0:
         raise ValueError(f"phi must be positive, got {phi}")
     if phi >= 0.5 * math.pi:
         raise ValidityError(

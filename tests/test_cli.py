@@ -1134,12 +1134,16 @@ def test_parallel_sweep_cap_is_inclusive(monkeypatch):
     assert len(sweep_rows(2**40, 2**7, 2**7)) == SWEEP_MAX_PLANS == 2**14
 
 
-def test_parallel_sweep_where_r_over_n_underflows(capsys):
+@pytest.mark.parametrize(
+    "argv",
+    [["plan"], ["plan", "--agents", "3"], ["montecarlo"], ["parallel-sweep", "--agents", "2"]],
+    ids=["plan", "plan-k3", "montecarlo", "parallel-sweep"],
+)
+def test_r_over_n_underflow_never_succeeds(capsys, argv):
     # r/N = 1e-400 rounds to v = 0, where p(n) = 0 for every n
-    code, out, err = run_cli(
-        capsys, "parallel-sweep", "--n-items", str(10**400), "--num-targets", "1", "--agents", "2"
-    )
-    assert code == 2 and out == "" and "success probability is 0" in err
+    code, out, err = run_cli(capsys, *argv, "--n-items", str(10**400), "--num-targets", "1")
+    assert code == 2 and out == ""
+    assert err == "error: success probability is 0 for every n\n"
 
 
 def test_parallel_sweep_with_every_item_a_target(capsys):
@@ -1736,3 +1740,77 @@ def test_csv_cells_equal_the_json_values(capsys, argv):
                 assert cell == str(value), (column, cell, value)
             compared += 1
     assert compared == len(lines) * len(columns)
+
+
+# The JSON keys of each output, in the order the bytes hold them, spelled out
+# here rather than read from the column tuples they are built from.
+_DECOMPOSITION_KEYS = ["v", "phi", "alpha", "beta", "b", "psi", "w_t", "w_l"]
+_PUNCTUATED_KEYS = ["n_opt", "n_int", "expected_cost", "stddev_geometric",
+                    "max_probability_cost", "speedup_ratio"]
+_PARALLEL_NUMERIC_KEYS = ["agents", "x", "n_int", "expected_cost"]
+_PARALLEL_CLOSED_KEYS = ["agents", "x", "n_opt", "n_int", "expected_cost", "cost_exact_at_n"]
+_PLAN_KEYS = ["command", "n_items", "r", "v", "phi", "agents",
+              "punctuated", "parallel_numeric", "parallel_closed_form"]
+_MONTECARLO_KEYS = ["iterations", "agents", "trials", "seed", "p_round", "closed_form_cost",
+                    "mean", "stderr", "z", "agent_time_mean"]
+
+
+@pytest.mark.parametrize(
+    "argv, keys",
+    [
+        (["simulate", "--n-items", "64", "--num-targets", "3", "--iterations", "0..4"], {
+            (): ["command", "n_items", "num_targets", "start", "averaging", "decomposition",
+                 "rows"],
+            ("decomposition",): _DECOMPOSITION_KEYS,
+            ("rows", 0): ["n", "p_simulated", "p_analytic"],
+        }),
+        (["simulate", "--n-items", "32", "--targets", "3,9", "--start", "random:7",
+          "--iterations", "2..6"], {
+            (): ["command", "n_items", "targets", "start", "averaging", "decomposition", "rows"],
+            ("decomposition",): _DECOMPOSITION_KEYS,
+            ("rows", 0): ["n", "p_simulated", "p_analytic"],
+        }),
+        (["plan", "--n-items", str(2**20), "--num-targets", "1"], {
+            (): _PLAN_KEYS,
+            ("punctuated",): _PUNCTUATED_KEYS,
+            ("parallel_numeric",): None,
+            ("parallel_closed_form",): None,
+        }),
+        (["plan", "--n-items", str(2**20), "--num-targets", "1", "--agents", "4"], {
+            (): _PLAN_KEYS,
+            ("punctuated",): _PUNCTUATED_KEYS,
+            ("parallel_numeric",): _PARALLEL_NUMERIC_KEYS,
+            ("parallel_closed_form",): _PARALLEL_CLOSED_KEYS,
+        }),
+        (["plan", "--n-items", "64", "--num-targets", "48"], {
+            (): _PLAN_KEYS,
+            ("punctuated",): None,
+            ("parallel_numeric",): _PARALLEL_NUMERIC_KEYS,
+            ("parallel_closed_form",): None,
+        }),
+        (["parallel-sweep", "--n-items", "4096", "--num-targets", "2", "--agents", "3"], {
+            (): ["command", "n_items", "r_max", "k_max", "rows"],
+            ("rows", 5): ["r", "k", "n_numeric", "n_formula", "cost_numeric", "cost_formula",
+                          "cost_exact_at_n_formula"],
+        }),
+        (["montecarlo", "--n-items", "64", "--num-targets", "1", "--trials", "500",
+          "--seed", "3"], {
+            (): ["command", "n_items", "num_targets"] + _MONTECARLO_KEYS,
+        }),
+        (["montecarlo", "--n-items", "64", "--targets", "3,17", "--agents", "4",
+          "--iterations", "2", "--trials", "500", "--seed", "3"], {
+            (): ["command", "n_items", "targets"] + _MONTECARLO_KEYS,
+        }),
+    ],
+    ids=["simulate-count", "simulate-targets-random", "plan-k1", "plan-k4", "plan-wide-angle",
+         "parallel-sweep", "montecarlo-count", "montecarlo-targets"],
+)
+def test_json_keys_keep_their_order(capsys, argv, keys):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    for path, expected in keys.items():
+        value = payload
+        for step in path:
+            value = value[step]
+        assert (None if value is None else list(value)) == expected, path

@@ -122,8 +122,10 @@ def test_punctuated_plan_integer_is_true_argmin(phi):
 
 
 def test_punctuated_plan_regime():
-    with pytest.raises(ValueError):
+    with pytest.raises(NeverSucceedsError, match="success probability is 0 for every n"):
         punctuated_plan(0.0)
+    with pytest.raises(ValueError, match="phi must be positive"):
+        punctuated_plan(-0.1)
     with pytest.raises(ValidityError):
         punctuated_plan(0.5 * math.pi)
     with pytest.raises(ValidityError):
