@@ -21,13 +21,13 @@ v = 1, |a'> is undefined and beta = 0, so p(n) = w_t + alpha^2 at integer n.
 
 For s = a (`Decomposition.uniform`) the start lies in the plane at angle
 phi/2 from |a'>, and the formula reduces to (1 - cos((2n+1) phi))/2,
-`uniform_success_prob`, which the heatmap and the verify command call.
+`uniform_success_prob`, which the verify command calls.  The heatmap repeats
+that expression inline, one phi per column, so that it loads no numpy.
 """
 
 from __future__ import annotations
 
 import math
-import types
 from dataclasses import dataclass
 
 from . import _np as np
@@ -160,46 +160,17 @@ def decompose(instance: SearchInstance) -> Decomposition:
     return Decomposition.build(v, alpha, beta, b, w_t=w_t, w_l=w_l)
 
 
-def _nan_for_inf(f):
-    """The math function f, giving NaN for an infinite argument as numpy does."""
-    def twin(x):
-        try:
-            return f(x)
-        except ValueError:  # math.cos(inf) raises where np.cos(inf) is NaN
-            return math.nan
-    return twin
-
-
-# The math twins of the numpy calls the closed forms make, used for a scalar
-# n so that it loads no numpy.  libm and numpy round cos, sin and pow alike
-# (tests/test_analytic.py holds the two paths to the same bits); clip keeps
-# numpy's order, so NaN passes through and -0.0 stays -0.0.
-_MATH = types.SimpleNamespace(
-    cos=_nan_for_inf(math.cos),
-    sin=_nan_for_inf(math.sin),
-    float_power=math.pow,
-    clip=lambda x, lo, hi: lo if x < lo else hi if x > hi else x,
-)
-
-
-def _float_n(n):
-    """(n, xp): a Python number as a float with xp = _MATH, else a float array with numpy."""
-    if isinstance(n, (int, float)):
-        return float(n), _MATH
-    return np.asarray(n, dtype=float), np
-
-
 def _iterations(n):
-    """`_float_n` of an iteration count n, refusing a negative n."""
-    n, xp = _float_n(n)
-    if n < 0.0 if xp is _MATH else np.any(n < 0.0):
+    """An iteration count n as a float array, refusing a negative n."""
+    n = np.asarray(n, dtype=float)
+    if np.any(n < 0.0):
         raise ValueError("n must be non-negative")
-    return n, xp
+    return n
 
 
 def _unwrap(p):
-    """A float for a scalar or 0-d result, the array itself otherwise."""
-    return float(p) if isinstance(p, float) or p.ndim == 0 else p
+    """A float for a 0-d result, the array itself otherwise."""
+    return float(p) if p.ndim == 0 else p
 
 
 def success_prob_analytic(dec: Decomposition, n):
@@ -209,11 +180,11 @@ def success_prob_analytic(dec: Decomposition, n):
     treats n as continuous); returns matching shape, clipped to [0, 1]
     against float round-off.
     """
-    n, xp = _iterations(n)
-    g = 0.5 * (dec.alpha**2 + dec.beta**2) + 0.5 * dec.amp * xp.cos(
+    n = _iterations(n)
+    g = 0.5 * (dec.alpha**2 + dec.beta**2) + 0.5 * dec.amp * np.cos(
         2.0 * n * dec.phi - dec.theta
     )
-    return _unwrap(xp.clip(dec.w_t + g, 0.0, 1.0))
+    return _unwrap(np.clip(dec.w_t + g, 0.0, 1.0))
 
 
 def first_maximum(dec: Decomposition):
@@ -245,8 +216,7 @@ def uniform_success_prob(v: float, n):
     exactly, so integer n succeed with certainty.
     """
     phi = rotation_angle(v)
-    n, xp = _iterations(n)
-    return _unwrap(0.5 * (1.0 - xp.cos((2.0 * n + 1.0) * phi)))
+    return _unwrap(0.5 * (1.0 - np.cos((2.0 * _iterations(n) + 1.0) * phi)))
 
 
 def biham_mapping(amplitudes, targets) -> BihamMapping:

@@ -508,6 +508,8 @@ def cmd_montecarlo(args: argparse.Namespace):
     dec = decompose(_build_instance(args, r, targets))
     if n is None:
         n = restart_iterations(dec, args.agents)
+    elif n * dec.phi > 2**22:  # the float phase 2 n phi - theta is off by up to n phi 2^-52
+        raise ValueError(f"--iterations {n} has n*phi > 2^22, where p(n) may be off by over 2^-30")
     p = success_prob_analytic(dec, n)  # the p(n) the planner minimised
     closed = expected_cost(n, parallel_success(p, args.agents))
     est = run_parallel(p, n, args.agents, args.trials, args.seed)
@@ -558,7 +560,7 @@ def _verify_checks(seed: int) -> list:
 
     instance = uniform_instance(16, 1)  # v = 1/4
     trajectory = success_trajectory(instance, 20)
-    closed = np.array([uniform_success_prob(0.25, n) for n in range(21)])
+    closed = uniform_success_prob(0.25, np.arange(21))
     checks.append(
         ("grover_case_v_quarter_max_dev", float(np.max(np.abs(trajectory - closed))), 0.0, 1e-10)
     )
@@ -731,7 +733,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Races k agents (--agents) per round, each a coin that "
         "succeeds with p, the closed-form target weight of Q^n|s>; k = 1 "
         "is punctuated search. Default --iterations: the exact n / P_k(n) "
-        "optimum for --start and --agents; at most 2^53. "
+        "optimum for --start and --agents; at most 2^53, with n*phi at most "
+        "2^22 so that p(n) is within 2^-30. "
         "CSV columns: " + ",".join(MONTECARLO_COLUMNS),
     )
     p_mc.add_argument("--n-items", type=_int, required=True, metavar="N")

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from . import _np as np
-from .analytic import Decomposition, _float_n, _unwrap, success_prob_analytic
+from .analytic import Decomposition, _unwrap, success_prob_analytic
 from .errors import GQSearchError, NeverSucceedsError, ValidityError
 
 
@@ -94,17 +94,15 @@ def optimal_x_single() -> float:
             hi = mid
 
 
-def punctuated_success_prob(n, phi: float):
-    """The plan's probability model p(n) = sin^2(n phi).
+def punctuated_success_prob(n, phi: float) -> float:
+    """The plan's probability model p(n) = sin^2(n phi), for a scalar n.
 
     Small-angle form of the success probability for a search started from
     the averaging state, with (2n+1) phi ~ 2 n phi since n >> 1 at the
-    optimum.  The square is libm's pow for arrays too, the rounding that
-    `plan` prints: numpy's x**2 is x * x, which differs from pow in the last
-    bit on about 0.1% of n.
+    optimum.  The square is libm's pow, the rounding that `plan` prints:
+    sin * sin differs from it in the last bit on about 0.1% of n.
     """
-    n, xp = _float_n(n)
-    return _unwrap(xp.float_power(xp.sin(n * phi), 2.0))
+    return math.pow(math.sin(n * phi), 2.0)
 
 
 def _check_phi(phi: float) -> None:
@@ -156,7 +154,7 @@ def parallel_success(p, k: int):
     if k > 1:
         with np.errstate(divide="ignore"):  # log1p(-1) = -inf gives 1
             p = -np.expm1(k * np.log1p(-p))
-    return float(p) if p.ndim == 0 else p
+    return _unwrap(p)
 
 
 # The planner covers n <= _SCAN_LIMIT + _MAX_BLOCK: a p(n) that rounds to

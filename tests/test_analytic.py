@@ -16,14 +16,12 @@ from gqsearch import (
     biham_mapping,
     decompose,
     first_maximum,
-    punctuated_success_prob,
     rotation_angle,
     success_prob_analytic,
     success_trajectory,
     uniform_instance,
     uniform_success_prob,
 )
-from gqsearch.analytic import _MATH
 
 from dense_reference import dense_evolution, edge_states, held_instance, random_state, uniform_state
 
@@ -313,10 +311,9 @@ def _bits(values) -> list:
 
 
 def _both_paths(fn, ns) -> tuple:
-    """fn on each n as a Python float (math) and on all of ns as one array (numpy)."""
-    with np.errstate(invalid="ignore"):  # cos(inf) is NaN, as the scalar twin gives
-        array = fn(np.array(ns, dtype=float))
-    return _bits([fn(n) for n in ns]), _bits(array.tolist())
+    """fn on each n as a Python float (a 0-d array) and on all of ns as one array."""
+    with np.errstate(invalid="ignore"):  # cos(inf) is NaN
+        return _bits([fn(n) for n in ns]), _bits(fn(np.array(ns, dtype=float)).tolist())
 
 
 # n = 0 and -0.0, small and fractional n, n past 2^30 up to 2^40, NaN and inf,
@@ -351,16 +348,18 @@ def test_success_prob_scalar_and_array_paths_agree_bit_for_bit(dec):
 @pytest.mark.parametrize("v", [0.0, 2.0**-20, 0.25, 0.5, 0.9, 1.0 - 2.0**-30,
                                math.nextafter(1.0, 0.0), 1.0])
 def test_uniform_and_punctuated_paths_agree_bit_for_bit(v):
+    # the punctuated model takes a scalar n only, so one path is left to compare
     scalar, array = _both_paths(lambda n: uniform_success_prob(v, n), _BIT_NS)
     assert scalar == array
-    phi = rotation_angle(v)
-    scalar, array = _both_paths(lambda n: punctuated_success_prob(n, phi), _BIT_NS)
-    assert scalar == array
 
 
-def test_scalar_clip_follows_numpy_on_nan_and_signed_zero():
-    values = [-0.0, 0.0, -1e-300, 5e-324, 0.5, 1.0, math.nextafter(1.0, 2.0),
-              -math.inf, math.inf, math.nan]
-    expected = _bits(np.clip(np.array(values), 0.0, 1.0).tolist())
-    assert _bits([_MATH.clip(x, 0.0, 1.0) for x in values]) == expected
-    assert math.copysign(1.0, _MATH.clip(-0.0, 0.0, 1.0)) == -1.0
+def test_success_prob_clips_to_the_unit_interval():
+    peak = Decomposition.build(0.5, 1.0, 0.0, 0.0, w_t=1e-15)  # unclipped p(0) > 1
+    trough = Decomposition.build(0.5, 0.6, 0.8, 0.0, w_t=-1e-300)  # unclipped minimum < 0
+    ns = np.append(np.arange(101.0), (math.pi + trough.theta) / (2.0 * trough.phi))
+    assert success_prob_analytic(peak, 0) == 1.0
+    assert success_prob_analytic(peak, np.zeros(1)).tolist() == [1.0]
+    assert min(success_prob_analytic(trough, n) for n in ns.tolist()) >= 0.0
+    assert success_prob_analytic(trough, ns).min() >= 0.0
+    assert math.isnan(success_prob_analytic(peak, math.nan))
+    assert np.isnan(success_prob_analytic(peak, np.array([math.nan]))).all()

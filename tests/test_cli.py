@@ -571,6 +571,17 @@ def test_plan_json(capsys):
     assert payload["parallel_closed_form"]["n_int"] == 290
 
 
+@pytest.mark.parametrize("n_items, cost", [
+    (1159, 23.489643204381068), (1813, 29.379973681431974), (1929, 30.3119877074051),
+])
+def test_plan_squares_the_punctuated_model_with_pow(capsys, n_items, cost):
+    # sin(n phi) * sin(n phi) differs from libm's pow in the last bit here,
+    # which moves the printed cost
+    code, out, _ = run_cli(capsys, "plan", "--n-items", str(n_items), "--num-targets", "1")
+    assert code == 0
+    assert json.loads(out)["punctuated"]["expected_cost"] == cost
+
+
 def test_plan_single_agent_csv(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -1039,10 +1050,11 @@ def test_montecarlo_refuses_iterations_outside_float_range(monkeypatch, capsys, 
     assert err == f"error: --iterations must lie in [1, 2^53] for montecarlo, got {n}\n"
 
 
-@pytest.mark.parametrize("log2_n_items,n", [(6, 10**11), (110, 2**53)])
+# n = 16,733,330 at N = 64 is the last n with n*phi <= 2^22
+@pytest.mark.parametrize("log2_n_items,n", [(6, 16_733_330), (110, 2**53)])
 def test_montecarlo_answers_at_any_iteration_count(monkeypatch, capsys, log2_n_items, n):
-    # walking 10^11 steps of Q ran past 5 s; the closed form answers at
-    # once, up to n = 2^53 itself
+    # the closed form answers at once, without a step of Q, up to n = 2^53
+    # itself, within 2^-30 of the exact p(n)
     built = _count_reduced_bases(monkeypatch)
     code, out, err = run_cli(
         capsys,
@@ -1054,6 +1066,22 @@ def test_montecarlo_answers_at_any_iteration_count(monkeypatch, capsys, log2_n_i
     dec = decompose(uniform_instance(2**log2_n_items, 1))
     assert payload["iterations"] == n
     assert payload["p_round"] == success_prob_analytic(dec, n)
+    with mpmath.workdps(60):
+        v = mpmath.sqrt(mpmath.mpf(2) ** -log2_n_items)
+        exact = mpmath.sin((2 * n + 1) * mpmath.asin(v)) ** 2
+        assert abs(payload["p_round"] - exact) <= 2.0**-30
+
+
+@pytest.mark.parametrize("n", [16_733_331, 10**11, 2**53])
+def test_montecarlo_refuses_a_phase_past_float_accuracy(capsys, n):
+    # the float phase 2 n phi - theta put p_round 2.9e-8 off at n = 10^11
+    # and 0.033 off at 2^53
+    code, out, err = run_cli(
+        capsys, "montecarlo", "--n-items", "64", "--num-targets", "1", "--iterations", str(n),
+    )
+    assert (code, out) == (2, "")
+    assert err == (f"error: --iterations {n} has n*phi > 2^22, "
+                   "where p(n) may be off by over 2^-30\n")
 
 
 def test_montecarlo_accepts_the_ends_of_its_counter_range(capsys):

@@ -98,9 +98,6 @@ def test_punctuated_success_prob_shapes():
     scalar = punctuated_success_prob(2, phi)
     assert isinstance(scalar, float)
     assert abs(scalar - math.sin(0.6) ** 2) < 1e-15
-    arr = punctuated_success_prob(np.array([1, 2, 3]), phi)
-    assert arr.shape == (3,)
-    assert abs(arr[1] - scalar) < 1e-15
 
 
 def test_punctuated_plan_values():
