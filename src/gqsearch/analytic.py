@@ -19,10 +19,10 @@ alpha^2 - beta^2).  Maxima sit at n_j = (theta + 2 pi j)/(2 phi).
 overlap range: at v = 0, |t> is undefined and alpha = 0, so p(n) = w_t; at
 v = 1, |a'> is undefined and beta = 0, so p(n) = w_t + alpha^2 at integer n.
 
-For s = a (`Decomposition.uniform`) the start lies in the plane at angle
-phi/2 from |a'>, and the formula reduces to (1 - cos((2n+1) phi))/2,
-`uniform_success_prob`, which the verify command calls.  The heatmap repeats
-that expression inline, one phi per column, so that it loads no numpy.
+For s = a the start lies in the plane at angle phi/2 from |a'>, and the
+formula reduces to (1 - cos((2n+1) phi))/2, `uniform_success_prob`, which the
+verify command checks against the simulator.  The heatmap repeats that
+expression inline, one phi per column, so that it loads no numpy.
 """
 
 from __future__ import annotations
@@ -108,12 +108,6 @@ class Decomposition:
             v=v, phi=phi, alpha=alpha, beta=beta, b=b,
             amp=amp, theta=theta, w_t=w_t, w_l=w_l,
         )
-
-    @classmethod
-    def uniform(cls, r: int, n_items: int) -> "Decomposition":
-        """The start s = a, r of N targets: alpha = v, beta = sqrt((N - r)/N), b = 0."""
-        v = math.sqrt(r / n_items)
-        return cls.build(v, v, math.sqrt((n_items - r) / n_items), 0.0)
 
 
 @dataclass(frozen=True)

@@ -290,7 +290,8 @@ def _parallel_plans(r: int, n_items: int, k: int):
     The last two are None where the closed form is out of validity (always
     for k < 2).
     """
-    from .analytic import Decomposition, success_prob_analytic
+    from .analytic import decompose, success_prob_analytic
+    from .statevector import uniform_instance
     from .strategy import expected_cost, parallel_plan, parallel_plan_closed_form, parallel_success
 
     numeric = parallel_plan(r, n_items, k)
@@ -299,7 +300,7 @@ def _parallel_plans(r: int, n_items: int, k: int):
     except ValidityError:
         return numeric, None, None
     n = formula.n_int
-    p = success_prob_analytic(Decomposition.uniform(r, n_items), n)
+    p = success_prob_analytic(decompose(uniform_instance(n_items, r)), n)
     return numeric, formula, expected_cost(n, parallel_success(p, k))
 
 
@@ -530,11 +531,10 @@ def cmd_montecarlo(args: argparse.Namespace):
 def _verify_checks(seed: int) -> list:
     """(name, measured, expected, tolerance) tuples for cmd_verify."""
     from .analytic import (biham_mapping, decompose, first_maximum, rotation_angle,
-                           success_prob_analytic, uniform_success_prob)
+                           uniform_success_prob)
     from .statevector import (SearchInstance, TargetSet, _random_blocks, success_trajectory,
                               uniform_instance)
-    from .strategy import (expected_cost, optimal_x_single, parallel_plan, punctuated_plan,
-                           restart_iterations)
+    from .strategy import optimal_x_single, punctuated_plan
 
     checks = []
 
@@ -574,16 +574,6 @@ def _verify_checks(seed: int) -> list:
             1e-9,
         )
     )
-
-    # the k = 1 plan two ways: from the uniform start's coordinates and from decompose
-    dev = 0.0
-    for r, n_items in ((1, 64), (2, 256), (1, 1024)):
-        plan = parallel_plan(r, n_items, 1)
-        dec_r = decompose(uniform_instance(n_items, r))
-        n = restart_iterations(dec_r, 1)
-        cost = expected_cost(n, success_prob_analytic(dec_r, n))
-        dev = max(dev, abs(cost - plan.expected_cost) if n == plan.n_int else math.inf)
-    checks.append(("k1_reduction_max_dev", dev, 0.0, 1e-12))
 
     norm_dev = alpha_dev = beta_dev = 0.0
     n_items = 64

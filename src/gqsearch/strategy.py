@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from . import _np as np
-from .analytic import Decomposition, _unwrap, success_prob_analytic
+from .analytic import Decomposition, _unwrap, decompose, success_prob_analytic
 from .errors import GQSearchError, NeverSucceedsError, ValidityError
 
 
@@ -284,12 +284,16 @@ def _check_plan_args(r: int, n_items: int, k: int) -> None:
 def parallel_plan(r: int, n_items: int, k: int) -> ParallelPlan:
     """The exact integer optimum of the k-parallel cost n / P_k(n), any k >= 1.
 
-    `restart_iterations`'s plan for the uniform start, p(n) = sin^2((2n+1) asin v).
+    `restart_iterations`'s plan for the uniform start, p(n) = sin^2((2n+1) asin v),
+    from `decompose(uniform_instance(n_items, r))` as every command reduces it.
     """
+    from .statevector import uniform_instance
+
     _check_plan_args(r, n_items, k)
-    dec = Decomposition.uniform(r, n_items)
+    dec = decompose(uniform_instance(n_items, r))
     n_best, cost = _cheapest_iterations(dec, k)
-    return ParallelPlan(agents=k, x=(1.0 + 2.0 * n_best) * dec.v, n_opt=float(n_best),
+    x = (1.0 + 2.0 * n_best) * math.sqrt(r / n_items)  # dec.v is 1 where 1 - r/N <= 1e-12
+    return ParallelPlan(agents=k, x=x, n_opt=float(n_best),
                         n_int=n_best, expected_cost=cost)
 
 

@@ -325,11 +325,11 @@ _BIT_NS = (
 )
 
 _BIT_DECOMPOSITIONS = [
-    Decomposition.uniform(1, 4),
-    Decomposition.uniform(1, 2**20),
-    Decomposition.uniform(3, 2**40),
-    Decomposition.uniform(2**20 - 1, 2**20),  # phi just below pi
-    Decomposition.uniform(4, 4),  # phi = pi
+    decompose(uniform_instance(4, 1)),
+    decompose(uniform_instance(2**20, 1)),
+    decompose(uniform_instance(2**40, 3)),
+    decompose(uniform_instance(2**20, 2**20 - 1)),  # phi just below pi
+    decompose(uniform_instance(4, 4)),  # phi = pi
     decompose(held_instance(TargetSet((3, 17, 40)), uniform_state(64), random_state(64, 7))),
     decompose(plane_instance(0.6, 0.8, 1.1)),
     Decomposition.build(0.0, 0.0, 1.0, 0.0),  # phi = 0

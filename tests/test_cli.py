@@ -26,8 +26,6 @@ from gqsearch import (
     TargetSet,
     decompose,
     expected_cost,
-    parallel_plan,
-    restart_iterations,
     rotation_angle,
     run_parallel,
     success_prob_analytic,
@@ -684,6 +682,22 @@ def test_plan_outside_the_small_angle_regime(capsys):
     assert run_cli(capsys, "plan", "--n-items", "4", "--num-targets", "2")[0] == 0
 
 
+def test_plan_without_a_closed_form_below_one_iteration(capsys):
+    # r/N = 0.01 and k = 64: the closed-form optimum rounds to n = 0, so its
+    # plan is null and its CSV cells empty, while the exact plan stands
+    argv = ["plan", "--n-items", "100", "--num-targets", "1", "--agents", "64"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["parallel_closed_form"] is None
+    assert payload["parallel_numeric"]["n_int"] >= 1
+    code, out, err = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0 and err == ""
+    row = dict(zip(*(line.split(",") for line in out.splitlines())))
+    assert [row[c] for c in PLAN_COLUMNS if c.startswith("par_cf_")] == [""] * 5
+    assert row["par_num_n"] == str(payload["parallel_numeric"]["n_int"])
+
+
 @pytest.mark.parametrize(
     "n_items, r, n_int, cost", [(4, 2, 1, 2.0), (64, 48, 2, 8.0 / 3.0)]
 )
@@ -981,6 +995,19 @@ def test_montecarlo_default_iterations_plans_for_the_agents(capsys):
         assert code == 0
         payload = json.loads(out)
         assert payload["iterations"] == n and abs(payload["closed_form_cost"] - cost) < 0.01
+
+
+def test_plan_and_montecarlo_run_the_same_uniform_optimum(capsys):
+    # both commands plan the uniform start from decompose(uniform_instance(N,
+    # r)); here the last bits of its coordinates decide the optimum of n /
+    # P_2(n), which 50-digit arithmetic puts at 52,694,970
+    argv = ["--n-items", "51142570298678136", "--num-targets", "3", "--agents", "2"]
+    code, out, _ = run_cli(capsys, "plan", *argv, "--format", "csv")
+    assert code == 0
+    row = dict(zip(*(line.split(",") for line in out.splitlines())))
+    code, out, _ = run_cli(capsys, "montecarlo", *argv, "--trials", "1")
+    assert code == 0
+    assert int(row["par_num_n"]) == json.loads(out)["iterations"] == 52_694_970
 
 
 def test_montecarlo_default_iterations_for_a_general_start(capsys):
@@ -1287,7 +1314,7 @@ print(code, *(name for name in layers if f"gqsearch.{name}" in sys.modules),
     ([], ""),
     (["plan", "--n-items", "1048576", "--num-targets", "1", "--agents", "1"], "analytic strategy"),
     (["plan", "--n-items", "64", "--num-targets", "1", "--agents", "4"],
-     "analytic strategy numpy"),
+     "analytic statevector strategy numpy"),
     (["heatmap", "--n-items", "8"], "analytic"),
     # the control: a simulation loads the simulator and the closed form
     (["simulate", "--n-items", "8", "--num-targets", "1"], "analytic statevector numpy"),
@@ -1362,27 +1389,17 @@ def test_verify_biham_lines_match_the_held_reference(capsys, seed):
     assert [line for line in out.splitlines() if line.split(" = ")[0] in devs] == want
 
 
-def _late_restart(dec, k):
-    return restart_iterations(dec, k) + 1
-
-
-def _dear_plan(r, n_items, k):
-    plan = parallel_plan(r, n_items, k)
-    return dataclasses.replace(plan, expected_cost=plan.expected_cost * (1.0 + 1e-12))
-
-
-@pytest.mark.parametrize("name,broken", [
-    ("restart_iterations", _late_restart),
-    ("parallel_plan", _dear_plan),
-])
-def test_verify_fails_when_one_k1_path_breaks(monkeypatch, capsys, name, broken):
-    # the k = 1 check compares two planners; a fault in either must show.  The
+def test_verify_fails_when_the_simulator_breaks(monkeypatch, capsys):
+    # a fault in one layer fails its check alone, and verify exits 1.  The
     # layer's own name is patched: cli imports it when the command runs.
-    monkeypatch.setattr(gqsearch.strategy, name, broken)
+    trajectory = statevector_module.success_trajectory
+    monkeypatch.setattr(statevector_module, "success_trajectory",
+                        lambda instance, n_max: trajectory(instance, n_max) + 1e-9)
     code, out, _ = run_cli(capsys, "verify")
     assert code == 1
     failed = [line for line in out.splitlines() if line.endswith("FAIL")]
-    assert len(failed) == 1 and failed[0].startswith("k1_reduction_max_dev = ")
+    assert len(failed) == 1 and failed[0].startswith("grover_case_v_quarter_max_dev = ")
+    assert out.splitlines()[-1] == "some checks FAILED"
 
 
 def test_bad_flags_fail_cleanly(capsys):

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq
 
 from gqsearch import (
     Decomposition,
@@ -201,12 +200,17 @@ def parallel_cost_derivative(x: float, k: int) -> float:
 
 
 
+def _bracketed_root(f, lo, hi, xtol):
+    """The root of f in [lo, hi], where f changes sign, bisected to xtol."""
+    return float(mpmath.findroot(f, (lo, hi), solver="bisect", tol=xtol))
+
+
 def test_parallel_cost_derivative_vanishes_at_optimum():
     # for k = 1 the stationarity condition is tan x = 2x, i.e. x = x*/2
     assert abs(parallel_cost_derivative(optimal_x_single() / 2.0, 1)) < 1e-9
     # k >= 2: the numeric root of the derivative is a genuine minimum
     for k in (2, 5):
-        root = brentq(lambda x: parallel_cost_derivative(x, k), 0.2, 1.5, xtol=1e-13)
+        root = _bracketed_root(lambda x: parallel_cost_derivative(x, k), 0.2, 1.5, 1e-13)
         assert parallel_cost_derivative(root - 1e-4, k) < 0.0
         assert parallel_cost_derivative(root + 1e-4, k) > 0.0
 
@@ -229,7 +233,7 @@ def test_optimal_x_parallel_approx_properties():
     assert all(0.0 < x < 1.0 for x in xs)
     assert all(a > b for a, b in zip(xs, xs[1:]))
     # within 5% of the true stationary point already at k = 2
-    root = brentq(lambda x: parallel_cost_derivative(x, 2), 0.3, 1.5, xtol=1e-13)
+    root = _bracketed_root(lambda x: parallel_cost_derivative(x, 2), 0.3, 1.5, 1e-13)
     assert abs(optimal_x_parallel_approx(2) / root - 1.0) < 0.05
     # large-k limit: x ~ ((5 - sqrt(5)) ... )^{1/2} / sqrt(k) -> sqrt(sqrt(5)-1)/sqrt(k)
     assert abs(
@@ -246,6 +250,16 @@ def test_parallel_plan_closed_form_values():
     assert plan.n_int == round(plan.n_opt)
     expected = (x * ratio - 1.0) / (2.0 * (1.0 - math.cos(x) ** 8))
     assert abs(plan.expected_cost - expected) < 1e-9
+
+
+def test_parallel_plan_closed_form_refuses_an_optimum_below_one_iteration():
+    # r/N = 0.01 and k = 32: n_opt = (10 x - 1)/2 = 0.485 rounds to 0
+    n_opt = 0.5 * (optimal_x_parallel_approx(32) * 10.0 - 1.0)
+    assert round(n_opt, 3) == 0.485
+    message = f"closed-form optimum rounds below one iteration (n_opt={n_opt})"
+    with pytest.raises(ValidityError) as info:
+        parallel_plan_closed_form(1, 100, 32)
+    assert str(info.value) == message
 
 
 def test_parallel_plan_numeric_matches_brute_force():
@@ -327,7 +341,7 @@ def test_break_even_coherence_time():
     x_star = optimal_x_single()
     g = lambda x: x / (2.0 * math.sin(0.5 * x) ** 2) - 0.5 * math.pi
     assert g(0.5) > 0.0 and g(x_star) < 0.0
-    x_even = brentq(g, 0.5, x_star, xtol=1e-14)
+    x_even = _bracketed_root(g, 0.5, x_star, 1e-14)
     assert abs(x_even - 0.5 * math.pi) < 1e-9
     phi = 0.01
     n_even = x_even / (2.0 * phi)
@@ -657,16 +671,6 @@ def test_the_rule_refuses_every_plan_the_linear_bound_refused(log_k, seed):
     with mock.patch.object(strategy, "success_prob_analytic", _no_array_scan):
         with pytest.raises(GQSearchError, match=_REFUSED):
             restart_iterations(dec, k)
-
-
-@settings(max_examples=300, deadline=None)
-@given(n_items=st.integers(1, 200), data=st.data())
-def test_restart_iterations_matches_parallel_plan_on_uniform_instances(n_items, data):
-    # the any-start planner on the decomposition against the uniform planner
-    r = data.draw(st.integers(1, n_items))
-    k = data.draw(st.sampled_from([1, 2, 3, 8, 64]))
-    dec = decompose(uniform_instance(n_items, r))
-    assert restart_iterations(dec, k) == parallel_plan(r, n_items, k).n_int
 
 
 def _planner_args(plan, *args):
