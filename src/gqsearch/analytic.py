@@ -14,10 +14,11 @@ the success probability after n iterations is
 with A = |alpha^2 + beta^2 e^{2ib}| and theta = atan2(2 alpha beta cos b,
 alpha^2 - beta^2).  Maxima sit at n_j = (theta + 2 pi j)/(2 phi).
 
-`decompose` needs only the six target-split inner products that a
-`SearchInstance` stores, so it is O(1).  The formula covers both ends of the
-overlap range: at v = 0, |t> is undefined and alpha = 0, so p(n) = w_t; at
-v = 1, |a'> is undefined and beta = 0, so p(n) = w_t + alpha^2 at integer n.
+`decompose` reads the six target-split inner products that a `SearchInstance`
+stores, each as stored, so it is O(1).  The formula covers both ends of the
+overlap range: at v = 0, |t> is undefined and alpha = 0, so p(n) = w_t; where
+<a_L|a_L> = 0 exactly, v = 1, |a'> is undefined and beta = 0, so p(n) = w_t +
+alpha^2 at integer n.  Near v = 1, beta^2 keeps its weight: 1/N at r = N - 1.
 
 For s = a the start lies in the plane at angle phi/2 from |a'>, and the
 formula reduces to (1 - cos((2n+1) phi))/2, `uniform_success_prob`, which the
@@ -32,9 +33,6 @@ from dataclasses import dataclass
 
 from . import _np as np
 from .errors import FlatProbabilityError, InvalidDimensionError, NonUnitStateError
-
-# 1 - v^2 at or below this means |a'> is numerically undefined.
-DEGENERATE_TOL = 1e-12
 
 # A below this fraction of alpha^2 + beta^2 counts as no oscillation at all
 # (an exact zero is unreachable in floats: cos(pi/2) rounds to 6.1e-17).
@@ -130,25 +128,22 @@ class BihamMapping:
 def decompose(instance: SearchInstance) -> Decomposition:
     """Reduce an instance to its rotation-plane coordinates.
 
-    Scalar algebra over the instance's six target-split inner products.
-    The global phase of the start state is fixed so that <t|s> is real and
-    non-negative, making alpha real >= 0.  v = 0 gives alpha = 0, and
-    1 - v^2 <= DEGENERATE_TOL gives v = 1 and beta = b = 0.
+    Scalar algebra over the instance's six target-split inner products,
+    each read as stored.  The global phase of the start state is fixed so
+    that <t|s> is real and non-negative, making alpha real >= 0.  v is
+    sqrt(<a_T|a_T>), at most 1; |a'> is |a_L> / sqrt(<a_L|a_L>), so beta is
+    |<a_L|s_L>| / sqrt(<a_L|a_L>).  v = 0 gives alpha = 0, and <a_L|a_L> = 0
+    exactly, the averaging state on the targets, gives beta = b = 0.
     """
-    ss_t, ss_l, aa_t, as_t, as_l, _ = map(complex, instance.products)
-    v2 = aa_t.real
-    v = math.sqrt(v2)
-    alpha = abs(as_t) / v if v2 > 0.0 else 0.0
-
-    if 1.0 - v2 <= DEGENERATE_TOL:
-        v, beta, b = 1.0, 0.0, 0.0
-    else:
-        # <a'|s> for |a'> = |a_L> / sqrt(1 - v^2), in the phase where <t|s> >= 0
-        phase = as_t.conjugate() / abs(as_t) if alpha > 0.0 else 1.0
-        asb = as_l * phase / math.sqrt(1.0 - v2)
+    ss_t, ss_l, aa_t, as_t, as_l, aa_l = map(complex, instance.products)
+    v = min(math.sqrt(aa_t.real), 1.0)
+    alpha = abs(as_t) / v if v > 0.0 else 0.0
+    beta = b = 0.0
+    if aa_l.real > 0.0:  # <a'|s> in the phase where <t|s> >= 0
+        asb = as_l * (as_t.conjugate() / abs(as_t) if alpha > 0.0 else 1.0)
+        asb /= math.sqrt(aa_l.real)
         beta = abs(asb)
         b = math.atan2(asb.imag, asb.real) % _TWO_PI if beta > 0.0 else 0.0
-
     w_t = max(ss_t.real - alpha * alpha, 0.0)
     w_l = max(ss_l.real - beta * beta, 0.0)
     return Decomposition.build(v, alpha, beta, b, w_t=w_t, w_l=w_l)
@@ -216,7 +211,7 @@ def uniform_success_prob(v: float, n):
 def biham_mapping(amplitudes, targets) -> BihamMapping:
     """Mean/deviation statistics of a unit start state, a 1-D amplitude array,
     over the split of a TargetSet; assumes a uniform averaging state, 1 <= r < N."""
-    from .statevector import NORM_TOL
+    from .statevector import NORM_TOL, _rows
 
     amps = np.asarray(amplitudes, dtype=np.complex128)
     if amps.ndim != 1 or amps.size < 1:
@@ -225,12 +220,11 @@ def biham_mapping(amplitudes, targets) -> BihamMapping:
     if not abs(nrm - 1.0) <= NORM_TOL:
         raise NonUnitStateError(f"state norm is {nrm!r}, not 1")
     n_items = amps.size
-    targets.check_range(n_items)
-    r = targets.r
+    r, rows = _rows(targets, n_items)
     if r >= n_items:
         raise ValueError(f"mapping undefined for r = N (r={r}, N={n_items})")
     mask = np.zeros(n_items, dtype=bool)
-    mask[list(targets.indices)] = True
+    mask[rows] = True
 
     k = amps[mask]
     l = amps[~mask]

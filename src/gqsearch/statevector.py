@@ -18,9 +18,9 @@ also check the closed form against the dense loop in
 `tests/dense_reference.py`, which shares no code with either.
 
 All operations are pure: they return new values and never mutate inputs.
-The norm is checked after every iteration, as the quadratic form of the
-coefficients with the Gram matrix, and raises instead of being repaired
-silently.
+An input state within NORM_TOL of unit norm is normalized once, by
+`from_blocks`; after that the norm is checked after every iteration, as the
+quadratic form of the coefficients with the Gram matrix, and raises.
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ NORM_TOL = 1e-9
 
 # Amplitudes per block where a state is drawn, read or reduced: 256 KiB of complex.
 BLOCK = 2**14
+# Amplitudes per zeroed copy in the reducer: two copies of 32 KiB each.
+CHUNK = 2**11
 
 
 @dataclass(frozen=True)
@@ -46,7 +48,7 @@ class TargetSet:
 
     Indices are canonicalized to a sorted tuple.  Duplicates are an error,
     not a normalization.  A TargetSet alone carries no N, so the range
-    check against a dimension is `check_range`, run where N is known.
+    check against a dimension is `_rows`, run where N is known.
     """
 
     indices: tuple
@@ -73,19 +75,14 @@ class TargetSet:
         """Targets at indices 0..r-1 (count-style specification)."""
         return cls(tuple(range(r)))
 
-    def check_range(self, n_items: int) -> None:
-        """Raise InvalidTargetError unless every index lies below n_items."""
-        if self.indices[-1] >= n_items:
-            raise InvalidTargetError(
-                f"target index {self.indices[-1]} out of range "
-                f"for n_items={n_items}"
-            )
-
 
 def _rows(targets, n_items: int):
-    """(r, rows) of a TargetSet or a count r: its sorted indices, or the slice [0, r)."""
+    """(r, rows) of a TargetSet or a count r, every row below n_items or
+    InvalidTargetError: its sorted indices, or the slice [0, r)."""
     if isinstance(targets, TargetSet):
-        targets.check_range(n_items)
+        if targets.indices[-1] >= n_items:
+            raise InvalidTargetError(f"target index {targets.indices[-1]} out of range "
+                                     f"for n_items={n_items}")
         return targets.r, np.asarray(targets.indices, dtype=np.intp)
     if not 1 <= targets <= n_items:
         raise InvalidTargetError(f"target count {targets} outside [1, {n_items}]")
@@ -149,36 +146,45 @@ class SearchInstance:
         state is an iterable of blocks of its amplitudes in index order, read
         once, or None for the uniform state u, which is never built; the same
         iterable twice is s = a.  Two explicit states yield blocks of equal
-        sizes, and beside u a block holds at most BLOCK amplitudes.  Each
-        block's full and target products are summed, and off-target products
-        are full minus target ones.  An explicit state's norm must be 1 to
-        NORM_TOL, or NonUnitStateError.
+        sizes, and beside u a block holds at most BLOCK amplitudes.  Every
+        product is summed directly, the off-target ones over copies of at most
+        CHUNK amplitudes with the targets zeroed, so <a_L|a_L> of an averaging
+        state on the targets is exactly 0.  An explicit state's norm must be 1
+        to NORM_TOL, or NonUnitStateError; the products are then divided by
+        the measured norms, so Q is unitary for a state that is not 1 exactly.
         """
         r, rows = _rows(targets, n_items)
-        total, lo = None, 0
-        for a, s in _side_by_side(averaging, start, n_items):
-            if a.size != s.size:
-                raise InvalidDimensionError(f"state blocks of {a.size} and {s.size} "
+        total, lo = np.zeros(6, dtype=np.complex128), 0
+        off = np.empty((2, CHUNK), dtype=np.complex128)  # a_L and s_L, refilled per chunk
+        for a_b, s_b in _side_by_side(averaging, start, n_items):
+            if a_b.size != s_b.size:
+                raise InvalidDimensionError(f"state blocks of {a_b.size} and {s_b.size} "
                                             f"amplitudes at index {lo} do not match")
-            if isinstance(rows, slice):
-                t = slice(0, max(rows.stop - lo, 0))
-            else:  # the block's targets: a slice of the sorted indices, not a mask
-                t = rows[np.searchsorted(rows, lo):np.searchsorted(rows, lo + s.size)] - lo
-            a_t, s_t = a[t], s[t]
-            sums = np.array([np.vdot(s_t, s_t), np.vdot(s, s), np.vdot(a_t, a_t),
-                             np.vdot(a_t, s_t), np.vdot(a, s), np.vdot(a, a)])
-            total, lo = (sums if total is None else total + sums), lo + s.size
+            for c in range(0, s_b.size, CHUNK):
+                a, s = a_b[c:c + CHUNK], s_b[c:c + CHUNK]
+                if isinstance(rows, slice):
+                    t = slice(0, max(rows.stop - lo, 0))
+                else:  # the chunk's targets: a slice of the sorted indices, not a mask
+                    t = rows[np.searchsorted(rows, lo):np.searchsorted(rows, lo + s.size)] - lo
+                a_t, s_t, a_l, s_l = a[t], s[t], off[0, :s.size], off[1, :s.size]
+                a_l[:], s_l[:] = a, s
+                a_l[t] = s_l[t] = 0.0
+                total += [np.vdot(s_t, s_t), np.vdot(s_l, s_l), np.vdot(a_t, a_t),
+                          np.vdot(a_t, s_t), np.vdot(a_l, s_l), np.vdot(a_l, a_l)]
+                lo += s.size
         if lo != n_items:
             raise InvalidDimensionError(f"blocks hold {lo} amplitudes, not n_items={n_items}")
-        ss_t, ss, aa_t, as_t, as_, aa = total
+        ss_t, ss_l, aa_t, as_t, as_l, aa_l = total
         share = r / n_items  # u's own products in closed form, as in uniform_instance
-        aa_t, aa = (share, 1.0) if averaging is None else (aa_t, aa)
-        ss_t, ss = (share, 1.0) if start is None else (ss_t, ss)
-        for xx in (aa, ss):  # u's is 1.0
-            nrm = math.sqrt(xx.real)
-            if not abs(nrm - 1.0) <= NORM_TOL:
-                raise NonUnitStateError(f"state norm is {nrm!r}, not 1")
-        return cls((ss_t, ss - ss_t, aa_t, as_t, as_ - as_t, aa - aa_t))
+        aa_t, aa_l = (share, 1.0 - share) if averaging is None else (aa_t, aa_l)
+        ss_t, ss_l = (share, 1.0 - share) if start is None else (ss_t, ss_l)
+        aa, ss = (1.0 if x is None else (x_t + x_l).real  # u's norm is 1
+                  for x, x_t, x_l in ((averaging, aa_t, aa_l), (start, ss_t, ss_l)))
+        for xx in (aa, ss):
+            if not abs(math.sqrt(xx) - 1.0) <= NORM_TOL:
+                raise NonUnitStateError(f"state norm is {math.sqrt(xx)!r}, not 1")
+        cross = math.sqrt(aa * ss)
+        return cls((ss_t / ss, ss_l / ss, aa_t / aa, as_t / cross, as_l / cross, aa_l / aa))
 
 
 def uniform_instance(n_items: int, r: int) -> SearchInstance:

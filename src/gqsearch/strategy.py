@@ -292,7 +292,7 @@ def parallel_plan(r: int, n_items: int, k: int) -> ParallelPlan:
     _check_plan_args(r, n_items, k)
     dec = decompose(uniform_instance(n_items, r))
     n_best, cost = _cheapest_iterations(dec, k)
-    x = (1.0 + 2.0 * n_best) * math.sqrt(r / n_items)  # dec.v is 1 where 1 - r/N <= 1e-12
+    x = (1.0 + 2.0 * n_best) * dec.v
     return ParallelPlan(agents=k, x=x, n_opt=float(n_best),
                         n_int=n_best, expected_cost=cost)
 

@@ -13,7 +13,7 @@ coefficients, so the amplitudes, not only the probabilities, are compared.
 exact sums, as the block reducer does not.  `parallel_trial_costs` keeps
 every per-trial cost of the sampler that `run_parallel` folds into running
 sums.  `edge_states` are the inputs where a reduction is most likely to go
-wrong.
+wrong, and `on_targets` draws more of one of them, v = 1.
 """
 
 import math
@@ -69,12 +69,14 @@ def _fvdot(x, y) -> complex:
 
 
 def full_products(targets, a, s) -> tuple:
-    """The six products of amplitude vectors a and s, each one exact sum over the whole
-    vectors; targets is a TargetSet or a count r for the indices 0..r-1."""
+    """The six products of amplitude vectors a and s, each one exact sum over the target
+    or the off-target rows; targets is a TargetSet or a count r for the indices 0..r-1."""
     rows = list(range(targets)) if isinstance(targets, int) else list(targets.indices)
-    s_t, a_t = s[rows], a[rows]
-    ss_t, aa_t, as_t = _fvdot(s_t, s_t), _fvdot(a_t, a_t), _fvdot(a_t, s_t)
-    return (ss_t, _fvdot(s, s) - ss_t, aa_t, as_t, _fvdot(a, s) - as_t, _fvdot(a, a) - aa_t)
+    off = np.ones(s.size, dtype=bool)
+    off[rows] = False
+    s_t, a_t, s_l, a_l = s[rows], a[rows], s[off], a[off]
+    return (_fvdot(s_t, s_t), _fvdot(s_l, s_l), _fvdot(a_t, a_t),
+            _fvdot(a_t, s_t), _fvdot(a_l, s_l), _fvdot(a_l, a_l))
 
 
 def parallel_trial_costs(p: float, n: int, k: int, trials: int, seed: int) -> np.ndarray:
@@ -127,6 +129,13 @@ def _states(targets, averaging, start):
     amps_a = np.asarray(averaging, dtype=complex)
     amps_s = np.asarray(start, dtype=complex)
     return TargetSet(targets), amps_a / np.linalg.norm(amps_a), amps_s / np.linalg.norm(amps_s)
+
+
+def on_targets(targets, amps) -> np.ndarray:
+    """amps zeroed off the targets and renormalized: as averaging state, v = 1."""
+    held = np.zeros_like(amps)
+    held[list(targets.indices)] = amps[list(targets.indices)]
+    return held / np.linalg.norm(held)
 
 
 def edge_states() -> dict:

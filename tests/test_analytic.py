@@ -23,7 +23,9 @@ from gqsearch import (
     uniform_success_prob,
 )
 
-from dense_reference import dense_evolution, edge_states, held_instance, random_state, uniform_state
+from dense_reference import (
+    dense_evolution, edge_states, held_instance, on_targets, random_state, uniform_state,
+)
 
 
 def plane_instance(alpha, beta, b):
@@ -172,6 +174,25 @@ def test_closed_form_matches_dense_at_the_edges():
             assert_closed_form_matches_dense(states, 200)
         except AssertionError as exc:
             raise AssertionError(name) from exc
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_items=st.integers(2, 200), data=st.data())
+def test_averaging_state_on_the_targets(n_items, data):
+    # v = 1: <a_L|a_L> is summed over the off-target amplitudes, all 0, so it
+    # is stored as exactly 0 and beta = 0.  Formed as <a|a> - <a_T|a_T>, it
+    # was +-1.1e-16, and the simulator drifted 3.6e-9 from the dense loop
+    r = data.draw(st.integers(1, n_items - 1))
+    targets = TargetSet(data.draw(st.permutations(range(n_items)))[:r])
+    seed = data.draw(st.integers(0, 2**31))
+    states = (targets, on_targets(targets, random_state(n_items, seed)),
+              random_state(n_items, seed + 1))
+    instance = held_instance(*states)
+    assert instance.products[5] == 0.0
+    dense_probs, _ = dense_evolution(*states, 5000)
+    closed = success_prob_analytic(decompose(instance), np.arange(5001))
+    np.testing.assert_allclose(closed, dense_probs, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(success_trajectory(instance, 5000), dense_probs, rtol=0, atol=1e-10)
 
 
 def test_decompose_allocates_no_n_length_array():

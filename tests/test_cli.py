@@ -518,6 +518,23 @@ def test_montecarlo_p_round_matches_mpmath(monkeypatch, capsys, log2_n):
     assert (plan.n_int, plan.expected_cost) == (n, payload["closed_form_cost"])
 
 
+def test_plan_and_montecarlo_keep_beta_at_r_one_below_n(capsys):
+    # at N = 2^40, r = N - 1, <a_L|a_L> = 2^-40 is read as stored: beta^2 =
+    # 2^-40 was dropped as degenerate, which put the cost at 1.0000000000009095
+    n_items = 2**40
+    flags = ["--n-items", str(n_items), "--num-targets", str(n_items - 1)]
+    code, out, _ = run_cli(capsys, "plan", *flags, "--format", "csv")
+    assert code == 0
+    cost = float(dict(zip(*(line.split(",") for line in out.splitlines())))["par_num_cost"])
+    code, out, _ = run_cli(capsys, "montecarlo", *flags, "--trials", "10")
+    assert code == 0 and json.loads(out)["iterations"] == 1
+    p_round = json.loads(out)["p_round"]
+    with mpmath.workdps(50):
+        p = mpmath.sin(3 * mpmath.asin(mpmath.sqrt(1 - mpmath.mpf(2) ** -40))) ** 2
+        for got, exact in ((cost, 1 / p), (p_round, p)):
+            assert abs(got - exact) <= 4 * math.ulp(float(exact)), (got, exact)
+
+
 def test_random_start_is_deterministic(capsys):
     args = ("simulate", "--n-items", "16", "--targets", "2", "--start", "random:7")
     _, out1, _ = run_cli(capsys, *args)
@@ -1581,11 +1598,12 @@ def _run_contained(argv):
 
 
 # state-file faults, and whether the run must fail; a truncated file may
-# still be a valid one (a last digit or the final newline cut off)
+# still be a valid one (a last digit or the final newline cut off), and a
+# near-unit one is within NORM_TOL of 1, so it is used, normalized
 _STATE_FAULTS = {
     "none": False, "trailing-blank-lines": False, "truncated": None, "empty": True,
     "wrong-n": True, "nan": True, "inf": True, "non-ascii": True, "one-column": True,
-    "three-columns": True, "missing-row": True, "extra-row": True,
+    "three-columns": True, "missing-row": True, "extra-row": True, "near-unit": False,
 }
 
 
@@ -1598,6 +1616,8 @@ def test_state_files_end_in_output_or_exit_2(data):
     n_items = data.draw(st.integers(1, 8))
     fault = data.draw(st.sampled_from(sorted(_STATE_FAULTS)))
     amps = random_state(n_items, data.draw(st.integers(0, 2**32)))
+    if fault == "near-unit":
+        amps = amps * (1.0 - data.draw(st.floats(1e-12, 9e-10)))
     rows = [f"{float(z.real)!r} {float(z.imag)!r}" for z in amps]
     row = data.draw(st.integers(0, n_items - 1))
     header = str(n_items)
@@ -1646,6 +1666,23 @@ def test_state_files_end_in_output_or_exit_2(data):
         assert (f"state file {path!r}" in err or err.startswith("error: state norm is ")
                 or err.startswith("error: state file dimension ")), (fault, err)
     assert peak < 4 * 2**20, (argv, f"peak {peak / 2**20:.1f} MiB")
+
+
+def test_near_unit_averaging_file_is_normalized(tmp_path, capsys):
+    # a norm of 1 - 8e-10 passes the input check; used as given, Q was not
+    # unitary and simulate exited 2 with "norm drifted to 0.9999999988444447"
+    path = tmp_path / "near.txt"
+    path.write_text("3\n" + f"{(1.0 - 8e-10) / math.sqrt(3.0)!r} 0.0\n" * 3)
+    spec = f"file:{path}"
+    flags = ["--n-items", "3", "--num-targets", "1"]
+    for states in (["--averaging", spec], ["--averaging", spec, "--start", spec]):
+        code, out, err = run_cli(capsys, "simulate", *flags, *states, "--iterations", "0..200")
+        assert (code, err) == (0, ""), (states, err)
+        rows = json.loads(out)["rows"]
+        assert len(rows) == 201
+        assert max(abs(row["p_simulated"] - row["p_analytic"]) for row in rows) <= 1e-12
+        code, _, err = run_cli(capsys, "montecarlo", *flags, *states, "--trials", "10")
+        assert (code, err) == (0, ""), (states, err)
 
 
 def test_simulate_refuses_iterations_past_its_cap(capsys):
