@@ -24,7 +24,7 @@ _SOURCES = {
     "strategy": "ParallelPlan PunctuatedPlan cost_stddev expected_cost max_probability_cost "
                 "optimal_x_parallel_approx optimal_x_single parallel_plan "
                 "parallel_plan_closed_form parallel_success punctuated_plan "
-                "punctuated_success_prob restart_iterations",
+                "punctuated_success_prob",
 }
 _SOURCE = {name: module for module, names in _SOURCES.items() for name in names.split()}
 __all__ = sorted(_SOURCE)

@@ -209,8 +209,8 @@ def uniform_success_prob(v: float, n):
 
 
 def biham_mapping(amplitudes, targets) -> BihamMapping:
-    """Mean/deviation statistics of a unit start state, a 1-D amplitude array,
-    over the split of a TargetSet; assumes a uniform averaging state, 1 <= r < N."""
+    """Mean/deviation statistics of a unit start state, a 1-D amplitude array, over
+    the split of a TargetSet or a count r; assumes a uniform averaging state, 1 <= r < N."""
     from .statevector import NORM_TOL, _rows
 
     amps = np.asarray(amplitudes, dtype=np.complex128)
@@ -224,7 +224,7 @@ def biham_mapping(amplitudes, targets) -> BihamMapping:
     if r >= n_items:
         raise ValueError(f"mapping undefined for r = N (r={r}, N={n_items})")
     mask = np.zeros(n_items, dtype=bool)
-    mask[rows] = True
+    mask[rows if isinstance(rows, slice) else list(rows)] = True
 
     k = amps[mask]
     l = amps[~mask]

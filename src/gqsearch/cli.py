@@ -33,7 +33,7 @@ import warnings
 # Each command imports the layer functions it calls when it runs, so a call
 # loads only its own layers and `import gqsearch.cli` loads none of them.
 from . import _np as np
-from .errors import GQSearchError, InvalidDimensionError, InvalidTargetError, ValidityError
+from .errors import GQSearchError, ValidityError
 
 
 # ---------------------------------------------------------------------------
@@ -112,20 +112,12 @@ def _state_file(path: str, n_items: int):
 
 
 def _resolve_targets(args: argparse.Namespace) -> tuple:
-    """(r, TargetSet) for --targets; (r, None) for --num-targets, so a count builds no indices."""
-    if args.n_items < 1:
-        raise InvalidDimensionError(f"n_items must be >= 1, got {args.n_items}")
-    if args.targets is None:
-        targets, r, top = None, args.num_targets, args.num_targets - 1
-    else:
-        from .statevector import TargetSet
+    """(r, TargetSet) for --targets; (r, None) for --num-targets, so a count builds no
+    indices.  `_rows` checks either against --n-items."""
+    from .statevector import TargetSet, _rows
 
-        targets = TargetSet(_parse_target_list(args.targets))
-        r, top = targets.r, targets.indices[-1]
-    if r < 1:
-        raise InvalidTargetError("target set is empty")
-    if top >= args.n_items:
-        raise InvalidTargetError(f"target index {top} out of range for --n-items {args.n_items}")
+    targets = None if args.targets is None else TargetSet(_parse_target_list(args.targets))
+    r, _ = _rows(args.num_targets if targets is None else targets, args.n_items)
     return r, targets
 
 
@@ -284,24 +276,22 @@ SWEEP_COLUMNS = (
 )
 
 
-def _parallel_plans(r: int, n_items: int, k: int):
+def _parallel_plans(dec, r: int, n_items: int, k: int):
     """(exact plan, closed-form plan, exact cost at the closed form's n_int).
 
-    The last two are None where the closed form is out of validity (always
-    for k < 2).
+    dec is the uniform start's `decompose(uniform_instance(n_items, r))`.  The
+    last two are None where the closed form is out of validity (always for k < 2).
     """
-    from .analytic import decompose, success_prob_analytic
-    from .statevector import uniform_instance
+    from .analytic import success_prob_analytic
     from .strategy import expected_cost, parallel_plan, parallel_plan_closed_form, parallel_success
 
-    numeric = parallel_plan(r, n_items, k)
+    numeric = parallel_plan(dec, k)
     try:
         formula = parallel_plan_closed_form(r, n_items, k)
     except ValidityError:
         return numeric, None, None
-    n = formula.n_int
-    p = success_prob_analytic(decompose(uniform_instance(n_items, r)), n)
-    return numeric, formula, expected_cost(n, parallel_success(p, k))
+    p = success_prob_analytic(dec, formula.n_int)
+    return numeric, formula, expected_cost(formula.n_int, parallel_success(p, k))
 
 
 # A plan costs about 1 ms at N = 2^40 (Python 3.11, numpy 2.4.6): 20 s at the cap.
@@ -314,14 +304,18 @@ def sweep_rows(n_items: int, r_max: int, k_max: int) -> list:
     Formula columns are None for k < 2 (and whenever the closed form is out
     of validity); cost_exact_at_n_formula re-evaluates the exact cost at the
     rounded formula n so discrepancies between the two cost expressions are
-    visible side by side.
+    visible side by side.  Each r is decomposed once, for all k.
     """
+    from .analytic import decompose
+    from .statevector import uniform_instance
+
     if r_max * k_max > SWEEP_MAX_PLANS:
         raise ValueError(f"parallel-sweep of {r_max} x {k_max} plans exceeds {SWEEP_MAX_PLANS}")
     rows = []
     for r in range(1, r_max + 1):
+        dec = decompose(uniform_instance(n_items, r))
         for k in range(1, k_max + 1):
-            numeric, formula, cost_exact = _parallel_plans(r, n_items, k)
+            numeric, formula, cost_exact = _parallel_plans(dec, r, n_items, k)
             rows.append(dict(zip(SWEEP_COLUMNS, (
                 r, k,
                 numeric.n_int, formula.n_opt if formula else None,
@@ -411,25 +405,25 @@ def _check_agents(k: int) -> None:
 def cmd_plan(args: argparse.Namespace):
     from dataclasses import asdict
 
-    from .analytic import rotation_angle
+    from .analytic import decompose
+    from .statevector import uniform_instance
     from .strategy import max_probability_cost, punctuated_plan
 
     _check_agents(args.agents)
     r, _ = _resolve_targets(args)
-    v = math.sqrt(r / args.n_items)
-    phi = rotation_angle(v)
+    dec = decompose(uniform_instance(args.n_items, r))
     try:
-        plan = punctuated_plan(phi)
+        plan = punctuated_plan(dec.phi)
     except ValidityError:
         punct = None  # phi >= pi/2: outside the punctuated plan's model
     else:
-        baseline = max_probability_cost(phi)
+        baseline = max_probability_cost(dec.phi)
         punct = dict(asdict(plan), max_probability_cost=baseline,
                      speedup_ratio=plan.expected_cost / baseline)
     par_numeric = None
     par_closed = None
     if args.agents >= 2 or punct is None:
-        numeric, formula, cost_exact = _parallel_plans(r, args.n_items, args.agents)
+        numeric, formula, cost_exact = _parallel_plans(dec, r, args.n_items, args.agents)
         par_numeric = asdict(numeric)
         del par_numeric["n_opt"]  # an exact plan's n_opt is only float(n_int)
         if formula is not None:
@@ -439,8 +433,8 @@ def cmd_plan(args: argparse.Namespace):
         "command": "plan",
         "n_items": args.n_items,
         "r": r,
-        "v": v,
-        "phi": phi,
+        "v": dec.v,
+        "phi": dec.phi,
         "agents": args.agents,
         "punctuated": punct,
         "parallel_numeric": par_numeric,
@@ -471,8 +465,10 @@ def cmd_heatmap(args: argparse.Namespace):
 
 
 def cmd_parallel_sweep(args: argparse.Namespace):
-    if args.num_targets < 1 or args.agents < 1:
-        raise ValueError("r and k sweep bounds must be >= 1")
+    from .statevector import _rows
+
+    _check_agents(args.agents)
+    _rows(args.num_targets, args.n_items)  # every r of the sweep, before any plan
     rows = sweep_rows(args.n_items, args.num_targets, args.agents)
     payload = {
         "command": "parallel-sweep",
@@ -493,7 +489,7 @@ MONTECARLO_COLUMNS = (
 def cmd_montecarlo(args: argparse.Namespace):
     from .analytic import decompose, success_prob_analytic
     from .montecarlo import run_parallel
-    from .strategy import expected_cost, parallel_success, restart_iterations
+    from .strategy import expected_cost, parallel_plan, parallel_success
 
     # the run's own options are checked before the instance is built or Q steps
     _check_agents(args.agents)
@@ -508,7 +504,7 @@ def cmd_montecarlo(args: argparse.Namespace):
     r, targets = _resolve_targets(args)
     dec = decompose(_build_instance(args, r, targets))
     if n is None:
-        n = restart_iterations(dec, args.agents)
+        n = parallel_plan(dec, args.agents).n_int
     elif n * dec.phi > 2**22:  # the float phase 2 n phi - theta is off by up to n phi 2^-52
         raise ValueError(f"--iterations {n} has n*phi > 2^22, where p(n) may be off by over 2^-30")
     p = success_prob_analytic(dec, n)  # the p(n) the planner minimised
@@ -532,8 +528,7 @@ def _verify_checks(seed: int) -> list:
     """(name, measured, expected, tolerance) tuples for cmd_verify."""
     from .analytic import (biham_mapping, decompose, first_maximum, rotation_angle,
                            uniform_success_prob)
-    from .statevector import (SearchInstance, TargetSet, _random_blocks, success_trajectory,
-                              uniform_instance)
+    from .statevector import SearchInstance, _random_blocks, success_trajectory, uniform_instance
     from .strategy import optimal_x_single, punctuated_plan
 
     checks = []
@@ -581,8 +576,7 @@ def _verify_checks(seed: int) -> list:
     for i in range(20):
         r = r_cycle[i % 3]
         start = next(_random_blocks(n_items, seed + i))  # at N = 64, the whole state
-        targets = TargetSet.first(r)
-        mapping = biham_mapping(start, targets)
+        mapping = biham_mapping(start, r)  # a count: the targets 0..r-1
         total = (
             r * abs(mapping.k_bar) ** 2
             + r * mapping.sigma_k**2
@@ -590,7 +584,7 @@ def _verify_checks(seed: int) -> list:
             + (n_items - r) * mapping.sigma_l**2
         )
         norm_dev = max(norm_dev, abs(total - 1.0))
-        dec_i = decompose(SearchInstance.from_blocks(targets, n_items, None, [start]))
+        dec_i = decompose(SearchInstance.from_blocks(r, n_items, None, [start]))
         alpha_dev = max(alpha_dev, abs(dec_i.alpha - abs(mapping.k_bar) * math.sqrt(r)))
         beta_dev = max(
             beta_dev, abs(dec_i.beta - abs(mapping.l_bar) * math.sqrt(n_items - r))

@@ -70,20 +70,19 @@ class TargetSet:
     def r(self) -> int:
         return len(self.indices)
 
-    @classmethod
-    def first(cls, r: int) -> "TargetSet":
-        """Targets at indices 0..r-1 (count-style specification)."""
-        return cls(tuple(range(r)))
-
 
 def _rows(targets, n_items: int):
-    """(r, rows) of a TargetSet or a count r, every row below n_items or
-    InvalidTargetError: its sorted indices, or the slice [0, r)."""
+    """(r, rows) of a TargetSet or a count r, for the indices 0..r-1: its sorted
+    index tuple, or the slice [0, r).  The one range check of targets against a
+    dimension: n_items >= 1, or InvalidDimensionError; every row below n_items,
+    or InvalidTargetError."""
+    if n_items < 1:
+        raise InvalidDimensionError(f"n_items must be >= 1, got {n_items}")
     if isinstance(targets, TargetSet):
         if targets.indices[-1] >= n_items:
             raise InvalidTargetError(f"target index {targets.indices[-1]} out of range "
                                      f"for n_items={n_items}")
-        return targets.r, np.asarray(targets.indices, dtype=np.intp)
+        return targets.r, targets.indices
     if not 1 <= targets <= n_items:
         raise InvalidTargetError(f"target count {targets} outside [1, {n_items}]")
     return targets, slice(0, targets)
@@ -154,6 +153,7 @@ class SearchInstance:
         the measured norms, so Q is unitary for a state that is not 1 exactly.
         """
         r, rows = _rows(targets, n_items)
+        rows = rows if isinstance(rows, slice) else np.asarray(rows, dtype=np.intp)
         total, lo = np.zeros(6, dtype=np.complex128), 0
         off = np.empty((2, CHUNK), dtype=np.complex128)  # a_L and s_L, refilled per chunk
         for a_b, s_b in _side_by_side(averaging, start, n_items):
@@ -192,9 +192,7 @@ def uniform_instance(n_items: int, r: int) -> SearchInstance:
 
     With s = a = u, every product is t = r/N or 1 - t: no N-vector, no indices.
     """
-    if n_items < 1:
-        raise InvalidDimensionError(f"n_items must be >= 1, got {n_items}")
-    _rows(r, n_items)  # 1 <= r <= N, or InvalidTargetError
+    _rows(r, n_items)  # N >= 1 and 1 <= r <= N, or an error
     t = r / n_items
     return SearchInstance((t, 1.0 - t, t, t, 1.0 - t, 1.0 - t))
 

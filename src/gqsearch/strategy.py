@@ -3,10 +3,11 @@
 Punctuated search runs n iterations, measures, and restarts on failure;
 the expected cost n/p(n) is minimized near n = x*/(2 phi) where x* is the
 lowest positive root of x = tan(x/2).  k-parallel search races k
-independent agents per round at cost n / P_k(n), P_k = 1 - (1-p)^k.  One
-branch and bound over blocks of n gives the exact optimum of either, for
-any start state; a closed-form small-x approximation of the parallel
-optimum is valid for k >= 2.
+independent agents per round at cost n / P_k(n), P_k = 1 - (1-p)^k.
+`parallel_plan(dec, k)` gives the exact optimum of either, for any start
+state's decomposition, by one branch and bound over blocks of n; k = 1 is
+punctuated search.  A closed-form small-x approximation of the parallel
+optimum, for the uniform start, is valid for k >= 2.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from . import _np as np
-from .analytic import Decomposition, _unwrap, decompose, success_prob_analytic
+from .analytic import Decomposition, _unwrap, success_prob_analytic
 from .errors import GQSearchError, NeverSucceedsError, ValidityError
 
 
@@ -252,14 +253,6 @@ def _cheapest_iterations(dec: Decomposition, k: int):
     return best_n, best_cost
 
 
-def restart_iterations(dec: Decomposition, k: int) -> int:
-    """Iterations n >= 1 per round minimizing n / P_k(n) for k agents, any start.
-
-    Ties go to the smaller n; a start whose peak is 0 raises NeverSucceedsError.
-    """
-    return _cheapest_iterations(dec, k)[0]
-
-
 def optimal_x_parallel_approx(k: int) -> float:
     """Closed-form optimal x for k-parallel search from the small-x series.
 
@@ -274,26 +267,17 @@ def optimal_x_parallel_approx(k: int) -> float:
     return math.sqrt((5.0 - 15.0 * kk + disc) / (15.0 * kk * kk - 3.0))
 
 
-def _check_plan_args(r: int, n_items: int, k: int) -> None:
-    if r < 1 or n_items < 1 or r > n_items:
-        raise ValueError(f"need 1 <= r <= n_items, got r={r}, n_items={n_items}")
+def parallel_plan(dec: Decomposition, k: int) -> ParallelPlan:
+    """The exact integer optimum of the k-parallel cost n / P_k(n), any start, k >= 1.
+
+    p(n) is `success_prob_analytic(dec, n)`, and x = (2n + 1) v.  Ties go to
+    the smaller n; a start whose peak is 0 raises NeverSucceedsError.  The
+    uniform start is `decompose(uniform_instance(N, r))`.
+    """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-
-
-def parallel_plan(r: int, n_items: int, k: int) -> ParallelPlan:
-    """The exact integer optimum of the k-parallel cost n / P_k(n), any k >= 1.
-
-    `restart_iterations`'s plan for the uniform start, p(n) = sin^2((2n+1) asin v),
-    from `decompose(uniform_instance(n_items, r))` as every command reduces it.
-    """
-    from .statevector import uniform_instance
-
-    _check_plan_args(r, n_items, k)
-    dec = decompose(uniform_instance(n_items, r))
     n_best, cost = _cheapest_iterations(dec, k)
-    x = (1.0 + 2.0 * n_best) * dec.v
-    return ParallelPlan(agents=k, x=x, n_opt=float(n_best),
+    return ParallelPlan(agents=k, x=(1.0 + 2.0 * n_best) * dec.v, n_opt=float(n_best),
                         n_int=n_best, expected_cost=cost)
 
 
@@ -304,7 +288,10 @@ def parallel_plan_closed_form(r: int, n_items: int, k: int) -> ParallelPlan:
     is the large-n form (x sqrt(N/r) - 1) / (2 (1 - cos^{2k} x)).  Raises
     ValidityError outside k >= 2, r/N <= 0.01 and n_int >= 1.
     """
-    _check_plan_args(r, n_items, k)
+    if r < 1 or n_items < 1 or r > n_items:
+        raise ValueError(f"need 1 <= r <= n_items, got r={r}, n_items={n_items}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     if r / n_items > 0.01:
         raise ValidityError(f"closed form requires r/N <= 0.01, got {r}/{n_items}")
     x = optimal_x_parallel_approx(k)

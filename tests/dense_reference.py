@@ -120,7 +120,7 @@ def reduced_amplitudes(targets, averaging, start, n: int) -> np.ndarray:
 def uniform_states(n_items: int, targets):
     """(targets, u, u) with u the uniform state; targets a TargetSet or a count."""
     if isinstance(targets, int):
-        targets = TargetSet.first(targets)
+        targets = TargetSet(range(targets))
     u = uniform_state(n_items)
     return targets, u, u
 

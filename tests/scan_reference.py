@@ -6,14 +6,15 @@ cannot rule out.  The tests compare it against this loop, which evaluates
 every n from 1 up to its stopping rule, with the same leaf expression, so
 both must agree on n, on the bits of the cost and on every error.  The
 limits are read from `gqsearch.strategy` at call time, so a test that
-patches them patches both.
+patches them patches both.  `uniform_plan` is the planner's plan of the
+uniform start, as the `plan` and `parallel-sweep` commands make it.
 """
 
 import math
 
 import numpy as np
 
-from gqsearch import strategy, success_prob_analytic
+from gqsearch import decompose, parallel_plan, strategy, success_prob_analytic, uniform_instance
 from gqsearch.errors import NeverSucceedsError
 from gqsearch.strategy import _scan_limit_error, _success_bounds, parallel_success
 
@@ -45,3 +46,8 @@ def cheapest_iterations(dec, k: int):
             best_n, best_cost = start + i, float(costs[i])
         start += ns.size
     return best_n, best_cost
+
+
+def uniform_plan(r: int, n_items: int, k: int):
+    """`parallel_plan` of the uniform start with r targets of n_items, for k agents."""
+    return parallel_plan(decompose(uniform_instance(n_items, r)), k)

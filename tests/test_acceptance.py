@@ -23,7 +23,6 @@ from gqsearch import (
     parallel_plan_closed_form,
     parallel_success,
     punctuated_plan,
-    restart_iterations,
     rotation_angle,
     run_parallel,
     success_prob_analytic,
@@ -35,6 +34,7 @@ from gqsearch.analytic import biham_mapping
 from gqsearch.cli import default_heatmap_n_max, heatmap_grid
 
 from dense_reference import held_instance, parallel_trial_costs, random_state, uniform_state
+from scan_reference import cheapest_iterations, uniform_plan
 
 
 def test_criterion_01_simulator_analytic_equivalence():
@@ -123,8 +123,8 @@ def test_criterion_04_grover_special_case():
 
 
 def test_criterion_05_single_agent_reduction():
-    # k = 1 two ways: the uniform planner, and the any-start planner on the
-    # decomposition of the same instance
+    # k = 1 two ways: the planner on the uniform decomposition, and the
+    # linear reference scan of the same decomposition
     t0 = time.perf_counter()
     cases = [
         (1, 16), (1, 64), (2, 64), (1, 256), (3, 256),
@@ -132,9 +132,9 @@ def test_criterion_05_single_agent_reduction():
     ]
     worst = 0.0
     for r, n_items in cases:
-        plan = parallel_plan(r, n_items, 1)
         dec = decompose(uniform_instance(n_items, r))
-        n = restart_iterations(dec, 1)
+        plan = parallel_plan(dec, 1)
+        n = cheapest_iterations(dec, 1)[0]
         assert n == plan.n_int, f"criterion 05: n = {n} vs {plan.n_int} at r={r}, N={n_items}"
         cost = expected_cost(n, success_prob_analytic(dec, n))
         worst = max(worst, abs(cost - plan.expected_cost))
@@ -154,7 +154,7 @@ def test_criterion_06_parallel_closed_form_vs_numeric():
     worst_cost = 0.0
     for r in range(1, 6):
         for k in range(2, 65):
-            numeric = parallel_plan(r, n_items, k)
+            numeric = uniform_plan(r, n_items, k)
             formula = parallel_plan_closed_form(r, n_items, k)
             assert formula.x < 1.0, f"criterion 06: x = {formula.x!r} at r={r}, k={k}"
             n_dev = abs(formula.n_opt - numeric.n_int) / numeric.n_int
@@ -264,7 +264,7 @@ def test_criterion_10_mean_amplitude_identities():
     for i in range(50):
         r = (1, 4, 16)[i % 3]
         start = random_state(n_items, 500 + i)
-        targets = TargetSet.first(r)
+        targets = TargetSet(range(r))
         m = biham_mapping(start, targets)
         total = (
             r * abs(m.k_bar) ** 2

@@ -34,7 +34,7 @@ def plane_instance(alpha, beta, b):
     amps = np.zeros(4, dtype=complex)
     amps[0] = alpha
     amps += beta * np.exp(1j * b) * aprime
-    return held_instance(TargetSet.first(1), uniform_state(4), amps)
+    return held_instance(TargetSet(range(1)), uniform_state(4), amps)
 
 
 def test_rotation_angle_small_v():
@@ -116,7 +116,7 @@ def test_zero_overlap_decomposes_with_alpha_zero():
     # v = 0: |t> is undefined, so alpha = 0; Q never moves weight onto the
     # targets and p(n) = w_t
     averaging = np.array([0.0, 1.0, 1.0, 1.0]) / math.sqrt(3.0)
-    inst = held_instance(TargetSet.first(1), averaging, uniform_state(4))
+    inst = held_instance(TargetSet(range(1)), averaging, uniform_state(4))
     dec = decompose(inst)
     assert dec.v == 0.0 and dec.phi == 0.0 and dec.alpha == 0.0
     assert abs(dec.beta - math.sqrt(3.0) / 2.0) < 1e-12
@@ -131,7 +131,7 @@ def test_full_overlap_decomposes_with_beta_zero():
     # v = 1: |a'> is undefined, so beta = b = 0 and p(n) = alpha^2 + w_t
     amps = np.zeros(4, dtype=complex)
     amps[0] = 1.0
-    inst = held_instance(TargetSet.first(1), amps, uniform_state(4))
+    inst = held_instance(TargetSet(range(1)), amps, uniform_state(4))
     dec = decompose(inst)
     assert dec.v == 1.0 and dec.phi == math.pi
     assert abs(dec.alpha - 0.5) < 1e-12
@@ -255,7 +255,7 @@ def test_uniform_success_prob_values_and_domain():
 
 
 def test_biham_mapping_uniform_start():
-    mapping = biham_mapping(uniform_state(16), TargetSet.first(2))
+    mapping = biham_mapping(uniform_state(16), TargetSet(range(2)))
     assert abs(mapping.k_bar - 0.25) < 1e-15
     assert abs(mapping.l_bar - 0.25) < 1e-15
     assert mapping.sigma_k < 1e-15 and mapping.sigma_l < 1e-15
@@ -266,7 +266,7 @@ def test_biham_mapping_identities_random_states():
     for i in range(10):
         r = (1, 4, 16)[i % 3]
         start = random_state(n_items, 100 + i)
-        targets = TargetSet.first(r)
+        targets = TargetSet(range(r))
         m = biham_mapping(start, targets)
         total = (
             r * abs(m.k_bar) ** 2
@@ -285,7 +285,7 @@ def test_biham_mapping_identities_random_states():
 
 def test_biham_mapping_rejects_full_target_set():
     with pytest.raises(ValueError):
-        biham_mapping(uniform_state(4), TargetSet.first(4))
+        biham_mapping(uniform_state(4), TargetSet(range(4)))
 
 
 def test_rotation_angle_cubic_error_term():

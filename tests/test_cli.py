@@ -50,6 +50,7 @@ from gqsearch.cli import (
 )
 
 from dense_reference import held_instance, random_state, uniform_state, write_state_file
+from scan_reference import uniform_plan
 
 
 def read_state_file(path, n_items: int) -> np.ndarray:
@@ -383,7 +384,7 @@ def test_held_state_and_its_file_give_equal_instances(tmp_path, capsys, monkeypa
             got = _cli_instance(monkeypatch, capsys, "--n-items", str(n_items), *flags, *states)
             assert got == held_instance(target_set, *held), (flags, states)
     # a count reduces the same rows as the list of its indices
-    assert held_instance(16390, None, state) == held_instance(TargetSet.first(16390), None, state)
+    assert held_instance(16390, None, state) == held_instance(TargetSet(range(16390)), None, state)
 
 
 def test_uniform_start_beside_a_file_prints_p0_r_over_n(tmp_path, capsys):
@@ -514,7 +515,7 @@ def test_montecarlo_p_round_matches_mpmath(monkeypatch, capsys, log2_n):
         n = payload["iterations"]
         exact = mpmath.sin((2 * n + 1) * mpmath.asin(mpmath.sqrt(mpmath.mpf(2) ** -log2_n))) ** 2
         assert abs(payload["p_round"] - exact) <= 1e-15, (n, payload["p_round"])
-    plan = gqsearch.parallel_plan(1, 2**log2_n, 1)
+    plan = uniform_plan(1, 2**log2_n, 1)
     assert (plan.n_int, plan.expected_cost) == (n, payload["closed_form_cost"])
 
 
@@ -616,14 +617,15 @@ def test_plan_rejects_out_of_range_targets(capsys):
 
 
 @pytest.mark.parametrize("flag, value, message", [
-    ("--num-targets", "0", "target set is empty"),
-    ("--num-targets", "-3", "target set is empty"),
-    ("--num-targets", "17", "target index 16 out of range for --n-items 16"),
-    ("--targets", "3,20", "target index 20 out of range for --n-items 16"),
+    pytest.param("--num-targets", "0", "target count 0 outside [1, 16]", id="count-0"),
+    pytest.param("--num-targets", "-3", "target count -3 outside [1, 16]", id="count-negative"),
+    pytest.param("--num-targets", "17", "target count 17 outside [1, 16]", id="count-above-n"),
+    pytest.param("--targets", "3,20", "target index 20 out of range for n_items=16",
+                 id="index-above-n"),
     ("--targets", "3,3", "duplicate target indices"),
 ])
 def test_plan_target_errors(capsys, flag, value, message):
-    # plan, simulate and montecarlo share one target resolver and its words
+    # plan, simulate and montecarlo share one target check, `_rows`, and its words
     for command in ("plan", "simulate", "montecarlo"):
         code, out, err = run_cli(capsys, command, "--n-items", "16", flag, value)
         assert code == 2 and out == "", command
@@ -1199,10 +1201,45 @@ def test_parallel_sweep_refuses_an_oversize_sweep_before_planning(capsys, monkey
     assert err == f"error: parallel-sweep of {bounds[0]} x {bounds[1]} plans exceeds {SWEEP_MAX_PLANS}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--n-items", "2"], "target count 5 outside [1, 2]"),
+    (["--n-items", "64", "--num-targets", "65", "--agents", "1"], "target count 65 outside [1, 64]"),
+    (["--n-items", "0", "--num-targets", "1"], "n_items must be >= 1, got 0"),
+])
+def test_parallel_sweep_checks_its_targets_before_planning(capsys, monkeypatch, argv, message):
+    # R = 5 targets of N = 2 once planned r = 1 and 2 for all 64 k before it failed
+    def no_plan(*args):
+        raise AssertionError("planned before the target check")
+
+    monkeypatch.setattr(gqsearch.strategy, "parallel_plan", no_plan)
+    assert run_cli(capsys, "parallel-sweep", *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (["plan", "--n-items", "1048576", "--num-targets", "1", "--agents", "4"], 1),
+    (["parallel-sweep", "--n-items", "1048576", "--num-targets", "2", "--agents", "3"], 2),
+    (["montecarlo", "--n-items", "1048576", "--num-targets", "1", "--trials", "10"], 1),
+], ids=["plan", "parallel-sweep", "montecarlo"])
+def test_each_plan_decomposes_its_start_once(capsys, monkeypatch, argv, calls):
+    # one decomposition per r, shared by the exact plan, the closed form's
+    # exact cost and every k of a sweep; `decompose` ends in one
+    # Decomposition.build, under whatever name a module imported it
+    build, seen = gqsearch.analytic.Decomposition.build, []
+
+    def counted(cls, *args, **kwargs):
+        seen.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(gqsearch.analytic.Decomposition, "build", classmethod(counted))
+    code, _, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert len(seen) == calls
+
+
 def test_parallel_sweep_cap_is_inclusive(monkeypatch):
     # plans stubbed out: the cap itself is what is checked, not 2^14 real plans
     plan = dataclasses.make_dataclass("Plan", ["n_int", "expected_cost"])(1, 1.0)
-    monkeypatch.setattr(gqsearch.cli, "_parallel_plans", lambda r, n, k: (plan, None, None))
+    monkeypatch.setattr(gqsearch.cli, "_parallel_plans", lambda dec, r, n, k: (plan, None, None))
     assert len(sweep_rows(2**40, 2**7, 2**7)) == SWEEP_MAX_PLANS == 2**14
 
 
@@ -1329,7 +1366,8 @@ print(code, *(name for name in layers if f"gqsearch.{name}" in sys.modules),
 
 @pytest.mark.parametrize("argv, loaded", [
     ([], ""),
-    (["plan", "--n-items", "1048576", "--num-targets", "1", "--agents", "1"], "analytic strategy"),
+    (["plan", "--n-items", "1048576", "--num-targets", "1", "--agents", "1"],
+     "analytic statevector strategy"),
     (["plan", "--n-items", "64", "--num-targets", "1", "--agents", "4"],
      "analytic statevector strategy numpy"),
     (["heatmap", "--n-items", "8"], "analytic"),
@@ -1394,7 +1432,7 @@ def test_verify_biham_lines_match_the_held_reference(capsys, seed):
         total = (r * abs(k_bar) ** 2 + r * sigma_k**2
                  + (n_items - r) * abs(l_bar) ** 2 + (n_items - r) * sigma_l**2)
         norm_dev = max(norm_dev, abs(total - 1.0))
-        dec = decompose(held_instance(TargetSet.first(r), uniform_state(n_items), start))
+        dec = decompose(held_instance(TargetSet(range(r)), uniform_state(n_items), start))
         alpha_dev = max(alpha_dev, abs(dec.alpha - abs(k_bar) * math.sqrt(r)))
         beta_dev = max(beta_dev, abs(dec.beta - abs(l_bar) * math.sqrt(n_items - r)))
     devs = {"mean_amplitude_normalization_max_dev": norm_dev,

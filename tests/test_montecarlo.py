@@ -106,7 +106,7 @@ def test_runs_are_reproducible_and_seed_sensitive():
 def test_statevector_variant_rejects_zero_support(tmp_path, capsys):
     # start and averaging both orthogonal to the target: p stays 0
     off = np.array([0.0, 1.0, 1.0, 1.0]) / math.sqrt(3.0)
-    inst = held_instance(TargetSet.first(1), off, off)
+    inst = held_instance(TargetSet(range(1)), off, off)
     p = success_trajectory(inst, 1)[-1]
     assert p == 0.0
     with pytest.raises(NeverSucceedsError):

@@ -48,7 +48,7 @@ def _layout_names():
     """(module, name) for every backticked name in a "Package layout" bullet.
 
     A name is a backticked identifier, or one followed by a call such as
-    `restart_iterations(dec, k)`; formulas like `n / P_k(n)` are not names.
+    `parallel_plan(dec, k)`; formulas like `n / P_k(n)` are not names.
     """
     text = README.read_text().split("## Package layout\n", 1)[1].split("\n## ", 1)[0]
     for module, body in re.findall(r"^- `gqsearch\.(\w+)`:(.*?)(?=^- |^$)", text,

@@ -58,7 +58,7 @@ def test_target_set_canonicalizes():
     ts = TargetSet((3, 1))
     assert ts.indices == (1, 3)
     assert ts.r == 2
-    assert TargetSet.first(3).indices == (0, 1, 2)
+    assert TargetSet(range(3)).indices == (0, 1, 2)
 
 
 def test_target_set_rejects_bad_indices():
@@ -72,7 +72,7 @@ def test_target_set_rejects_bad_indices():
 
 def test_instance_validates():
     with pytest.raises(InvalidDimensionError):
-        held_instance(TargetSet.first(1), uniform_state(8), uniform_state(4))
+        held_instance(TargetSet(range(1)), uniform_state(8), uniform_state(4))
     with pytest.raises(InvalidTargetError):
         held_instance(TargetSet((7,)), uniform_state(4), uniform_state(4))
     with pytest.raises(InvalidTargetError):
@@ -90,7 +90,7 @@ def test_uniform_products_match_the_uniform_state():
         n_items = 4**j
         u = uniform_state(n_items)
         for r in sorted({1, (n_items + 2) // 3, n_items}):
-            want = held_instance(TargetSet.first(r), u, u).products
+            want = held_instance(TargetSet(range(r)), u, u).products
             got = uniform_instance(n_items, r).products
             assert [complex(x) for x in got] == [complex(x) for x in want], (n_items, r)
 
@@ -163,7 +163,7 @@ def test_random_instance_reduces_the_drawn_state(n_items):
     for seed in (0, 11):
         state = random_state(n_items, seed)
         picks = TargetSet(rng.choice(n_items, size=min(n_items, 5), replace=False))
-        for targets in (picks, max(n_items // 3, 1), TargetSet.first(n_items)):
+        for targets in (picks, max(n_items // 3, 1), TargetSet(range(n_items))):
             got = SearchInstance.from_blocks(targets, n_items, None, _random_blocks(n_items, seed))
             want = held_instance(targets, None, state)
             dev = max(abs(complex(g) - complex(w)) for g, w in zip(got.products, want.products))
@@ -230,7 +230,7 @@ def test_target_counts_are_the_first_indices():
     # checked against N by every constructor
     a, s = random_state(40, 1), random_state(40, 2)
     for r in (1, 17, 40):
-        first = TargetSet.first(r)
+        first = TargetSet(range(r))
         for states in ((a, s), (None, s), (a, None), (s, s)):
             assert held_instance(r, *states) == held_instance(first, *states), (r, states)
     for r in (0, -1, 41):
@@ -321,7 +321,7 @@ def test_count_style_target_placement_is_immaterial():
 def test_random_instances_stay_normalized(n_items, data):
     r = data.draw(st.integers(1, n_items))
     seed = data.draw(st.integers(0, 2**31))
-    states = (TargetSet.first(r), random_state(n_items, seed), random_state(n_items, seed + 1))
+    states = (TargetSet(range(r)), random_state(n_items, seed), random_state(n_items, seed + 1))
     traj = success_trajectory(held_instance(*states), 12)
     assert np.all(traj >= -1e-12)
     assert np.all(traj <= 1.0 + 1e-12)

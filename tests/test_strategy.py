@@ -29,7 +29,6 @@ from gqsearch import (
     parallel_success,
     punctuated_plan,
     punctuated_success_prob,
-    restart_iterations,
     rotation_angle,
     success_prob_analytic,
     uniform_instance,
@@ -38,6 +37,7 @@ from gqsearch import (
 import gqsearch.strategy as strategy
 
 import scan_reference
+from scan_reference import uniform_plan
 from dense_reference import dense_evolution, held_instance, random_state, uniform_state
 
 
@@ -264,7 +264,7 @@ def test_parallel_plan_closed_form_refuses_an_optimum_below_one_iteration():
 
 def test_parallel_plan_numeric_matches_brute_force():
     n_items, r, k = 4096, 1, 3
-    plan = parallel_plan(r, n_items, k)
+    plan = uniform_plan(r, n_items, k)
     n_hi = math.ceil(0.25 * math.pi * math.sqrt(n_items / r))
     costs = _parallel_cost(np.arange(1, n_hi + 1), r, n_items, k)
     best = int(np.argmin(costs)) + 1
@@ -275,7 +275,7 @@ def test_parallel_plan_numeric_matches_brute_force():
 def test_parallel_plan_numeric_k1_matches_punctuated_optimum():
     n_items = 2**20
     phi = rotation_angle(math.sqrt(1.0 / n_items))
-    plan = parallel_plan(1, n_items, 1)
+    plan = uniform_plan(1, n_items, 1)
     assert abs(plan.n_int - punctuated_plan(phi).n_int) <= 1
 
 
@@ -284,11 +284,25 @@ def test_parallel_plan_validity():
         parallel_plan_closed_form(1, 2**20, 1)
     with pytest.raises(ValidityError):
         parallel_plan_closed_form(1, 64, 4)  # r/N > 0.01
-    for plan in (parallel_plan, parallel_plan_closed_form):
+    for plan in (uniform_plan, parallel_plan_closed_form):
         with pytest.raises(ValueError):
             plan(0, 64, 4)
         with pytest.raises(ValueError):
             plan(1, 64, 0)
+
+
+@pytest.mark.parametrize("k", [0, -1, -2**62])
+def test_parallel_plan_refuses_k_below_one_before_planning(monkeypatch, k):
+    # k = -1 once reached math.sqrt(k c) in the cost bound: "math domain error"
+    def no_scan(*args):
+        raise AssertionError("planned before the k check")
+
+    monkeypatch.setattr(strategy, "_cheapest_iterations", no_scan)
+    general = Decomposition.build(0.3, 0.6, 0.5, 1.0, w_t=0.2, w_l=0.19)
+    for dec in (decompose(uniform_instance(2**20, 1)), general):
+        with pytest.raises(ValueError) as info:
+            parallel_plan(dec, k)
+        assert str(info.value) == f"k must be >= 1, got {k}"
 
 
 @settings(max_examples=60, deadline=None)
@@ -310,7 +324,7 @@ def test_parallel_cost_bounds(p, k, n):
 @given(r=st.integers(1, 6), exp=st.integers(10, 18), k=st.integers(1, 16))
 def test_parallel_plan_numeric_is_integer_optimal(r, exp, k):
     n_items = 2**exp
-    plan = parallel_plan(r, n_items, k)
+    plan = uniform_plan(r, n_items, k)
     for n in (plan.n_int - 1, plan.n_int + 1):
         if n >= 1:
             assert plan.expected_cost <= _parallel_cost(n, r, n_items, k) + 1e-9
@@ -373,7 +387,7 @@ def test_restart_iterations_matches_brute_force_over_simulator(n_items, data):
     states = (TargetSet(tuple(targets)), uniform_state(n_items), start)
     dec = decompose(held_instance(*states))
     period = math.ceil(math.pi / dec.phi)
-    n = restart_iterations(dec, 1)
+    n = parallel_plan(dec, 1).n_int
     assert 1 <= n <= period
     # two periods of the simulator: nothing past the first is cheaper
     costs, n_brute = _brute_force_restart(states, 2 * period)
@@ -386,20 +400,20 @@ def test_restart_iterations_known_instances():
     # uniform starts keep the punctuated optimum round(x*/(2 phi))
     for n_items, r in ((256, 1), (4096, 1)):
         dec = decompose(uniform_instance(n_items, r))
-        assert restart_iterations(dec, 1) == round(optimal_x_single() / (2.0 * dec.phi))
-    assert restart_iterations(decompose(uniform_instance(2**20, 16)), 1) == 148
+        assert parallel_plan(dec, 1).n_int == round(optimal_x_single() / (2.0 * dec.phi))
+    assert parallel_plan(decompose(uniform_instance(2**20, 16)), 1).n_int == 148
     # k agents at N = 2^20, r = 1: the one-agent n = 596 would cost 610.8
     # at k = 2 and 596.0 at k = 8
     dec = decompose(uniform_instance(2**20, 1))
     for k, n, cost in ((1, 596, 705.99), (2, 412, 535.17), (8, 203, 279.20)):
-        assert restart_iterations(dec, k) == n
+        assert parallel_plan(dec, k).n_int == n
         p = success_prob_analytic(dec, n)
         assert abs(expected_cost(n, parallel_success(p, k)) - cost) < 0.01
     # a random start with three targets: the uniform-start n = 22 costs
     # 37,440 per success, a single iteration 2,188
     states = (TargetSet((3, 17, 40)), uniform_state(4096), random_state(4096, 7))
     dec = decompose(held_instance(*states))
-    assert restart_iterations(dec, 1) == 1
+    assert parallel_plan(dec, 1).n_int == 1
     costs, n_brute = _brute_force_restart(states, math.ceil(math.pi / dec.phi))
     assert n_brute == 1 and round(costs[0]) == 2188 and round(costs[21]) == 37440
 
@@ -407,10 +421,10 @@ def test_restart_iterations_known_instances():
 def test_restart_iterations_ties_and_zero_probability():
     # v = 1/2: phi = pi/3, p(n) = 1/4, 1, 1/4, ... from the uniform start;
     # n = 1 is the unique optimum of the three-step period
-    assert restart_iterations(decompose(uniform_instance(4, 1)), 1) == 1
+    assert parallel_plan(decompose(uniform_instance(4, 1)), 1).n_int == 1
     # p(n) = 1/2 for every n (flat): the cost n / p grows with n
     flat = Decomposition.build(0.5, 0.0, 0.0, 0.0, w_t=0.5, w_l=0.5)
-    assert restart_iterations(flat, 1) == 1
+    assert parallel_plan(flat, 1).n_int == 1
     # n / p = 4 at n = 2, 3 and 4 exactly: the planner takes the smallest
     table = lambda dec, ns: np.interp(ns, [1, 2, 3, 4], [0.0, 0.5, 0.75, 1.0])
     peak_one = Decomposition.build(0.5, 1.0, 0.0, 0.0)  # p_max = 1
@@ -418,7 +432,7 @@ def test_restart_iterations_ties_and_zero_probability():
         assert strategy._cheapest_iterations(peak_one, 1) == (2, 4.0)
     never = Decomposition.build(0.5, 0.0, 0.0, 0.0, w_t=0.0, w_l=1.0)
     with pytest.raises(NeverSucceedsError):
-        restart_iterations(never, 1)
+        parallel_plan(never, 1)
 
 
 def _scan_everything(prob, k, n_max):
@@ -437,9 +451,9 @@ def _scan_everything(prob, k, n_max):
 def test_parallel_plan_matches_an_exhaustive_scan(n_items, data):
     r = data.draw(st.integers(1, n_items))
     k = data.draw(st.integers(1, 64))
-    plan = parallel_plan(r, n_items, k)
+    dec = decompose(uniform_instance(n_items, r))
+    plan = parallel_plan(dec, k)
     v = math.sqrt(r / n_items)
-    dec, _ = _planner_args(parallel_plan, r, n_items, k)
     want = _scan_everything(lambda ns: success_prob_analytic(dec, ns), k, 4096)
     assert (plan.n_int, plan.expected_cost) == want
     # the same optimum from sin^2((2n+1) asin v), to round-off
@@ -472,18 +486,18 @@ def test_restart_iterations_matches_an_exhaustive_scan(v, alpha, beta, root_wt, 
     )
     if alpha == beta == root_wt == 0.0:
         with pytest.raises(NeverSucceedsError):
-            restart_iterations(dec, 1)
+            parallel_plan(dec, 1)
         return
     want = _scan_everything(lambda ns: success_prob_analytic(dec, ns), 1, 2**18)
-    assert restart_iterations(dec, 1) == want[0]
+    assert parallel_plan(dec, 1).n_int == want[0]
 
 
 def test_parallel_plan_where_r_is_most_of_n():
     # p(1) = 0 at r/N = 3/4: the old pi/4 sqrt(N/r) scan saw only n = 1
-    plan = parallel_plan(48, 64, 2)
+    plan = uniform_plan(48, 64, 2)
     assert plan.n_int == 2 and abs(plan.expected_cost - 32.0 / 15.0) < 1e-12
     # n = 1 costs 3.47, n = 2 costs 2.0011
-    plan = parallel_plan(40, 64, 2)
+    plan = uniform_plan(40, 64, 2)
     assert plan.n_int == 2 and abs(plan.expected_cost - 2.0010992366412) < 1e-12
     assert _parallel_cost(1, 40, 64, 2) > 3.4
 
@@ -493,7 +507,7 @@ def test_parallel_plan_memory_is_bounded(k):
     # a scan over one array of n would hold 8.2e5 floats per temporary
     tracemalloc.start()
     try:
-        plan = parallel_plan(1, 2**40, k)
+        plan = uniform_plan(1, 2**40, k)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -517,7 +531,7 @@ def test_parallel_plan_at_huge_n_is_sublinear(monkeypatch, k, n_int):
     monkeypatch.setattr(strategy, "success_prob_analytic", counted)
     tracemalloc.start()
     try:
-        plan = parallel_plan(1, 2**60, k)
+        plan = uniform_plan(1, 2**60, k)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -530,15 +544,15 @@ def test_scan_limit_ends_endless_scans(monkeypatch):
     monkeypatch.setattr(strategy, "_SCAN_LIMIT", 2**12)
     # the optimum n = 611,089 lies past the limit
     with pytest.raises(GQSearchError):
-        parallel_plan(1, 2**40, 1)
+        uniform_plan(1, 2**40, 1)
     # phi = 0 and the start orthogonal to the peak: p(n) = 0 at every n,
     # although its bound A/2 + (alpha^2 + beta^2)/2 is 1
     with pytest.raises(GQSearchError):
-        restart_iterations(Decomposition.build(0.0, 0.0, 1.0, 0.0), 1)
+        parallel_plan(Decomposition.build(0.0, 0.0, 1.0, 0.0), 1)
     # v = 1e-50: p(n) rounds to 0 far beyond any n a scan can reach
     with pytest.raises(GQSearchError):
-        parallel_plan(1, 10**100, 2)
-    assert parallel_plan(1, 2**16, 1).n_int == 148
+        uniform_plan(1, 10**100, 2)
+    assert uniform_plan(1, 2**16, 1).n_int == 148
 
 
 class _Scanned(Exception):
@@ -556,21 +570,21 @@ def test_hopeless_plans_are_refused_before_scanning(monkeypatch):
     # the cost bound 1 / (p(0) + A phi) = 5.4e8 at v = 2^-30 stays below the
     # limit 2^30
     with pytest.raises(_Scanned):
-        parallel_plan(1, 2**60, 1)
+        uniform_plan(1, 2**60, 1)
     # 1 / (2 (p(0) + A phi)) = 8.6e9 at v = 2^-35 does not
     for n_items in (2**70, 10**100):
         with pytest.raises(GQSearchError, match="no optimum"):
-            parallel_plan(1, n_items, 2)
+            uniform_plan(1, n_items, 2)
     # r/N = 1e-400 rounds to v = 0, where p(n) = 0 for every n
     with pytest.raises(NeverSucceedsError):
-        parallel_plan(1, 10**400, 3)
+        uniform_plan(1, 10**400, 3)
     # from decompose: 1 / (p(0) + A phi) = 5e9 at N = 10^20
     dec = decompose(uniform_instance(10**20, 1))
     for k in (1, 4):
         with pytest.raises(GQSearchError, match="no optimum"):
-            restart_iterations(dec, k)
+            parallel_plan(dec, k)
     with pytest.raises(_Scanned):
-        restart_iterations(decompose(uniform_instance(2**40, 1)), 1)
+        parallel_plan(decompose(uniform_instance(2**40, 1)), 1)
 
 
 def _refusal_outcomes(dec, k):
@@ -618,7 +632,7 @@ def test_refusal_before_scanning_never_changes_an_answer():
     agents = (1, 2, 8, 64, 10**4, 10**8)
     with mock.patch.multiple(strategy, _SCAN_LIMIT=2**12, _MAX_BLOCK=64):
         cases = [
-            ("uniform", *_planner_args(parallel_plan, r, int(n_items), k))
+            ("uniform", decompose(uniform_instance(int(n_items), r)), k)
             for n_items in np.geomspace(10**5, 10**11, 60)
             for r in (1, 3)
             for k in agents
@@ -654,7 +668,7 @@ def test_the_rule_refuses_every_plan_the_uniform_bound_refused(log_n_items, log_
         return
     with mock.patch.object(strategy, "success_prob_analytic", _no_array_scan):
         with pytest.raises(GQSearchError, match=_REFUSED):
-            parallel_plan(r, n_items, k)
+            uniform_plan(r, n_items, k)
 
 
 @settings(max_examples=300, deadline=None)
@@ -670,20 +684,7 @@ def test_the_rule_refuses_every_plan_the_linear_bound_refused(log_k, seed):
         return
     with mock.patch.object(strategy, "success_prob_analytic", _no_array_scan):
         with pytest.raises(GQSearchError, match=_REFUSED):
-            restart_iterations(dec, k)
-
-
-def _planner_args(plan, *args):
-    """The (decomposition, k) that plan(*args) plans with."""
-    seen = []
-
-    def capture(*planner_args):
-        seen.append(planner_args)
-        return 1, 1.0
-
-    with mock.patch.object(strategy, "_cheapest_iterations", capture):
-        plan(*args)
-    return seen[0]
+            parallel_plan(dec, k)
 
 
 def _random_decomposition(rng, v):
@@ -709,7 +710,7 @@ def test_block_bounds_never_exceed_a_cost_in_the_block(general, log_n_items, k, 
     if general:
         dec = _random_decomposition(rng, math.sqrt(r / n_items))
     else:
-        dec, _ = _planner_args(parallel_plan, r, n_items, k)
+        dec = decompose(uniform_instance(n_items, r))
     p_max, _ = strategy._success_bounds(dec, k)
     # blocks of 1 to 4,096 n up to n = 2^30 next to, or around, a peak of p
     # (phase 2 n phi - theta a multiple of 2 pi), a trough (an odd multiple
@@ -745,14 +746,14 @@ def test_parallel_plan_matches_the_linear_scan(log_n_items, data):
     n_items = int(2.0**log_n_items)
     r = data.draw(st.one_of(st.integers(1, min(n_items, 16)), st.integers(1, n_items)))
     k = data.draw(st.sampled_from([1, 2, 3, 8, 64]))
-    dec, _ = _planner_args(parallel_plan, r, n_items, k)
+    dec = decompose(uniform_instance(n_items, r))
     try:
         want = scan_reference.cheapest_iterations(dec, k)
     except GQSearchError as exc:
         with pytest.raises(type(exc), match=re.escape(str(exc))):
-            parallel_plan(r, n_items, k)
+            parallel_plan(dec, k)
         return
-    plan = parallel_plan(r, n_items, k)
+    plan = parallel_plan(dec, k)
     assert (plan.n_int, plan.expected_cost) == want
 
 
@@ -761,4 +762,4 @@ def test_parallel_plan_matches_the_linear_scan(log_n_items, data):
 def test_restart_iterations_for_k_agents_matches_an_exhaustive_scan(log_v, k, seed):
     dec = _random_decomposition(np.random.default_rng(seed), 2.0**log_v)
     want = _scan_everything(lambda ns: success_prob_analytic(dec, ns), k, 2**18)
-    assert restart_iterations(dec, k) == want[0]
+    assert parallel_plan(dec, k).n_int == want[0]
