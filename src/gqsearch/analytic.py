@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 
 from . import _np as np
-from .errors import FlatProbabilityError, InvalidDimensionError, NonUnitStateError
+from .errors import FlatProbabilityError, InvalidDimensionError
 
 # A below this fraction of alpha^2 + beta^2 counts as no oscillation at all
 # (an exact zero is unreachable in floats: cos(pi/2) rounds to 6.1e-17).
@@ -211,23 +211,18 @@ def uniform_success_prob(v: float, n):
 def biham_mapping(amplitudes, targets) -> BihamMapping:
     """Mean/deviation statistics of a unit start state, a 1-D amplitude array, over
     the split of a TargetSet or a count r; assumes a uniform averaging state, 1 <= r < N."""
-    from .statevector import NORM_TOL, _rows
+    from .statevector import _check_unit, _rows
 
     amps = np.asarray(amplitudes, dtype=np.complex128)
     if amps.ndim != 1 or amps.size < 1:
         raise InvalidDimensionError("amplitudes must be a non-empty one-dimensional array")
-    nrm = float(np.linalg.norm(amps))
-    if not abs(nrm - 1.0) <= NORM_TOL:
-        raise NonUnitStateError(f"state norm is {nrm!r}, not 1")
+    _check_unit(float(np.linalg.norm(amps)))
     n_items = amps.size
     r, rows = _rows(targets, n_items)
     if r >= n_items:
         raise ValueError(f"mapping undefined for r = N (r={r}, N={n_items})")
-    mask = np.zeros(n_items, dtype=bool)
-    mask[rows if isinstance(rows, slice) else list(rows)] = True
-
-    k = amps[mask]
-    l = amps[~mask]
+    rows = rows if isinstance(rows, slice) else list(rows)
+    k, l = amps[rows], np.delete(amps, rows)
     k_bar = complex(k.mean())
     l_bar = complex(l.mean())
     sigma_k = float(math.sqrt(np.mean(np.abs(k - k_bar) ** 2)))

@@ -150,19 +150,15 @@ def _resolve_state(spec: str, n_items: int, allow_random: bool):
 
 
 def _build_instance(args: argparse.Namespace, r: int, targets) -> SearchInstance:
-    """The run's instance; explicit states are reduced as they are drawn or read, never held."""
-    from .statevector import SearchInstance, uniform_instance
+    """The run's instance, of the rows [0, r) for a count; explicit states are reduced as
+    they are drawn or read, never held."""
+    from .statevector import SearchInstance
 
     n_items = args.n_items
-    if args.start == args.averaging == "uniform":
-        return uniform_instance(n_items, r)
     averaging = _resolve_state(args.averaging, n_items, allow_random=False)
-    if args.start == args.averaging:  # s = a: one state, read once
-        start = averaging
-    else:
-        start = _resolve_state(args.start, n_items, allow_random=True)
-    targets = r if targets is None else targets  # a count reduces the rows [0, r)
-    return SearchInstance.from_blocks(targets, n_items, averaging, start)
+    start = (averaging if args.start == args.averaging  # s = a: one state, read once
+             else _resolve_state(args.start, n_items, allow_random=True))
+    return SearchInstance.from_blocks(r if targets is None else targets, n_items, averaging, start)
 
 
 def _json_text(payload) -> str:

@@ -38,7 +38,7 @@ NORM_TOL = 1e-9
 
 # Amplitudes per block where a state is drawn, read or reduced: 256 KiB of complex.
 BLOCK = 2**14
-# Amplitudes per zeroed copy in the reducer: two copies of 32 KiB each.
+# Amplitudes per sum in the reducer; a chunk that holds targets is copied, 32 KiB a state.
 CHUNK = 2**11
 
 
@@ -114,16 +114,21 @@ def _random_blocks(n_items: int, seed: int):
 
 
 def _side_by_side(averaging, start, n_items: int):
-    """(a, s) block pairs of the two states; None is u, one block of 1/sqrt(N)
-    sliced to the other's blocks, and one stream given twice is read once."""
+    """(a, s) block pairs of two states, at most one of them None: u, one block of
+    1/sqrt(N) sliced to the other's blocks.  One stream given twice is read once."""
     if averaging is start:
         return ((x, x) for x in start)
+    if averaging is not None and start is not None:
+        return itertools.zip_longest(averaging, start, fillvalue=np.empty(0))
     u = np.full(min(BLOCK, n_items), 1.0 / math.sqrt(n_items), dtype=np.complex128)
     if averaging is None:
         return ((u[:s.size], s) for s in start)
-    if start is None:
-        return ((a, u[:a.size]) for a in averaging)
-    return itertools.zip_longest(averaging, start, fillvalue=u[:0])
+    return ((a, u[:a.size]) for a in averaging)
+
+
+def _check_unit(nrm: float) -> None:
+    if not abs(nrm - 1.0) <= NORM_TOL:
+        raise NonUnitStateError(f"state norm is {nrm!r}, not 1")
 
 
 @dataclass(frozen=True)
@@ -132,7 +137,7 @@ class SearchInstance:
 
     products holds (<s_T|s_T>, <s_L|s_L>, <a_T|a_T>, <a_T|s_T>, <a_L|s_L>,
     <a_L|a_L>), all that Q needs of the states and targets; build it with
-    `from_blocks` or `uniform_instance`.
+    `from_blocks`.
     """
 
     products: tuple
@@ -144,18 +149,25 @@ class SearchInstance:
         targets is a TargetSet, or a count r for the indices 0..r-1.  Each
         state is an iterable of blocks of its amplitudes in index order, read
         once, or None for the uniform state u, which is never built; the same
-        iterable twice is s = a.  Two explicit states yield blocks of equal
-        sizes, and beside u a block holds at most BLOCK amplitudes.  Every
-        product is summed directly, the off-target ones over copies of at most
-        CHUNK amplitudes with the targets zeroed, so <a_L|a_L> of an averaging
-        state on the targets is exactly 0.  An explicit state's norm must be 1
-        to NORM_TOL, or NonUnitStateError; the products are then divided by
-        the measured norms, so Q is unitary for a state that is not 1 exactly.
+        iterable twice is s = a.  u's own products are r/N and 1 - r/N, so
+        None for both reads no block and loads no numpy; an r/N that underflows
+        to 0.0 is InvalidDimensionError.  Two explicit states yield blocks of
+        equal sizes, and beside u a block holds at most BLOCK amplitudes.  The
+        products are summed directly, CHUNK amplitudes at a time, the off-target
+        ones of a chunk with targets over its copy with them zeroed, so <a_L|a_L>
+        of an averaging state on the targets is exactly 0.  An explicit state's
+        norm must be 1 to NORM_TOL, or NonUnitStateError; the products are then
+        divided by the measured norms, so Q is unitary for a state not 1 exactly.
         """
         r, rows = _rows(targets, n_items)
+        u_t = r / n_items
+        if u_t == 0.0:
+            raise InvalidDimensionError(f"r/N = {r}/N underflows to 0.0 in float64")
+        u_l = 1.0 - u_t
+        if averaging is None and start is None:  # s = a = u
+            return cls((u_t, u_l, u_t, u_t, u_l, u_l))
         rows = rows if isinstance(rows, slice) else np.asarray(rows, dtype=np.intp)
         total, lo = np.zeros(6, dtype=np.complex128), 0
-        off = np.empty((2, CHUNK), dtype=np.complex128)  # a_L and s_L, refilled per chunk
         for a_b, s_b in _side_by_side(averaging, start, n_items):
             if a_b.size != s_b.size:
                 raise InvalidDimensionError(f"state blocks of {a_b.size} and {s_b.size} "
@@ -166,35 +178,30 @@ class SearchInstance:
                     t = slice(0, max(rows.stop - lo, 0))
                 else:  # the chunk's targets: a slice of the sorted indices, not a mask
                     t = rows[np.searchsorted(rows, lo):np.searchsorted(rows, lo + s.size)] - lo
-                a_t, s_t, a_l, s_l = a[t], s[t], off[0, :s.size], off[1, :s.size]
-                a_l[:], s_l[:] = a, s
-                a_l[t] = s_l[t] = 0.0
+                a_t, s_t, a_l, s_l = a[t], s[t], a, s
+                if a_t.size:  # off the targets: a copy with them zeroed
+                    a_l, s_l = a.copy(), s.copy()
+                    a_l[t] = s_l[t] = 0.0
                 total += [np.vdot(s_t, s_t), np.vdot(s_l, s_l), np.vdot(a_t, a_t),
                           np.vdot(a_t, s_t), np.vdot(a_l, s_l), np.vdot(a_l, a_l)]
                 lo += s.size
         if lo != n_items:
             raise InvalidDimensionError(f"blocks hold {lo} amplitudes, not n_items={n_items}")
         ss_t, ss_l, aa_t, as_t, as_l, aa_l = total
-        share = r / n_items  # u's own products in closed form, as in uniform_instance
-        aa_t, aa_l = (share, 1.0 - share) if averaging is None else (aa_t, aa_l)
-        ss_t, ss_l = (share, 1.0 - share) if start is None else (ss_t, ss_l)
+        aa_t, aa_l = (u_t, u_l) if averaging is None else (aa_t, aa_l)
+        ss_t, ss_l = (u_t, u_l) if start is None else (ss_t, ss_l)
         aa, ss = (1.0 if x is None else (x_t + x_l).real  # u's norm is 1
                   for x, x_t, x_l in ((averaging, aa_t, aa_l), (start, ss_t, ss_l)))
         for xx in (aa, ss):
-            if not abs(math.sqrt(xx) - 1.0) <= NORM_TOL:
-                raise NonUnitStateError(f"state norm is {math.sqrt(xx)!r}, not 1")
+            _check_unit(math.sqrt(xx))
         cross = math.sqrt(aa * ss)
         return cls((ss_t / ss, ss_l / ss, aa_t / aa, as_t / cross, as_l / cross, aa_l / aa))
 
 
 def uniform_instance(n_items: int, r: int) -> SearchInstance:
-    """Uniform averaging and start states with r targets, 1 <= r <= N.
-
-    With s = a = u, every product is t = r/N or 1 - t: no N-vector, no indices.
-    """
-    _rows(r, n_items)  # N >= 1 and 1 <= r <= N, or an error
-    t = r / n_items
-    return SearchInstance((t, 1.0 - t, t, t, 1.0 - t, 1.0 - t))
+    """Uniform averaging and start states with r targets, 1 <= r <= N: every
+    product is r/N or 1 - r/N, with no N-vector and no indices."""
+    return SearchInstance.from_blocks(r, n_items, None, None)
 
 
 def _check_drift(nrm: float, step: int) -> None:

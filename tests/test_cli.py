@@ -1245,14 +1245,16 @@ def test_parallel_sweep_cap_is_inclusive(monkeypatch):
 
 @pytest.mark.parametrize(
     "argv",
-    [["plan"], ["plan", "--agents", "3"], ["montecarlo"], ["parallel-sweep", "--agents", "2"]],
-    ids=["plan", "plan-k3", "montecarlo", "parallel-sweep"],
+    [["plan"], ["plan", "--agents", "3"], ["montecarlo"], ["parallel-sweep", "--agents", "2"],
+     ["simulate"]],
+    ids=["plan", "plan-k3", "montecarlo", "parallel-sweep", "simulate"],
 )
 def test_r_over_n_underflow_never_succeeds(capsys, argv):
-    # r/N = 1e-400 rounds to v = 0, where p(n) = 0 for every n
+    # r/N = 1e-400 rounds to 0.0, which would give v = 0 and p(n) = 0 for
+    # every n, though p(n) is not 0 there: refused where r/N is formed
     code, out, err = run_cli(capsys, *argv, "--n-items", str(10**400), "--num-targets", "1")
     assert code == 2 and out == ""
-    assert err == "error: success probability is 0 for every n\n"
+    assert err == "error: r/N = 1/N underflows to 0.0 in float64\n"
 
 
 def test_parallel_sweep_with_every_item_a_target(capsys):

@@ -18,7 +18,7 @@ from gqsearch import (
     success_trajectory,
     uniform_instance,
 )
-from gqsearch.statevector import BLOCK, _random_blocks
+from gqsearch.statevector import BLOCK, CHUNK, _random_blocks
 
 from dense_reference import (
     dense_evolution,
@@ -93,6 +93,60 @@ def test_uniform_products_match_the_uniform_state():
             want = held_instance(TargetSet(range(r)), u, u).products
             got = uniform_instance(n_items, r).products
             assert [complex(x) for x in got] == [complex(x) for x in want], (n_items, r)
+
+
+def test_both_uniform_states_reduce_in_closed_form():
+    # None for both states is s = a = u: uniform_instance's products from
+    # from_blocks itself, for a count and for a TargetSet of r indices
+    for n_items, r in ((1, 1), (12, 5), (3 * BLOCK + 5, 3), (2**40, 3), (10**300, 1)):
+        spread = TargetSet(range(n_items - 1, -1, -max(n_items // r, 1))[:r])
+        for targets in (r, spread):
+            got = SearchInstance.from_blocks(targets, n_items, None, None)
+            assert got.products == uniform_instance(n_items, r).products, (n_items, targets)
+
+
+def test_r_over_n_that_underflows_is_refused():
+    # r/N = 1e-400 rounds to 0.0 in float64, though p(n) is not 0 there
+    for targets in (1, TargetSet((5,))):
+        with pytest.raises(InvalidDimensionError, match=r"r/N = 1/N underflows to 0\.0 in float64"):
+            SearchInstance.from_blocks(targets, 10**400, None, None)
+
+
+# The products of `random:7` beside u at N = 2 BLOCK + 3, as float.hex of
+# their real and imaginary parts, from the reducer that copied every chunk:
+# for targets on both sides of a chunk edge and on a block edge, and for a
+# count whose last target opens the second chunk
+_RANDOM_7_PRODUCTS = {
+    "edges": (
+        ("0x1.74f865629eac1p-15", "0x0.0p+0"),
+        ("0x1.fffa2c1e6a758p-1", "0x0.0p+0"),
+        ("0x1.7ff70035febc0p-14", "0x0.0p+0"),
+        ("-0x1.c68f248a62eeap-16", "-0x1.50aa394e2ec19p-19"),
+        ("-0x1.0647c5af2ff08p-8", "0x1.5909591ff7e2ep-10"),
+        ("0x1.fff40047fe501p-1", "0x0.0p+0"),
+    ),
+    "count": (
+        ("0x1.f22ab731106edp-5", "0x0.0p+0"),
+        ("0x1.e0dd548ceef92p-1", "0x0.0p+0"),
+        ("0x1.0019ff6403a7fp-4", "0x0.0p+0"),
+        ("-0x1.e73d9ddc68d2ep-10", "-0x1.c457689b72804p-10"),
+        ("-0x1.1c7ddab9403d8p-9", "0x1.8e5c364f61a5fp-9"),
+        ("0x1.dffcc0137f8b0p-1", "0x0.0p+0"),
+    ),
+}
+
+
+@pytest.mark.parametrize("which", sorted(_RANDOM_7_PRODUCTS))
+def test_reducer_keeps_its_bits(which):
+    n_items = 2 * BLOCK + 3
+    targets = {"edges": TargetSet((CHUNK - 1, CHUNK, BLOCK)), "count": CHUNK + 1}[which]
+    got = SearchInstance.from_blocks(targets, n_items, None, _random_blocks(n_items, 7))
+    bits = tuple((complex(x).real.hex(), complex(x).imag.hex()) for x in got.products)
+    assert bits == _RANDOM_7_PRODUCTS[which]
+    # u as the start instead: the same sums, the cross products conjugated
+    ss_t, ss_l, aa_t, as_t, as_l, aa_l = got.products
+    swapped = SearchInstance.from_blocks(targets, n_items, _random_blocks(n_items, 7), None)
+    assert swapped.products == (aa_t, aa_l, ss_t, as_t.conjugate(), as_l.conjugate(), ss_l)
 
 
 @pytest.mark.parametrize("uniform_side", ["averaging", "start"])
@@ -179,10 +233,11 @@ def _held_blocks(state):
 @given(data=st.data())
 def test_reducer_matches_the_full_vector_products(data):
     # every pairing of u, held states and the random stream meets the
-    # whole-vector vdots, for target sets and counts that straddle block
-    # edges; a held state equals the same state given as blocks
-    n_items = data.draw(st.sampled_from([1, 7, BLOCK, 3 * BLOCK + 5]), label="N")
-    edges = {i for lo in range(0, n_items + 1, BLOCK) for i in (lo - 1, lo, lo + 1)}
+    # whole-vector vdots, for target sets and counts that straddle chunk and
+    # block edges; a held state equals the same state given as blocks
+    n_items = data.draw(st.sampled_from([1, 7, BLOCK, 2 * BLOCK + 3, 3 * BLOCK + 5]), label="N")
+    # the edges of every chunk, so of every block too
+    edges = {i for lo in range(0, n_items + 1, CHUNK) for i in (lo - 1, lo, lo + 1)}
     edges = sorted(i for i in edges | {n_items - 1} if 0 <= i < n_items)
     index = st.sampled_from(edges) | st.integers(0, n_items - 1)
     targets = data.draw(st.sets(index, min_size=1, max_size=6).map(TargetSet)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from gqsearch import (
     Decomposition,
     GQSearchError,
+    InvalidDimensionError,
     NeverSucceedsError,
     TargetSet,
     ValidityError,
@@ -575,8 +576,8 @@ def test_hopeless_plans_are_refused_before_scanning(monkeypatch):
     for n_items in (2**70, 10**100):
         with pytest.raises(GQSearchError, match="no optimum"):
             uniform_plan(1, n_items, 2)
-    # r/N = 1e-400 rounds to v = 0, where p(n) = 0 for every n
-    with pytest.raises(NeverSucceedsError):
+    # r/N = 1e-400 underflows to 0.0, refused before v = 0 is formed
+    with pytest.raises(InvalidDimensionError, match="underflows"):
         uniform_plan(1, 10**400, 3)
     # from decompose: 1 / (p(0) + A phi) = 5e9 at N = 10^20
     dec = decompose(uniform_instance(10**20, 1))
