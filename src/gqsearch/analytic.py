@@ -216,7 +216,7 @@ def biham_mapping(amplitudes, targets) -> BihamMapping:
     amps = np.asarray(amplitudes, dtype=np.complex128)
     if amps.ndim != 1 or amps.size < 1:
         raise InvalidDimensionError("amplitudes must be a non-empty one-dimensional array")
-    _check_unit(float(np.linalg.norm(amps)))
+    _check_unit(math.sqrt(np.einsum("i,i->", amps.conj(), amps).real))  # no BLAS threads
     n_items = amps.size
     r, rows = _rows(targets, n_items)
     if r >= n_items:

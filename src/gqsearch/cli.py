@@ -58,10 +58,6 @@ def _parse_int(option: str, text: str, part: str) -> int:
         raise ValueError(f"bad {option} value {text!r}: {exc}") from exc
 
 
-def _parse_target_list(text: str) -> tuple:
-    return tuple(_parse_int("--targets", text, part) for part in text.split(","))
-
-
 def _parse_iteration_range(text: str) -> tuple:
     """'a..b' or a single 'n' (meaning n..n); both ends inclusive."""
     lo_text, hi_text = text.split("..", 1) if ".." in text else (text, text)
@@ -116,7 +112,9 @@ def _resolve_targets(args: argparse.Namespace) -> tuple:
     indices.  `_rows` checks either against --n-items."""
     from .statevector import TargetSet, _rows
 
-    targets = None if args.targets is None else TargetSet(_parse_target_list(args.targets))
+    # a tuple, parsed before TargetSet sees it: a bad index reports _parse_int's message
+    targets = None if args.targets is None else TargetSet(tuple(
+        _parse_int("--targets", args.targets, part) for part in args.targets.split(",")))
     r, _ = _rows(args.num_targets if targets is None else targets, args.n_items)
     return r, targets
 
@@ -161,12 +159,6 @@ def _build_instance(args: argparse.Namespace, r: int, targets) -> SearchInstance
     return SearchInstance.from_blocks(r if targets is None else targets, n_items, averaging, start)
 
 
-def _json_text(payload) -> str:
-    import json
-
-    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
-
-
 def _csv_cell(value) -> str:
     if value is None:
         return ""
@@ -177,13 +169,6 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _csv_text(columns, rows) -> str:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(row[col]) for col in columns))
-    return "\n".join(lines) + "\n"
-
-
 def _render(fmt: str, payload: dict, columns, rows):
     """The one output layer: a command's JSON object, or its rows as CSV.
 
@@ -192,10 +177,15 @@ def _render(fmt: str, payload: dict, columns, rows):
     --format does not render.
     """
     if fmt == "csv":
-        return _csv_text(columns, rows)
+        lines = [",".join(columns)]
+        for row in rows:
+            lines.append(",".join(_csv_cell(row[col]) for col in columns))
+        return "\n".join(lines) + "\n"
     if fmt == "pgm":
         return heatmap_to_pgm(payload["grid"])
-    return _json_text(payload)
+    import json
+
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def _write_output(data, out_path) -> None:

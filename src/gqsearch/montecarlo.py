@@ -62,12 +62,17 @@ def _geometric_rounds(u: np.ndarray, p: float) -> np.ndarray:
     return u
 
 
-def _round_blocks(p: float, n: int, k: int, trials: int, seed: int):
-    """Check the arguments, then return an iterator over blocks of round counts.
+def run_parallel(p: float, n: int, k: int, trials: int, seed: int) -> Estimate:
+    """Estimate the k-agent parallel cost (parallel time; agent time is k-fold).
 
-    Each block is at most _BLOCK_ELEMENTS whole-number floats, the rounds
-    until first success of consecutive trials.  The arguments are checked
-    here, before any block is drawn.
+    The arguments are checked before any trial is drawn.  The trials are
+    drawn at most _BLOCK_ELEMENTS at a time and folded block by block into
+    running sums, so memory is O(_BLOCK_ELEMENTS) at any trial count.  A
+    block's rounds sum exactly, to at most _BLOCK_ELEMENTS * ROUND_CAP <
+    2^53, and the total is a Python int, so the mean n * total / trials is
+    correctly rounded.  Squared deviations add up per block about the block
+    mean, and blocks merge by Chan, Golub & LeVeque's pairwise update, whose
+    between-block term is an exact ratio of integers here.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -79,27 +84,11 @@ def _round_blocks(p: float, n: int, k: int, trials: int, seed: int):
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
     rng = np.random.default_rng(seed)
-    return (
-        _geometric_rounds(rng.random(min(_BLOCK_ELEMENTS, trials - lo)), pk)
-        for lo in range(0, trials, _BLOCK_ELEMENTS)
-    )
-
-
-def run_parallel(p: float, n: int, k: int, trials: int, seed: int) -> Estimate:
-    """Estimate the k-agent parallel cost (parallel time; agent time is k-fold).
-
-    The trials of _round_blocks, folded block by block into running sums,
-    so memory is O(_BLOCK_ELEMENTS) at any trial count.  A block's rounds
-    sum exactly, to at most _BLOCK_ELEMENTS * ROUND_CAP < 2^53, and the
-    total is a Python int, so the mean n * total / trials is correctly
-    rounded.  Squared deviations add up per block about the block
-    mean, and blocks merge by Chan, Golub & LeVeque's pairwise update, whose
-    between-block term is an exact ratio of integers here.
-    """
     total = 0  # rounds over the trials folded so far
     done = 0
     m2 = 0.0  # squared deviations of the rounds about their mean
-    for rounds in _round_blocks(p, n, k, trials, seed):
+    while done < trials:
+        rounds = _geometric_rounds(rng.random(min(_BLOCK_ELEMENTS, trials - done)), pk)
         size = rounds.size
         block = int(rounds.sum())
         rounds -= block / size

@@ -39,6 +39,7 @@ NORM_TOL = 1e-9
 # Amplitudes per block where a state is drawn, read or reduced: 256 KiB of complex.
 BLOCK = 2**14
 # Amplitudes per sum in the reducer; a chunk that holds targets is copied, 32 KiB a state.
+# Kept this small, np.vdot is never split across BLAS threads, which would change its bits.
 CHUNK = 2**11
 
 
@@ -93,17 +94,18 @@ def _random_blocks(n_items: int, seed: int):
 
     `default_rng(seed)` draws all N real parts, then all N imaginary parts, as
     standard normals, and each amplitude is divided by the norm summed block by
-    block in that order.  Every block yielded is the same buffer, overwritten
-    by the next draw, so `list(_random_blocks(...))` is wrong past one block.
+    block in that order by einsum, a sum that no BLAS thread count reorders.  Every
+    block yielded is the same buffer, overwritten by the next draw, so
+    `list(_random_blocks(...))` is wrong past one block.
     """
     rng, sq, begins = np.random.default_rng(seed), 0.0, []
     z = np.empty(min(BLOCK, n_items), dtype=np.complex128)
-    for part in (z.real, z.imag):  # in one block, the sum np.linalg.norm forms
+    for part in (z.real, z.imag):
         begins.append(copy.deepcopy(rng))  # where these parts' draws begin
         for lo in range(0, n_items, BLOCK):
             x = part[:min(BLOCK, n_items - lo)]
             x[:] = rng.standard_normal(x.size)
-            sq += x.dot(x)
+            sq += np.einsum("i,i->", x, x)
     nrm = math.sqrt(sq)
     for lo in range(0, n_items, BLOCK):
         x = z[:min(BLOCK, n_items - lo)]
@@ -126,9 +128,11 @@ def _side_by_side(averaging, start, n_items: int):
     return ((a, u[:a.size]) for a in averaging)
 
 
-def _check_unit(nrm: float) -> None:
+def _check_unit(nrm: float, step: int | None = None) -> None:
+    """NonUnitStateError unless nrm is 1 to NORM_TOL: an input's, or after step iterations."""
     if not abs(nrm - 1.0) <= NORM_TOL:
-        raise NonUnitStateError(f"state norm is {nrm!r}, not 1")
+        raise NonUnitStateError(f"state norm is {nrm!r}, not 1" if step is None
+                                else f"norm drifted to {nrm!r} after {step} iterations")
 
 
 @dataclass(frozen=True)
@@ -204,11 +208,6 @@ def uniform_instance(n_items: int, r: int) -> SearchInstance:
     return SearchInstance.from_blocks(r, n_items, None, None)
 
 
-def _check_drift(nrm: float, step: int) -> None:
-    if not abs(nrm - 1.0) <= NORM_TOL:
-        raise NonUnitStateError(f"norm drifted to {nrm!r} after {step} iterations")
-
-
 class _ReducedBasis:
     """Q restricted to span{s_T, s_L, a_T, a_L}, in coefficients of those four.
 
@@ -246,16 +245,13 @@ class _ReducedBasis:
         for k in range(1, n + 1):
             c = self.step @ c
             # max() returns a NaN first argument unchanged, so NaN still raises.
-            _check_drift(math.sqrt(max(np.vdot(c, self.gram @ c).real, 0.0)), k)
+            _check_unit(math.sqrt(max(np.vdot(c, self.gram @ c).real, 0.0)), k)
             yield c
-
-    def weights(self, coefficients) -> np.ndarray:
-        # c^H G_T c for each c, clipped once: the norm is held to NORM_TOL
-        # only, so it can round past 1; np.clip, unlike min(), keeps a NaN.
-        return np.clip([np.vdot(c, self.gram_t @ c).real for c in coefficients], 0.0, 1.0)
 
 
 def success_trajectory(instance: SearchInstance, n_max: int) -> np.ndarray:
     """Success probability after n iterations for n = 0..n_max (one sweep)."""
     basis = _ReducedBasis(instance)
-    return basis.weights(basis.evolve(n_max))
+    # c^H G_T c for each c, clipped once: the norm is held to NORM_TOL
+    # only, so it can round past 1; np.clip, unlike min(), keeps a NaN.
+    return np.clip([np.vdot(c, basis.gram_t @ c).real for c in basis.evolve(n_max)], 0.0, 1.0)

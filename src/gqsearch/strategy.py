@@ -187,17 +187,17 @@ def _success_bounds(dec: Decomposition, k: int):
     return p_max, min(k * (p_0 + dec.amp * dec.phi), math.sqrt(k * c))
 
 
-def _block_bounds(dec: Decomposition, k: int, p_max: float, starts, ends):
+def _block_bounds(dec: Decomposition, k: int, p_max: float, starts, p_starts, ends):
     """A lower bound starts / P_k(top) of n / P_k(n) on each block starts..ends.
 
     p(n) is a constant plus a cosine of 2 n phi - theta, monotone between
     peaks, where that phase is a multiple of 2 pi.  So top is p_max on a
-    block with a peak, else its larger end value plus _P_PAD.  A peak that
-    rounding moves out of a block lies within a rounding error of its end,
-    whose p is then the block's largest.
+    block with a peak, else the larger of p_starts (p at its start) and p at
+    its end, plus _P_PAD.  A peak that rounding moves out of a block lies
+    within a rounding error of its end, whose p is then the block's largest.
     """
     turns = lambda ns: (2.0 * ns * dec.phi - dec.theta) / (2.0 * math.pi)
-    top = np.maximum(success_prob_analytic(dec, starts), success_prob_analytic(dec, ends))
+    top = np.maximum(p_starts, success_prob_analytic(dec, ends))
     top = np.minimum(top + _P_PAD, p_max)
     top[np.floor(turns(ends)) >= turns(starts)] = p_max
     with np.errstate(divide="ignore"):
@@ -227,15 +227,16 @@ def _cheapest_iterations(dec: Decomposition, k: int):
     def visit(starts, size):
         """Cost each block's first n; keep the blocks that may hold the optimum."""
         nonlocal best_n, best_cost
+        p_starts = success_prob_analytic(dec, starts)
         with np.errstate(divide="ignore"):  # inf where p = 0
-            costs = starts / parallel_success(success_prob_analytic(dec, starts), k)
+            costs = starts / parallel_success(p_starts, k)
         i = int(np.argmin(costs))  # first occurrence
         if costs[i] < best_cost or (costs[i] == best_cost and starts[i] < best_n):
             best_n, best_cost = int(starts[i]), float(costs[i])
         if size == 1:
             return np.empty(0)  # not a view, which would keep the leaves alive
         ends = np.minimum(starts + (size - 1), last)
-        return starts[_block_bounds(dec, k, p_max, starts, ends) <= best_cost]
+        return starts[_block_bounds(dec, k, p_max, starts, p_starts, ends) <= best_cost]
     visit(np.arange(1.0, 65.0), 1)
     last = reach if best_cost * floor > reach else int(best_cost * floor)
     size = 64

@@ -22,20 +22,22 @@ from collections import deque
 import numpy as np
 
 from gqsearch import SearchInstance, TargetSet
-from gqsearch.montecarlo import _round_blocks
-from gqsearch.statevector import BLOCK, _check_drift, _ReducedBasis
+from gqsearch.montecarlo import _geometric_rounds
+from gqsearch.strategy import parallel_success
+from gqsearch.statevector import BLOCK, _check_unit, _ReducedBasis
 
 
 def random_state(n_items: int, seed: int) -> np.ndarray:
     """The `random:seed` state held whole: two standard_normal(N) calls give the real
-    parts, then the imaginary ones, and the norm's squares are summed BLOCK at a time."""
+    parts, then the imaginary ones, and the norm's squares are summed BLOCK at a time
+    by einsum, whose loop no BLAS thread count reorders."""
     rng = np.random.default_rng(seed)
     z = np.empty(n_items, dtype=np.complex128)
     z.real, z.imag = rng.standard_normal(n_items), rng.standard_normal(n_items)
     sq = 0.0
     for part in (z.real, z.imag):
         for lo in range(0, n_items, BLOCK):
-            sq += part[lo:lo + BLOCK].dot(part[lo:lo + BLOCK])
+            sq += np.einsum("i,i->", part[lo:lo + BLOCK], part[lo:lo + BLOCK])
     return z / math.sqrt(sq)
 
 
@@ -80,8 +82,10 @@ def full_products(targets, a, s) -> tuple:
 
 
 def parallel_trial_costs(p: float, n: int, k: int, trials: int, seed: int) -> np.ndarray:
-    """Every per-trial cost of the k-agent race that `run_parallel` samples: n per round."""
-    return np.concatenate(list(_round_blocks(p, n, k, trials, seed))) * float(n)
+    """Every per-trial cost of the k-agent race that `run_parallel` samples: n per round,
+    from all the trials' uniforms drawn at once, not in the sampler's blocks."""
+    rng = np.random.default_rng(seed)
+    return _geometric_rounds(rng.random(trials), parallel_success(p, k)) * float(n)
 
 
 def dense_evolution(targets, averaging, start, n: int):
@@ -94,7 +98,7 @@ def dense_evolution(targets, averaging, start, n: int):
     for step in range(1, n + 1):
         amps[idx] = -amps[idx]  # the oracle first, then the reflection about |a>
         amps = 2.0 * np.vdot(a, amps) * a - amps
-        _check_drift(float(np.linalg.norm(amps)), step)
+        _check_unit(float(np.linalg.norm(amps)), step)
         probs[step] = float(np.sum(np.abs(amps[idx]) ** 2))
     return probs, amps
 

@@ -268,10 +268,11 @@ def test_folded_estimate_keeps_no_per_trial_array():
 
 def test_counter_range_is_checked():
     with pytest.raises(ValueError):
-        parallel_trial_costs(0.5, 1, 1, 5, seed=-1)
+        run_parallel(0.5, 1, 1, 5, seed=-1)
     with pytest.raises(ValueError):
-        parallel_trial_costs(0.5, 1, 1, 5, seed=2**64)
-    assert parallel_trial_costs(0.5, 1, 1, 4, seed=2**64 - 1).shape == (4,)
+        run_parallel(0.5, 1, 1, 5, seed=2**64)
+    est = run_parallel(0.5, 1, 1, 4, seed=2**64 - 1)
+    assert est.mean == float(parallel_trial_costs(0.5, 1, 1, 4, seed=2**64 - 1).mean())
 
 
 def test_round_counts_are_geometric():

@@ -1,6 +1,9 @@
 """Unit and property tests for the exact state-vector simulator."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -29,6 +32,7 @@ from dense_reference import (
     reduced_amplitudes,
     uniform_state,
     uniform_states,
+    write_state_file,
 )
 
 # biham_mapping is the one public function that takes a held state, a raw
@@ -113,24 +117,25 @@ def test_r_over_n_that_underflows_is_refused():
 
 
 # The products of `random:7` beside u at N = 2 BLOCK + 3, as float.hex of
-# their real and imaginary parts, from the reducer that copied every chunk:
-# for targets on both sides of a chunk edge and on a block edge, and for a
-# count whose last target opens the second chunk
+# their real and imaginary parts, from the reducer that copied every chunk
+# and a stream whose norm einsum sums, the same bits at any BLAS thread
+# count: for targets on both sides of a chunk edge and on a block edge, and
+# for a count whose last target opens the second chunk
 _RANDOM_7_PRODUCTS = {
     "edges": (
-        ("0x1.74f865629eac1p-15", "0x0.0p+0"),
+        ("0x1.74f865629eac0p-15", "0x0.0p+0"),
         ("0x1.fffa2c1e6a758p-1", "0x0.0p+0"),
         ("0x1.7ff70035febc0p-14", "0x0.0p+0"),
-        ("-0x1.c68f248a62eeap-16", "-0x1.50aa394e2ec19p-19"),
-        ("-0x1.0647c5af2ff08p-8", "0x1.5909591ff7e2ep-10"),
+        ("-0x1.c68f248a62eebp-16", "-0x1.50aa394e2ec24p-19"),
+        ("-0x1.0647c5af2ff07p-8", "0x1.5909591ff7e3bp-10"),
         ("0x1.fff40047fe501p-1", "0x0.0p+0"),
     ),
     "count": (
-        ("0x1.f22ab731106edp-5", "0x0.0p+0"),
-        ("0x1.e0dd548ceef92p-1", "0x0.0p+0"),
+        ("0x1.f22ab731106eep-5", "0x0.0p+0"),
+        ("0x1.e0dd548ceef91p-1", "0x0.0p+0"),
         ("0x1.0019ff6403a7fp-4", "0x0.0p+0"),
-        ("-0x1.e73d9ddc68d2ep-10", "-0x1.c457689b72804p-10"),
-        ("-0x1.1c7ddab9403d8p-9", "0x1.8e5c364f61a5fp-9"),
+        ("-0x1.e73d9ddc68d36p-10", "-0x1.c457689b72806p-10"),
+        ("-0x1.1c7ddab9403d4p-9", "0x1.8e5c364f61a66p-9"),
         ("0x1.dffcc0137f8b0p-1", "0x0.0p+0"),
     ),
 }
@@ -147,6 +152,48 @@ def test_reducer_keeps_its_bits(which):
     ss_t, ss_l, aa_t, as_t, as_l, aa_l = got.products
     swapped = SearchInstance.from_blocks(targets, n_items, _random_blocks(n_items, 7), None)
     assert swapped.products == (aa_t, aa_l, ss_t, as_t.conjugate(), as_l.conjugate(), ss_l)
+
+
+# Run under a BLAS thread count: the float.hex bits of the random:7 stream
+# and of the products of two file states, read and reduced as the CLI does
+_THREADS_PROBE = """
+import hashlib, sys
+from gqsearch.cli import _state_file
+from gqsearch.statevector import BLOCK, CHUNK, SearchInstance, TargetSet, _random_blocks
+n_items = 2 * BLOCK + 3
+stream = hashlib.sha256()
+for x in _random_blocks(n_items, 7):
+    stream.update(" ".join(v.hex() for v in x.view(float).tolist()).encode())
+print(stream.hexdigest())
+blocks = [_state_file(path, n_items) for path in sys.argv[1:]]
+for b in blocks:
+    next(b)
+got = SearchInstance.from_blocks(TargetSet((CHUNK - 1, CHUNK, BLOCK)), n_items, *blocks)
+print([(complex(x).real.hex(), complex(x).imag.hex()) for x in got.products])
+"""
+
+
+def test_bits_do_not_depend_on_blas_threads(tmp_path):
+    # OpenBLAS splits a long dot product across its threads, which reorders
+    # the sum: the random: norm is summed by einsum, and the reducer's np.vdot
+    # runs over CHUNK amplitudes, too few to split
+    n_items = 2 * BLOCK + 3
+    rng = np.random.default_rng(40)
+    paths = []
+    for name in ("a.txt", "s.txt"):
+        z = rng.standard_normal(n_items) + 1j * rng.standard_normal(n_items)
+        paths.append(str(tmp_path / name))
+        write_state_file(paths[-1], z / np.linalg.norm(z))
+    src = os.path.dirname(os.path.dirname(gqsearch.__file__))
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run([sys.executable, "-c", _THREADS_PROBE, *paths], env=env,
+                                capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        outs.append(result.stdout)
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("uniform_side", ["averaging", "start"])
@@ -200,12 +247,13 @@ def test_random_state_keeps_the_unblocked_draws(n_items):
         got = np.concatenate([x.copy() for x in _random_blocks(n_items, seed)])
         want = random_state(n_items, seed)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
-        # in one block the norm is np.linalg.norm's: verify's N = 64 states
-        # are z / np.linalg.norm(z), bit for bit
+        # in one block the squares are one einsum sum of the real parts and
+        # one of the imaginary parts, as verify's N = 64 states are divided
         if n_items <= BLOCK:
             rng = np.random.default_rng(seed)
             z = rng.standard_normal(n_items) + 1j * rng.standard_normal(n_items)
-            assert np.array_equal(got.view(np.int64), (z / np.linalg.norm(z)).view(np.int64))
+            sq = np.einsum("i,i->", z.real, z.real) + np.einsum("i,i->", z.imag, z.imag)
+            assert np.array_equal(got.view(np.int64), (z / math.sqrt(sq)).view(np.int64))
 
 
 @pytest.mark.parametrize("n_items", [1, 7, 3 * 2**14 + 5])

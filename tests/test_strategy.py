@@ -731,8 +731,9 @@ def test_block_bounds_never_exceed_a_cost_in_the_block(general, log_n_items, k, 
         start = min(max(1, start), 2**30)
         starts.append(start)
         ends.append(start + size - 1)
+    starts_f = np.array(starts, dtype=float)
     bounds = strategy._block_bounds(
-        dec, k, p_max, np.array(starts, dtype=float), np.array(ends, dtype=float)
+        dec, k, p_max, starts_f, success_prob_analytic(dec, starts_f), np.array(ends, dtype=float)
     )
     for start, end, bound in zip(starts, ends, bounds):
         ns = np.arange(start, end + 1, dtype=float)
