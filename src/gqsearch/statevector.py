@@ -38,6 +38,8 @@ NORM_TOL = 1e-9
 
 # Amplitudes per block where a state is drawn, read or reduced: 256 KiB of complex.
 BLOCK = 2**14
+# Largest N of a random:<seed> state: about 64 ns an amplitude, 17 s (2 shared cores).
+_RANDOM_MAX_ITEMS = 2**28
 # Amplitudes per sum in the reducer; a chunk that holds targets is copied, 32 KiB a state.
 # Kept this small, np.vdot is never split across BLAS threads, which would change its bits.
 CHUNK = 2**11
@@ -96,8 +98,13 @@ def _random_blocks(n_items: int, seed: int):
     standard normals, and each amplitude is divided by the norm summed block by
     block in that order by einsum, a sum that no BLAS thread count reorders.  Every
     block yielded is the same buffer, overwritten by the next draw, so
-    `list(_random_blocks(...))` is wrong past one block.
+    `list(_random_blocks(...))` is wrong past one block.  An n_items above
+    _RANDOM_MAX_ITEMS, which would draw for minutes to hours, is
+    InvalidDimensionError before the first draw.
     """
+    if n_items > _RANDOM_MAX_ITEMS:
+        raise InvalidDimensionError(f"random:<seed> draws at most {_RANDOM_MAX_ITEMS} "
+                                    f"amplitudes, got n_items={n_items}")
     rng, sq, begins = np.random.default_rng(seed), 0.0, []
     z = np.empty(min(BLOCK, n_items), dtype=np.complex128)
     for part in (z.real, z.imag):
@@ -113,19 +120,6 @@ def _random_blocks(n_items: int, seed: int):
         x.imag = begins[1].standard_normal(x.size)
         x /= nrm
         yield x
-
-
-def _side_by_side(averaging, start, n_items: int):
-    """(a, s) block pairs of two states, at most one of them None: u, one block of
-    1/sqrt(N) sliced to the other's blocks.  One stream given twice is read once."""
-    if averaging is start:
-        return ((x, x) for x in start)
-    if averaging is not None and start is not None:
-        return itertools.zip_longest(averaging, start, fillvalue=np.empty(0))
-    u = np.full(min(BLOCK, n_items), 1.0 / math.sqrt(n_items), dtype=np.complex128)
-    if averaging is None:
-        return ((u[:s.size], s) for s in start)
-    return ((a, u[:a.size]) for a in averaging)
 
 
 def _check_unit(nrm: float, step: int | None = None) -> None:
@@ -156,12 +150,13 @@ class SearchInstance:
         iterable twice is s = a.  u's own products are r/N and 1 - r/N, so
         None for both reads no block and loads no numpy; an r/N that underflows
         to 0.0 is InvalidDimensionError.  Two explicit states yield blocks of
-        equal sizes, and beside u a block holds at most BLOCK amplitudes.  The
-        products are summed directly, CHUNK amplitudes at a time, the off-target
-        ones of a chunk with targets over its copy with them zeroed, so <a_L|a_L>
-        of an averaging state on the targets is exactly 0.  An explicit state's
-        norm must be 1 to NORM_TOL, or NonUnitStateError; the products are then
-        divided by the measured norms, so Q is unitary for a state not 1 exactly.
+        equal sizes; beside u, one block of 1/sqrt(N) sliced to its partner's, a
+        block holds at most BLOCK amplitudes.  The products are summed directly,
+        CHUNK amplitudes at a time, the off-target ones of a chunk with targets
+        over its copy with them zeroed, so <a_L|a_L> of an averaging state on the
+        targets is exactly 0.  An explicit state's norm must be 1 to NORM_TOL, or
+        NonUnitStateError; the products are then divided by the measured norms,
+        so Q is unitary for a state not 1 exactly.
         """
         r, rows = _rows(targets, n_items)
         u_t = r / n_items
@@ -172,7 +167,13 @@ class SearchInstance:
             return cls((u_t, u_l, u_t, u_t, u_l, u_l))
         rows = rows if isinstance(rows, slice) else np.asarray(rows, dtype=np.intp)
         total, lo = np.zeros(6, dtype=np.complex128), 0
-        for a_b, s_b in _side_by_side(averaging, start, n_items):
+        if averaging is None or start is None:  # u beside a state, sliced to its blocks
+            u = np.full(min(BLOCK, n_items), 1.0 / math.sqrt(n_items), dtype=np.complex128)
+        pairs = (((x, x) for x in start) if averaging is start  # s = a: one stream, read once
+                 else ((u[:s.size], s) for s in start) if averaging is None
+                 else ((a, u[:a.size]) for a in averaging) if start is None
+                 else itertools.zip_longest(averaging, start, fillvalue=np.empty(0)))
+        for a_b, s_b in pairs:
             if a_b.size != s_b.size:
                 raise InvalidDimensionError(f"state blocks of {a_b.size} and {s_b.size} "
                                             f"amplitudes at index {lo} do not match")

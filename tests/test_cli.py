@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gqsearch
+import gqsearch._np
 import gqsearch.cli
 import gqsearch.strategy
 from gqsearch import (
@@ -898,6 +899,11 @@ def test_heatmap_refuses_an_oversize_grid_before_allocating_it(capsys, argv):
     assert peak < 4 * 2**20
 
 
+def test_heatmap_grid_rejects_a_negative_depth():
+    with pytest.raises(ValueError, match="n_max must be >= 0, got -1"):
+        heatmap_grid(4, -1)
+
+
 def test_heatmap_grid_cap_is_inclusive():
     assert np.asarray(heatmap_grid(4, HEATMAP_MAX_CELLS // 4 - 1)).shape == (HEATMAP_MAX_CELLS // 4, 4)
     with pytest.raises(ValueError, match="exceeds"):
@@ -1706,6 +1712,62 @@ def test_state_files_end_in_output_or_exit_2(data):
         assert (f"state file {path!r}" in err or err.startswith("error: state norm is ")
                 or err.startswith("error: state file dimension ")), (fault, err)
     assert peak < 4 * 2**20, (argv, f"peak {peak / 2**20:.1f} MiB")
+
+
+# --n-items at, below and above every power of two to 2^64, and far past it
+_EDGE_N_ITEMS = sorted({1, 2, 3, 10**30} | {2**k + d for k in range(1, 65) for d in (-1, 0, 1)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_state_flags_end_in_output_or_exit_2(data):
+    # every --n-items beside every --start and --averaging ends, within 2 s,
+    # in finite JSON with exit 0 or in one error line with exit 2; the
+    # random: bound is lowered to 2^12, so that every draw it lets through is
+    # cheap and every larger N is refused before it draws
+    n_items = data.draw(st.sampled_from(_EDGE_N_ITEMS))
+    command = data.draw(st.sampled_from(["simulate", "montecarlo"]))
+    argv = [command, f"--n-items={n_items}", f"--num-targets={data.draw(st.sampled_from([1, 3]))}"]
+    if command == "montecarlo":
+        argv.append(f"--trials={data.draw(st.integers(1, 20))}")
+    with tempfile.TemporaryDirectory() as work, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(statevector_module, "_RANDOM_MAX_ITEMS", 2**12)
+        path = os.path.join(work, "state.txt")
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write("4\n0.5 0\n0.5 0\n0.5 0\n0.5 0\n")
+        specs = st.sampled_from(["uniform", f"file:{path}"] + [
+            f"random:{seed}" for seed in (0, 1, 2**64 - 1, 2**64)])
+        for flag in ("--start", "--averaging"):
+            if data.draw(st.booleans()):
+                argv.append(f"{flag}={data.draw(specs)}")
+        began = time.perf_counter()
+        code, out, err, _ = _run_contained(argv)
+        took = time.perf_counter() - began
+    assert code in (0, 2), (argv, code, err)
+    if code == 0:
+        json.loads(out, parse_constant=_reject_constant)
+    else:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    assert took < 2.0, (argv, f"{took:.2f} s")
+
+
+@pytest.mark.parametrize("command", [["simulate", "--iterations", "0..1"],
+                                     ["montecarlo", "--trials", "10"]])
+def test_random_start_past_its_bound_exits_2_at_once(monkeypatch, capsys, command):
+    # N = 2^40 drew for about 20 h before it was refused; a draw now fails the test
+    class NoDraws:
+        @staticmethod
+        def default_rng(seed):
+            raise AssertionError(f"drew from seed {seed}")
+
+    monkeypatch.setattr(gqsearch._np, "random", NoDraws, raising=False)
+    began = time.perf_counter()
+    code, out, err = run_cli(capsys, *command, "--n-items", str(2**40), "--num-targets", "1",
+                             "--start", "random:1")
+    assert time.perf_counter() - began < 1.0
+    assert (code, out) == (2, "")
+    assert err == (f"error: random:<seed> draws at most {statevector_module._RANDOM_MAX_ITEMS} "
+                   f"amplitudes, got n_items={2**40}\n")
 
 
 def test_near_unit_averaging_file_is_normalized(tmp_path, capsys):

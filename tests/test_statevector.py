@@ -21,7 +21,8 @@ from gqsearch import (
     success_trajectory,
     uniform_instance,
 )
-from gqsearch.statevector import BLOCK, CHUNK, _random_blocks
+import gqsearch._np
+from gqsearch.statevector import _RANDOM_MAX_ITEMS, BLOCK, CHUNK, _random_blocks
 
 from dense_reference import (
     dense_evolution,
@@ -72,6 +73,9 @@ def test_target_set_rejects_bad_indices():
         TargetSet((2, 2))
     with pytest.raises(InvalidTargetError):
         TargetSet((-1,))
+    for bad in ("x", None, 1.5j):  # what int() refuses
+        with pytest.raises(InvalidTargetError, match="bad target indices"):
+            TargetSet((1, bad))
 
 
 def test_instance_validates():
@@ -254,6 +258,23 @@ def test_random_state_keeps_the_unblocked_draws(n_items):
             z = rng.standard_normal(n_items) + 1j * rng.standard_normal(n_items)
             sq = np.einsum("i,i->", z.real, z.real) + np.einsum("i,i->", z.imag, z.imag)
             assert np.array_equal(got.view(np.int64), (z / math.sqrt(sq)).view(np.int64))
+
+
+@pytest.mark.parametrize("n_items", [_RANDOM_MAX_ITEMS + 1, 2**40])
+def test_random_state_past_its_bound_is_refused_before_a_draw(monkeypatch, n_items):
+    # at about 64 ns an amplitude, N = 2^40 drew for about 20 h: the bound is
+    # checked before the generator is made, alone and inside the reducer
+    class NoDraws:
+        @staticmethod
+        def default_rng(seed):
+            raise AssertionError(f"drew from seed {seed}")
+
+    monkeypatch.setattr(gqsearch._np, "random", NoDraws, raising=False)
+    message = f"draws at most {_RANDOM_MAX_ITEMS} amplitudes, got n_items={n_items}$"
+    with pytest.raises(InvalidDimensionError, match=message):
+        next(_random_blocks(n_items, 1))
+    with pytest.raises(InvalidDimensionError, match=message):
+        SearchInstance.from_blocks(1, n_items, None, _random_blocks(n_items, 1))
 
 
 @pytest.mark.parametrize("n_items", [1, 7, 3 * 2**14 + 5])
