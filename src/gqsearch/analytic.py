@@ -29,7 +29,7 @@ expression inline, one phi per column, so that it loads no numpy.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import _np as np
 from .errors import FlatProbabilityError, InvalidDimensionError
@@ -56,6 +56,9 @@ def rotation_angle(v: float) -> float:
 class Decomposition:
     """Rotation-plane coordinates of a search instance.
 
+    `Decomposition(v, alpha, beta, b, w_t=0.0, w_l=0.0)` is the one
+    constructor; phi, amp, theta and peak are derived from its arguments.
+
     Fields
     ------
     v : overlap magnitude of |a> with the target subspace, in [0, 1]
@@ -66,46 +69,38 @@ class Decomposition:
     theta : phase of the oscillation maximum, in (-pi, pi]
     w_t, w_l : squared norms of the residuals in the target / non-target
         subspaces (fixed by Q up to the sign of the non-target part)
+    peak : maximum (alpha^2 + beta^2)/2 + A/2 of the oscillating term,
+        summed as p(n) is, so p(n) <= w_t + peak in floats too
     """
 
     v: float
-    phi: float
+    phi: float = field(init=False)
     alpha: float
     beta: float
     b: float
-    amp: float
-    theta: float
-    w_t: float
-    w_l: float
+    amp: float = field(init=False)
+    theta: float = field(init=False)
+    w_t: float = 0.0
+    w_l: float = 0.0
+    peak: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        alpha, beta = self.alpha, self.beta
+        a2 = alpha * alpha
+        b2 = beta * beta
+        y = 2.0 * alpha * beta * math.cos(self.b)
+        amp = math.hypot(a2 - b2, y)
+        object.__setattr__(self, "phi", rotation_angle(self.v))
+        object.__setattr__(self, "amp", amp)
+        # y + 0.0 turns a negative zero into +0.0 so atan2 lands on +pi,
+        # keeping theta inside (-pi, pi].
+        object.__setattr__(self, "theta", math.atan2(y + 0.0, a2 - b2))
+        object.__setattr__(self, "peak", 0.5 * (alpha**2 + beta**2) + 0.5 * amp)
 
     @property
     def psi(self) -> float:
         """Same phase in the complementary convention: psi = pi - theta."""
         return math.pi - self.theta
-
-    @classmethod
-    def build(
-        cls,
-        v: float,
-        alpha: float,
-        beta: float,
-        b: float,
-        w_t: float = 0.0,
-        w_l: float = 0.0,
-    ) -> "Decomposition":
-        """Construct from the primitive coordinates; derives phi, amp, theta."""
-        phi = rotation_angle(v)
-        a2 = alpha * alpha
-        b2 = beta * beta
-        y = 2.0 * alpha * beta * math.cos(b)
-        amp = math.hypot(a2 - b2, y)
-        # y + 0.0 turns a negative zero into +0.0 so atan2 lands on +pi,
-        # keeping theta inside (-pi, pi].
-        theta = math.atan2(y + 0.0, a2 - b2)
-        return cls(
-            v=v, phi=phi, alpha=alpha, beta=beta, b=b,
-            amp=amp, theta=theta, w_t=w_t, w_l=w_l,
-        )
 
 
 @dataclass(frozen=True)
@@ -146,7 +141,7 @@ def decompose(instance: SearchInstance) -> Decomposition:
         b = math.atan2(asb.imag, asb.real) % _TWO_PI if beta > 0.0 else 0.0
     w_t = max(ss_t.real - alpha * alpha, 0.0)
     w_l = max(ss_l.real - beta * beta, 0.0)
-    return Decomposition.build(v, alpha, beta, b, w_t=w_t, w_l=w_l)
+    return Decomposition(v, alpha, beta, b, w_t=w_t, w_l=w_l)
 
 
 def _iterations(n):
@@ -191,9 +186,7 @@ def first_maximum(dec: Decomposition):
             "success probability is flat in n"
         )
     j = max(0, math.ceil(-dec.theta / _TWO_PI))
-    n_j = (dec.theta + _TWO_PI * j) / (2.0 * dec.phi)
-    value = 0.5 * (dec.alpha**2 + dec.beta**2) + 0.5 * dec.amp
-    return n_j, value
+    return (dec.theta + _TWO_PI * j) / (2.0 * dec.phi), dec.peak
 
 
 def uniform_success_prob(v: float, n):

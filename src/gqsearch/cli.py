@@ -33,7 +33,7 @@ import warnings
 # Each command imports the layer functions it calls when it runs, so a call
 # loads only its own layers and `import gqsearch.cli` loads none of them.
 from . import _np as np
-from .errors import GQSearchError, ValidityError
+from .errors import ValidityError
 
 
 # ---------------------------------------------------------------------------
@@ -749,7 +749,7 @@ def main(argv=None) -> int:
         payload, columns, rows = _COMMANDS[args.command](args)
         _write_output(_render(args.format, payload, columns, rows), args.out)
         return 0
-    except (GQSearchError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:  # a last resort, not a size guard

@@ -173,15 +173,14 @@ def _scan_limit_error() -> GQSearchError:
 def _success_bounds(dec: Decomposition, k: int):
     """(p_max, inv): p(n) <= p_max for all n, and n / P_k(n) >= 1 / inv for n >= 1.
 
-    p_max is the peak w_t + ((alpha^2 + beta^2)/2 + A/2), summed as p(n) is
-    so that it holds in floats (p(0) at phi = 0, where p is constant).  |p'|
-    <= A phi and P_k <= k p give cost >= 1 / (k (p(0) + A phi)); p(0) = w_t +
-    alpha^2, |p'(0)| = phi |2 alpha beta cos b| and |p''| <= 2 A phi^2 give
-    p(n) <= c n^2 for n >= 1, so cost >= max(n, 1 / (k c n)) >= 1 / sqrt(k c).
+    p_max is w_t + dec.peak, summed as p(n) is so that it holds in floats
+    (p(0) at phi = 0, where p is constant).  |p'| <= A phi and P_k <= k p
+    give cost >= 1 / (k (p(0) + A phi)); p(0) = w_t + alpha^2, |p'(0)| =
+    phi |2 alpha beta cos b| and |p''| <= 2 A phi^2 give p(n) <= c n^2 for
+    n >= 1, so cost >= max(n, 1 / (k c n)) >= 1 / sqrt(k c).
     """
     p_0 = success_prob_analytic(dec, 0)
-    peak = dec.w_t + (0.5 * (dec.alpha**2 + dec.beta**2) + 0.5 * dec.amp)
-    p_max = p_0 if dec.phi == 0.0 else min(1.0, peak)
+    p_max = p_0 if dec.phi == 0.0 else min(1.0, dec.w_t + dec.peak)
     slope = dec.phi * abs(2.0 * dec.alpha * dec.beta * math.cos(dec.b))  # |p'(0)|
     c = (dec.w_t + dec.alpha**2) + slope + dec.amp * dec.phi**2
     return p_max, min(k * (p_0 + dec.amp * dec.phi), math.sqrt(k * c))
@@ -222,7 +221,7 @@ def _cheapest_iterations(dec: Decomposition, k: int):
     reach = _SCAN_LIMIT + _MAX_BLOCK
     if floor > inverse_bound * reach:
         raise _scan_limit_error()
-    best_n, best_cost = 0, math.inf
+    best_n, best_cost, last = 0, math.inf, 64  # the seed visit costs n = 1..64
 
     def visit(starts, size):
         """Cost each block's first n; keep the blocks that may hold the optimum."""
@@ -289,8 +288,9 @@ def parallel_plan_closed_form(r: int, n_items: int, k: int) -> ParallelPlan:
     is the large-n form (x sqrt(N/r) - 1) / (2 (1 - cos^{2k} x)).  Raises
     ValidityError outside k >= 2, r/N <= 0.01 and n_int >= 1.
     """
-    if r < 1 or n_items < 1 or r > n_items:
-        raise ValueError(f"need 1 <= r <= n_items, got r={r}, n_items={n_items}")
+    from .statevector import _rows
+
+    _rows(r, n_items)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if r / n_items > 0.01:

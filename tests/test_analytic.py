@@ -1,5 +1,6 @@
 """Tests for the rotation-plane decomposition and closed-form probability."""
 
+import dataclasses
 import math
 import struct
 import tracemalloc
@@ -80,6 +81,23 @@ def test_theta_stays_in_half_open_interval():
     assert abs(dec2.b - 2.5) < 1e-12
 
 
+def test_replace_derives_phi_amp_theta_and_peak_again():
+    # phi, amp, theta and peak follow from (v, alpha, beta, b) alone: the
+    # constructor takes none of them, and replace derives them afresh
+    dec = Decomposition(0.3, 0.6, 0.5, 1.0, w_t=0.2, w_l=0.19)
+    with pytest.raises(TypeError):
+        Decomposition(0.3, 0.6, 0.5, 1.0, amp=1.0)
+    moved = dataclasses.replace(dec, v=0.5, alpha=0.8, b=2.0)
+    assert moved == Decomposition(0.5, 0.8, 0.5, 2.0, w_t=0.2, w_l=0.19)
+    y = 2.0 * 0.8 * 0.5 * math.cos(2.0)
+    amp = math.hypot(0.8 * 0.8 - 0.5 * 0.5, y)
+    assert (moved.phi, moved.amp, moved.theta, moved.peak) == (
+        rotation_angle(0.5), amp, math.atan2(y, 0.8 * 0.8 - 0.5 * 0.5),
+        0.5 * (0.8**2 + 0.5**2) + 0.5 * amp,
+    )
+    assert moved.peak != dec.peak and moved.theta != dec.theta and moved.amp != dec.amp
+
+
 def test_success_prob_matches_simulator_general_instance():
     inst = held_instance(TargetSet((1, 8, 22)), random_state(40, 3), random_state(40, 4))
     dec = decompose(inst)
@@ -105,7 +123,7 @@ def test_flat_probability_instance():
 
 def test_zero_rotation_is_a_flat_probability():
     # phi = 0: Q does not move the state, so p(n) is flat although A = 1
-    dec = Decomposition.build(0.0, 0.0, 1.0, 0.0)
+    dec = Decomposition(0.0, 0.0, 1.0, 0.0)
     assert dec.amp == 1.0
     np.testing.assert_array_equal(success_prob_analytic(dec, [0, 1, 7, 1000]), 0.0)
     with pytest.raises(FlatProbabilityError):
@@ -353,10 +371,10 @@ _BIT_DECOMPOSITIONS = [
     decompose(uniform_instance(4, 4)),  # phi = pi
     decompose(held_instance(TargetSet((3, 17, 40)), uniform_state(64), random_state(64, 7))),
     decompose(plane_instance(0.6, 0.8, 1.1)),
-    Decomposition.build(0.0, 0.0, 1.0, 0.0),  # phi = 0
+    Decomposition(0.0, 0.0, 1.0, 0.0),  # phi = 0
     # peaks past 1 and troughs below 0 before the clip
-    Decomposition.build(0.5, 1.0, 0.0, 0.0, w_t=1e-15),
-    Decomposition.build(0.5, 0.6, 0.8, 0.0, w_t=-1e-300),
+    Decomposition(0.5, 1.0, 0.0, 0.0, w_t=1e-15),
+    Decomposition(0.5, 0.6, 0.8, 0.0, w_t=-1e-300),
 ]
 
 
@@ -375,8 +393,8 @@ def test_uniform_and_punctuated_paths_agree_bit_for_bit(v):
 
 
 def test_success_prob_clips_to_the_unit_interval():
-    peak = Decomposition.build(0.5, 1.0, 0.0, 0.0, w_t=1e-15)  # unclipped p(0) > 1
-    trough = Decomposition.build(0.5, 0.6, 0.8, 0.0, w_t=-1e-300)  # unclipped minimum < 0
+    peak = Decomposition(0.5, 1.0, 0.0, 0.0, w_t=1e-15)  # unclipped p(0) > 1
+    trough = Decomposition(0.5, 0.6, 0.8, 0.0, w_t=-1e-300)  # unclipped minimum < 0
     ns = np.append(np.arange(101.0), (math.pi + trough.theta) / (2.0 * trough.phi))
     assert success_prob_analytic(peak, 0) == 1.0
     assert success_prob_analytic(peak, np.zeros(1)).tolist() == [1.0]

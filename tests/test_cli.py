@@ -1228,15 +1228,16 @@ def test_parallel_sweep_checks_its_targets_before_planning(capsys, monkeypatch, 
 ], ids=["plan", "parallel-sweep", "montecarlo"])
 def test_each_plan_decomposes_its_start_once(capsys, monkeypatch, argv, calls):
     # one decomposition per r, shared by the exact plan, the closed form's
-    # exact cost and every k of a sweep; `decompose` ends in one
-    # Decomposition.build, under whatever name a module imported it
-    build, seen = gqsearch.analytic.Decomposition.build, []
+    # exact cost and every k of a sweep; `decompose` builds one
+    # Decomposition, counted at its __post_init__ under whatever name a
+    # module imported the class
+    derive, seen = gqsearch.analytic.Decomposition.__post_init__, []
 
-    def counted(cls, *args, **kwargs):
-        seen.append(args)
-        return build(*args, **kwargs)
+    def counted(self):
+        seen.append(self)
+        derive(self)
 
-    monkeypatch.setattr(gqsearch.analytic.Decomposition, "build", classmethod(counted))
+    monkeypatch.setattr(gqsearch.analytic.Decomposition, "__post_init__", counted)
     code, _, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
     assert len(seen) == calls

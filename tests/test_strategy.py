@@ -16,6 +16,7 @@ from gqsearch import (
     Decomposition,
     GQSearchError,
     InvalidDimensionError,
+    InvalidTargetError,
     NeverSucceedsError,
     TargetSet,
     ValidityError,
@@ -292,6 +293,18 @@ def test_parallel_plan_validity():
             plan(1, 64, 0)
 
 
+@pytest.mark.parametrize("r, n_items, error, message", [
+    (0, 64, InvalidTargetError, "target count 0 outside [1, 64]"),
+    (65, 64, InvalidTargetError, "target count 65 outside [1, 64]"),
+    (1, 0, InvalidDimensionError, "n_items must be >= 1, got 0"),
+], ids=["r=0", "r>N", "N=0"])
+def test_parallel_plan_closed_form_checks_r_against_n(r, n_items, error, message):
+    # the one range check of targets against N, statevector._rows
+    with pytest.raises(error) as info:
+        parallel_plan_closed_form(r, n_items, 4)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("k", [0, -1, -2**62])
 def test_parallel_plan_refuses_k_below_one_before_planning(monkeypatch, k):
     # k = -1 once reached math.sqrt(k c) in the cost bound: "math domain error"
@@ -299,7 +312,7 @@ def test_parallel_plan_refuses_k_below_one_before_planning(monkeypatch, k):
         raise AssertionError("planned before the k check")
 
     monkeypatch.setattr(strategy, "_cheapest_iterations", no_scan)
-    general = Decomposition.build(0.3, 0.6, 0.5, 1.0, w_t=0.2, w_l=0.19)
+    general = Decomposition(0.3, 0.6, 0.5, 1.0, w_t=0.2, w_l=0.19)
     for dec in (decompose(uniform_instance(2**20, 1)), general):
         with pytest.raises(ValueError) as info:
             parallel_plan(dec, k)
@@ -424,14 +437,14 @@ def test_restart_iterations_ties_and_zero_probability():
     # n = 1 is the unique optimum of the three-step period
     assert parallel_plan(decompose(uniform_instance(4, 1)), 1).n_int == 1
     # p(n) = 1/2 for every n (flat): the cost n / p grows with n
-    flat = Decomposition.build(0.5, 0.0, 0.0, 0.0, w_t=0.5, w_l=0.5)
+    flat = Decomposition(0.5, 0.0, 0.0, 0.0, w_t=0.5, w_l=0.5)
     assert parallel_plan(flat, 1).n_int == 1
     # n / p = 4 at n = 2, 3 and 4 exactly: the planner takes the smallest
     table = lambda dec, ns: np.interp(ns, [1, 2, 3, 4], [0.0, 0.5, 0.75, 1.0])
-    peak_one = Decomposition.build(0.5, 1.0, 0.0, 0.0)  # p_max = 1
+    peak_one = Decomposition(0.5, 1.0, 0.0, 0.0)  # p_max = 1
     with mock.patch.object(strategy, "success_prob_analytic", table):
         assert strategy._cheapest_iterations(peak_one, 1) == (2, 4.0)
-    never = Decomposition.build(0.5, 0.0, 0.0, 0.0, w_t=0.0, w_l=1.0)
+    never = Decomposition(0.5, 0.0, 0.0, 0.0, w_t=0.0, w_l=1.0)
     with pytest.raises(NeverSucceedsError):
         parallel_plan(never, 1)
 
@@ -482,7 +495,7 @@ def test_restart_iterations_matches_an_exhaustive_scan(v, alpha, beta, root_wt, 
     norm = math.sqrt(alpha**2 + beta**2 + root_wt**2 + root_wl**2)
     if norm == 0.0:
         return
-    dec = Decomposition.build(
+    dec = Decomposition(
         v, alpha / norm, beta / norm, b, w_t=(root_wt / norm) ** 2, w_l=(root_wl / norm) ** 2
     )
     if alpha == beta == root_wt == 0.0:
@@ -549,7 +562,7 @@ def test_scan_limit_ends_endless_scans(monkeypatch):
     # phi = 0 and the start orthogonal to the peak: p(n) = 0 at every n,
     # although its bound A/2 + (alpha^2 + beta^2)/2 is 1
     with pytest.raises(GQSearchError):
-        parallel_plan(Decomposition.build(0.0, 0.0, 1.0, 0.0), 1)
+        parallel_plan(Decomposition(0.0, 0.0, 1.0, 0.0), 1)
     # v = 1e-50: p(n) rounds to 0 far beyond any n a scan can reach
     with pytest.raises(GQSearchError):
         uniform_plan(1, 10**100, 2)
@@ -620,7 +633,7 @@ def _faint_decomposition(rng, low):
     w_t = 10.0 ** rng.uniform(2.0 * low + 2.0, -1.0)
     rest = 1.0 - alpha**2 - w_t
     beta = math.sqrt(rest * rng.uniform(0.5, 1.0))
-    return Decomposition.build(
+    return Decomposition(
         v, alpha, beta, rng.uniform(0.0, 2.0 * math.pi), w_t=w_t, w_l=rest - beta**2,
     )
 
@@ -691,7 +704,7 @@ def test_the_rule_refuses_every_plan_the_linear_bound_refused(log_k, seed):
 def _random_decomposition(rng, v):
     alpha, beta, w_t, w_l = rng.uniform(0.0, 1.0, 4) ** 2
     norm = math.sqrt(alpha**2 + beta**2 + w_t + w_l)
-    return Decomposition.build(
+    return Decomposition(
         v, alpha / norm, beta / norm, rng.uniform(0.0, 2.0 * math.pi),
         w_t=w_t / norm**2, w_l=w_l / norm**2,
     )
