@@ -17,8 +17,7 @@ import importlib
 _SOURCES = {
     "analytic": "Decomposition biham_mapping decompose first_maximum rotation_angle "
                 "success_prob_analytic uniform_success_prob",
-    "errors": "FlatProbabilityError GQSearchError InvalidDimensionError InvalidTargetError "
-              "NeverSucceedsError NonUnitStateError TrialCapError ValidityError",
+    "errors": "GQSearchError ValidityError",
     "montecarlo": "run_parallel",
     "statevector": "SearchInstance TargetSet success_trajectory uniform_instance",
     "strategy": "ParallelPlan PunctuatedPlan cost_stddev expected_cost max_probability_cost "

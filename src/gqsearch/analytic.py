@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import _np as np
-from .errors import FlatProbabilityError, InvalidDimensionError
+from .errors import GQSearchError
 
 # A below this fraction of alpha^2 + beta^2 counts as no oscillation at all
 # (an exact zero is unreachable in floats: cos(pi/2) rounds to 6.1e-17).
@@ -181,7 +181,7 @@ def first_maximum(dec: Decomposition):
     A phi^2 delta^2 + O(delta^4) with delta <= 1/2.
     """
     if dec.phi <= 0.0 or dec.amp <= FLAT_TOL * (dec.alpha**2 + dec.beta**2):
-        raise FlatProbabilityError(
+        raise GQSearchError(
             "oscillation amplitude or rotation angle is 0; "
             "success probability is flat in n"
         )
@@ -208,7 +208,7 @@ def biham_mapping(amplitudes, targets) -> BihamMapping:
 
     amps = np.asarray(amplitudes, dtype=np.complex128)
     if amps.ndim != 1 or amps.size < 1:
-        raise InvalidDimensionError("amplitudes must be a non-empty one-dimensional array")
+        raise GQSearchError("amplitudes must be a non-empty one-dimensional array")
     _check_unit(math.sqrt(np.einsum("i,i->", amps.conj(), amps).real))  # no BLAS threads
     n_items = amps.size
     r, rows = _rows(targets, n_items)

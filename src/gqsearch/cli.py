@@ -206,12 +206,10 @@ def _write_output(data, out_path) -> None:
 
 def default_heatmap_n_max(n_items: int) -> int:
     """Two full r=1 quarter-period ceilings, so two periods are visible."""
-    from .analytic import rotation_angle
+    from .analytic import decompose
+    from .statevector import uniform_instance
 
-    if n_items < 1:
-        raise ValueError(f"n_items must be >= 1, got {n_items}")
-    phi1 = rotation_angle(math.sqrt(1.0 / n_items))
-    return 2 * math.ceil(0.5 * math.pi / phi1)
+    return 2 * math.ceil(0.5 * math.pi / decompose(uniform_instance(n_items, 1)).phi)
 
 
 # A heatmap call peaks at up to 280 bytes per cell over start-up (one row in
@@ -224,12 +222,12 @@ def heatmap_grid(n_items: int, n_max: int) -> list:
     """p(n, r) for n = 0..n_max (rows) and r = 1..N (columns), uniform case.
 
     Rows are lists of floats: `uniform_success_prob`'s expression, with one
-    phi per column.
+    phi per column, the uniform start's `decompose(...).phi` written inline.
     """
     from .analytic import rotation_angle
+    from .statevector import _rows
 
-    if n_items < 1:
-        raise ValueError(f"n_items must be >= 1, got {n_items}")
+    _rows(1, n_items)
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     if (n_max + 1) * n_items > HEATMAP_MAX_CELLS:
@@ -383,19 +381,14 @@ _PLAN_CELLS = {
 PLAN_COLUMNS = tuple(_PLAN_CELLS)
 
 
-def _check_agents(k: int) -> None:
-    if k < 1:
-        raise ValueError(f"--agents must be >= 1, got {k}")
-
-
 def cmd_plan(args: argparse.Namespace):
     from dataclasses import asdict
 
     from .analytic import decompose
     from .statevector import uniform_instance
-    from .strategy import max_probability_cost, punctuated_plan
+    from .strategy import _check_agents, max_probability_cost, punctuated_plan
 
-    _check_agents(args.agents)
+    _check_agents(args.agents, "--agents")
     r, _ = _resolve_targets(args)
     dec = decompose(uniform_instance(args.n_items, r))
     try:
@@ -452,8 +445,9 @@ def cmd_heatmap(args: argparse.Namespace):
 
 def cmd_parallel_sweep(args: argparse.Namespace):
     from .statevector import _rows
+    from .strategy import _check_agents
 
-    _check_agents(args.agents)
+    _check_agents(args.agents, "--agents")
     _rows(args.num_targets, args.n_items)  # every r of the sweep, before any plan
     rows = sweep_rows(args.n_items, args.num_targets, args.agents)
     payload = {
@@ -475,10 +469,10 @@ MONTECARLO_COLUMNS = (
 def cmd_montecarlo(args: argparse.Namespace):
     from .analytic import decompose, success_prob_analytic
     from .montecarlo import run_parallel
-    from .strategy import expected_cost, parallel_plan, parallel_success
+    from .strategy import _check_agents, expected_cost, parallel_plan, parallel_success
 
     # the run's own options are checked before the instance is built or Q steps
-    _check_agents(args.agents)
+    _check_agents(args.agents, "--agents")
     if not 1 <= args.trials <= 2**32:
         raise ValueError(f"--trials must lie in [1, 2^32], got {args.trials}")
     _check_seed("--seed", args.seed)

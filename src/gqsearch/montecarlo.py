@@ -17,11 +17,11 @@ import math
 from dataclasses import dataclass
 
 from . import _np as np
-from .errors import NeverSucceedsError, TrialCapError
+from .errors import GQSearchError
 from .strategy import parallel_success
 
 # A single trial may not exceed this many rounds; a sampled round count
-# past it raises TrialCapError.
+# past it is a GQSearchError.
 ROUND_CAP = 10**9
 
 # The sampler draws at most this many trials at a time, which bounds its
@@ -56,7 +56,7 @@ def _geometric_rounds(u: np.ndarray, p: float) -> np.ndarray:
     np.floor(u, out=u)
     u += 1.0
     if u.max(initial=1.0) > ROUND_CAP:
-        raise TrialCapError(
+        raise GQSearchError(
             f"a trial exceeded the cap of {ROUND_CAP} rounds (p={p})"
         )
     return u
@@ -80,7 +80,7 @@ def run_parallel(p: float, n: int, k: int, trials: int, seed: int) -> Estimate:
         raise ValueError(f"trials must be >= 1, got {trials}")
     pk = parallel_success(p, k)
     if pk == 0.0:
-        raise NeverSucceedsError("success probability 0; process cannot terminate")
+        raise GQSearchError("success probability 0; process cannot terminate")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
     rng = np.random.default_rng(seed)

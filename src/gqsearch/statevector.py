@@ -28,12 +28,13 @@ from __future__ import annotations
 import copy
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from . import _np as np
-from .errors import InvalidDimensionError, InvalidTargetError, NonUnitStateError
+from .errors import GQSearchError
 
-# Drift beyond this raises NonUnitStateError.
+# Drift beyond this is a GQSearchError.
 NORM_TOL = 1e-9
 
 # Amplitudes per block where a state is drawn, read or reduced: 256 KiB of complex.
@@ -58,15 +59,15 @@ class TargetSet:
 
     def __post_init__(self):
         try:
-            idx = tuple(sorted(int(i) for i in self.indices))
-        except (TypeError, ValueError) as exc:
-            raise InvalidTargetError(f"bad target indices: {exc}") from exc
+            idx = tuple(sorted(operator.index(i) for i in self.indices))
+        except TypeError as exc:
+            raise GQSearchError(f"bad target indices: {exc}") from exc
         if not idx:
-            raise InvalidTargetError("target set is empty")
+            raise GQSearchError("target set is empty")
         if idx[0] < 0:
-            raise InvalidTargetError(f"negative target index {idx[0]}")
+            raise GQSearchError(f"negative target index {idx[0]}")
         if len(set(idx)) != len(idx):
-            raise InvalidTargetError("duplicate target indices")
+            raise GQSearchError("duplicate target indices")
         object.__setattr__(self, "indices", idx)
 
     @property
@@ -75,20 +76,24 @@ class TargetSet:
 
 
 def _rows(targets, n_items: int):
-    """(r, rows) of a TargetSet or a count r, for the indices 0..r-1: its sorted
-    index tuple, or the slice [0, r).  The one range check of targets against a
-    dimension: n_items >= 1, or InvalidDimensionError; every row below n_items,
-    or InvalidTargetError."""
+    """(r, rows) of a TargetSet or an integer count r, for the indices 0..r-1: its
+    sorted index tuple, or the slice [0, r).  The one range check of targets
+    against a dimension: n_items >= 1 and every row below n_items, or a
+    GQSearchError."""
     if n_items < 1:
-        raise InvalidDimensionError(f"n_items must be >= 1, got {n_items}")
+        raise GQSearchError(f"n_items must be >= 1, got {n_items}")
     if isinstance(targets, TargetSet):
         if targets.indices[-1] >= n_items:
-            raise InvalidTargetError(f"target index {targets.indices[-1]} out of range "
-                                     f"for n_items={n_items}")
+            raise GQSearchError(f"target index {targets.indices[-1]} out of range "
+                                f"for n_items={n_items}")
         return targets.r, targets.indices
-    if not 1 <= targets <= n_items:
-        raise InvalidTargetError(f"target count {targets} outside [1, {n_items}]")
-    return targets, slice(0, targets)
+    try:
+        r = operator.index(targets)
+    except TypeError as exc:
+        raise GQSearchError(f"bad target count: {exc}") from exc
+    if not 1 <= r <= n_items:
+        raise GQSearchError(f"target count {r} outside [1, {n_items}]")
+    return r, slice(0, r)
 
 
 def _random_blocks(n_items: int, seed: int):
@@ -99,12 +104,12 @@ def _random_blocks(n_items: int, seed: int):
     block in that order by einsum, a sum that no BLAS thread count reorders.  Every
     block yielded is the same buffer, overwritten by the next draw, so
     `list(_random_blocks(...))` is wrong past one block.  An n_items above
-    _RANDOM_MAX_ITEMS, which would draw for minutes to hours, is
-    InvalidDimensionError before the first draw.
+    _RANDOM_MAX_ITEMS, which would draw for minutes to hours, is refused
+    before the first draw.
     """
     if n_items > _RANDOM_MAX_ITEMS:
-        raise InvalidDimensionError(f"random:<seed> draws at most {_RANDOM_MAX_ITEMS} "
-                                    f"amplitudes, got n_items={n_items}")
+        raise GQSearchError(f"random:<seed> draws at most {_RANDOM_MAX_ITEMS} "
+                            f"amplitudes, got n_items={n_items}")
     rng, sq, begins = np.random.default_rng(seed), 0.0, []
     z = np.empty(min(BLOCK, n_items), dtype=np.complex128)
     for part in (z.real, z.imag):
@@ -123,10 +128,10 @@ def _random_blocks(n_items: int, seed: int):
 
 
 def _check_unit(nrm: float, step: int | None = None) -> None:
-    """NonUnitStateError unless nrm is 1 to NORM_TOL: an input's, or after step iterations."""
+    """GQSearchError unless nrm is 1 to NORM_TOL: an input's, or after step iterations."""
     if not abs(nrm - 1.0) <= NORM_TOL:
-        raise NonUnitStateError(f"state norm is {nrm!r}, not 1" if step is None
-                                else f"norm drifted to {nrm!r} after {step} iterations")
+        raise GQSearchError(f"state norm is {nrm!r}, not 1" if step is None
+                            else f"norm drifted to {nrm!r} after {step} iterations")
 
 
 @dataclass(frozen=True)
@@ -149,22 +154,26 @@ class SearchInstance:
         once, or None for the uniform state u, which is never built; the same
         iterable twice is s = a.  u's own products are r/N and 1 - r/N, so
         None for both reads no block and loads no numpy; an r/N that underflows
-        to 0.0 is InvalidDimensionError.  Two explicit states yield blocks of
-        equal sizes; beside u, one block of 1/sqrt(N) sliced to its partner's, a
-        block holds at most BLOCK amplitudes.  The products are summed directly,
-        CHUNK amplitudes at a time, the off-target ones of a chunk with targets
-        over its copy with them zeroed, so <a_L|a_L> of an averaging state on the
-        targets is exactly 0.  An explicit state's norm must be 1 to NORM_TOL, or
-        NonUnitStateError; the products are then divided by the measured norms,
-        so Q is unitary for a state not 1 exactly.
+        to 0.0 is refused, as is an explicit state past 2^63 amplitudes.  Two
+        explicit states yield blocks of equal sizes; beside u, one block of
+        1/sqrt(N) sliced to its partner's, a block holds at most BLOCK
+        amplitudes.  The products are summed directly, CHUNK amplitudes at a
+        time, the off-target ones of a chunk with targets over its copy with
+        them zeroed, so <a_L|a_L> of an averaging state on the targets is
+        exactly 0.  An explicit state's norm must be 1 to NORM_TOL, else it is
+        refused; the products are then divided by the measured norms, so Q is
+        unitary for a state not 1 exactly.
         """
         r, rows = _rows(targets, n_items)
         u_t = r / n_items
         if u_t == 0.0:
-            raise InvalidDimensionError(f"r/N = {r}/N underflows to 0.0 in float64")
+            raise GQSearchError(f"r/N = {r}/N underflows to 0.0 in float64")
         u_l = 1.0 - u_t
         if averaging is None and start is None:  # s = a = u
             return cls((u_t, u_l, u_t, u_t, u_l, u_l))
+        if n_items > 2**63:  # past numpy's int64 rows, and 1/sqrt(N) past 2^1024
+            raise GQSearchError(f"an explicit state holds at most 2^63 amplitudes, "
+                                f"got n_items={n_items}")
         rows = rows if isinstance(rows, slice) else np.asarray(rows, dtype=np.intp)
         total, lo = np.zeros(6, dtype=np.complex128), 0
         if averaging is None or start is None:  # u beside a state, sliced to its blocks
@@ -175,8 +184,8 @@ class SearchInstance:
                  else itertools.zip_longest(averaging, start, fillvalue=np.empty(0)))
         for a_b, s_b in pairs:
             if a_b.size != s_b.size:
-                raise InvalidDimensionError(f"state blocks of {a_b.size} and {s_b.size} "
-                                            f"amplitudes at index {lo} do not match")
+                raise GQSearchError(f"state blocks of {a_b.size} and {s_b.size} "
+                                    f"amplitudes at index {lo} do not match")
             for c in range(0, s_b.size, CHUNK):
                 a, s = a_b[c:c + CHUNK], s_b[c:c + CHUNK]
                 if isinstance(rows, slice):
@@ -191,7 +200,7 @@ class SearchInstance:
                           np.vdot(a_t, s_t), np.vdot(a_l, s_l), np.vdot(a_l, a_l)]
                 lo += s.size
         if lo != n_items:
-            raise InvalidDimensionError(f"blocks hold {lo} amplitudes, not n_items={n_items}")
+            raise GQSearchError(f"blocks hold {lo} amplitudes, not n_items={n_items}")
         ss_t, ss_l, aa_t, as_t, as_l, aa_l = total
         aa_t, aa_l = (u_t, u_l) if averaging is None else (aa_t, aa_l)
         ss_t, ss_l = (u_t, u_l) if start is None else (ss_t, ss_l)

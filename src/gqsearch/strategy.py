@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 from . import _np as np
 from .analytic import Decomposition, _unwrap, success_prob_analytic
-from .errors import GQSearchError, NeverSucceedsError, ValidityError
+from .errors import GQSearchError, ValidityError
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,7 @@ def _validate_np(n, p) -> None:
     if n <= 0:
         raise ValueError(f"n must be positive, got {n}")
     if p == 0.0:
-        raise NeverSucceedsError("success probability is 0; cost diverges")
+        raise GQSearchError("success probability is 0; cost diverges")
     if not 0.0 < p <= 1.0:
         raise ValueError(f"p must lie in (0, 1], got {p}")
 
@@ -108,7 +109,7 @@ def punctuated_success_prob(n, phi: float) -> float:
 
 def _check_phi(phi: float) -> None:
     if phi == 0.0:
-        raise NeverSucceedsError("success probability is 0 for every n")
+        raise GQSearchError("success probability is 0 for every n")
     if phi < 0.0:
         raise ValueError(f"phi must be positive, got {phi}")
     if phi >= 0.5 * math.pi:
@@ -141,17 +142,25 @@ def punctuated_plan(phi: float) -> PunctuatedPlan:
     )
 
 
+def _check_agents(k: int, name: str = "k") -> None:
+    """k agents: an integer in [1, 2^53], the range where a float holds k exactly."""
+    if operator.index(k) < 1:
+        raise GQSearchError(f"{name} must be >= 1, got {k}")
+    if k > 2**53:
+        raise GQSearchError(f"{name} must be <= 2^53, got {k}")
+
+
 def parallel_success(p, k: int):
     """Probability 1 - (1-p)^k that at least one of k agents succeeds.
 
-    p is a scalar or an array.  k = 1 returns p itself (no float round
-    trip), so the k = 1 reduction of the parallel cost is exact.
+    p is a scalar or an array, and k an integer in [1, 2^53].  k = 1 returns
+    p itself (no float round trip), so the k = 1 reduction of the parallel
+    cost is exact.
     """
     p = np.asarray(p, dtype=float)
     if not np.all((p >= 0.0) & (p <= 1.0)):
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_agents(k)
     if k > 1:
         with np.errstate(divide="ignore"):  # log1p(-1) = -inf gives 1
             p = -np.expm1(k * np.log1p(-p))
@@ -212,12 +221,12 @@ def _cheapest_iterations(dec: Decomposition, k: int):
     as a scan of every n would: the exact optimum, ties to the smaller n.  A
     plan whose cost bound (`_success_bounds`) puts the optimum past n =
     _SCAN_LIMIT + _MAX_BLOCK is refused before p(n) is computed on any n >=
-    1; P_k(p_max) = 0 raises NeverSucceedsError.
+    1, as is P_k(p_max) = 0.
     """
     p_max, inverse_bound = _success_bounds(dec, k)
     floor = parallel_success(p_max, k)
     if floor == 0.0:
-        raise NeverSucceedsError("success probability is 0 for every n")
+        raise GQSearchError("success probability is 0 for every n")
     reach = _SCAN_LIMIT + _MAX_BLOCK
     if floor > inverse_bound * reach:
         raise _scan_limit_error()
@@ -257,11 +266,12 @@ def optimal_x_parallel_approx(k: int) -> float:
     """Closed-form optimal x for k-parallel search from the small-x series.
 
     x = sqrt((5 - 15k + sqrt(5) sqrt(225 k^2 - 30 k - 31)) / (15 k^2 - 3)),
-    real and below 1 for every k >= 2.  Raises ValidityError for k < 2
+    real and below 1 for every k in [2, 2^53].  Raises ValidityError for k < 2
     (the self-consistency argument needs k >= 2; use parallel_plan).
     """
     if k < 2:
         raise ValidityError(f"closed form requires k >= 2, got {k}")
+    _check_agents(k)
     kk = float(k)
     disc = math.sqrt(5.0) * math.sqrt(225.0 * kk * kk - 30.0 * kk - 31.0)
     return math.sqrt((5.0 - 15.0 * kk + disc) / (15.0 * kk * kk - 3.0))
@@ -270,12 +280,11 @@ def optimal_x_parallel_approx(k: int) -> float:
 def parallel_plan(dec: Decomposition, k: int) -> ParallelPlan:
     """The exact integer optimum of the k-parallel cost n / P_k(n), any start, k >= 1.
 
-    p(n) is `success_prob_analytic(dec, n)`, and x = (2n + 1) v.  Ties go to
-    the smaller n; a start whose peak is 0 raises NeverSucceedsError.  The
-    uniform start is `decompose(uniform_instance(N, r))`.
+    p(n) is `success_prob_analytic(dec, n)`, x = (2n + 1) v, and k is an
+    integer up to 2^53.  Ties go to the smaller n; a start whose peak is 0 is
+    refused.  The uniform start is `decompose(uniform_instance(N, r))`.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_agents(k)
     n_best, cost = _cheapest_iterations(dec, k)
     return ParallelPlan(agents=k, x=(1.0 + 2.0 * n_best) * dec.v, n_opt=float(n_best),
                         n_int=n_best, expected_cost=cost)
@@ -286,15 +295,15 @@ def parallel_plan_closed_form(r: int, n_items: int, k: int) -> ParallelPlan:
 
     x = optimal_x_parallel_approx(k), n = (x sqrt(N/r) - 1)/2, and the cost
     is the large-n form (x sqrt(N/r) - 1) / (2 (1 - cos^{2k} x)).  Raises
-    ValidityError outside k >= 2, r/N <= 0.01 and n_int >= 1.
+    ValidityError outside k >= 2, 2^-1023 <= r/N <= 0.01 (past 2^1023, N/r
+    overflows a float) and n_int >= 1.
     """
     from .statevector import _rows
 
     _rows(r, n_items)
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if r / n_items > 0.01:
-        raise ValidityError(f"closed form requires r/N <= 0.01, got {r}/{n_items}")
+    _check_agents(k)
+    if r / n_items > 0.01 or n_items > r * 2**1023:
+        raise ValidityError(f"closed form requires 2^-1023 <= r/N <= 0.01, got {r}/{n_items}")
     x = optimal_x_parallel_approx(k)
     ratio = math.sqrt(n_items / r)
     n_opt = 0.5 * (x * ratio - 1.0)

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from gqsearch import decompose, parallel_plan, strategy, success_prob_analytic, uniform_instance
-from gqsearch.errors import NeverSucceedsError
+from gqsearch.errors import GQSearchError
 from gqsearch.strategy import _scan_limit_error, _success_bounds, parallel_success
 
 
@@ -30,7 +30,7 @@ def cheapest_iterations(dec, k: int):
     p_max, inverse_bound = _success_bounds(dec, k)
     floor = parallel_success(p_max, k)
     if floor == 0.0:
-        raise NeverSucceedsError("success probability is 0 for every n")
+        raise GQSearchError("success probability is 0 for every n")
     if floor > inverse_bound * (_SCAN_LIMIT + _MAX_BLOCK):
         raise _scan_limit_error()
     best_n, best_cost, start = 0, math.inf, 1

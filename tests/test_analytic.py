@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from gqsearch import (
     Decomposition,
-    FlatProbabilityError,
+    GQSearchError,
     TargetSet,
     biham_mapping,
     decompose,
@@ -110,6 +110,9 @@ def test_success_prob_matches_simulator_general_instance():
         success_prob_analytic(dec, -1)
 
 
+_FLAT = "oscillation amplitude or rotation angle is 0; success probability is flat in n"
+
+
 def test_flat_probability_instance():
     # alpha = beta with a quarter-turn phase kills the oscillation entirely
     inst = plane_instance(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0), 0.5 * math.pi)
@@ -117,7 +120,7 @@ def test_flat_probability_instance():
     assert dec.amp < 1e-12
     traj = success_trajectory(inst, 8)
     np.testing.assert_allclose(traj, 0.5, atol=1e-12)
-    with pytest.raises(FlatProbabilityError):
+    with pytest.raises(GQSearchError, match=_FLAT):
         first_maximum(dec)
 
 
@@ -126,7 +129,7 @@ def test_zero_rotation_is_a_flat_probability():
     dec = Decomposition(0.0, 0.0, 1.0, 0.0)
     assert dec.amp == 1.0
     np.testing.assert_array_equal(success_prob_analytic(dec, [0, 1, 7, 1000]), 0.0)
-    with pytest.raises(FlatProbabilityError):
+    with pytest.raises(GQSearchError, match=_FLAT):
         first_maximum(dec)
 
 

@@ -899,6 +899,33 @@ def test_heatmap_refuses_an_oversize_grid_before_allocating_it(capsys, argv):
     assert peak < 4 * 2**20
 
 
+_AGENTS_PAST_2_53 = f"error: --agents must be <= 2^53, got {10**400}\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["heatmap", "--n-items", str(10**400)], "error: r/N = 1/N underflows to 0.0 in float64\n"),
+    (["heatmap", "--n-items", str(2**1024)],
+     f"error: heatmap of {default_heatmap_n_max(2**1024) + 1} x {2**1024} cells exceeds "
+     f"{HEATMAP_MAX_CELLS}\n"),
+    (["plan", "--n-items", "64", "--num-targets", "1", "--agents", str(10**400)],
+     _AGENTS_PAST_2_53),
+    (["montecarlo", "--n-items", "64", "--num-targets", "1", "--agents", str(10**400)],
+     _AGENTS_PAST_2_53),
+    (["parallel-sweep", "--n-items", "64", "--num-targets", "1", "--agents", str(10**400)],
+     _AGENTS_PAST_2_53),
+    # 1/sqrt(N) beside u, and a target row past numpy's int64
+    (["simulate", "--n-items", str(2**1024), "--num-targets", "1", "--start", "random:0"],
+     f"error: an explicit state holds at most 2^63 amplitudes, got n_items={2**1024}\n"),
+    (["simulate", "--n-items", str(2**70), "--targets", str(2**65), "--start", "random:0"],
+     f"error: an explicit state holds at most 2^63 amplitudes, got n_items={2**70}\n"),
+], ids=["heatmap-10^400", "heatmap-2^1024", "plan", "montecarlo", "parallel-sweep",
+        "random-2^1024", "target-2^65"])
+def test_integers_past_float_range_are_refused(capsys, argv, err):
+    # all but parallel-sweep once ended in an OverflowError traceback with exit
+    # code 1; parallel-sweep refused its plan count instead
+    assert run_cli(capsys, *argv) == (2, "", err)
+
+
 def test_heatmap_grid_rejects_a_negative_depth():
     with pytest.raises(ValueError, match="n_max must be >= 0, got -1"):
         heatmap_grid(4, -1)
@@ -916,6 +943,21 @@ def test_heatmap_grid_is_the_closed_form_per_cell(n_items):
     want = [[repr(uniform_success_prob(math.sqrt(r / n_items), n)) for r in range(1, n_items + 1)]
             for n in range(n_max + 1)]
     assert [list(map(repr, row)) for row in heatmap_grid(n_items, n_max)] == want
+
+
+@pytest.mark.parametrize("n_items", [1, 2, 64, 4096])
+def test_heatmap_columns_rotate_by_the_uniform_decomposition_angle(monkeypatch, n_items):
+    # each column's phi, written inline, is the uniform start's decompose(...).phi
+    want = [decompose(uniform_instance(n_items, r)).phi for r in range(1, n_items + 1)]
+    phis = []
+
+    def recorded(v):
+        phis.append(rotation_angle(v))
+        return phis[-1]
+
+    monkeypatch.setattr(gqsearch.analytic, "rotation_angle", recorded)
+    heatmap_grid(n_items, 0)
+    assert phis == want
 
 
 def test_heatmap_pgm_requires_out(capsys):
@@ -1068,6 +1110,8 @@ def test_montecarlo_start_that_never_succeeds(tmp_path, capsys):
         ("--trials", "0", "--trials must lie in [1, 2^32], got 0"),
         ("--trials", "5000000000", "--trials must lie in [1, 2^32], got 5000000000"),
         ("--agents", "0", "--agents must be >= 1, got 0"),
+        ("--agents", str(2**53 + 1), f"--agents must be <= 2^53, got {2**53 + 1}"),
+        ("--agents", str(10**400), f"--agents must be <= 2^53, got {10**400}"),
         ("--seed", "-1", "--seed must lie in [0, 2^64), got -1"),
         ("--seed", str(2**64), f"--seed must lie in [0, 2^64), got {2**64}"),
     ],
@@ -1193,7 +1237,7 @@ def test_montecarlo_default_iterations_when_p_is_flat(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("bounds", [
-    (100000, 100000), (1, 2**63), (SWEEP_MAX_PLANS + 1, 1), (2**7 + 1, 2**7),
+    (100000, 100000), (1, 2**53), (SWEEP_MAX_PLANS + 1, 1), (2**7 + 1, 2**7),
 ])
 def test_parallel_sweep_refuses_an_oversize_sweep_before_planning(capsys, monkeypatch, bounds):
     def no_plan(*args):
@@ -1379,7 +1423,7 @@ print(code, *(name for name in layers if f"gqsearch.{name}" in sys.modules),
      "analytic statevector strategy"),
     (["plan", "--n-items", "64", "--num-targets", "1", "--agents", "4"],
      "analytic statevector strategy numpy"),
-    (["heatmap", "--n-items", "8"], "analytic"),
+    (["heatmap", "--n-items", "8"], "analytic statevector"),
     # the control: a simulation loads the simulator and the closed form
     (["simulate", "--n-items", "8", "--num-targets", "1"], "analytic statevector numpy"),
 ], ids=["import", "plan-k1", "plan-k4", "heatmap", "simulate"])
@@ -1554,7 +1598,8 @@ _HOSTILE_TOKENS = st.one_of(
 
 # hostile values of the other integer flags, beside small valid ones: every
 # valid value drawn here runs in milliseconds and builds little
-_HOSTILE_INTS = st.sampled_from([-2**63, -1, 0, 2**63, "", "1e3", "nan", "\u0663"])
+_HOSTILE_INTS = st.sampled_from([-2**63, -1, 0, 2**63, 2**1024, 10**400, "", "1e3", "nan",
+                                 "\u0663"])
 _AGENTS = st.one_of(st.integers(1, 8), _HOSTILE_INTS)
 _OTHER_FLAGS = {
     "plan": {"--agents": _AGENTS},
@@ -1585,7 +1630,7 @@ def test_target_flags_end_in_output_or_exit_2(data):
     # every flag ends in finite JSON with exit 0, or in one error line with
     # exit 2, and never builds more than a small, bounded amount
     command = data.draw(st.sampled_from(list(_OTHER_FLAGS)))
-    n_items = data.draw(st.one_of(st.integers(1, 64), st.sampled_from([-1, 0])))
+    n_items = data.draw(st.one_of(st.integers(1, 64), st.sampled_from([-1, 0, 2**1024, 10**400])))
     argv = [command, f"--n-items={n_items}"]
     targeted = command in ("plan", "simulate", "montecarlo")
     if targeted and data.draw(st.booleans()):

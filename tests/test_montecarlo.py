@@ -12,9 +12,8 @@ from hypothesis import strategies as st
 
 import gqsearch.montecarlo as montecarlo
 from gqsearch import (
-    NeverSucceedsError,
+    GQSearchError,
     TargetSet,
-    TrialCapError,
     cost_stddev,
     expected_cost,
     parallel_success,
@@ -77,9 +76,10 @@ def test_parallel_mean_matches_closed_form():
 
 
 def test_zero_probability_never_terminates():
-    with pytest.raises(NeverSucceedsError):
+    message = "success probability 0; process cannot terminate"
+    with pytest.raises(GQSearchError, match=message):
         run_parallel(0.0, 3, 1, 10, seed=0)
-    with pytest.raises(NeverSucceedsError):
+    with pytest.raises(GQSearchError, match=message):
         run_parallel(0.0, 3, 4, 10, seed=0)
 
 
@@ -87,11 +87,12 @@ def test_round_cap_raises():
     # at p = 1e-12 a median trial needs ~7e11 rounds, far past the cap; at
     # 1e-300 the counts pass 2^63 and at a subnormal p they reach inf, where
     # an int64 cast gave negative costs
+    message = rf"a trial exceeded the cap of {montecarlo.ROUND_CAP} rounds \(p="
     for p in (1e-12, 1e-300, 5e-324):
         for k in (1, 3):
-            with pytest.raises(TrialCapError):
+            with pytest.raises(GQSearchError, match=message):
                 parallel_trial_costs(p, 1, k, 4, seed=0)
-            with pytest.raises(TrialCapError):
+            with pytest.raises(GQSearchError, match=message):
                 run_parallel(p, 1, k, 4, seed=0)
 
 
@@ -109,7 +110,7 @@ def test_statevector_variant_rejects_zero_support(tmp_path, capsys):
     inst = held_instance(TargetSet(range(1)), off, off)
     p = success_trajectory(inst, 1)[-1]
     assert p == 0.0
-    with pytest.raises(NeverSucceedsError):
+    with pytest.raises(GQSearchError, match="success probability 0; process cannot terminate"):
         run_parallel(p, 1, 1, 5, seed=0)
     path = tmp_path / "off.txt"
     write_state_file(str(path), off)

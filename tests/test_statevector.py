@@ -12,9 +12,7 @@ from hypothesis import strategies as st
 
 import gqsearch.analytic
 from gqsearch import (
-    InvalidDimensionError,
-    InvalidTargetError,
-    NonUnitStateError,
+    GQSearchError,
     SearchInstance,
     TargetSet,
     biham_mapping,
@@ -22,7 +20,7 @@ from gqsearch import (
     uniform_instance,
 )
 import gqsearch._np
-from gqsearch.statevector import _RANDOM_MAX_ITEMS, BLOCK, CHUNK, _random_blocks
+from gqsearch.statevector import _RANDOM_MAX_ITEMS, BLOCK, CHUNK, _random_blocks, _rows
 
 from dense_reference import (
     dense_evolution,
@@ -41,21 +39,22 @@ from dense_reference import (
 
 
 def test_state_vector_rejects_non_unit():
-    with pytest.raises(NonUnitStateError):
+    with pytest.raises(GQSearchError, match=r"state norm is 1\.4142135623730951, not 1"):
         biham_mapping([1.0, 1.0], TargetSet((0,)))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
 def test_state_vector_rejects_non_finite(bad):
     # abs(nan - 1) > tol is False, so the guard must be written to catch NaN
-    with pytest.raises(NonUnitStateError):
+    with pytest.raises(GQSearchError, match=f"state norm is {abs(bad)}, not 1"):
         biham_mapping([0.5, bad, 0.5, 0.5], TargetSet((0,)))
 
 
 def test_state_vector_rejects_bad_shapes():
-    with pytest.raises(InvalidDimensionError):
+    message = "amplitudes must be a non-empty one-dimensional array"
+    with pytest.raises(GQSearchError, match=message):
         biham_mapping([], TargetSet((0,)))
-    with pytest.raises(InvalidDimensionError):
+    with pytest.raises(GQSearchError, match=message):
         biham_mapping([[1.0, 0.0], [0.0, 1.0]], TargetSet((0,)))
 
 
@@ -67,27 +66,30 @@ def test_target_set_canonicalizes():
 
 
 def test_target_set_rejects_bad_indices():
-    with pytest.raises(InvalidTargetError):
+    with pytest.raises(GQSearchError, match="target set is empty"):
         TargetSet(())
-    with pytest.raises(InvalidTargetError):
+    with pytest.raises(GQSearchError, match="duplicate target indices"):
         TargetSet((2, 2))
-    with pytest.raises(InvalidTargetError):
+    with pytest.raises(GQSearchError, match="negative target index -1"):
         TargetSet((-1,))
-    for bad in ("x", None, 1.5j):  # what int() refuses
-        with pytest.raises(InvalidTargetError, match="bad target indices"):
+    # what operator.index refuses: int() would truncate 1.5 and parse "3"
+    for bad in ("x", None, 1.5j, 1.5, 2.0, "3"):
+        with pytest.raises(GQSearchError, match="bad target indices: '.*' object cannot be "
+                                                "interpreted as an integer"):
             TargetSet((1, bad))
 
 
 def test_instance_validates():
-    with pytest.raises(InvalidDimensionError):
+    with pytest.raises(GQSearchError, match="state blocks of 8 and 4 amplitudes at index 0 "
+                                            "do not match"):
         held_instance(TargetSet(range(1)), uniform_state(8), uniform_state(4))
-    with pytest.raises(InvalidTargetError):
+    with pytest.raises(GQSearchError, match="target index 7 out of range for n_items=4"):
         held_instance(TargetSet((7,)), uniform_state(4), uniform_state(4))
-    with pytest.raises(InvalidTargetError):
+    with pytest.raises(GQSearchError, match=r"target count 5 outside \[1, 4\]"):
         uniform_instance(4, 5)
     # N is checked before r/N is formed: no ZeroDivisionError at N = 0
     for n_items in (0, -4):
-        with pytest.raises(InvalidDimensionError):
+        with pytest.raises(GQSearchError, match=f"n_items must be >= 1, got {n_items}"):
             uniform_instance(n_items, 1)
 
 
@@ -116,7 +118,7 @@ def test_both_uniform_states_reduce_in_closed_form():
 def test_r_over_n_that_underflows_is_refused():
     # r/N = 1e-400 rounds to 0.0 in float64, though p(n) is not 0 there
     for targets in (1, TargetSet((5,))):
-        with pytest.raises(InvalidDimensionError, match=r"r/N = 1/N underflows to 0\.0 in float64"):
+        with pytest.raises(GQSearchError, match=r"r/N = 1/N underflows to 0\.0 in float64"):
             SearchInstance.from_blocks(targets, 10**400, None, None)
 
 
@@ -222,9 +224,10 @@ def test_uniform_partner_products_match_the_built_state(uniform_side):
 
 
 def test_uniform_partner_checks_its_targets():
-    with pytest.raises(InvalidTargetError):
+    message = "target index 4 out of range for n_items=4"
+    with pytest.raises(GQSearchError, match=message):
         held_instance(TargetSet((4,)), None, random_state(4, 1))
-    with pytest.raises(InvalidTargetError):
+    with pytest.raises(GQSearchError, match=message):
         held_instance(TargetSet((4,)), random_state(4, 1), None)
 
 
@@ -271,9 +274,9 @@ def test_random_state_past_its_bound_is_refused_before_a_draw(monkeypatch, n_ite
 
     monkeypatch.setattr(gqsearch._np, "random", NoDraws, raising=False)
     message = f"draws at most {_RANDOM_MAX_ITEMS} amplitudes, got n_items={n_items}$"
-    with pytest.raises(InvalidDimensionError, match=message):
+    with pytest.raises(GQSearchError, match=message):
         next(_random_blocks(n_items, 1))
-    with pytest.raises(InvalidDimensionError, match=message):
+    with pytest.raises(GQSearchError, match=message):
         SearchInstance.from_blocks(1, n_items, None, _random_blocks(n_items, 1))
 
 
@@ -339,13 +342,13 @@ def test_blocks_are_checked_like_a_state_vector():
     half = np.full(4, 0.5, dtype=np.complex128)
     for bad, norm in ((2.0 * half, "2.0"), (np.array([math.nan, 0.5, 0.5, 0.5]), "nan")):
         for averaging, start in ((None, [bad]), ([bad], None)):
-            with pytest.raises(NonUnitStateError, match=f"state norm is {norm}, not 1"):
+            with pytest.raises(GQSearchError, match=f"state norm is {norm}, not 1"):
                 SearchInstance.from_blocks(TargetSet((1,)), 4, averaging, start)
         blocks = [bad]
-        with pytest.raises(NonUnitStateError):
+        with pytest.raises(GQSearchError, match=f"state norm is {norm}, not 1"):
             SearchInstance.from_blocks(2, 4, blocks, blocks)
     for blocks in ([half[:3]], [half, half[:1]], []):
-        with pytest.raises(InvalidDimensionError, match="not n_items=4"):
+        with pytest.raises(GQSearchError, match="not n_items=4"):
             SearchInstance.from_blocks(TargetSet((1,)), 4, None, blocks)
 
 
@@ -361,7 +364,19 @@ def test_target_counts_are_the_first_indices():
         for build in (lambda: held_instance(r, a, s),
                       lambda: held_instance(r, None, s),
                       lambda: SearchInstance.from_blocks(r, 40, None, _random_blocks(40, 3))):
-            with pytest.raises(InvalidTargetError, match="target count"):
+            with pytest.raises(GQSearchError, match=rf"target count {r} outside \[1, 40\]"):
+                build()
+
+
+def test_target_counts_are_integers():
+    # a count that is not an integer is refused, not truncated: a count of 2.5
+    # once built an instance with r/N = 0.3125
+    assert _rows(np.int64(3), 8) == (3, slice(0, 3))
+    message = "bad target count: '.*' object cannot be interpreted as an integer"
+    for bad in (2.5, 2.0, "3", None):
+        for build in (lambda: _rows(bad, 8),
+                      lambda: SearchInstance.from_blocks(bad, 8, None, None)):
+            with pytest.raises(GQSearchError, match=message):
                 build()
 
 
@@ -519,22 +534,23 @@ def test_evolution_rejects_stale_averaging_norm():
     targets, u, _ = uniform_states(8, 1)
     stale = 2.0 * u
     states = (targets, stale, stale)
-    with pytest.raises(NonUnitStateError, match="after 1 iterations"):
+    message = r"norm drifted to 10\.5830052442583\d* after 1 iterations"
+    with pytest.raises(GQSearchError, match=message):
         reduced_amplitudes(*states, 3)
-    with pytest.raises(NonUnitStateError, match="after 1 iterations"):
+    with pytest.raises(GQSearchError, match=message):
         success_trajectory(SearchInstance(full_products(*states)), 3)
-    with pytest.raises(NonUnitStateError):
+    with pytest.raises(GQSearchError, match=message):
         dense_evolution(*states, 3)
 
 
 def test_evolution_rejects_nan_averaging():
     states = uniform_states(8, 1)
     states[1][5] = math.nan  # s = a: one array
-    with pytest.raises(NonUnitStateError):
+    with pytest.raises(GQSearchError, match="norm drifted to nan after 1 iterations"):
         reduced_amplitudes(*states, 1)
-    with pytest.raises(NonUnitStateError):
+    with pytest.raises(GQSearchError, match="norm drifted to nan after 1 iterations"):
         success_trajectory(SearchInstance(full_products(*states)), 1)
-    with pytest.raises(NonUnitStateError, match="state norm is nan"):
+    with pytest.raises(GQSearchError, match="state norm is nan"):
         held_instance(*states)
 
 

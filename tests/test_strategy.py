@@ -15,9 +15,6 @@ from hypothesis import strategies as st
 from gqsearch import (
     Decomposition,
     GQSearchError,
-    InvalidDimensionError,
-    InvalidTargetError,
-    NeverSucceedsError,
     TargetSet,
     ValidityError,
     cost_stddev,
@@ -32,6 +29,7 @@ from gqsearch import (
     punctuated_plan,
     punctuated_success_prob,
     rotation_angle,
+    run_parallel,
     success_prob_analytic,
     uniform_instance,
     uniform_success_prob,
@@ -49,7 +47,7 @@ def test_expected_cost_basic():
 
 
 def test_expected_cost_domain():
-    with pytest.raises(NeverSucceedsError):
+    with pytest.raises(GQSearchError, match="success probability is 0; cost diverges"):
         expected_cost(5, 0.0)
     with pytest.raises(ValueError):
         expected_cost(5, 1.5)
@@ -120,7 +118,7 @@ def test_punctuated_plan_integer_is_true_argmin(phi):
 
 
 def test_punctuated_plan_regime():
-    with pytest.raises(NeverSucceedsError, match="success probability is 0 for every n"):
+    with pytest.raises(GQSearchError, match="success probability is 0 for every n"):
         punctuated_plan(0.0)
     with pytest.raises(ValueError, match="phi must be positive"):
         punctuated_plan(-0.1)
@@ -173,7 +171,7 @@ def test_parallel_expected_cost_full_target_set():
         return expected_cost(n, parallel_success(p, k))
 
     assert abs(cost(3, 8, 8, 2) - 3.0) < 1e-12
-    with pytest.raises(NeverSucceedsError):
+    with pytest.raises(GQSearchError, match="success probability is 0; cost diverges"):
         cost(0.5, 8, 8, 2)
     with pytest.raises(ValueError):
         cost(3, 9, 8, 2)
@@ -293,14 +291,14 @@ def test_parallel_plan_validity():
             plan(1, 64, 0)
 
 
-@pytest.mark.parametrize("r, n_items, error, message", [
-    (0, 64, InvalidTargetError, "target count 0 outside [1, 64]"),
-    (65, 64, InvalidTargetError, "target count 65 outside [1, 64]"),
-    (1, 0, InvalidDimensionError, "n_items must be >= 1, got 0"),
+@pytest.mark.parametrize("r, n_items, message", [
+    (0, 64, "target count 0 outside [1, 64]"),
+    (65, 64, "target count 65 outside [1, 64]"),
+    (1, 0, "n_items must be >= 1, got 0"),
 ], ids=["r=0", "r>N", "N=0"])
-def test_parallel_plan_closed_form_checks_r_against_n(r, n_items, error, message):
+def test_parallel_plan_closed_form_checks_r_against_n(r, n_items, message):
     # the one range check of targets against N, statevector._rows
-    with pytest.raises(error) as info:
+    with pytest.raises(GQSearchError) as info:
         parallel_plan_closed_form(r, n_items, 4)
     assert str(info.value) == message
 
@@ -317,6 +315,31 @@ def test_parallel_plan_refuses_k_below_one_before_planning(monkeypatch, k):
         with pytest.raises(ValueError) as info:
             parallel_plan(dec, k)
         assert str(info.value) == f"k must be >= 1, got {k}"
+
+
+@pytest.mark.parametrize("k", [2**53 + 1, 2**1024, 10**400])
+def test_agent_counts_past_2_53_are_refused(monkeypatch, k):
+    # k >= 2^1024 once ended in OverflowError from k * log1p(-p) or float(k);
+    # past 2^53 a float no longer holds k exactly
+    monkeypatch.setattr(strategy, "_cheapest_iterations", None)  # never reached
+    message = f"k must be <= 2\\^53, got {k}$"
+    for call in (lambda: parallel_success(0.5, k),
+                 lambda: parallel_plan(decompose(uniform_instance(64, 1)), k),
+                 lambda: parallel_plan_closed_form(1, 2**20, k),
+                 lambda: optimal_x_parallel_approx(k),
+                 lambda: run_parallel(0.5, 3, k, 10, seed=0)):
+        with pytest.raises(GQSearchError, match=message):
+            call()
+    assert parallel_success(0.5, 2**53) == 1.0
+
+
+def test_closed_form_past_float_range_is_out_of_validity():
+    # N/r = 2^1100 once raised OverflowError from math.sqrt(N / r)
+    for n_items in (2**1023 + 1, 2**1100):
+        with pytest.raises(ValidityError, match=r"requires 2\^-1023 <= r/N <= 0\.01"):
+            parallel_plan_closed_form(1, n_items, 4)
+    plan = parallel_plan_closed_form(1, 2**1023, 4)
+    assert plan.n_int == round(plan.n_opt) and math.isfinite(plan.expected_cost)
 
 
 @settings(max_examples=60, deadline=None)
@@ -445,7 +468,7 @@ def test_restart_iterations_ties_and_zero_probability():
     with mock.patch.object(strategy, "success_prob_analytic", table):
         assert strategy._cheapest_iterations(peak_one, 1) == (2, 4.0)
     never = Decomposition(0.5, 0.0, 0.0, 0.0, w_t=0.0, w_l=1.0)
-    with pytest.raises(NeverSucceedsError):
+    with pytest.raises(GQSearchError, match="success probability is 0 for every n"):
         parallel_plan(never, 1)
 
 
@@ -499,7 +522,7 @@ def test_restart_iterations_matches_an_exhaustive_scan(v, alpha, beta, root_wt, 
         v, alpha / norm, beta / norm, b, w_t=(root_wt / norm) ** 2, w_l=(root_wl / norm) ** 2
     )
     if alpha == beta == root_wt == 0.0:
-        with pytest.raises(NeverSucceedsError):
+        with pytest.raises(GQSearchError, match="success probability is 0 for every n"):
             parallel_plan(dec, 1)
         return
     want = _scan_everything(lambda ns: success_prob_analytic(dec, ns), 1, 2**18)
@@ -590,7 +613,7 @@ def test_hopeless_plans_are_refused_before_scanning(monkeypatch):
         with pytest.raises(GQSearchError, match="no optimum"):
             uniform_plan(1, n_items, 2)
     # r/N = 1e-400 underflows to 0.0, refused before v = 0 is formed
-    with pytest.raises(InvalidDimensionError, match="underflows"):
+    with pytest.raises(GQSearchError, match=r"r/N = 1/N underflows to 0\.0 in float64"):
         uniform_plan(1, 10**400, 3)
     # from decompose: 1 / (p(0) + A phi) = 5e9 at N = 10^20
     dec = decompose(uniform_instance(10**20, 1))
