@@ -5,8 +5,8 @@ the expected cost n/p(n) is minimized near n = x*/(2 phi) where x* is the
 lowest positive root of x = tan(x/2).  k-parallel search races k
 independent agents per round at cost n / P_k(n), P_k = 1 - (1-p)^k.
 `parallel_plan(dec, k)` gives the exact optimum of either, for any start
-state's decomposition, by one branch and bound over blocks of n; k = 1 is
-punctuated search.  A closed-form small-x approximation of the parallel
+state's decomposition, from one stationary point per period of p(n); k = 1
+is punctuated search.  A closed-form small-x approximation of the parallel
 optimum, for the uniform start, is valid for k >= 2.
 """
 
@@ -167,99 +167,87 @@ def parallel_success(p, k: int):
     return _unwrap(p)
 
 
-# The planner covers n <= _SCAN_LIMIT + _MAX_BLOCK: a p(n) that rounds to
-# 0 at every n although p_max > 0 would never end.  Each numpy pass holds at
-# most _MAX_BLOCK n.  _P_PAD is several times the rounding error of p(n).
-_MAX_BLOCK = 2**16
-_SCAN_LIMIT = 2**30
-_P_PAD = 2.0**-48
-
-
-def _scan_limit_error() -> GQSearchError:
-    return GQSearchError(f"no optimum of n / P_k(n) found up to n = {_SCAN_LIMIT}")
-
-
-def _success_bounds(dec: Decomposition, k: int):
-    """(p_max, inv): p(n) <= p_max for all n, and n / P_k(n) >= 1 / inv for n >= 1.
-
-    p_max is w_t + dec.peak, summed as p(n) is so that it holds in floats
-    (p(0) at phi = 0, where p is constant).  |p'| <= A phi and P_k <= k p
-    give cost >= 1 / (k (p(0) + A phi)); p(0) = w_t + alpha^2, |p'(0)| =
-    phi |2 alpha beta cos b| and |p''| <= 2 A phi^2 give p(n) <= c n^2 for
-    n >= 1, so cost >= max(n, 1 / (k c n)) >= 1 / sqrt(k c).
-    """
-    p_0 = success_prob_analytic(dec, 0)
-    p_max = p_0 if dec.phi == 0.0 else min(1.0, dec.w_t + dec.peak)
-    slope = dec.phi * abs(2.0 * dec.alpha * dec.beta * math.cos(dec.b))  # |p'(0)|
-    c = (dec.w_t + dec.alpha**2) + slope + dec.amp * dec.phi**2
-    return p_max, min(k * (p_0 + dec.amp * dec.phi), math.sqrt(k * c))
-
-
-def _block_bounds(dec: Decomposition, k: int, p_max: float, starts, p_starts, ends):
-    """A lower bound starts / P_k(top) of n / P_k(n) on each block starts..ends.
-
-    p(n) is a constant plus a cosine of 2 n phi - theta, monotone between
-    peaks, where that phase is a multiple of 2 pi.  So top is p_max on a
-    block with a peak, else the larger of p_starts (p at its start) and p at
-    its end, plus _P_PAD.  A peak that rounding moves out of a block lies
-    within a rounding error of its end, whose p is then the block's largest.
-    """
-    turns = lambda ns: (2.0 * ns * dec.phi - dec.theta) / (2.0 * math.pi)
-    top = np.maximum(p_starts, success_prob_analytic(dec, ends))
-    top = np.minimum(top + _P_PAD, p_max)
-    top[np.floor(turns(ends)) >= turns(starts)] = p_max
-    with np.errstate(divide="ignore"):
-        return starts / parallel_success(top, k)
+# Past n = 2^53 a float no longer holds n exactly.
+_MAX_N = 2**53
 
 
 def _cheapest_iterations(dec: Decomposition, k: int):
     """The n >= 1 minimizing n / P_k(n), P_k = 1 - (1 - p(n))^k, and that cost.
 
-    p(n) is `success_prob_analytic`.  Blocks of n up to best * P_k(p_max),
-    past which no n can be cheaper, are dropped when their `_block_bounds`
-    exceeds the best cost found, else split 64 ways down to single n, costed
-    as a scan of every n would: the exact optimum, ties to the smaller n.  A
-    plan whose cost bound (`_success_bounds`) puts the optimum past n =
-    _SCAN_LIMIT + _MAX_BLOCK is refused before p(n) is computed on any n >=
-    1, as is P_k(p_max) = 0.
-    """
-    p_max, inverse_bound = _success_bounds(dec, k)
-    floor = parallel_success(p_max, k)
-    if floor == 0.0:
-        raise GQSearchError("success probability is 0 for every n")
-    reach = _SCAN_LIMIT + _MAX_BLOCK
-    if floor > inverse_bound * reach:
-        raise _scan_limit_error()
-    best_n, best_cost, last = 0, math.inf, 64  # the seed visit costs n = 1..64
+    Write p(n) = c + (A/2) cos u, u = 2 n phi - theta, c = w_t + (alpha^2 +
+    beta^2)/2, and let g = P_k(p) and h = n / g.  h' has the sign of F = g -
+    n g'.  Where p falls, g' <= 0 and h rises.  Where p rises (u from -pi to
+    0 in a period), F' = -n g'', and g'' has the sign of Q(w) = kA w^2 -
+    2(1 - c) w - (k - 1)A at w = cos u.  Q(-1) = A + 2(1 - c) > 0 and Q(1) =
+    A - 2(1 - c) <= 0, since c + A/2 = p_max <= 1, so g is convex and then
+    concave, F falls and then rises, and h has at most one interior minimum
+    per period: the root of F between the inflection and the peak, found by
+    bisection.  The integer optimum is n = 1 or the floor or ceiling of one
+    such root.  Under the small-angle model p = sin^2(n phi) (k = 1, c =
+    A/2 = 1/2, a trough at n = 0) F = 0 is x = tan(x/2), x = 2 n phi.
 
-    def visit(starts, size):
-        """Cost each block's first n; keep the blocks that may hold the optimum."""
-        nonlocal best_n, best_cost
-        p_starts = success_prob_analytic(dec, starts)
-        with np.errstate(divide="ignore"):  # inf where p = 0
-            costs = starts / parallel_success(p_starts, k)
-        i = int(np.argmin(costs))  # first occurrence
-        if costs[i] < best_cost or (costs[i] == best_cost and starts[i] < best_n):
-            best_n, best_cost = int(starts[i]), float(costs[i])
-        if size == 1:
-            return np.empty(0)  # not a view, which would keep the leaves alive
-        ends = np.minimum(starts + (size - 1), last)
-        return starts[_block_bounds(dec, k, p_max, starts, p_starts, ends) <= best_cost]
-    visit(np.arange(1.0, 65.0), 1)
-    last = reach if best_cost * floor > reach else int(best_cost * floor)
-    size = 64
-    while last - 64 > 1024 * size:  # at most about 1,024 blocks on the top level
-        size *= 64
-    live = visit(np.arange(65.0, last + 1.0, size), size) if last > 64 else np.empty(0)
-    per = max(1, _MAX_BLOCK // 128)  # parents per pass: 64 blocks of two ends each
-    while live.size:
-        size //= 64
-        kids = np.arange(0.0, 64.0 * size, size)
-        chunks = ((live[i : i + per, None] + kids).ravel() for i in range(0, live.size, per))
-        live = np.concatenate([visit(starts[starts <= last], size) for starts in chunks])
-    if best_cost * floor > reach:
-        raise _scan_limit_error()
-    return best_n, best_cost
+    The periods are walked from the first peak past n = 1 until one starts
+    at or above best * P_k(p_max), past which no n is cheaper; F is bisected
+    in the phase t = u + pi past each trough.  On integers
+    cos(2 n phi - theta) = cos(2 n (pi - phi) + theta), so phi > pi/2 is
+    folded to pi - phi first and each period holds at least two integers.
+    Candidates are costed with `success_prob_analytic` and `parallel_success`,
+    as a scan of every n would: ties go to the smaller n.  P_k(p_max) = 0 is
+    refused, and so is an optimum past n = 2^53.
+    """
+    phi, theta = dec.phi, dec.theta
+    if phi > 0.5 * math.pi:
+        phi, theta = math.pi - phi, -theta
+    p_max = success_prob_analytic(dec, 0) if phi == 0.0 else min(1.0, dec.w_t + dec.peak)
+    top = parallel_success(p_max, k)
+    if top == 0.0:
+        raise GQSearchError("success probability is 0 for every n")
+
+    def cost(n):
+        p_k = parallel_success(success_prob_analytic(dec, n), k)
+        return n / p_k if p_k > 0.0 else math.inf
+
+    best_n, best_cost = 1, cost(1)
+    amp = dec.amp
+    if phi == 0.0 or amp == 0.0:  # p is the same at every integer n
+        return best_n, best_cost
+    c = dec.w_t + 0.5 * (dec.alpha**2 + dec.beta**2)
+    den = (1.0 - c) + math.sqrt((1.0 - c) ** 2 + k * (k - 1) * amp * amp)
+    # the phase t = u + pi past a trough where g turns concave: cos u = -cos t
+    # is the root of Q in [-1, 0]
+    t_inflection = math.acos((k - 1) * amp / den if k > 1 else 0.0)
+
+    def f(t, trough):
+        """F at phase t past a trough, where 2 n phi = trough + t.
+
+        p = c - A/2 + A sin^2(t/2) keeps its relative accuracy near the
+        trough, where the optimum of many agents lies.
+        """
+        p = min(1.0, (c - 0.5 * amp) + amp * math.sin(0.5 * t) ** 2)
+        log_q = math.log1p(-p) if p < 1.0 else -math.inf
+        slope = math.exp((k - 1) * log_q) if k > 1 else 1.0  # (1 - p)^(k - 1)
+        return -math.expm1(k * log_q) - 0.5 * k * amp * (trough + t) * math.sin(t) * slope
+
+    j = math.ceil((2.0 * phi - theta) / (2.0 * math.pi))  # the first peak at n >= 1
+    while True:
+        trough = (theta - math.pi) + 2.0 * math.pi * j
+        if trough / (2.0 * phi) >= best_cost * top:
+            return best_n, best_cost
+        if trough / (2.0 * phi) > _MAX_N:
+            break
+        lo, hi = max(t_inflection, 2.0 * phi - trough), math.pi  # from n = 1 to the peak
+        if f(lo, trough) <= 0.0:
+            while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+                lo, hi = (mid, hi) if f(mid, trough) <= 0.0 else (lo, mid)
+            root = (trough + hi) / (2.0 * phi)
+            if root > _MAX_N:
+                break
+            # n = 1 is costed, and the roots of two periods lie at least 2 apart
+            for n in range(max(2, math.floor(root)), math.ceil(root) + 1):
+                if (n_cost := cost(n)) < best_cost:
+                    best_n, best_cost = n, n_cost
+        j += 1
+    raise GQSearchError(f"no optimum of n / P_k(n) found up to n = {_MAX_N}")
 
 
 def optimal_x_parallel_approx(k: int) -> float:
@@ -282,7 +270,8 @@ def parallel_plan(dec: Decomposition, k: int) -> ParallelPlan:
 
     p(n) is `success_prob_analytic(dec, n)`, x = (2n + 1) v, and k is an
     integer up to 2^53.  Ties go to the smaller n; a start whose peak is 0 is
-    refused.  The uniform start is `decompose(uniform_instance(N, r))`.
+    refused, and so is an optimum past n = 2^53.  The uniform start is
+    `decompose(uniform_instance(N, r))`.
     """
     _check_agents(k)
     n_best, cost = _cheapest_iterations(dec, k)

@@ -1,42 +1,46 @@
 """Linear reference scan of n / P_k(n): every n in blocks, in order.
 
-`gqsearch.strategy._cheapest_iterations` finds the same optimum by a
-branch and bound over blocks of n and evaluates only the blocks its bound
-cannot rule out.  The tests compare it against this loop, which evaluates
-every n from 1 up to its stopping rule, with the same leaf expression, so
-both must agree on n, on the bits of the cost and on every error.  The
-limits are read from `gqsearch.strategy` at call time, so a test that
-patches them patches both.  `uniform_plan` is the planner's plan of the
-uniform start, as the `plan` and `parallel-sweep` commands make it.
+`gqsearch.strategy._cheapest_iterations` finds the same optimum by walking
+the periods of p(n) and costing a few candidates in each.  The tests compare
+it against this loop, which evaluates every n from 1 up to its own stopping
+rule, with the same leaf expression, so both must agree on n, on the bits of
+the cost and on every error.  The loop shares no fold, walk or bound with
+the planner: it stops once n / P_k(p_max) reaches the best cost found, with
+p_max = min(1, w_t + peak), or p(0) where phi = 0.  `uniform_plan` is the
+planner's plan of the uniform start, as the `plan` and `parallel-sweep`
+commands make it, and `uniform_optimum` its optimum in 60-digit mpmath.
 """
 
 import math
 
+import mpmath
 import numpy as np
 
-from gqsearch import decompose, parallel_plan, strategy, success_prob_analytic, uniform_instance
+from gqsearch import decompose, parallel_plan, success_prob_analytic, uniform_instance
 from gqsearch.errors import GQSearchError
-from gqsearch.strategy import _scan_limit_error, _success_bounds, parallel_success
+from gqsearch.strategy import parallel_success
+
+_MAX_N = 2**53  # past this a float no longer holds n exactly
+_MAX_BLOCK = 2**16
 
 
 def cheapest_iterations(dec, k: int):
     """The n >= 1 minimizing n / P_k(n) by the block scan, and that cost.
 
-    p(n) is `success_prob_analytic(dec, n)`, with the planner's peak p_max
-    and refusal bound; the scan stops once n / P_k(p_max) reaches the best
-    cost found.  Ties go to the smaller n.
+    p(n) is `success_prob_analytic(dec, n)`; the scan stops once n /
+    P_k(p_max) reaches the best cost found.  Ties go to the smaller n.  A
+    start whose p_max is 0, and an optimum past n = 2^53, are refused.  At
+    v = 1, p(n) rounds to about p(0) at every integer while p_max may be
+    larger, so the scan may not stop there.
     """
-    _MAX_BLOCK, _SCAN_LIMIT = strategy._MAX_BLOCK, strategy._SCAN_LIMIT
-    p_max, inverse_bound = _success_bounds(dec, k)
-    floor = parallel_success(p_max, k)
+    p_0 = success_prob_analytic(dec, 0)
+    floor = parallel_success(p_0 if dec.phi == 0.0 else min(1.0, dec.w_t + dec.peak), k)
     if floor == 0.0:
         raise GQSearchError("success probability is 0 for every n")
-    if floor > inverse_bound * (_SCAN_LIMIT + _MAX_BLOCK):
-        raise _scan_limit_error()
     best_n, best_cost, start = 0, math.inf, 1
     while start < best_cost * floor:
-        if start > _SCAN_LIMIT:
-            raise _scan_limit_error()
+        if start > _MAX_N:
+            raise GQSearchError(f"no optimum of n / P_k(n) found up to n = {_MAX_N}")
         # the block from n = 1 + 64 (2^j - 1) holds 64 * 2^j n, up to the cap
         ns = np.arange(start, start + min(start + 63, _MAX_BLOCK), dtype=float)
         with np.errstate(divide="ignore"):
@@ -51,3 +55,17 @@ def cheapest_iterations(dec, k: int):
 def uniform_plan(r: int, n_items: int, k: int):
     """`parallel_plan` of the uniform start with r targets of n_items, for k agents."""
     return parallel_plan(decompose(uniform_instance(n_items, r)), k)
+
+
+def uniform_optimum(r: int, n_items: int, k: int, guess: int) -> int:
+    """The integer optimum of n / (1 - cos^2k((2n + 1) asin sqrt(r/N))) in 60 digits.
+
+    The exact law of the uniform start, with no float64 and no `decompose`:
+    the stationary point next to guess, then the cheaper of its floor and
+    ceiling.
+    """
+    with mpmath.workdps(60):
+        angle = mpmath.asin(mpmath.sqrt(mpmath.mpf(r) / n_items))
+        cost = lambda x: x / (1 - mpmath.cos((2 * x + 1) * angle) ** (2 * k))
+        root = mpmath.findroot(lambda x: mpmath.diff(cost, x), mpmath.mpf(guess))
+        return min((int(mpmath.floor(root)), int(mpmath.ceil(root))), key=cost)

@@ -51,7 +51,7 @@ from gqsearch.cli import (
 )
 
 from dense_reference import held_instance, random_state, uniform_state, write_state_file
-from scan_reference import uniform_plan
+from scan_reference import uniform_optimum, uniform_plan
 
 
 def read_state_file(path, n_items: int) -> np.ndarray:
@@ -740,8 +740,8 @@ def test_plan_one_agent_outside_the_small_angle_regime(capsys, n_items, r, n_int
 
 
 def test_plan_refuses_a_hopeless_scan_before_scanning(monkeypatch, capsys):
-    # N = 10^100, k = 2: every cost is at least 1 / (2 (p(0) + A phi)), about
-    # 2.5e49, so no scan can reach the optimum
+    # N = 10^100, k = 2: the optimum lies near n = 5.5e49, past 2^53, and the
+    # planner finds that from its walk, not from a scan of n
     def no_scan(dec, n):
         if np.ndim(n) > 0:
             raise AssertionError("the scan ran")
@@ -751,18 +751,16 @@ def test_plan_refuses_a_hopeless_scan_before_scanning(monkeypatch, capsys):
     code, out, err = run_cli(
         capsys, "plan", "--n-items", str(10**100), "--num-targets", "1", "--agents", "2"
     )
-    assert code == 2 and out == "" and err.startswith("error:")
+    assert (code, out) == (2, "")
+    assert err == "error: no optimum of n / P_k(n) found up to n = 9007199254740992\n"
 
 
 def _count_points(monkeypatch):
-    """The sizes of the n arrays the planner computes p(n) on, past 10^7 an error."""
+    """The n the planner computes p(n) at, one entry per n."""
     points = []
 
     def counted(dec, n):
-        if np.ndim(n) > 0:
-            points.append(np.size(n))
-            if sum(points) > 10**7:
-                raise AssertionError("the planner walks every n")
+        points.extend(np.ravel(n).tolist())
         return success_prob_analytic(dec, n)
 
     monkeypatch.setattr(gqsearch.strategy, "success_prob_analytic", counted)
@@ -770,28 +768,51 @@ def _count_points(monkeypatch):
 
 
 def test_plan_past_the_limit_fails_without_walking_to_it(monkeypatch, capsys):
-    # 1 / (2 (p(0) + A phi)) lies in (2^30, 2^30 + 2^16]: the cost bound
-    # cannot refuse this plan, so the planner must find that no optimum lies
-    # within reach from a few p(n), not from every n up to 2^30
+    # N = 10^36, k = 3: the optimum lies near n = 4.5e17, past 2^53, where a
+    # float no longer holds n exactly
     points = _count_points(monkeypatch)
     code, out, err = run_cli(
-        capsys, "plan", "--n-items", "18447869990796263424", "--num-targets", "1", "--agents", "2"
+        capsys, "plan", "--n-items", str(10**36), "--num-targets", "1", "--agents", "3"
     )
-    assert code == 2 and out == "" and "no optimum" in err
-    assert 0 < sum(points) < 10**6
+    assert (code, out) == (2, "")
+    assert err == "error: no optimum of n / P_k(n) found up to n = 9007199254740992\n"
+    assert len(points) <= 1
 
 
-def test_montecarlo_refuses_a_plan_the_linear_bound_misses(monkeypatch, capsys):
-    # 10^8 agents at v = 4.9e-18: 1 / (k (p(0) + A phi)) = 1.0e9 lies within
-    # the limit, but 1 / sqrt(k c) = 6.8e12 does not
+@pytest.mark.parametrize("command, n_items, k", [
+    ("plan", 18447869990796263424, 2),
+    ("plan", 2**76, 2),
+    ("montecarlo", 41834457918917713795234172973875200, 10**8),
+], ids=["plan-1.8e19", "plan-2^76", "montecarlo-10^8-agents"])
+def test_plans_past_n_2_30_are_within_one_of_mpmath(monkeypatch, capsys, command, n_items, k):
+    # optima past n = 2^30, which a scan of every n cannot reach in a call
     points = _count_points(monkeypatch)
     t0 = time.perf_counter()
+    argv = [command, "--n-items", str(n_items), "--num-targets", "1", "--agents", str(k)]
+    code, out, err = run_cli(capsys, *argv, *(["--trials", "10"] if command == "montecarlo" else []))
+    assert (code, err) == (0, "")
+    assert time.perf_counter() - t0 < 1.0
+    payload = json.loads(out)
+    n = payload["parallel_numeric"]["n_int"] if command == "plan" else payload["iterations"]
+    assert n > 2**30 and len(points) <= 4
+    assert abs(n - uniform_optimum(1, n_items, k, n)) <= 1
+    if command == "montecarlo":
+        assert abs(payload["z"]) < 3.0
+
+
+def test_montecarlo_refuses_a_start_with_no_success_at_once(tmp_path, capsys):
+    # v rounds to 1, so phi = pi and p(n) is p(0) = 0 at every integer; the
+    # planner folds phi to 0 and refuses before costing any n, where a scan
+    # of every n to 2^30 takes about a minute
+    averaging, start = tmp_path / "averaging.txt", tmp_path / "start.txt"
+    write_state_file(str(averaging), [1.0, 1e-9, 0.0, 0.0])
+    write_state_file(str(start), [0.0, 1.0, 0.0, 0.0])
+    t0 = time.perf_counter()
     code, out, err = run_cli(
-        capsys, "montecarlo", "--n-items", "41834457918917713795234172973875200",
-        "--num-targets", "1", "--agents", "100000000", "--trials", "10",
+        capsys, "montecarlo", "--n-items", "4", "--targets", "0", "--trials", "10",
+        "--averaging", f"file:{averaging}", "--start", f"file:{start}",
     )
-    assert code == 2 and out == "" and "no optimum" in err
-    assert points == []
+    assert (code, out, err) == (2, "", "error: success probability is 0 for every n\n")
     assert time.perf_counter() - t0 < 1.0
 
 
@@ -803,13 +824,15 @@ def test_uniform_runs_at_huge_n(capsys):
     assert code == 0 and err == ""
     rows = json.loads(out)["rows"]
     assert all(abs(row["p_simulated"] - row["p_analytic"]) < 1e-10 for row in rows)
-    # N = 10^20: the restart scan would pass its limit, so it is refused at once
+    # N = 10^20: an optimum past n = 2^30, within 1 of the 60-digit 5,827,805,925
     t0 = time.perf_counter()
     code, out, err = run_cli(
         capsys, "montecarlo", "--n-items", str(10**20), "--num-targets", "1"
     )
-    assert code == 2 and out == "" and "no optimum" in err
+    assert code == 0 and err == ""
     assert time.perf_counter() - t0 < 1.0
+    n = json.loads(out)["iterations"]
+    assert n == 5_827_805_926 and abs(n - uniform_optimum(1, 10**20, 1, n)) <= 1
 
 
 def test_heatmap_trivial_cells():

@@ -1,6 +1,6 @@
 """Tests for the punctuated and k-parallel strategy planners."""
 
-import collections
+import itertools
 import math
 import re
 import tracemalloc
@@ -498,7 +498,7 @@ def test_parallel_plan_matches_an_exhaustive_scan(n_items, data):
         costs = _parallel_cost(np.arange(1, 4097), r, n_items, k)
     assert abs(plan.expected_cost / costs.min() - 1.0) < 1e-9
     assert costs[plan.n_int - 1] <= costs.min() * (1.0 + 1e-9)
-    # the lower bound that refuses hopeless scans holds
+    # the uniform start's lower bound on the cost holds
     assert 1.0 / (3.0 * math.asin(v) * math.sqrt(k)) <= plan.expected_cost
 
 
@@ -552,20 +552,25 @@ def test_parallel_plan_memory_is_bounded(k):
     assert peak < 4 * 2**20
 
 
-@pytest.mark.parametrize("k, n_int", [(1, 625_755_891), (64, 75_262_489)])
-def test_parallel_plan_at_huge_n_is_sublinear(monkeypatch, k, n_int):
-    # a scan of every n evaluates 6.3e8 points at k = 1; the planner's passes
-    # hold at most _MAX_BLOCK points each.  At k = 64 the costs of n =
-    # 75,262,488 and 75,262,489 differ by 2.4e-8 in 1.05e8 (50-digit
-    # mpmath), within the rounding of p(n) in floats: the planner's own p(n)
-    # ranks them the other way round
+def _count_points(monkeypatch):
+    """The n the planner computes p(n) at, one entry per n."""
     points = []
 
     def counted(dec, ns):
-        points.append(np.size(ns))
+        points.extend(np.ravel(ns).tolist())
         return success_prob_analytic(dec, ns)
 
     monkeypatch.setattr(strategy, "success_prob_analytic", counted)
+    return points
+
+
+@pytest.mark.parametrize("k, n_int", [(1, 625_755_895), (64, 75_262_488)])
+def test_parallel_plan_at_huge_n_is_sublinear(monkeypatch, k, n_int):
+    # a scan of every n evaluates 6.3e8 points at k = 1.  The 60-digit
+    # optima are 625,755,896 and 75,262,488: at k = 1 the costs of the
+    # root's floor and ceiling differ by less than the rounding of p(n) in
+    # floats, which ranks them the other way round
+    points = _count_points(monkeypatch)
     tracemalloc.start()
     try:
         plan = uniform_plan(1, 2**60, k)
@@ -573,155 +578,62 @@ def test_parallel_plan_at_huge_n_is_sublinear(monkeypatch, k, n_int):
     finally:
         tracemalloc.stop()
     assert plan.n_int == n_int
-    assert sum(points) < 10**6
+    assert len(points) < 10**6
     assert peak < 4 * 2**20
 
 
-def test_scan_limit_ends_endless_scans(monkeypatch):
-    monkeypatch.setattr(strategy, "_SCAN_LIMIT", 2**12)
-    # the optimum n = 611,089 lies past the limit
-    with pytest.raises(GQSearchError):
-        uniform_plan(1, 2**40, 1)
-    # phi = 0 and the start orthogonal to the peak: p(n) = 0 at every n,
-    # although its bound A/2 + (alpha^2 + beta^2)/2 is 1
-    with pytest.raises(GQSearchError):
-        parallel_plan(Decomposition(0.0, 0.0, 1.0, 0.0), 1)
-    # v = 1e-50: p(n) rounds to 0 far beyond any n a scan can reach
-    with pytest.raises(GQSearchError):
-        uniform_plan(1, 10**100, 2)
-    assert uniform_plan(1, 2**16, 1).n_int == 148
+@pytest.mark.parametrize("n_items", [2**60, 2**100])
+@pytest.mark.parametrize("k", [1, 16, 2**40])
+def test_parallel_plan_costs_three_candidates(monkeypatch, n_items, k):
+    # n = 1 and the floor and ceiling of one stationary point, at any N
+    points = _count_points(monkeypatch)
+    plan = uniform_plan(1, n_items, k)
+    assert len(points) == 3 and points[0] == 1 and plan.n_int in points
 
 
-class _Scanned(Exception):
-    """Raised by a p(n) spy: the scan started."""
+@pytest.mark.parametrize("n_items", [2**60, 2**76, 2**100])
+@pytest.mark.parametrize("k", [1, 16, 2**40])
+def test_parallel_plan_is_within_one_of_the_mpmath_optimum(n_items, k):
+    # past N = 2^50 neighbouring n differ in cost by less than the rounding
+    # of p(n), so float64 picks between the floor and the ceiling
+    n = uniform_plan(1, n_items, k).n_int
+    assert abs(n - scan_reference.uniform_optimum(1, n_items, k, n)) <= 1
 
 
-def _no_array_scan(dec, ns):
-    if np.ndim(ns) > 0:  # p(n) over an array of n is the scan
-        raise _Scanned
-    return success_prob_analytic(dec, ns)
+_EDGE_V = (1.0, 1.0 - 1e-9, 0.999, 0.9, math.sqrt(0.5), 0.5, 0.1, 1e-3, 1e-6)
+# (alpha^2, beta^2, w_t, w_l): either coordinate 0, weight off the plane, both
+_EDGE_WEIGHTS = ((1.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0), (0.5, 0.5, 0.0, 0.0),
+                 (0.3, 0.3, 0.4, 0.0), (0.0, 0.6, 0.4, 0.0), (0.6, 0.0, 0.4, 0.0),
+                 (0.2, 0.3, 0.1, 0.4), (0.0, 0.5, 0.0, 0.5))
 
 
-def test_hopeless_plans_are_refused_before_scanning(monkeypatch):
-    monkeypatch.setattr(strategy, "success_prob_analytic", _no_array_scan)
-    # the cost bound 1 / (p(0) + A phi) = 5.4e8 at v = 2^-30 stays below the
-    # limit 2^30
-    with pytest.raises(_Scanned):
-        uniform_plan(1, 2**60, 1)
-    # 1 / (2 (p(0) + A phi)) = 8.6e9 at v = 2^-35 does not
-    for n_items in (2**70, 10**100):
-        with pytest.raises(GQSearchError, match="no optimum"):
-            uniform_plan(1, n_items, 2)
-    # r/N = 1e-400 underflows to 0.0, refused before v = 0 is formed
-    with pytest.raises(GQSearchError, match=r"r/N = 1/N underflows to 0\.0 in float64"):
-        uniform_plan(1, 10**400, 3)
-    # from decompose: 1 / (p(0) + A phi) = 5e9 at N = 10^20
-    dec = decompose(uniform_instance(10**20, 1))
-    for k in (1, 4):
-        with pytest.raises(GQSearchError, match="no optimum"):
-            parallel_plan(dec, k)
-    with pytest.raises(_Scanned):
-        parallel_plan(decompose(uniform_instance(2**40, 1)), 1)
+def _plan_or_error(dec, k):
+    try:
+        plan = parallel_plan(dec, k)
+    except GQSearchError as exc:
+        return str(exc)
+    return plan.n_int, plan.expected_cost
 
 
-def _refusal_outcomes(dec, k):
-    """(outcome, bare outcome) of planning dec for k agents.
-
-    The bare plan is the same call with the cost bound switched off.  An
-    outcome is ((n, cost) or the error message, whether p(n) was computed
-    on an array of n).
-    """
-    bounds = strategy._success_bounds
-
-    def run(bound):
-        scanned = []
-
-        def counted(dec, ns):
-            scanned.append(np.ndim(ns) > 0)
-            return success_prob_analytic(dec, ns)
-
-        with mock.patch.multiple(strategy, success_prob_analytic=counted, _success_bounds=bound):
+@pytest.mark.parametrize("v", _EDGE_V)
+def test_parallel_plan_on_the_edge_grid(v):
+    # 96 decompositions a v, at b = 0, 1, pi/2, pi and k = 1, 16, 2^40.  At
+    # v = 1, phi = pi: p(n) is p(0) at every integer in exact arithmetic, and
+    # the linear scan, which does not fold phi, has no stopping point
+    zero = "success probability is 0 for every n"
+    for (a2, b2, w_t, w_l), b, k in itertools.product(
+        _EDGE_WEIGHTS, (0.0, 1.0, 0.5 * math.pi, math.pi), (1, 16, 2**40)
+    ):
+        dec = Decomposition(v, math.sqrt(a2), math.sqrt(b2), b, w_t=w_t, w_l=w_l)
+        if v < 1.0:
             try:
-                return strategy._cheapest_iterations(dec, k), any(scanned)
+                want = scan_reference.cheapest_iterations(dec, k)
             except GQSearchError as exc:
-                return str(exc), any(scanned)
-
-    return run(bounds), run(lambda dec, k: (bounds(dec, k)[0], math.inf))
-
-
-def _faint_decomposition(rng, low):
-    """A random start whose v, alpha^2 and w_t may be as small as 10^low."""
-    v = 10.0 ** rng.uniform(low, -0.5)
-    alpha = 10.0 ** rng.uniform(low + 1.0, -0.5)
-    w_t = 10.0 ** rng.uniform(2.0 * low + 2.0, -1.0)
-    rest = 1.0 - alpha**2 - w_t
-    beta = math.sqrt(rest * rng.uniform(0.5, 1.0))
-    return Decomposition(
-        v, alpha, beta, rng.uniform(0.0, 2.0 * math.pi), w_t=w_t, w_l=rest - beta**2,
-    )
-
-
-def test_refusal_before_scanning_never_changes_an_answer():
-    # with a limit of 4,096 and blocks of 64 the bound sits next to the
-    # limit on small inputs, so both refusals and answers occur
-    rng = np.random.default_rng(12)
-    seen = collections.Counter()
-    agents = (1, 2, 8, 64, 10**4, 10**8)
-    with mock.patch.multiple(strategy, _SCAN_LIMIT=2**12, _MAX_BLOCK=64):
-        cases = [
-            ("uniform", decompose(uniform_instance(int(n_items), r)), k)
-            for n_items in np.geomspace(10**5, 10**11, 60)
-            for r in (1, 3)
-            for k in agents
-        ]
-        for _ in range(600):
-            dec = _faint_decomposition(rng, -6.0)
-            cases.append(("random", dec, int(rng.choice((3,) + agents))))
-        for start, dec, k in cases:
-            (got, scanned), (want, _) = _refusal_outcomes(dec, k)
-            assert got == want, (start, dec, k)
-            kind = "refused" if not scanned else "failed" if isinstance(got, str) else "answered"
-            seen[start, kind] += 1
-    for start in ("uniform", "random"):
-        assert seen[start, "answered"] > 0 and seen[start, "refused"] > 0, seen
-
-
-_REFUSED = "no optimum|probability is 0 for every n"
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    log_n_items=st.floats(0.0, 300.0 * math.log2(10.0)),
-    log_r=st.floats(0.0, 64.0),
-    log_k=st.floats(0.0, 12.0),
-)
-def test_the_rule_refuses_every_plan_the_uniform_bound_refused(log_n_items, log_r, log_k):
-    # the uniform bound cost >= 1 / (3 asin(v) sqrt(k)), at P_k(1) = 1
-    n_items = int(2.0**log_n_items)
-    r = min(n_items, int(2.0**log_r))
-    k = int(10.0**log_k)
-    reach = strategy._SCAN_LIMIT + strategy._MAX_BLOCK
-    if 1.0 <= 3.0 * math.asin(math.sqrt(r / n_items)) * math.sqrt(k) * reach:
-        return
-    with mock.patch.object(strategy, "success_prob_analytic", _no_array_scan):
-        with pytest.raises(GQSearchError, match=_REFUSED):
-            uniform_plan(r, n_items, k)
-
-
-@settings(max_examples=300, deadline=None)
-@given(log_k=st.floats(0.0, 12.0), seed=st.integers(0, 2**32 - 1))
-def test_the_rule_refuses_every_plan_the_linear_bound_refused(log_k, seed):
-    # the any-start bound cost >= 1 / (k (p(0) + A phi)), at P_k(p_max)
-    dec = _faint_decomposition(np.random.default_rng(seed), -30.0)
-    k = int(10.0**log_k)
-    p_0 = success_prob_analytic(dec, 0)
-    peak = dec.w_t + (0.5 * (dec.alpha**2 + dec.beta**2) + 0.5 * dec.amp)
-    floor = parallel_success(min(1.0, peak), k)
-    if floor <= k * (p_0 + dec.amp * dec.phi) * (strategy._SCAN_LIMIT + strategy._MAX_BLOCK):
-        return
-    with mock.patch.object(strategy, "success_prob_analytic", _no_array_scan):
-        with pytest.raises(GQSearchError, match=_REFUSED):
-            parallel_plan(dec, k)
+                want = str(exc)
+        else:
+            p_k = parallel_success(success_prob_analytic(dec, 1), k)
+            want = (1, 1.0 / p_k) if p_k > 0.0 else zero
+        assert _plan_or_error(dec, k) == want, (a2, b2, w_t, w_l, b, k)
 
 
 def _random_decomposition(rng, v):
@@ -731,51 +643,6 @@ def _random_decomposition(rng, v):
         v, alpha / norm, beta / norm, rng.uniform(0.0, 2.0 * math.pi),
         w_t=w_t / norm**2, w_l=w_l / norm**2,
     )
-
-
-@settings(max_examples=150, deadline=None)
-@given(
-    general=st.booleans(),
-    log_n_items=st.floats(1.0, 62.0),
-    k=st.sampled_from([1, 2, 3, 8, 64]),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_block_bounds_never_exceed_a_cost_in_the_block(general, log_n_items, k, seed):
-    rng = np.random.default_rng(seed)
-    n_items = int(2.0**log_n_items)
-    r = int(rng.integers(1, n_items + 1)) if rng.uniform() < 0.5 else 1
-    if general:
-        dec = _random_decomposition(rng, math.sqrt(r / n_items))
-    else:
-        dec = decompose(uniform_instance(n_items, r))
-    p_max, _ = strategy._success_bounds(dec, k)
-    # blocks of 1 to 4,096 n up to n = 2^30 next to, or around, a peak of p
-    # (phase 2 n phi - theta a multiple of 2 pi), a trough (an odd multiple
-    # of pi) or any n: where p is flat, rounding decides which n of a block
-    # is largest
-    slope, offset = 2.0 * dec.phi, -dec.theta
-    turns = int(slope * 2**30 / (2.0 * math.pi))
-    starts, ends = [], []
-    for kind, side in rng.integers(0, 3, size=(24, 2)):
-        if kind < 2:
-            target = math.pi * (2 * int(rng.integers(0, turns + 1)) + kind)
-            centre = math.floor((target - offset) / slope)
-        else:
-            centre = int(rng.integers(1, 2**30))
-        size = 2 ** int(rng.integers(0, 13))
-        start = (centre - size, centre + 1, centre - int(rng.integers(0, size)))[side]
-        start = min(max(1, start), 2**30)
-        starts.append(start)
-        ends.append(start + size - 1)
-    starts_f = np.array(starts, dtype=float)
-    bounds = strategy._block_bounds(
-        dec, k, p_max, starts_f, success_prob_analytic(dec, starts_f), np.array(ends, dtype=float)
-    )
-    for start, end, bound in zip(starts, ends, bounds):
-        ns = np.arange(start, end + 1, dtype=float)
-        with np.errstate(divide="ignore"):
-            costs = ns / parallel_success(success_prob_analytic(dec, ns), k)
-        assert bound <= costs.min(), (start, end)
 
 
 @settings(max_examples=120, deadline=None)
