@@ -2,9 +2,9 @@
 
 Modules of the package bind this module as `np` (`from . import _np as np`).
 The first lookup of an attribute, `np.cos` say, imports numpy and caches
-that attribute here, so later lookups are plain module reads.  Code paths
-that build no vector, `plan` and `heatmap` among them, never load numpy:
-an interpreter start with numpy takes about twice as long as one without.
+that attribute here, so later lookups are plain module reads.  `plan`,
+`parallel-sweep` and `heatmap` build no vector and never load numpy: an
+interpreter start with numpy takes about twice as long as one without.
 """
 
 

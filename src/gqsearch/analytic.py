@@ -22,8 +22,11 @@ alpha^2 at integer n.  Near v = 1, beta^2 keeps its weight: 1/N at r = N - 1.
 
 For s = a the start lies in the plane at angle phi/2 from |a'>, and the
 formula reduces to (1 - cos((2n+1) phi))/2, `uniform_success_prob`, which the
-verify command checks against the simulator.  The heatmap repeats that
-expression inline, one phi per column, so that it loads no numpy.
+verify command checks against the simulator.  Both closed forms take one n
+and compute with the math module, so a caller that plans from them loads no
+numpy; callers with many n map over them.  The heatmap repeats the uniform
+expression inline, one phi per column: a call per cell made its largest grid
+half again as slow (see `cli.heatmap_grid`).
 """
 
 from __future__ import annotations
@@ -144,31 +147,18 @@ def decompose(instance: SearchInstance) -> Decomposition:
     return Decomposition(v, alpha, beta, b, w_t=w_t, w_l=w_l)
 
 
-def _iterations(n):
-    """An iteration count n as a float array, refusing a negative n."""
-    n = np.asarray(n, dtype=float)
-    if np.any(n < 0.0):
-        raise ValueError("n must be non-negative")
-    return n
+def success_prob_analytic(dec: Decomposition, n: float) -> float:
+    """Closed-form success probability after n >= 0 iterations; n may be real.
 
-
-def _unwrap(p):
-    """A float for a 0-d result, the array itself otherwise."""
-    return float(p) if p.ndim == 0 else p
-
-
-def success_prob_analytic(dec: Decomposition, n):
-    """Closed-form success probability after n iterations; n may be real.
-
-    Accepts a scalar or an array of non-negative n (the optimization view
-    treats n as continuous); returns matching shape, clipped to [0, 1]
-    against float round-off.
+    The optimization view treats n as continuous.  The result is clipped to
+    [0, 1] against float round-off; a NaN n gives NaN.
     """
-    n = _iterations(n)
-    g = 0.5 * (dec.alpha**2 + dec.beta**2) + 0.5 * dec.amp * np.cos(
+    if n < 0.0:
+        raise ValueError("n must be non-negative")
+    g = 0.5 * (dec.alpha**2 + dec.beta**2) + 0.5 * dec.amp * math.cos(
         2.0 * n * dec.phi - dec.theta
     )
-    return _unwrap(np.clip(dec.w_t + g, 0.0, 1.0))
+    return min(max(dec.w_t + g, 0.0), 1.0)  # max(nan, 0.0) keeps the NaN
 
 
 def first_maximum(dec: Decomposition):
@@ -189,16 +179,17 @@ def first_maximum(dec: Decomposition):
     return (dec.theta + _TWO_PI * j) / (2.0 * dec.phi), dec.peak
 
 
-def uniform_success_prob(v: float, n):
+def uniform_success_prob(v: float, n: float) -> float:
     """Success probability (1 - cos((2n+1) phi))/2 when s = a, for v in [0, 1].
 
-    n is a scalar or an array of non-negative iteration counts (real n is
-    accepted, so periodicity can be probed continuously); a scalar gives a
-    float, an array an array.  v = 0 gives 0, and v = 1 gives phi = pi
-    exactly, so integer n succeed with certainty.
+    n is one non-negative iteration count (real n is accepted, so
+    periodicity can be probed continuously).  v = 0 gives 0, and v = 1 gives
+    phi = pi exactly, so integer n succeed with certainty.
     """
     phi = rotation_angle(v)
-    return _unwrap(0.5 * (1.0 - np.cos((2.0 * _iterations(n) + 1.0) * phi)))
+    if n < 0.0:
+        raise ValueError("n must be non-negative")
+    return 0.5 * (1.0 - math.cos((2.0 * n + 1.0) * phi))
 
 
 def biham_mapping(amplitudes, targets) -> BihamMapping:

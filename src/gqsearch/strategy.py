@@ -17,8 +17,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from . import _np as np
-from .analytic import Decomposition, _unwrap, success_prob_analytic
+from .analytic import Decomposition, success_prob_analytic
 from .errors import GQSearchError, ValidityError
 
 
@@ -150,21 +149,19 @@ def _check_agents(k: int, name: str = "k") -> None:
         raise GQSearchError(f"{name} must be <= 2^53, got {k}")
 
 
-def parallel_success(p, k: int):
+def parallel_success(p: float, k: int) -> float:
     """Probability 1 - (1-p)^k that at least one of k agents succeeds.
 
-    p is a scalar or an array, and k an integer in [1, 2^53].  k = 1 returns
-    p itself (no float round trip), so the k = 1 reduction of the parallel
-    cost is exact.
+    p is one probability in [0, 1], and k an integer in [1, 2^53].  k = 1
+    returns p itself (no float round trip), so the k = 1 reduction of the
+    parallel cost is exact.
     """
-    p = np.asarray(p, dtype=float)
-    if not np.all((p >= 0.0) & (p <= 1.0)):
+    if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     _check_agents(k)
-    if k > 1:
-        with np.errstate(divide="ignore"):  # log1p(-1) = -inf gives 1
-            p = -np.expm1(k * np.log1p(-p))
-    return _unwrap(p)
+    if k == 1:
+        return float(p)
+    return -math.expm1(k * math.log1p(-p)) if p < 1.0 else 1.0  # log1p(-1) raises
 
 
 # Past n = 2^53 a float no longer holds n exactly.

@@ -50,7 +50,8 @@ def test_criterion_01_simulator_analytic_equivalence():
         )
         inst = held_instance(targets, averaging, random_state(n_items, 2000 + i))
         sim = success_trajectory(inst, 50)
-        ana = success_prob_analytic(decompose(inst), np.arange(51))
+        dec = decompose(inst)
+        ana = [success_prob_analytic(dec, n) for n in range(51)]
         worst = max(worst, float(np.max(np.abs(sim - ana))))
     elapsed = time.perf_counter() - t0
     assert worst < 1e-10, f"criterion 01: max |dp| = {worst:.3e}"

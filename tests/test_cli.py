@@ -742,17 +742,13 @@ def test_plan_one_agent_outside_the_small_angle_regime(capsys, n_items, r, n_int
 def test_plan_refuses_a_hopeless_scan_before_scanning(monkeypatch, capsys):
     # N = 10^100, k = 2: the optimum lies near n = 5.5e49, past 2^53, and the
     # planner finds that from its walk, not from a scan of n
-    def no_scan(dec, n):
-        if np.ndim(n) > 0:
-            raise AssertionError("the scan ran")
-        return success_prob_analytic(dec, n)
-
-    monkeypatch.setattr(gqsearch.strategy, "success_prob_analytic", no_scan)
+    points = _count_points(monkeypatch)
     code, out, err = run_cli(
         capsys, "plan", "--n-items", str(10**100), "--num-targets", "1", "--agents", "2"
     )
     assert (code, out) == (2, "")
     assert err == "error: no optimum of n / P_k(n) found up to n = 9007199254740992\n"
+    assert len(points) <= 1
 
 
 def _count_points(monkeypatch):
@@ -760,7 +756,7 @@ def _count_points(monkeypatch):
     points = []
 
     def counted(dec, n):
-        points.extend(np.ravel(n).tolist())
+        points.append(n)
         return success_prob_analytic(dec, n)
 
     monkeypatch.setattr(gqsearch.strategy, "success_prob_analytic", counted)
@@ -1410,11 +1406,13 @@ print(code, "numpy" in sys.modules)
         (["heatmap", "--n-items", "8", "--format", "pgm", "--out", "OUT"], 0, False),
         (["--help"], 0, False),
         (["plan", "--n-items", "16", "--bogus"], 2, False),
-        # the control: a parallel plan runs the planner, which is numpy's
-        (["plan", "--n-items", "1048576", "--num-targets", "1", "--agents", "4"], 0, True),
+        # a parallel plan costs a few candidates with the math module
+        (["plan", "--n-items", "1048576", "--num-targets", "1", "--agents", "4"], 0, False),
+        # the control: a simulation walks a vector
+        (["simulate", "--n-items", "8", "--num-targets", "1"], 0, True),
     ],
     ids=["import", "plan", "heatmap-json", "heatmap-csv", "heatmap-pgm", "help", "bad-flag",
-         "plan-agents-4"],
+         "plan-agents-4", "simulate"],
 )
 def test_calls_that_build_no_vector_never_load_numpy(tmp_path, argv, code, loads_numpy):
     argv = [str(tmp_path / "map.pgm") if arg == "OUT" else arg for arg in argv]
@@ -1445,11 +1443,13 @@ print(code, *(name for name in layers if f"gqsearch.{name}" in sys.modules),
     (["plan", "--n-items", "1048576", "--num-targets", "1", "--agents", "1"],
      "analytic statevector strategy"),
     (["plan", "--n-items", "64", "--num-targets", "1", "--agents", "4"],
-     "analytic statevector strategy numpy"),
+     "analytic statevector strategy"),
+    (["parallel-sweep", "--n-items", "1099511627776", "--num-targets", "5", "--agents", "16"],
+     "analytic statevector strategy"),
     (["heatmap", "--n-items", "8"], "analytic statevector"),
     # the control: a simulation loads the simulator and the closed form
     (["simulate", "--n-items", "8", "--num-targets", "1"], "analytic statevector numpy"),
-], ids=["import", "plan-k1", "plan-k4", "heatmap", "simulate"])
+], ids=["import", "plan-k1", "plan-k4", "parallel-sweep", "heatmap", "simulate"])
 def test_a_call_loads_only_the_layers_it_runs(argv, loaded):
     result = subprocess.run(
         [sys.executable, "-c", _LAYER_PROBE, *argv], env=_env_with_package(),
@@ -1647,14 +1647,25 @@ _OTHER_FLAGS = {
 }
 
 
+# --n-items at, below and above every power of two to 2^64, and far past it
+_EDGE_N_ITEMS = sorted({1, 2, 3, 10**30} | {2**k + d for k in range(1, 65) for d in (-1, 0, 1)})
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_target_flags_end_in_output_or_exit_2(data):
-    # every flag ends in finite JSON with exit 0, or in one error line with
-    # exit 2, and never builds more than a small, bounded amount
+    # every flag ends within 2 s in finite JSON or CSV with exit 0, or in one
+    # error line with exit 2, and never builds more than a small, bounded
+    # amount.  The two planners also draw every edge size to 2^64 and 10^30;
+    # the heatmap does not, as a valid grid under its cap builds up to 570 MiB
     command = data.draw(st.sampled_from(list(_OTHER_FLAGS)))
-    n_items = data.draw(st.one_of(st.integers(1, 64), st.sampled_from([-1, 0, 2**1024, 10**400])))
-    argv = [command, f"--n-items={n_items}"]
+    planner = command in ("plan", "parallel-sweep")
+    sizes = st.one_of(st.integers(1, 64), st.sampled_from([-1, 0, 2**1024, 10**400]))
+    if planner:
+        sizes = st.one_of(sizes, st.sampled_from(_EDGE_N_ITEMS))
+    n_items = data.draw(sizes)
+    fmt = data.draw(st.sampled_from(["json", "csv"])) if planner else "json"
+    argv = [command, f"--n-items={n_items}", f"--format={fmt}"]
     targeted = command in ("plan", "simulate", "montecarlo")
     if targeted and data.draw(st.booleans()):
         hostile = [-2**63, -1, 0, 1, n_items, n_items + 1, 2**63]
@@ -1674,26 +1685,23 @@ def test_target_flags_end_in_output_or_exit_2(data):
         # a flag left out keeps its default, which is small but for --trials (10^5)
         if flag == "--trials" or data.draw(st.booleans()):
             argv.append(f"{flag}={data.draw(values)}")
-    out, err = io.StringIO(), io.StringIO()
-    tracemalloc.start()
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:  # argparse refuses its input this way
-                code = exc.code
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    out, err = out.getvalue(), err.getvalue()
+    began = time.perf_counter()
+    code, out, err, peak = _run_contained(argv)
+    took = time.perf_counter() - began
     assert code in (0, 2), (argv, code, err)
     assert "Traceback" not in err
     assert ("error:" in err) == (code == 2), (argv, err)
-    if code == 0:
-        json.loads(out, parse_constant=_reject_constant)
-    else:
+    if code != 0:
         assert out == ""
+    elif fmt == "csv":
+        for row in out.splitlines()[1:]:
+            # an integer cell, N among them, may lie past float range
+            assert all(not cell or cell.lstrip("-").isdigit() or math.isfinite(float(cell))
+                       for cell in row.split(",")), (argv, row)
+    else:
+        json.loads(out, parse_constant=_reject_constant)
     assert peak < 4 * 2**20, (argv, f"peak {peak / 2**20:.1f} MiB")
+    assert took < 2.0, (argv, f"{took:.2f} s")
 
 
 def _run_contained(argv):
@@ -1781,10 +1789,6 @@ def test_state_files_end_in_output_or_exit_2(data):
         assert (f"state file {path!r}" in err or err.startswith("error: state norm is ")
                 or err.startswith("error: state file dimension ")), (fault, err)
     assert peak < 4 * 2**20, (argv, f"peak {peak / 2**20:.1f} MiB")
-
-
-# --n-items at, below and above every power of two to 2^64, and far past it
-_EDGE_N_ITEMS = sorted({1, 2, 3, 10**30} | {2**k + d for k in range(1, 65) for d in (-1, 0, 1)})
 
 
 @settings(max_examples=200, deadline=None)

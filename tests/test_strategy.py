@@ -463,7 +463,7 @@ def test_restart_iterations_ties_and_zero_probability():
     flat = Decomposition(0.5, 0.0, 0.0, 0.0, w_t=0.5, w_l=0.5)
     assert parallel_plan(flat, 1).n_int == 1
     # n / p = 4 at n = 2, 3 and 4 exactly: the planner takes the smallest
-    table = lambda dec, ns: np.interp(ns, [1, 2, 3, 4], [0.0, 0.5, 0.75, 1.0])
+    table = lambda dec, n: float(np.interp(n, [1, 2, 3, 4], [0.0, 0.5, 0.75, 1.0]))
     peak_one = Decomposition(0.5, 1.0, 0.0, 0.0)  # p_max = 1
     with mock.patch.object(strategy, "success_prob_analytic", table):
         assert strategy._cheapest_iterations(peak_one, 1) == (2, 4.0)
@@ -472,15 +472,13 @@ def test_restart_iterations_ties_and_zero_probability():
         parallel_plan(never, 1)
 
 
-def _scan_everything(prob, k, n_max):
-    """n / P_k(n) over n = 1..n_max in one array, and its first argmin."""
-    ns = np.arange(1, n_max + 1, dtype=float)
-    with np.errstate(divide="ignore"):
-        costs = ns / parallel_success(prob(ns), k)
+def _scan_everything(dec, k, n_max):
+    """n / P_k(n) over n = 1..n_max in one numpy array; its first argmin, rescored."""
+    costs = scan_reference.scan_costs(dec, k, np.arange(1, n_max + 1, dtype=float))
     best = int(np.argmin(costs))
     # cost(n) >= n, so no n past n_max can beat a minimum at most n_max
     assert costs[best] <= n_max
-    return best + 1, float(costs[best])
+    return scan_reference.rescore(dec, k, best + 1)
 
 
 @settings(max_examples=150, deadline=None)
@@ -491,7 +489,7 @@ def test_parallel_plan_matches_an_exhaustive_scan(n_items, data):
     dec = decompose(uniform_instance(n_items, r))
     plan = parallel_plan(dec, k)
     v = math.sqrt(r / n_items)
-    want = _scan_everything(lambda ns: success_prob_analytic(dec, ns), k, 4096)
+    want = _scan_everything(dec, k, 4096)
     assert (plan.n_int, plan.expected_cost) == want
     # the same optimum from sin^2((2n+1) asin v), to round-off
     with np.errstate(divide="ignore"):
@@ -525,7 +523,7 @@ def test_restart_iterations_matches_an_exhaustive_scan(v, alpha, beta, root_wt, 
         with pytest.raises(GQSearchError, match="success probability is 0 for every n"):
             parallel_plan(dec, 1)
         return
-    want = _scan_everything(lambda ns: success_prob_analytic(dec, ns), 1, 2**18)
+    want = _scan_everything(dec, 1, 2**18)
     assert parallel_plan(dec, 1).n_int == want[0]
 
 
@@ -556,9 +554,9 @@ def _count_points(monkeypatch):
     """The n the planner computes p(n) at, one entry per n."""
     points = []
 
-    def counted(dec, ns):
-        points.extend(np.ravel(ns).tolist())
-        return success_prob_analytic(dec, ns)
+    def counted(dec, n):
+        points.append(n)
+        return success_prob_analytic(dec, n)
 
     monkeypatch.setattr(strategy, "success_prob_analytic", counted)
     return points
@@ -666,5 +664,5 @@ def test_parallel_plan_matches_the_linear_scan(log_n_items, data):
 @given(log_v=st.floats(-7.0, 0.0), k=st.sampled_from([2, 3, 8, 64]), seed=st.integers(0, 2**32 - 1))
 def test_restart_iterations_for_k_agents_matches_an_exhaustive_scan(log_v, k, seed):
     dec = _random_decomposition(np.random.default_rng(seed), 2.0**log_v)
-    want = _scan_everything(lambda ns: success_prob_analytic(dec, ns), k, 2**18)
+    want = _scan_everything(dec, k, 2**18)
     assert parallel_plan(dec, k).n_int == want[0]
