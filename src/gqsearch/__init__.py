@@ -2,24 +2,26 @@
 probabilities, and optimal restart / parallel strategies.
 
 The amplitude-amplification operator Q acts on an arbitrary start state
-with reflections about an arbitrary averaging axis; `statevector` evolves
-it exactly, `analytic` carries the two-dimensional rotation picture and
-its closed-form probability model, `strategy` plans optimal punctuated
-and k-agent runs, and `montecarlo` checks the cost formulas with seeded
-restart experiments.  `cli` exposes all of it as the `gqsearch` command.
+with reflections about an arbitrary averaging axis; `analytic` holds the
+search problem, its two-dimensional rotation picture and its closed-form
+probability model, `statevector` reduces explicit states and evolves them
+exactly, `strategy` plans optimal punctuated and k-agent runs, and
+`montecarlo` checks the cost formulas with seeded restart experiments.
+Only `statevector` and `montecarlo` import numpy.  `cli` exposes all of
+it as the `gqsearch` command.
 """
 
 import importlib
 
 # Each public name and the submodule that defines it.  A name is imported on
-# its first lookup (PEP 562), as `_np` imports numpy, so `import gqsearch`
-# and `import gqsearch.cli` load no layer that the caller does not use.
+# its first lookup (PEP 562), so `import gqsearch` and `import gqsearch.cli`
+# load no layer that the caller does not use.
 _SOURCES = {
-    "analytic": "Decomposition biham_mapping decompose first_maximum rotation_angle "
-                "success_prob_analytic uniform_success_prob",
+    "analytic": "Decomposition TargetSet decompose first_maximum rotation_angle "
+                "success_prob_analytic uniform_instance uniform_success_prob",
     "errors": "GQSearchError ValidityError",
     "montecarlo": "run_parallel",
-    "statevector": "SearchInstance TargetSet success_trajectory uniform_instance",
+    "statevector": "biham_mapping from_blocks success_trajectory",
     "strategy": "ParallelPlan PunctuatedPlan cost_stddev expected_cost max_probability_cost "
                 "optimal_x_parallel_approx optimal_x_single parallel_plan "
                 "parallel_plan_closed_form parallel_success punctuated_plan "

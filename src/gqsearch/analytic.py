@@ -1,9 +1,12 @@
-"""Two-dimensional reduction of the iteration and its closed-form probability.
+"""The search problem and the closed form of its iteration.
 
-An arbitrary (|s>, |a>, targets) triple reduces to motion in the plane
-spanned by |t> (the normalized projection of |a> onto the target subspace)
-and |a'> (the unit complement of |a> in that plane), plus two residual
-components that Q leaves fixed up to sign.  Writing
+A `SearchInstance` holds the six target-split inner products of a start
+state |s>, an averaging state |a> and r targets among N; `uniform_instance`
+writes them from r/N alone, and `statevector.from_blocks` sums explicit
+states.  An arbitrary (|s>, |a>, targets) triple reduces to motion in the
+plane spanned by |t> (the normalized projection of |a> onto the target
+subspace) and |a'> (the unit complement of |a> in that plane), plus two
+residual components that Q leaves fixed up to sign.  Writing
 
     |s> = alpha |t> + beta e^{ib} |a'> + |phi_t> + |phi_l>
 
@@ -14,28 +17,104 @@ the success probability after n iterations is
 with A = |alpha^2 + beta^2 e^{2ib}| and theta = atan2(2 alpha beta cos b,
 alpha^2 - beta^2).  Maxima sit at n_j = (theta + 2 pi j)/(2 phi).
 
-`decompose` reads the six target-split inner products that a `SearchInstance`
-stores, each as stored, so it is O(1).  The formula covers both ends of the
-overlap range: at v = 0, |t> is undefined and alpha = 0, so p(n) = w_t; where
-<a_L|a_L> = 0 exactly, v = 1, |a'> is undefined and beta = 0, so p(n) = w_t +
-alpha^2 at integer n.  Near v = 1, beta^2 keeps its weight: 1/N at r = N - 1.
+`decompose` reads the six products, each as stored, so it is O(1).  The
+formula covers both ends of the overlap range: at v = 0, |t> is undefined
+and alpha = 0, so p(n) = w_t; where <a_L|a_L> = 0 exactly, v = 1, |a'> is
+undefined and beta = 0, so p(n) = w_t + alpha^2 at integer n.  Near v = 1,
+beta^2 keeps its weight: 1/N at r = N - 1.
 
 For s = a the start lies in the plane at angle phi/2 from |a'>, and the
 formula reduces to (1 - cos((2n+1) phi))/2, `uniform_success_prob`, which the
-verify command checks against the simulator.  Both closed forms take one n
-and compute with the math module, so a caller that plans from them loads no
-numpy; callers with many n map over them.  The heatmap repeats the uniform
-expression inline, one phi per column: a call per cell made its largest grid
-half again as slow (see `cli.heatmap_grid`).
+verify command checks against the simulator.  Everything here is scalar
+and computes with the math module, so a caller that plans from it loads no
+numpy; callers with many n map over the closed forms.  The heatmap repeats
+the uniform expression inline, one phi per column: a call per cell made its
+largest grid half again as slow (see `cli.heatmap_grid`).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
-from . import _np as np
 from .errors import GQSearchError
+
+
+@dataclass(frozen=True)
+class TargetSet:
+    """Sorted set of distinct marked basis indices.
+
+    Indices are canonicalized to a sorted tuple.  Duplicates are an error,
+    not a normalization.  A TargetSet alone carries no N, so the range
+    check against a dimension is `_rows`, run where N is known.
+    """
+
+    indices: tuple
+
+    def __post_init__(self):
+        try:
+            idx = tuple(sorted(operator.index(i) for i in self.indices))
+        except TypeError as exc:
+            raise GQSearchError(f"bad target indices: {exc}") from exc
+        if not idx:
+            raise GQSearchError("target set is empty")
+        if idx[0] < 0:
+            raise GQSearchError(f"negative target index {idx[0]}")
+        if len(set(idx)) != len(idx):
+            raise GQSearchError("duplicate target indices")
+        object.__setattr__(self, "indices", idx)
+
+    @property
+    def r(self) -> int:
+        return len(self.indices)
+
+
+def _rows(targets, n_items: int):
+    """(r, rows) of a TargetSet or an integer count r, for the indices 0..r-1: its
+    sorted index tuple, or the slice [0, r).  The one range check of targets
+    against a dimension: n_items >= 1 and every row below n_items, or a
+    GQSearchError."""
+    if n_items < 1:
+        raise GQSearchError(f"n_items must be >= 1, got {n_items}")
+    if isinstance(targets, TargetSet):
+        if targets.indices[-1] >= n_items:
+            raise GQSearchError(f"target index {targets.indices[-1]} out of range "
+                                f"for n_items={n_items}")
+        return targets.r, targets.indices
+    try:
+        r = operator.index(targets)
+    except TypeError as exc:
+        raise GQSearchError(f"bad target count: {exc}") from exc
+    if not 1 <= r <= n_items:
+        raise GQSearchError(f"target count {r} outside [1, {n_items}]")
+    return r, slice(0, r)
+
+
+@dataclass(frozen=True)
+class SearchInstance:
+    """A search problem as six target-split inner products.
+
+    products holds (<s_T|s_T>, <s_L|s_L>, <a_T|a_T>, <a_T|s_T>, <a_L|s_L>,
+    <a_L|a_L>), all that Q needs of the states and targets; build it with
+    `uniform_instance`, or `gqsearch.statevector.from_blocks` for explicit
+    states.
+    """
+
+    products: tuple
+
+
+def uniform_instance(n_items: int, r: int) -> SearchInstance:
+    """Uniform averaging and start states with r targets, 1 <= r <= N: every
+    product is r/N or 1 - r/N, with no N-vector and no indices.  An r/N that
+    underflows to 0.0 is refused."""
+    r, _ = _rows(r, n_items)
+    u_t = r / n_items
+    if u_t == 0.0:
+        raise GQSearchError(f"r/N = {r}/N underflows to 0.0 in float64")
+    u_l = 1.0 - u_t
+    return SearchInstance((u_t, u_l, u_t, u_t, u_l, u_l))
+
 
 # A below this fraction of alpha^2 + beta^2 counts as no oscillation at all
 # (an exact zero is unreachable in floats: cos(pi/2) rounds to 6.1e-17).
@@ -106,23 +185,6 @@ class Decomposition:
         return math.pi - self.theta
 
 
-@dataclass(frozen=True)
-class BihamMapping:
-    """Mean/deviation statistics of a start state over target split.
-
-    k_bar and l_bar are the mean target / non-target amplitudes; sigma_k
-    and sigma_l their population standard deviations.  For a uniform
-    averaging state these tie back to the decomposition via
-    |alpha| = |k_bar| sqrt(r) and beta = |l_bar| sqrt(N - r), and the
-    residual weights via w_t = r sigma_k^2, w_l = (N - r) sigma_l^2.
-    """
-
-    k_bar: complex
-    l_bar: complex
-    sigma_k: float
-    sigma_l: float
-
-
 def decompose(instance: SearchInstance) -> Decomposition:
     """Reduce an instance to its rotation-plane coordinates.
 
@@ -191,24 +253,3 @@ def uniform_success_prob(v: float, n: float) -> float:
         raise ValueError("n must be non-negative")
     return 0.5 * (1.0 - math.cos((2.0 * n + 1.0) * phi))
 
-
-def biham_mapping(amplitudes, targets) -> BihamMapping:
-    """Mean/deviation statistics of a unit start state, a 1-D amplitude array, over
-    the split of a TargetSet or a count r; assumes a uniform averaging state, 1 <= r < N."""
-    from .statevector import _check_unit, _rows
-
-    amps = np.asarray(amplitudes, dtype=np.complex128)
-    if amps.ndim != 1 or amps.size < 1:
-        raise GQSearchError("amplitudes must be a non-empty one-dimensional array")
-    _check_unit(math.sqrt(np.einsum("i,i->", amps.conj(), amps).real))  # no BLAS threads
-    n_items = amps.size
-    r, rows = _rows(targets, n_items)
-    if r >= n_items:
-        raise ValueError(f"mapping undefined for r = N (r={r}, N={n_items})")
-    rows = rows if isinstance(rows, slice) else list(rows)
-    k, l = amps[rows], np.delete(amps, rows)
-    k_bar = complex(k.mean())
-    l_bar = complex(l.mean())
-    sigma_k = float(math.sqrt(np.mean(np.abs(k - k_bar) ** 2)))
-    sigma_l = float(math.sqrt(np.mean(np.abs(l - l_bar) ** 2)))
-    return BihamMapping(k_bar=k_bar, l_bar=l_bar, sigma_k=sigma_k, sigma_l=sigma_l)

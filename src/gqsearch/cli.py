@@ -17,6 +17,8 @@ File formats
 ------------
 State vector files (`file:PATH`) are plain text: line 1 holds N, then N lines
 of one "re im" pair each; a float written as its Python repr reads back exactly.
+Their one parser is `gqsearch.statevector._state_file`, which yields the
+lines in blocks that the reducer sums as they are read.
 PGM output is binary P5 with maxval 255 (255 = probability 1), rows are
 iteration counts ascending, columns are target counts r ascending.
 JSON is the default output format everywhere.
@@ -28,11 +30,9 @@ import argparse
 import math
 import re
 import sys
-import warnings
 
 # Each command imports the layer functions it calls when it runs, so a call
 # loads only its own layers and `import gqsearch.cli` loads none of them.
-from . import _np as np
 from .errors import ValidityError
 
 
@@ -75,42 +75,10 @@ def _parse_iteration_single(text: str) -> int:
     return lo
 
 
-def _state_file(path: str, n_items: int):
-    """Yield the N of the state file at path, then its amplitudes in blocks of BLOCK lines.
-
-    An N other than n_items is refused before any amplitude line is parsed.
-    An error past the first block names that block's lines, one per amplitude.
-    """
-    from .statevector import BLOCK
-
-    with open(path, "rb") as fh:  # lines decoded one by one: an error stays in its block
-        try:
-            n = _int(fh.readline().decode("ascii").removesuffix("\n").removesuffix("\r"))
-        except ValueError as exc:
-            raise ValueError(f"state file {path!r} is malformed: {exc}") from exc
-        if n != n_items:
-            raise ValueError(f"state file dimension {n} does not match --n-items {n_items}")
-        yield n
-        for lo in range(0, max(n, 1), BLOCK):
-            rows, last = min(BLOCK, n - lo), lo + BLOCK >= n  # the last looks one row past N
-            where = f" in lines {lo + 2}-{lo + rows + 1 + last}" if lo else ""
-            try:
-                with warnings.catch_warnings():  # no data lines: the shape check reports it
-                    warnings.simplefilter("ignore", UserWarning)
-                    values = np.loadtxt(fh, ndmin=2, comments=None, encoding="ascii",
-                                        max_rows=max(rows + last, 0))
-            except ValueError as exc:
-                raise ValueError(f"state file {path!r} is malformed{where}: {exc}") from exc
-            if values.shape != (rows, 2):
-                raise ValueError(f"state file {path!r} needs {n} lines of 're im', "
-                                 f"got shape {values.shape}{where}")
-            yield values.view(np.complex128)[:, 0]  # no copy, and -0.0 keeps its sign
-
-
 def _resolve_targets(args: argparse.Namespace) -> tuple:
     """(r, TargetSet) for --targets; (r, None) for --num-targets, so a count builds no
     indices.  `_rows` checks either against --n-items."""
-    from .statevector import TargetSet, _rows
+    from .analytic import TargetSet, _rows
 
     # a tuple, parsed before TargetSet sees it: a bad index reports _parse_int's message
     targets = None if args.targets is None else TargetSet(tuple(
@@ -141,6 +109,8 @@ def _resolve_state(spec: str, n_items: int, allow_random: bool):
         seed = _parse_int("--start", spec, spec.split(":", 1)[1])
         return _random_blocks(n_items, _check_seed("--start random:<seed>", seed))
     if spec.startswith("file:"):
+        from .statevector import _state_file
+
         blocks = _state_file(spec.split(":", 1)[1], n_items)
         next(blocks)  # N first: a wrong N is refused before the body is parsed
         return blocks
@@ -150,13 +120,13 @@ def _resolve_state(spec: str, n_items: int, allow_random: bool):
 def _build_instance(args: argparse.Namespace, r: int, targets) -> SearchInstance:
     """The run's instance, of the rows [0, r) for a count; explicit states are reduced as
     they are drawn or read, never held."""
-    from .statevector import SearchInstance
+    from .statevector import from_blocks
 
     n_items = args.n_items
     averaging = _resolve_state(args.averaging, n_items, allow_random=False)
     start = (averaging if args.start == args.averaging  # s = a: one state, read once
              else _resolve_state(args.start, n_items, allow_random=True))
-    return SearchInstance.from_blocks(r if targets is None else targets, n_items, averaging, start)
+    return from_blocks(r if targets is None else targets, n_items, averaging, start)
 
 
 def _csv_cell(value) -> str:
@@ -206,8 +176,7 @@ def _write_output(data, out_path) -> None:
 
 def default_heatmap_n_max(n_items: int) -> int:
     """Two full r=1 quarter-period ceilings, so two periods are visible."""
-    from .analytic import decompose
-    from .statevector import uniform_instance
+    from .analytic import decompose, uniform_instance
 
     return 2 * math.ceil(0.5 * math.pi / decompose(uniform_instance(n_items, 1)).phi)
 
@@ -226,8 +195,7 @@ def heatmap_grid(n_items: int, n_max: int) -> list:
     A call of `uniform_success_prob` per cell gives the same bytes but took the
     largest grid in PGM from 0.65 to 0.99 s (median of 5, 2 cores, Python 3.11).
     """
-    from .analytic import rotation_angle
-    from .statevector import _rows
+    from .analytic import _rows, rotation_angle
 
     _rows(1, n_items)
     if n_max < 0:
@@ -292,8 +260,7 @@ def sweep_rows(n_items: int, r_max: int, k_max: int) -> list:
     rounded formula n so discrepancies between the two cost expressions are
     visible side by side.  Each r is decomposed once, for all k.
     """
-    from .analytic import decompose
-    from .statevector import uniform_instance
+    from .analytic import decompose, uniform_instance
 
     if r_max * k_max > SWEEP_MAX_PLANS:
         raise ValueError(f"parallel-sweep of {r_max} x {k_max} plans exceeds {SWEEP_MAX_PLANS}")
@@ -386,8 +353,7 @@ PLAN_COLUMNS = tuple(_PLAN_CELLS)
 def cmd_plan(args: argparse.Namespace):
     from dataclasses import asdict
 
-    from .analytic import decompose
-    from .statevector import uniform_instance
+    from .analytic import decompose, uniform_instance
     from .strategy import _check_agents, max_probability_cost, punctuated_plan
 
     _check_agents(args.agents, "--agents")
@@ -446,7 +412,7 @@ def cmd_heatmap(args: argparse.Namespace):
 
 
 def cmd_parallel_sweep(args: argparse.Namespace):
-    from .statevector import _rows
+    from .analytic import _rows
     from .strategy import _check_agents
 
     _check_agents(args.agents, "--agents")
@@ -508,9 +474,9 @@ def cmd_montecarlo(args: argparse.Namespace):
 
 def _verify_checks(seed: int) -> list:
     """(name, measured, expected, tolerance) tuples for cmd_verify."""
-    from .analytic import (biham_mapping, decompose, first_maximum, rotation_angle,
+    from .analytic import (decompose, first_maximum, rotation_angle, uniform_instance,
                            uniform_success_prob)
-    from .statevector import SearchInstance, _random_blocks, success_trajectory, uniform_instance
+    from .statevector import _random_blocks, biham_mapping, from_blocks, success_trajectory
     from .strategy import optimal_x_single, punctuated_plan
 
     checks = []
@@ -537,10 +503,9 @@ def _verify_checks(seed: int) -> list:
 
     instance = uniform_instance(16, 1)  # v = 1/4
     trajectory = success_trajectory(instance, 20)
-    closed = [uniform_success_prob(0.25, n) for n in range(21)]
-    checks.append(
-        ("grover_case_v_quarter_max_dev", float(np.max(np.abs(trajectory - closed))), 0.0, 1e-10)
-    )
+    max_dev = max(abs(p - uniform_success_prob(0.25, n))
+                  for n, p in enumerate(trajectory.tolist()))
+    checks.append(("grover_case_v_quarter_max_dev", max_dev, 0.0, 1e-10))
     dec = decompose(instance)
     n_first, _ = first_maximum(dec)
     checks.append(
@@ -566,7 +531,7 @@ def _verify_checks(seed: int) -> list:
             + (n_items - r) * mapping.sigma_l**2
         )
         norm_dev = max(norm_dev, abs(total - 1.0))
-        dec_i = decompose(SearchInstance.from_blocks(r, n_items, None, [start]))
+        dec_i = decompose(from_blocks(r, n_items, None, [start]))
         alpha_dev = max(alpha_dev, abs(dec_i.alpha - abs(mapping.k_bar) * math.sqrt(r)))
         beta_dev = max(
             beta_dev, abs(dec_i.beta - abs(mapping.l_bar) * math.sqrt(n_items - r))

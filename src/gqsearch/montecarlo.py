@@ -16,7 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from . import _np as np
+import numpy as np
+
 from .errors import GQSearchError
 from .strategy import parallel_success
 

@@ -6,16 +6,17 @@ state (the oracle reflection) and then reflects about the averaging state
 parts of the start state on and off the targets and a_T, a_L split the
 averaging state the same way, so n iterations evolve four coefficients by
 a fixed 4x4 matrix, which six inner products of those vectors determine.
-A `SearchInstance` stores those products and no state vector.  Success
+`from_blocks` sums those products from states drawn (`_random_blocks`) or
+read (`_state_file`) block by block, and no state vector is kept.  Success
 probabilities are the target weight c^H G_T c of the coefficients, so n
 iterations cost O(n).  The coefficients need no linear independence of the
 four vectors, so s = a, r = N and v in {0, 1} take the same path.
 The simulator is the independent check of the closed form in
-`gqsearch.analytic`: `simulate` and `verify` set the two side by side,
-and `montecarlo` reads p(n) from the closed form alone.
-`gqsearch.analytic.decompose` reads the same six products, so the tests
-also check the closed form against the dense loop in
-`tests/dense_reference.py`, which shares no code with either.
+`gqsearch.analytic`, from which it takes only the problem types:
+`simulate` and `verify` set the two side by side.  The tests check both
+against the dense loop in `tests/dense_reference.py`, which applies Q to
+whole vectors; it shares only `_check_unit`, and `_ReducedBasis` in
+`reduced_amplitudes`, with this module.
 
 All operations are pure: they return new values and never mutate inputs.
 An input state within NORM_TOL of unit norm is normalized once, by
@@ -28,10 +29,13 @@ from __future__ import annotations
 import copy
 import itertools
 import math
-import operator
+import re
+import warnings
 from dataclasses import dataclass
 
-from . import _np as np
+import numpy as np
+
+from .analytic import SearchInstance, _rows, uniform_instance
 from .errors import GQSearchError
 
 # Drift beyond this is a GQSearchError.
@@ -44,56 +48,6 @@ _RANDOM_MAX_ITEMS = 2**28
 # Amplitudes per sum in the reducer; a chunk that holds targets is copied, 32 KiB a state.
 # Kept this small, np.vdot is never split across BLAS threads, which would change its bits.
 CHUNK = 2**11
-
-
-@dataclass(frozen=True)
-class TargetSet:
-    """Sorted set of distinct marked basis indices.
-
-    Indices are canonicalized to a sorted tuple.  Duplicates are an error,
-    not a normalization.  A TargetSet alone carries no N, so the range
-    check against a dimension is `_rows`, run where N is known.
-    """
-
-    indices: tuple
-
-    def __post_init__(self):
-        try:
-            idx = tuple(sorted(operator.index(i) for i in self.indices))
-        except TypeError as exc:
-            raise GQSearchError(f"bad target indices: {exc}") from exc
-        if not idx:
-            raise GQSearchError("target set is empty")
-        if idx[0] < 0:
-            raise GQSearchError(f"negative target index {idx[0]}")
-        if len(set(idx)) != len(idx):
-            raise GQSearchError("duplicate target indices")
-        object.__setattr__(self, "indices", idx)
-
-    @property
-    def r(self) -> int:
-        return len(self.indices)
-
-
-def _rows(targets, n_items: int):
-    """(r, rows) of a TargetSet or an integer count r, for the indices 0..r-1: its
-    sorted index tuple, or the slice [0, r).  The one range check of targets
-    against a dimension: n_items >= 1 and every row below n_items, or a
-    GQSearchError."""
-    if n_items < 1:
-        raise GQSearchError(f"n_items must be >= 1, got {n_items}")
-    if isinstance(targets, TargetSet):
-        if targets.indices[-1] >= n_items:
-            raise GQSearchError(f"target index {targets.indices[-1]} out of range "
-                                f"for n_items={n_items}")
-        return targets.r, targets.indices
-    try:
-        r = operator.index(targets)
-    except TypeError as exc:
-        raise GQSearchError(f"bad target count: {exc}") from exc
-    if not 1 <= r <= n_items:
-        raise GQSearchError(f"target count {r} outside [1, {n_items}]")
-    return r, slice(0, r)
 
 
 def _random_blocks(n_items: int, seed: int):
@@ -127,6 +81,40 @@ def _random_blocks(n_items: int, seed: int):
         yield x
 
 
+def _state_file(path: str, n_items: int):
+    """Yield the N of the state file at path, then its amplitudes in blocks of BLOCK lines.
+
+    An N other than n_items is refused before any amplitude line is parsed; N
+    is ASCII [+-]?[0-9]+, as the command line's integers are.  An error past
+    the first block names that block's lines, one per amplitude.
+    """
+    with open(path, "rb") as fh:  # lines decoded one by one: an error stays in its block
+        try:
+            head = fh.readline().decode("ascii").removesuffix("\n").removesuffix("\r")
+            if re.fullmatch("[+-]?[0-9]+", head) is None:  # int() takes blanks and '_'
+                raise ValueError(f"invalid literal for int() with base 10: {head!r}")
+            n = int(head)
+        except ValueError as exc:
+            raise ValueError(f"state file {path!r} is malformed: {exc}") from exc
+        if n != n_items:
+            raise ValueError(f"state file dimension {n} does not match --n-items {n_items}")
+        yield n
+        for lo in range(0, max(n, 1), BLOCK):
+            rows, last = min(BLOCK, n - lo), lo + BLOCK >= n  # the last looks one row past N
+            where = f" in lines {lo + 2}-{lo + rows + 1 + last}" if lo else ""
+            try:
+                with warnings.catch_warnings():  # no data lines: the shape check reports it
+                    warnings.simplefilter("ignore", UserWarning)
+                    values = np.loadtxt(fh, ndmin=2, comments=None, encoding="ascii",
+                                        max_rows=max(rows + last, 0))
+            except ValueError as exc:
+                raise ValueError(f"state file {path!r} is malformed{where}: {exc}") from exc
+            if values.shape != (rows, 2):
+                raise ValueError(f"state file {path!r} needs {n} lines of 're im', "
+                                 f"got shape {values.shape}{where}")
+            yield values.view(np.complex128)[:, 0]  # no copy, and -0.0 keeps its sign
+
+
 def _check_unit(nrm: float, step: int | None = None) -> None:
     """GQSearchError unless nrm is 1 to NORM_TOL: an input's, or after step iterations."""
     if not abs(nrm - 1.0) <= NORM_TOL:
@@ -134,88 +122,69 @@ def _check_unit(nrm: float, step: int | None = None) -> None:
                             else f"norm drifted to {nrm!r} after {step} iterations")
 
 
-@dataclass(frozen=True)
-class SearchInstance:
-    """A search problem as six target-split inner products.
+def from_blocks(targets, n_items: int, averaging, start) -> SearchInstance:
+    """The instance of two unit states of dimension n_items, never held, in O(N + r).
 
-    products holds (<s_T|s_T>, <s_L|s_L>, <a_T|a_T>, <a_T|s_T>, <a_L|s_L>,
-    <a_L|a_L>), all that Q needs of the states and targets; build it with
-    `from_blocks`.
+    targets is a TargetSet, or a count r for the indices 0..r-1.  Each
+    state is an iterable of blocks of its amplitudes in index order, read
+    once, or None for the uniform state u, which is never built; the same
+    iterable twice is s = a.  None for both reads no block and returns
+    `uniform_instance`, whose products r/N and 1 - r/N are u's beside an
+    explicit state too, and whose refusal of an r/N that underflows to 0.0
+    holds for every pair; an explicit state past 2^63 amplitudes is refused.
+    Two explicit states yield blocks of equal sizes; beside u, one block of
+    1/sqrt(N) sliced to its partner's, a block holds at most BLOCK
+    amplitudes.  The products are summed directly, CHUNK amplitudes at a
+    time, the off-target ones of a chunk with targets over its copy with
+    them zeroed, so <a_L|a_L> of an averaging state on the targets is
+    exactly 0.  An explicit state's norm must be 1 to NORM_TOL, else it is
+    refused; the products are then divided by the measured norms, so Q is
+    unitary for a state not 1 exactly.
     """
-
-    products: tuple
-
-    @classmethod
-    def from_blocks(cls, targets, n_items: int, averaging, start):
-        """The instance of two unit states of dimension n_items, never held, in O(N + r).
-
-        targets is a TargetSet, or a count r for the indices 0..r-1.  Each
-        state is an iterable of blocks of its amplitudes in index order, read
-        once, or None for the uniform state u, which is never built; the same
-        iterable twice is s = a.  u's own products are r/N and 1 - r/N, so
-        None for both reads no block and loads no numpy; an r/N that underflows
-        to 0.0 is refused, as is an explicit state past 2^63 amplitudes.  Two
-        explicit states yield blocks of equal sizes; beside u, one block of
-        1/sqrt(N) sliced to its partner's, a block holds at most BLOCK
-        amplitudes.  The products are summed directly, CHUNK amplitudes at a
-        time, the off-target ones of a chunk with targets over its copy with
-        them zeroed, so <a_L|a_L> of an averaging state on the targets is
-        exactly 0.  An explicit state's norm must be 1 to NORM_TOL, else it is
-        refused; the products are then divided by the measured norms, so Q is
-        unitary for a state not 1 exactly.
-        """
-        r, rows = _rows(targets, n_items)
-        u_t = r / n_items
-        if u_t == 0.0:
-            raise GQSearchError(f"r/N = {r}/N underflows to 0.0 in float64")
-        u_l = 1.0 - u_t
-        if averaging is None and start is None:  # s = a = u
-            return cls((u_t, u_l, u_t, u_t, u_l, u_l))
-        if n_items > 2**63:  # past numpy's int64 rows, and 1/sqrt(N) past 2^1024
-            raise GQSearchError(f"an explicit state holds at most 2^63 amplitudes, "
-                                f"got n_items={n_items}")
-        rows = rows if isinstance(rows, slice) else np.asarray(rows, dtype=np.intp)
-        total, lo = np.zeros(6, dtype=np.complex128), 0
-        if averaging is None or start is None:  # u beside a state, sliced to its blocks
-            u = np.full(min(BLOCK, n_items), 1.0 / math.sqrt(n_items), dtype=np.complex128)
-        pairs = (((x, x) for x in start) if averaging is start  # s = a: one stream, read once
-                 else ((u[:s.size], s) for s in start) if averaging is None
-                 else ((a, u[:a.size]) for a in averaging) if start is None
-                 else itertools.zip_longest(averaging, start, fillvalue=np.empty(0)))
-        for a_b, s_b in pairs:
-            if a_b.size != s_b.size:
-                raise GQSearchError(f"state blocks of {a_b.size} and {s_b.size} "
-                                    f"amplitudes at index {lo} do not match")
-            for c in range(0, s_b.size, CHUNK):
-                a, s = a_b[c:c + CHUNK], s_b[c:c + CHUNK]
-                if isinstance(rows, slice):
-                    t = slice(0, max(rows.stop - lo, 0))
-                else:  # the chunk's targets: a slice of the sorted indices, not a mask
-                    t = rows[np.searchsorted(rows, lo):np.searchsorted(rows, lo + s.size)] - lo
-                a_t, s_t, a_l, s_l = a[t], s[t], a, s
-                if a_t.size:  # off the targets: a copy with them zeroed
-                    a_l, s_l = a.copy(), s.copy()
-                    a_l[t] = s_l[t] = 0.0
-                total += [np.vdot(s_t, s_t), np.vdot(s_l, s_l), np.vdot(a_t, a_t),
-                          np.vdot(a_t, s_t), np.vdot(a_l, s_l), np.vdot(a_l, a_l)]
-                lo += s.size
-        if lo != n_items:
-            raise GQSearchError(f"blocks hold {lo} amplitudes, not n_items={n_items}")
-        ss_t, ss_l, aa_t, as_t, as_l, aa_l = total
-        aa_t, aa_l = (u_t, u_l) if averaging is None else (aa_t, aa_l)
-        ss_t, ss_l = (u_t, u_l) if start is None else (ss_t, ss_l)
-        aa, ss = (1.0 if x is None else (x_t + x_l).real  # u's norm is 1
-                  for x, x_t, x_l in ((averaging, aa_t, aa_l), (start, ss_t, ss_l)))
-        for xx in (aa, ss):
-            _check_unit(math.sqrt(xx))
-        cross = math.sqrt(aa * ss)
-        return cls((ss_t / ss, ss_l / ss, aa_t / aa, as_t / cross, as_l / cross, aa_l / aa))
-
-
-def uniform_instance(n_items: int, r: int) -> SearchInstance:
-    """Uniform averaging and start states with r targets, 1 <= r <= N: every
-    product is r/N or 1 - r/N, with no N-vector and no indices."""
-    return SearchInstance.from_blocks(r, n_items, None, None)
+    r, rows = _rows(targets, n_items)
+    uniform = uniform_instance(n_items, r)
+    if averaging is None and start is None:  # s = a = u
+        return uniform
+    u_t, u_l = uniform.products[:2]
+    if n_items > 2**63:  # past numpy's int64 rows, and 1/sqrt(N) past 2^1024
+        raise GQSearchError(f"an explicit state holds at most 2^63 amplitudes, "
+                            f"got n_items={n_items}")
+    rows = rows if isinstance(rows, slice) else np.asarray(rows, dtype=np.intp)
+    total, lo = np.zeros(6, dtype=np.complex128), 0
+    if averaging is None or start is None:  # u beside a state, sliced to its blocks
+        u = np.full(min(BLOCK, n_items), 1.0 / math.sqrt(n_items), dtype=np.complex128)
+    pairs = (((x, x) for x in start) if averaging is start  # s = a: one stream, read once
+             else ((u[:s.size], s) for s in start) if averaging is None
+             else ((a, u[:a.size]) for a in averaging) if start is None
+             else itertools.zip_longest(averaging, start, fillvalue=np.empty(0)))
+    for a_b, s_b in pairs:
+        if a_b.size != s_b.size:
+            raise GQSearchError(f"state blocks of {a_b.size} and {s_b.size} "
+                                f"amplitudes at index {lo} do not match")
+        for c in range(0, s_b.size, CHUNK):
+            a, s = a_b[c:c + CHUNK], s_b[c:c + CHUNK]
+            if isinstance(rows, slice):
+                t = slice(0, max(rows.stop - lo, 0))
+            else:  # the chunk's targets: a slice of the sorted indices, not a mask
+                t = rows[np.searchsorted(rows, lo):np.searchsorted(rows, lo + s.size)] - lo
+            a_t, s_t, a_l, s_l = a[t], s[t], a, s
+            if a_t.size:  # off the targets: a copy with them zeroed
+                a_l, s_l = a.copy(), s.copy()
+                a_l[t] = s_l[t] = 0.0
+            total += [np.vdot(s_t, s_t), np.vdot(s_l, s_l), np.vdot(a_t, a_t),
+                      np.vdot(a_t, s_t), np.vdot(a_l, s_l), np.vdot(a_l, a_l)]
+            lo += s.size
+    if lo != n_items:
+        raise GQSearchError(f"blocks hold {lo} amplitudes, not n_items={n_items}")
+    ss_t, ss_l, aa_t, as_t, as_l, aa_l = total
+    aa_t, aa_l = (u_t, u_l) if averaging is None else (aa_t, aa_l)
+    ss_t, ss_l = (u_t, u_l) if start is None else (ss_t, ss_l)
+    aa, ss = (1.0 if x is None else (x_t + x_l).real  # u's norm is 1
+              for x, x_t, x_l in ((averaging, aa_t, aa_l), (start, ss_t, ss_l)))
+    for xx in (aa, ss):
+        _check_unit(math.sqrt(xx))
+    cross = math.sqrt(aa * ss)
+    return SearchInstance((ss_t / ss, ss_l / ss, aa_t / aa, as_t / cross, as_l / cross, aa_l / aa))
 
 
 class _ReducedBasis:
@@ -265,3 +234,40 @@ def success_trajectory(instance: SearchInstance, n_max: int) -> np.ndarray:
     # c^H G_T c for each c, clipped once: the norm is held to NORM_TOL
     # only, so it can round past 1; np.clip, unlike min(), keeps a NaN.
     return np.clip([np.vdot(c, basis.gram_t @ c).real for c in basis.evolve(n_max)], 0.0, 1.0)
+
+
+@dataclass(frozen=True)
+class BihamMapping:
+    """Mean/deviation statistics of a start state over target split.
+
+    k_bar and l_bar are the mean target / non-target amplitudes; sigma_k
+    and sigma_l their population standard deviations.  For a uniform
+    averaging state these tie back to the decomposition via
+    |alpha| = |k_bar| sqrt(r) and beta = |l_bar| sqrt(N - r), and the
+    residual weights via w_t = r sigma_k^2, w_l = (N - r) sigma_l^2.
+    """
+
+    k_bar: complex
+    l_bar: complex
+    sigma_k: float
+    sigma_l: float
+
+
+def biham_mapping(amplitudes, targets) -> BihamMapping:
+    """Mean/deviation statistics of a unit start state, a 1-D amplitude array, over
+    the split of a TargetSet or a count r; assumes a uniform averaging state, 1 <= r < N."""
+    amps = np.asarray(amplitudes, dtype=np.complex128)
+    if amps.ndim != 1 or amps.size < 1:
+        raise GQSearchError("amplitudes must be a non-empty one-dimensional array")
+    _check_unit(math.sqrt(np.einsum("i,i->", amps.conj(), amps).real))  # no BLAS threads
+    n_items = amps.size
+    r, rows = _rows(targets, n_items)
+    if r >= n_items:
+        raise ValueError(f"mapping undefined for r = N (r={r}, N={n_items})")
+    rows = rows if isinstance(rows, slice) else list(rows)
+    k, l = amps[rows], np.delete(amps, rows)
+    k_bar = complex(k.mean())
+    l_bar = complex(l.mean())
+    sigma_k = float(math.sqrt(np.mean(np.abs(k - k_bar) ** 2)))
+    sigma_l = float(math.sqrt(np.mean(np.abs(l - l_bar) ** 2)))
+    return BihamMapping(k_bar=k_bar, l_bar=l_bar, sigma_k=sigma_k, sigma_l=sigma_l)

@@ -17,7 +17,7 @@ import math
 import operator
 from dataclasses import dataclass
 
-from .analytic import Decomposition, success_prob_analytic
+from .analytic import Decomposition, _rows, success_prob_analytic
 from .errors import GQSearchError, ValidityError
 
 
@@ -284,8 +284,6 @@ def parallel_plan_closed_form(r: int, n_items: int, k: int) -> ParallelPlan:
     ValidityError outside k >= 2, 2^-1023 <= r/N <= 0.01 (past 2^1023, N/r
     overflows a float) and n_int >= 1.
     """
-    from .statevector import _rows
-
     _rows(r, n_items)
     _check_agents(k)
     if r / n_items > 0.01 or n_items > r * 2**1023:

@@ -6,7 +6,7 @@ compare it against this loop, which takes the states themselves, touches
 every amplitude on every step and uses no reduction at all.  A state here
 is a 1-D complex amplitude array: `random_state` holds the `random:` stream
 whole and `uniform_state` is u.  `held_instance` reduces held arrays through
-`SearchInstance.from_blocks`, and `write_state_file` writes the file format.
+`from_blocks`, and `write_state_file` writes the file format.
 `reduced_amplitudes` rebuilds the N-vector Q^n|s> from the reduced basis's
 coefficients, so the amplitudes, not only the probabilities, are compared.
 `full_products` forms an instance's six products from whole vectors with
@@ -21,7 +21,8 @@ from collections import deque
 
 import numpy as np
 
-from gqsearch import SearchInstance, TargetSet
+from gqsearch import TargetSet, from_blocks
+from gqsearch.analytic import SearchInstance
 from gqsearch.montecarlo import _geometric_rounds
 from gqsearch.strategy import parallel_success
 from gqsearch.statevector import BLOCK, _check_unit, _ReducedBasis
@@ -54,7 +55,7 @@ def held_instance(targets, a, s) -> SearchInstance:
 
     n_items = (s if a is None else a).size
     blocks = slices(a)
-    return SearchInstance.from_blocks(targets, n_items, blocks, blocks if s is a else slices(s))
+    return from_blocks(targets, n_items, blocks, blocks if s is a else slices(s))
 
 
 def write_state_file(path, amps) -> None:

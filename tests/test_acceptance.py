@@ -30,7 +30,7 @@ from gqsearch import (
     uniform_instance,
     uniform_success_prob,
 )
-from gqsearch.analytic import biham_mapping
+from gqsearch.statevector import biham_mapping
 from gqsearch.cli import default_heatmap_n_max, heatmap_grid
 
 from dense_reference import held_instance, parallel_trial_costs, random_state, uniform_state

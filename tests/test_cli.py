@@ -19,14 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gqsearch
-import gqsearch._np
 import gqsearch.cli
 import gqsearch.strategy
 from gqsearch import (
-    SearchInstance,
     TargetSet,
     decompose,
     expected_cost,
+    from_blocks,
     rotation_angle,
     run_parallel,
     success_prob_analytic,
@@ -55,8 +54,8 @@ from scan_reference import uniform_optimum, uniform_plan
 
 
 def read_state_file(path, n_items: int) -> np.ndarray:
-    """The amplitudes of the state file at path, parsed by the CLI's one parser."""
-    blocks = gqsearch.cli._state_file(str(path), n_items)
+    """The amplitudes of the state file at path, parsed by the one state-file parser."""
+    blocks = statevector_module._state_file(str(path), n_items)
     next(blocks)
     return np.concatenate(list(blocks))
 
@@ -163,8 +162,8 @@ def test_montecarlo_and_simulate_share_one_p(capsys):
     code, out, _ = run_cli(capsys, "simulate", *common, "--iterations", "0..12")
     assert code == 0
     simulated = [row["p_simulated"] for row in json.loads(out)["rows"]]
-    dec = decompose(SearchInstance.from_blocks(TargetSet((3, 17, 40)), 64, None,
-                                               statevector_module._random_blocks(64, 7)))
+    dec = decompose(from_blocks(TargetSet((3, 17, 40)), 64, None,
+                                statevector_module._random_blocks(64, 7)))
     code, out, _ = run_cli(capsys, "montecarlo", *common, "--trials", "10")
     assert code == 0
     default = json.loads(out)
@@ -189,13 +188,13 @@ def test_start_equal_to_averaging_reads_the_file_once(tmp_path, capsys, monkeypa
     copy = tmp_path / "copy.txt"
     copy.write_bytes(first.read_bytes())
     reads = []
-    parse = gqsearch.cli._state_file  # the one state-file parser
+    parse = statevector_module._state_file  # the one state-file parser
 
     def counting_parse(path, n_items):
         reads.append(path)
         return parse(path, n_items)
 
-    monkeypatch.setattr(gqsearch.cli, "_state_file", counting_parse)
+    monkeypatch.setattr(statevector_module, "_state_file", counting_parse)
     for command in (
         ["simulate", "--iterations", "0..6"],
         ["montecarlo", "--iterations", "2", "--trials", "100"],
@@ -307,7 +306,7 @@ def test_state_file_dimension_is_checked_before_its_body(tmp_path, capsys, monke
     def no_body(*args, **kwargs):
         raise AssertionError("body parsed before the dimension check")
 
-    monkeypatch.setattr(gqsearch._np, "loadtxt", no_body, raising=False)  # the body parser
+    monkeypatch.setattr(statevector_module.np, "loadtxt", no_body)  # the body parser
     code, out, err = run_cli(
         capsys, "simulate", "--n-items", "4", "--num-targets", "1", "--start", f"file:{bad}",
     )
@@ -353,7 +352,7 @@ def test_explicit_run_holds_one_vector(tmp_path, capsys, spec):
             assert peak < bound, (n_items, count, flags, f"peak {peak / 2**20:.2f} MiB")
 
 
-def _cli_instance(monkeypatch, capsys, *argv) -> SearchInstance:
+def _cli_instance(monkeypatch, capsys, *argv) -> gqsearch.analytic.SearchInstance:
     """The instance a simulate call steps, built from its flags."""
     built = _count_reduced_bases(monkeypatch)
     code, _, err = run_cli(capsys, "simulate", "--iterations", "0..1", *argv)
@@ -405,7 +404,7 @@ def test_random_start_is_reduced_as_it_is_drawn(capsys, monkeypatch):
     got = _cli_instance(monkeypatch, capsys, "--n-items", str(n_items),
                         "--targets", "1,16384,40000", "--start", "random:3")
     blocks = statevector_module._random_blocks(n_items, 3)
-    assert got == SearchInstance.from_blocks(TargetSet(targets), n_items, None, blocks)
+    assert got == from_blocks(TargetSet(targets), n_items, None, blocks)
     held = held_instance(TargetSet(targets), None, random_state(n_items, 3))
     dev = max(abs(complex(g) - complex(w)) for g, w in zip(got.products, held.products))
     assert dev <= 1e-14
@@ -1440,16 +1439,20 @@ print(code, *(name for name in layers if f"gqsearch.{name}" in sys.modules),
 
 @pytest.mark.parametrize("argv, loaded", [
     ([], ""),
+    # planning and the figure data are scalar laws of r/N: no simulator
     (["plan", "--n-items", "1048576", "--num-targets", "1", "--agents", "1"],
-     "analytic statevector strategy"),
+     "analytic strategy"),
     (["plan", "--n-items", "64", "--num-targets", "1", "--agents", "4"],
-     "analytic statevector strategy"),
+     "analytic strategy"),
     (["parallel-sweep", "--n-items", "1099511627776", "--num-targets", "5", "--agents", "16"],
-     "analytic statevector strategy"),
-    (["heatmap", "--n-items", "8"], "analytic statevector"),
-    # the control: a simulation loads the simulator and the closed form
+     "analytic strategy"),
+    (["heatmap", "--n-items", "8"], "analytic"),
+    # the controls: a simulation loads the simulator and the closed form, and
+    # a restart experiment every layer
     (["simulate", "--n-items", "8", "--num-targets", "1"], "analytic statevector numpy"),
-], ids=["import", "plan-k1", "plan-k4", "parallel-sweep", "heatmap", "simulate"])
+    (["montecarlo", "--n-items", "4096", "--num-targets", "1", "--trials", "100"],
+     "analytic statevector strategy montecarlo numpy"),
+], ids=["import", "plan-k1", "plan-k4", "parallel-sweep", "heatmap", "simulate", "montecarlo"])
 def test_a_call_loads_only_the_layers_it_runs(argv, loaded):
     result = subprocess.run(
         [sys.executable, "-c", _LAYER_PROBE, *argv], env=_env_with_package(),
@@ -1457,6 +1460,23 @@ def test_a_call_loads_only_the_layers_it_runs(argv, loaded):
     )
     code = "None" if not argv else "0"
     assert result.stdout.split() == [code, *loaded.split()]
+
+
+def test_the_closed_form_and_the_planner_load_no_simulator():
+    # imported, and run on the uniform start: the problem types, the closed
+    # form and the planner never reach the simulator or numpy
+    probe = """
+import sys
+import gqsearch.analytic as analytic, gqsearch.strategy as strategy
+strategy.parallel_plan(analytic.decompose(analytic.uniform_instance(1 << 20, 1)), 4)
+strategy.parallel_plan_closed_form(1, 1 << 20, 4)
+print(*sorted(name for name in ("gqsearch.statevector", "numpy") if name in sys.modules))
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=_env_with_package(),
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout == "\n"
 
 
 def test_every_public_name_resolves_on_first_use():
@@ -1833,7 +1853,7 @@ def test_random_start_past_its_bound_exits_2_at_once(monkeypatch, capsys, comman
         def default_rng(seed):
             raise AssertionError(f"drew from seed {seed}")
 
-    monkeypatch.setattr(gqsearch._np, "random", NoDraws, raising=False)
+    monkeypatch.setattr(statevector_module.np, "random", NoDraws)
     began = time.perf_counter()
     code, out, err = run_cli(capsys, *command, "--n-items", str(2**40), "--num-targets", "1",
                              "--start", "random:1")

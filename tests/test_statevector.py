@@ -13,14 +13,15 @@ from hypothesis import strategies as st
 import gqsearch.analytic
 from gqsearch import (
     GQSearchError,
-    SearchInstance,
     TargetSet,
     biham_mapping,
+    from_blocks,
     success_trajectory,
     uniform_instance,
 )
-import gqsearch._np
-from gqsearch.statevector import _RANDOM_MAX_ITEMS, BLOCK, CHUNK, _random_blocks, _rows
+import gqsearch.statevector
+from gqsearch.analytic import SearchInstance, _rows
+from gqsearch.statevector import _RANDOM_MAX_ITEMS, BLOCK, CHUNK, _random_blocks
 
 from dense_reference import (
     dense_evolution,
@@ -111,7 +112,7 @@ def test_both_uniform_states_reduce_in_closed_form():
     for n_items, r in ((1, 1), (12, 5), (3 * BLOCK + 5, 3), (2**40, 3), (10**300, 1)):
         spread = TargetSet(range(n_items - 1, -1, -max(n_items // r, 1))[:r])
         for targets in (r, spread):
-            got = SearchInstance.from_blocks(targets, n_items, None, None)
+            got = from_blocks(targets, n_items, None, None)
             assert got.products == uniform_instance(n_items, r).products, (n_items, targets)
 
 
@@ -119,7 +120,7 @@ def test_r_over_n_that_underflows_is_refused():
     # r/N = 1e-400 rounds to 0.0 in float64, though p(n) is not 0 there
     for targets in (1, TargetSet((5,))):
         with pytest.raises(GQSearchError, match=r"r/N = 1/N underflows to 0\.0 in float64"):
-            SearchInstance.from_blocks(targets, 10**400, None, None)
+            from_blocks(targets, 10**400, None, None)
 
 
 # The products of `random:7` beside u at N = 2 BLOCK + 3, as float.hex of
@@ -151,12 +152,12 @@ _RANDOM_7_PRODUCTS = {
 def test_reducer_keeps_its_bits(which):
     n_items = 2 * BLOCK + 3
     targets = {"edges": TargetSet((CHUNK - 1, CHUNK, BLOCK)), "count": CHUNK + 1}[which]
-    got = SearchInstance.from_blocks(targets, n_items, None, _random_blocks(n_items, 7))
+    got = from_blocks(targets, n_items, None, _random_blocks(n_items, 7))
     bits = tuple((complex(x).real.hex(), complex(x).imag.hex()) for x in got.products)
     assert bits == _RANDOM_7_PRODUCTS[which]
     # u as the start instead: the same sums, the cross products conjugated
     ss_t, ss_l, aa_t, as_t, as_l, aa_l = got.products
-    swapped = SearchInstance.from_blocks(targets, n_items, _random_blocks(n_items, 7), None)
+    swapped = from_blocks(targets, n_items, _random_blocks(n_items, 7), None)
     assert swapped.products == (aa_t, aa_l, ss_t, as_t.conjugate(), as_l.conjugate(), ss_l)
 
 
@@ -164,8 +165,8 @@ def test_reducer_keeps_its_bits(which):
 # and of the products of two file states, read and reduced as the CLI does
 _THREADS_PROBE = """
 import hashlib, sys
-from gqsearch.cli import _state_file
-from gqsearch.statevector import BLOCK, CHUNK, SearchInstance, TargetSet, _random_blocks
+from gqsearch.analytic import TargetSet
+from gqsearch.statevector import BLOCK, CHUNK, _random_blocks, _state_file, from_blocks
 n_items = 2 * BLOCK + 3
 stream = hashlib.sha256()
 for x in _random_blocks(n_items, 7):
@@ -174,7 +175,7 @@ print(stream.hexdigest())
 blocks = [_state_file(path, n_items) for path in sys.argv[1:]]
 for b in blocks:
     next(b)
-got = SearchInstance.from_blocks(TargetSet((CHUNK - 1, CHUNK, BLOCK)), n_items, *blocks)
+got = from_blocks(TargetSet((CHUNK - 1, CHUNK, BLOCK)), n_items, *blocks)
 print([(complex(x).real.hex(), complex(x).imag.hex()) for x in got.products])
 """
 
@@ -272,12 +273,12 @@ def test_random_state_past_its_bound_is_refused_before_a_draw(monkeypatch, n_ite
         def default_rng(seed):
             raise AssertionError(f"drew from seed {seed}")
 
-    monkeypatch.setattr(gqsearch._np, "random", NoDraws, raising=False)
+    monkeypatch.setattr(gqsearch.statevector.np, "random", NoDraws)
     message = f"draws at most {_RANDOM_MAX_ITEMS} amplitudes, got n_items={n_items}$"
     with pytest.raises(GQSearchError, match=message):
         next(_random_blocks(n_items, 1))
     with pytest.raises(GQSearchError, match=message):
-        SearchInstance.from_blocks(1, n_items, None, _random_blocks(n_items, 1))
+        from_blocks(1, n_items, None, _random_blocks(n_items, 1))
 
 
 @pytest.mark.parametrize("n_items", [1, 7, 3 * 2**14 + 5])
@@ -290,7 +291,7 @@ def test_random_instance_reduces_the_drawn_state(n_items):
         state = random_state(n_items, seed)
         picks = TargetSet(rng.choice(n_items, size=min(n_items, 5), replace=False))
         for targets in (picks, max(n_items // 3, 1), TargetSet(range(n_items))):
-            got = SearchInstance.from_blocks(targets, n_items, None, _random_blocks(n_items, seed))
+            got = from_blocks(targets, n_items, None, _random_blocks(n_items, seed))
             want = held_instance(targets, None, state)
             dev = max(abs(complex(g) - complex(w)) for g, w in zip(got.products, want.products))
             assert dev <= 1e-14, (n_items, seed, targets, dev)
@@ -326,10 +327,9 @@ def test_reducer_matches_the_full_vector_products(data):
     if averaging is start:
         blocks[1] = blocks[0]
     if pairing.endswith("random"):  # start = random_state(n_items, seed + 1), drawn
-        got = SearchInstance.from_blocks(targets, n_items, blocks[0],
-                                         _random_blocks(n_items, seed + 1))
+        got = from_blocks(targets, n_items, blocks[0], _random_blocks(n_items, seed + 1))
     else:
-        got = SearchInstance.from_blocks(targets, n_items, *blocks)
+        got = from_blocks(targets, n_items, *blocks)
         assert got == held_instance(targets, averaging, start)
     # the reference's sums are exact, so the blocked sums are held to 1e-14
     # at every N
@@ -343,13 +343,13 @@ def test_blocks_are_checked_like_a_state_vector():
     for bad, norm in ((2.0 * half, "2.0"), (np.array([math.nan, 0.5, 0.5, 0.5]), "nan")):
         for averaging, start in ((None, [bad]), ([bad], None)):
             with pytest.raises(GQSearchError, match=f"state norm is {norm}, not 1"):
-                SearchInstance.from_blocks(TargetSet((1,)), 4, averaging, start)
+                from_blocks(TargetSet((1,)), 4, averaging, start)
         blocks = [bad]
         with pytest.raises(GQSearchError, match=f"state norm is {norm}, not 1"):
-            SearchInstance.from_blocks(2, 4, blocks, blocks)
+            from_blocks(2, 4, blocks, blocks)
     for blocks in ([half[:3]], [half, half[:1]], []):
         with pytest.raises(GQSearchError, match="not n_items=4"):
-            SearchInstance.from_blocks(TargetSet((1,)), 4, None, blocks)
+            from_blocks(TargetSet((1,)), 4, None, blocks)
 
 
 def test_target_counts_are_the_first_indices():
@@ -363,7 +363,7 @@ def test_target_counts_are_the_first_indices():
     for r in (0, -1, 41):
         for build in (lambda: held_instance(r, a, s),
                       lambda: held_instance(r, None, s),
-                      lambda: SearchInstance.from_blocks(r, 40, None, _random_blocks(40, 3))):
+                      lambda: from_blocks(r, 40, None, _random_blocks(40, 3))):
             with pytest.raises(GQSearchError, match=rf"target count {r} outside \[1, 40\]"):
                 build()
 
@@ -375,7 +375,7 @@ def test_target_counts_are_integers():
     message = "bad target count: '.*' object cannot be interpreted as an integer"
     for bad in (2.5, 2.0, "3", None):
         for build in (lambda: _rows(bad, 8),
-                      lambda: SearchInstance.from_blocks(bad, 8, None, None)):
+                      lambda: from_blocks(bad, 8, None, None)):
             with pytest.raises(GQSearchError, match=message):
                 build()
 
@@ -555,13 +555,19 @@ def test_evolution_rejects_nan_averaging():
 
 
 def test_evolution_never_calls_the_closed_form(monkeypatch):
-    # the simulator is the independent check of the closed form, so it
-    # must not reach gqsearch.analytic
+    # the simulator is the independent check of the closed form, so it may
+    # take the problem types from gqsearch.analytic and nothing else: the
+    # reducer and the walk run with every closed-form name failing, and the
+    # simulator binds none of them as its own
     def boom(*args, **kwargs):
-        raise AssertionError("the simulator called gqsearch.analytic")
+        raise AssertionError("the simulator called the closed form")
 
-    for name in ("decompose", "success_prob_analytic", "rotation_angle"):
+    closed_form = ("decompose", "success_prob_analytic", "uniform_success_prob",
+                   "first_maximum", "rotation_angle", "Decomposition")
+    assert not set(closed_form) & set(vars(gqsearch.statevector))
+    for name in closed_form:
         monkeypatch.setattr(gqsearch.analytic, name, boom)
-    states = (TargetSet((1, 9)), random_state(32, 40), random_state(32, 41))
-    assert success_trajectory(held_instance(*states), 10).shape == (11,)
-    assert reduced_amplitudes(*states, 10).shape == (32,)
+    targets, a, s = TargetSet((1, 9)), random_state(32, 40), random_state(32, 41)
+    for states in ((a, s), (None, s), (a, None), (s, s)):
+        assert success_trajectory(held_instance(targets, *states), 10).shape == (11,)
+    assert reduced_amplitudes(targets, a, s, 10).shape == (32,)
