@@ -1,12 +1,14 @@
 """The search problem and the closed form of its iteration.
 
-A `SearchInstance` holds the six target-split inner products of a start
-state |s>, an averaging state |a> and r targets among N; `uniform_instance`
-writes them from r/N alone, and `statevector.from_blocks` sums explicit
-states.  An arbitrary (|s>, |a>, targets) triple reduces to motion in the
-plane spanned by |t> (the normalized projection of |a> onto the target
-subspace) and |a'> (the unit complement of |a> in that plane), plus two
-residual components that Q leaves fixed up to sign.  Writing
+A search instance is the tuple of six target-split inner products
+(<s_T|s_T>, <s_L|s_L>, <a_T|a_T>, <a_T|s_T>, <a_L|s_L>, <a_L|a_L>) of a start
+state |s>, an averaging state |a> and r targets among N, all that Q needs
+of them; `uniform_instance` writes it from r/N alone, and
+`statevector.from_blocks` sums it from explicit states.  An arbitrary
+(|s>, |a>, targets) triple reduces to motion in the plane spanned by |t>
+(the normalized projection of |a> onto the target subspace) and |a'> (the
+unit complement of |a> in that plane), plus two residual components that Q
+leaves fixed up to sign.  Writing
 
     |s> = alpha |t> + beta e^{ib} |a'> + |phi_t> + |phi_l>
 
@@ -91,29 +93,16 @@ def _rows(targets, n_items: int):
     return r, slice(0, r)
 
 
-@dataclass(frozen=True)
-class SearchInstance:
-    """A search problem as six target-split inner products.
-
-    products holds (<s_T|s_T>, <s_L|s_L>, <a_T|a_T>, <a_T|s_T>, <a_L|s_L>,
-    <a_L|a_L>), all that Q needs of the states and targets; build it with
-    `uniform_instance`, or `gqsearch.statevector.from_blocks` for explicit
-    states.
-    """
-
-    products: tuple
-
-
-def uniform_instance(n_items: int, r: int) -> SearchInstance:
-    """Uniform averaging and start states with r targets, 1 <= r <= N: every
-    product is r/N or 1 - r/N, with no N-vector and no indices.  An r/N that
-    underflows to 0.0 is refused."""
+def uniform_instance(n_items: int, r: int) -> tuple:
+    """The six products of uniform averaging and start states with r targets,
+    1 <= r <= N: each is r/N or 1 - r/N, with no N-vector and no indices.  An
+    r/N that underflows to 0.0 is refused."""
     r, _ = _rows(r, n_items)
     u_t = r / n_items
     if u_t == 0.0:
         raise GQSearchError(f"r/N = {r}/N underflows to 0.0 in float64")
     u_l = 1.0 - u_t
-    return SearchInstance((u_t, u_l, u_t, u_t, u_l, u_l))
+    return u_t, u_l, u_t, u_t, u_l, u_l
 
 
 # A below this fraction of alpha^2 + beta^2 counts as no oscillation at all
@@ -185,17 +174,17 @@ class Decomposition:
         return math.pi - self.theta
 
 
-def decompose(instance: SearchInstance) -> Decomposition:
-    """Reduce an instance to its rotation-plane coordinates.
+def decompose(instance) -> Decomposition:
+    """Reduce an instance, its six products, to its rotation-plane coordinates.
 
-    Scalar algebra over the instance's six target-split inner products,
-    each read as stored.  The global phase of the start state is fixed so
-    that <t|s> is real and non-negative, making alpha real >= 0.  v is
+    Scalar algebra over the six target-split inner products, each read as
+    stored.  The global phase of the start state is fixed so that <t|s> is
+    real and non-negative, making alpha real >= 0.  v is
     sqrt(<a_T|a_T>), at most 1; |a'> is |a_L> / sqrt(<a_L|a_L>), so beta is
     |<a_L|s_L>| / sqrt(<a_L|a_L>).  v = 0 gives alpha = 0, and <a_L|a_L> = 0
     exactly, the averaging state on the targets, gives beta = b = 0.
     """
-    ss_t, ss_l, aa_t, as_t, as_l, aa_l = map(complex, instance.products)
+    ss_t, ss_l, aa_t, as_t, as_l, aa_l = map(complex, instance)
     v = min(math.sqrt(aa_t.real), 1.0)
     alpha = abs(as_t) / v if v > 0.0 else 0.0
     beta = b = 0.0
@@ -223,12 +212,11 @@ def success_prob_analytic(dec: Decomposition, n: float) -> float:
     return min(max(dec.w_t + g, 0.0), 1.0)  # max(nan, 0.0) keeps the NaN
 
 
-def first_maximum(dec: Decomposition):
-    """The smallest non-negative continuous maximizer and its peak value.
+def first_maximum(dec: Decomposition) -> float:
+    """The smallest non-negative continuous maximizer.
 
     Maxima sit at n_j = (theta + 2 pi j)/(2 phi); this returns the first
-    n_j >= 0 and the peak of the oscillating term, (alpha^2 + beta^2)/2 +
-    A/2, so the total success probability there is w_t + value.  Rounding
+    n_j >= 0, where the success probability is w_t + dec.peak.  Rounding
     n_j to the nearest integer lowers the probability by at most
     A phi^2 delta^2 + O(delta^4) with delta <= 1/2.
     """
@@ -238,7 +226,7 @@ def first_maximum(dec: Decomposition):
             "success probability is flat in n"
         )
     j = max(0, math.ceil(-dec.theta / _TWO_PI))
-    return (dec.theta + _TWO_PI * j) / (2.0 * dec.phi), dec.peak
+    return (dec.theta + _TWO_PI * j) / (2.0 * dec.phi)
 
 
 def uniform_success_prob(v: float, n: float) -> float:

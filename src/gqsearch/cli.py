@@ -17,7 +17,8 @@ File formats
 ------------
 State vector files (`file:PATH`) are plain text: line 1 holds N, then N lines
 of one "re im" pair each; a float written as its Python repr reads back exactly.
-Their one parser is `gqsearch.statevector._state_file`, which yields the
+Their one parser is `gqsearch.statevector._state_file`: the reducer's first
+read opens the file and checks its N, and later reads yield the amplitude
 lines in blocks that the reducer sums as they are read.
 PGM output is binary P5 with maxval 255 (255 = probability 1), rows are
 iteration counts ascending, columns are target counts r ascending.
@@ -100,7 +101,7 @@ def _check_seed(name: str, seed: int) -> int:
 
 def _resolve_state(spec: str, n_items: int, allow_random: bool):
     """The amplitude blocks of spec, unread: None for u, which is never built, the
-    draws of random:<seed>, or the lines of file:<path>, its N checked here."""
+    draws of random:<seed>, or the lines of file:<path>, whose N the first read checks."""
     if spec == "uniform":
         return None
     if spec.startswith("random:") and allow_random:
@@ -111,18 +112,20 @@ def _resolve_state(spec: str, n_items: int, allow_random: bool):
     if spec.startswith("file:"):
         from .statevector import _state_file
 
-        blocks = _state_file(spec.split(":", 1)[1], n_items)
-        next(blocks)  # N first: a wrong N is refused before the body is parsed
-        return blocks
+        return _state_file(spec.split(":", 1)[1], n_items)
     raise ValueError(f"bad state specification {spec!r}")
 
 
-def _build_instance(args: argparse.Namespace, r: int, targets) -> SearchInstance:
-    """The run's instance, of the rows [0, r) for a count; explicit states are reduced as
-    they are drawn or read, never held."""
-    from .statevector import from_blocks
+def _build_instance(args: argparse.Namespace, r: int, targets) -> tuple:
+    """The run's six products, of the rows [0, r) for a count; explicit states are reduced
+    as they are drawn or read, never held."""
+    from .analytic import uniform_instance
 
     n_items = args.n_items
+    uniform_instance(n_items, r)  # an r/N that underflows is refused before numpy loads
+
+    from .statevector import from_blocks
+
     averaging = _resolve_state(args.averaging, n_items, allow_random=False)
     start = (averaging if args.start == args.averaging  # s = a: one state, read once
              else _resolve_state(args.start, n_items, allow_random=True))
@@ -143,13 +146,12 @@ def _render(fmt: str, payload: dict, columns, rows):
     """The one output layer: a command's JSON object, or its rows as CSV.
 
     pgm, heatmap only, draws the JSON object's grid as an image.  Rows may
-    be any iterable, and a command may pass None for the part that its
-    --format does not render.
+    be any iterable, each row the values of columns in order, and a command
+    may pass None for the part that its --format does not render.
     """
     if fmt == "csv":
         lines = [",".join(columns)]
-        for row in rows:
-            lines.append(",".join(_csv_cell(row[col]) for col in columns))
+        lines.extend(",".join(map(_csv_cell, row)) for row in rows)
         return "\n".join(lines) + "\n"
     if fmt == "pgm":
         return heatmap_to_pgm(payload["grid"])
@@ -294,23 +296,22 @@ SIMULATE_MAX_ITERATIONS = 2**19
 
 def cmd_simulate(args: argparse.Namespace):
     from .analytic import decompose, success_prob_analytic
-    from .statevector import success_trajectory
 
     lo, hi = _parse_iteration_range(args.iterations)
     if hi > SIMULATE_MAX_ITERATIONS:
         raise ValueError(f"--iterations must end at or below {SIMULATE_MAX_ITERATIONS}, got {hi}")
     r, targets = _resolve_targets(args)
     instance = _build_instance(args, r, targets)
+    from .statevector import success_trajectory
+
     trajectory = success_trajectory(instance, hi)
 
     dec = decompose(instance)
-    dec_dict = {name: getattr(dec, name) for name in SIMULATE_COLUMNS[3:]}
+    dec_values = tuple(getattr(dec, name) for name in SIMULATE_COLUMNS[3:])
     ns = range(lo, hi + 1)
     values = zip(ns, trajectory[lo:].tolist(), (success_prob_analytic(dec, n) for n in ns))
     if args.format == "csv":  # one row at a time, and no JSON rows
-        return None, SIMULATE_COLUMNS, (
-            dict(zip(SIMULATE_COLUMNS, row), **dec_dict) for row in values
-        )
+        return None, SIMULATE_COLUMNS, (row + dec_values for row in values)
 
     rows = [dict(zip(SIMULATE_COLUMNS[:3], row)) for row in values]
     payload = {
@@ -319,7 +320,7 @@ def cmd_simulate(args: argparse.Namespace):
         **_target_echo(r, targets),
         "start": args.start,
         "averaging": args.averaging,
-        "decomposition": dec_dict,
+        "decomposition": dict(zip(SIMULATE_COLUMNS[3:], dec_values)),
         "rows": rows,
     }
     return payload, SIMULATE_COLUMNS, None
@@ -387,10 +388,10 @@ def cmd_plan(args: argparse.Namespace):
         "parallel_numeric": par_numeric,
         "parallel_closed_form": par_closed,
     }
-    row = {}
-    for column, (section, key) in _PLAN_CELLS.items():
+    row = []
+    for section, key in _PLAN_CELLS.values():
         values = payload[section] if section else payload
-        row[column] = values[key] if values else None
+        row.append(values[key] if values else None)
     return payload, PLAN_COLUMNS, [row]
 
 
@@ -408,7 +409,7 @@ def cmd_heatmap(args: argparse.Namespace):
         "n_max": n_max,
         "grid": grid,
     }
-    return payload, columns, (dict(zip(columns, [n] + row)) for n, row in enumerate(grid))
+    return payload, columns, ([n, *row] for n, row in enumerate(grid))
 
 
 def cmd_parallel_sweep(args: argparse.Namespace):
@@ -425,7 +426,7 @@ def cmd_parallel_sweep(args: argparse.Namespace):
         "k_max": args.agents,
         "rows": rows,
     }
-    return payload, SWEEP_COLUMNS, rows
+    return payload, SWEEP_COLUMNS, map(dict.values, rows)
 
 
 MONTECARLO_COLUMNS = (
@@ -436,8 +437,7 @@ MONTECARLO_COLUMNS = (
 
 def cmd_montecarlo(args: argparse.Namespace):
     from .analytic import decompose, success_prob_analytic
-    from .montecarlo import run_parallel
-    from .strategy import _check_agents, expected_cost, parallel_plan, parallel_success
+    from .strategy import _MAX_N, _check_agents, expected_cost, parallel_plan, parallel_success
 
     # the run's own options are checked before the instance is built or Q steps
     _check_agents(args.agents, "--agents")
@@ -447,7 +447,7 @@ def cmd_montecarlo(args: argparse.Namespace):
     n = None
     if args.iterations is not None:
         n = _parse_iteration_single(args.iterations)
-        if not 1 <= n <= 2**53:  # the closed form's float n is exact up to 2^53
+        if not 1 <= n <= _MAX_N:  # the closed form's float n is exact up to 2^53
             raise ValueError(f"--iterations must lie in [1, 2^53] for montecarlo, got {n}")
     r, targets = _resolve_targets(args)
     dec = decompose(_build_instance(args, r, targets))
@@ -457,19 +457,20 @@ def cmd_montecarlo(args: argparse.Namespace):
         raise ValueError(f"--iterations {n} has n*phi > 2^22, where p(n) may be off by over 2^-30")
     p = success_prob_analytic(dec, n)  # the p(n) the planner minimised
     closed = expected_cost(n, parallel_success(p, args.agents))
+    from .montecarlo import run_parallel
+
     est = run_parallel(p, n, args.agents, args.trials, args.seed)
     z = (est.mean - closed) / est.stderr if est.stderr > 0 else None
+    values = (n, args.agents, args.trials, args.seed, p, closed,
+              est.mean, est.stderr, z, args.agents * est.mean)
 
     payload = {
         "command": "montecarlo",
         "n_items": args.n_items,
         **_target_echo(r, targets),
-        **dict(zip(MONTECARLO_COLUMNS[2:], (
-            n, args.agents, args.trials, args.seed, p, closed,
-            est.mean, est.stderr, z, args.agents * est.mean,
-        ))),
+        **dict(zip(MONTECARLO_COLUMNS[2:], values)),
     }
-    return payload, MONTECARLO_COLUMNS, [dict(payload, r=r)]
+    return payload, MONTECARLO_COLUMNS, [(args.n_items, r, *values)]
 
 
 def _verify_checks(seed: int) -> list:
@@ -507,7 +508,7 @@ def _verify_checks(seed: int) -> list:
                   for n, p in enumerate(trajectory.tolist()))
     checks.append(("grover_case_v_quarter_max_dev", max_dev, 0.0, 1e-10))
     dec = decompose(instance)
-    n_first, _ = first_maximum(dec)
+    n_first = first_maximum(dec)
     checks.append(
         (
             "grover_first_max_dev",

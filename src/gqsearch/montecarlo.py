@@ -36,8 +36,6 @@ class Estimate:
 
     mean: float
     stderr: float
-    trials: int
-    seed: int
 
 
 def _geometric_rounds(u: np.ndarray, p: float) -> np.ndarray:
@@ -100,4 +98,4 @@ def run_parallel(p: float, n: int, k: int, trials: int, seed: int) -> Estimate:
         done += size
     mean = n * total / trials
     stderr = n * math.sqrt(m2 / (trials - 1)) / math.sqrt(trials) if trials > 1 else 0.0
-    return Estimate(mean=mean, stderr=stderr, trials=trials, seed=seed)
+    return Estimate(mean=mean, stderr=stderr)

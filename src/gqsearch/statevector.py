@@ -6,13 +6,14 @@ state (the oracle reflection) and then reflects about the averaging state
 parts of the start state on and off the targets and a_T, a_L split the
 averaging state the same way, so n iterations evolve four coefficients by
 a fixed 4x4 matrix, which six inner products of those vectors determine.
-`from_blocks` sums those products from states drawn (`_random_blocks`) or
-read (`_state_file`) block by block, and no state vector is kept.  Success
-probabilities are the target weight c^H G_T c of the coefficients, so n
-iterations cost O(n).  The coefficients need no linear independence of the
-four vectors, so s = a, r = N and v in {0, 1} take the same path.
+Those six, as a tuple, are the instance: `from_blocks` sums them from
+states drawn (`_random_blocks`) or read (`_state_file`) block by block, and
+no state vector is kept.  Success probabilities are the target weight
+c^H G_T c of the coefficients, so n iterations cost O(n).  The coefficients
+need no linear independence of the four vectors, so s = a, r = N and v in
+{0, 1} take the same path.
 The simulator is the independent check of the closed form in
-`gqsearch.analytic`, from which it takes only the problem types:
+`gqsearch.analytic`, from which it takes only `_rows` and `uniform_instance`:
 `simulate` and `verify` set the two side by side.  The tests check both
 against the dense loop in `tests/dense_reference.py`, which applies Q to
 whole vectors; it shares only `_check_unit`, and `_ReducedBasis` in
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import SearchInstance, _rows, uniform_instance
+from .analytic import _rows, uniform_instance
 from .errors import GQSearchError
 
 # Drift beyond this is a GQSearchError.
@@ -82,10 +83,11 @@ def _random_blocks(n_items: int, seed: int):
 
 
 def _state_file(path: str, n_items: int):
-    """Yield the N of the state file at path, then its amplitudes in blocks of BLOCK lines.
+    """The amplitudes of the state file at path, in blocks of BLOCK lines.
 
-    An N other than n_items is refused before any amplitude line is parsed; N
-    is ASCII [+-]?[0-9]+, as the command line's integers are.  An error past
+    The file is opened and its N read at the first next(); an N other than
+    n_items is refused there, before any amplitude line is parsed.  N is
+    ASCII [+-]?[0-9]+, as the command line's integers are.  An error past
     the first block names that block's lines, one per amplitude.
     """
     with open(path, "rb") as fh:  # lines decoded one by one: an error stays in its block
@@ -98,7 +100,6 @@ def _state_file(path: str, n_items: int):
             raise ValueError(f"state file {path!r} is malformed: {exc}") from exc
         if n != n_items:
             raise ValueError(f"state file dimension {n} does not match --n-items {n_items}")
-        yield n
         for lo in range(0, max(n, 1), BLOCK):
             rows, last = min(BLOCK, n - lo), lo + BLOCK >= n  # the last looks one row past N
             where = f" in lines {lo + 2}-{lo + rows + 1 + last}" if lo else ""
@@ -122,8 +123,8 @@ def _check_unit(nrm: float, step: int | None = None) -> None:
                             else f"norm drifted to {nrm!r} after {step} iterations")
 
 
-def from_blocks(targets, n_items: int, averaging, start) -> SearchInstance:
-    """The instance of two unit states of dimension n_items, never held, in O(N + r).
+def from_blocks(targets, n_items: int, averaging, start) -> tuple:
+    """The six products of two unit states of dimension n_items, never held, in O(N + r).
 
     targets is a TargetSet, or a count r for the indices 0..r-1.  Each
     state is an iterable of blocks of its amplitudes in index order, read
@@ -145,7 +146,7 @@ def from_blocks(targets, n_items: int, averaging, start) -> SearchInstance:
     uniform = uniform_instance(n_items, r)
     if averaging is None and start is None:  # s = a = u
         return uniform
-    u_t, u_l = uniform.products[:2]
+    u_t, u_l = uniform[:2]
     if n_items > 2**63:  # past numpy's int64 rows, and 1/sqrt(N) past 2^1024
         raise GQSearchError(f"an explicit state holds at most 2^63 amplitudes, "
                             f"got n_items={n_items}")
@@ -184,7 +185,7 @@ def from_blocks(targets, n_items: int, averaging, start) -> SearchInstance:
     for xx in (aa, ss):
         _check_unit(math.sqrt(xx))
     cross = math.sqrt(aa * ss)
-    return SearchInstance((ss_t / ss, ss_l / ss, aa_t / aa, as_t / cross, as_l / cross, aa_l / aa))
+    return ss_t / ss, ss_l / ss, aa_t / aa, as_t / cross, as_l / cross, aa_l / aa
 
 
 class _ReducedBasis:
@@ -197,8 +198,8 @@ class _ReducedBasis:
     taken as 1, so a stale norm fails the per-step check.
     """
 
-    def __init__(self, instance: SearchInstance):
-        ss_t, ss_l, aa_t, as_t, as_l, aa_l = instance.products
+    def __init__(self, instance):
+        ss_t, ss_l, aa_t, as_t, as_l, aa_l = instance
         self.gram = np.array(
             [
                 [ss_t, 0, np.conj(as_t), 0],
@@ -228,8 +229,9 @@ class _ReducedBasis:
             yield c
 
 
-def success_trajectory(instance: SearchInstance, n_max: int) -> np.ndarray:
-    """Success probability after n iterations for n = 0..n_max (one sweep)."""
+def success_trajectory(instance, n_max: int) -> np.ndarray:
+    """Success probability after n iterations for n = 0..n_max (one sweep) of an
+    instance, its six products."""
     basis = _ReducedBasis(instance)
     # c^H G_T c for each c, clipped once: the norm is held to NORM_TOL
     # only, so it can round past 1; np.clip, unlike min(), keeps a NaN.

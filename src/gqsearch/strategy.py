@@ -141,11 +141,15 @@ def punctuated_plan(phi: float) -> PunctuatedPlan:
     )
 
 
+# Past 2^53 a float no longer holds an integer exactly: n, or an agent count.
+_MAX_N = 2**53
+
+
 def _check_agents(k: int, name: str = "k") -> None:
     """k agents: an integer in [1, 2^53], the range where a float holds k exactly."""
     if operator.index(k) < 1:
         raise GQSearchError(f"{name} must be >= 1, got {k}")
-    if k > 2**53:
+    if k > _MAX_N:
         raise GQSearchError(f"{name} must be <= 2^53, got {k}")
 
 
@@ -162,10 +166,6 @@ def parallel_success(p: float, k: int) -> float:
     if k == 1:
         return float(p)
     return -math.expm1(k * math.log1p(-p)) if p < 1.0 else 1.0  # log1p(-1) raises
-
-
-# Past n = 2^53 a float no longer holds n exactly.
-_MAX_N = 2**53
 
 
 def _cheapest_iterations(dec: Decomposition, k: int):

@@ -22,7 +22,6 @@ from collections import deque
 import numpy as np
 
 from gqsearch import TargetSet, from_blocks
-from gqsearch.analytic import SearchInstance
 from gqsearch.montecarlo import _geometric_rounds
 from gqsearch.strategy import parallel_success
 from gqsearch.statevector import BLOCK, _check_unit, _ReducedBasis
@@ -47,7 +46,7 @@ def uniform_state(n_items: int) -> np.ndarray:
     return np.full(n_items, 1.0 / math.sqrt(n_items), dtype=np.complex128)
 
 
-def held_instance(targets, a, s) -> SearchInstance:
+def held_instance(targets, a, s) -> tuple:
     """`from_blocks` of held arrays a and s (None: u), read in slices of BLOCK
     amplitudes; a given twice, as the same array, is one state read once."""
     def slices(x):
@@ -112,7 +111,7 @@ def reduced_amplitudes(targets, averaging, start, n: int) -> np.ndarray:
     a_T, a_L), off-target amplitudes are c_1 s + c_3 a and target ones
     c_0 s + c_2 a.
     """
-    basis = _ReducedBasis(SearchInstance(full_products(targets, averaging, start)))
+    basis = _ReducedBasis(full_products(targets, averaging, start))
     (c,) = deque(basis.evolve(n), maxlen=1)  # the last coefficients, none kept
     idx = list(targets.indices)
     s, a = start, averaging

@@ -111,7 +111,7 @@ def test_criterion_04_grover_special_case():
         closed = np.array([uniform_success_prob(v, n) for n in range(21)])
         worst_p = max(worst_p, float(np.max(np.abs(sim - closed))))
         dec = decompose(inst)
-        n_first, _ = first_maximum(dec)
+        n_first = first_maximum(dec)
         worst_n = max(worst_n, abs(n_first - (0.5 * math.pi / dec.phi - 0.5)))
     elapsed = time.perf_counter() - t0
     assert worst_p < 1e-10, f"criterion 04: max |dp| = {worst_p:.3e}"

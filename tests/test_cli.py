@@ -55,9 +55,7 @@ from scan_reference import uniform_optimum, uniform_plan
 
 def read_state_file(path, n_items: int) -> np.ndarray:
     """The amplitudes of the state file at path, parsed by the one state-file parser."""
-    blocks = statevector_module._state_file(str(path), n_items)
-    next(blocks)
-    return np.concatenate(list(blocks))
+    return np.concatenate(list(statevector_module._state_file(str(path), n_items)))
 
 
 def run_cli(capsys, *argv):
@@ -317,6 +315,21 @@ def test_state_file_dimension_is_checked_before_its_body(tmp_path, capsys, monke
         main(["simulate", "--n-items", "8", "--num-targets", "1", "--start", f"file:{bad}"])
 
 
+def test_a_wrong_n_in_either_of_two_state_files_is_refused(tmp_path, capsys):
+    # the start file's header is read after the averaging file's first block;
+    # whichever of the two files names the wrong N, the run ends in exit 2
+    good, wrong = tmp_path / "good.txt", tmp_path / "wrong.txt"
+    write_state_file(str(good), random_state(4, 3))
+    write_state_file(str(wrong), random_state(8, 3))
+    for command in ("simulate", "montecarlo"):
+        for averaging, start in ((good, wrong), (wrong, good)):
+            code, out, err = run_cli(capsys, command, "--n-items", "4", "--num-targets", "1",
+                                     "--averaging", f"file:{averaging}",
+                                     "--start", f"file:{start}")
+            assert (code, out) == (2, ""), (command, averaging.name)
+            assert err == "error: state file dimension 8 does not match --n-items 4\n"
+
+
 @pytest.mark.parametrize("spec", ["random:5", "file"])
 def test_explicit_run_holds_one_vector(tmp_path, capsys, spec):
     # explicit states are reduced block by block as they are drawn or read,
@@ -352,7 +365,7 @@ def test_explicit_run_holds_one_vector(tmp_path, capsys, spec):
             assert peak < bound, (n_items, count, flags, f"peak {peak / 2**20:.2f} MiB")
 
 
-def _cli_instance(monkeypatch, capsys, *argv) -> gqsearch.analytic.SearchInstance:
+def _cli_instance(monkeypatch, capsys, *argv) -> tuple:
     """The instance a simulate call steps, built from its flags."""
     built = _count_reduced_bases(monkeypatch)
     code, _, err = run_cli(capsys, "simulate", "--iterations", "0..1", *argv)
@@ -406,7 +419,7 @@ def test_random_start_is_reduced_as_it_is_drawn(capsys, monkeypatch):
     blocks = statevector_module._random_blocks(n_items, 3)
     assert got == from_blocks(TargetSet(targets), n_items, None, blocks)
     held = held_instance(TargetSet(targets), None, random_state(n_items, 3))
-    dev = max(abs(complex(g) - complex(w)) for g, w in zip(got.products, held.products))
+    dev = max(abs(complex(g) - complex(w)) for g, w in zip(got, held))
     assert dev <= 1e-14
 
 
@@ -1342,7 +1355,7 @@ def test_parallel_sweep_with_every_item_a_target(capsys):
 def test_non_finite_output_is_refused(monkeypatch, capsys, fmt):
     def cmd_nan(args):
         row = {"n": 1, "cost": float("nan")}
-        return {"command": "plan", "rows": [row]}, ("n", "cost"), [row]
+        return {"command": "plan", "rows": [row]}, ("n", "cost"), [row.values()]
 
     monkeypatch.setitem(gqsearch.cli._COMMANDS, "plan", cmd_nan)
     code, out, err = run_cli(
@@ -1438,28 +1451,34 @@ print(code, *(name for name in layers if f"gqsearch.{name}" in sys.modules),
 
 
 @pytest.mark.parametrize("argv, loaded", [
-    ([], ""),
+    ([], "None"),
     # planning and the figure data are scalar laws of r/N: no simulator
     (["plan", "--n-items", "1048576", "--num-targets", "1", "--agents", "1"],
-     "analytic strategy"),
+     "0 analytic strategy"),
     (["plan", "--n-items", "64", "--num-targets", "1", "--agents", "4"],
-     "analytic strategy"),
+     "0 analytic strategy"),
     (["parallel-sweep", "--n-items", "1099511627776", "--num-targets", "5", "--agents", "16"],
-     "analytic strategy"),
-    (["heatmap", "--n-items", "8"], "analytic"),
+     "0 analytic strategy"),
+    (["heatmap", "--n-items", "8"], "0 analytic"),
+    # a refusal that needs no vector loads neither the simulator nor numpy
+    (["simulate", "--n-items", str(10**400), "--num-targets", "1"], "2 analytic"),
+    (["simulate", "--n-items", "64", "--num-targets", "65"], "2 analytic"),
+    (["montecarlo", "--n-items", "64", "--num-targets", "1", "--agents", "0"],
+     "2 analytic strategy"),
     # the controls: a simulation loads the simulator and the closed form, and
     # a restart experiment every layer
-    (["simulate", "--n-items", "8", "--num-targets", "1"], "analytic statevector numpy"),
+    (["simulate", "--n-items", "8", "--num-targets", "1"], "0 analytic statevector numpy"),
     (["montecarlo", "--n-items", "4096", "--num-targets", "1", "--trials", "100"],
-     "analytic statevector strategy montecarlo numpy"),
-], ids=["import", "plan-k1", "plan-k4", "parallel-sweep", "heatmap", "simulate", "montecarlo"])
+     "0 analytic statevector strategy montecarlo numpy"),
+], ids=["import", "plan-k1", "plan-k4", "parallel-sweep", "heatmap", "simulate-underflow",
+        "simulate-r-past-n", "montecarlo-no-agents", "simulate", "montecarlo"])
 def test_a_call_loads_only_the_layers_it_runs(argv, loaded):
+    # loaded is the exit code (None: no call), then the layers and numpy
     result = subprocess.run(
         [sys.executable, "-c", _LAYER_PROBE, *argv], env=_env_with_package(),
         capture_output=True, text=True, check=True,
     )
-    code = "None" if not argv else "0"
-    assert result.stdout.split() == [code, *loaded.split()]
+    assert result.stdout.split() == loaded.split()
 
 
 def test_the_closed_form_and_the_planner_load_no_simulator():

@@ -20,7 +20,7 @@ from gqsearch import (
     uniform_instance,
 )
 import gqsearch.statevector
-from gqsearch.analytic import SearchInstance, _rows
+from gqsearch.analytic import _rows
 from gqsearch.statevector import _RANDOM_MAX_ITEMS, BLOCK, CHUNK, _random_blocks
 
 from dense_reference import (
@@ -101,8 +101,8 @@ def test_uniform_products_match_the_uniform_state():
         n_items = 4**j
         u = uniform_state(n_items)
         for r in sorted({1, (n_items + 2) // 3, n_items}):
-            want = held_instance(TargetSet(range(r)), u, u).products
-            got = uniform_instance(n_items, r).products
+            want = held_instance(TargetSet(range(r)), u, u)
+            got = uniform_instance(n_items, r)
             assert [complex(x) for x in got] == [complex(x) for x in want], (n_items, r)
 
 
@@ -113,7 +113,7 @@ def test_both_uniform_states_reduce_in_closed_form():
         spread = TargetSet(range(n_items - 1, -1, -max(n_items // r, 1))[:r])
         for targets in (r, spread):
             got = from_blocks(targets, n_items, None, None)
-            assert got.products == uniform_instance(n_items, r).products, (n_items, targets)
+            assert got == uniform_instance(n_items, r), (n_items, targets)
 
 
 def test_r_over_n_that_underflows_is_refused():
@@ -153,12 +153,12 @@ def test_reducer_keeps_its_bits(which):
     n_items = 2 * BLOCK + 3
     targets = {"edges": TargetSet((CHUNK - 1, CHUNK, BLOCK)), "count": CHUNK + 1}[which]
     got = from_blocks(targets, n_items, None, _random_blocks(n_items, 7))
-    bits = tuple((complex(x).real.hex(), complex(x).imag.hex()) for x in got.products)
+    bits = tuple((complex(x).real.hex(), complex(x).imag.hex()) for x in got)
     assert bits == _RANDOM_7_PRODUCTS[which]
     # u as the start instead: the same sums, the cross products conjugated
-    ss_t, ss_l, aa_t, as_t, as_l, aa_l = got.products
+    ss_t, ss_l, aa_t, as_t, as_l, aa_l = got
     swapped = from_blocks(targets, n_items, _random_blocks(n_items, 7), None)
-    assert swapped.products == (aa_t, aa_l, ss_t, as_t.conjugate(), as_l.conjugate(), ss_l)
+    assert swapped == (aa_t, aa_l, ss_t, as_t.conjugate(), as_l.conjugate(), ss_l)
 
 
 # Run under a BLAS thread count: the float.hex bits of the random:7 stream
@@ -173,10 +173,8 @@ for x in _random_blocks(n_items, 7):
     stream.update(" ".join(v.hex() for v in x.view(float).tolist()).encode())
 print(stream.hexdigest())
 blocks = [_state_file(path, n_items) for path in sys.argv[1:]]
-for b in blocks:
-    next(b)
 got = from_blocks(TargetSet((CHUNK - 1, CHUNK, BLOCK)), n_items, *blocks)
-print([(complex(x).real.hex(), complex(x).imag.hex()) for x in got.products])
+print([(complex(x).real.hex(), complex(x).imag.hex()) for x in got])
 """
 
 
@@ -220,7 +218,7 @@ def test_uniform_partner_products_match_the_built_state(uniform_side):
             else:
                 got = held_instance(targets, other, None)
                 want = held_instance(targets, other, u)
-            dev = max(abs(complex(g) - complex(w)) for g, w in zip(got.products, want.products))
+            dev = max(abs(complex(g) - complex(w)) for g, w in zip(got, want))
             assert dev <= 1e-14, (n_items, r, dev)
 
 
@@ -240,10 +238,10 @@ def test_uniform_start_has_p0_r_over_n_exactly(n_items):
     for targets in (1, TargetSet({0, n_items // 2, n_items - 1})):
         r = targets if isinstance(targets, int) else targets.r
         start_u = held_instance(targets, other, None)
-        assert start_u.products[:2] == (r / n_items, 1.0 - r / n_items)
+        assert start_u[:2] == (r / n_items, 1.0 - r / n_items)
         assert success_trajectory(start_u, 0)[0] == r / n_items
         averaging_u = held_instance(targets, None, other)
-        assert (averaging_u.products[2], averaging_u.products[5]) == (r / n_items, 1.0 - r / n_items)
+        assert (averaging_u[2], averaging_u[5]) == (r / n_items, 1.0 - r / n_items)
 
 
 @pytest.mark.parametrize("n_items", [1, 7, 3 * 2**16 + 5])
@@ -293,7 +291,7 @@ def test_random_instance_reduces_the_drawn_state(n_items):
         for targets in (picks, max(n_items // 3, 1), TargetSet(range(n_items))):
             got = from_blocks(targets, n_items, None, _random_blocks(n_items, seed))
             want = held_instance(targets, None, state)
-            dev = max(abs(complex(g) - complex(w)) for g, w in zip(got.products, want.products))
+            dev = max(abs(complex(g) - complex(w)) for g, w in zip(got, want))
             assert dev <= 1e-14, (n_items, seed, targets, dev)
 
 
@@ -333,7 +331,7 @@ def test_reducer_matches_the_full_vector_products(data):
         assert got == held_instance(targets, averaging, start)
     # the reference's sums are exact, so the blocked sums are held to 1e-14
     # at every N
-    dev = max(abs(complex(g) - complex(w)) for g, w in zip(got.products, want))
+    dev = max(abs(complex(g) - complex(w)) for g, w in zip(got, want))
     assert dev <= 1e-14, (pairing, dev)
 
 
@@ -414,7 +412,7 @@ def test_nan_target_weight_is_not_clipped_to_one():
     # a target must come out as NaN, which min(1, nan) would hide as 1.0
     targets, u, _ = uniform_states(8, 1)
     u[0] = math.nan
-    inst = SearchInstance(full_products(targets, u, u))
+    inst = full_products(targets, u, u)
     assert math.isnan(success_trajectory(inst, 0)[0])
 
 
@@ -538,7 +536,7 @@ def test_evolution_rejects_stale_averaging_norm():
     with pytest.raises(GQSearchError, match=message):
         reduced_amplitudes(*states, 3)
     with pytest.raises(GQSearchError, match=message):
-        success_trajectory(SearchInstance(full_products(*states)), 3)
+        success_trajectory(full_products(*states), 3)
     with pytest.raises(GQSearchError, match=message):
         dense_evolution(*states, 3)
 
@@ -549,7 +547,7 @@ def test_evolution_rejects_nan_averaging():
     with pytest.raises(GQSearchError, match="norm drifted to nan after 1 iterations"):
         reduced_amplitudes(*states, 1)
     with pytest.raises(GQSearchError, match="norm drifted to nan after 1 iterations"):
-        success_trajectory(SearchInstance(full_products(*states)), 1)
+        success_trajectory(full_products(*states), 1)
     with pytest.raises(GQSearchError, match="state norm is nan"):
         held_instance(*states)
 
