@@ -38,13 +38,13 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from collections import namedtuple
+from functools import cached_property
 
 from .errors import GQSearchError
 
 
-@dataclass(frozen=True)
-class TargetSet:
+class TargetSet(namedtuple("TargetSet", "indices")):
     """Sorted set of distinct marked basis indices.
 
     Indices are canonicalized to a sorted tuple.  Duplicates are an error,
@@ -52,11 +52,11 @@ class TargetSet:
     check against a dimension is `_rows`, run where N is known.
     """
 
-    indices: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, indices):
         try:
-            idx = tuple(sorted(operator.index(i) for i in self.indices))
+            idx = tuple(sorted(operator.index(i) for i in indices))
         except TypeError as exc:
             raise GQSearchError(f"bad target indices: {exc}") from exc
         if not idx:
@@ -65,7 +65,11 @@ class TargetSet:
             raise GQSearchError(f"negative target index {idx[0]}")
         if len(set(idx)) != len(idx):
             raise GQSearchError("duplicate target indices")
-        object.__setattr__(self, "indices", idx)
+        return super().__new__(cls, idx)
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks too
+        return cls(*iterable)
 
     @property
     def r(self) -> int:
@@ -123,12 +127,14 @@ def rotation_angle(v: float) -> float:
     return 2.0 * math.asin(v)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(namedtuple("Decomposition", "v alpha beta b w_t w_l",
+                                defaults=(0.0, 0.0))):
     """Rotation-plane coordinates of a search instance.
 
     `Decomposition(v, alpha, beta, b, w_t=0.0, w_l=0.0)` is the one
-    constructor; phi, amp, theta and peak are derived from its arguments.
+    constructor, and a named tuple of those six; phi, amp, theta and peak
+    are derived from them on first use, so `_replace`, a copy or a pickle
+    never holds a stale one.
 
     Fields
     ------
@@ -144,29 +150,30 @@ class Decomposition:
         summed as p(n) is, so p(n) <= w_t + peak in floats too
     """
 
-    v: float
-    phi: float = field(init=False)
-    alpha: float
-    beta: float
-    b: float
-    amp: float = field(init=False)
-    theta: float = field(init=False)
-    w_t: float = 0.0
-    w_l: float = 0.0
-    peak: float = field(init=False)
+    @cached_property
+    def phi(self) -> float:
+        return rotation_angle(self.v)
 
-    def __post_init__(self) -> None:
-        alpha, beta = self.alpha, self.beta
-        a2 = alpha * alpha
-        b2 = beta * beta
-        y = 2.0 * alpha * beta * math.cos(self.b)
-        amp = math.hypot(a2 - b2, y)
-        object.__setattr__(self, "phi", rotation_angle(self.v))
-        object.__setattr__(self, "amp", amp)
+    @cached_property
+    def _legs(self) -> tuple:
+        """(alpha^2 - beta^2, 2 alpha beta cos b), the legs of A and theta."""
+        return (self.alpha * self.alpha - self.beta * self.beta,
+                2.0 * self.alpha * self.beta * math.cos(self.b))
+
+    @cached_property
+    def amp(self) -> float:
+        return math.hypot(*self._legs)
+
+    @cached_property
+    def theta(self) -> float:
+        x, y = self._legs
         # y + 0.0 turns a negative zero into +0.0 so atan2 lands on +pi,
         # keeping theta inside (-pi, pi].
-        object.__setattr__(self, "theta", math.atan2(y + 0.0, a2 - b2))
-        object.__setattr__(self, "peak", 0.5 * (alpha**2 + beta**2) + 0.5 * amp)
+        return math.atan2(y + 0.0, x)
+
+    @cached_property
+    def peak(self) -> float:
+        return 0.5 * (self.alpha**2 + self.beta**2) + 0.5 * self.amp
 
     @property
     def psi(self) -> float:

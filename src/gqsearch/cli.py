@@ -117,12 +117,15 @@ def _resolve_state(spec: str, n_items: int, allow_random: bool):
 
 
 def _build_instance(args: argparse.Namespace, r: int, targets) -> tuple:
-    """The run's six products, of the rows [0, r) for a count; explicit states are reduced
-    as they are drawn or read, never held."""
+    """The run's six products, of the rows [0, r) for a count: `uniform_instance` for
+    s = a = u, which loads no simulator; explicit states are reduced as they are drawn
+    or read, never held."""
     from .analytic import uniform_instance
 
     n_items = args.n_items
-    uniform_instance(n_items, r)  # an r/N that underflows is refused before numpy loads
+    uniform = uniform_instance(n_items, r)  # an r/N that underflows is refused before numpy loads
+    if args.start == args.averaging == "uniform":
+        return uniform
 
     from .statevector import from_blocks
 
@@ -257,8 +260,9 @@ SWEEP_MAX_PLANS = 2**14
 def sweep_rows(n_items: int, r_max: int, k_max: int) -> list:
     """Numeric vs closed-form parallel optima for r = 1..r_max, k = 1..k_max.
 
-    Formula columns are None for k < 2 (and whenever the closed form is out
-    of validity); cost_exact_at_n_formula re-evaluates the exact cost at the
+    Each row is a tuple of the SWEEP_COLUMNS values in that order.  Formula
+    columns are None for k < 2 (and whenever the closed form is out of
+    validity); cost_exact_at_n_formula re-evaluates the exact cost at the
     rounded formula n so discrepancies between the two cost expressions are
     visible side by side.  Each r is decomposed once, for all k.
     """
@@ -271,12 +275,12 @@ def sweep_rows(n_items: int, r_max: int, k_max: int) -> list:
         dec = decompose(uniform_instance(n_items, r))
         for k in range(1, k_max + 1):
             numeric, formula, cost_exact = _parallel_plans(dec, r, n_items, k)
-            rows.append(dict(zip(SWEEP_COLUMNS, (
+            rows.append((
                 r, k,
                 numeric.n_int, formula.n_opt if formula else None,
                 numeric.expected_cost, formula.expected_cost if formula else None,
                 cost_exact,
-            ))))
+            ))
     return rows
 
 
@@ -352,8 +356,6 @@ PLAN_COLUMNS = tuple(_PLAN_CELLS)
 
 
 def cmd_plan(args: argparse.Namespace):
-    from dataclasses import asdict
-
     from .analytic import decompose, uniform_instance
     from .strategy import _check_agents, max_probability_cost, punctuated_plan
 
@@ -366,16 +368,16 @@ def cmd_plan(args: argparse.Namespace):
         punct = None  # phi >= pi/2: outside the punctuated plan's model
     else:
         baseline = max_probability_cost(dec.phi)
-        punct = dict(asdict(plan), max_probability_cost=baseline,
+        punct = dict(plan._asdict(), max_probability_cost=baseline,
                      speedup_ratio=plan.expected_cost / baseline)
     par_numeric = None
     par_closed = None
     if args.agents >= 2 or punct is None:
         numeric, formula, cost_exact = _parallel_plans(dec, r, args.n_items, args.agents)
-        par_numeric = asdict(numeric)
+        par_numeric = numeric._asdict()
         del par_numeric["n_opt"]  # an exact plan's n_opt is only float(n_int)
         if formula is not None:
-            par_closed = dict(asdict(formula), cost_exact_at_n=cost_exact)
+            par_closed = dict(formula._asdict(), cost_exact_at_n=cost_exact)
 
     payload = {
         "command": "plan",
@@ -419,14 +421,16 @@ def cmd_parallel_sweep(args: argparse.Namespace):
     _check_agents(args.agents, "--agents")
     _rows(args.num_targets, args.n_items)  # every r of the sweep, before any plan
     rows = sweep_rows(args.n_items, args.num_targets, args.agents)
+    if args.format == "csv":  # the value tuples, and no JSON rows
+        return None, SWEEP_COLUMNS, rows
     payload = {
         "command": "parallel-sweep",
         "n_items": args.n_items,
         "r_max": args.num_targets,
         "k_max": args.agents,
-        "rows": rows,
+        "rows": [dict(zip(SWEEP_COLUMNS, row)) for row in rows],
     }
-    return payload, SWEEP_COLUMNS, map(dict.values, rows)
+    return payload, SWEEP_COLUMNS, None
 
 
 MONTECARLO_COLUMNS = (

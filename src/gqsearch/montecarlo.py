@@ -14,7 +14,7 @@ depend on how the trials are split into blocks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -30,12 +30,10 @@ ROUND_CAP = 10**9
 _BLOCK_ELEMENTS = 1 << 16
 
 
-@dataclass(frozen=True)
-class Estimate:
+class Estimate(namedtuple("Estimate", "mean stderr")):
     """Sample mean and standard error of per-trial costs."""
 
-    mean: float
-    stderr: float
+    __slots__ = ()
 
 
 def _geometric_rounds(u: np.ndarray, p: float) -> np.ndarray:
@@ -65,13 +63,14 @@ def run_parallel(p: float, n: int, k: int, trials: int, seed: int) -> Estimate:
     """Estimate the k-agent parallel cost (parallel time; agent time is k-fold).
 
     The arguments are checked before any trial is drawn.  The trials are
-    drawn at most _BLOCK_ELEMENTS at a time and folded block by block into
-    running sums, so memory is O(_BLOCK_ELEMENTS) at any trial count.  A
-    block's rounds sum exactly, to at most _BLOCK_ELEMENTS * ROUND_CAP <
-    2^53, and the total is a Python int, so the mean n * total / trials is
-    correctly rounded.  Squared deviations add up per block about the block
-    mean, and blocks merge by Chan, Golub & LeVeque's pairwise update, whose
-    between-block term is an exact ratio of integers here.
+    drawn at most _BLOCK_ELEMENTS at a time, every block into one buffer,
+    and folded block by block into running sums, so memory is one block at
+    any trial count.  A block's rounds sum exactly, to at most
+    _BLOCK_ELEMENTS * ROUND_CAP < 2^53, and the total is a Python int, so
+    the mean n * total / trials is correctly rounded.  Squared deviations
+    add up per block about the block mean, and blocks merge by Chan, Golub &
+    LeVeque's pairwise update, whose between-block term is an exact ratio of
+    integers here.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -83,11 +82,12 @@ def run_parallel(p: float, n: int, k: int, trials: int, seed: int) -> Estimate:
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
     rng = np.random.default_rng(seed)
+    buf = np.empty(min(_BLOCK_ELEMENTS, trials))
     total = 0  # rounds over the trials folded so far
     done = 0
     m2 = 0.0  # squared deviations of the rounds about their mean
     while done < trials:
-        rounds = _geometric_rounds(rng.random(min(_BLOCK_ELEMENTS, trials - done)), pk)
+        rounds = _geometric_rounds(rng.random(out=buf[:min(_BLOCK_ELEMENTS, trials - done)]), pk)
         size = rounds.size
         block = int(rounds.sum())
         rounds -= block / size

@@ -32,7 +32,7 @@ import itertools
 import math
 import re
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -238,8 +238,7 @@ def success_trajectory(instance, n_max: int) -> np.ndarray:
     return np.clip([np.vdot(c, basis.gram_t @ c).real for c in basis.evolve(n_max)], 0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class BihamMapping:
+class BihamMapping(namedtuple("BihamMapping", "k_bar l_bar sigma_k sigma_l")):
     """Mean/deviation statistics of a start state over target split.
 
     k_bar and l_bar are the mean target / non-target amplitudes; sigma_k
@@ -249,10 +248,7 @@ class BihamMapping:
     residual weights via w_t = r sigma_k^2, w_l = (N - r) sigma_l^2.
     """
 
-    k_bar: complex
-    l_bar: complex
-    sigma_k: float
-    sigma_l: float
+    __slots__ = ()
 
 
 def biham_mapping(amplitudes, targets) -> BihamMapping:

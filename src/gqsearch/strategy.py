@@ -15,14 +15,13 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .analytic import Decomposition, _rows, success_prob_analytic
 from .errors import GQSearchError, ValidityError
 
 
-@dataclass(frozen=True)
-class PunctuatedPlan:
+class PunctuatedPlan(namedtuple("PunctuatedPlan", "n_opt n_int expected_cost stddev_geometric")):
     """Optimal punctuated-search plan for a given rotation angle.
 
     n_opt is the continuous optimum, n_int its rounding (>= 1);
@@ -31,21 +30,13 @@ class PunctuatedPlan:
     (see cost_stddev).
     """
 
-    n_opt: float
-    n_int: int
-    expected_cost: float
-    stddev_geometric: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ParallelPlan:
+class ParallelPlan(namedtuple("ParallelPlan", "agents x n_opt n_int expected_cost")):
     """Optimal k-parallel plan: iteration count and expected parallel cost."""
 
-    agents: int
-    x: float
-    n_opt: float
-    n_int: int
-    expected_cost: float
+    __slots__ = ()
 
 
 def _validate_np(n, p) -> None:

@@ -1,7 +1,8 @@
 """Tests for the rotation-plane decomposition and closed-form probability."""
 
-import dataclasses
+import copy
 import math
+import pickle
 import struct
 import tracemalloc
 
@@ -84,11 +85,12 @@ def test_theta_stays_in_half_open_interval():
 
 def test_replace_derives_phi_amp_theta_and_peak_again():
     # phi, amp, theta and peak follow from (v, alpha, beta, b) alone: the
-    # constructor takes none of them, and replace derives them afresh
+    # constructor takes none of them, and _replace derives them afresh
     dec = Decomposition(0.3, 0.6, 0.5, 1.0, w_t=0.2, w_l=0.19)
     with pytest.raises(TypeError):
         Decomposition(0.3, 0.6, 0.5, 1.0, amp=1.0)
-    moved = dataclasses.replace(dec, v=0.5, alpha=0.8, b=2.0)
+    assert dec.peak > 0.0  # derived before the replace, so a stale one would show
+    moved = dec._replace(v=0.5, alpha=0.8, b=2.0)
     assert moved == Decomposition(0.5, 0.8, 0.5, 2.0, w_t=0.2, w_l=0.19)
     y = 2.0 * 0.8 * 0.5 * math.cos(2.0)
     amp = math.hypot(0.8 * 0.8 - 0.5 * 0.5, y)
@@ -97,6 +99,10 @@ def test_replace_derives_phi_amp_theta_and_peak_again():
         0.5 * (0.8**2 + 0.5**2) + 0.5 * amp,
     )
     assert moved.peak != dec.peak and moved.theta != dec.theta and moved.amp != dec.amp
+    for twin in (copy.copy(moved), copy.deepcopy(moved), pickle.loads(pickle.dumps(moved))):
+        assert twin == moved
+        assert (twin.phi, twin.amp, twin.theta, twin.peak) == (
+            moved.phi, moved.amp, moved.theta, moved.peak)
 
 
 def test_success_prob_matches_simulator_general_instance():

@@ -1021,9 +1021,12 @@ def test_parallel_sweep_orderings(tmp_path):
 
 
 def test_sweep_rows_structure():
-    rows = sweep_rows(2**16, 2, 3)
-    assert len(rows) == 6
-    assert set(rows[0]) == set(SWEEP_COLUMNS)
+    # each row is its values in column order, r-major
+    values = sweep_rows(2**16, 2, 3)
+    assert len(values) == 6
+    assert all(len(row) == len(SWEEP_COLUMNS) for row in values)
+    rows = [dict(zip(SWEEP_COLUMNS, row)) for row in values]
+    assert [(row["r"], row["k"]) for row in rows] == [(r, k) for r in (1, 2) for k in (1, 2, 3)]
     k1 = [row for row in rows if row["k"] == 1]
     assert all(row["n_formula"] is None for row in k1)
     k3 = [row for row in rows if row["k"] == 3]
@@ -1304,15 +1307,15 @@ def test_parallel_sweep_checks_its_targets_before_planning(capsys, monkeypatch, 
 def test_each_plan_decomposes_its_start_once(capsys, monkeypatch, argv, calls):
     # one decomposition per r, shared by the exact plan, the closed form's
     # exact cost and every k of a sweep; `decompose` builds one
-    # Decomposition, counted at its __post_init__ under whatever name a
-    # module imported the class
-    derive, seen = gqsearch.analytic.Decomposition.__post_init__, []
+    # Decomposition, counted at its __new__ under whatever name a module
+    # imported the class
+    build, seen = gqsearch.analytic.Decomposition.__new__, []
 
-    def counted(self):
-        seen.append(self)
-        derive(self)
+    def counted(cls, *args, **kwargs):
+        seen.append(args)
+        return build(cls, *args, **kwargs)
 
-    monkeypatch.setattr(gqsearch.analytic.Decomposition, "__post_init__", counted)
+    monkeypatch.setattr(gqsearch.analytic.Decomposition, "__new__", counted)
     code, _, err = run_cli(capsys, *argv)
     assert (code, err) == (0, "")
     assert len(seen) == calls
@@ -1465,13 +1468,17 @@ print(code, *(name for name in layers if f"gqsearch.{name}" in sys.modules),
     (["simulate", "--n-items", "64", "--num-targets", "65"], "2 analytic"),
     (["montecarlo", "--n-items", "64", "--num-targets", "1", "--agents", "0"],
      "2 analytic strategy"),
-    # the controls: a simulation loads the simulator and the closed form, and
-    # a restart experiment every layer
-    (["simulate", "--n-items", "8", "--num-targets", "1"], "0 analytic statevector numpy"),
+    # a uniform restart experiment takes its instance from r/N: no simulator
     (["montecarlo", "--n-items", "4096", "--num-targets", "1", "--trials", "100"],
-     "0 analytic statevector strategy montecarlo numpy"),
+     "0 analytic strategy montecarlo numpy"),
+    # the controls: a simulation loads the simulator and the closed form, and
+    # a restart experiment from an explicit state every layer
+    (["simulate", "--n-items", "8", "--num-targets", "1"], "0 analytic statevector numpy"),
+    (["montecarlo", "--n-items", "4096", "--num-targets", "1", "--start", "random:1",
+      "--trials", "100"], "0 analytic statevector strategy montecarlo numpy"),
 ], ids=["import", "plan-k1", "plan-k4", "parallel-sweep", "heatmap", "simulate-underflow",
-        "simulate-r-past-n", "montecarlo-no-agents", "simulate", "montecarlo"])
+        "simulate-r-past-n", "montecarlo-no-agents", "montecarlo", "simulate",
+        "montecarlo-random-start"])
 def test_a_call_loads_only_the_layers_it_runs(argv, loaded):
     # loaded is the exit code (None: no call), then the layers and numpy
     result = subprocess.run(
@@ -1496,6 +1503,46 @@ print(*sorted(name for name in ("gqsearch.statevector", "numpy") if name in sys.
         capture_output=True, text=True, check=True,
     )
     assert result.stdout == "\n"
+
+
+# Runs main on each argv of the JSON list in argv[1], in order, in one fresh
+# interpreter; after each call prints the exit code and which of dataclasses,
+# inspect, typing and numpy are loaded by then.
+_START_UP_PROBE = """
+import contextlib, io, json, sys
+import gqsearch.cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = gqsearch.cli.main(argv)
+    print(code, *(name for name in ("dataclasses", "inspect", "typing", "numpy")
+                  if name in sys.modules))
+"""
+
+
+def test_no_call_loads_dataclasses_and_scalar_calls_load_no_typing():
+    # under -S no site hook imports a module before the package does; numpy's
+    # directory goes on the path by name, since -S leaves site-packages off it
+    src = os.path.dirname(os.path.dirname(gqsearch.__file__))
+    numpy_dir = os.path.dirname(os.path.dirname(np.__file__))
+    calls = [
+        ["plan", "--n-items", "1048576", "--num-targets", "1", "--agents", "4"],
+        ["parallel-sweep", "--n-items", "1099511627776", "--num-targets", "5", "--agents", "16"],
+        ["heatmap", "--n-items", "8"],
+        ["simulate", "--n-items", "64", "--targets", "3,17,40", "--start", "random:7"],
+        ["montecarlo", "--n-items", "4096", "--num-targets", "1", "--trials", "100"],
+        ["montecarlo", "--n-items", "4096", "--targets", "3,17,40", "--start", "random:7",
+         "--trials", "300", "--seed", "7"],
+    ]
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", _START_UP_PROBE, json.dumps(calls)],
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([src, numpy_dir])),
+        capture_output=True, text=True, check=True,
+    )
+    lines = result.stdout.splitlines()
+    assert lines[:3] == ["0", "0", "0"]  # plan, parallel-sweep, heatmap: none of the four
+    assert len(lines) == len(calls)
+    for line in lines[3:]:  # numpy itself loads inspect and typing, but not dataclasses
+        assert line.split()[0] == "0" and "numpy" in line and "dataclasses" not in line
 
 
 def test_every_public_name_resolves_on_first_use():

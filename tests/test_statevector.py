@@ -71,6 +71,9 @@ def test_target_set_rejects_bad_indices():
         TargetSet(())
     with pytest.raises(GQSearchError, match="duplicate target indices"):
         TargetSet((2, 2))
+    with pytest.raises(GQSearchError, match="duplicate target indices"):
+        TargetSet((1, 2))._replace(indices=(2, 2))
+    assert TargetSet((1, 2))._replace(indices=(5, 0)).indices == (0, 5)
     with pytest.raises(GQSearchError, match="negative target index -1"):
         TargetSet((-1,))
     # what operator.index refuses: int() would truncate 1.5 and parse "3"
