@@ -313,7 +313,7 @@ def cmd_simulate(args: argparse.Namespace):
     dec = decompose(instance)
     dec_values = tuple(getattr(dec, name) for name in SIMULATE_COLUMNS[3:])
     ns = range(lo, hi + 1)
-    values = zip(ns, trajectory[lo:].tolist(), (success_prob_analytic(dec, n) for n in ns))
+    values = zip(ns, trajectory[lo:], (success_prob_analytic(dec, n) for n in ns))
     if args.format == "csv":  # one row at a time, and no JSON rows
         return None, SIMULATE_COLUMNS, (row + dec_values for row in values)
 
@@ -509,7 +509,7 @@ def _verify_checks(seed: int) -> list:
     instance = uniform_instance(16, 1)  # v = 1/4
     trajectory = success_trajectory(instance, 20)
     max_dev = max(abs(p - uniform_success_prob(0.25, n))
-                  for n, p in enumerate(trajectory.tolist()))
+                  for n, p in enumerate(trajectory))
     checks.append(("grover_case_v_quarter_max_dev", max_dev, 0.0, 1e-10))
     dec = decompose(instance)
     n_first = first_maximum(dec)

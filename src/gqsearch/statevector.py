@@ -4,25 +4,26 @@ One iteration of the operator Q first flips the phase of every target basis
 state (the oracle reflection) and then reflects about the averaging state
 |a>.  Q maps span{s_T, s_L, a_T, a_L} to itself, where s_T and s_L are the
 parts of the start state on and off the targets and a_T, a_L split the
-averaging state the same way, so n iterations evolve four coefficients by
-a fixed 4x4 matrix, which six inner products of those vectors determine.
-Those six, as a tuple, are the instance: `from_blocks` sums them from
-states drawn (`_random_blocks`) or read (`_state_file`) block by block, and
-no state vector is kept.  Success probabilities are the target weight
-c^H G_T c of the coefficients, so n iterations cost O(n).  The coefficients
-need no linear independence of the four vectors, so s = a, r = N and v in
-{0, 1} take the same path.
+averaging state the same way: Q^k|s> = s_T + (-1)^k s_L + c2 a_T + c3 a_L,
+so n iterations evolve two complex coefficients (`_walk`), each step from
+six inner products of those vectors.  Those six, as a tuple, are the
+instance: `from_blocks` sums them from states drawn (`_random_blocks`) or
+read (`_state_file`) block by block, and no state vector is kept.  Success
+probabilities are the target part |s_T + c2 a_T|^2 of the norm, so n
+iterations cost O(n).  The coefficients need no linear independence of the
+four vectors, so s = a, r = N and v in {0, 1} take the same path.
 The simulator is the independent check of the closed form in
 `gqsearch.analytic`, from which it takes only `_rows` and `uniform_instance`:
 `simulate` and `verify` set the two side by side.  The tests check both
 against the dense loop in `tests/dense_reference.py`, which applies Q to
-whole vectors; it shares only `_check_unit`, and `_ReducedBasis` in
+whole vectors; it shares only `_check_unit`, and `_walk` in
 `reduced_amplitudes`, with this module.
 
 All operations are pure: they return new values and never mutate inputs.
 An input state within NORM_TOL of unit norm is normalized once, by
 `from_blocks`; after that the norm is checked after every iteration, as the
-quadratic form of the coefficients with the Gram matrix, and raises.
+sum of its target part and its off-target part |(-1)^k s_L + c3 a_L|^2, and
+raises.
 """
 
 from __future__ import annotations
@@ -188,54 +189,45 @@ def from_blocks(targets, n_items: int, averaging, start) -> tuple:
     return ss_t / ss, ss_l / ss, aa_t / aa, as_t / cross, as_l / cross, aa_l / aa
 
 
-class _ReducedBasis:
-    """Q restricted to span{s_T, s_L, a_T, a_L}, in coefficients of those four.
+def _part(xx: float, aa: float, ax: complex, c: complex) -> float:
+    """|x + c a|^2 from <x|x>, <a|a> and <a|x>: the target part of the norm for
+    x, a = s_T, a_T and the off-target part for x, a = (-1)^k s_L, a_L."""
+    return xx + aa * (c.real * c.real + c.imag * c.imag) + 2.0 * (ax * c.conjugate()).real
 
-    With v = (s_T, s_L, a_T, a_L), the state sum_j c_j v_j maps under Q to
-    sum_j (M c)_j v_j, where M = (2 e_a <a|v_j> - I) diag(-1, 1, -1, 1).
-    The Gram matrix G_ij = <v_i|v_j> gives the norm c^H G c, and its target
-    block G_T the success probability.  <s|s> and <a|a> are measured, not
-    taken as 1, so a stale norm fails the per-step check.
+
+def _walk(instance, n: int):
+    """Yield (c2, c3) of Q^k|s> = s_T + (-1)^k s_L + c2 a_T + c3 a_L for k = 0..n.
+
+    The oracle negates s_T and a_T, and the reflection about a = a_T + a_L
+    then negates every coefficient and adds 2<a|.> to those of a_T and a_L:
+    s_T keeps its 1, s_L's sign alternates and only c2 and c3 move.  The
+    norm is checked after every step.  <s|s> and <a|a> are the instance's,
+    not taken as 1, so a stale norm fails that check.
     """
-
-    def __init__(self, instance):
-        ss_t, ss_l, aa_t, as_t, as_l, aa_l = instance
-        self.gram = np.array(
-            [
-                [ss_t, 0, np.conj(as_t), 0],
-                [0, ss_l, 0, np.conj(as_l)],
-                [as_t, 0, aa_t, 0],
-                [0, as_l, 0, aa_l],
-            ],
-            dtype=np.complex128,
-        )
-        on_t = np.array([1, 0, 1, 0])
-        self.gram_t = self.gram * np.outer(on_t, on_t)
-        # a = a_T + a_L, so <a|v_j> is the sum of the a_T and a_L rows of G.
-        e_a = np.array([0, 0, 1, 1])
-        overlaps = self.gram[2] + self.gram[3]
-        self.step = (2.0 * np.outer(e_a, overlaps) - np.eye(4)) * (1 - 2 * on_t)
-
-    def evolve(self, n: int):
-        """Yield the coefficients of Q^k|s> for k = 0..n, norm-checked."""
-        if n < 0:
-            raise ValueError(f"n must be non-negative, got {n}")
-        c = np.array([1, 1, 0, 0], dtype=np.complex128)
-        yield c
-        for k in range(1, n + 1):
-            c = self.step @ c
-            # max() returns a NaN first argument unchanged, so NaN still raises.
-            _check_unit(math.sqrt(max(np.vdot(c, self.gram @ c).real, 0.0)), k)
-            yield c
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
+    ss_t, ss_l, aa_t, as_t, as_l, aa_l = map(complex, instance)
+    ss_t, ss_l, aa_t, aa_l = ss_t.real, ss_l.real, aa_t.real, aa_l.real
+    c2 = c3 = 0j
+    sign = 1.0  # (-1)^k
+    yield c2, c3
+    for k in range(1, n + 1):
+        x = 2.0 * (sign * as_l - as_t - aa_t * c2 + aa_l * c3)
+        c2, c3, sign = x + c2, x - c3, -sign
+        nrm2 = _part(ss_t, aa_t, as_t, c2) + _part(ss_l, aa_l, sign * as_l, c3)
+        # max() returns a NaN first argument unchanged, so NaN still raises.
+        _check_unit(math.sqrt(max(nrm2, 0.0)), k)
+        yield c2, c3
 
 
-def success_trajectory(instance, n_max: int) -> np.ndarray:
+def success_trajectory(instance, n_max: int) -> list:
     """Success probability after n iterations for n = 0..n_max (one sweep) of an
     instance, its six products."""
-    basis = _ReducedBasis(instance)
-    # c^H G_T c for each c, clipped once: the norm is held to NORM_TOL
-    # only, so it can round past 1; np.clip, unlike min(), keeps a NaN.
-    return np.clip([np.vdot(c, basis.gram_t @ c).real for c in basis.evolve(n_max)], 0.0, 1.0)
+    ss_t, _, aa_t, as_t, _, _ = map(complex, instance)
+    # The target part of each norm, clipped: the norm is held to NORM_TOL
+    # only, so it can round past 1; min(max(p, 0.0), 1.0) keeps a NaN.
+    return [min(max(_part(ss_t.real, aa_t.real, as_t, c2), 0.0), 1.0)
+            for c2, _ in _walk(instance, n_max)]
 
 
 class BihamMapping(namedtuple("BihamMapping", "k_bar l_bar sigma_k sigma_l")):

@@ -1,13 +1,13 @@
 """Dense references: Q applied as two O(N) passes per iteration, and states held whole.
 
-The reduced-basis simulator in `gqsearch.statevector` evolves four
-coefficients of an instance's six inner products instead; the tests
-compare it against this loop, which takes the states themselves, touches
-every amplitude on every step and uses no reduction at all.  A state here
+The simulator in `gqsearch.statevector` walks two coefficients from an
+instance's six inner products instead; the tests compare it against this
+loop, which takes the states themselves, touches every amplitude on every
+step and uses no reduction at all.  A state here
 is a 1-D complex amplitude array: `random_state` holds the `random:` stream
 whole and `uniform_state` is u.  `held_instance` reduces held arrays through
 `from_blocks`, and `write_state_file` writes the file format.
-`reduced_amplitudes` rebuilds the N-vector Q^n|s> from the reduced basis's
+`reduced_amplitudes` rebuilds the N-vector Q^n|s> from the walk's
 coefficients, so the amplitudes, not only the probabilities, are compared.
 `full_products` forms an instance's six products from whole vectors with
 exact sums, as the block reducer does not.  `parallel_trial_costs` keeps
@@ -24,7 +24,7 @@ import numpy as np
 from gqsearch import TargetSet, from_blocks
 from gqsearch.montecarlo import _geometric_rounds
 from gqsearch.strategy import parallel_success
-from gqsearch.statevector import BLOCK, _check_unit, _ReducedBasis
+from gqsearch.statevector import BLOCK, _check_unit, _walk
 
 
 def random_state(n_items: int, seed: int) -> np.ndarray:
@@ -104,20 +104,19 @@ def dense_evolution(targets, averaging, start, n: int):
 
 
 def reduced_amplitudes(targets, averaging, start, n: int) -> np.ndarray:
-    """Amplitudes of Q^n|s> from the reduced basis's coefficients, one O(N) pass.
+    """Amplitudes of Q^n|s> from the walk's coefficients, one O(N) pass.
 
-    The basis is built from `full_products`, with no norm check, so a stale
-    state reaches the per-step check.  With c the coefficients of (s_T, s_L,
-    a_T, a_L), off-target amplitudes are c_1 s + c_3 a and target ones
-    c_0 s + c_2 a.
+    The walk takes `full_products`, with no norm check, so a stale state
+    reaches the per-step check.  With Q^n|s> = s_T + (-1)^n s_L + c2 a_T +
+    c3 a_L, off-target amplitudes are (-1)^n s + c3 a and target ones
+    s + c2 a.
     """
-    basis = _ReducedBasis(full_products(targets, averaging, start))
-    (c,) = deque(basis.evolve(n), maxlen=1)  # the last coefficients, none kept
+    ((c2, c3),) = deque(_walk(full_products(targets, averaging, start), n), maxlen=1)
     idx = list(targets.indices)
     s, a = start, averaging
-    amps = c[1] * s
-    amps += c[3] * a
-    amps[idx] = c[0] * s[idx] + c[2] * a[idx]
+    amps = (-1.0) ** n * s
+    amps += c3 * a
+    amps[idx] = s[idx] + c2 * a[idx]
     return amps
 
 

@@ -52,7 +52,7 @@ def test_criterion_01_simulator_analytic_equivalence():
         sim = success_trajectory(inst, 50)
         dec = decompose(inst)
         ana = [success_prob_analytic(dec, n) for n in range(51)]
-        worst = max(worst, float(np.max(np.abs(sim - ana))))
+        worst = max(worst, float(np.max(np.abs(np.asarray(sim) - ana))))
     elapsed = time.perf_counter() - t0
     assert worst < 1e-10, f"criterion 01: max |dp| = {worst:.3e}"
     assert elapsed < 30.0, f"criterion 01: took {elapsed:.1f}s"

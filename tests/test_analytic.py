@@ -110,7 +110,7 @@ def test_success_prob_matches_simulator_general_instance():
     dec = decompose(inst)
     sim = success_trajectory(inst, 30)
     ana = [success_prob_analytic(dec, n) for n in range(31)]
-    assert float(np.max(np.abs(sim - ana))) < 1e-10
+    assert float(np.max(np.abs(np.asarray(sim) - ana))) < 1e-10
     with pytest.raises(ValueError):
         success_prob_analytic(dec, -1)
 

@@ -367,7 +367,7 @@ def test_explicit_run_holds_one_vector(tmp_path, capsys, spec):
 
 def _cli_instance(monkeypatch, capsys, *argv) -> tuple:
     """The instance a simulate call steps, built from its flags."""
-    built = _count_reduced_bases(monkeypatch)
+    built = _count_walks(monkeypatch)
     code, _, err = run_cli(capsys, "simulate", "--iterations", "0..1", *argv)
     assert (code, err) == (0, "")
     (instance,) = built
@@ -482,23 +482,23 @@ def test_state_file_errors_past_the_first_block_name_their_lines(tmp_path, capsy
                    "--iterations", "0..1", "--start", f"file:{path}")[0] == 0
 
 
-def _count_reduced_bases(monkeypatch) -> list:
-    """The instances of every reduced basis built from here on."""
+def _count_walks(monkeypatch) -> list:
+    """The instances of every walk of Q from here on."""
     built = []
+    walk = statevector_module._walk
 
-    class Counting(statevector_module._ReducedBasis):
-        def __init__(self, instance):
-            built.append(instance)
-            super().__init__(instance)
+    def counting(instance, n):
+        built.append(instance)
+        return walk(instance, n)
 
-    monkeypatch.setattr(statevector_module, "_ReducedBasis", Counting)
+    monkeypatch.setattr(statevector_module, "_walk", counting)
     return built
 
 
 def test_montecarlo_never_steps_q(monkeypatch, capsys):
-    # every evolution builds a reduced basis; montecarlo reads p(n) from
-    # the closed form, for a uniform and for a general start
-    built = _count_reduced_bases(monkeypatch)
+    # every evolution walks Q; montecarlo reads p(n) from the closed
+    # form, for a uniform and for a general start
+    built = _count_walks(monkeypatch)
     for start in ("uniform", "random:7"):
         code, _, _ = run_cli(
             capsys,
@@ -517,7 +517,7 @@ def test_montecarlo_p_round_matches_mpmath(monkeypatch, capsys, log2_n):
     # p(n) = sin^2((2n + 1) asin(sqrt(1/N))) at the default n; walking
     # 611,089 steps at N = 2^40 left p_round 6.9e-14 off.  The cost is the
     # one the planner minimised, bit for bit.
-    built = _count_reduced_bases(monkeypatch)
+    built = _count_walks(monkeypatch)
     code, out, _ = run_cli(
         capsys,
         "montecarlo", "--n-items", str(2**log2_n), "--num-targets", "1", "--trials", "10",
@@ -1185,7 +1185,7 @@ def test_montecarlo_refuses_iterations_outside_float_range(monkeypatch, capsys, 
 def test_montecarlo_answers_at_any_iteration_count(monkeypatch, capsys, log2_n_items, n):
     # the closed form answers at once, without a step of Q, up to n = 2^53
     # itself, within 2^-30 of the exact p(n)
-    built = _count_reduced_bases(monkeypatch)
+    built = _count_walks(monkeypatch)
     code, out, err = run_cli(
         capsys,
         "montecarlo", "--n-items", str(2**log2_n_items), "--num-targets", "1",
@@ -1611,7 +1611,7 @@ def test_verify_fails_when_the_simulator_breaks(monkeypatch, capsys):
     # layer's own name is patched: cli imports it when the command runs.
     trajectory = statevector_module.success_trajectory
     monkeypatch.setattr(statevector_module, "success_trajectory",
-                        lambda instance, n_max: trajectory(instance, n_max) + 1e-9)
+                        lambda instance, n_max: [p + 1e-9 for p in trajectory(instance, n_max)])
     code, out, _ = run_cli(capsys, "verify")
     assert code == 1
     failed = [line for line in out.splitlines() if line.endswith("FAIL")]

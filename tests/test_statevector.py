@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -404,7 +405,7 @@ def test_success_probability_never_rounds_past_one():
     for n_items in range(1, 65):
         for r in range(1, n_items + 1):
             inst = uniform_instance(n_items, r)
-            traj = success_trajectory(inst, 5)
+            traj = np.asarray(success_trajectory(inst, 5))
             assert np.all((traj >= 0.0) & (traj <= 1.0)), (n_items, r, traj)
             for n in range(6):
                 assert success_trajectory(inst, n)[-1] == traj[n], (n_items, r, n)
@@ -433,13 +434,27 @@ def test_norm_preserved_over_long_run():
     assert abs(np.linalg.norm(reduced_amplitudes(*states, 1000)) - 1.0) < 1e-12
 
 
+def test_longest_walk_matches_mpmath():
+    # simulate's cap, 2^19 steps at N = 2^20, r = 1, against the exact
+    # p(n) = sin^2((2n + 1) asin(2^-10)) at every 997th n and the last;
+    # the walk drifts 2.5e-13 there
+    top = 2**19
+    traj = success_trajectory(uniform_instance(2**20, 1), top)
+    assert len(traj) == top + 1
+    with mpmath.workdps(40):
+        theta = mpmath.asin(mpmath.mpf(2) ** -10)
+        for n in [*range(0, top, 997), top]:
+            exact = mpmath.sin((2 * n + 1) * theta) ** 2
+            assert abs(traj[n] - exact) <= 1e-12, (n, traj[n])
+
+
 def test_success_trajectory_matches_pointwise_powers():
-    # the Gram-form target weight against |amplitude|^2 summed over the
+    # the walk's target weight against |amplitude|^2 summed over the
     # targets of the N-vector Q^n|s> rebuilt from the coefficients
     states = (TargetSet((3, 17)), uniform_state(32), random_state(32, 11))
     inst = held_instance(*states)
     traj = success_trajectory(inst, 10)
-    assert traj.shape == (11,)
+    assert len(traj) == 11
     for n in range(11):
         amps = reduced_amplitudes(*states, n)
         assert abs(traj[n] - np.sum(np.abs(amps[[3, 17]]) ** 2)) < 1e-12
@@ -462,7 +477,7 @@ def test_random_instances_stay_normalized(n_items, data):
     r = data.draw(st.integers(1, n_items))
     seed = data.draw(st.integers(0, 2**31))
     states = (TargetSet(range(r)), random_state(n_items, seed), random_state(n_items, seed + 1))
-    traj = success_trajectory(held_instance(*states), 12)
+    traj = np.asarray(success_trajectory(held_instance(*states), 12))
     assert np.all(traj >= -1e-12)
     assert np.all(traj <= 1.0 + 1e-12)
     assert abs(np.linalg.norm(reduced_amplitudes(*states, 12)) - 1.0) < 1e-12
@@ -570,5 +585,5 @@ def test_evolution_never_calls_the_closed_form(monkeypatch):
         monkeypatch.setattr(gqsearch.analytic, name, boom)
     targets, a, s = TargetSet((1, 9)), random_state(32, 40), random_state(32, 41)
     for states in ((a, s), (None, s), (a, None), (s, s)):
-        assert success_trajectory(held_instance(targets, *states), 10).shape == (11,)
+        assert len(success_trajectory(held_instance(targets, *states), 10)) == 11
     assert reduced_amplitudes(targets, a, s, 10).shape == (32,)
