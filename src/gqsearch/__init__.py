@@ -7,7 +7,7 @@ search problem, its two-dimensional rotation picture and its closed-form
 probability model, `statevector` reduces explicit states and evolves them
 exactly, `strategy` plans optimal punctuated and k-agent runs, and
 `montecarlo` checks the cost formulas with seeded restart experiments.
-Only `statevector` and `montecarlo` import numpy.  `cli` exposes all of
+Only `statevector` imports numpy.  `cli` exposes all of
 it as the `gqsearch` command.
 """
 

@@ -308,12 +308,12 @@ def cmd_simulate(args: argparse.Namespace):
     instance = _build_instance(args, r, targets)
     from .statevector import success_trajectory
 
-    trajectory = success_trajectory(instance, hi)
+    trajectory = success_trajectory(instance, hi, n_min=lo)
 
     dec = decompose(instance)
     dec_values = tuple(getattr(dec, name) for name in SIMULATE_COLUMNS[3:])
     ns = range(lo, hi + 1)
-    values = zip(ns, trajectory[lo:], (success_prob_analytic(dec, n) for n in ns))
+    values = zip(ns, trajectory, (success_prob_analytic(dec, n) for n in ns))
     if args.format == "csv":  # one row at a time, and no JSON rows
         return None, SIMULATE_COLUMNS, (row + dec_values for row in values)
 

@@ -220,14 +220,14 @@ def _walk(instance, n: int):
         yield c2, c3
 
 
-def success_trajectory(instance, n_max: int) -> list:
-    """Success probability after n iterations for n = 0..n_max (one sweep) of an
-    instance, its six products."""
+def success_trajectory(instance, n_max: int, n_min: int = 0) -> list:
+    """Success probability after n iterations for n = n_min..n_max (one sweep
+    from n = 0, every step norm-checked) of an instance, its six products."""
     ss_t, _, aa_t, as_t, _, _ = map(complex, instance)
     # The target part of each norm, clipped: the norm is held to NORM_TOL
     # only, so it can round past 1; min(max(p, 0.0), 1.0) keeps a NaN.
     return [min(max(_part(ss_t.real, aa_t.real, as_t, c2), 0.0), 1.0)
-            for c2, _ in _walk(instance, n_max)]
+            for c2, _ in itertools.islice(_walk(instance, n_max), n_min, None)]
 
 
 class BihamMapping(namedtuple("BihamMapping", "k_bar l_bar sigma_k sigma_l")):

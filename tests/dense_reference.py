@@ -10,10 +10,11 @@ whole and `uniform_state` is u.  `held_instance` reduces held arrays through
 `reduced_amplitudes` rebuilds the N-vector Q^n|s> from the walk's
 coefficients, so the amplitudes, not only the probabilities, are compared.
 `full_products` forms an instance's six products from whole vectors with
-exact sums, as the block reducer does not.  `parallel_trial_costs` keeps
-every per-trial cost of the sampler that `run_parallel` folds into running
-sums.  `edge_states` are the inputs where a reduction is most likely to go
-wrong, and `on_targets` draws more of one of them, v = 1.
+exact sums, as the block reducer does not.  `parallel_trial_costs` draws
+every per-trial cost of the k-agent race by inverse CDF, one numpy uniform
+per trial, where `run_parallel` walks the round-count histogram.
+`edge_states` are the inputs where a reduction is most likely to go wrong,
+and `on_targets` draws more of one of them, v = 1.
 """
 
 import math
@@ -21,8 +22,8 @@ from collections import deque
 
 import numpy as np
 
-from gqsearch import TargetSet, from_blocks
-from gqsearch.montecarlo import _geometric_rounds
+from gqsearch import GQSearchError, TargetSet, from_blocks
+from gqsearch.montecarlo import ROUND_CAP
 from gqsearch.strategy import parallel_success
 from gqsearch.statevector import BLOCK, _check_unit, _walk
 
@@ -82,10 +83,18 @@ def full_products(targets, a, s) -> tuple:
 
 
 def parallel_trial_costs(p: float, n: int, k: int, trials: int, seed: int) -> np.ndarray:
-    """Every per-trial cost of the k-agent race that `run_parallel` samples: n per round,
-    from all the trials' uniforms drawn at once, not in the sampler's blocks."""
-    rng = np.random.default_rng(seed)
-    return _geometric_rounds(rng.random(trials), parallel_success(p, k)) * float(n)
+    """Every per-trial cost of the k-agent race that `run_parallel` estimates: n per
+    round, trial t's round count floor(log1p(-u_t) / log1p(-P_k)) + 1 from the t-th
+    double u_t of default_rng(seed).  The cap is checked on the float counts: at a tiny
+    P_k they pass 2^63 or reach inf, where an int64 cast would wrap around."""
+    pk = parallel_success(p, k)
+    if pk >= 1.0:
+        return np.full(trials, float(n))
+    with np.errstate(over="ignore"):  # a subnormal P_k gives inf, refused below
+        rounds = np.floor(np.log1p(-np.random.default_rng(seed).random(trials)) / math.log1p(-pk)) + 1
+    if rounds.max() > ROUND_CAP:
+        raise GQSearchError(f"a trial exceeded the cap of {ROUND_CAP} rounds (p={pk})")
+    return rounds * float(n)
 
 
 def dense_evolution(targets, averaging, start, n: int):

@@ -1468,9 +1468,10 @@ print(code, *(name for name in layers if f"gqsearch.{name}" in sys.modules),
     (["simulate", "--n-items", "64", "--num-targets", "65"], "2 analytic"),
     (["montecarlo", "--n-items", "64", "--num-targets", "1", "--agents", "0"],
      "2 analytic strategy"),
-    # a uniform restart experiment takes its instance from r/N: no simulator
+    # a uniform restart experiment takes its instance from r/N and its
+    # uniforms from the sampler's own PCG64: no simulator and no numpy
     (["montecarlo", "--n-items", "4096", "--num-targets", "1", "--trials", "100"],
-     "0 analytic strategy montecarlo numpy"),
+     "0 analytic strategy montecarlo"),
     # the controls: a simulation loads the simulator and the closed form, and
     # a restart experiment from an explicit state every layer
     (["simulate", "--n-items", "8", "--num-targets", "1"], "0 analytic statevector numpy"),
@@ -1528,8 +1529,8 @@ def test_no_call_loads_dataclasses_and_scalar_calls_load_no_typing():
         ["plan", "--n-items", "1048576", "--num-targets", "1", "--agents", "4"],
         ["parallel-sweep", "--n-items", "1099511627776", "--num-targets", "5", "--agents", "16"],
         ["heatmap", "--n-items", "8"],
-        ["simulate", "--n-items", "64", "--targets", "3,17,40", "--start", "random:7"],
         ["montecarlo", "--n-items", "4096", "--num-targets", "1", "--trials", "100"],
+        ["simulate", "--n-items", "64", "--targets", "3,17,40", "--start", "random:7"],
         ["montecarlo", "--n-items", "4096", "--targets", "3,17,40", "--start", "random:7",
          "--trials", "300", "--seed", "7"],
     ]
@@ -1539,9 +1540,10 @@ def test_no_call_loads_dataclasses_and_scalar_calls_load_no_typing():
         capture_output=True, text=True, check=True,
     )
     lines = result.stdout.splitlines()
-    assert lines[:3] == ["0", "0", "0"]  # plan, parallel-sweep, heatmap: none of the four
+    # plan, parallel-sweep, heatmap and a uniform montecarlo: none of the four
+    assert lines[:4] == ["0", "0", "0", "0"]
     assert len(lines) == len(calls)
-    for line in lines[3:]:  # numpy itself loads inspect and typing, but not dataclasses
+    for line in lines[4:]:  # numpy itself loads inspect and typing, but not dataclasses
         assert line.split()[0] == "0" and "numpy" in line and "dataclasses" not in line
 
 
@@ -1972,13 +1974,30 @@ def test_simulate_walks_up_to_its_cap(monkeypatch, capsys):
     class Walked(Exception):
         pass
 
-    def walk(instance, n_max):
+    def walk(instance, n_max, n_min=0):
         raise Walked(n_max)
 
     monkeypatch.setattr(statevector_module, "success_trajectory", walk)
     top = SIMULATE_MAX_ITERATIONS
     with pytest.raises(Walked, match=f"^{top}$"):
         main(["simulate", "--n-items", "4", "--num-targets", "1", "--iterations", f"{top}"])
+
+
+def test_simulate_holds_only_the_rows_it_prints(capsys):
+    # every step to n = 2^15 is walked and norm-checked before output, but only
+    # rows lo..hi are kept: holding p(0..2^15) took about 1.1 MiB more
+    peaks = []
+    for span in ("0..10", "32768..32768"):
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "simulate", "--n-items", "1048576",
+                                     "--num-targets", "1", "--iterations", span)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert (code, err) == (0, "")
+    assert json.loads(out)["rows"][0]["n"] == 32768
+    assert peaks[1] < peaks[0] + 64 * 1024, peaks
 
 
 def test_simulate_small_case_pattern(capsys):

@@ -1,7 +1,11 @@
 """Tests for the seeded Monte Carlo restart experiments."""
 
 import math
+import random
+import statistics
+import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import mpmath
@@ -33,6 +37,12 @@ def test_certain_success_is_deterministic():
     assert est.mean == 7.0
     assert est.stderr == 0.0
     assert np.all(parallel_trial_costs(1.0, 7, 1, 100, seed=0) == 7.0)
+    # p_k = 1 exactly at the trial cap: once from p = 1, once from 1 - 0.1^64
+    # rounding to 1
+    for p, k in ((1.0, 1), (0.9, 64)):
+        assert parallel_success(p, k) == 1.0
+        est = run_parallel(p, 3, k, 2**32, seed=4)
+        assert (est.mean, est.stderr) == (3.0, 0.0)
 
 
 def test_mean_matches_closed_form():
@@ -48,15 +58,6 @@ def test_single_trial_has_zero_stderr():
     assert est.stderr == 0.0
 
 
-def test_certain_success_over_many_blocks_has_zero_stderr(monkeypatch):
-    # p_k = 1 exactly: once from p = 1, once from 1 - 0.1^64 rounding to 1
-    monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", 7)
-    for p, k in ((1.0, 1), (0.9, 64)):
-        assert parallel_success(p, k) == 1.0
-        est = run_parallel(p, 3, k, 100, seed=4)
-        assert (est.mean, est.stderr) == (3.0, 0.0)
-
-
 def test_parallel_equals_punctuated_at_boosted_bias():
     # a k-agent round is one coin of bias 1 - (1-p)^k; the trial costs
     # must coincide draw for draw
@@ -64,6 +65,7 @@ def test_parallel_equals_punctuated_at_boosted_bias():
     a = parallel_trial_costs(p, n, k, 500, seed=21)
     b = parallel_trial_costs(parallel_success(p, k), n, 1, 500, seed=21)
     assert np.array_equal(a, b)
+    assert run_parallel(p, n, k, 500, seed=21) == run_parallel(parallel_success(p, k), n, 1, 500, seed=21)
 
 
 def test_parallel_mean_matches_closed_form():
@@ -197,39 +199,41 @@ def test_consistency_grid_coverage():
 
 
 # ---------------------------------------------------------------------------
-# the stream behind every uniform
+# the stream behind every uniform, and the walk over the round counts
+
+EDGE_SEEDS = (0, 1, 2, 7, 42, 2**31 - 1, 2**32, 2**32 + 5, 2**63, 2**64 - 1)
+
+
+def test_uniforms_are_numpys_default_rng():
+    # the plain-Python SeedSequence and PCG64 give numpy's doubles bit for bit
+    rng = random.Random(2024)
+    for seed in EDGE_SEEDS + tuple(rng.randrange(2**64) for _ in range(40)):
+        draw = montecarlo._uniforms(seed)
+        assert [draw() for _ in range(64)] == np.random.default_rng(seed).random(64).tolist(), seed
+
+
+def _exact_estimate(counts, n: int, trials: int):
+    """(mean, stderr squared) of the costs n * rounds from (rounds, count)
+    pairs, as exact Fractions."""
+    total = sum(r * c for r, c in counts)
+    squares = sum(r * r * c for r, c in counts)
+    mean = Fraction(n * total, trials)
+    if trials == 1:
+        return mean, Fraction(0)
+    return mean, Fraction(n * n * (trials * squares - total * total), trials * trials * (trials - 1))
 
 
 def test_costs_follow_the_documented_stream():
-    # trial t inverts the geometric CDF of P_k at the t-th double of
-    # default_rng(seed), across block boundaries too
-    p, n, k, seed = 0.2, 3, 4, 1234567
-    trials = 2 * montecarlo._BLOCK_ELEMENTS + 5
-    u = np.random.default_rng(seed).random(trials)
+    # the estimate folds the walk fed by default_rng(seed).random(), through
+    # every branch: a BTRS round, an inversion round and trials left over
+    p, n, k = 0.2, 3, 4
     pk = parallel_success(p, k)
-    expected = n * (np.floor(np.log1p(-u) / math.log1p(-pk)) + 1)
-    assert np.array_equal(parallel_trial_costs(p, n, k, trials, seed), expected)
-
-
-def test_coin_costs_do_not_depend_on_block(monkeypatch):
-    full = parallel_trial_costs(0.2, 3, 4, 500, seed=17)
-    assert np.unique(full).size > 3  # rounds vary across trials
-    est = run_parallel(0.2, 3, 4, 500, seed=17)
-    for cap in (1, 7, montecarlo._BLOCK_ELEMENTS):
-        monkeypatch.setattr(montecarlo, "_BLOCK_ELEMENTS", cap)
-        costs = parallel_trial_costs(0.2, 3, 4, 500, seed=17)
-        assert np.array_equal(costs, full)
-        folded = run_parallel(0.2, 3, 4, 500, seed=17)
-        assert folded.mean == est.mean
-        assert folded.stderr == pytest.approx(est.stderr, rel=1e-13, abs=0.0)
-
-
-def _exact_stderr(costs: np.ndarray, n: int) -> float:
-    """n sqrt(M2 / ((T-1) T)) from the integer round counts, M2 exact."""
-    rounds = (costs / n).astype(np.int64).tolist()
-    trials = len(rounds)
-    m2 = Fraction(sum(r * r for r in rounds)) - Fraction(sum(rounds) ** 2, trials)
-    return math.sqrt(float(n * n * m2 / ((trials - 1) * trials)))
+    for trials, seed in ((2**17 + 5, 1234567), (50, 8), (1, 3), (4, 2**64 - 1)):
+        counts = list(montecarlo._round_counts(pk, trials, np.random.default_rng(seed).random))
+        mean, stderr_sq = _exact_estimate(counts, n, trials)
+        est = run_parallel(p, n, k, trials, seed)
+        assert est.mean == float(mean)
+        assert est.stderr == pytest.approx(math.sqrt(stderr_sq), rel=1e-15, abs=0.0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -237,35 +241,47 @@ def _exact_stderr(costs: np.ndarray, n: int) -> float:
     p=st.floats(1e-3, 1.0),
     n=st.integers(1, 10_000),
     k=st.sampled_from([1, 2, 3, 8, 64]),
-    trials=st.integers(2, 3 * montecarlo._BLOCK_ELEMENTS + 5),
+    trials=st.integers(1, 10**7),
     seed=st.integers(0, 2**64 - 1),
-    block=st.sampled_from([97, 4096, montecarlo._BLOCK_ELEMENTS]),
 )
-@example(p=0.0623, n=5, k=8, trials=3 * montecarlo._BLOCK_ELEMENTS + 5, seed=99,
-         block=montecarlo._BLOCK_ELEMENTS)
-def test_folded_estimate_matches_the_trial_costs(p, n, k, trials, seed, block):
-    # the running sums give the mean of the per-trial costs bit for bit
-    # (every total here is below 2^53) and the exact standard error
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(montecarlo, "_BLOCK_ELEMENTS", block)
-        costs = parallel_trial_costs(p, n, k, trials, seed)
-        est = run_parallel(p, n, k, trials, seed)
-    assert est.mean == float(costs.mean())
-    assert est.stderr == pytest.approx(_exact_stderr(costs, n), rel=1e-12, abs=0.0)
+@example(p=0.0623, n=5, k=8, trials=3_000_000, seed=99)
+def test_estimate_matches_the_round_histogram(p, n, k, trials, seed):
+    # the walk yields rounds 1, 2, ... while alive * P_k >= 1 (at P_k >= 1e-3
+    # the cap leaves the hazard at P_k), then one round past the last per
+    # trial left over; the running integer sums give the exact mean,
+    # correctly rounded, and the standard error
+    pk = parallel_success(p, k)
+    est = run_parallel(p, n, k, trials, seed)
+    if pk == 1.0:
+        assert est == (float(n), 0.0)
+        return
+    counts = list(montecarlo._round_counts(pk, trials, montecarlo._uniforms(seed)))
+    alive, walked = trials, 0
+    while alive and alive * pk >= 1.0:
+        assert counts[walked][0] == walked + 1
+        alive -= counts[walked][1]
+        walked += 1
+    assert len(counts) == walked + alive
+    assert all(c == 1 and walked < r <= montecarlo.ROUND_CAP for r, c in counts[walked:])
+    mean, stderr_sq = _exact_estimate(counts, n, trials)
+    assert est.mean == float(mean)
+    assert est.stderr == pytest.approx(math.sqrt(stderr_sq), rel=1e-15, abs=0.0)
 
 
 def test_folded_estimate_keeps_no_per_trial_array():
-    # the coin call of the benchmark: 3e6 costs alone would take 23 MiB, and
-    # every block is drawn into one buffer, so no two blocks are live at once;
-    # a first call imports numpy.random (about 0.5 MiB) outside the trace
+    # the coin call of the benchmark, and the same race at the trial cap: the
+    # walk holds a few integers, whatever the trial count (the per-trial
+    # sampler's buffer took 512 KiB)
     run_parallel(0.0623, 5, 8, 2, seed=99)
-    tracemalloc.start()
-    try:
-        run_parallel(0.0623, 5, 8, 3_000_000, seed=99)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * 8 * montecarlo._BLOCK_ELEMENTS
+    peaks = []
+    for trials in (3_000_000, 2**32):
+        tracemalloc.start()
+        try:
+            run_parallel(0.0623, 5, 8, trials, seed=99)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] == peaks[1] < 4096
 
 
 def test_counter_range_is_checked():
@@ -274,7 +290,109 @@ def test_counter_range_is_checked():
     with pytest.raises(ValueError):
         run_parallel(0.5, 1, 1, 5, seed=2**64)
     est = run_parallel(0.5, 1, 1, 4, seed=2**64 - 1)
-    assert est.mean == float(parallel_trial_costs(0.5, 1, 1, 4, seed=2**64 - 1).mean())
+    counts = montecarlo._round_counts(0.5, 4, np.random.default_rng(2**64 - 1).random)
+    assert est.mean == float(_exact_estimate(counts, 1, 4)[0])
+
+
+def _binomial_pmf(n: int, p: float, x: int) -> float:
+    return math.exp(math.lgamma(n + 1) - math.lgamma(x + 1) - math.lgamma(n - x + 1)
+                    + x * math.log(p) + (n - x) * math.log1p(-p))
+
+
+def _chi_square_pvalue(observed: Counter, expected: dict, draws: int) -> float:
+    """Survival function of the chi-square statistic of observed draws against
+    expected counts for the cells that hold at least 5, with every other value
+    pooled into one more cell."""
+    cells = {x: e for x, e in expected.items() if e >= 5.0}
+    rest = draws - sum(cells.values())
+    stat = sum((observed[x] - e) ** 2 / e for x, e in cells.items())
+    stat += (draws - sum(observed[x] for x in cells) - rest) ** 2 / rest
+    return float(mpmath.gammainc(0.5 * len(cells), 0.5 * stat, mpmath.inf, regularized=True))
+
+
+@pytest.mark.parametrize("n, p", [
+    # inversion, n min(p, 1 - p) < 10, on either side of 1/2
+    (9, 0.5), (1000, 0.0099), (21, 0.47), (40, 0.76),
+    # BTRS just past the switch, on either side of 1/2, and far past it
+    (1000, 0.0101), (21, 0.49), (40, 0.74), (200, 0.3), (3_000_000, 0.32),
+])
+def test_binomial_matches_the_exact_pmf(n, p):
+    # 40,000 draws against the lgamma pmf.  Where n p is just past 10 the
+    # squeeze bound v_r = 0.92 - 4.2/b is near 0.46, so a sampler that
+    # accepted at 0.92 would fail here by far
+    draws = 40_000
+    uniforms = np.random.default_rng(n).random
+    observed = Counter(montecarlo._binomial(n, p, uniforms) for _ in range(draws))
+    mean, sd = n * p, math.sqrt(n * p * (1.0 - p))
+    span = range(max(0, int(mean - 12 * sd) - 12), min(n, int(mean + 12 * sd) + 12) + 1)
+    expected = {x: draws * _binomial_pmf(n, p, x) for x in span}
+    assert min(observed) in span and max(observed) in span
+    assert _chi_square_pvalue(observed, expected, draws) > 0.001
+
+
+@pytest.mark.parametrize("pk, trials, seeds", [(0.05, 50, 400), (0.3, 7, 3000), (0.05, 20_000, 1)])
+def test_round_histogram_is_geometric(pk, trials, seeds):
+    # the walk's pooled histogram against Geometric(P_k), at small T, where
+    # the rounds walked and the trials left over meet
+    observed = Counter()
+    for seed in range(seeds):
+        for rounds, count in montecarlo._round_counts(pk, trials, np.random.default_rng(seed).random):
+            observed[rounds] += count
+    draws = trials * seeds
+    expected = {r: draws * pk * (1.0 - pk) ** (r - 1) for r in range(1, max(observed) + 1)}
+    assert _chi_square_pvalue(observed, expected, draws) > 0.001
+
+
+@pytest.mark.parametrize("p, k, trials", [(0.05, 1, 1000), (0.0623, 8, 3_000_000)])
+def test_z_is_calibrated_over_seeds(p, k, trials):
+    # z = (mean - n/P_k) / stderr over 2,000 seeds: its mean within 4/sqrt(2000)
+    # of -gamma / (2 sqrt T), the skewness bias of a studentized mean (gamma =
+    # (2 - P_k) / sqrt(1 - P_k) for the geometric), and its sd within 0.1 of 1.
+    # At T = 1000 a squeeze bound of 0.92 gave a mean near -0.2
+    pk = parallel_success(p, k)
+    closed = expected_cost(1, pk)
+    z = []
+    for seed in range(2000):
+        est = run_parallel(p, 1, k, trials, seed)
+        z.append((est.mean - closed) / est.stderr)
+    bias = -(2.0 - pk) / math.sqrt(1.0 - pk) / (2.0 * math.sqrt(trials))
+    assert abs(statistics.fmean(z) - bias) < 4.0 / math.sqrt(2000)
+    assert abs(statistics.stdev(z) - 1.0) < 0.1
+
+
+def test_weak_regime_cost_law():
+    # T P_k = 10: ln(10)/P_k inversion rounds and about 1/P_k trials left over,
+    # 33,000 steps, took 0.13 s on one shared core of a 2-core x86-64
+    # machine; 2 s allows 60 us a step
+    start = time.perf_counter()
+    est = run_parallel(1e-4, 1, 1, 100_000, seed=3)
+    elapsed = time.perf_counter() - start
+    assert abs(est.mean - 1e4) < 5.0 * est.stderr
+    assert elapsed < 2.0
+
+
+def test_a_breach_of_the_round_cap_is_found_before_the_walk():
+    # at P_k = 1e-9 a trial passes 10^9 rounds with chance 1/e; the first draw
+    # finds one among 2^32 trials at once, where the walk would take about
+    # ln(T P_k)/P_k = 1.5e9 steps.  Among 4 trials, the runs that pass the
+    # check walk the geometric conditioned on the cap, so no round passes it
+    for seed in range(3):
+        start = time.perf_counter()
+        with pytest.raises(GQSearchError, match="a trial exceeded the cap"):
+            run_parallel(1e-9, 1, 1, 2**32, seed)
+        assert time.perf_counter() - start < 0.5
+    refused = 0
+    for seed in range(400):
+        try:
+            counts = list(montecarlo._round_counts(1e-9, 4, np.random.default_rng(seed).random))
+        except GQSearchError:
+            refused += 1
+        else:
+            assert sum(c for _, c in counts) == 4
+            assert max(r for r, _ in counts) <= montecarlo.ROUND_CAP
+    # P(refused) = 1 - (1 - (1 - 1e-9)^1e9)^4 = 0.84, sd over 400 runs 0.018
+    share = 1.0 - (1.0 - math.exp(montecarlo.ROUND_CAP * math.log1p(-1e-9))) ** 4
+    assert abs(refused / 400 - share) < 4.0 * math.sqrt(share * (1.0 - share) / 400)
 
 
 def test_round_counts_are_geometric():

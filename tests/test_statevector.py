@@ -388,6 +388,8 @@ def test_grover_power_known_value():
     states = uniform_states(16, 1)
     p = success_trajectory(uniform_instance(16, 1), 3)[-1]
     assert abs(p - 63001 / 65536) < 1e-12
+    # a later first n keeps the rows from there on, bit for bit
+    assert success_trajectory(uniform_instance(16, 1), 3, n_min=3) == [p]
     assert abs(abs(reduced_amplitudes(*states, 3)[0]) ** 2 - 63001 / 65536) < 1e-12
     assert abs(dense_evolution(*states, 3)[0][3] - 63001 / 65536) < 1e-12
 
