@@ -186,9 +186,9 @@ def default_heatmap_n_max(n_items: int) -> int:
     return 2 * math.ceil(0.5 * math.pi / decompose(uniform_instance(n_items, 1)).phi)
 
 
-# A heatmap call peaks at up to 280 bytes per cell over start-up (one row in
-# CSV; 230 in JSON, 120 in PGM; Python 3.11), so the largest grid peaks near
-# 570 MiB.  A cell costs about 0.7 us end to end in PGM, 2-3 us in JSON or CSV.
+# A heatmap call peaks at about 150 bytes per cell over start-up (JSON; 95 in
+# CSV, 40 in PGM; Python 3.11), so the largest grid peaks near 330 MiB.  A cell
+# costs about 0.4 us end to end in PGM, 1.1-1.5 us in JSON or CSV.
 HEATMAP_MAX_CELLS = 2**21
 
 
@@ -293,7 +293,7 @@ SIMULATE_COLUMNS = (
 )
 
 
-# A simulate row peaks at about 1.1 KiB over start-up (JSON; 0.4 KiB in CSV;
+# A simulate row peaks at about 1.1 KiB over start-up (JSON; 0.5 KiB in CSV;
 # Python 3.11, numpy 2.4.6), so walking to the largest n peaks near 600 MiB.
 SIMULATE_MAX_ITERATIONS = 2**19
 
@@ -670,7 +670,10 @@ def build_parser() -> argparse.ArgumentParser:
         "succeeds with p, the closed-form target weight of Q^n|s>; k = 1 "
         "is punctuated search. Default --iterations: the exact n / P_k(n) "
         "optimum for --start and --agents; at most 2^53, with n*phi at most "
-        "2^22 so that p(n) is within 2^-30. "
+        "2^22 so that p(n) is within 2^-30. Before the first draw, a run of T "
+        "trials is refused where a trial may need more than 10^9 rounds, T (1 - "
+        "P_k)^(10^9) >= 2^-30, and where it would take more than 2^24 steps, "
+        "ln(T P_k) / -ln(1 - P_k) rounds plus min(T, 1 / P_k) trials. "
         "CSV columns: " + ",".join(MONTECARLO_COLUMNS),
     )
     p_mc.add_argument("--n-items", type=_int, required=True, metavar="N")

@@ -19,11 +19,14 @@ Comput. Simul. 46, 1993), which averages 2.2-2.7.  A per-trial round count
 takes one.
 
 The cost is one step per round walked and one per trial left over: about
-ln(T * P_k) / P_k + 1 / P_k steps at T trials, and never much more than T.
-A trial left over takes about 2 us, an inversion round 3-4 us and a BTRS
-round 6 us (Python 3.11 on one shared x86-64 core), so T = 3e6 at P_k =
-0.2 takes under a millisecond, and so does T = 2^32, while P_k = 1e-5 at
-T = 1e6 takes about 1.3 s and P_k = 1e-6 at T = 2^32 about 34 s.
+ln(T * P_k) / -ln(1 - P_k) rounds (0 where T * P_k < 1) plus min(T, 1 / P_k)
+trials.  A trial left over takes about 2 us, an inversion round 3-4 us and a
+BTRS round 6 us (Python 3.11 on one shared x86-64 core); T = 3e6 at P_k =
+0.2 takes under a millisecond, and so does T = 2^32.  A run is refused
+before the first draw where that estimate passes STEP_CAP, and where a
+trial may plausibly need more than ROUND_CAP rounds, T (1 - P_k)^ROUND_CAP
+>= 2^-30 (P_k below about (ln T + 20.8) 1e-9); below that, the plain
+geometric is within 2^-30 of the one conditioned on the cap.
 """
 
 from __future__ import annotations
@@ -34,9 +37,10 @@ from collections import namedtuple
 from .errors import GQSearchError
 from .strategy import parallel_success
 
-# A single trial may not exceed this many rounds; a sampled round count
-# past it is a GQSearchError.
+# Caps on one trial's rounds and on one run's estimated steps.  The slowest run
+# allowed, T = 2^32 at P_k = 5.2e-7, takes 47-50 s and 15 MiB (2 shared cores).
 ROUND_CAP = 10**9
+STEP_CAP = 2**24
 
 _MASK32 = 0xFFFFFFFF
 _MASK64 = (1 << 64) - 1
@@ -139,44 +143,28 @@ def _binomial(n: int, p: float, random) -> int:
 
 
 def _round_counts(pk: float, trials: int, random):
-    """(round, trials that stopped in it) pairs of trials coins of bias 0 < pk < 1.
-
-    The first draw decides whether any trial needs more than ROUND_CAP
-    rounds: a Binomial(trials, (1 - pk)^ROUND_CAP) count, drawn only where
-    that probability does not underflow (pk below about 7.5e-7).  If none
-    does, the walk draws from the geometric conditioned on the cap, so no
-    later draw can pass it, and where the conditioning underflows too, the
-    draws are the plain geometric's.  The rounds walked come first, 1, 2,
-    ..., J, each with its count (0 for a round with no success), then one
-    (round, 1) pair per trial left over, each round past J.
-    """
+    """(round, trials that stopped in it) pairs of trials coins of bias 0 < pk < 1:
+    rounds 1, ..., J walked while alive * pk >= 1, each with its Binomial(alive,
+    pk) count, then one (round, 1) per trial left over, an inverse-CDF geometric
+    past J."""
     log_q = math.log1p(-pk)
-    tail = math.exp(ROUND_CAP * log_q)  # P(one trial needs more than ROUND_CAP rounds)
-    if tail and _binomial(trials, tail, random):
-        raise GQSearchError(f"a trial exceeded the cap of {ROUND_CAP} rounds (p={pk})")
     alive = trials
     j = 0  # rounds walked
-    while alive:
-        # P(a trial alive after round j stops in round j + 1 | it stops by the
-        # cap), which is 1 up to rounding in the cap's own round
-        hazard = min(1.0, pk / (1.0 - math.exp((ROUND_CAP - j) * log_q)))
-        if alive * hazard < 1.0:
-            break
+    while alive and alive * pk >= 1.0:
         j += 1
-        stopped = _binomial(alive, hazard, random)
+        stopped = _binomial(alive, pk, random)
         alive -= stopped
         yield j, stopped
-    keep = 1.0 - math.exp((ROUND_CAP - j) * log_q)  # P(stop by the cap | alive now)
     for _ in range(alive):
-        yield j + min(math.floor(math.log1p(-random() * keep) / log_q) + 1, ROUND_CAP - j), 1
+        yield j + math.floor(math.log1p(-random()) / log_q) + 1, 1
 
 
 def run_parallel(p: float, n: int, k: int, trials: int, seed: int) -> Estimate:
     """Estimate the k-agent parallel cost (parallel time; agent time is k-fold).
 
-    The arguments are checked before any uniform is drawn.  The round counts
-    and their squares add up as exact integers, so the mean and the
-    variance take one division each, and memory does not grow with trials.
+    The arguments and both caps are checked, from (trials, P_k) alone, before
+    the generator is seeded.  The round counts and their squares add up as exact
+    integers, so the mean and the variance take one division each.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -189,6 +177,13 @@ def run_parallel(p: float, n: int, k: int, trials: int, seed: int) -> Estimate:
         raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
     if pk == 1.0:  # every trial stops in round 1, and no uniform is drawn
         return Estimate(mean=float(n), stderr=0.0)
+    log_q = math.log1p(-pk)
+    if trials * math.exp(ROUND_CAP * log_q) >= 2.0**-30:
+        raise GQSearchError(f"a trial may exceed the cap of {ROUND_CAP} rounds (p={pk})")
+    steps = max(0.0, math.log(trials * pk)) / -log_q + min(trials, 1.0 / pk)
+    if steps > STEP_CAP:
+        raise GQSearchError(f"{trials} trials at p={pk} take about {steps:.3g} steps, "
+                            f"past the cap of {STEP_CAP}")
     total = squares = 0  # sums of the round counts and of their squares
     for rounds, count in _round_counts(pk, trials, _uniforms(seed)):
         total += rounds * count

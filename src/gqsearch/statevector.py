@@ -45,7 +45,7 @@ NORM_TOL = 1e-9
 
 # Amplitudes per block where a state is drawn, read or reduced: 256 KiB of complex.
 BLOCK = 2**14
-# Largest N of a random:<seed> state: about 64 ns an amplitude, 17 s (2 shared cores).
+# Largest N of a random:<seed> state: about 80 ns an amplitude, 20-23 s (2 shared cores).
 _RANDOM_MAX_ITEMS = 2**28
 # Amplitudes per sum in the reducer; a chunk that holds targets is copied, 32 KiB a state.
 # Kept this small, np.vdot is never split across BLAS threads, which would change its bits.

@@ -1254,6 +1254,30 @@ def test_montecarlo_tiny_target_weight_hits_the_round_cap(tmp_path, capsys):
         assert code == 2 and out == "" and "cap" in err
 
 
+def test_montecarlo_round_cap_refusal_does_not_depend_on_the_seed(capsys):
+    # N = 2^33, n = 1: P_k = 1.05e-9, so one trial passes 10^9 rounds with
+    # chance 0.35, and a refusal decided by a draw would differ between seeds
+    argv = ("montecarlo", "--n-items", str(2**33), "--num-targets", "1", "--iterations", "1",
+            "--trials", "1")
+    seen = {run_cli(capsys, *argv, "--seed", str(seed)) for seed in range(8)}
+    assert seen == {(2, "", "error: a trial may exceed the cap of 1000000000 rounds "
+                            "(p=1.0477378964424133e-09)\n")}
+
+
+def test_montecarlo_refuses_a_long_walk_at_once(capsys):
+    # N = 2^27, n = 1: P_k = 6.7e-8, where 2^32 trials would walk about 10^8
+    # steps, minutes; the estimate is refused before the generator is seeded
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "montecarlo", "--n-items", str(2**27), "--num-targets", "1", "--iterations", "1",
+        "--trials", str(2**32),
+    )
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == ("error: 4294967296 trials at p=6.705522404004682e-08 take about 9.94e+07 "
+                   "steps, past the cap of 16777216\n")
+
+
 def test_montecarlo_default_iterations_when_p_is_flat(tmp_path, capsys):
     # v = 1 (every item a target) and v = 0 (an averaging state off the
     # target): p(n) does not depend on n, so the default n is 1

@@ -86,8 +86,9 @@ def test_zero_probability_never_terminates():
 def test_round_cap_raises():
     # at p = 1e-12 a median trial needs ~7e11 rounds, far past the cap; at
     # 1e-300 the counts pass 2^63 and at a subnormal p they reach inf, where
-    # an int64 cast gave negative costs
-    message = rf"a trial exceeded the cap of {montecarlo.ROUND_CAP} rounds \(p="
+    # an int64 cast gave negative costs.  run_parallel refuses each from
+    # (T, P_k) before a draw; the reference finds the breach in its counts
+    message = rf"the cap of {montecarlo.ROUND_CAP} rounds \(p="
     for p in (1e-12, 1e-300, 5e-324):
         for k in (1, 3):
             with pytest.raises(GQSearchError, match=message):
@@ -246,10 +247,10 @@ def test_costs_follow_the_documented_stream():
 )
 @example(p=0.0623, n=5, k=8, trials=3_000_000, seed=99)
 def test_estimate_matches_the_round_histogram(p, n, k, trials, seed):
-    # the walk yields rounds 1, 2, ... while alive * P_k >= 1 (at P_k >= 1e-3
-    # the cap leaves the hazard at P_k), then one round past the last per
-    # trial left over; the running integer sums give the exact mean,
-    # correctly rounded, and the standard error
+    # the walk yields rounds 1, 2, ... while alive * P_k >= 1, then one round
+    # past the last per trial left over (at P_k >= 1e-3 none passes the cap);
+    # the running integer sums give the exact mean, correctly rounded, and
+    # the standard error
     pk = parallel_success(p, k)
     est = run_parallel(p, n, k, trials, seed)
     if pk == 1.0:
@@ -372,27 +373,79 @@ def test_weak_regime_cost_law():
 
 
 def test_a_breach_of_the_round_cap_is_found_before_the_walk():
-    # at P_k = 1e-9 a trial passes 10^9 rounds with chance 1/e; the first draw
-    # finds one among 2^32 trials at once, where the walk would take about
-    # ln(T P_k)/P_k = 1.5e9 steps.  Among 4 trials, the runs that pass the
-    # check walk the geometric conditioned on the cap, so no round passes it
+    # at P_k = 1e-9 a trial passes 10^9 rounds with chance 1/e, so among 2^32
+    # trials one surely does: the run is refused at once, where the walk
+    # would take about ln(T P_k)/P_k = 1.5e9 steps
     for seed in range(3):
         start = time.perf_counter()
-        with pytest.raises(GQSearchError, match="a trial exceeded the cap"):
+        with pytest.raises(GQSearchError, match="a trial may exceed the cap"):
             run_parallel(1e-9, 1, 1, 2**32, seed)
         assert time.perf_counter() - start < 0.5
-    refused = 0
-    for seed in range(400):
-        try:
-            counts = list(montecarlo._round_counts(1e-9, 4, np.random.default_rng(seed).random))
-        except GQSearchError:
-            refused += 1
-        else:
-            assert sum(c for _, c in counts) == 4
-            assert max(r for r, _ in counts) <= montecarlo.ROUND_CAP
-    # P(refused) = 1 - (1 - (1 - 1e-9)^1e9)^4 = 0.84, sd over 400 runs 0.018
-    share = 1.0 - (1.0 - math.exp(montecarlo.ROUND_CAP * math.log1p(-1e-9))) ** 4
-    assert abs(refused / 400 - share) < 4.0 * math.sqrt(share * (1.0 - share) / 400)
+
+
+def _no_draws(seed):
+    """A stand-in for _uniforms whose generator fails on its first draw."""
+    def random():
+        raise AssertionError("a refused run drew a uniform")
+    return random
+
+
+@pytest.mark.parametrize("trials, factor, refusal", [
+    (1, 0.99, "a trial may exceed the cap"), (1, 1.01, None),
+    (4, 0.99, "a trial may exceed the cap"), (4, 1.01, None),
+    (2**32, 0.99, "a trial may exceed the cap"), (2**32, 1.01, "steps, past the cap"),
+])
+def test_refusals_read_only_trials_and_pk(monkeypatch, trials, factor, refusal):
+    # T (1 - P_k)^ROUND_CAP = 2^-30 at P_k = edge.  On either side of it,
+    # seeds 0-9 end alike: all refused, with one message and no uniform
+    # drawn, or all run.  Just above the edge, 2^32 trials would walk about
+    # 10^9 steps, which STEP_CAP refuses
+    edge = -math.expm1(-(math.log(trials) + 30 * math.log(2)) / montecarlo.ROUND_CAP)
+    pk = factor * edge
+    if refusal is None:
+        assert all(math.isfinite(run_parallel(pk, 1, 1, trials, seed).mean) for seed in range(10))
+        return
+    monkeypatch.setattr(montecarlo, "_uniforms", _no_draws)
+    messages = set()
+    for seed in range(10):
+        with pytest.raises(GQSearchError, match=refusal) as exc:
+            run_parallel(pk, 1, 1, trials, seed)
+        messages.add(str(exc.value))
+    assert len(messages) == 1
+
+
+def _estimated_steps(pk, trials):
+    """ln(T P_k) / -ln(1 - P_k) rounds walked (0 where T P_k < 1) plus min(T, 1 / P_k)."""
+    return max(0.0, math.log(trials * pk)) / -math.log1p(-pk) + min(trials, 1.0 / pk)
+
+
+def test_the_step_estimate_counts_the_walk():
+    # the pairs _round_counts yields, one a step, against the estimate STEP_CAP
+    # reads: within 25% (the mean of 10 seeds where the estimate is under 1,000
+    # steps and the count is noisy; measured 0.86-1.01 over the grid)
+    grid = [(pk, t) for pk in (0.5, 0.1, 1e-2, 1e-3, 1e-4) for t in (10, 1000, 10**5, 2**32)]
+    for pk, trials in grid + [(1e-5, 10**5)]:
+        estimate = _estimated_steps(pk, trials)
+        seeds = range(10 if estimate < 1000 else 1)
+        pairs = sum(sum(1 for _ in montecarlo._round_counts(pk, trials, montecarlo._uniforms(seed)))
+                    for seed in seeds) / len(seeds)
+        assert 0.75 <= pairs / estimate <= 1.25, (pk, trials, pairs, estimate)
+
+
+def test_a_run_past_the_step_cap_is_refused_before_the_walk(monkeypatch):
+    # P_k = 1e-3 at T = 10^6: 6,904 rounds walked and 1,000 trials left over
+    pk, trials = 1e-3, 10**6
+    steps = _estimated_steps(pk, trials)
+    monkeypatch.setattr(montecarlo, "STEP_CAP", math.floor(steps))
+    monkeypatch.setattr(montecarlo, "_uniforms", _no_draws)
+    start = time.perf_counter()
+    with pytest.raises(GQSearchError, match=rf"past the cap of {math.floor(steps)}$"):
+        run_parallel(pk, 1, 1, trials, seed=0)
+    assert time.perf_counter() - start < 0.01
+    monkeypatch.undo()
+    monkeypatch.setattr(montecarlo, "STEP_CAP", math.ceil(steps))
+    est = run_parallel(pk, 1, 1, trials, seed=0)
+    assert abs(est.mean - 1.0 / pk) < 5.0 * est.stderr
 
 
 def test_round_counts_are_geometric():
