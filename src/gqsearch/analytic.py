@@ -27,11 +27,10 @@ beta^2 keeps its weight: 1/N at r = N - 1.
 
 For s = a the start lies in the plane at angle phi/2 from |a'>, and the
 formula reduces to (1 - cos((2n+1) phi))/2, `uniform_success_prob`, which the
-verify command checks against the simulator.  Everything here is scalar
-and computes with the math module, so a caller that plans from it loads no
-numpy; callers with many n map over the closed forms.  The heatmap repeats
-the uniform expression inline, one phi per column: a call per cell made its
-largest grid half again as slow (see `cli.heatmap_grid`).
+verify command checks against the simulator and the heatmap evaluates per
+cell.  Everything here is scalar and computes with the math module, so a
+caller that plans from it loads no numpy; callers with many n map over the
+closed forms.
 """
 
 from __future__ import annotations

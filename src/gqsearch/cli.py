@@ -15,8 +15,9 @@ written.
 
 File formats
 ------------
-State vector files (`file:PATH`) are plain text: line 1 holds N, then N lines
-of one "re im" pair each; a float written as its Python repr reads back exactly.
+State vector files (`file:PATH`) are plain text: line 1 holds N, read by
+`gqsearch.errors._int` as every integer flag is, then N lines of one "re im"
+pair each; a float written as its Python repr reads back exactly.
 Their one parser is `gqsearch.statevector._state_file`: the reducer's first
 read opens the file and checks its N, and later reads yield the amplitude
 lines in blocks that the reducer sums as they are read.
@@ -29,26 +30,15 @@ from __future__ import annotations
 
 import argparse
 import math
-import re
 import sys
 
 # Each command imports the layer functions it calls when it runs, so a call
 # loads only its own layers and `import gqsearch.cli` loads none of them.
-from .errors import ValidityError
+from .errors import ValidityError, _check_seed, _check_trials, _int
 
 
 # ---------------------------------------------------------------------------
 # parsing and IO helpers
-
-
-def _int(text: str) -> int:
-    """int(text) for ASCII [+-]?[0-9]+ only: no blanks, '_' or non-ASCII digits."""
-    if re.fullmatch("[+-]?[0-9]+", text) is None:
-        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
-    return int(text)
-
-
-_int.__name__ = "int"  # argparse reports "invalid int value: ..." as for int
 
 
 def _parse_int(option: str, text: str, part: str) -> int:
@@ -91,12 +81,6 @@ def _resolve_targets(args: argparse.Namespace) -> tuple:
 def _target_echo(r: int, targets) -> dict:
     """The target flag as given: --targets as its sorted list, --num-targets as R."""
     return {"num_targets": r} if targets is None else {"targets": list(targets.indices)}
-
-
-def _check_seed(name: str, seed: int) -> int:
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"{name} must lie in [0, 2^64), got {seed}")
-    return seed
 
 
 def _resolve_state(spec: str, n_items: int, allow_random: bool):
@@ -188,28 +172,22 @@ def default_heatmap_n_max(n_items: int) -> int:
 
 # A heatmap call peaks at about 150 bytes per cell over start-up (JSON; 95 in
 # CSV, 40 in PGM; Python 3.11), so the largest grid peaks near 330 MiB.  A cell
-# costs about 0.4 us end to end in PGM, 1.1-1.5 us in JSON or CSV.
+# costs about 0.7-1.0 us end to end in PGM, 1.6-3.2 us in JSON or CSV (2 shared cores).
 HEATMAP_MAX_CELLS = 2**21
 
 
 def heatmap_grid(n_items: int, n_max: int) -> list:
-    """p(n, r) for n = 0..n_max (rows) and r = 1..N (columns), uniform case.
-
-    Rows are lists of floats: `uniform_success_prob`'s expression, with one
-    phi per column, the uniform start's `decompose(...).phi` written inline.
-    A call of `uniform_success_prob` per cell gives the same bytes but took the
-    largest grid in PGM from 0.65 to 0.99 s (median of 5, 2 cores, Python 3.11).
-    """
-    from .analytic import _rows, rotation_angle
+    """p(n, r) for n = 0..n_max (rows) and r = 1..N (columns), uniform case: each
+    cell is `uniform_success_prob(v, n)` at the uniform start's v = sqrt(r/N)."""
+    from .analytic import _rows, uniform_success_prob
 
     _rows(1, n_items)
     if n_max < 0:
         raise ValueError(f"n_max must be >= 0, got {n_max}")
     if (n_max + 1) * n_items > HEATMAP_MAX_CELLS:
         raise ValueError(f"heatmap of {n_max + 1} x {n_items} cells exceeds {HEATMAP_MAX_CELLS}")
-    phis = [rotation_angle(math.sqrt(r / n_items)) for r in range(1, n_items + 1)]
-    return [[0.5 * (1.0 - math.cos((2.0 * n + 1.0) * phi)) for phi in phis]
-            for n in range(n_max + 1)]
+    vs = [math.sqrt(r / n_items) for r in range(1, n_items + 1)]
+    return [[uniform_success_prob(v, n) for v in vs] for n in range(n_max + 1)]
 
 
 def heatmap_to_pgm(grid) -> bytes:
@@ -445,8 +423,7 @@ def cmd_montecarlo(args: argparse.Namespace):
 
     # the run's own options are checked before the instance is built or Q steps
     _check_agents(args.agents, "--agents")
-    if not 1 <= args.trials <= 2**32:
-        raise ValueError(f"--trials must lie in [1, 2^32], got {args.trials}")
+    _check_trials("--trials", args.trials)
     _check_seed("--seed", args.seed)
     n = None
     if args.iterations is not None:

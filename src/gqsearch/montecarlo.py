@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .errors import GQSearchError
+from .errors import GQSearchError, _check_seed, _check_trials
 from .strategy import parallel_success
 
 # Caps on one trial's rounds and on one run's estimated steps.  The slowest run
@@ -168,13 +168,11 @@ def run_parallel(p: float, n: int, k: int, trials: int, seed: int) -> Estimate:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_trials("trials", trials)
     pk = parallel_success(p, k)
     if pk == 0.0:
         raise GQSearchError("success probability 0; process cannot terminate")
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must lie in [0, 2^64), got {seed}")
+    _check_seed("seed", seed)
     if pk == 1.0:  # every trial stops in round 1, and no uniform is drawn
         return Estimate(mean=float(n), stderr=0.0)
     log_q = math.log1p(-pk)

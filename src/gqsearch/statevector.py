@@ -31,14 +31,13 @@ from __future__ import annotations
 import copy
 import itertools
 import math
-import re
 import warnings
 from collections import namedtuple
 
 import numpy as np
 
 from .analytic import _rows, uniform_instance
-from .errors import GQSearchError
+from .errors import GQSearchError, _int
 
 # Drift beyond this is a GQSearchError.
 NORM_TOL = 1e-9
@@ -87,16 +86,13 @@ def _state_file(path: str, n_items: int):
     """The amplitudes of the state file at path, in blocks of BLOCK lines.
 
     The file is opened and its N read at the first next(); an N other than
-    n_items is refused there, before any amplitude line is parsed.  N is
-    ASCII [+-]?[0-9]+, as the command line's integers are.  An error past
+    n_items is refused there, before any amplitude line is parsed.  N is read
+    by `errors._int`, as the command line's integers are.  An error past
     the first block names that block's lines, one per amplitude.
     """
     with open(path, "rb") as fh:  # lines decoded one by one: an error stays in its block
         try:
-            head = fh.readline().decode("ascii").removesuffix("\n").removesuffix("\r")
-            if re.fullmatch("[+-]?[0-9]+", head) is None:  # int() takes blanks and '_'
-                raise ValueError(f"invalid literal for int() with base 10: {head!r}")
-            n = int(head)
+            n = _int(fh.readline().decode("ascii").removesuffix("\n").removesuffix("\r"))
         except ValueError as exc:
             raise ValueError(f"state file {path!r} is malformed: {exc}") from exc
         if n != n_items:

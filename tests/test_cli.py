@@ -978,7 +978,7 @@ def test_heatmap_grid_is_the_closed_form_per_cell(n_items):
 
 @pytest.mark.parametrize("n_items", [1, 2, 64, 4096])
 def test_heatmap_columns_rotate_by_the_uniform_decomposition_angle(monkeypatch, n_items):
-    # each column's phi, written inline, is the uniform start's decompose(...).phi
+    # uniform_success_prob takes each column's phi, the uniform start's decompose(...).phi
     want = [decompose(uniform_instance(n_items, r)).phi for r in range(1, n_items + 1)]
     phis = []
 

@@ -290,6 +290,9 @@ def test_counter_range_is_checked():
         run_parallel(0.5, 1, 1, 5, seed=-1)
     with pytest.raises(ValueError):
         run_parallel(0.5, 1, 1, 5, seed=2**64)
+    for trials in (10**400, 2**32 + 1):  # checked as integers, before any float
+        with pytest.raises(ValueError, match=r"must lie in \[1, 2\^32\]"):
+            run_parallel(0.5, 1, 1, trials, seed=0)
     est = run_parallel(0.5, 1, 1, 4, seed=2**64 - 1)
     counts = montecarlo._round_counts(0.5, 4, np.random.default_rng(2**64 - 1).random)
     assert est.mean == float(_exact_estimate(counts, 1, 4)[0])
